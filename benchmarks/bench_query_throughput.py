@@ -13,6 +13,12 @@ fitted state:
 The two paths must agree to 1e-9 on every query (the script fails
 otherwise), so this doubles as an end-to-end equivalence check.
 
+A second, λ>2-only section times the batched Weighted Update kernel
+(``weighted_update_batch``) alone, on λ = 3, 4, 5 and 6 batches whose
+targets are HDG's clipped 2-D sub-answers (2000 rows each; 64 under
+``--smoke``), and reports rows/s.  Under ``--smoke`` every row must be
+bitwise equal to the sequential ``weighted_update`` on that row.
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_query_throughput.py
@@ -38,7 +44,11 @@ from _scale import report  # noqa: E402
 
 from repro.baselines import CALM, LHIO, MSW, Uniform  # noqa: E402
 from repro.core import HDG, TDG  # noqa: E402
+from repro.core.query_estimation import (  # noqa: E402
+    lambda_constraint_index_sets)
 from repro.datasets import make_dataset  # noqa: E402
+from repro.estimation import (Constraint, weighted_update,  # noqa: E402
+                              weighted_update_batch)
 from repro.queries import WorkloadGenerator  # noqa: E402
 
 #: Mechanisms measured, in report order.  HIO is excluded: its answering
@@ -88,6 +98,60 @@ def time_workload(mechanism, queries, legacy: bool,
     return answers, best
 
 
+def weighted_update_targets(mechanism, dimension: int, n_rows: int,
+                            n_attributes: int, domain_size: int,
+                            seed: int) -> np.ndarray:
+    """Algorithm 2 targets for ``n_rows`` random λ-D queries: the
+    mechanism's clipped 2-D sub-answers plus the normalisation to 1."""
+    generator = WorkloadGenerator(n_attributes, domain_size,
+                                  rng=np.random.default_rng(seed))
+    queries = generator.random_workload(n_rows, dimension, 0.5)
+    pair_answers = mechanism.answer_workload(
+        [sub for query in queries for sub in query.pairwise_subqueries()])
+    targets = np.ones((n_rows, dimension * (dimension - 1) // 2 + 1))
+    targets[:, :-1] = np.maximum(0.0, pair_answers.reshape(n_rows, -1))
+    return targets
+
+
+def weighted_update_section(mechanism, n_rows: int, n_attributes: int,
+                            domain_size: int, seed: int,
+                            check: bool) -> tuple[list[str], list[str]]:
+    """Rows/s of ``weighted_update_batch`` per λ > 2; with ``check``,
+    every row is compared bitwise with the sequential engine."""
+    lines = [f"weighted_update_batch: {n_rows}-row batches of HDG "
+             "pair answers",
+             f"{'lambda':>10}  {'rows/s':>12}  {'best ms':>10}"]
+    failures = []
+    for dimension in (3, 4, 5, 6):
+        if dimension > n_attributes:
+            continue
+        size = 1 << dimension
+        index_sets = lambda_constraint_index_sets(dimension)
+        targets = weighted_update_targets(mechanism, dimension, n_rows,
+                                          n_attributes, domain_size,
+                                          seed + dimension)
+        best = float("inf")
+        elapsed_total = 0.0
+        while elapsed_total < 0.5:
+            start = time.perf_counter()
+            estimates = weighted_update_batch(size, index_sets, targets)
+            elapsed = time.perf_counter() - start
+            best = min(best, elapsed)
+            elapsed_total += elapsed
+        lines.append(f"{dimension:>10}  {n_rows / best:>12.0f}  "
+                     f"{best * 1e3:>10.2f}")
+        if check:
+            for row, estimate in zip(targets, estimates):
+                reference = weighted_update(
+                    size, [Constraint(idx, target)
+                           for idx, target in zip(index_sets, row)]).estimate
+                if not np.array_equal(estimate, reference):
+                    failures.append(f"lambda={dimension}: a batched row "
+                                    "differs from weighted_update")
+                    break
+    return lines, failures
+
+
 def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
         domain_size: int, seed: int, smoke: bool) -> str:
     rng = np.random.default_rng(seed)
@@ -100,8 +164,9 @@ def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
              f"{'mechanism':>10}  {'legacy q/s':>12}  {'batch q/s':>12}  "
              f"{'speedup':>8}"]
     failures = []
+    fitted = {}
     for name in MECHANISMS:
-        mechanism = FACTORIES[name](epsilon, seed).fit(dataset)
+        mechanism = fitted[name] = FACTORIES[name](epsilon, seed).fit(dataset)
         legacy_answers, legacy_seconds = time_workload(mechanism, queries,
                                                        legacy=True)
         batch_answers, batch_seconds = time_workload(mechanism, queries,
@@ -118,6 +183,11 @@ def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
             failures.append(
                 f"{name}: batch engine only {speedup:.1f}x over the legacy "
                 "loop (expected >= 10x)")
+    section, section_failures = weighted_update_section(
+        fitted["HDG"], 64 if smoke else 2_000, n_attributes, domain_size,
+        seed + 11, check=smoke)
+    lines += [""] + section
+    failures += section_failures
     text = "\n".join(lines)
     if failures:
         raise SystemExit(text + "\n\nFAILURES:\n" + "\n".join(failures))

@@ -15,6 +15,7 @@ share it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,15 +110,69 @@ def weighted_update(size: int, constraints: list[Constraint],
                                 converged=converged, change_history=history)
 
 
+#: Above this many terms NumPy's pairwise summation recurses on halves.
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_sum(terms):
+    """Sum ``terms`` in NumPy's contiguous pairwise-summation order.
+
+    Reproduces the association ``ndarray.sum()`` uses on a contiguous
+    float64 vector: a left fold from ``0.0`` below eight terms, eight
+    interleaved accumulators combined as a balanced tree up to
+    ``_PAIRWISE_BLOCK`` terms, and recursive halving (at a multiple of
+    eight) above that.  ``terms`` is any sliceable sequence whose items
+    support ``+``: Python floats, the rows of a 2-D array (folded
+    elementwise, one sum per column) or symbolic terms that spell the
+    fold out as source code.  All three associate the same way, so
+    they round to the same bits.
+    """
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for term in terms:
+            total = total + term
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
+        tail = n - n % 8
+        for start in range(8, tail, 8):
+            t0, t1, t2, t3, t4, t5, t6, t7 = terms[start:start + 8]
+            r0 = r0 + t0
+            r1 = r1 + t1
+            r2 = r2 + t2
+            r3 = r3 + t3
+            r4 = r4 + t4
+            r5 = r5 + t5
+            r6 = r6 + t6
+            r7 = r7 + t7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for term in terms[tail:]:
+            total = total + term
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+
+
 def weighted_update_batch(size: int, index_sets: list[np.ndarray],
                           targets: np.ndarray, threshold: float = 1e-7,
                           max_iterations: int = 100) -> np.ndarray:
-    """Run many independent weighted-update problems in one NumPy iteration.
+    """Run many independent weighted-update problems at once.
 
     All problems share the same constraint *structure* (the index sets)
     but have their own targets — exactly the situation when a workload
     contains many λ-D queries of the same dimension: the orthant index
     sets depend only on λ while the 2-D sub-answers differ per query.
+
+    Every constraint sum and every per-sweep change sum is a
+    :func:`pairwise_sum` fold, the order :func:`weighted_update` reduces
+    in, so each row of the result is bitwise equal to
+    :func:`weighted_update` on that row alone — independent of the
+    batch height and of the other rows in the batch.  One row (the
+    serving tier's single-query path) runs on Python floats; two or
+    more run column-wise on an orthant-major ``(size, n_problems)``
+    array with elementwise NumPy operations.
 
     Parameters
     ----------
@@ -131,8 +186,7 @@ def weighted_update_batch(size: int, index_sets: list[np.ndarray],
     threshold, max_iterations:
         Same convergence controls as :func:`weighted_update`.  Each row
         converges independently — once a row's per-sweep change drops
-        below the threshold it stops updating, so every row follows the
-        exact same trajectory the sequential engine would produce.
+        below the threshold it stops updating.
 
     Returns
     -------
@@ -146,55 +200,107 @@ def weighted_update_batch(size: int, index_sets: list[np.ndarray],
         raise ValueError(
             f"got {targets.shape[1]} targets per problem for "
             f"{len(index_sets)} constraints")
-    n_problems = targets.shape[0]
-    if n_problems == 1:
-        # Single-problem workloads (one λ-D query) dominate the serving
-        # tier's single-query path; the 2-D machinery below spends most
-        # of its time on tiny-array overhead (`ones_like`, masked
-        # divides, active-row bookkeeping).  The 1-D sweep runs the
-        # same multiplications in the same order, and a (1, k) gather
-        # is contiguous so its axis-1 sum is the same pairwise
-        # reduction as the 1-D `.sum()` — this branch is bitwise
-        # identical to what the generic path produces for one row
-        # (pinned by tests/test_epoch_serving.py).  Only n >= 2 rows
-        # gather F-ordered and reduce with a strided loop, so batches
-        # of different heights were never mutually bitwise anyway.
-        return _weighted_update_single(size, index_sets, targets[0],
-                                       threshold, max_iterations)[None]
-    estimate = np.full((n_problems, size), 1.0 / size)
-    if n_problems == 0:
-        return estimate
-    index_sets = [np.asarray(idx, dtype=np.int64) for idx in index_sets]
+    if targets.shape[0] == 1:
+        solve = _row_solver(size, tuple(tuple(np.asarray(idx).tolist())
+                                        for idx in index_sets))
+        return np.array([solve(targets[0].tolist(), threshold,
+                               max_iterations)])
+    return _weighted_update_columns(size, index_sets, targets, threshold,
+                                    max_iterations)
 
+
+class _Symbol:
+    """A term of generated source: ``+`` spells the addition out."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __add__(self, other: _Symbol) -> _Symbol:
+        return _Symbol(f"({self.text} + {other.text})")
+
+    def __radd__(self, other: float) -> _Symbol:
+        return _Symbol(f"({other!r} + {self.text})")
+
+
+@functools.lru_cache(maxsize=32)
+def _row_solver(size: int, index_sets: tuple[tuple[int, ...], ...]):
+    """Compile one problem's sweeps to straight-line Python float code.
+
+    Estimate entry ``i`` lives in the local ``e{i}``, and every sum is
+    :func:`pairwise_sum` evaluated over symbols, so the generated
+    expressions add in the same tree as the column-wise path — with no
+    NumPy call and no list indexing per reduction.  Compiled once per
+    constraint structure (in practice one per λ).
+    """
+    index_sets = tuple(tuple(range(size)[i] for i in idx)
+                       for idx in index_sets)
+    entries = [f"e{i}" for i in range(size)]
+    saved = [f"b{i}" for i in range(size)]
+    lines = [
+        "def solve(targets, threshold, max_iterations):",
+        f"    [{', '.join(f't{k}' for k in range(len(index_sets)))}]"
+        " = targets",
+        f"    {' = '.join(entries)} = {1.0 / size!r}",
+        "    for _ in range(max_iterations):",
+        f"        {', '.join(saved)}, = {', '.join(entries)},",
+    ]
+    for k, idx in enumerate(index_sets):
+        current = pairwise_sum([_Symbol(entries[i]) for i in idx])
+        lines += [f"        current = {current.text}",
+                  "        if current != 0.0:",
+                  f"            ratio = t{k} / current"]
+        # Fancy-index assignment scales a repeated index once.
+        lines += [f"            {entries[i]} *= ratio"
+                  for i in dict.fromkeys(idx)]
+    change = pairwise_sum([_Symbol(f"abs({entry} - {old})")
+                           for entry, old in zip(entries, saved)])
+    lines += [f"        if {change.text} < threshold:",
+              "            break",
+              f"    return [{', '.join(entries)}]"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<weighted_update_row>", "exec"),
+         namespace)
+    return namespace["solve"]
+
+
+def _weighted_update_columns(size: int, index_sets: list[np.ndarray],
+                             targets: np.ndarray, threshold: float,
+                             max_iterations: int) -> np.ndarray:
+    """Many problems' sweeps on an orthant-major ``(size, n)`` array.
+
+    Column ``b`` holds problem ``b``'s estimate, so a constraint's
+    gathered entries are rows and :func:`pairwise_sum` folds them with
+    elementwise adds — the same association for every column.
+    Converged columns are written out and dropped from the working
+    array.
+    """
+    n_problems = targets.shape[0]
+    result = np.full((n_problems, size), 1.0 / size)
+    if n_problems == 0:
+        return result
+    index_sets = [np.asarray(idx, dtype=np.int64) for idx in index_sets]
+    columns = np.ascontiguousarray(targets.T)
+    estimate = np.full((size, n_problems), 1.0 / size)
     active = np.arange(n_problems)
     for _ in range(max_iterations):
-        sub = estimate[active]
-        before = sub.copy()
-        for position, idx in enumerate(index_sets):
-            current = sub[:, idx].sum(axis=1)
-            nonzero = current != 0.0
-            ratios = np.divide(targets[active, position], current,
-                               out=np.ones_like(current), where=nonzero)
-            sub[:, idx] *= ratios[:, None]
-        changes = np.abs(sub - before).sum(axis=1)
-        estimate[active] = sub
-        active = active[changes >= threshold]
-        if active.size == 0:
-            break
-    return estimate
-
-
-def _weighted_update_single(size: int, index_sets: list[np.ndarray],
-                            targets: np.ndarray, threshold: float,
-                            max_iterations: int) -> np.ndarray:
-    """One problem's sweeps as flat 1-D operations (no row dimension)."""
-    estimate = np.full(size, 1.0 / size)
-    for _ in range(max_iterations):
         before = estimate.copy()
-        for position, idx in enumerate(index_sets):
-            current = estimate[idx].sum()
-            if current != 0.0:
-                estimate[idx] *= targets[position] / current
-        if np.abs(estimate - before).sum() < threshold:
-            break
-    return estimate
+        for idx, target in zip(index_sets, columns):
+            current = pairwise_sum(estimate[idx])
+            ratio = np.divide(target, current, out=np.ones_like(current),
+                              where=current != 0.0)
+            estimate[idx] *= ratio
+        np.subtract(estimate, before, out=before)
+        change = pairwise_sum(np.abs(before, out=before))
+        done = change < threshold
+        if done.any():
+            result[active[done]] = estimate[:, done].T
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                return result
+            estimate = np.ascontiguousarray(estimate[:, keep])
+            columns = np.ascontiguousarray(columns[:, keep])
+    result[active] = estimate.T
+    return result

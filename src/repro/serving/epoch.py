@@ -35,6 +35,7 @@ other, but still never against ingest or re-finalize.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -97,8 +98,7 @@ class AnswerCache:
             raise ValueError("capacity must be >= 0 (0 disables caching)")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._entries: dict[tuple, _CachedAnswer] = {}
-        self._order: list[tuple] = []
+        self._entries: OrderedDict[tuple, _CachedAnswer] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -114,28 +114,23 @@ class AnswerCache:
                 self.misses += 1
                 return None
             self.hits += 1
-            self._order.remove(key)
-            self._order.append(key)
+            self._entries.move_to_end(key)
             return entry
 
     def put(self, key: tuple, entry: _CachedAnswer) -> None:
         if self.capacity == 0:
             return
         with self._lock:
-            if key in self._entries:
-                self._order.remove(key)
             self._entries[key] = entry
-            self._order.append(key)
-            while len(self._order) > self.capacity:
-                evicted = self._order.pop(0)
-                del self._entries[evicted]
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
                 self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counters keep accumulating)."""
         with self._lock:
             self._entries.clear()
-            self._order.clear()
 
     def stats(self) -> dict:
         """Counters for health documents and the concurrency tests."""

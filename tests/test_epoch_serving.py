@@ -21,9 +21,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import Dataset, make_dataset
-from repro.estimation.weighted_update import (Constraint,
-                                              _weighted_update_single,
-                                              weighted_update,
+from repro.estimation.weighted_update import (Constraint, weighted_update,
                                               weighted_update_batch)
 from repro.queries import MarginalQuery, WorkloadGenerator
 from repro.serving import (SNAPSHOT_MECHANISMS, AnswerCache, QueryService,
@@ -116,12 +114,10 @@ def test_query_before_first_epoch_raises():
 # Weighted-Update single-problem specialization
 # ----------------------------------------------------------------------
 def test_weighted_update_single_bitwise_matches_batch():
-    """The 1-D sweep must be bitwise identical to the sequential
-    reference engine and to the n==1 batch dispatch.  (A 2-row stack
-    is *not* a valid cross-check: ``sub[:, idx]`` gathers F-ordered
-    for n >= 2, so its axis-1 sums round differently in the last ulp
-    than any n==1 run — a pre-existing property of the generic path.
-    Rows of one stacked run must still agree with each other.)"""
+    """The one-row sweep (Python floats) must be bitwise identical to
+    the sequential reference engine, and to the same row inside a
+    stacked two-row run (column-wise NumPy): both reduce in the same
+    fixed pairwise order, so batch height cannot change the bits."""
     rng = np.random.default_rng(13)
     size = 64
     index_sets = [rng.choice(size, size=rng.integers(2, 12), replace=False)
@@ -130,17 +126,15 @@ def test_weighted_update_single_bitwise_matches_batch():
         targets = rng.random(len(index_sets))
         if trial % 3 == 0:
             targets[rng.integers(0, len(index_sets))] = 0.0
-        single = _weighted_update_single(size, index_sets, targets,
-                                         1e-7, 100)
-        dispatched = weighted_update_batch(size, index_sets, targets[None])
+        single = weighted_update_batch(size, index_sets, targets[None])
         sequential = weighted_update(
             size, [Constraint(idx, target)
                    for idx, target in zip(index_sets, targets)]).estimate
-        assert np.array_equal(single, dispatched[0])
-        assert np.array_equal(single, sequential)
+        assert np.array_equal(single[0], sequential)
+        other = rng.random(len(index_sets))
         stacked = weighted_update_batch(size, index_sets,
-                                        np.vstack([targets, targets]))
-        assert np.array_equal(stacked[0], stacked[1])
+                                        np.vstack([targets, other]))
+        assert np.array_equal(stacked[0], single[0])
 
 
 # ----------------------------------------------------------------------
@@ -459,3 +453,40 @@ def test_no_torn_reads_under_epoch_churn():
     crossed = {epoch_id for observed in records
                for epoch_id, _ in observed}
     assert len(crossed) >= 2
+
+
+# ----------------------------------------------------------------------
+# Batch composition: an answer depends on (epoch, query) only
+# ----------------------------------------------------------------------
+#: HIO and LHIO are excluded: they draw lazy noise while answering
+#: (``answering_is_pure=False``), so their bits depend on the order
+#: queries are first seen, not only on the batch they arrive in.
+PURE_MECHANISMS = ("Uni", "MSW", "CALM", "TDG", "HDG", "ITDG", "IHDG")
+
+
+@pytest.fixture(scope="module")
+def composition_dataset() -> Dataset:
+    return make_dataset("normal", 2_000, 4, DOMAIN,
+                        rng=np.random.default_rng(31))
+
+
+@pytest.mark.parametrize("name", PURE_MECHANISMS)
+def test_answer_independent_of_batch_composition(name, composition_dataset):
+    """Each query answered alone — directly and through the epoch's
+    single-query paths — is bitwise equal to its answer inside a
+    random mixed-λ (1–4) workload."""
+    mechanism = SNAPSHOT_MECHANISMS[name](1.0, seed=7).fit(
+        composition_dataset)
+    assert mechanism.answering_is_pure
+    rng = np.random.default_rng(41)
+    generator = WorkloadGenerator(4, DOMAIN, rng=rng)
+    workload = [query for dimension in (1, 2, 3, 4)
+                for query in generator.random_workload(6, dimension, 0.5)]
+    workload = [workload[index] for index in rng.permutation(len(workload))]
+    batched = mechanism.answer_workload(workload)
+    service = QueryService(mechanism, answer_cache_entries=0)
+    for query, expected in zip(workload, batched):
+        assert np.array_equal(mechanism.answer_workload([query]),
+                              [expected])
+        assert np.array_equal(service.query([query]), [expected])
+        assert service.query_typed([query])[0].value == expected

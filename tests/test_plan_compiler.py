@@ -8,11 +8,8 @@ the per-query planner path — **bitwise**.  Bitwise (not approximate)
 equality is assertable because every layer the compiler regroups is
 elementwise-independent: grid corner lookups answer each range from its
 own four corners, scalar reassembly multiplies each primitive by its
-own scale, and ``weighted_update_batch`` deactivates each row's
-iteration independently of its batch-mates.  The single exception —
-re-batching λ>2 estimation rows one query at a time reassociates
-NumPy's pairwise axis-sums by one ulp — is confined to the per-query
-reference and documented on :func:`assert_results_bitwise_equal`.
+own scale, and every row of ``weighted_update_batch`` is bitwise equal
+to the sequential engine on that row, whatever its batch-mates.
 
 Also covers the :class:`~repro.queries.PlanCache` LRU/counter contract
 and multi-threaded answering through a tiny cache under eviction
@@ -59,39 +56,26 @@ def seeded_mixed_workload(n_queries: int, dimension: int, seed: int,
                                     table_dimension=table_dimension)
 
 
-def assert_results_bitwise_equal(fused, reference, rtol: float = 0.0):
+def assert_results_bitwise_equal(fused, reference):
     """Typed results from the fused path == the reference path, bitwise.
 
-    The default is exact (no tolerance): see the module docstring —
-    every regrouped kernel is elementwise-independent, so there is no
-    float reassociation to forgive.  The one exception is comparing a
-    *batched* run against a *per-query* run of λ>2 estimation:
-    ``weighted_update_batch`` sums constraint slices with
-    ``ndarray.sum(axis=1)``, and NumPy's pairwise reduction splits an
-    ``(n, k)`` batch differently from a ``(1, k)`` batch, so re-batching
-    reassociates those float additions.  Observed divergence is one ulp
-    (~1e-16); callers pass ``rtol=1e-9`` there, a bound a million times
-    looser than the effect it forgives.
+    Exact, with no tolerance: see the module docstring — every
+    regrouped kernel is elementwise-independent, so there is no float
+    reassociation to forgive.
     """
     assert len(fused) == len(reference)
-
-    def values_equal(left_values, right_values) -> bool:
-        if rtol == 0.0:
-            return np.array_equal(left_values, right_values)
-        return np.allclose(left_values, right_values, rtol=rtol, atol=0.0)
-
     for left, right in zip(fused, reference):
         assert type(left) is type(right)
         assert left.query == right.query
         if isinstance(left, ScalarResult):
-            assert values_equal(left.value, right.value)
+            assert np.array_equal(left.value, right.value)
             assert left.population == right.population
         elif isinstance(left, DistributionResult):
             assert left.values.shape == right.values.shape
-            assert values_equal(left.values, right.values)
+            assert np.array_equal(left.values, right.values)
         elif isinstance(left, TopKResult):
             assert left.cells == right.cells
-            assert values_equal(left.values, right.values)
+            assert np.array_equal(left.values, right.values)
         else:  # pragma: no cover - new result kinds must be added here
             raise AssertionError(f"unhandled result type {type(left)!r}")
 
@@ -141,12 +125,9 @@ def test_fused_matches_planner_paths_lambda3(name, dataset):
     assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
                                                               queries))
     # Per-query answering re-batches the λ=3 weighted-update rows one at
-    # a time; that reassociates NumPy's pairwise axis-sums (see the
-    # helper's docstring), so this comparison — and only this one —
-    # carries a tolerance.
+    # a time; each row's bits do not depend on its batch.
     assert_results_bitwise_equal(fused,
-                                 per_query_reference(mechanism, queries),
-                                 rtol=1e-9)
+                                 per_query_reference(mechanism, queries))
 
 
 def test_fused_matches_planner_paths_max_entropy(dataset):

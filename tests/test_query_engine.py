@@ -175,8 +175,7 @@ def test_weighted_update_batch_matches_sequential(rng):
         constraints = [Constraint(indices=idx, target=targets[row, k])
                        for k, idx in enumerate(index_sets)]
         sequential = weighted_update(size, constraints)
-        np.testing.assert_allclose(batch[row], sequential.estimate,
-                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(batch[row], sequential.estimate)
 
 
 def test_estimate_lambda_queries_batched_matches_per_query(rng):
@@ -198,7 +197,7 @@ def test_estimate_lambda_queries_batched_matches_per_query(rng):
             query, lambda sub, table=table: table[sub.attributes])
             for query, table in zip(queries, lookup_tables)]
         batched = estimate_lambda_queries_batched(queries, sub_answers)
-        np.testing.assert_allclose(batched, expected, rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(batched, expected)
 
 
 def test_estimate_lambda_queries_batched_rejects_pairs():
