@@ -1,14 +1,15 @@
-"""Queries/sec of the legacy per-query loop vs the batch query engine.
+"""Queries/sec of the compiled answering path vs the reference loops.
 
 Fits each mechanism once, generates a mixed-λ workload (λ = 1, 2, 3, 4 in
 equal parts, shuffled) and times two answering paths over the identical
 fitted state:
 
-* **legacy** — ``use_legacy_answering=True``: the original Python
-  cell-loop grid answering and one Weighted Update per λ-D query.
-* **batch**  — the vectorised engine: prefix-sum/summed-area corner
-  lookups grouped per grid plus one batched Weighted Update per distinct
-  λ.
+* **loops**    — the reference loops of ``tests/oracles.py``: per-cell
+  grid answering, slice sums, per-node hierarchy sums and one Weighted
+  Update per λ-D query, one query at a time.
+* **compiled** — ``answer_workload``: the workload's compiled plan, with
+  prefix-sum/summed-area corner lookups grouped per grid plus one
+  batched Weighted Update per distinct λ.
 
 The two paths must agree to 1e-9 on every query (the script fails
 otherwise), so this doubles as an end-to-end equivalence check.
@@ -27,6 +28,8 @@ Run directly::
 ``--smoke`` shrinks the population and workload so CI can exercise the
 fast path on every PR in a few seconds (no speedup assertion — shared
 runners are too noisy for that; the full run asserts ≥ 10x on TDG/HDG).
+The loops are imported from ``tests/oracles.py`` by path, like
+``_scale`` from this directory.
 """
 
 from __future__ import annotations
@@ -38,9 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "tests"))
 
 from _scale import report  # noqa: E402
+from oracles import loop_answers  # noqa: E402
 
 from repro.baselines import CALM, LHIO, MSW, Uniform  # noqa: E402
 from repro.core import HDG, TDG  # noqa: E402
@@ -81,20 +87,18 @@ def mixed_workload(n_queries: int, n_attributes: int, domain_size: int,
     return [queries[index] for index in order]
 
 
-def time_workload(mechanism, queries, legacy: bool,
+def time_workload(answer, queries,
                   min_seconds: float = 0.2) -> tuple[np.ndarray, float]:
     """Answers plus best-of-repeats seconds for one answering path."""
-    mechanism.use_legacy_answering = legacy
-    answers = mechanism.answer_workload(queries)  # warm any lazy indexes
+    answers = answer(queries)  # warm any lazy indexes and the plan cache
     best = float("inf")
     elapsed_total = 0.0
     while elapsed_total < min_seconds:
         start = time.perf_counter()
-        answers = mechanism.answer_workload(queries)
+        answers = answer(queries)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         elapsed_total += elapsed
-    mechanism.use_legacy_answering = False
     return answers, best
 
 
@@ -161,28 +165,29 @@ def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
 
     lines = [f"query throughput: n={n_users} d={n_attributes} c={domain_size} "
              f"eps={epsilon} |Q|={len(queries)} (mixed lambda 1-4)",
-             f"{'mechanism':>10}  {'legacy q/s':>12}  {'batch q/s':>12}  "
+             f"{'mechanism':>10}  {'loops q/s':>12}  {'compiled q/s':>12}  "
              f"{'speedup':>8}"]
     failures = []
     fitted = {}
     for name in MECHANISMS:
         mechanism = fitted[name] = FACTORIES[name](epsilon, seed).fit(dataset)
-        legacy_answers, legacy_seconds = time_workload(mechanism, queries,
-                                                       legacy=True)
-        batch_answers, batch_seconds = time_workload(mechanism, queries,
-                                                     legacy=False)
-        worst = float(np.abs(legacy_answers - batch_answers).max())
+        loop_results, loop_seconds = time_workload(
+            lambda workload: loop_answers(mechanism, workload), queries)
+        compiled_results, compiled_seconds = time_workload(
+            mechanism.answer_workload, queries)
+        worst = float(np.abs(loop_results - compiled_results).max())
         if worst > 1e-9:
-            failures.append(f"{name}: legacy/batch answers differ by {worst:.3e}")
-        legacy_qps = len(queries) / legacy_seconds
-        batch_qps = len(queries) / batch_seconds
-        speedup = legacy_seconds / batch_seconds
-        lines.append(f"{name:>10}  {legacy_qps:>12.0f}  {batch_qps:>12.0f}  "
+            failures.append(
+                f"{name}: loop/compiled answers differ by {worst:.3e}")
+        loop_qps = len(queries) / loop_seconds
+        compiled_qps = len(queries) / compiled_seconds
+        speedup = loop_seconds / compiled_seconds
+        lines.append(f"{name:>10}  {loop_qps:>12.0f}  {compiled_qps:>12.0f}  "
                      f"{speedup:>7.1f}x")
         if not smoke and name in ("TDG", "HDG") and speedup < 10.0:
             failures.append(
-                f"{name}: batch engine only {speedup:.1f}x over the legacy "
-                "loop (expected >= 10x)")
+                f"{name}: compiled path only {speedup:.1f}x over the "
+                "reference loops (expected >= 10x)")
     section, section_failures = weighted_update_section(
         fitted["HDG"], 64 if smoke else 2_000, n_attributes, domain_size,
         seed + 11, check=smoke)

@@ -222,7 +222,13 @@ class HIO(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
-    def _answer(self, query: RangeQuery) -> float:
+    def _answer_compiled(self, compiled) -> np.ndarray:
+        """Each primitive in plan order (lazy draws keep their order)."""
+        return np.array([self._answer_query(query)
+                         for query in compiled.flat_ranges], dtype=float)
+
+    def _answer_query(self, query: RangeQuery) -> float:
+        """Sum of every node combination of the query's d-dim expansion."""
         assert self.hierarchy is not None and self._n_attributes is not None
         decompositions: list[list[HierarchyNode]] = []
         for attribute in range(self._n_attributes):
@@ -231,11 +237,6 @@ class HIO(RangeQueryMechanism):
             else:
                 low, high = 0, self.hierarchy.domain_size - 1
             decompositions.append(self.hierarchy.decompose(low, high))
-        if self.use_legacy_answering:
-            answer = 0.0
-            for combination in product(*decompositions):
-                answer += self._interval_frequency(tuple(combination))
-            return answer
         return self._answer_vectorized(decompositions)
 
     #: Combination-count ceiling for the fully-vectorised enumeration;
@@ -251,10 +252,11 @@ class HIO(RangeQueryMechanism):
         into one integer code, and every distinct level is answered with
         a single fancy-indexed gather over its materialised estimates.
         Levels are materialised in the product's first-touch order, so
-        the RNG stream — and therefore every answer — matches the legacy
-        per-combination loop from a fresh fitted state.  Combinations
-        involving over-limit (lazy) levels keep the bucketed loop, which
-        interleaves lazy noise draws at the legacy iteration points.
+        the RNG stream — and therefore every answer — matches the
+        reference per-combination loop from a fresh fitted state.
+        Combinations involving over-limit (lazy) levels keep the
+        bucketed loop, which interleaves lazy noise draws at the loop's
+        iteration points.
         """
         assert self.hierarchy is not None
         level_arrays = [np.array([node.level for node in nodes], dtype=np.int64)
@@ -300,9 +302,9 @@ class HIO(RangeQueryMechanism):
         per-level index buckets and summed with a single fancy-indexed
         lookup; combinations of over-limit levels keep the lazy noisy
         path.  Both first-time level materialisations and lazy draws
-        happen at the same iteration points as the legacy per-combination
-        loop, so the RNG stream — and therefore every answer — matches
-        the legacy path from a fresh fitted state, not just after the
+        happen at the same iteration points as the reference
+        per-combination loop, so the RNG stream — and therefore every
+        answer — matches it from a fresh fitted state, not just after the
         caches are warm.
         """
         assert self.hierarchy is not None

@@ -37,7 +37,6 @@ from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, olh_variance
 from ..postprocess import constrained_inference_2d, norm_sub
 from ..protocol import partition_users
-from ..queries import Predicate, RangeQuery
 from .hierarchy import HierarchyNode, IntervalHierarchy
 
 
@@ -190,10 +189,8 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                 "estimation_method": self.estimation_method}
 
     def _state_payload(self) -> dict:
-        has_lazy = any(pair_hierarchy.lazy_groups
-                       for pair_hierarchy in self._pairs.values())
         dataset = None
-        if has_lazy:
+        if self._has_lazy_levels():
             assert self._dataset is not None
             dataset = self._dataset.to_dict()
         return {
@@ -236,119 +233,79 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
             self._pairs[(a, b)] = pair_hierarchy
 
     # ------------------------------------------------------------------
-    # Answering
+    # Answering (the fused hooks of PairwiseBatchAnswering): each 2-D
+    # lookup decomposes both intervals into their least hierarchy nodes
+    # and sums the (row node, column node) combinations' frequencies;
+    # λ = 1 queries are padded to pairs and λ > 2 queries combine their
+    # C(λ,2) pair answers with Weighted Update.
     # ------------------------------------------------------------------
-    def _pair_hierarchy(self, attr_a: int, attr_b: int) -> tuple[_PairHierarchy, bool]:
-        if (attr_a, attr_b) in self._pairs:
-            return self._pairs[(attr_a, attr_b)], False
-        if (attr_b, attr_a) in self._pairs:
-            return self._pairs[(attr_b, attr_a)], True
-        raise KeyError(f"no hierarchy for attribute pair ({attr_a}, {attr_b})")
+    def _has_lazy_levels(self) -> bool:
+        return any(pair_hierarchy.lazy_groups
+                   for pair_hierarchy in self._pairs.values())
 
-    def _answer_pair(self, query: RangeQuery) -> float:
-        # The dataset is only dereferenced on lazy-level cache misses, so
-        # a restored snapshot with every level materialised answers with
-        # self._dataset == None.
-        assert self.hierarchy is not None
-        attr_a, attr_b = query.attributes
-        pair_hierarchy, flipped = self._pair_hierarchy(attr_a, attr_b)
-        interval_a = query.interval(attr_a)
-        interval_b = query.interval(attr_b)
-        if flipped:
-            interval_a, interval_b = interval_b, interval_a
-        nodes_rows = self.hierarchy.decompose(*interval_a)
-        nodes_cols = self.hierarchy.decompose(*interval_b)
-        if not self.use_legacy_answering and not pair_hierarchy.lazy_groups:
-            # Every level materialised (the paper-scale default): sum each
-            # level's node combinations with one fancy-indexed gather.
-            answer = 0.0
-            rows_by_level: dict[int, list[int]] = {}
-            cols_by_level: dict[int, list[int]] = {}
-            for node in nodes_rows:
-                rows_by_level.setdefault(node.level, []).append(node.index)
-            for node in nodes_cols:
-                cols_by_level.setdefault(node.level, []).append(node.index)
-            for row_level, row_indices in rows_by_level.items():
-                for col_level, col_indices in cols_by_level.items():
-                    values = pair_hierarchy.levels[(row_level, col_level)]
-                    answer += float(
-                        values[np.ix_(row_indices, col_indices)].sum())
-            return answer
-        answer = 0.0
-        for node_row in nodes_rows:
-            for node_col in nodes_cols:
-                answer += pair_hierarchy.frequency(node_row, node_col,
-                                                   self._dataset, self.epsilon,
-                                                   self.rng)
-        return answer
+    def _answer_compiled(self, compiled) -> np.ndarray:
+        if not self._has_lazy_levels():
+            return super()._answer_compiled(compiled)
+        # Lazy levels draw noise on first touch; answering the primitives
+        # strictly in plan order, one at a time, is the only order that
+        # keeps the RNG stream of answering them one query at a time.
+        answers = []
+        for query in compiled.flat_ranges:
+            if query.dimension == 1:
+                predicate = query.predicates[0]
+                answers.append(self._fused_attribute_ranges(
+                    predicate.attribute, np.array([predicate.low]),
+                    np.array([predicate.high]))[0])
+            elif query.dimension == 2:
+                answers.append(self._pair_answer(query))
+            else:
+                answers.append(estimate_lambda_query(
+                    query, self._pair_answer, method=self.estimation_method,
+                    max_iterations=self.estimation_iterations))
+        return np.array(answers, dtype=float)
 
-    def _answer_single(self, query: RangeQuery) -> float:
-        attribute = query.attributes[0]
-        low, high = query.interval(attribute)
-        other = 0 if attribute != 0 else 1
-        padded = RangeQuery((Predicate(attribute, low, high),
-                             Predicate(other, 0, self._domain_size - 1)))
-        return self._answer_pair(padded)
-
-    def _answer(self, query: RangeQuery) -> float:
-        if query.dimension == 1:
-            return self._answer_single(query)
-        if query.dimension == 2:
-            return self._answer_pair(query)
-        return estimate_lambda_query(query, self._answer_pair,
-                                     method=self.estimation_method)
-
-    # ------------------------------------------------------------------
-    # Batch engine (see PairwiseBatchAnswering): all 2-D lookups of a
-    # workload — λ = 1 queries padded to pairs, λ = 2 queries directly,
-    # the C(λ,2) sub-queries of λ > 2 queries — flow through one grouped
-    # gather per (pair, 2-dim level); the λ > 2 Weighted Update then
-    # runs as one NumPy batch.
-    # ------------------------------------------------------------------
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
+    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
+                           col_highs) -> np.ndarray:
         """Sum every entry's node combinations with one gather per level.
 
-        Each entry ``(attr_a, attr_b, interval_a, interval_b)`` decomposes
-        into (row node, column node) combinations exactly like
-        :meth:`_answer_pair`; combinations from all entries are grouped
-        by (attribute pair, 2-dim level) and each group is answered with
-        a single fancy-indexed lookup into the level's materialised
-        estimates, scatter-added back onto the entries via ``bincount``.
-        Falls back to the per-entry loop when any level is lazy, which
-        keeps the lazy noise draws in the legacy iteration order.
+        Combinations from all entries are grouped by 2-dim level, and
+        each level is answered with a single fancy-indexed lookup into
+        its materialised estimates, scatter-added back onto the entries
+        via ``bincount``.  Levels are visited in (row level, column
+        level) order, so an entry's sum depends on its own nodes only.
+        A hierarchy with lazy levels sums node by node in entry order,
+        drawing lazy noise as it goes.
         """
         assert self.hierarchy is not None
-        if not entries or any(pair_hierarchy.lazy_groups
-                              for pair_hierarchy in self._pairs.values()):
-            return super()._answer_interval_pairs_batched(entries)
+        pair_hierarchy = self._pairs.get(key)
+        if pair_hierarchy is None:
+            pair_hierarchy = self._pairs[(key[1], key[0])]
+            row_lows, row_highs, col_lows, col_highs = \
+                col_lows, col_highs, row_lows, row_highs
+        entries = list(zip(row_lows.tolist(), row_highs.tolist(),
+                           col_lows.tolist(), col_highs.tolist()))
+        if pair_hierarchy.lazy_groups:
+            return np.array([self._lazy_pair_sum(pair_hierarchy, *entry)
+                             for entry in entries])
         n_levels = self.hierarchy.n_levels
-        pairs_list = list(self._pairs)
-        pair_position = {pair: index for index, pair in enumerate(pairs_list)}
         node_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-        def nodes_of(interval: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-            arrays = node_cache.get(interval)
+        def nodes_of(low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+            arrays = node_cache.get((low, high))
             if arrays is None:
-                nodes = self.hierarchy.decompose(*interval)
+                nodes = self.hierarchy.decompose(low, high)
                 arrays = (np.array([node.level for node in nodes], dtype=np.int64),
                           np.array([node.index for node in nodes], dtype=np.int64))
-                node_cache[interval] = arrays
+                node_cache[(low, high)] = arrays
             return arrays
 
         code_parts, row_parts, col_parts, entry_parts = [], [], [], []
-        for position, (attr_a, attr_b, interval_a, interval_b) in enumerate(entries):
-            if (attr_a, attr_b) in self._pairs:
-                pair = (attr_a, attr_b)
-            else:
-                pair = (attr_b, attr_a)
-                interval_a, interval_b = interval_b, interval_a
-            row_levels, row_indices = nodes_of(tuple(interval_a))
-            col_levels, col_indices = nodes_of(tuple(interval_b))
+        for position, (row_low, row_high, col_low, col_high) in enumerate(entries):
+            row_levels, row_indices = nodes_of(row_low, row_high)
+            col_levels, col_indices = nodes_of(col_low, col_high)
             n_rows, n_cols = row_levels.size, col_levels.size
-            row_level_grid = np.repeat(row_levels, n_cols)
-            col_level_grid = np.tile(col_levels, n_rows)
-            code_parts.append((pair_position[pair] * n_levels + row_level_grid)
-                              * n_levels + col_level_grid)
+            code_parts.append(np.repeat(row_levels, n_cols) * n_levels
+                              + np.tile(col_levels, n_rows))
             row_parts.append(np.repeat(row_indices, n_cols))
             col_parts.append(np.tile(col_indices, n_rows))
             entry_parts.append(np.full(n_rows * n_cols, position, dtype=np.int64))
@@ -361,31 +318,22 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
         unique_codes, inverse = np.unique(codes, return_inverse=True)
         for group, code in enumerate(unique_codes):
             mask = inverse == group
-            code = int(code)
-            col_level = code % n_levels
-            row_level = (code // n_levels) % n_levels
-            pair = pairs_list[code // (n_levels * n_levels)]
-            values = self._pairs[pair].levels[(row_level, col_level)]
+            values = pair_hierarchy.levels[divmod(int(code), n_levels)]
             answers += np.bincount(entry_ids[mask],
                                    weights=values[rows[mask], cols[mask]],
                                    minlength=len(entries))
         return answers
 
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        full_domain = (0, self._domain_size - 1)
-        entries = []
-        for query in queries:
-            attribute = query.attributes[0]
-            other = 0 if attribute != 0 else 1
-            entries.append((attribute, other, query.interval(attribute),
-                            full_domain))
-        return self._answer_interval_pairs_batched(entries)
-
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
-        if any(pair_hierarchy.lazy_groups
-               for pair_hierarchy in self._pairs.values()):
-            # Lazy levels draw noise on first touch; answering strictly in
-            # workload order keeps the RNG stream identical to the legacy
-            # path (the mixin's dimension grouping would reorder it).
-            return np.array([float(self._answer(query)) for query in queries])
-        return super()._answer_workload(queries)
+    def _lazy_pair_sum(self, pair_hierarchy: _PairHierarchy, row_low: int,
+                       row_high: int, col_low: int, col_high: int) -> float:
+        """One 2-D answer node by node (the dataset is only dereferenced
+        on lazy-level cache misses)."""
+        assert self.hierarchy is not None
+        answer = 0.0
+        col_nodes = self.hierarchy.decompose(col_low, col_high)
+        for node_row in self.hierarchy.decompose(row_low, row_high):
+            for node_col in col_nodes:
+                answer += pair_hierarchy.frequency(node_row, node_col,
+                                                   self._dataset, self.epsilon,
+                                                   self.rng)
+        return answer

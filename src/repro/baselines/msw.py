@@ -18,7 +18,6 @@ from ..core.base import RangeQueryMechanism
 from ..datasets import Dataset
 from ..frequency_oracles import SquareWave
 from ..protocol import partition_users
-from ..queries import RangeQuery
 
 
 class MSW(RangeQueryMechanism):
@@ -61,7 +60,7 @@ class MSW(RangeQueryMechanism):
             estimate = oracle.estimate_frequencies(dataset.column(attribute)[group])
             self.distributions[attribute] = estimate
         # Prefix sums turn each per-attribute interval mass into one
-        # subtraction, for both single answers and batched workloads.
+        # subtraction.
         self._prefixes = {
             attribute: np.concatenate(([0.0], np.cumsum(distribution)))
             for attribute, distribution in self.distributions.items()}
@@ -90,22 +89,9 @@ class MSW(RangeQueryMechanism):
         prefix = self._prefixes[attribute]
         return float(prefix[high + 1] - prefix[low])
 
-    def _answer(self, query: RangeQuery) -> float:
-        if self.use_legacy_answering:
-            answer = 1.0
-            for predicate in query.predicates:
-                distribution = self.distributions[predicate.attribute]
-                answer *= float(
-                    distribution[predicate.low:predicate.high + 1].sum())
-            return answer
-        answer = 1.0
-        for predicate in query.predicates:
-            answer *= self._interval_mass(predicate.attribute, predicate.low,
-                                          predicate.high)
-        return answer
-
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
+    def _answer_compiled(self, compiled) -> np.ndarray:
         """Product of per-predicate prefix differences, one vectorised pass."""
+        queries = compiled.flat_ranges
         masses = np.array([self._interval_mass(predicate.attribute,
                                                predicate.low, predicate.high)
                            for query in queries

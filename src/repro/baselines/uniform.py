@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..datasets import Dataset
-from ..queries import RangeQuery
 from ..core.base import RangeQueryMechanism
 
 
@@ -37,13 +36,10 @@ class Uniform(RangeQueryMechanism):
     def _restore_state_payload(self, payload: dict) -> None:
         return None
 
-    def _answer(self, query: RangeQuery) -> float:
-        assert self._domain_size is not None
-        return query.volume(self._domain_size)
-
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
+    def _answer_compiled(self, compiled) -> np.ndarray:
         """All volumes in one vectorised pass over the flattened predicates."""
         assert self._domain_size is not None
+        queries = compiled.flat_ranges
         widths = np.array([predicate.width for query in queries
                            for predicate in query.predicates], dtype=float)
         counts = np.array([query.dimension for query in queries])

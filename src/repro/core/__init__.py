@@ -11,8 +11,7 @@ from .hdg import HDG, IHDG
 from .phase2 import run_phase2
 from .prefix_sum import (PrefixIndex1D, PrefixIndex2D, SummedAreaTable,
                          prefix_sum_1d, summed_area_table)
-from .query_estimation import (estimate_lambda_queries_batched,
-                               estimate_lambda_query,
+from .query_estimation import (estimate_lambda_query,
                                lambda_constraint_index_sets)
 from .response_matrix import ResponseMatrixResult, build_response_matrix
 from .tdg import ITDG, TDG
@@ -36,7 +35,6 @@ __all__ = [
     "choose_granularities_hdg",
     "choose_granularity_tdg",
     "default_user_split",
-    "estimate_lambda_queries_batched",
     "estimate_lambda_query",
     "lambda_constraint_index_sets",
     "minimum_granularity",

@@ -12,10 +12,13 @@ query IR (:mod:`repro.queries`): a workload may mix
 predicate-count and top-k queries.  Non-range kinds are compiled by a
 :class:`~repro.queries.QueryPlanner` onto the mechanism's range
 primitives — subject to the mechanism's declared
-:attr:`~RangeQueryMechanism.query_capabilities` — answered through the
-same batch engine, and reassembled into typed
-:class:`~repro.queries.QueryResult` objects.  Pure range workloads keep
-the flat ``numpy`` answer vector they always had.
+:attr:`~RangeQueryMechanism.query_capabilities` — frozen into a
+:class:`~repro.queries.CompiledPlan`, answered through the mechanism's
+one answering hook (:meth:`RangeQueryMechanism._answer_compiled`) and
+reassembled into typed :class:`~repro.queries.QueryResult` objects.
+Ranges take the same path (a range is its own single primitive), and
+pure range workloads keep the flat ``numpy`` answer vector they always
+had.
 
 Mechanisms whose collection step is aggregation-based (TDG, HDG) also
 support an incremental, shard-mergeable protocol:
@@ -50,8 +53,8 @@ import abc
 import numpy as np
 
 from ..datasets import Dataset
-from ..queries import (ALL_QUERY_KINDS, CompiledPlan, PlanCache, Query,
-                       QueryPlanner, QueryResult, RangeQuery, plan_cache_key)
+from ..queries import (ALL_QUERY_KINDS, CompiledPlan, PlanCache,
+                       QueryPlanner, QueryResult, RangeQuery)
 
 #: Format tag written into serialized fitted-mechanism states.
 MECHANISM_STATE_FORMAT = "repro.mechanism-state"
@@ -91,12 +94,6 @@ class RangeQueryMechanism(abc.ABC):
     #: Short name used in experiment tables (overridden by subclasses).
     name: str = "mechanism"
 
-    #: When True, ``answer``/``answer_workload`` bypass the vectorised
-    #: prefix-sum engine and run the original per-query/per-cell code
-    #: paths.  Exists for benchmarking and for property-testing the
-    #: engine against its ground truth; production callers leave it off.
-    use_legacy_answering: bool = False
-
     #: Query kinds this mechanism can answer (see
     #: :data:`repro.queries.QUERY_KINDS`).  Every kind lowers onto range
     #: primitives, so the default grants all of them; a subclass that
@@ -121,10 +118,10 @@ class RangeQueryMechanism(abc.ABC):
         self._n_attributes: int | None = None
         self._domain_size: int | None = None
         self._n_reports: int | None = None
-        #: Bounded LRU of :class:`~repro.queries.CompiledPlan` keyed by a
-        #: stable (schema, workload) hash; planning a marginal allocates
+        #: Bounded LRU of :class:`~repro.queries.CompiledPlan` keyed by
+        #: the fitted schema plus the workload; planning a marginal allocates
         #: c^λ range primitives and compiling freezes the fused gather
-        #: layout, so a service answering the same typed workload
+        #: layout, so a service answering the same workload
         #: repeatedly pays both once, not per request.
         self._typed_plan_cache = PlanCache(self._PLAN_CACHE_ENTRIES)
 
@@ -444,56 +441,46 @@ class RangeQueryMechanism(abc.ABC):
 
         A :class:`~repro.queries.RangeQuery` returns its float estimate
         (fraction in [0, 1] ideally) as it always has; any other IR kind
-        is planned like a one-query workload and returns its typed
-        :class:`~repro.queries.QueryResult`.
+        returns its typed :class:`~repro.queries.QueryResult`.  Either
+        way the query is answered as a one-query workload, so its bits
+        equal its answer inside any larger workload.
         """
-        self._require_fitted()
-        if isinstance(query, RangeQuery):
-            self._validate_query(query)
-            return float(self._answer(query))
-        return self.answer_typed([query])[0]
-
-    @abc.abstractmethod
-    def _answer(self, query: RangeQuery) -> float:
-        """Mechanism-specific answering logic."""
+        result = self.answer_typed([query])[0]
+        return result.value if isinstance(query, RangeQuery) else result
 
     def answer_workload(self, queries: list) -> np.ndarray | list[QueryResult]:
         """Estimated answers for a (possibly mixed-kind) workload.
 
-        Pure range workloads are validated up front and handed to the
-        mechanism's batch engine (``_answer_workload``), which groups
-        them by dimension/attribute set and answers whole groups with
-        vectorised prefix-sum lookups where the mechanism supports it;
-        the return value is the flat float vector it always was.  A
-        workload containing any other IR kind goes through
-        :meth:`answer_typed` and returns one typed
-        :class:`~repro.queries.QueryResult` per query instead.  With
-        ``use_legacy_answering`` set, every primitive goes through the
-        original one-at-a-time path.
+        A pure range workload returns the flat float vector it always
+        did: a range lowers to exactly one primitive, so that vector is
+        the compiled plan's primitive answers as they are.  A workload
+        containing any other IR kind returns one typed
+        :class:`~repro.queries.QueryResult` per query instead (see
+        :meth:`answer_typed`).
         """
-        self._require_fitted()
         queries = list(queries)
-        if not queries:
-            return np.empty(0)
-        if any(not isinstance(query, RangeQuery) for query in queries):
-            return self.answer_typed(queries)
-        for query in queries:
-            self._validate_query(query)
-        return self._answer_ranges(queries)
+        compiled, answers = self._run_plan(queries)
+        if all(isinstance(query, RangeQuery) for query in queries):
+            return answers
+        return compiled.assemble(answers)
 
     def answer_typed(self, queries: list) -> list[QueryResult]:
-        """Answer a typed IR workload: compile, batch-answer, reassemble.
+        """Answer a typed IR workload: compile, answer, reassemble.
 
         The planner lowers every query onto range primitives (checking
         it against :attr:`query_capabilities` and the fitted schema),
         the compiler freezes the lowered plan into fused gather arrays,
-        the primitives run through :meth:`_answer_compiled` — grouped
-        vectorised lookups on mechanisms with fused hooks, the plain
-        batch engine otherwise — and the compiled plan gathers the flat
-        answers back into typed results in one vectorised pass, so
-        marginal cells, point estimates, count scaling and top-k
-        selection all ride the one answering stack.
+        the primitives run through :meth:`_answer_compiled`, and the
+        compiled plan gathers the flat answers back into typed results
+        in one vectorised pass, so marginal cells, point estimates,
+        count scaling and top-k selection all ride the one answering
+        path.
         """
+        compiled, answers = self._run_plan(list(queries))
+        return compiled.assemble(answers)
+
+    def _run_plan(self, queries: list) -> tuple[CompiledPlan, np.ndarray]:
+        """The workload's compiled plan and its flat primitive answers."""
         self._require_fitted()
         compiled = self._plan_for(queries)
         # The planner validated every query against the fitted schema, and
@@ -501,21 +488,21 @@ class RangeQueryMechanism(abc.ABC):
         # per-primitive re-validation needed.
         answers = (self._answer_compiled(compiled) if compiled.n_primitives
                    else np.empty(0))
-        return compiled.assemble(answers)
+        return compiled, answers
 
     #: Number of compiled plans kept per mechanism instance.
     _PLAN_CACHE_ENTRIES = 8
 
-    def _plan_for(self, queries: list) -> CompiledPlan:
+    def _plan_for(self, queries) -> CompiledPlan:
         """The workload's compiled plan, memoized per fitted schema.
 
-        Keyed by :func:`~repro.queries.plan_cache_key` — a stable
-        content hash of the workload plus the fitted ``(d, c,
-        population)`` schema, so refits and population changes (which
-        alter count scaling) miss instead of serving a stale plan.
+        Keyed by the fitted ``(d, c, population)`` schema followed by the
+        queries themselves (frozen, hashable dataclasses), so refits and
+        population changes (which alter count scaling) miss instead of
+        serving a stale plan.
         """
-        key = plan_cache_key(
-            (self._n_attributes, self._domain_size, self._n_reports), queries)
+        key = (self._n_attributes, self._domain_size, self._n_reports,
+               *queries)
         compiled = self._typed_plan_cache.get(key)
         if compiled is None:
             plan = self.query_planner().plan(
@@ -542,27 +529,15 @@ class RangeQueryMechanism(abc.ABC):
         if int(capacity) != self._typed_plan_cache.capacity:
             self._typed_plan_cache = PlanCache(int(capacity))
 
+    @abc.abstractmethod
     def _answer_compiled(self, compiled: CompiledPlan) -> np.ndarray:
         """Answer a compiled plan's primitives as one flat vector.
 
-        The default replays the plan's primitive list through the
-        ordinary (batch or legacy) range path — correct for every
-        mechanism, and still cheaper than the interpreted typed path
-        because the flat list is materialised once at compile time.
-        :class:`~repro.core.query_estimation.PairwiseBatchAnswering`
-        overrides this with the fused grouped execution.
+        The single answering hook.  Pair-decomposable mechanisms take
+        :class:`~repro.core.query_estimation.PairwiseBatchAnswering`'s
+        grouped executor; the others (Uni, MSW, HIO) run their own
+        kernel over :attr:`~repro.queries.CompiledPlan.flat_ranges`.
         """
-        return self._answer_ranges(compiled.flat_ranges)
-
-    def _answer_ranges(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Validated range primitives through the batch or legacy path."""
-        if self.use_legacy_answering:
-            return np.array([float(self._answer(query)) for query in queries])
-        return np.asarray(self._answer_workload(queries), dtype=float)
-
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch answering hook; defaults to the per-query loop."""
-        return np.array([float(self._answer(query)) for query in queries])
 
     # ------------------------------------------------------------------
     # Validation helpers
@@ -576,15 +551,3 @@ class RangeQueryMechanism(abc.ABC):
         if not self._fitted:
             raise RuntimeError(
                 f"{type(self).__name__} must be fitted before answering queries")
-
-    def _validate_query(self, query: RangeQuery) -> None:
-        assert self._n_attributes is not None and self._domain_size is not None
-        for predicate in query.predicates:
-            if predicate.attribute >= self._n_attributes:
-                raise ValueError(
-                    f"query restricts attribute {predicate.attribute} but the "
-                    f"fitted dataset only has {self._n_attributes} attributes")
-            if predicate.high >= self._domain_size:
-                raise ValueError(
-                    f"query interval [{predicate.low}, {predicate.high}] exceeds "
-                    f"the fitted domain size {self._domain_size}")

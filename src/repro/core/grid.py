@@ -13,8 +13,8 @@ that are built lazily from the current frequencies and invalidated by
 every mutation through the grid API; each answer is then O(1) corner
 lookups instead of a Python cell loop, and the ``answer_ranges`` batch
 entry points answer whole query groups in one vectorised call.  The
-original cell loops survive as ``answer_range_loop`` — they are the
-ground truth the engine is property-tested against and the baseline the
+original cell loops live in ``tests/oracles.py``: they are the ground
+truth the lookups are property-tested against and the baseline the
 throughput benchmark measures.
 """
 
@@ -170,19 +170,6 @@ class Grid1D:
         before batching).
         """
         return np.asarray(self.build_index().answer(lows, highs), dtype=float)
-
-    def answer_range_loop(self, low: int, high: int) -> float:
-        """Original per-cell loop (benchmark baseline and engine ground truth)."""
-        if not 0 <= low <= high < self.domain_size:
-            raise ValueError(f"invalid interval [{low}, {high}]")
-        answer = 0.0
-        first_cell = low // self.cell_width
-        last_cell = high // self.cell_width
-        for cell in range(first_cell, last_cell + 1):
-            cell_low, cell_high = self.cell_bounds(cell)
-            overlap = min(high, cell_high) - max(low, cell_low) + 1
-            answer += self._frequencies[cell] * overlap / self.cell_width
-        return float(answer)
 
 
 class Grid2D:
@@ -384,44 +371,6 @@ class Grid2D:
             raise ValueError(
                 f"response index must cover shape {expected}, got "
                 f"{response_index.shape}")
-
-    def answer_range_loop(self, interval_row: tuple[int, int],
-                          interval_col: tuple[int, int],
-                          response_matrix: np.ndarray | None = None) -> float:
-        """Original per-cell loop (benchmark baseline and engine ground truth)."""
-        row_low, row_high = interval_row
-        col_low, col_high = interval_col
-        for low, high in ((row_low, row_high), (col_low, col_high)):
-            if not 0 <= low <= high < self.domain_size:
-                raise ValueError(f"invalid interval [{low}, {high}]")
-        self._check_response_shape(response_matrix, None)
-
-        answer = 0.0
-        first_row = row_low // self.cell_width
-        last_row = row_high // self.cell_width
-        first_col = col_low // self.cell_width
-        last_col = col_high // self.cell_width
-        cell_area = self.cell_width * self.cell_width
-        for row in range(first_row, last_row + 1):
-            for col in range(first_col, last_col + 1):
-                c_row_low, c_row_high, c_col_low, c_col_high = self.cell_bounds(row, col)
-                overlap_rows = min(row_high, c_row_high) - max(row_low, c_row_low) + 1
-                overlap_cols = min(col_high, c_col_high) - max(col_low, c_col_low) + 1
-                fully_covered = (overlap_rows == self.cell_width
-                                 and overlap_cols == self.cell_width)
-                if fully_covered:
-                    answer += self._frequencies[row, col]
-                elif response_matrix is None:
-                    share = overlap_rows * overlap_cols / cell_area
-                    answer += self._frequencies[row, col] * share
-                else:
-                    r_lo = max(row_low, c_row_low)
-                    r_hi = min(row_high, c_row_high)
-                    k_lo = max(col_low, c_col_low)
-                    k_hi = min(col_high, c_col_high)
-                    answer += float(
-                        response_matrix[r_lo:r_hi + 1, k_lo:k_hi + 1].sum())
-        return float(answer)
 
     def marginal(self, axis: int) -> np.ndarray:
         """Grid-level marginal of one of the two attributes (sums over the other)."""

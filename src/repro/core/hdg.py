@@ -268,7 +268,7 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             self.response_matrices[pair] = result.matrix
             self.matrix_iteration_history[pair] = result.change_history
 
-        # Precompute the batch engine's lookup tables: prefix-sum indexes
+        # Precompute the answering lookup tables: prefix-sum indexes
         # over every grid plus a summed-area table per response matrix.
         for grid in self.grids_1d.values():
             grid.build_index()
@@ -458,35 +458,16 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         return blocks[0], blocks[1]
 
     # ------------------------------------------------------------------
-    # Phase 3: answering
+    # Phase 3: answering (the fused hooks of PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _pair_key(self, attr_a: int, attr_b: int) -> tuple[tuple[int, int], bool]:
-        if (attr_a, attr_b) in self.grids_2d:
-            return (attr_a, attr_b), False
-        if (attr_b, attr_a) in self.grids_2d:
-            return (attr_b, attr_a), True
-        raise KeyError(f"no grid for attribute pair ({attr_a}, {attr_b})")
-
-    def _pair_intervals(self, query: RangeQuery) -> tuple[tuple[int, int],
-                                                          tuple[int, int],
-                                                          tuple[int, int]]:
-        """The grid key of a pair query plus the grid-axis-ordered intervals."""
-        attr_a, attr_b = query.attributes
-        key, flipped = self._pair_key(attr_a, attr_b)
-        interval_a = query.interval(attr_a)
-        interval_b = query.interval(attr_b)
-        if flipped:
-            interval_a, interval_b = interval_b, interval_a
-        return key, interval_a, interval_b
-
     def _response_index(self, key: tuple[int, int]) -> SummedAreaTable | None:
         """The pair's response-matrix summed-area table, built on demand.
 
         Returning None only when the pair genuinely has no response
-        matrix keeps the batch path on the HDG rule whenever the scalar
-        path would be — a missing or out-of-date cache entry (the pair's
-        matrix was replaced after finalize) is rebuilt, never silently
-        downgraded to the uniformity rule or served stale.
+        matrix keeps answering on the HDG rule — a missing or
+        out-of-date cache entry (the pair's matrix was replaced after
+        finalize) is rebuilt, never silently downgraded to the
+        uniformity rule or served stale.
         """
         matrix = self.response_matrices.get(key)
         if matrix is None:
@@ -497,37 +478,9 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             self._response_indexes[key] = entry
         return entry[1]
 
-    def _answer_pair(self, query: RangeQuery) -> float:
-        key, interval_a, interval_b = self._pair_intervals(query)
-        grid = self.grids_2d[key]
-        if self.use_legacy_answering:
-            return grid.answer_range_loop(interval_a, interval_b,
-                                          self.response_matrices.get(key))
-        return grid.answer_range(interval_a, interval_b,
-                                 response_matrix=self.response_matrices.get(key),
-                                 response_index=self._response_index(key))
-
-    def _answer_single(self, query: RangeQuery) -> float:
-        attribute = query.attributes[0]
-        low, high = query.interval(attribute)
-        grid = self.grids_1d[attribute]
-        if self.use_legacy_answering:
-            return grid.answer_range_loop(low, high)
-        return grid.answer_range(low, high)
-
-    # ------------------------------------------------------------------
-    # Batch engine
-    # ------------------------------------------------------------------
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Grouped, vectorised corner lookups through the response SATs."""
-        return self._grid_interval_pairs_batched(entries, self.grids_2d,
-                                                 self._response_index)
-
-    _supports_fused_plans = True
-
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:
-        """One pair grid's corner lookups for a compiled pair group."""
+        """One pair grid's corner lookups through the response SAT."""
         grid = self.grids_2d.get(key)
         if grid is None:
             key = (key[1], key[0])
@@ -541,40 +494,15 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         """1-D group: vectorised lookups on the fine-grained 1-D grid."""
         return self.grids_1d[attribute].answer_ranges(lows, highs)
 
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch 1-D answers from the fine-grained 1-D grids."""
-        answers = np.empty(len(queries))
-        by_attribute: dict[int, list[tuple[int, int, int]]] = {}
-        for position, query in enumerate(queries):
-            attribute = query.attributes[0]
-            low, high = query.interval(attribute)
-            by_attribute.setdefault(attribute, []).append((position, low, high))
-        for attribute, entries in by_attribute.items():
-            positions = np.array([entry[0] for entry in entries])
-            lows = np.array([entry[1] for entry in entries])
-            highs = np.array([entry[2] for entry in entries])
-            answers[positions] = self.grids_1d[attribute].answer_ranges(lows, highs)
-        return answers
-
-    def _answer(self, query: RangeQuery) -> float:
-        if query.dimension == 1:
-            return self._answer_single(query)
-        if query.dimension == 2:
-            return self._answer_pair(query)
-        return estimate_lambda_query(query, self._answer_pair,
-                                     method=self.estimation_method,
-                                     max_iterations=self.estimation_iterations)
-
     # ------------------------------------------------------------------
     # Diagnostics used by the convergence experiments
     # ------------------------------------------------------------------
     def estimate_with_history(self, query: RangeQuery) -> tuple[float, list[float]]:
         """Answer a λ-D query and return Algorithm 2's change history."""
-        self._require_fitted()
-        self._validate_query(query)
         if query.dimension <= 2:
-            return self._answer(query), []
-        return estimate_lambda_query(query, self._answer_pair,
+            return self.answer(query), []
+        self.query_planner().validate(query)
+        return estimate_lambda_query(query, self._pair_answer,
                                      method=self.estimation_method,
                                      max_iterations=self.estimation_iterations,
                                      track_history=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..estimation import (Constraint, max_entropy_estimate, weighted_update,
                           weighted_update_batch)
-from ..queries import Predicate, RangeQuery
+from ..queries import RangeQuery
 
 #: Signature of the callable that answers an associated 2-D sub-query.
 PairAnswerFn = Callable[[RangeQuery], float]
@@ -134,97 +134,41 @@ def estimate_lambda_query(query: RangeQuery, answer_pair: PairAnswerFn,
 
 
 class PairwiseBatchAnswering:
-    """Mixin: batched workload answering for pair-decomposable mechanisms.
+    """Mixin: the compiled-plan executor of pair-decomposable mechanisms.
 
     Mechanisms that answer 1-D/2-D queries directly and λ > 2 queries by
-    combining 2-D sub-answers (TDG, HDG, LHIO) mix this in and provide
-    :meth:`_answer_singles_batched` plus either a 2-D batch entry point
-    (:meth:`_answer_pairs_batched` / :meth:`_answer_interval_pairs_batched`,
-    grid mechanisms delegate to :meth:`_grid_interval_pairs_batched`) or
-    just a scalar ``_answer_pair`` for the default per-query fallback.
-    The mixin partitions a workload by query dimension, answers each
-    class through the vectorised primitives and runs Algorithm 2 as one
-    batched NumPy iteration per distinct λ.
+    combining 2-D sub-answers (TDG, HDG, LHIO and their variants) mix
+    this in and provide the fused hook :meth:`_fused_pair_ranges` (one
+    attribute pair's 2-D endpoint arrays), plus
+    :meth:`_fused_attribute_ranges` (one attribute's 1-D endpoint
+    arrays) when they answer 1-D queries from anything but a pair.
+    :meth:`_answer_compiled` runs a :class:`~repro.queries.CompiledPlan`'s
+    groups through them — one vectorised lookup per attribute or pair
+    group — and combines every λ-D group's C(λ,2) sub-answers with one
+    Algorithm-2 call per distinct λ.
 
-    Mixed-kind workloads arrive here already lowered: the base class
-    compiles marginal/point/count/top-k queries onto range primitives
-    through :class:`~repro.queries.QueryPlanner`, so e.g. a 2-D
-    marginal's ``c²`` degenerate cells land in the pairs partition and
-    are answered as one grouped corner-lookup batch per grid — the
-    mixin needs no per-kind code.
+    Every query kind arrives here already lowered: a 2-D marginal's
+    ``c²`` degenerate cells land in one pair group and are answered as
+    one grouped corner-lookup batch — the mixin needs no per-kind code.
     """
 
     #: Combiner for λ > 2 queries; set by the mechanism constructor.
     estimation_method: str = "weighted_update"
     #: Iteration cap for Algorithm 2; set by the mechanism constructor.
     estimation_iterations: int = 100
-    #: Whether the mechanism implements the fused compiled-plan hooks
-    #: (:meth:`_fused_attribute_ranges` / :meth:`_fused_pair_ranges`).
-    #: Grid mechanisms (TDG, HDG) turn this on; mechanisms with their
-    #: own batch layout (LHIO's hierarchy gathers) leave it off and the
-    #: compiled path falls back to their existing batch engine.
-    _supports_fused_plans: bool = False
 
-    def _answer_pairs_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch 2-D answers; defaults to the interval-tuple entry point."""
-        return self._answer_interval_pairs_batched(
-            [(query.predicates[0].attribute, query.predicates[1].attribute,
-              (query.predicates[0].low, query.predicates[0].high),
-              (query.predicates[1].low, query.predicates[1].high))
-             for query in queries])
-
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        raise NotImplementedError
-
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Batch 2-D answers from raw ``(attr_a, attr_b, interval_a,
-        interval_b)`` tuples.
-
-        The λ > 2 path decomposes every query into C(λ,2) 2-D lookups;
-        going through tuples instead of :class:`RangeQuery` sub-objects
-        skips thousands of dataclass constructions per workload.  The
-        default materialises the sub-queries one by one; grid mechanisms
-        override with :meth:`_grid_interval_pairs_batched`.
-        """
-        return np.array([
-            self._answer_pair(RangeQuery((Predicate(attr_a, *interval_a),
-                                          Predicate(attr_b, *interval_b))))
-            for attr_a, attr_b, interval_a, interval_b in entries])
-
-    def _grid_interval_pairs_batched(self, entries, grids,
-                                     response_index_for) -> np.ndarray:
-        """Shared grouped implementation over a dict of 2-D grids.
-
-        ``grids`` maps ordered attribute pairs to :class:`Grid2D`;
-        entries whose pair is stored in the flipped orientation get their
-        intervals swapped.  ``response_index_for(key)`` supplies the
-        optional summed-area table of the pair's response matrix (HDG).
-        """
-        answers = np.empty(len(entries))
-        by_grid: dict[tuple[int, int], list[tuple[int, tuple, tuple]]] = {}
-        for position, (attr_a, attr_b, interval_a, interval_b) in enumerate(entries):
-            key = (attr_a, attr_b)
-            if key not in grids:
-                key = (attr_b, attr_a)
-                interval_a, interval_b = interval_b, interval_a
-            by_grid.setdefault(key, []).append(
-                (position, interval_a, interval_b))
-        for key, group in by_grid.items():
-            positions = np.array([entry[0] for entry in group])
-            rows = np.array([entry[1] for entry in group])
-            cols = np.array([entry[2] for entry in group])
-            answers[positions] = grids[key].answer_ranges(
-                rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1],
-                response_index=response_index_for(key))
-        return answers
-
-    # ------------------------------------------------------------------
-    # Fused compiled-plan execution
-    # ------------------------------------------------------------------
     def _fused_attribute_ranges(self, attribute: int, lows: np.ndarray,
                                 highs: np.ndarray) -> np.ndarray:
-        """Vectorised answers for one attribute's 1-D endpoint arrays."""
-        raise NotImplementedError
+        """Vectorised answers for one attribute's 1-D endpoint arrays.
+
+        The default marginalises a pair containing the attribute (the
+        other attribute spans its full domain); HDG overrides it with
+        its fine-grained 1-D grids.
+        """
+        other = 0 if attribute != 0 else 1
+        return self._fused_pair_ranges(
+            (attribute, other), lows, highs, np.zeros_like(lows),
+            np.full_like(lows, self._domain_size - 1))
 
     def _fused_pair_ranges(self, key: tuple[int, int], row_lows: np.ndarray,
                            row_highs: np.ndarray, col_lows: np.ndarray,
@@ -232,25 +176,23 @@ class PairwiseBatchAnswering:
         """Vectorised answers for one attribute pair's 2-D endpoint arrays."""
         raise NotImplementedError
 
+    def _pair_answer(self, query: RangeQuery) -> float:
+        """One 2-D query through :meth:`_fused_pair_ranges`, alone."""
+        first, second = query.predicates
+        return float(self._fused_pair_ranges(
+            (first.attribute, second.attribute), np.array([first.low]),
+            np.array([first.high]), np.array([second.low]),
+            np.array([second.high]))[0])
+
     def _answer_compiled(self, compiled) -> np.ndarray:
         """Execute a compiled plan through the fused grouped gathers.
 
-        The per-call interpretation the plain batch path pays —
-        re-partitioning primitives by dimension, regrouping by grid,
-        rebuilding interval tuples — was done once at compile time;
-        answering is one vectorised lookup per (attribute or pair)
-        group plus one batched Algorithm-2 iteration per distinct λ.
-        Every group calls the same kernels in the same grouping the
-        interpreted path uses, so answers are bitwise identical.
-
-        Falls back to the uncompiled path for mechanisms without fused
-        hooks, under ``use_legacy_answering``, and for non-default λ > 2
-        combiners (max entropy runs per query).
+        Grouping by dimension and grid was done once at compile time;
+        answering is one vectorised lookup per (attribute or pair) group
+        plus one Algorithm-2 combination per distinct λ.  Every kernel
+        is elementwise-independent, so a primitive's answer does not
+        depend on the workload it arrives in.
         """
-        if (not self._supports_fused_plans or self.use_legacy_answering
-                or (compiled.multi_dim_groups
-                    and self.estimation_method != "weighted_update")):
-            return super()._answer_compiled(compiled)
         answers = np.empty(compiled.n_primitives)
         for group in compiled.single_groups:
             answers[group.positions] = self._fused_attribute_ranges(
@@ -266,77 +208,32 @@ class PairwiseBatchAnswering:
                     group.key, group.row_lows, group.row_highs, group.col_lows,
                     group.col_highs)
             for group in compiled.multi_dim_groups:
-                # Same targets layout as estimate_lambda_queries_batched:
-                # clipped pair answers plus the simplex normalisation to 1.
+                # The constraints of estimate_lambda_query: the clipped
+                # pair answers plus the simplex normalisation to 1.
                 targets = np.ones((group.positions.size,
                                    len(group.index_sets)))
                 targets[:, :-1] = np.maximum(
                     0.0, sub_answers[group.sub_index_matrix])
-                estimates = weighted_update_batch(
-                    1 << group.dimension, group.index_sets, targets,
-                    max_iterations=self.estimation_iterations)
-                answers[group.positions] = \
-                    estimates[:, (1 << group.dimension) - 1]
+                answers[group.positions] = self._combine(group, targets)
         return answers
 
-    def _answer_workload(self, queries: list[RangeQuery]) -> np.ndarray:
-        answers = np.empty(len(queries))
-        singles: list[int] = []
-        pairs: list[int] = []
-        multis: list[int] = []
-        for position, query in enumerate(queries):
-            if query.dimension == 1:
-                singles.append(position)
-            elif query.dimension == 2:
-                pairs.append(position)
-            else:
-                multis.append(position)
-
-        if singles:
-            answers[singles] = self._answer_singles_batched(
-                [queries[position] for position in singles])
-        if pairs:
-            answers[pairs] = self._answer_pairs_batched(
-                [queries[position] for position in pairs])
-        if multis:
-            answers[multis] = self._answer_multis_batched(
-                [queries[position] for position in multis])
-        return answers
-
-    def _answer_multis_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """λ > 2 queries: batch the 2-D sub-answers, then Weighted Update."""
-        sub_entries: list[tuple] = []
-        slices: list[tuple[int, int]] = []
-        for query in queries:
-            predicates = query.predicates
-            start = len(sub_entries)
-            # Same (lexicographic-by-position) order as pairwise_subqueries.
-            for i in range(len(predicates)):
-                for j in range(i + 1, len(predicates)):
-                    sub_entries.append(
-                        (predicates[i].attribute, predicates[j].attribute,
-                         (predicates[i].low, predicates[i].high),
-                         (predicates[j].low, predicates[j].high)))
-            slices.append((start, len(sub_entries) - start))
-        flat_answers = self._answer_interval_pairs_batched(sub_entries)
-        sub_answers = [flat_answers[start:start + count]
-                       for start, count in slices]
+    def _combine(self, group, targets: np.ndarray) -> np.ndarray:
+        """Algorithm 2's λ-D estimates for one group's target rows."""
+        size = 1 << group.dimension
         if self.estimation_method == "weighted_update":
-            return estimate_lambda_queries_batched(
-                queries, sub_answers,
+            estimates = weighted_update_batch(
+                size, group.index_sets, targets,
                 max_iterations=self.estimation_iterations)
-        # Other combiners (max entropy) run per query on the batched
-        # sub-answers.
-        answers = np.empty(len(queries))
-        for position, query in enumerate(queries):
-            lookup = dict(zip((sub.attributes
-                               for sub in query.pairwise_subqueries()),
-                              sub_answers[position]))
-            answers[position] = estimate_lambda_query(
-                query, lambda sub: lookup[sub.attributes],
-                method=self.estimation_method,
-                max_iterations=self.estimation_iterations)
-        return answers
+            return estimates[:, size - 1]
+        if self.estimation_method == "max_entropy":
+            return np.array([
+                max_entropy_estimate(
+                    size, [Constraint(indices=indices, target=target)
+                           for indices, target in zip(group.index_sets, row)],
+                    max_iterations=self.estimation_iterations * 5)[size - 1]
+                for row in targets])
+        raise ValueError("method must be 'weighted_update' or 'max_entropy', "
+                         f"got {self.estimation_method!r}")
 
 
 def lambda_constraint_index_sets(dimension: int) -> list[np.ndarray]:
@@ -353,45 +250,3 @@ def lambda_constraint_index_sets(dimension: int) -> list[np.ndarray]:
             for pos_b in range(pos_a + 1, dimension)]
     sets.append(np.arange(1 << dimension, dtype=np.int64))
     return sets
-
-
-def estimate_lambda_queries_batched(queries: list[RangeQuery],
-                                    sub_answers: list[np.ndarray],
-                                    threshold: float = 1e-7,
-                                    max_iterations: int = 100) -> np.ndarray:
-    """Batched Algorithm 2: estimate many λ-D queries in one NumPy iteration.
-
-    Parameters
-    ----------
-    queries:
-        λ-D queries (λ > 2 each; dimensions may differ between queries).
-    sub_answers:
-        For each query, its ``C(λ,2)`` estimated 2-D sub-answers in
-        :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order.
-    threshold, max_iterations:
-        Convergence controls, matching :func:`estimate_lambda_query`.
-
-    Returns
-    -------
-    numpy.ndarray
-        One estimated answer per query, identical (to floating-point
-        noise) to running :func:`estimate_lambda_query` per query.
-    """
-    answers = np.empty(len(queries))
-    by_dimension: dict[int, list[int]] = {}
-    for position, query in enumerate(queries):
-        if query.dimension <= 2:
-            raise ValueError("batched estimation requires λ > 2 queries")
-        by_dimension.setdefault(query.dimension, []).append(position)
-
-    for dimension, positions in by_dimension.items():
-        index_sets = lambda_constraint_index_sets(dimension)
-        # Targets: the (clipped) pair answers plus the normalisation to 1.
-        targets = np.ones((len(positions), len(index_sets)))
-        for row, position in enumerate(positions):
-            targets[row, :-1] = np.maximum(0.0, sub_answers[position])
-        estimates = weighted_update_batch(1 << dimension, index_sets, targets,
-                                          threshold=threshold,
-                                          max_iterations=max_iterations)
-        answers[positions] = estimates[:, (1 << dimension) - 1]
-    return answers

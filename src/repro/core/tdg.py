@@ -24,12 +24,11 @@ import numpy as np
 from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, SupportAccumulator
 from ..protocol import partition_users
-from ..queries import Predicate, RangeQuery
 from .base import RangeQueryMechanism
 from .granularity import DEFAULT_ALPHA2, choose_granularity_tdg
 from .grid import Grid2D
 from .phase2 import run_phase2
-from .query_estimation import PairwiseBatchAnswering, estimate_lambda_query
+from .query_estimation import PairwiseBatchAnswering
 
 
 class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
@@ -273,92 +272,17 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self._accumulators = {pair: None for pair in self.grids}
 
     # ------------------------------------------------------------------
-    # Phase 3: answering
+    # Phase 3: answering (the fused hooks of PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _grid_for(self, attr_a: int, attr_b: int) -> tuple[Grid2D, bool]:
-        """Return the grid holding the pair and whether the order is flipped."""
-        if (attr_a, attr_b) in self.grids:
-            return self.grids[(attr_a, attr_b)], False
-        if (attr_b, attr_a) in self.grids:
-            return self.grids[(attr_b, attr_a)], True
-        raise KeyError(f"no grid for attribute pair ({attr_a}, {attr_b})")
-
-    def _pair_intervals(self, query: RangeQuery) -> tuple[Grid2D, tuple[int, int],
-                                                          tuple[int, int]]:
-        """The 2-D grid of a pair query plus the grid-axis-ordered intervals."""
-        attr_a, attr_b = query.attributes
-        grid, flipped = self._grid_for(attr_a, attr_b)
-        interval_a = query.interval(attr_a)
-        interval_b = query.interval(attr_b)
-        if flipped:
-            interval_a, interval_b = interval_b, interval_a
-        return grid, interval_a, interval_b
-
-    def _answer_pair(self, query: RangeQuery) -> float:
-        grid, interval_a, interval_b = self._pair_intervals(query)
-        if self.use_legacy_answering:
-            return grid.answer_range_loop(interval_a, interval_b)
-        return grid.answer_range(interval_a, interval_b)
-
-    def _pad_to_pair(self, query: RangeQuery) -> RangeQuery:
-        """Extend a 1-D query with a second, unrestricted attribute."""
-        attribute = query.attributes[0]
-        low, high = query.interval(attribute)
-        other = 0 if attribute != 0 else 1
-        return RangeQuery((Predicate(attribute, low, high),
-                           Predicate(other, 0, self._domain_size - 1)))
-
-    def _answer_single(self, query: RangeQuery) -> float:
-        """1-D query: marginalise any grid containing the attribute."""
-        return self._answer_pair(self._pad_to_pair(query))
-
-    def _answer(self, query: RangeQuery) -> float:
-        if query.dimension == 1:
-            return self._answer_single(query)
-        if query.dimension == 2:
-            return self._answer_pair(query)
-        return estimate_lambda_query(query, self._answer_pair,
-                                     method=self.estimation_method,
-                                     max_iterations=self.estimation_iterations)
-
-    # ------------------------------------------------------------------
-    # Batch engine
-    # ------------------------------------------------------------------
-    def _answer_interval_pairs_batched(self, entries) -> np.ndarray:
-        """Grouped, vectorised corner lookups (uniformity rule only)."""
-        return self._grid_interval_pairs_batched(entries, self.grids,
-                                                 lambda key: None)
-
-    _supports_fused_plans = True
-
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:
-        """One grid's corner lookups for a compiled pair group."""
+        """One grid's corner lookups (uniformity rule) for a pair group."""
         grid = self.grids.get(key)
         if grid is None:
             grid = self.grids[(key[1], key[0])]
             row_lows, row_highs, col_lows, col_highs = \
                 col_lows, col_highs, row_lows, row_highs
         return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs)
-
-    def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
-        """1-D group: marginalise a grid containing the attribute."""
-        other = 0 if attribute != 0 else 1
-        full_lows = np.zeros_like(lows)
-        full_highs = np.full_like(lows, self._domain_size - 1)
-        return self._fused_pair_ranges((attribute, other), lows, highs,
-                                       full_lows, full_highs)
-
-    def _answer_singles_batched(self, queries: list[RangeQuery]) -> np.ndarray:
-        """Batch 1-D answers (TDG marginalises a 2-D grid; HDG overrides)."""
-        c = self._domain_size
-        entries = []
-        for query in queries:
-            predicate = query.predicates[0]
-            other = 0 if predicate.attribute != 0 else 1
-            entries.append((predicate.attribute, other,
-                            (predicate.low, predicate.high), (0, c - 1)))
-        return self._answer_interval_pairs_batched(entries)
 
 
 class ITDG(TDG):

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..datasets import Dataset, make_dataset
 from ..queries import RangeQuery, WorkloadGenerator
-from ..queries import answer_workload as true_answer_workload
+from ..queries import answer_workload as true_range_answers
 from ..queries import evaluate_workload as true_evaluate_workload
 from .config import ExperimentConfig
 
@@ -288,7 +288,7 @@ def true_answers(dataset: Dataset, queries: list):
     """
     if any(not isinstance(query, RangeQuery) for query in queries):
         return true_evaluate_workload(dataset, queries)
-    return true_answer_workload(dataset, queries)
+    return true_range_answers(dataset, queries)
 
 
 def memoized_truths(config: ExperimentConfig, repeat: int, dataset: Dataset,

@@ -49,10 +49,6 @@ class ExperimentConfig:
     n_shards: int = 1
     #: Concurrency cap for the shard executor; None = one worker per shard.
     shard_workers: int | None = None
-    #: Phase-3 answering path: "batch" (vectorised prefix-sum engine, the
-    #: default) or "legacy" (original one-query-at-a-time loops, kept for
-    #: comparison and benchmarking).
-    query_engine: str = "batch"
     #: Worker processes used by the experiment executor to evaluate the
     #: (sweep value, repetition, mechanism) cell grid.  1 (the default)
     #: runs every cell in-process; any value reproduces the sequential
@@ -94,8 +90,6 @@ class ExperimentConfig:
             raise ValueError("n_shards must be positive")
         if self.shard_workers is not None and self.shard_workers < 1:
             raise ValueError("shard_workers must be positive when set")
-        if self.query_engine not in ("batch", "legacy"):
-            raise ValueError("query_engine must be 'batch' or 'legacy'")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be positive")
         validate_query_kinds(self.query_kinds)

@@ -138,7 +138,6 @@ def evaluate_cell(config: ExperimentConfig, repeat: int, position: int,
         mechanism = fit_sharded(method, method_seed, kwargs, dataset, config)
     else:
         mechanism.fit(dataset)
-    mechanism.use_legacy_answering = config.query_engine == "legacy"
     estimates = mechanism.answer_workload(queries)
     result = score_workload(queries, estimates, truths)
     result.method = method

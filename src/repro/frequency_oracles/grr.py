@@ -30,9 +30,7 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
     def perturb(self, values: np.ndarray) -> np.ndarray:
         """Perturb each true value independently (one report per user).
 
-        One vectorised pass over the whole user batch; the per-user
-        reference :meth:`perturb_loop` consumes the identical draws and
-        is kept for equivalence testing.
+        One vectorised pass over the whole user batch.
         """
         values = self._validate_values(values)
         n = values.size
@@ -42,20 +40,6 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         offsets = self.rng.integers(1, self.domain_size, size=n)
         randomized = (values + offsets) % self.domain_size
         return np.where(keep, values, randomized)
-
-    def perturb_loop(self, values: np.ndarray) -> np.ndarray:
-        """Per-user reference for :meth:`perturb` (equivalence testing)."""
-        values = self._validate_values(values)
-        n = values.size
-        keep_draws = self.rng.random(n)
-        offsets = self.rng.integers(1, self.domain_size, size=n)
-        reports = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            if keep_draws[i] < self.p:
-                reports[i] = values[i]
-            else:
-                reports[i] = (values[i] + offsets[i]) % self.domain_size
-        return reports
 
     # ------------------------------------------------------------------
     # Server side

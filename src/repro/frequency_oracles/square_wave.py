@@ -148,38 +148,6 @@ class SquareWave(FrequencyOracle):
                            positions + self.delta + (u - left_len))
         return np.where(in_window, within, outside)
 
-    def perturb_loop(self, values: np.ndarray) -> np.ndarray:
-        """Per-user reference for :meth:`perturb` (equivalence testing).
-
-        Draws the same three uniform batches from the same stream, then
-        evaluates the piecewise report position one user at a time with
-        scalar arithmetic; with equal generator state the reports match
-        the vectorised path bit-for-bit.
-        """
-        values = self._validate_values(values)
-        positions = self._input_positions()[values]
-        n = values.size
-        window_mass = 2.0 * self.delta * self.p
-        window_draws = self.rng.random(n)
-        within_offsets = self.rng.uniform(-self.delta, self.delta, size=n)
-        outside_draws = self.rng.random(n)
-        domain_lo, domain_hi = -self.delta, 1.0 + self.delta
-        reports = np.empty(n)
-        for i in range(n):
-            position = positions[i]
-            left_len = max(position - self.delta - domain_lo, 0.0)
-            right_len = max(domain_hi - (position + self.delta), 0.0)
-            u = outside_draws[i] * (left_len + right_len)
-            if u < left_len:
-                outside = domain_lo + u
-            else:
-                outside = position + self.delta + (u - left_len)
-            if window_draws[i] < window_mass:
-                reports[i] = position + within_offsets[i]
-            else:
-                reports[i] = outside
-        return reports
-
     def _bucketise(self, reports: np.ndarray) -> np.ndarray:
         edges = self._output_edges()
         idx = np.searchsorted(edges, reports, side="right") - 1

@@ -1,7 +1,6 @@
 """Post-processing: non-negativity, cross-grid consistency, constrained inference."""
 
-from .consistency import (GridView, enforce_attribute_consistency,
-                          enforce_attribute_consistency_loop)
+from .consistency import GridView, enforce_attribute_consistency
 from .constrained_inference import (constrained_inference,
                                     constrained_inference_2d,
                                     mean_consistency_pass,
@@ -14,7 +13,6 @@ __all__ = [
     "constrained_inference",
     "constrained_inference_2d",
     "enforce_attribute_consistency",
-    "enforce_attribute_consistency_loop",
     "mean_consistency_pass",
     "norm_sub",
     "weighted_average_pass",

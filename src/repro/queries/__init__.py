@@ -23,8 +23,7 @@ The package is the logical query layer of the library:
     Exact (non-private) answers used as the evaluation baseline.
 """
 
-from .compiler import (CompiledPlan, PlanCache, plan_cache_key,
-                       workload_fingerprint)
+from .compiler import CompiledPlan, PlanCache
 from .ground_truth import (answer_query, answer_query_from_joint,
                            answer_workload, evaluate_query, evaluate_workload)
 from .ir import (QUERY_KINDS, DistributionResult, MarginalQuery, PointQuery,
@@ -60,9 +59,7 @@ __all__ = [
     "answer_workload",
     "evaluate_query",
     "evaluate_workload",
-    "plan_cache_key",
     "query_kind",
     "top_k_cells",
     "validate_query_kinds",
-    "workload_fingerprint",
 ]

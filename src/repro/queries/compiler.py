@@ -1,13 +1,10 @@
-"""Plan compiler: fused NumPy execution layout for typed workloads.
+"""Plan compiler: the fused NumPy execution layout of every workload.
 
-:class:`~repro.queries.QueryPlanner` lowers a mixed workload into a
-flat list of :class:`~repro.queries.RangeQuery` primitives; answering
-that plan still pays a per-call Python pass — re-partitioning thousands
-of primitives by dimension and grid, rebuilding interval tuples, and
-running one combiner closure per query on reassembly.  The compiler
-removes that interpretation tax: :class:`CompiledPlan` walks the plan
-*once* and freezes everything the hot path needs into NumPy index
-arrays:
+:class:`~repro.queries.QueryPlanner` lowers a workload — plain ranges
+or any mix of the five query kinds — into a flat list of
+:class:`~repro.queries.RangeQuery` primitives.  :class:`CompiledPlan`
+walks that plan *once* and freezes everything answering needs into
+NumPy index arrays:
 
 * **execution groups** — primitives partitioned by dimension and
   attribute signature up front: one :class:`SingleGroup` per queried
@@ -17,29 +14,30 @@ arrays:
   (:class:`MultiDimGroup`) — so a pair-decomposable mechanism answers
   the whole workload with one vectorised gather per group and one
   batched Algorithm-2 iteration per distinct λ, no per-primitive
-  Python;
+  Python; mechanisms without pair decomposition read
+  :attr:`CompiledPlan.flat_ranges`;
 * **reassembly arrays** — scalar results (range, point, count) become
   one fancy-indexed gather with a precomputed scale vector (count
   queries fold their population in); marginal/top-k tables keep their
   precomputed slices and shapes.
 
 Compiled plans are cached across requests by :class:`PlanCache`, a
-thread-safe bounded LRU keyed by a stable (schema, workload) hash
-(:func:`plan_cache_key`), with hit/miss/eviction counters the serving
-tier surfaces in its health document.
+thread-safe bounded LRU keyed by the fitted schema plus the workload
+itself, with hit/miss/eviction counters the serving tier surfaces in
+its health document.
 
-The compiled path is *semantics-preserving by construction*: every
-group keeps its primitives in plan order and every fused gather runs
-the same vectorised kernels (``Grid1D.answer_ranges``,
-``Grid2D.answer_ranges``, ``weighted_update_batch``) the interpreted
-batch engine runs, so answers match the per-query planner path
-bitwise.  ``tests/test_plan_compiler.py`` pins that differentially for
-all five query kinds across all nine mechanisms.
+Every kernel a group runs (``Grid1D.answer_ranges``,
+``Grid2D.answer_ranges``, ``weighted_update_batch``) is
+elementwise-independent, so a primitive's answer does not depend on
+the workload it arrives in.  ``tests/test_plan_compiler.py`` pins the
+compiled answers bitwise to the per-query scalar reference in
+``tests/oracles.py`` for all five query kinds across all nine
+mechanisms.
 """
 
 from __future__ import annotations
 
-import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from threading import Lock
 
@@ -53,7 +51,7 @@ from .planner import QueryPlan, top_k_cells
 from .range_query import RangeQuery
 
 __all__ = ["CompiledPlan", "MultiDimGroup", "PairGroup", "PlanCache",
-           "SingleGroup", "plan_cache_key", "workload_fingerprint"]
+           "SingleGroup"]
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +135,9 @@ class CompiledPlan:
 
     Build with :meth:`from_plan`; mechanisms execute the groups through
     their vectorised primitives and hand the flat answer vector to
-    :meth:`assemble`.  Mechanisms without fused hooks fall back to
-    :attr:`flat_ranges` — the plan's primitive list, materialised once
-    instead of per call.
+    :meth:`assemble`.  Mechanisms without pair decomposition run their
+    kernel over :attr:`flat_ranges` — the plan's primitive list,
+    materialised once instead of per call.
     """
 
     def __init__(self, plan: QueryPlan, flat_ranges: list[RangeQuery],
@@ -210,7 +208,7 @@ class CompiledPlan:
                 else:
                     sub_indices = []
                     # Same lexicographic-by-position order as
-                    # pairwise_subqueries / the interpreted multi path.
+                    # pairwise_subqueries (Algorithm 2's constraint order).
                     for i in range(len(predicates)):
                         for j in range(i + 1, len(predicates)):
                             multi_pairs.setdefault(
@@ -325,36 +323,18 @@ class CompiledPlan:
 
 
 # ----------------------------------------------------------------------
-# Cache keying
+# Plan cache
 # ----------------------------------------------------------------------
-def workload_fingerprint(queries) -> str:
-    """A stable content hash of a typed workload.
-
-    Queries are frozen dataclasses with deterministic ``repr``, so the
-    SHA-256 over their reprs is stable across processes and restarts —
-    unlike ``hash()``, which is salted per interpreter for strings and
-    varies for tuples of them.
-    """
-    digest = hashlib.sha256()
-    for query in queries:
-        digest.update(repr(query).encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
-
-
-def plan_cache_key(schema: tuple, queries) -> tuple:
-    """LRU key for a compiled plan: fitted schema + workload hash.
-
-    ``schema`` is the answering mechanism's ``(n_attributes,
-    domain_size, population)`` triple — refits and population changes
-    (which alter count-query scaling) therefore miss instead of serving
-    a stale plan.
-    """
-    return (*schema, workload_fingerprint(queries))
-
-
 class PlanCache:
     """Thread-safe bounded LRU of compiled plans with usage counters.
+
+    Mechanisms key it by ``(n_attributes, domain_size, population,
+    *queries)``: IR queries are frozen dataclasses with tuple fields, so
+    a workload hashes as it is, and refits or population changes (which
+    alter count-query scaling) miss instead of serving a stale plan.
+    The serving tier's answer cache is the same LRU
+    (:class:`~repro.serving.AnswerCache`).  ``capacity=0`` disables
+    caching (every lookup is a counted miss, ``put`` is a no-op).
 
     ``get``/``put`` are guarded by one lock; compilation itself runs
     outside it, so concurrent misses may compile the same plan twice —
@@ -363,12 +343,11 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if capacity < 0:
+            raise ValueError("capacity must be >= 0 (0 disables caching)")
         self.capacity = int(capacity)
         self._lock = Lock()
-        self._entries: dict[tuple, CompiledPlan] = {}
-        self._order: list[tuple] = []
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -377,37 +356,35 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def values(self) -> list[CompiledPlan]:
-        """The cached plans, least recently used first."""
+    def values(self) -> list:
+        """The cached values, least recently used first."""
         with self._lock:
-            return [self._entries[key] for key in self._order]
+            return list(self._entries.values())
 
-    def get(self, key: tuple) -> CompiledPlan | None:
+    def get(self, key: tuple):
         with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
+            value = self._entries.get(key)
+            if value is None:
                 self.misses += 1
                 return None
             self.hits += 1
-            self._order.remove(key)
-            self._order.append(key)
-            return plan
+            self._entries.move_to_end(key)
+            return value
 
-    def put(self, key: tuple, plan: CompiledPlan) -> None:
+    def put(self, key: tuple, value) -> None:
+        if self.capacity == 0:
+            return
         with self._lock:
-            if key in self._entries:
-                self._order.remove(key)
-            self._entries[key] = plan
-            self._order.append(key)
-            while len(self._order) > self.capacity:
-                evicted = self._order.pop(0)
-                del self._entries[evicted]
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
                 self.evictions += 1
 
     def clear(self) -> None:
+        """Drop every entry (counters keep accumulating)."""
         with self._lock:
             self._entries.clear()
-            self._order.clear()
 
     def stats(self) -> dict:
         """Counters for health documents and the concurrency tests."""

@@ -3,11 +3,10 @@
 The :class:`QueryPlanner` is the compiler layer between the logical
 query surface (:mod:`repro.queries.ir`) and the mechanisms' physical
 primitives (batched range answering over 1-D/2-D grid estimates).  A
-mixed workload is *planned* once — every query is validated against the
+workload is *planned* once — every query is validated against the
 fitted schema, checked against the answering mechanism's declared
 capabilities, and lowered into a flat list of
-:class:`~repro.queries.RangeQuery` primitives — the mechanism answers
-the flat list through its existing batch engine, and the resulting
+:class:`~repro.queries.RangeQuery` primitives — and the resulting
 :class:`QueryPlan` reassembles the primitive answers into typed results:
 
 ========  =====================================  ========================
@@ -21,19 +20,17 @@ topk      the full marginal's cell ranges        Norm-Sub, then arg-top-k
 ========  =====================================  ========================
 
 Because every lowering lands on range primitives, all nine mechanisms
-answer every query type through one answering stack, and the batch
-engine's grouping (by dimension, by grid) applies unchanged — a 2-D
-marginal's ``c²`` cells become one grouped, vectorised corner-lookup
-batch.
+answer every query type through one answering path — a 2-D marginal's
+``c²`` cells become one grouped, vectorised corner-lookup batch.
 
-The serving hot path does not interpret a :class:`QueryPlan` per
-request: :mod:`repro.queries.compiler` lowers a plan once into fused
-NumPy index arrays (:class:`~repro.queries.compiler.CompiledPlan`) and
-caches the result across requests in a bounded LRU
-(:class:`~repro.queries.compiler.PlanCache`).  The planner remains the
-validation and lowering authority; the compiler is a faster executor of
-the exact same lowering, and ``tests/test_plan_compiler.py`` pins the
-two paths to bitwise-identical answers.
+Mechanisms do not interpret a :class:`QueryPlan` per request:
+:mod:`repro.queries.compiler` lowers a plan once into fused NumPy index
+arrays (:class:`~repro.queries.compiler.CompiledPlan`), which is what
+mechanisms answer, and caches the result across requests in a bounded
+LRU (:class:`~repro.queries.compiler.PlanCache`).  The planner remains
+the validation and lowering authority; :meth:`QueryPlan.assemble` is the
+interpreted reassembly the compiled one is tested against
+(``tests/test_plan_compiler.py``).
 """
 
 from __future__ import annotations

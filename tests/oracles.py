@@ -1,0 +1,277 @@
+"""Reference implementations the library is tested against.
+
+The library answers every workload one way: a compiled plan through
+vectorised prefix-sum lookups, grouped node gathers and the batched
+Weighted Update.  The loops below are the straightforward code those
+kernels replaced.  They live here, outside the library, as oracles for
+the differential suites and as the baseline
+``benchmarks/bench_query_throughput.py`` times the compiled path
+against:
+
+* per-cell grid loops (:func:`grid1d_range_loop`,
+  :func:`grid2d_range_loop`);
+* per-user perturbation loops of GRR and Square Wave;
+* the per-view Phase-2 consistency pass;
+* per-query mechanism answering: :func:`scalar_answer` (one primitive
+  at a time through the scalar lookups; bitwise equal to the compiled
+  path for every mechanism but LHIO, whose scalar path sums its levels
+  in another order) and :func:`loop_answer` (the per-cell, slice-sum,
+  per-combination and per-node loops; within 1e-9).
+
+Run per query, in workload order, so mechanisms that draw lazy noise
+(HIO, LHIO) consume their RNG stream in the order a one-query-at-a-time
+caller would.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+from repro.baselines import HIO, LHIO, MSW, Uniform
+from repro.core import HDG, TDG, estimate_lambda_query
+from repro.queries import Predicate, RangeQuery
+
+# ----------------------------------------------------------------------
+# Grids
+# ----------------------------------------------------------------------
+def grid1d_range_loop(grid, low: int, high: int) -> float:
+    """1-D answer cell by cell, uniformity assumption inside cells."""
+    if not 0 <= low <= high < grid.domain_size:
+        raise ValueError(f"invalid interval [{low}, {high}]")
+    frequencies = grid.frequencies
+    answer = 0.0
+    for cell in range(low // grid.cell_width, high // grid.cell_width + 1):
+        cell_low, cell_high = grid.cell_bounds(cell)
+        overlap = min(high, cell_high) - max(low, cell_low) + 1
+        answer += frequencies[cell] * overlap / grid.cell_width
+    return float(answer)
+
+
+def grid2d_range_loop(grid, interval_row: tuple[int, int],
+                      interval_col: tuple[int, int],
+                      response_matrix: np.ndarray | None = None) -> float:
+    """2-D answer cell by cell: uniform shares (TDG) or response-matrix
+    mass (HDG) for partially covered cells."""
+    row_low, row_high = interval_row
+    col_low, col_high = interval_col
+    for low, high in ((row_low, row_high), (col_low, col_high)):
+        if not 0 <= low <= high < grid.domain_size:
+            raise ValueError(f"invalid interval [{low}, {high}]")
+    width = grid.cell_width
+    frequencies = grid.frequencies
+    answer = 0.0
+    for row in range(row_low // width, row_high // width + 1):
+        for col in range(col_low // width, col_high // width + 1):
+            c_row_low, c_row_high, c_col_low, c_col_high = \
+                grid.cell_bounds(row, col)
+            r_lo, r_hi = max(row_low, c_row_low), min(row_high, c_row_high)
+            k_lo, k_hi = max(col_low, c_col_low), min(col_high, c_col_high)
+            overlap_rows = r_hi - r_lo + 1
+            overlap_cols = k_hi - k_lo + 1
+            if overlap_rows == width and overlap_cols == width:
+                answer += frequencies[row, col]
+            elif response_matrix is None:
+                share = overlap_rows * overlap_cols / (width * width)
+                answer += frequencies[row, col] * share
+            else:
+                answer += float(
+                    response_matrix[r_lo:r_hi + 1, k_lo:k_hi + 1].sum())
+    return float(answer)
+
+
+# ----------------------------------------------------------------------
+# Frequency oracles: per-user perturbation
+# ----------------------------------------------------------------------
+def grr_perturb_loop(oracle, values: np.ndarray) -> np.ndarray:
+    """GRR reports one user at a time, from the draws ``perturb`` makes."""
+    values = oracle._validate_values(values)
+    n = values.size
+    keep_draws = oracle.rng.random(n)
+    offsets = oracle.rng.integers(1, oracle.domain_size, size=n)
+    reports = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        if keep_draws[i] < oracle.p:
+            reports[i] = values[i]
+        else:
+            reports[i] = (values[i] + offsets[i]) % oracle.domain_size
+    return reports
+
+
+def square_wave_perturb_loop(oracle, values: np.ndarray) -> np.ndarray:
+    """Square Wave report positions one user at a time, with scalar
+    arithmetic, from the same three uniform batches ``perturb`` draws."""
+    values = oracle._validate_values(values)
+    positions = oracle._input_positions()[values]
+    n = values.size
+    delta = oracle.delta
+    window_mass = 2.0 * delta * oracle.p
+    window_draws = oracle.rng.random(n)
+    within_offsets = oracle.rng.uniform(-delta, delta, size=n)
+    outside_draws = oracle.rng.random(n)
+    domain_lo, domain_hi = -delta, 1.0 + delta
+    reports = np.empty(n)
+    for i in range(n):
+        position = positions[i]
+        left_len = max(position - delta - domain_lo, 0.0)
+        right_len = max(domain_hi - (position + delta), 0.0)
+        u = outside_draws[i] * (left_len + right_len)
+        if u < left_len:
+            outside = domain_lo + u
+        else:
+            outside = position + delta + (u - left_len)
+        if window_draws[i] < window_mass:
+            reports[i] = position + within_offsets[i]
+        else:
+            reports[i] = outside
+    return reports
+
+
+# ----------------------------------------------------------------------
+# Phase 2: per-view consistency
+# ----------------------------------------------------------------------
+def enforce_attribute_consistency_loop(views, n_buckets: int) -> np.ndarray:
+    """One reduction and one adjustment pass per view."""
+    if not views:
+        raise ValueError("need at least one grid view")
+    totals = np.stack([view.bucket_totals(n_buckets) for view in views])
+    weights = np.array([1.0 / view.cells_contributing() for view in views])
+    weights = weights / weights.sum()
+    consensus = weights @ totals
+    for view, current in zip(views, totals):
+        view.apply_adjustment(consensus - current)
+    return consensus
+
+
+# ----------------------------------------------------------------------
+# Mechanisms: one query at a time
+# ----------------------------------------------------------------------
+def scalar_answer(mechanism, query: RangeQuery) -> float:
+    """One range through the mechanism's scalar lookups, alone."""
+    return _answer(mechanism, query, loops=False)
+
+
+def loop_answer(mechanism, query: RangeQuery) -> float:
+    """One range through the per-cell/per-node/per-combination loops."""
+    return _answer(mechanism, query, loops=True)
+
+
+def scalar_answers(mechanism, queries) -> np.ndarray:
+    return np.array([scalar_answer(mechanism, query) for query in queries])
+
+
+def loop_answers(mechanism, queries) -> np.ndarray:
+    return np.array([loop_answer(mechanism, query) for query in queries])
+
+
+def _answer(mechanism, query: RangeQuery, loops: bool) -> float:
+    if isinstance(mechanism, Uniform):
+        return query.volume(mechanism._domain_size)
+    if isinstance(mechanism, MSW):
+        return _msw_answer(mechanism, query, loops)
+    if isinstance(mechanism, HIO):
+        return _hio_answer(mechanism, query, loops)
+    if isinstance(mechanism, (TDG, HDG, LHIO)):
+        return _pairwise_answer(mechanism, query, loops)
+    raise TypeError(f"no reference for {type(mechanism).__name__}")
+
+
+def _msw_answer(mechanism, query: RangeQuery, loops: bool) -> float:
+    """Product of the per-attribute 1-D interval masses."""
+    answer = 1.0
+    for predicate in query.predicates:
+        distribution = mechanism.distributions[predicate.attribute]
+        if loops:
+            answer *= float(
+                distribution[predicate.low:predicate.high + 1].sum())
+        else:
+            prefix = np.concatenate(([0.0], np.cumsum(distribution)))
+            answer *= float(prefix[predicate.high + 1] - prefix[predicate.low])
+    return answer
+
+
+def _hio_answer(mechanism, query: RangeQuery, loops: bool) -> float:
+    """Sum over every combination of the d-dim expansion's nodes."""
+    if not loops:
+        return mechanism._answer_query(query)
+    hierarchy = mechanism.hierarchy
+    decompositions = []
+    for attribute in range(mechanism._n_attributes):
+        if attribute in query.attributes:
+            low, high = query.interval(attribute)
+        else:
+            low, high = 0, hierarchy.domain_size - 1
+        decompositions.append(hierarchy.decompose(low, high))
+    answer = 0.0
+    for combination in product(*decompositions):
+        answer += mechanism._interval_frequency(tuple(combination))
+    return answer
+
+
+def _pairwise_answer(mechanism, query: RangeQuery, loops: bool) -> float:
+    """1-D and 2-D directly, λ > 2 through Algorithm 2 on 2-D answers."""
+    if query.dimension > 2:
+        return estimate_lambda_query(
+            query, lambda sub: _pairwise_answer(mechanism, sub, loops),
+            method=mechanism.estimation_method,
+            max_iterations=mechanism.estimation_iterations)
+    if query.dimension == 1:
+        (predicate,) = query.predicates
+        if isinstance(mechanism, HDG):
+            grid = mechanism.grids_1d[predicate.attribute]
+            if loops:
+                return grid1d_range_loop(grid, predicate.low, predicate.high)
+            return grid.answer_range(predicate.low, predicate.high)
+        # TDG and LHIO marginalise a pair containing the attribute.
+        other = 0 if predicate.attribute != 0 else 1
+        query = RangeQuery((predicate, Predicate(
+            other, 0, mechanism._domain_size - 1)))
+    first, second = query.predicates
+    key = (first.attribute, second.attribute)
+    interval_a, interval_b = (first.low, first.high), (second.low, second.high)
+    pairs = (mechanism.grids_2d if isinstance(mechanism, HDG)
+             else mechanism._pairs if isinstance(mechanism, LHIO)
+             else mechanism.grids)
+    if key not in pairs:
+        key = (key[1], key[0])
+        interval_a, interval_b = interval_b, interval_a
+    if isinstance(mechanism, LHIO):
+        return _lhio_pair(mechanism, pairs[key], interval_a, interval_b,
+                          loops)
+    matrix = (mechanism.response_matrices.get(key)
+              if isinstance(mechanism, HDG) else None)
+    if loops:
+        return grid2d_range_loop(pairs[key], interval_a, interval_b, matrix)
+    index = (mechanism._response_index(key) if matrix is not None
+             else None)
+    return pairs[key].answer_range(interval_a, interval_b,
+                                   response_matrix=matrix,
+                                   response_index=index)
+
+
+def _lhio_pair(mechanism, pair_hierarchy, interval_a, interval_b,
+               loops: bool) -> float:
+    """Sum of the (row node, column node) combinations' frequencies:
+    node by node, or one ``np.ix_`` gather per pair of node levels."""
+    nodes_rows = mechanism.hierarchy.decompose(*interval_a)
+    nodes_cols = mechanism.hierarchy.decompose(*interval_b)
+    answer = 0.0
+    if loops or pair_hierarchy.lazy_groups:
+        for node_row in nodes_rows:
+            for node_col in nodes_cols:
+                answer += pair_hierarchy.frequency(
+                    node_row, node_col, mechanism._dataset,
+                    mechanism.epsilon, mechanism.rng)
+        return answer
+    rows_by_level: dict[int, list[int]] = {}
+    cols_by_level: dict[int, list[int]] = {}
+    for node in nodes_rows:
+        rows_by_level.setdefault(node.level, []).append(node.index)
+    for node in nodes_cols:
+        cols_by_level.setdefault(node.level, []).append(node.index)
+    for row_level, row_indices in rows_by_level.items():
+        for col_level, col_indices in cols_by_level.items():
+            values = pair_hierarchy.levels[(row_level, col_level)]
+            answer += float(values[np.ix_(row_indices, col_indices)].sum())
+    return answer

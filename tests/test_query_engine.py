@@ -1,19 +1,20 @@
-"""Property tests for the prefix-sum batch query engine.
+"""Property tests for the prefix-sum answering kernels.
 
-The engine must reproduce the legacy per-query, per-cell answering path
-bit-for-bit (tolerance 1e-9) on randomised grids, intervals, response
-matrices and mixed-λ workloads, for the grid mechanisms and every
-baseline that answers ranges.
+The compiled answering path must reproduce the per-query, per-cell
+loops of ``tests/oracles.py`` to 1e-9 on randomised grids, intervals,
+response matrices and mixed-λ workloads, for the grid mechanisms and
+every baseline that answers ranges — and the scalar per-query
+reference bitwise, for every mechanism but LHIO.
 """
 
 import numpy as np
 import pytest
 
+from oracles import (grid1d_range_loop, grid2d_range_loop, loop_answers,
+                     scalar_answers)
 from repro.baselines import CALM, HIO, LHIO, MSW, Uniform
 from repro.core import (HDG, TDG, Grid1D, Grid2D, PrefixIndex1D,
-                        PrefixIndex2D, SummedAreaTable,
-                        estimate_lambda_queries_batched,
-                        estimate_lambda_query, prefix_sum_1d,
+                        PrefixIndex2D, SummedAreaTable, prefix_sum_1d,
                         summed_area_table)
 from repro.datasets import Dataset
 from repro.estimation import (Constraint, weighted_update,
@@ -36,15 +37,20 @@ def mixed_workload(n_attributes, domain_size, per_dimension=10, seed=7,
 
 
 def assert_engine_matches_legacy(mechanism, queries, tolerance=1e-9):
-    """Answer the same fitted state through both paths and compare."""
-    mechanism.use_legacy_answering = True
-    legacy = mechanism.answer_workload(queries)
-    mechanism.use_legacy_answering = False
+    """Answer the same fitted state through the compiled path and the
+    reference loops, and compare."""
+    legacy = loop_answers(mechanism, queries)
     batch = mechanism.answer_workload(queries)
     np.testing.assert_allclose(batch, legacy, rtol=0.0, atol=tolerance)
-    # Single-query answering must agree with the batch path too.
+    # Single-query answering is the same path, so it is bitwise equal.
     singles = np.array([mechanism.answer(query) for query in queries])
-    np.testing.assert_allclose(singles, legacy, rtol=0.0, atol=tolerance)
+    np.testing.assert_array_equal(singles, batch)
+    # The scalar per-query reference sums LHIO's levels in another order.
+    scalar = scalar_answers(mechanism, queries)
+    if isinstance(mechanism, LHIO):
+        np.testing.assert_allclose(scalar, batch, rtol=0.0, atol=tolerance)
+    else:
+        np.testing.assert_array_equal(scalar, batch)
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +90,7 @@ def test_sat_rect_sum_empty_rectangle_is_zero(rng):
 
 
 # ----------------------------------------------------------------------
-# Grid answering: engine vs legacy cell loop
+# Grid answering: prefix-sum lookups vs the cell loops
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("domain_size,granularity", [
     (16, 4), (64, 8), (64, 64), (100, 10), (60, 15), (32, 1),
@@ -96,7 +102,7 @@ def test_grid1d_engine_matches_loop(rng, domain_size, granularity):
         low = int(rng.integers(0, domain_size))
         high = int(rng.integers(low, domain_size))
         assert grid.answer_range(low, high) == pytest.approx(
-            grid.answer_range_loop(low, high), abs=1e-9)
+            grid1d_range_loop(grid, low, high), abs=1e-9)
 
 
 @pytest.mark.parametrize("domain_size,granularity", [
@@ -115,9 +121,9 @@ def test_grid2d_engine_matches_loop(rng, domain_size, granularity):
         intervals = ((row_low, row_high), (col_low, col_high))
         # Uniformity rule (TDG)
         assert grid.answer_range(*intervals) == pytest.approx(
-            grid.answer_range_loop(*intervals), abs=1e-9)
+            grid2d_range_loop(grid, *intervals), abs=1e-9)
         # Response-matrix rule (HDG), with and without precomputed SAT
-        expected = grid.answer_range_loop(*intervals, response_matrix=matrix)
+        expected = grid2d_range_loop(grid, *intervals, response_matrix=matrix)
         assert grid.answer_range(*intervals, response_matrix=matrix) == \
             pytest.approx(expected, abs=1e-9)
         assert grid.answer_range(*intervals, response_index=index) == \
@@ -136,8 +142,8 @@ def test_grid_answer_ranges_batch_matches_scalar(rng):
     batch = grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
                                response_index=index)
     for position in range(40):
-        expected = grid.answer_range_loop(
-            (row_lows[position], row_highs[position]),
+        expected = grid2d_range_loop(
+            grid, (row_lows[position], row_highs[position]),
             (col_lows[position], col_highs[position]), response_matrix=matrix)
         assert batch[position] == pytest.approx(expected, abs=1e-9)
 
@@ -178,36 +184,8 @@ def test_weighted_update_batch_matches_sequential(rng):
         np.testing.assert_array_equal(batch[row], sequential.estimate)
 
 
-def test_estimate_lambda_queries_batched_matches_per_query(rng):
-    for dimension in (3, 4, 5):
-        queries = []
-        sub_answers = []
-        generator = WorkloadGenerator(dimension, 16,
-                                      rng=np.random.default_rng(dimension))
-        for _ in range(8):
-            query = generator.random_query(dimension, 0.5)
-            queries.append(query)
-            sub_answers.append(rng.normal(0.3, 0.2,
-                                          size=dimension * (dimension - 1) // 2))
-        lookup_tables = [
-            dict(zip((sub.attributes for sub in query.pairwise_subqueries()),
-                     answers))
-            for query, answers in zip(queries, sub_answers)]
-        expected = [estimate_lambda_query(
-            query, lambda sub, table=table: table[sub.attributes])
-            for query, table in zip(queries, lookup_tables)]
-        batched = estimate_lambda_queries_batched(queries, sub_answers)
-        np.testing.assert_array_equal(batched, expected)
-
-
-def test_estimate_lambda_queries_batched_rejects_pairs():
-    query = RangeQuery.from_dict({0: (0, 3), 1: (0, 3)})
-    with pytest.raises(ValueError):
-        estimate_lambda_queries_batched([query], [np.array([0.5])])
-
-
 # ----------------------------------------------------------------------
-# Mechanisms: batch workload vs legacy loop on the same fitted state
+# Mechanisms: compiled path vs the reference loops on one fitted state
 # ----------------------------------------------------------------------
 def _uniform_dataset(rng, n_users=6_000, n_attributes=5, domain_size=32):
     return Dataset(rng.integers(0, domain_size, size=(n_users, n_attributes)),
@@ -234,8 +212,8 @@ def test_batch_engine_matches_legacy(rng, factory):
 ], ids=["HIO", "LHIO"])
 def test_batch_engine_matches_legacy_hierarchies(rng, factory):
     # Hierarchy baselines draw lazy noise on first evaluation; answering
-    # the legacy path first freezes those caches, after which the batch
-    # path must reproduce the identical answers.
+    # the reference loops first freezes those caches, after which the
+    # compiled path must reproduce the identical answers.
     dataset = _uniform_dataset(rng, n_users=4_000, n_attributes=3,
                                domain_size=16)
     queries = mixed_workload(dataset.n_attributes, dataset.domain_size,
@@ -272,47 +250,32 @@ def test_batch_workload_validates_queries(rng):
         mechanism.answer_workload([bad])
 
 
-def test_runner_query_engine_parity(rng):
-    """The runner produces identical MAEs through both engine settings."""
-    from repro.experiments import ExperimentConfig, run_experiment
-
-    base = ExperimentConfig(dataset="normal", n_users=5_000, n_attributes=3,
-                            domain_size=16, n_queries=20, query_dimension=3,
-                            methods=("Uni", "TDG", "HDG"), seed=3)
-    batch = run_experiment(base)
-    legacy = run_experiment(base.with_overrides(query_engine="legacy"))
-    for method in base.methods:
-        assert batch.mae_of(method) == pytest.approx(legacy.mae_of(method),
-                                                     abs=1e-9)
-
-
 # ----------------------------------------------------------------------
 # Staleness and RNG-order regressions (from review)
 # ----------------------------------------------------------------------
 def test_hio_fresh_instances_agree_across_engines(rng):
     # Regression: the bucketed path used to materialise levels in a
-    # different RNG order than the legacy loop, so two *fresh* fitted
-    # instances with the same seed disagreed between engines.
+    # different RNG order than the per-combination loop, so two *fresh*
+    # fitted instances with the same seed disagreed.
     dataset = Dataset(rng.integers(0, 64, size=(2_000, 3)), 64)
     queries = mixed_workload(3, 64, per_dimension=4, dimensions=(2, 3))
     legacy = HIO(1.0, materialize_limit=256, seed=7).fit(dataset)
-    legacy.use_legacy_answering = True
     batch = HIO(1.0, materialize_limit=256, seed=7).fit(dataset)
     np.testing.assert_allclose(batch.answer_workload(queries),
-                               legacy.answer_workload(queries),
+                               loop_answers(legacy, queries),
                                rtol=0.0, atol=1e-9)
 
 
 def test_lhio_fresh_instances_agree_across_engines(rng):
     # Same regression for LHIO's lazy levels: with lazy groups present the
-    # batch path must keep strict workload order so the RNG stream matches.
+    # compiled path must keep strict workload order so the RNG stream
+    # matches.
     dataset = Dataset(rng.integers(0, 64, size=(2_000, 3)), 64)
     queries = mixed_workload(3, 64, per_dimension=4, dimensions=(1, 2, 3))
     legacy = LHIO(1.0, materialize_limit=256, seed=7).fit(dataset)
-    legacy.use_legacy_answering = True
     batch = LHIO(1.0, materialize_limit=256, seed=7).fit(dataset)
     np.testing.assert_allclose(batch.answer_workload(queries),
-                               legacy.answer_workload(queries),
+                               loop_answers(legacy, queries),
                                rtol=0.0, atol=1e-9)
 
 
@@ -340,7 +303,8 @@ def test_hdg_response_matrix_replacement_not_stale(rng):
     mechanism.response_matrices[key] = np.full((16, 16), 1.0 / 256)
     replaced = mechanism.answer(query)
     batch = mechanism.answer_workload([query])[0]
-    expected = mechanism.grids_2d[key].answer_range_loop(
-        (1, 9), (2, 13), response_matrix=mechanism.response_matrices[key])
+    expected = grid2d_range_loop(
+        mechanism.grids_2d[key], (1, 9), (2, 13),
+        response_matrix=mechanism.response_matrices[key])
     assert replaced == pytest.approx(expected, abs=1e-9)
     assert batch == pytest.approx(expected, abs=1e-9)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import loop_answers
 from repro import make_dataset
 from repro.datasets import Dataset
 from repro.postprocess import norm_sub
@@ -265,17 +266,13 @@ def test_mixed_workload_through_answer_workload(name, fitted, ir_dataset):
 
 
 def test_legacy_engine_matches_batch_for_typed_queries(fitted):
-    """The planner's primitives respect use_legacy_answering."""
+    """A marginal's cells agree with the per-cell loop oracle."""
     for name in ("TDG", "HDG", "Uni", "MSW", "CALM"):
         mechanism = fitted[name]
         query = MarginalQuery((0, 1))
         batch = mechanism.answer(query).values
-        mechanism.use_legacy_answering = True
-        try:
-            legacy = mechanism.answer(query).values
-        finally:
-            mechanism.use_legacy_answering = False
-        np.testing.assert_allclose(batch, legacy, atol=1e-9)
+        legacy = loop_answers(mechanism, query.to_ranges(16))
+        np.testing.assert_allclose(batch.ravel(), legacy, atol=1e-9)
 
 
 def test_answer_typed_caches_compiled_plans(ir_dataset):
