@@ -19,7 +19,10 @@ delivers, per mechanism (TDG, HDG):
   lookup and typed reassembly minus the range workload's own
   plan-cache lookup, whose key holds every primitive;
 * **primitives/query** — how many range primitives one typed query
-  expands to on average (marginals dominate: ``c²`` cells each).
+  expands to on average (marginals dominate: ``c²`` cells each);
+* **cold compile** — median milliseconds of ``QueryPlanner.plan`` plus
+  ``CompiledPlan.from_plan`` over fresh workloads of the same shape,
+  the stage a plan-cache miss pays (recorded only, no gate).
 
 Run directly::
 
@@ -48,7 +51,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _scale import append_trajectory, report  # noqa: E402
 
 from repro import HDG, TDG, make_dataset  # noqa: E402
-from repro.queries import WorkloadGenerator, query_kind  # noqa: E402
+from repro.queries import (CompiledPlan, WorkloadGenerator,  # noqa: E402
+                           query_kind)
+
+#: Fresh workloads timed per mechanism for the cold-compile figure.
+COLD_WORKLOADS = 7
+
+
+def cold_compile_ms(mechanism, workloads) -> float:
+    """Median ms to plan and compile one workload never seen before."""
+    timings = []
+    for queries in workloads:
+        start = time.perf_counter()
+        planner = mechanism.query_planner()
+        plan = planner.plan(queries, capabilities=mechanism.query_capabilities)
+        CompiledPlan.from_plan(plan, planner.domain_size,
+                               population=planner.population)
+        timings.append(time.perf_counter() - start)
+    return float(np.median(timings)) * 1e3
 
 
 def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
@@ -63,6 +83,8 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
                                   rng=np.random.default_rng(seed + 1))
     mixed = generator.mixed_workload(n_queries, 2, 0.5)
     kinds = sorted({query_kind(query) for query in mixed})
+    fresh = [generator.mixed_workload(n_queries, 2, 0.5)
+             for _ in range(COLD_WORKLOADS)]
 
     lines = [f"mixed-workload throughput: eps={epsilon} n={n_users} "
              f"d={n_attributes} c={domain_size} |Q|={n_queries} "
@@ -100,6 +122,7 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
             flat = mechanism.answer_workload(flat_ranges)
         flat_seconds = time.perf_counter() - start
         assert np.isfinite(flat).all()
+        cold_ms = cold_compile_ms(mechanism, fresh)
 
         typed_rate = rounds * n_queries / typed_seconds
         primitive_rate = rounds * primitives / flat_seconds
@@ -110,6 +133,7 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
             f"{n_queries} typed queries "
             f"({primitives / n_queries:.1f} primitives/query, "
             f"compile {compile_seconds * 1e3:.1f}ms once)",
+            f"        cold plan+compile : {cold_ms:6.2f}ms per fresh workload",
             f"        typed workload    : {typed_seconds:6.2f}s "
             f"-> {typed_rate:10.1f} queries/sec",
             f"        pre-lowered ranges: {flat_seconds:6.2f}s "
@@ -119,6 +143,7 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
         entry[mechanism.name] = {
             "primitives": primitives,
             "compile_seconds": round(compile_seconds, 4),
+            "cold_compile_ms": round(cold_ms, 3),
             "typed_queries_per_sec": round(typed_rate, 1),
             "primitive_ranges_per_sec": round(primitive_rate, 1),
             "plan_and_reassemble_overhead_fraction": round(overhead, 4),

@@ -1,10 +1,11 @@
 """Plan compiler: the fused NumPy execution layout of every workload.
 
 :class:`~repro.queries.QueryPlanner` lowers a workload — plain ranges
-or any mix of the five query kinds — into a flat list of
-:class:`~repro.queries.RangeQuery` primitives.  :class:`CompiledPlan`
-walks that plan *once* and freezes everything answering needs into
-NumPy index arrays:
+or any mix of the five query kinds — onto range primitives: one
+:class:`~repro.queries.RangeQuery` per scalar query, and the ``c^λ``
+row-major cells of each marginal/top-k table, kept as its attribute
+tuple and cell count.  :class:`CompiledPlan` walks that plan *once*
+and freezes everything answering needs into NumPy index arrays:
 
 * **execution groups** — primitives partitioned by dimension and
   attribute signature up front: one :class:`SingleGroup` per queried
@@ -14,8 +15,9 @@ NumPy index arrays:
   (:class:`MultiDimGroup`) — so a pair-decomposable mechanism answers
   the whole workload with one vectorised gather per group and one
   batched Algorithm-2 iteration per distinct λ, no per-primitive
-  Python; mechanisms without pair decomposition read
-  :attr:`CompiledPlan.flat_ranges`;
+  Python.  A table's cells join these groups as one index block, never
+  as per-cell objects; mechanisms without pair decomposition read
+  :attr:`CompiledPlan.flat_ranges`, built on first read;
 * **reassembly arrays** — scalar results (range, point, count) become
   one fancy-indexed gather with a precomputed scale vector (count
   queries fold their population in); marginal/top-k tables keep their
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from threading import Lock
 
 import numpy as np
@@ -104,6 +107,36 @@ class MultiDimGroup:
     index_sets: list[np.ndarray] = field(repr=False)
 
 
+@lru_cache(maxsize=16)
+def _cell_block(domain_size: int, dimension: int) -> np.ndarray:
+    """The ``c^λ`` cells of a λ-D table as a ``(λ, c^λ)`` int64 array.
+
+    Column ``n`` is the ``n``-th cell in row-major order — the order of
+    :meth:`~repro.queries.MarginalQuery.cells`.  Cached and read-only:
+    every table of the same shape shares it.
+    """
+    cells = np.indices((domain_size,) * dimension,
+                       dtype=np.int64).reshape(dimension, -1)
+    cells.flags.writeable = False
+    return cells
+
+
+def _group_columns(key, rows: dict, blocks: dict) -> np.ndarray:
+    """Group ``key``'s ``(width, n)`` columns: scalar rows, then table blocks.
+
+    ``rows[key]`` holds one tuple per scalar primitive; each of
+    ``blocks[key]`` is a ``(width, n)`` array of table cells.  A group
+    without table blocks is built from its rows alone, with no
+    concatenation.
+    """
+    parts = blocks.get(key)
+    if not parts:
+        return np.asarray(rows[key], dtype=np.int64).T
+    if key in rows:
+        parts = [np.asarray(rows[key], dtype=np.int64).T, *parts]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 # ----------------------------------------------------------------------
 # Reassembly layout
 # ----------------------------------------------------------------------
@@ -137,10 +170,10 @@ class CompiledPlan:
     their vectorised primitives and hand the flat answer vector to
     :meth:`assemble`.  Mechanisms without pair decomposition run their
     kernel over :attr:`flat_ranges` — the plan's primitive list,
-    materialised once instead of per call.
+    materialised on first read instead of per call.
     """
 
-    def __init__(self, plan: QueryPlan, flat_ranges: list[RangeQuery],
+    def __init__(self, plan: QueryPlan,
                  single_groups: list[SingleGroup],
                  pair_groups: list[PairGroup],
                  multi_pair_groups: list[PairGroup],
@@ -148,8 +181,7 @@ class CompiledPlan:
                  n_sub_entries: int, scalars: _ScalarLayout,
                  tables: list[_TableLayout]):
         self.plan = plan
-        self.flat_ranges = flat_ranges
-        self.n_primitives = len(flat_ranges)
+        self.n_primitives = plan.n_primitives
         self.n_queries = len(plan.lowered)
         self.single_groups = single_groups
         self.pair_groups = pair_groups
@@ -158,6 +190,15 @@ class CompiledPlan:
         self.n_sub_entries = n_sub_entries
         self._scalars = scalars
         self._tables = tables
+
+    @cached_property
+    def flat_ranges(self) -> list[RangeQuery]:
+        """The plan's primitive list, built on first read and kept.
+
+        Only mechanisms without pair decomposition (Uni, MSW, HIO, and
+        LHIO with lazy levels) read it; the grouped executor never does.
+        """
+        return self.plan.ranges
 
     # ------------------------------------------------------------------
     # Construction
@@ -172,14 +213,23 @@ class CompiledPlan:
         is the fallback scale for count queries that carry none of
         their own — the same value the planner resolved at lowering
         time, so compiled count answers match the combiner's exactly.
+
+        A scalar query's one primitive is filed row by row; a table's
+        ``c^λ`` cells join the same groups as one row-major index block
+        (:func:`_cell_block`), with no per-cell Python.
         """
         domain_size = int(domain_size)
-        flat_ranges: list[RangeQuery] = []
         singles: dict[int, list[tuple[int, int, int]]] = {}
         pairs: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
         multi_pairs: dict[tuple[int, int],
                           list[tuple[int, int, int, int, int]]] = {}
         multis_by_dim: dict[int, tuple[list[int], list[list[int]]]] = {}
+        # Table cells, as (width, n) int64 column blocks per group key.
+        single_blocks: dict[int, list[np.ndarray]] = {}
+        pair_blocks: dict[tuple[int, int], list[np.ndarray]] = {}
+        multi_pair_blocks: dict[tuple[int, int], list[np.ndarray]] = {}
+        multi_dim_blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        index = 0
         n_sub = 0
 
         scalar_positions: list[int] = []
@@ -191,20 +241,20 @@ class CompiledPlan:
 
         for result_position, entry in enumerate(plan.lowered):
             query = entry.query
-            start = len(flat_ranges)
-            for primitive in entry.ranges:
-                index = len(flat_ranges)
-                flat_ranges.append(primitive)
+            primitive = entry.primitive
+            start = index
+            if primitive is not None:
+                index += 1
                 predicates = primitive.predicates
                 if len(predicates) == 1:
                     predicate = predicates[0]
                     singles.setdefault(predicate.attribute, []).append(
-                        (index, predicate.low, predicate.high))
+                        (start, predicate.low, predicate.high))
                 elif len(predicates) == 2:
                     first, second = predicates
                     pairs.setdefault((first.attribute, second.attribute),
                                      []).append(
-                        (index, first.low, first.high, second.low, second.high))
+                        (start, first.low, first.high, second.low, second.high))
                 else:
                     sub_indices = []
                     # Same lexicographic-by-position order as
@@ -220,9 +270,40 @@ class CompiledPlan:
                             n_sub += 1
                     positions, rows = multis_by_dim.setdefault(
                         len(predicates), ([], []))
-                    positions.append(index)
+                    positions.append(start)
                     rows.append(sub_indices)
-            stop = len(flat_ranges)
+            else:
+                attributes = entry.table_attributes
+                cells = _cell_block(domain_size, len(attributes))
+                n_cells = cells.shape[1]
+                index += n_cells
+                positions = np.arange(start, index, dtype=np.int64)
+                if len(attributes) == 1:
+                    single_blocks.setdefault(attributes[0], []).append(
+                        np.stack([positions, cells[0], cells[0]]))
+                elif len(attributes) == 2:
+                    pair_blocks.setdefault(attributes, []).append(
+                        np.stack([positions, cells[0], cells[0],
+                                  cells[1], cells[1]]))
+                else:
+                    # Cell ``n``'s C(λ,2) sub-answers sit contiguously at
+                    # n_sub + n·C(λ,2) + k, k in pairwise_subqueries order.
+                    n_pairs = len(attributes) * (len(attributes) - 1) // 2
+                    sub_index_matrix = (
+                        n_sub + n_pairs * np.arange(n_cells, dtype=np.int64)
+                    )[:, None] + np.arange(n_pairs, dtype=np.int64)
+                    k = 0
+                    for i in range(len(attributes)):
+                        for j in range(i + 1, len(attributes)):
+                            multi_pair_blocks.setdefault(
+                                (attributes[i], attributes[j]), []).append(
+                                np.stack([sub_index_matrix[:, k],
+                                          cells[i], cells[i],
+                                          cells[j], cells[j]]))
+                            k += 1
+                    multi_dim_blocks.setdefault(len(attributes), []).append(
+                        (positions, sub_index_matrix))
+                    n_sub += n_cells * n_pairs
 
             if isinstance(query, (RangeQuery, PointQuery)):
                 scalar_positions.append(result_position)
@@ -241,40 +322,51 @@ class CompiledPlan:
                 scalar_scales.append(float(scale))
                 scalar_populations.append(int(scale))
             elif isinstance(query, MarginalQuery):
-                tables.append(_TableLayout(result_position, query, start, stop,
+                tables.append(_TableLayout(result_position, query, start, index,
                                            (domain_size,) * query.dimension,
                                            None))
             elif isinstance(query, TopKQuery):
-                dimension = query.marginal().dimension
-                tables.append(_TableLayout(result_position, query, start, stop,
-                                           (domain_size,) * dimension,
+                tables.append(_TableLayout(result_position, query, start, index,
+                                           (domain_size,) * query.dimension,
                                            int(query.k)))
             else:  # pragma: no cover - planner rejects unknown kinds first
                 raise TypeError(f"cannot compile {type(query).__name__}")
 
         from ..core.query_estimation import lambda_constraint_index_sets
 
-        def pair_group(key, rows) -> PairGroup:
-            data = np.asarray(rows, dtype=np.int64)
-            return PairGroup(key, data[:, 0], data[:, 1], data[:, 2],
-                             data[:, 3], data[:, 4])
+        def single_group(attribute) -> SingleGroup:
+            columns = _group_columns(attribute, singles, single_blocks)
+            return SingleGroup(attribute, columns[0], columns[1], columns[2])
+
+        def pair_group(key, rows, blocks) -> PairGroup:
+            columns = _group_columns(key, rows, blocks)
+            return PairGroup(key, columns[0], columns[1], columns[2],
+                             columns[3], columns[4])
+
+        multi_dims = []
+        for dimension in {**multis_by_dim, **multi_dim_blocks}:
+            parts = multi_dim_blocks.get(dimension, [])
+            if dimension in multis_by_dim:
+                positions, rows = multis_by_dim[dimension]
+                parts = [(np.asarray(positions, dtype=np.int64),
+                          np.asarray(rows, dtype=np.int64)), *parts]
+            positions, rows = parts[0] if len(parts) == 1 else (
+                np.concatenate([block for block, _ in parts]),
+                np.concatenate([block for _, block in parts]))
+            multi_dims.append(MultiDimGroup(
+                dimension, positions, rows,
+                lambda_constraint_index_sets(dimension)))
 
         return cls(
             plan=plan,
-            flat_ranges=flat_ranges,
-            single_groups=[
-                SingleGroup(attribute, *np.asarray(rows, dtype=np.int64).T)
-                for attribute, rows in singles.items()],
-            pair_groups=[pair_group(key, rows)
-                         for key, rows in pairs.items()],
-            multi_pair_groups=[pair_group(key, rows)
-                               for key, rows in multi_pairs.items()],
-            multi_dim_groups=[
-                MultiDimGroup(dimension,
-                              np.asarray(positions, dtype=np.int64),
-                              np.asarray(rows, dtype=np.int64),
-                              lambda_constraint_index_sets(dimension))
-                for dimension, (positions, rows) in multis_by_dim.items()],
+            single_groups=[single_group(attribute)
+                           for attribute in {**singles, **single_blocks}],
+            pair_groups=[pair_group(key, pairs, pair_blocks)
+                         for key in {**pairs, **pair_blocks}],
+            multi_pair_groups=[
+                pair_group(key, multi_pairs, multi_pair_blocks)
+                for key in {**multi_pairs, **multi_pair_blocks}],
+            multi_dim_groups=multi_dims,
             n_sub_entries=n_sub,
             scalars=_ScalarLayout(scalar_positions, scalar_queries,
                                   np.asarray(scalar_primitives,

@@ -85,8 +85,9 @@ class MarginalQuery(Query):
 
     The answer is the λ-D table of cell frequencies (``c`` entries per
     listed attribute), i.e. the object a marginal-release mechanism
-    publishes.  Lowers to one degenerate (width-1) range query per cell
-    in row-major order over the sorted attribute tuple.
+    publishes.  Lowers to one degenerate (width-1) range per cell in
+    row-major order over the sorted attribute tuple; the compiler turns
+    those cells into index arrays without building them as objects.
     """
 
     attributes: tuple[int, ...]
@@ -110,7 +111,11 @@ class MarginalQuery(Query):
         return product(range(domain_size), repeat=self.dimension)
 
     def to_ranges(self, domain_size: int) -> list[RangeQuery]:
-        """One degenerate range query per cell, in :meth:`cells` order."""
+        """One degenerate range query per cell, in :meth:`cells` order.
+
+        The reference form of the lowering, for code that reads
+        :attr:`~repro.queries.QueryPlan.ranges`; answering never calls it.
+        """
         return [RangeQuery(tuple(Predicate(attribute, value, value)
                                  for attribute, value
                                  in zip(self.attributes, cell)))

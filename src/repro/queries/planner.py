@@ -5,9 +5,9 @@ query surface (:mod:`repro.queries.ir`) and the mechanisms' physical
 primitives (batched range answering over 1-D/2-D grid estimates).  A
 workload is *planned* once — every query is validated against the
 fitted schema, checked against the answering mechanism's declared
-capabilities, and lowered into a flat list of
-:class:`~repro.queries.RangeQuery` primitives — and the resulting
-:class:`QueryPlan` reassembles the primitive answers into typed results:
+capabilities, and lowered onto :class:`~repro.queries.RangeQuery`
+primitives — and the resulting :class:`QueryPlan` reassembles the
+primitive answers into typed results:
 
 ========  =====================================  ========================
 Kind      Lowering                               Combiner
@@ -15,13 +15,16 @@ Kind      Lowering                               Combiner
 range     itself (one primitive)                 identity
 point     one degenerate width-1 range           identity
 count     one range                              ``× population``
-marginal  one width-1 range per cell             reshape to the λ-D table
-topk      the full marginal's cell ranges        Norm-Sub, then arg-top-k
+marginal  ``c^λ`` width-1 cells, row-major       reshape to the λ-D table
+topk      the full marginal's cells              Norm-Sub, then arg-top-k
 ========  =====================================  ========================
 
 Because every lowering lands on range primitives, all nine mechanisms
-answer every query type through one answering path — a 2-D marginal's
-``c²`` cells become one grouped, vectorised corner-lookup batch.
+answer every query type through one answering path.  A table query
+(marginal, top-k) is lowered to its attribute tuple and cell count
+only: :mod:`repro.queries.compiler` turns the ``c^λ`` cells straight
+into index arrays, and :attr:`LoweredQuery.ranges` builds the per-cell
+:class:`~repro.queries.RangeQuery` list only when something reads it.
 
 Mechanisms do not interpret a :class:`QueryPlan` per request:
 :mod:`repro.queries.compiler` lowers a plan once into fused NumPy index
@@ -63,19 +66,42 @@ def top_k_cells(values: np.ndarray, k: int) -> tuple[tuple[tuple[int, ...], ...]
     flat = values.ravel()
     k = min(int(k), flat.size)
     order = np.argsort(-flat, kind="stable")[:k]
-    cells = tuple(tuple(int(part) for part in np.unravel_index(index,
-                                                               values.shape))
-                  for index in order)
-    return cells, flat[order].astype(float)
+    cells = np.stack(np.unravel_index(order, values.shape), axis=1)
+    return tuple(map(tuple, cells.tolist())), flat[order].astype(float)
 
 
 @dataclass
 class LoweredQuery:
-    """One planned query: its primitive ranges plus the reassembly step."""
+    """One planned query: its primitives plus the reassembly step.
+
+    A scalar query (range, point, count) lowers to its one range
+    ``primitive``.  A table query (marginal, top-k) lowers to the
+    ``c^λ`` width-1 cells of ``table_attributes`` in row-major order,
+    kept as the attribute tuple and ``domain_size`` alone: the compiler
+    turns them into index arrays, and :attr:`ranges` builds the
+    per-cell range list only when it is read.
+    """
 
     query: Query
-    ranges: list[RangeQuery]
     combine: Callable[[np.ndarray], QueryResult]
+    primitive: RangeQuery | None = None
+    table_attributes: tuple[int, ...] = ()
+    domain_size: int = 0
+
+    @property
+    def n_primitives(self) -> int:
+        """Number of range primitives the query lowers to."""
+        if self.primitive is not None:
+            return 1
+        return self.domain_size ** len(self.table_attributes)
+
+    @property
+    def ranges(self) -> list[RangeQuery]:
+        """The query's range primitives, built on every read."""
+        if self.primitive is not None:
+            return [self.primitive]
+        return MarginalQuery(self.table_attributes).to_ranges(
+            self.domain_size)
 
 
 @dataclass
@@ -103,7 +129,7 @@ class QueryPlan:
     @property
     def n_primitives(self) -> int:
         """Total number of range primitives the plan executes."""
-        return sum(len(entry.ranges) for entry in self.lowered)
+        return sum(entry.n_primitives for entry in self.lowered)
 
     def assemble(self, answers: np.ndarray) -> list[QueryResult]:
         """Slice flat primitive answers into typed per-query results."""
@@ -115,7 +141,7 @@ class QueryPlan:
         results = []
         start = 0
         for entry in self.lowered:
-            stop = start + len(entry.ranges)
+            stop = start + entry.n_primitives
             results.append(entry.combine(answers[start:stop]))
             start = stop
         return results
@@ -199,17 +225,20 @@ class QueryPlanner:
               position: int | None = None) -> LoweredQuery:
         """Lower one validated query to primitives plus its combiner."""
         if isinstance(query, RangeQuery):
-            return LoweredQuery(query, [query],
-                                lambda a, q=query: ScalarResult(q, float(a[0])))
+            return LoweredQuery(query,
+                                lambda a, q=query: ScalarResult(q, float(a[0])),
+                                primitive=query)
         if isinstance(query, PointQuery):
-            return LoweredQuery(query, [query.as_range()],
-                                lambda a, q=query: ScalarResult(q, float(a[0])))
+            return LoweredQuery(query,
+                                lambda a, q=query: ScalarResult(q, float(a[0])),
+                                primitive=query.as_range())
         if isinstance(query, PredicateCountQuery):
             population = self.resolve_population(query, position)
             return LoweredQuery(
-                query, [query.as_range()],
+                query,
                 lambda a, q=query, n=population: ScalarResult(
-                    q, float(a[0]) * n, population=n))
+                    q, float(a[0]) * n, population=n),
+                primitive=query.as_range())
         if isinstance(query, MarginalQuery):
             shape = (self.domain_size,) * query.dimension
 
@@ -217,11 +246,11 @@ class QueryPlanner:
                 """Reshape the flat cell answers into the λ-D table."""
                 return DistributionResult(q, np.asarray(a, dtype=float).reshape(s))
 
-            return LoweredQuery(query, query.to_ranges(self.domain_size),
-                                combine_marginal)
+            return LoweredQuery(query, combine_marginal,
+                                table_attributes=query.attributes,
+                                domain_size=self.domain_size)
         if isinstance(query, TopKQuery):
-            marginal = query.marginal()
-            shape = (self.domain_size,) * marginal.dimension
+            shape = (self.domain_size,) * query.dimension
 
             def combine_topk(a, q=query, s=shape):
                 """Norm-Sub the estimated table, then take the arg-top-k."""
@@ -229,8 +258,9 @@ class QueryPlanner:
                 cells, values = top_k_cells(table, q.k)
                 return TopKResult(q, cells, values)
 
-            return LoweredQuery(query, marginal.to_ranges(self.domain_size),
-                                combine_topk)
+            return LoweredQuery(query, combine_topk,
+                                table_attributes=query.attributes,
+                                domain_size=self.domain_size)
         raise TypeError(f"cannot plan {type(query).__name__}; known kinds: "
                         f"{', '.join(QUERY_KINDS)}")
 

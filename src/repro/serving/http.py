@@ -40,7 +40,10 @@ storage backend instead of a bare directory store.
 
 Errors return a structured body ``{"error": msg, "code": code}``:
 400 ``bad-request`` for malformed payloads (including bodies that are
-not valid JSON and unknown query ``"type"`` values), 404 ``not-found``
+not valid JSON, unknown query ``"type"`` values and a ``Content-Length``
+that is not a non-negative integer), 413 ``too-large`` for a declared
+body above :data:`MAX_BODY_BYTES` (both ``Content-Length`` rejections
+close the connection unread), 404 ``not-found``
 for unknown paths, 404 ``unknown-tenant`` for routes naming a tenant
 that does not exist, 409 ``conflict`` for operations the service cannot
 perform in its current state (not ready, static mode, no snapshot
@@ -88,6 +91,10 @@ DEFAULT_WORKERS = 8
 #: count that wait for a free worker instead of being shed.
 DEFAULT_QUEUE_DEPTH = 16
 
+#: Largest request body the server reads.  A longer declared
+#: ``Content-Length`` is answered 413 ``too-large`` without reading it.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 #: Pre-rendered load-shedding response, written on the listener thread
 #: (no worker, no handler) so an overloaded server still answers fast.
 _SHED_BODY = json.dumps({
@@ -100,6 +107,20 @@ _SHED_RESPONSE = (b"HTTP/1.1 503 Service Unavailable\r\n"
                   b"Connection: close\r\n"
                   b"Content-Length: " + str(len(_SHED_BODY)).encode()
                   + b"\r\n\r\n" + _SHED_BODY)
+
+
+class BodyRejectedError(ValueError):
+    """A request body refused from its ``Content-Length`` alone.
+
+    The body is left unread, so the connection cannot be realigned on
+    the next request: the handler answers ``status``/``code`` and
+    closes it.
+    """
+
+    def __init__(self, status: int, code: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.code = code
 
 
 class ServingHTTPServer(HTTPServer):
@@ -270,8 +291,22 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
         Always consumes the full ``Content-Length`` before raising, so
         a malformed body never desynchronizes a keep-alive connection.
+        A length that is not a non-negative integer, or that exceeds
+        :data:`MAX_BODY_BYTES`, raises :class:`BodyRejectedError`
+        before anything is read.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not header.isdecimal():
+            raise BodyRejectedError(
+                400, "bad-request",
+                f"bad request: Content-Length must be a non-negative "
+                f"integer, got {header!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise BodyRejectedError(
+                413, "too-large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -411,6 +446,11 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         # connection with a traceback.
         try:
             payload = self._read_json()
+        except BodyRejectedError as error:
+            self._send_json(error.status, {"error": str(error),
+                                           "code": error.code},
+                            headers={"Connection": "close"})
+            return
         except ValueError as error:
             self._send_error_json(400, "bad-request",
                                   f"bad request: invalid JSON body ({error})")

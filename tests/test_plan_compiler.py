@@ -32,6 +32,8 @@ import pytest
 from oracles import loop_answers, scalar_answers
 from repro import build_mechanism, make_dataset
 from repro.queries import CompiledPlan, PlanCache, WorkloadGenerator
+from repro.queries import (MarginalQuery, PointQuery, Predicate,
+                           PredicateCountQuery, RangeQuery, TopKQuery)
 from repro.queries.ir import (DistributionResult, ScalarResult, TopKResult,
                               query_kind)
 
@@ -155,6 +157,70 @@ def test_fused_matches_planner_paths_max_entropy(dataset):
                                                               queries))
     assert_results_bitwise_equal(fused,
                                  per_query_reference(mechanism, queries))
+
+
+@pytest.fixture(scope="module")
+def table_dataset():
+    rng = np.random.default_rng(SEED)
+    return make_dataset("normal", N_USERS, 4, 8, rng=rng)
+
+
+def overlapping_table_workload() -> list:
+    """λ=1/2/3 marginals and top-k beside scalar queries on the same
+    attributes and pairs, so table blocks and scalar rows share groups."""
+    return [
+        RangeQuery((Predicate(0, 1, 5),)),
+        MarginalQuery((0,)),
+        TopKQuery((0,), k=3),
+        PointQuery(((0, 2), (1, 3))),
+        MarginalQuery((0, 1)),
+        RangeQuery((Predicate(0, 0, 3), Predicate(1, 2, 7))),
+        TopKQuery((1, 2), k=4),
+        MarginalQuery((0, 1, 2)),
+        RangeQuery((Predicate(0, 1, 6), Predicate(1, 0, 4),
+                    Predicate(2, 3, 7))),
+        TopKQuery((1, 2, 3), k=5),
+        PredicateCountQuery((Predicate(1, 2, 5), Predicate(2, 0, 6),
+                             Predicate(3, 1, 3))),
+        MarginalQuery((3,)),
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_MECHANISMS)
+def test_table_blocks_match_interpreted_reference(name, table_dataset):
+    # Table cells compile as index blocks; sharing groups (and λ>2
+    # sub-answer vectors) with scalar rows must not move one bit.
+    mechanism = fitted(name, table_dataset)
+    queries = overlapping_table_workload()
+    assert_results_bitwise_equal(
+        mechanism.answer_typed(queries),
+        interpreted_reference(mechanism, queries),
+        atol=scalar_tolerance(name))
+
+
+def test_table_lowering_builds_no_cell_ranges(monkeypatch):
+    # A c=64 λ=2 marginal plus a top-k compile and answer without one
+    # per-cell RangeQuery; flat_ranges is built only when read.
+    dataset = make_dataset("normal", N_USERS, N_ATTRIBUTES, 64,
+                           rng=np.random.default_rng(SEED))
+    mechanism = fitted("HDG", dataset)
+    queries = [MarginalQuery((0, 1)), TopKQuery((1, 2), k=5),
+               RangeQuery((Predicate(0, 3, 40),))]
+
+    def no_cell_ranges(*args, **kwargs):
+        raise AssertionError("MarginalQuery.to_ranges was called")
+
+    monkeypatch.setattr(MarginalQuery, "to_ranges", no_cell_ranges)
+    compiled = mechanism._plan_for(queries)
+    results = mechanism.answer_typed(queries)
+    assert compiled.n_primitives == 2 * 64 ** 2 + 1
+    monkeypatch.undo()
+
+    plan = mechanism.query_planner().plan(queries)
+    assert compiled.flat_ranges == plan.ranges
+    assert compiled.flat_ranges is compiled.flat_ranges
+    assert_results_bitwise_equal(results,
+                                 interpreted_reference(mechanism, queries))
 
 
 @pytest.mark.parametrize("name", ["TDG", "HDG"])

@@ -168,6 +168,23 @@ def test_top_k_cells_is_deterministic_under_ties():
     assert np.array_equal(values, np.array([0.3, 0.3, 0.2]))
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_top_k_cells_matches_per_cell_unravel_with_ties(dimension):
+    # The vectorised selection returns exactly the tuples the per-cell
+    # reference builds: same order, Python ints, ties by row-major order.
+    rng = np.random.default_rng(dimension)
+    table = rng.integers(0, 4, size=(5,) * dimension) / 4.0
+    for k in (1, 7, table.size):
+        cells, values = top_k_cells(table, k)
+        order = np.argsort(-table.ravel(), kind="stable")[:k]
+        expected = tuple(tuple(int(part) for part
+                               in np.unravel_index(index, table.shape))
+                         for index in order)
+        assert cells == expected
+        assert all(type(part) is int for cell in cells for part in cell)
+        assert np.array_equal(values, table.ravel()[order])
+
+
 # ----------------------------------------------------------------------
 # Ground truth
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.datasets import Dataset
 from repro.serving import (SNAPSHOT_MECHANISMS, QueryService, ServiceError,
                            SnapshotStore, build_server, queries_from_wire,
                            query_from_wire, query_to_wire, restore_mechanism)
+from repro.serving.http import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +596,49 @@ def test_idle_keep_alive_connection_releases_worker(serving_dataset):
         # this concurrent request is answered, not starved forever.
         assert _http(port, "/healthz")["status"] == "ok"
         staller.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("length, status, code", [
+    ("-1", 400, "bad-request"),
+    ("-5", 400, "bad-request"),
+    ("12abc", 400, "bad-request"),
+    (str(MAX_BODY_BYTES + 1), 413, "too-large"),
+])
+def test_http_bad_content_length_is_refused_and_closed(serving_dataset,
+                                                       length, status, code):
+    """Regression: ``Content-Length: -1`` used to read to EOF (no
+    response, worker pinned) and ``-5`` left the body unread on a
+    kept-alive connection.  Each is now answered at once and closed."""
+    import socket
+    import time
+
+    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
+    service.ingest(serving_dataset.values[:200])
+    service.refinalize()
+    server = build_server(service, port=0, workers=1)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        client = socket.create_connection(("127.0.0.1", port), timeout=1.0)
+        started = time.monotonic()
+        client.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                       b"Content-Type: application/json\r\n"
+                       b"Content-Length: " + length.encode() + b"\r\n\r\n")
+        response = b""
+        while chunk := client.recv(65536):   # EOF: the server closed
+            response += chunk
+        assert time.monotonic() - started < 1.0
+        client.close()
+        head, body = response.split(b"\r\n\r\n", 1)
+        assert head.split(b"\r\n", 1)[0].split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["code"] == code
+        # The only worker was released: the next connection is served.
+        assert _http(port, "/healthz")["status"] == "ok"
     finally:
         server.shutdown()
         server.server_close()
