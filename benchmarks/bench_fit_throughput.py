@@ -31,15 +31,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _scale import append_trajectory, report  # noqa: E402
 
-from repro.baselines import CALM, HIO, LHIO, MSW, Uniform  # noqa: E402
+from repro.baselines import CALM, HIO, LHIO, MSW  # noqa: E402
 from repro.core import HDG, TDG  # noqa: E402
 from repro.datasets import make_dataset  # noqa: E402
 
-#: Mechanisms measured, in report order.
-MECHANISMS = ("Uni", "MSW", "CALM", "HIO", "LHIO", "TDG", "HDG")
+#: Mechanisms measured, in report order.  Uni is left out: its ``fit``
+#: returns at once, so a reports/sec figure for it would time a no-op.
+MECHANISMS = ("MSW", "CALM", "HIO", "LHIO", "TDG", "HDG")
 
 FACTORIES = {
-    "Uni": lambda epsilon, seed: Uniform(epsilon, seed=seed),
     "MSW": lambda epsilon, seed: MSW(epsilon, seed=seed),
     "CALM": lambda epsilon, seed: CALM(epsilon, seed=seed),
     "HIO": lambda epsilon, seed: HIO(epsilon, seed=seed),

@@ -270,15 +270,13 @@ def _command_ingest_demo(args: argparse.Namespace) -> int:
     dataset = make_dataset(args.dataset, args.n_users, args.n_attributes,
                            args.domain_size, rng=rng)
     rows = dataset.values
-    mode = None if args.ingest_mode == "auto" else args.ingest_mode
     print(f"ingest-demo: {args.mechanism} eps={args.epsilon} "
           f"d={args.n_attributes} c={args.domain_size} "
           f"n={args.n_users} workers={args.workers}")
     tier = IngestTier(args.mechanism, args.epsilon, n_workers=args.workers,
                       n_attributes=args.n_attributes,
                       domain_size=args.domain_size, seed=args.seed,
-                      ingest_mode=mode, planning_users=args.n_users,
-                      total_users=args.n_users)
+                      planning_users=args.n_users, total_users=args.n_users)
     try:
         started = time.perf_counter()
         for start in range(0, len(rows), args.batch_size):
@@ -287,15 +285,13 @@ def _command_ingest_demo(args: argparse.Namespace) -> int:
         ingest_seconds = time.perf_counter() - started
         metrics = tier.metrics()
         rate = len(rows) / ingest_seconds if ingest_seconds > 0 else 0.0
-        print(f"  mode={metrics['ingest_mode']}  "
-              f"ingested {metrics['reports_total']} reports in "
+        print(f"  ingested {metrics['reports_total']} reports in "
               f"{ingest_seconds:.2f}s ({rate:,.0f} reports/s)")
         for worker in metrics["workers"]:
             print(f"  worker {worker['index']}: "
                   f"{worker['reports_done']} reports over "
                   f"{worker['batches_done']} batches "
-                  f"(queue depth {worker['queue_depth']}, "
-                  f"dropped {worker['dropped_rows']})")
+                  f"(queue depth {worker['queue_depth']})")
         estimator = tier.coordinator.merge()
         merge = tier.metrics()["merge"]
         print(f"  merged + finalized in {merge['last_merge_seconds']:.2f}s "
@@ -628,10 +624,10 @@ def _add_serving_mechanism_arguments(parser: argparse.ArgumentParser) -> None:
                              "mechanism, deterministic for crash recovery)")
     parser.add_argument("--ingest-workers", type=int, default=None,
                         metavar="N",
-                        help="run ingest through N collector worker "
+                        help="run stream ingest through N collector worker "
                              "processes over shared-memory accumulators "
-                             "(default: in-process ingest; see "
-                             "docs/ingest.md)")
+                             "(default: in-process ingest; refit ingest "
+                             "ignores it; see docs/ingest.md)")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--plan-cache-entries", type=int, default=None,
@@ -717,14 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest-demo",
         help="drive the multi-process shared-memory ingest tier once")
     ingest_parser.add_argument("--mechanism", default="HDG",
-                               choices=["TDG", "HDG", "ITDG", "IHDG", "CALM",
-                                        "HIO", "LHIO", "MSW", "Uni"],
-                               help="mechanism to collect (stream mode needs "
-                                    "a shardable one; others run refit)")
-    ingest_parser.add_argument("--ingest-mode", default="auto",
-                               choices=["auto", "stream", "refit"],
-                               help="auto picks stream for shardable "
-                                    "mechanisms, refit otherwise")
+                               choices=["TDG", "HDG", "ITDG", "IHDG", "CALM"],
+                               help="mechanism to collect (the tier runs "
+                                    "mechanisms with sharded aggregation)")
     ingest_parser.add_argument("--workers", type=int, default=4,
                                help="collector worker processes")
     ingest_parser.add_argument("--dataset", default="normal",

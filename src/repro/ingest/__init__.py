@@ -1,8 +1,9 @@
 """Distributed ingest tier: routed collector workers over shared memory.
 
-See ``docs/ingest.md`` for the architecture.  The serving layer
-(:class:`repro.serving.QueryService`) enables this tier with
-``ingest_workers=N``; it can also be driven standalone::
+See ``docs/ingest.md`` for the architecture.  The tier runs the
+mechanisms that support sharded aggregation; the serving layer
+(:class:`repro.serving.QueryService`) enables it for stream ingest with
+``ingest_workers=N``.  It can also be driven standalone::
 
     tier = IngestTier("TDG", 1.0, n_workers=4, n_attributes=4,
                       domain_size=16, seed=7, planning_users=100_000)
@@ -11,23 +12,19 @@ See ``docs/ingest.md`` for the architecture.  The serving layer
 """
 
 from .routing import ConsistentHashRouter, mix64
-from .shared_state import (AccumulatorLayout, SharedAccumulatorBlock,
-                           SharedRowBuffer)
-from .tier import (IngestBackpressureError, IngestError, IngestTier,
-                   IngestWorkerError, MergeCoordinator)
+from .shared_state import AccumulatorLayout, SharedAccumulatorBlock
+from .tier import IngestError, IngestTier, IngestWorkerError, MergeCoordinator
 from .worker import MECHANISM_CLASSES, WorkerSpec
 
 __all__ = [
     "AccumulatorLayout",
     "ConsistentHashRouter",
-    "IngestBackpressureError",
     "IngestError",
     "IngestTier",
     "IngestWorkerError",
     "MECHANISM_CLASSES",
     "MergeCoordinator",
     "SharedAccumulatorBlock",
-    "SharedRowBuffer",
     "WorkerSpec",
     "mix64",
 ]

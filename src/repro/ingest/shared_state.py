@@ -1,22 +1,20 @@
 """Shared-memory blocks backing the distributed ingest tier.
 
 Each collector worker owns one ``multiprocessing.shared_memory``
-segment.  In **stream** mode the segment holds the worker's additive
-oracle state — the mechanism's :class:`~repro.frequency_oracles.base.
-SupportAccumulator` support vectors, bound in place via
+segment holding the worker's additive oracle state — the mechanism's
+:class:`~repro.frequency_oracles.base.SupportAccumulator` support
+vectors, bound in place via
 :meth:`~repro.core.base.RangeQueryMechanism.bind_accumulator_views` —
 so ``partial_fit`` updates are visible to the merge coordinator with
 no serialization at all (this replaces the JSON ``shard_state``
-round-trip on the hot path).  In **refit** mode (non-shardable
-mechanisms) the segment is an append-only row log instead; the
-coordinator reassembles the rows in global key order and refits.
+round-trip on the hot path).
 
-Both segment kinds start with the same int64 header::
+A segment starts with an int64 header::
 
-    [total_reports, batches_done, last_seq, dropped_rows]
+    [total_reports, batches_done, last_seq, slot counts...]
 
-followed by block-specific regions.  Workers publish the header and
-payload under a per-worker lock; the coordinator takes the same lock
+followed by the float64 support vectors.  Workers publish the header
+and payload under a per-worker lock; the coordinator takes the same lock
 to copy a consistent cut (always "exactly after some completed
 batch", never a torn mid-batch state).
 
@@ -36,12 +34,11 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-#: Fixed int64 header fields shared by both block kinds.
+#: Fixed int64 header fields, before the per-slot report counters.
 HEADER_TOTAL_REPORTS = 0
 HEADER_BATCHES_DONE = 1
 HEADER_LAST_SEQ = 2
-HEADER_DROPPED_ROWS = 3
-HEADER_FIXED_FIELDS = 4
+HEADER_FIXED_FIELDS = 3
 
 _WORD = 8  # bytes per int64/float64 word
 
@@ -146,89 +143,6 @@ class SharedAccumulatorBlock:
         """Drop this mapping (and the segment itself for the owner)."""
         self.header = None
         self._payload = None
-        self._shm.close()
-        if self._owner:
-            self._shm.unlink()
-
-
-class SharedRowBuffer:
-    """Shared-memory append-only row log for refit-mode workers.
-
-    Layout after the common header: ``capacity`` int64 keys (global
-    report indices), then a ``(capacity, n_attributes)`` int64 row
-    region.  ``append`` is all-or-nothing per batch: a batch that does
-    not fit is dropped whole and counted in the header, so the log
-    never holds a partial batch.
-    """
-
-    def __init__(self, capacity: int, n_attributes: int,
-                 shm: shared_memory.SharedMemory, owner: bool):
-        self.capacity = int(capacity)
-        self.n_attributes = int(n_attributes)
-        self._shm = shm
-        self._owner = owner
-        self.header = np.ndarray((HEADER_FIXED_FIELDS,), dtype=np.int64,
-                                 buffer=shm.buf)
-        keys_offset = _WORD * HEADER_FIXED_FIELDS
-        self.keys = np.ndarray((self.capacity,), dtype=np.int64,
-                               buffer=shm.buf, offset=keys_offset)
-        rows_offset = keys_offset + _WORD * self.capacity
-        self.rows = np.ndarray((self.capacity, self.n_attributes),
-                               dtype=np.int64, buffer=shm.buf,
-                               offset=rows_offset)
-
-    @staticmethod
-    def nbytes(capacity: int, n_attributes: int) -> int:
-        return _WORD * (HEADER_FIXED_FIELDS
-                        + capacity * (1 + n_attributes))
-
-    @classmethod
-    def create(cls, capacity: int, n_attributes: int) -> "SharedRowBuffer":
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        shm = shared_memory.SharedMemory(
-            create=True, size=cls.nbytes(capacity, n_attributes))
-        buffer = cls(capacity, n_attributes, shm, owner=True)
-        buffer.header[:] = 0
-        return buffer
-
-    @classmethod
-    def attach(cls, capacity: int, n_attributes: int, name: str, *,
-               unregister: bool = False) -> "SharedRowBuffer":
-        shm = shared_memory.SharedMemory(name=name)
-        if unregister:
-            _unregister_attachment(shm)
-        return cls(capacity, n_attributes, shm, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.header[HEADER_TOTAL_REPORTS])
-
-    def append(self, seq: int, keys: np.ndarray, rows: np.ndarray) -> int:
-        """Append one batch; returns rows stored (0 when dropped full)."""
-        n = rows.shape[0]
-        start = self.n_rows
-        if start + n > self.capacity:
-            self.header[HEADER_DROPPED_ROWS] += n
-            self.header[HEADER_BATCHES_DONE] += 1
-            self.header[HEADER_LAST_SEQ] = seq
-            return 0
-        self.keys[start:start + n] = keys
-        self.rows[start:start + n] = rows
-        self.header[HEADER_TOTAL_REPORTS] = start + n
-        self.header[HEADER_BATCHES_DONE] += 1
-        self.header[HEADER_LAST_SEQ] = seq
-        return n
-
-    def close(self) -> None:
-        """Drop this mapping (and the segment itself for the owner)."""
-        self.header = None
-        self.keys = None
-        self.rows = None
         self._shm.close()
         if self._owner:
             self._shm.unlink()

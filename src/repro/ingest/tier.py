@@ -8,27 +8,28 @@ ingest path (see ``docs/ingest.md``):
   :class:`~repro.ingest.routing.ConsistentHashRouter`, and enqueues
   per-worker sub-batches in submission order;
 * collector worker processes (:mod:`repro.ingest.worker`) run
-  ``partial_fit`` into shared-memory accumulator blocks (stream mode)
-  or append rows to shared row logs (refit mode);
+  ``partial_fit`` into shared-memory accumulator blocks;
 * :class:`MergeCoordinator` folds the worker blocks into a fresh
   serving estimator through the existing ``load_shard_state`` /
-  ``finalize`` path (stream) or a deterministic re-``fit`` over the
-  key-ordered row log (refit), so distributed results stay bitwise
-  identical to the equivalent single-process ingest.
+  ``finalize`` path, so distributed results stay bitwise identical to
+  the equivalent single-process ingest.
 
-Back-pressure contract: worker inboxes are bounded queues.  By default
-``submit`` blocks when a worker falls behind (bounded memory, no
-loss); with ``drop_overflow=True`` it drops the sub-batch instead and
-counts it in :meth:`metrics` (``queue_drops``), trading determinism
-for liveness.  Refit row logs are fixed capacity; overflowing batches
-are dropped whole and counted per worker (``dropped_rows``).
+The tier runs only mechanisms that support sharded aggregation (TDG,
+HDG, ITDG, IHDG, CALM): their per-grid counts are additive, so the
+work splits across processes exactly.  The other mechanisms do all
+their work in ``fit``; a service refitting them buffers raw rows in
+its own process instead.
 
-Determinism: with no drops, the tier's finalized estimator is a pure
-function of ``(mechanism config, seed, n_workers, replicas, router
-seed, submitted row sequence)`` — independent of timing, because
-routing keys are submission indices and every worker consumes its
-sub-batches FIFO.  ``tests/test_distributed_ingest.py`` pins this
-against the single-process execution of the same shard plan.
+Back-pressure contract: worker inboxes are bounded queues
+(:data:`QUEUE_BATCHES` deep), and ``submit`` blocks when a worker
+falls behind — bounded memory, no loss.
+
+Determinism: the tier's finalized estimator is a pure function of
+``(mechanism config, seed, n_workers, router seed, submitted row
+sequence)`` — independent of timing, because routing keys are
+submission indices and every worker consumes its sub-batches FIFO.
+``tests/test_distributed_ingest.py`` pins this against the
+single-process execution of the same shard plan.
 """
 
 from __future__ import annotations
@@ -41,21 +42,18 @@ import weakref
 
 import numpy as np
 
-from ..datasets import Dataset
 from ..pipeline.parallel import shard_seed
 from .routing import ConsistentHashRouter
-from .shared_state import (HEADER_BATCHES_DONE, HEADER_DROPPED_ROWS,
-                           HEADER_FIXED_FIELDS, HEADER_TOTAL_REPORTS,
-                           AccumulatorLayout, SharedAccumulatorBlock,
-                           SharedRowBuffer)
+from .shared_state import (HEADER_BATCHES_DONE, HEADER_FIXED_FIELDS,
+                           HEADER_TOTAL_REPORTS, AccumulatorLayout,
+                           SharedAccumulatorBlock)
 from .worker import MECHANISM_CLASSES, WorkerSpec, worker_main
 
-#: Tier ingest modes (mirrors QueryService.INGEST_MODES semantics).
-STREAM_MODE = "stream"
-REFIT_MODE = "refit"
+#: Virtual nodes per worker on the consistent-hash ring.
+REPLICAS = 64
 
-#: Default per-worker refit row-log capacity (rows).
-DEFAULT_ROW_CAPACITY = 1 << 18
+#: Depth of each worker's bounded inbox, in sub-batches.
+QUEUE_BATCHES = 64
 
 #: Seconds to wait for a worker's ready handshake before giving up.
 STARTUP_TIMEOUT = 60.0
@@ -74,10 +72,6 @@ class IngestError(RuntimeError):
 
 class IngestWorkerError(IngestError):
     """A collector worker died or reported a fatal error."""
-
-
-class IngestBackpressureError(IngestError):
-    """Bounded ingest capacity was exhausted."""
 
 
 def _queue_depth(q) -> int | None:
@@ -169,7 +163,8 @@ class IngestTier:
     Parameters
     ----------
     mechanism:
-        Paper name of the mechanism (any of the nine).
+        Paper name of a mechanism that supports sharded aggregation
+        (TDG, HDG, ITDG, IHDG, CALM); any other raises ``ValueError``.
     epsilon:
         Per-user privacy budget.
     n_workers:
@@ -178,18 +173,11 @@ class IngestTier:
         Report schema (must be known up front to size shared memory).
     seed:
         Base seed; worker ``i`` collects under ``shard_seed(seed, i)``
-        (the :func:`repro.pipeline.parallel_fit` convention).  Refit
-        mode refits with ``seed`` itself, matching the single-process
-        refit service bitwise.
-    ingest_mode:
-        ``"stream"`` (shardable mechanisms; shared accumulator blocks)
-        or ``"refit"`` (any mechanism; shared row logs).  Defaults to
-        stream when the mechanism supports sharding, refit otherwise.
+        (the :func:`repro.pipeline.parallel_fit` convention).
     planning_users:
         Population fed to the granularity guideline when the mechanism
-        has no explicit granularity (stream mode).  Callers that learn
-        it from the first batch must resolve it before constructing
-        the tier.
+        has no explicit granularity.  Callers that learn it from the
+        first batch must resolve it before constructing the tier.
     total_users:
         Forwarded to every worker's ``partial_fit`` (service setting).
     worker_states:
@@ -204,15 +192,11 @@ class IngestTier:
 
     def __init__(self, mechanism: str, epsilon: float, *, n_workers: int,
                  n_attributes: int, domain_size: int,
-                 seed: int | None = None, ingest_mode: str | None = None,
+                 seed: int | None = None,
                  planning_users: int | None = None,
                  total_users: int | None = None,
                  mechanism_kwargs: dict | None = None,
-                 replicas: int = 64, queue_batches: int = 64,
-                 row_capacity: int | None = None,
-                 drop_overflow: bool = False,
-                 worker_states: list | None = None, key_base: int = 0,
-                 start_method: str | None = None):
+                 worker_states: list | None = None, key_base: int = 0):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         try:
@@ -228,8 +212,6 @@ class IngestTier:
         self.seed = seed
         self.planning_users = planning_users
         self.total_users = total_users
-        self.replicas = int(replicas)
-        self.drop_overflow = bool(drop_overflow)
         self._mechanism_kwargs = dict(mechanism_kwargs or {})
         if worker_states is not None and len(worker_states) != n_workers:
             raise ValueError(
@@ -237,40 +219,23 @@ class IngestTier:
                 "workers; restore with the same worker count")
 
         template = self._factory(self.epsilon, **self._mechanism_kwargs)
-        if ingest_mode is None:
-            ingest_mode = (STREAM_MODE if template.supports_sharding
-                           else REFIT_MODE)
-        if ingest_mode not in (STREAM_MODE, REFIT_MODE):
-            raise ValueError(f"unknown ingest_mode {ingest_mode!r}; "
-                             f"known: ['{STREAM_MODE}', '{REFIT_MODE}']")
-        if ingest_mode == STREAM_MODE and not template.supports_sharding:
+        if not template.supports_sharding:
             raise ValueError(
-                f"{mechanism} does not support sharded aggregation; "
-                "use ingest_mode='refit'")
-        self.ingest_mode = ingest_mode
-
-        if ingest_mode == STREAM_MODE:
-            template.prepare_aggregation(self.n_attributes, self.domain_size,
-                                         total_users=planning_users)
-            self._slots = template.accumulator_slots()
-            self._layout = AccumulatorLayout(self._slots)
-            self._base_state = template.shard_state()
-            self.row_capacity = None
-        else:
-            self._slots = None
-            self._layout = None
-            self._base_state = None
-            self.row_capacity = int(row_capacity
-                                    or max(total_users or 0,
-                                           DEFAULT_ROW_CAPACITY))
+                f"{mechanism} does not support sharded aggregation; a "
+                "refit service buffers its rows in-process instead")
+        template.prepare_aggregation(self.n_attributes, self.domain_size,
+                                     total_users=planning_users)
+        self._slots = template.accumulator_slots()
+        self._layout = AccumulatorLayout(self._slots)
+        self._base_state = template.shard_state()
 
         start_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
-            start_method or ("fork" if "fork" in start_methods else "spawn"))
+            "fork" if "fork" in start_methods else "spawn")
         unregister = self._ctx.get_start_method() != "fork"
 
         self._router = ConsistentHashRouter(self.n_workers,
-                                            replicas=self.replicas,
+                                            replicas=REPLICAS,
                                             seed=seed or 0)
         self._blocks: list = []
         self._locks: list = []
@@ -282,20 +247,15 @@ class IngestTier:
         self._global_seq = 0
         self._batches_routed = [0] * self.n_workers
         self._reports_routed = 0
-        self.queue_drops = 0
         self.coordinator = MergeCoordinator(self)
 
         for index in range(self.n_workers):
-            if ingest_mode == STREAM_MODE:
-                block = SharedAccumulatorBlock.create(self._layout)
-            else:
-                block = SharedRowBuffer.create(self.row_capacity,
-                                               self.n_attributes)
+            block = SharedAccumulatorBlock.create(self._layout)
             lock = self._ctx.Lock()
-            inbox = self._ctx.Queue(maxsize=int(queue_batches))
+            inbox = self._ctx.Queue(maxsize=QUEUE_BATCHES)
             outbox = self._ctx.Queue()
             spec = WorkerSpec(
-                index=index, mode=ingest_mode, mechanism=mechanism,
+                index=index, mechanism=mechanism,
                 epsilon=self.epsilon,
                 seed=(shard_seed(seed, index) if seed is not None else None),
                 mechanism_kwargs=dict(self._mechanism_kwargs),
@@ -303,7 +263,6 @@ class IngestTier:
                 domain_size=self.domain_size,
                 planning_users=planning_users, total_users=total_users,
                 shm_name=block.name, slots=self._slots,
-                row_capacity=self.row_capacity,
                 initial_state=(worker_states[index]
                                if worker_states is not None else None),
                 unregister_shm=unregister)
@@ -422,8 +381,7 @@ class IngestTier:
 
         ``rows`` is an ``(n, d)`` integer array.  Each row's key is its
         global submission index; sub-batches preserve submission order
-        per worker.  Blocks while any target worker's inbox is full
-        unless the tier was built with ``drop_overflow=True``.
+        per worker.  Blocks while any target worker's inbox is full.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.n_attributes:
@@ -433,31 +391,16 @@ class IngestTier:
         n = rows.shape[0]
         keys = np.arange(self._next_key, self._next_key + n, dtype=np.int64)
         split = self._router.split(keys)
-        routed = dropped = 0
         for worker_index in sorted(split):
-            positions = split[worker_index]
-            sub_rows = rows[positions]
             sequence = self._global_seq
             self._global_seq += 1
             self._check_worker(worker_index)
-            if self.ingest_mode == STREAM_MODE:
-                item = ("batch", sequence, sub_rows)
-            else:
-                item = ("batch", sequence, keys[positions], sub_rows)
-            if self.drop_overflow:
-                try:
-                    self._inboxes[worker_index].put_nowait(item)
-                except queue_module.Full:
-                    self.queue_drops += 1
-                    dropped += sub_rows.shape[0]
-                    continue
-            else:
-                self._inboxes[worker_index].put(item)
+            self._inboxes[worker_index].put(
+                ("batch", sequence, rows[split[worker_index]]))
             self._batches_routed[worker_index] += 1
-            routed += sub_rows.shape[0]
         self._next_key += n
-        self._reports_routed += routed
-        return {"submitted": n, "routed": routed, "dropped": dropped}
+        self._reports_routed += n
+        return {"submitted": n, "routed": n}
 
     def flush(self, timeout: float = 120.0) -> None:
         """Wait until every worker has applied all routed batches."""
@@ -498,9 +441,6 @@ class IngestTier:
         identically to the single-process execution of the shard plan.
         No JSON round-trip: the state dict carries the summed arrays.
         """
-        if self.ingest_mode != STREAM_MODE:
-            raise IngestError("merged_shard_state requires stream mode; "
-                              "refit tiers reassemble rows instead")
         self.flush()
         total_reports = 0
         slot_sums: dict[str, np.ndarray | None] = {
@@ -532,51 +472,19 @@ class IngestTier:
         state["accumulators"] = accumulators
         return state
 
-    def assembled_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """All buffered refit rows, reassembled in global key order.
-
-        Because keys are submission indices, the returned row order is
-        exactly the single-process ingest order, which is what makes
-        the distributed refit bitwise identical to buffering in one
-        process.
-        """
-        if self.ingest_mode != REFIT_MODE:
-            raise IngestError("assembled_rows requires refit mode")
-        self.flush()
-        keys_parts, rows_parts = [], []
-        for index in range(self.n_workers):
-            with self._worker_lock(index):
-                buffer = self._blocks[index]
-                count = buffer.n_rows
-                keys_parts.append(buffer.keys[:count].copy())
-                rows_parts.append(buffer.rows[:count].copy())
-        keys = np.concatenate(keys_parts)
-        rows = (np.concatenate(rows_parts, axis=0) if keys.size
-                else np.empty((0, self.n_attributes), dtype=np.int64))
-        order = np.argsort(keys, kind="stable")
-        return rows[order], keys[order]
-
     def _finalize_estimator(self):
         """Build and finalize a fresh estimator from the workers' state."""
-        if self.ingest_mode == STREAM_MODE:
-            state = self.merged_shard_state()
-            clone = self._factory(self.epsilon, **self._mechanism_kwargs)
-            clone.load_shard_state(state)
-            clone.finalize()
-            return clone, int(state["total_reports"])
-        rows, _ = self.assembled_rows()
-        if rows.shape[0] == 0:
-            raise IngestError("no reports ingested yet")
-        clone = self._factory(self.epsilon, seed=self.seed,
-                              **self._mechanism_kwargs)
-        clone.fit(Dataset(rows, self.domain_size))
-        return clone, rows.shape[0]
+        state = self.merged_shard_state()
+        clone = self._factory(self.epsilon, **self._mechanism_kwargs)
+        clone.load_shard_state(state)
+        clone.finalize()
+        return clone, int(state["total_reports"])
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def capture_worker_states(self) -> list:
-        """Per-worker restore payloads (stream: shard + RNG state).
+        """Per-worker restore payloads (shard + RNG state).
 
         Flushes first so each payload reflects every routed batch; the
         round-trip through :class:`IngestTier` construction with
@@ -622,15 +530,12 @@ class IngestTier:
                 "batches_pending": (self._batches_routed[index]
                                     - int(header[HEADER_BATCHES_DONE])),
                 "reports_done": int(header[HEADER_TOTAL_REPORTS]),
-                "dropped_rows": int(header[HEADER_DROPPED_ROWS]),
             })
         return {
             "mechanism": self.mechanism,
-            "ingest_mode": self.ingest_mode,
             "n_workers": self.n_workers,
             "reports_routed": self._reports_routed,
             "reports_total": self.reports_total,
-            "queue_drops": self.queue_drops,
             "workers": workers,
             "merge": self.coordinator.status(),
         }

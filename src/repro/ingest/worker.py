@@ -1,23 +1,20 @@
 """Collector worker process: the ingest tier's per-core unit.
 
-A worker owns one shared-memory block and one inbound queue.  In
-**stream** mode it holds a private mechanism instance (seeded with the
-same ``shard_seed`` convention as :func:`repro.pipeline.parallel_fit`)
-whose accumulator slots are bound onto the shared block, so every
-``partial_fit`` lands directly in memory the merge coordinator can
-read.  In **refit** mode it appends raw rows (with their global keys)
-to a shared row log instead.
+A worker owns one shared-memory block and one inbound queue.  It holds
+a private mechanism instance (seeded with the same ``shard_seed``
+convention as :func:`repro.pipeline.parallel_fit`) whose accumulator
+slots are bound onto the shared block, so every ``partial_fit`` lands
+directly in memory the merge coordinator can read.
 
 Protocol over the worker's inbox queue (FIFO, one consumer):
 
-``("batch", seq, rows)`` / ``("batch", seq, keys, rows)``
+``("batch", seq, rows)``
     Ingest one routed sub-batch.  ``seq`` is the tier-wide submission
     sequence number; rows arrive in submission order.
 ``("state",)``
     Reply on the outbox with ``("state", index, payload)`` where the
-    payload carries the collector's ``shard_state`` and RNG state
-    (stream) or ``None`` (refit — the rows already live in shared
-    memory).  Used for snapshots.
+    payload carries the collector's ``shard_state`` and RNG state.
+    Used for snapshots.
 ``("stop",)``
     Exit the loop cleanly.
 
@@ -26,7 +23,7 @@ sequence) under the per-worker lock after every batch; holding the
 lock across the whole ``partial_fit`` is what gives the coordinator
 batch-granular consistent cuts.
 
-Determinism: a stream worker's accumulator state is a pure function of
+Determinism: a worker's accumulator state is a pure function of
 ``(worker seed, ordered sub-batch sequence)`` — exactly the state the
 same sub-batches produce through single-process ``partial_fit`` — so
 merging worker blocks reproduces the single-process shard plan bit for
@@ -38,15 +35,12 @@ from __future__ import annotations
 import dataclasses
 import traceback
 
-import numpy as np
-
 from ..baselines import CALM, HIO, LHIO, MSW, Uniform
 from ..core import HDG, IHDG, ITDG, TDG
 from ..datasets import Dataset
 from .shared_state import (HEADER_BATCHES_DONE, HEADER_FIXED_FIELDS,
                            HEADER_LAST_SEQ, HEADER_TOTAL_REPORTS,
-                           AccumulatorLayout, SharedAccumulatorBlock,
-                           SharedRowBuffer)
+                           AccumulatorLayout, SharedAccumulatorBlock)
 
 #: Mechanism classes by paper name, importable from a freshly spawned
 #: worker without touching :mod:`repro.serving` (avoids an import cycle
@@ -73,7 +67,6 @@ class WorkerSpec:
     """
 
     index: int
-    mode: str  # "stream" | "refit"
     mechanism: str
     epsilon: float
     seed: int | None
@@ -86,8 +79,7 @@ class WorkerSpec:
     #: ``partial_fit``'s total_users argument (service-level setting).
     total_users: int | None
     shm_name: str
-    slots: list[tuple[str, int]] | None  # stream mode
-    row_capacity: int | None  # refit mode
+    slots: list[tuple[str, int]]
     #: Restored per-worker state (snapshot recovery): ``{"shard_state":
     #: ..., "rng_state": ...}`` or None for a fresh worker.
     initial_state: dict | None = None
@@ -120,7 +112,7 @@ def _build_collector(spec: WorkerSpec):
     return collector
 
 
-def _run_stream_worker(spec: WorkerSpec, inbox, outbox, lock) -> None:
+def _run_worker(spec: WorkerSpec, inbox, outbox, lock) -> None:
     collector = _build_collector(spec)
     layout = AccumulatorLayout(spec.slots)
     block = SharedAccumulatorBlock.attach(layout, spec.shm_name,
@@ -161,35 +153,3 @@ def _publish_counts(collector, block: SharedAccumulatorBlock,
     for key, count in counts.items():
         header[HEADER_FIXED_FIELDS + slot_index[key]] = count
     header[HEADER_TOTAL_REPORTS] = int(collector.population or 0)
-
-
-def _run_refit_worker(spec: WorkerSpec, inbox, outbox, lock) -> None:
-    buffer = SharedRowBuffer.attach(spec.row_capacity, spec.n_attributes,
-                                    spec.shm_name,
-                                    unregister=spec.unregister_shm)
-    outbox.put(("ready", spec.index))
-    while True:
-        message = inbox.get()
-        kind = message[0]
-        if kind == "batch":
-            _, seq, keys, rows = message
-            with lock:
-                buffer.append(seq, np.asarray(keys, dtype=np.int64),
-                              np.asarray(rows, dtype=np.int64))
-        elif kind == "state":
-            # Refit rows live in shared memory; the tier reads them
-            # directly, so there is no private state to capture.
-            outbox.put(("state", spec.index, None))
-        elif kind == "stop":
-            return
-        else:
-            raise ValueError(f"unknown worker message {kind!r}")
-
-
-def _run_worker(spec: WorkerSpec, inbox, outbox, lock) -> None:
-    if spec.mode == "stream":
-        _run_stream_worker(spec, inbox, outbox, lock)
-    elif spec.mode == "refit":
-        _run_refit_worker(spec, inbox, outbox, lock)
-    else:
-        raise ValueError(f"unknown worker mode {spec.mode!r}")

@@ -2,36 +2,39 @@
 
 A :class:`QueryService` keeps a fitted estimator hot for answering
 workloads while (optionally) ingesting new privatized reports through
-the shard ``partial_fit`` path.  It runs in one of two modes:
+the shard ``partial_fit`` path.  A streaming service puts its ingest
+behind one private *ingestor* — the update path — and only counts
+reports, runs the re-finalize policy and publishes epochs (the
+analytical copy).  The ingestor is one of:
 
-* **streaming** — constructed from a shardable mechanism name or an
-  un-fitted shardable instance.  ``ingest`` feeds batches into an open
-  *collector*; a *re-finalize* (triggered automatically every
+* **inline collector** (stream, the default) — a shardable mechanism
+  name or un-fitted shardable instance.  ``ingest`` feeds batches into
+  an open collector; a *re-finalize* (triggered automatically every
   ``refinalize_every`` reports, or on demand with ``refinalize``)
   clones the collector's accumulator state, runs the paper's Phase-2
   machinery on the clone and atomically swaps it in as the serving
   estimator.  Answers therefore stay fresh without ever refitting from
   scratch, and collection never pauses for finalization.
-* **refit streaming** (``ingest_mode="refit"``) — constructed from
-  *any* snapshotable mechanism name, shardable or not (LHIO, HIO,
-  CALM, MSW, Uni included).  ``ingest`` buffers the raw batches; a
-  re-finalize runs the full ``fit()`` on a fresh same-seeded instance
-  over everything buffered so far and swaps it in.  Refitting from
-  scratch is deterministic in (seed, rows), which is what lets the
-  multi-tenant write-ahead-log recovery replay a crashed refit
-  tenant bitwise (``tests/test_crash_recovery.py``).
-* **static** — constructed from an already-fitted mechanism (any of
-  the nine, shardable or not).  Queries and snapshots work; ``ingest``
-  raises :class:`ServiceError`.
+* **stream tier** (stream with ``ingest_workers=N``) — the same, but
+  batches are routed through a multi-process
+  :class:`~repro.ingest.IngestTier` whose collector workers
+  ``partial_fit`` into shared-memory accumulators, and re-finalize
+  folds the worker state through the same ``merge``/``finalize`` path.
+  Results are bitwise identical to the equivalent single-process shard
+  plan; see ``docs/ingest.md`` and ``tests/test_distributed_ingest.py``.
+* **refit buffer** (``ingest_mode="refit"``) — *any* snapshotable
+  mechanism name, shardable or not (LHIO, HIO, CALM, MSW, Uni
+  included).  ``ingest`` buffers the raw batches in the service
+  process (``ingest_workers`` is ignored); a re-finalize runs the full
+  ``fit()`` on a fresh same-seeded instance over everything buffered
+  so far and swaps it in.  Refitting from scratch is deterministic in
+  (seed, rows), which is what lets the multi-tenant write-ahead-log
+  recovery replay a crashed refit tenant bitwise
+  (``tests/test_crash_recovery.py``).
 
-Either streaming mode can additionally run **distributed**
-(``ingest_workers=N``): ingest is routed through a multi-process
-:class:`~repro.ingest.IngestTier` whose collector workers
-``partial_fit`` into shared-memory accumulators (stream) or append to
-shared row logs (refit), and re-finalize folds the worker state
-through the same ``merge``/``finalize`` (or refit) path.  Results are
-bitwise identical to the equivalent single-process shard plan; see
-``docs/ingest.md`` and ``tests/test_distributed_ingest.py``.
+A **static** service — constructed from an already-fitted mechanism
+(any of the nine) — has no ingestor: queries and snapshots work;
+``ingest`` raises :class:`ServiceError`.
 
 The whole service serializes to one JSON document
 (:meth:`QueryService.state_dict`): the estimator's fitted state via
@@ -58,6 +61,7 @@ wire form.
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import numpy as np
@@ -78,6 +82,8 @@ from .snapshot import (SNAPSHOT_MECHANISMS, SnapshotInfo, SnapshotStore,
 #: Format tag written into serialized service states.
 SERVICE_SNAPSHOT_FORMAT = "repro.service-snapshot"
 SERVICE_SNAPSHOT_VERSION = 1
+
+logger = logging.getLogger("repro.serving")
 
 
 class ServiceError(RuntimeError):
@@ -177,6 +183,261 @@ def query_to_wire(query: Query) -> dict:
                     f"({query_kind(query)})")
 
 
+# ----------------------------------------------------------------------
+# Ingestors: the update path of a streaming service
+# ----------------------------------------------------------------------
+# Every method runs under the owning service's state lock, except the
+# builder ``capture()`` returns (the Phase-2 pass or the full ``fit``)
+# and the release step ``close()`` returns, which the service runs
+# after dropping the lock.  ``state()`` returns the ingestor's entries
+# of the service snapshot document; ``load(document)`` reads them back.
+class _InlineCollector:
+    """Stream ingest into one open ``partial_fit`` collector."""
+
+    mode = "stream"
+    workers = None
+
+    def __init__(self, collector: RangeQueryMechanism,
+                 total_users: int | None):
+        self.collector = collector
+        self.total_users = total_users
+
+    def submit(self, batch: Dataset) -> None:
+        self.collector.partial_fit(batch, total_users=self.total_users)
+
+    def capture(self):
+        collector = self.collector
+        factory, epsilon = type(collector), collector.epsilon
+        config, state = collector._snapshot_config(), collector.shard_state()
+
+        def build() -> RangeQueryMechanism:
+            clone = factory(epsilon, **config)
+            clone.load_shard_state(state)
+            clone.finalize()
+            return clone
+        return build
+
+    def published(self, epoch_id: int) -> None:
+        pass
+
+    def schema(self) -> tuple[int, int] | None:
+        collector = self.collector
+        if collector._n_attributes is None:
+            return None
+        return collector._n_attributes, collector._domain_size
+
+    def state(self) -> dict:
+        collector = self.collector
+        return {
+            "collector_config": collector._snapshot_config(),
+            # The RNG state makes a restored service's *future* ingest
+            # draws continue the exact same stream.
+            "collector_rng": collector.rng.bit_generator.state,
+            "collector": (collector.shard_state() if collector.population
+                          else None),
+        }
+
+    def load(self, document: dict) -> None:
+        if document.get("collector") is not None:
+            self.collector.load_shard_state(document["collector"])
+        if document.get("collector_rng") is not None:
+            self.collector.rng.bit_generator.state = document["collector_rng"]
+
+    def metrics(self) -> None:
+        return None
+
+    def close(self) -> None:
+        return None
+
+
+class _RefitBuffer:
+    """Refit ingest: raw rows buffered in the service process.
+
+    Re-finalize fits a fresh same-seeded instance over every buffered
+    row, so the estimator is a pure function of (seed, rows).  The
+    buffer keeps every row in memory and in every snapshot, with no
+    cap of its own; a tenant ``quota`` is the bound.
+    """
+
+    mode = "refit"
+    workers = None
+
+    def __init__(self, name: str, epsilon: float, seed: int | None,
+                 kwargs: dict):
+        try:
+            self.factory = SNAPSHOT_MECHANISMS[name]
+        except KeyError:
+            raise ValueError(
+                f"unknown mechanism {name!r}; "
+                f"known: {sorted(SNAPSHOT_MECHANISMS)}") from None
+        self.epsilon = epsilon
+        self.seed = seed
+        self.kwargs = dict(kwargs)
+        self.rows: list[np.ndarray] = []
+        self._schema: tuple[int, int] | None = None
+
+    def submit(self, batch: Dataset) -> None:
+        schema = (batch.n_attributes, batch.domain_size)
+        if self._schema is None:
+            self._schema = schema
+        elif schema != self._schema:
+            raise ValueError(
+                f"batch shape (d={schema[0]}, c={schema[1]}) does not "
+                f"match earlier batches (d={self._schema[0]}, "
+                f"c={self._schema[1]})")
+        self.rows.append(np.asarray(batch.values, dtype=np.int64))
+
+    def capture(self):
+        rows, domain_size = np.concatenate(self.rows, axis=0), self._schema[1]
+
+        def build() -> RangeQueryMechanism:
+            clone = self.factory(self.epsilon, seed=self.seed, **self.kwargs)
+            clone.fit(Dataset(rows, domain_size))
+            return clone
+        return build
+
+    def published(self, epoch_id: int) -> None:
+        pass
+
+    def schema(self) -> tuple[int, int] | None:
+        return self._schema
+
+    def state(self) -> dict:
+        return {"refit": {
+            "seed": self.seed,
+            "kwargs": self.kwargs,
+            "pending_rows": [batch.tolist() for batch in self.rows],
+            "pending_schema": (list(self._schema)
+                               if self._schema is not None else None),
+        }}
+
+    def load(self, document: dict) -> None:
+        block = document.get("refit")
+        if block is not None:
+            self.rows = [np.asarray(batch, dtype=np.int64)
+                         for batch in block["pending_rows"]]
+            schema = block.get("pending_schema")
+        else:
+            # A refit snapshot taken through the former multi-process
+            # refit mode: one flat row list in submission order.
+            block = document["distributed"]
+            schema = block.get("schema")
+            rows = block.get("pending_rows")
+            self.rows = [np.asarray(rows, dtype=np.int64)] if rows else []
+        self._schema = tuple(schema) if schema else None
+
+    def metrics(self) -> None:
+        return None
+
+    def close(self) -> None:
+        return None
+
+
+class _StreamTier:
+    """Stream ingest through a multi-process :class:`IngestTier`.
+
+    The tier starts on the first batch, whose schema pins its
+    shared-memory layout.
+    """
+
+    mode = "stream"
+
+    def __init__(self, name: str, epsilon: float, seed: int | None,
+                 kwargs: dict, workers: int, total_users: int | None):
+        if name not in SNAPSHOT_MECHANISMS:
+            raise ValueError(f"unknown mechanism {name!r}; "
+                             f"known: {sorted(SNAPSHOT_MECHANISMS)}")
+        if not SNAPSHOT_MECHANISMS[name](epsilon, **kwargs).supports_sharding:
+            raise ValueError(f"{name} does not support sharded aggregation; "
+                             "use ingest_mode='refit'")
+        self.name = name
+        self.epsilon = epsilon
+        self.seed = seed
+        self.kwargs = dict(kwargs)
+        self.workers = int(workers)
+        self.total_users = total_users
+        self.planning_users: int | None = None
+        self.tier: IngestTier | None = None
+        self.closed = False
+
+    def _start(self, n_attributes: int, domain_size: int,
+               planning_users: int | None, *,
+               worker_states: list | None = None, key_base: int = 0) -> None:
+        self.tier = IngestTier(
+            self.name, self.epsilon, n_workers=self.workers,
+            n_attributes=int(n_attributes), domain_size=int(domain_size),
+            seed=self.seed, planning_users=planning_users,
+            total_users=self.total_users, mechanism_kwargs=self.kwargs,
+            worker_states=worker_states, key_base=int(key_base))
+        # Remembered so snapshots rebuild workers with the same layout.
+        self.planning_users = planning_users
+
+    def submit(self, batch: Dataset) -> None:
+        if self.closed:
+            raise ServiceError(
+                "service is closed: its ingest tier was shut down")
+        if self.tier is None:
+            self._start(batch.n_attributes, batch.domain_size,
+                        self.total_users or batch.n_users)
+        elif (batch.n_attributes, batch.domain_size) != self.schema():
+            raise ValueError(
+                f"batch shape (d={batch.n_attributes}, "
+                f"c={batch.domain_size}) does not match the ingest "
+                f"tier's schema (d={self.tier.n_attributes}, "
+                f"c={self.tier.domain_size})")
+        self.tier.submit(batch.values)
+
+    def capture(self):
+        if self.tier is None:
+            raise ServiceError(
+                "service is closed: its ingest tier was shut down"
+                if self.closed else "no reports ingested yet")
+        # The flush + fold + Phase 2 run outside the state lock.
+        return self.tier.coordinator.merge
+
+    def published(self, epoch_id: int) -> None:
+        if self.tier is not None:
+            self.tier.coordinator.record_publication(epoch_id)
+
+    def schema(self) -> tuple[int, int] | None:
+        if self.tier is None:
+            return None
+        return self.tier.n_attributes, self.tier.domain_size
+
+    def state(self) -> dict:
+        """Every worker's shard + RNG state, so rebuilt workers resume
+        their exact streams; ``key_base`` makes post-restore WAL replay
+        route new reports exactly as the uninterrupted run would."""
+        block = {
+            "ingest_workers": self.workers,
+            "seed": self.seed,
+            "kwargs": self.kwargs,
+            "planning_users": self.planning_users,
+        }
+        if self.tier is not None:
+            block["schema"] = [self.tier.n_attributes, self.tier.domain_size]
+            block["key_base"] = self.tier.next_key
+            block["worker_states"] = self.tier.capture_worker_states()
+        return {"distributed": block}
+
+    def load(self, document: dict) -> None:
+        block = document["distributed"]
+        schema = block.get("schema")
+        if schema is not None:
+            self._start(schema[0], schema[1], block.get("planning_users"),
+                        worker_states=block.get("worker_states"),
+                        key_base=block.get("key_base", 0))
+
+    def metrics(self) -> dict | None:
+        return self.tier.metrics() if self.tier is not None else None
+
+    def close(self):
+        """Detach the tier; returns its shutdown, run outside the lock."""
+        tier, self.tier = self.tier, None
+        self.closed = True
+        return tier.close if tier is not None else None
+
+
 class QueryService:
     """Ingest-and-answer front-end over one mechanism.
 
@@ -185,7 +446,8 @@ class QueryService:
     mechanism:
         A shardable mechanism name (``"TDG"``, ``"HDG"``, ``"ITDG"``,
         ``"IHDG"``) or un-fitted shardable instance for streaming mode;
-        or any *fitted* mechanism instance for static serving.
+        any mechanism name with ``ingest_mode="refit"``; or any
+        *fitted* mechanism instance for static serving.
     epsilon:
         Per-user privacy budget (ignored when an instance is passed).
     seed:
@@ -210,10 +472,12 @@ class QueryService:
         for every snapshotable mechanism.  Ignored when a fitted
         instance is passed (static serving).
     ingest_workers:
-        When set (>= 1), ingest runs through a multi-process
+        When set (>= 1), stream ingest runs through a multi-process
         :class:`~repro.ingest.IngestTier` with this many collector
         workers instead of an in-process collector.  Requires
-        name-based construction; works with both ingest modes.
+        name-based construction.  Refit ingest ignores it and always
+        buffers in the service process (``ingest_workers`` then
+        reports ``None``).
     plan_cache_entries:
         Capacity of the estimator's compiled-plan LRU (``None`` keeps
         the mechanism default); applied to every published estimator.
@@ -266,16 +530,6 @@ class QueryService:
             int(answer_cache_entries) if answer_cache_entries is not None
             else DEFAULT_ANSWER_CACHE_ENTRIES)
         self._answer_cache = AnswerCache(self.answer_cache_entries)
-        self._collector: RangeQueryMechanism | None = None
-        #: Refit-mode state: buffered raw batches + rebuild recipe.
-        self._refit: dict | None = None
-        #: Distributed-mode recipe (ingest_workers set); the tier itself
-        #: is built lazily on the first batch (schema pins its layout).
-        self._distributed: dict | None = None
-        self._tier: IngestTier | None = None
-        self._closed = False
-        self._pending_rows: list[np.ndarray] = []
-        self._pending_schema: tuple[int, int] | None = None
         self.refinalize_every = refinalize_every
         self.total_users = total_users
         self.domain_size = domain_size
@@ -283,51 +537,38 @@ class QueryService:
         self.reports_since_finalize = 0
         self.finalize_count = 0
 
-        if ingest_workers is not None:
-            if isinstance(mechanism, RangeQueryMechanism):
+        #: The update path; None for a static service.
+        self._ingestor: (_InlineCollector | _RefitBuffer | _StreamTier
+                         | None) = None
+        if isinstance(mechanism, RangeQueryMechanism):
+            if ingest_workers is not None:
                 raise ValueError(
                     "ingest_workers requires name-based construction "
                     "(worker processes rebuild the mechanism from its "
                     "name and config)")
-            if mechanism not in SNAPSHOT_MECHANISMS:
-                raise ValueError(
-                    f"unknown mechanism {mechanism!r}; "
-                    f"known: {sorted(SNAPSHOT_MECHANISMS)}")
-            if ingest_mode == "stream":
-                probe = SNAPSHOT_MECHANISMS[mechanism](
-                    float(epsilon), **mechanism_kwargs)
-                if not probe.supports_sharding:
-                    raise ValueError(
-                        f"{mechanism} does not support sharded "
-                        "aggregation; use ingest_mode='refit'")
-            self._distributed = {
-                "name": mechanism, "epsilon": float(epsilon),
-                "seed": seed, "kwargs": dict(mechanism_kwargs),
-                "ingest_mode": ingest_mode,
-                "workers": int(ingest_workers),
-                "planning_users": None,
-            }
-        elif isinstance(mechanism, RangeQueryMechanism):
+            #: Paper name and privacy budget of the served mechanism.
+            self.mechanism_name = mechanism.name
+            self.epsilon = mechanism.epsilon
             if mechanism.is_fitted:
                 self._publish(mechanism)
+            elif mechanism.supports_sharding:
+                self._ingestor = _InlineCollector(mechanism, total_users)
             else:
-                if not mechanism.supports_sharding:
-                    raise ValueError(
-                        f"{type(mechanism).__name__} does not support "
-                        "incremental ingest; pass a fitted instance for "
-                        "static serving, or construct by name with "
-                        "ingest_mode='refit'")
-                self._collector = mechanism
-        elif ingest_mode == "refit":
-            try:
-                factory = SNAPSHOT_MECHANISMS[mechanism]
-            except KeyError:
                 raise ValueError(
-                    f"unknown mechanism {mechanism!r}; "
-                    f"known: {sorted(SNAPSHOT_MECHANISMS)}") from None
-            self._refit = {"name": mechanism, "factory": factory,
-                           "epsilon": float(epsilon), "seed": seed,
-                           "kwargs": dict(mechanism_kwargs)}
+                    f"{type(mechanism).__name__} does not support "
+                    "incremental ingest; pass a fitted instance for "
+                    "static serving, or construct by name with "
+                    "ingest_mode='refit'")
+            return
+        self.mechanism_name = mechanism
+        self.epsilon = float(epsilon)
+        if ingest_mode == "refit":
+            self._ingestor = _RefitBuffer(mechanism, self.epsilon, seed,
+                                          mechanism_kwargs)
+        elif ingest_workers is not None:
+            self._ingestor = _StreamTier(mechanism, self.epsilon, seed,
+                                         mechanism_kwargs, ingest_workers,
+                                         total_users)
         else:
             try:
                 factory = SHARDABLE_MECHANISMS[mechanism]
@@ -337,50 +578,26 @@ class QueryService:
                     f"known: {sorted(SHARDABLE_MECHANISMS)} "
                     "(any snapshotable mechanism works with "
                     "ingest_mode='refit')") from None
-            self._collector = factory(epsilon, seed=seed, **mechanism_kwargs)
+            self._ingestor = _InlineCollector(
+                factory(epsilon, seed=seed, **mechanism_kwargs), total_users)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def mechanism_name(self) -> str:
-        """Paper name of the served mechanism (e.g. ``"HDG"``)."""
-        if self._distributed is not None:
-            return self._distributed["name"]
-        if self._refit is not None:
-            return self._refit["name"]
-        return (self._collector or self._estimator).name
-
-    @property
-    def epsilon(self) -> float:
-        """Per-user privacy budget of the served mechanism."""
-        if self._distributed is not None:
-            return self._distributed["epsilon"]
-        if self._refit is not None:
-            return self._refit["epsilon"]
-        return (self._collector or self._estimator).epsilon
-
-    @property
     def ingest_mode(self) -> str | None:
         """``"stream"``, ``"refit"``, or None for static services."""
-        if self._distributed is not None:
-            return self._distributed["ingest_mode"]
-        if self._refit is not None:
-            return "refit"
-        return "stream" if self._collector is not None else None
+        return self._ingestor.mode if self._ingestor is not None else None
 
     @property
     def ingest_workers(self) -> int | None:
-        """Collector worker count, or None for in-process ingest."""
-        if self._distributed is not None:
-            return self._distributed["workers"]
-        return None
+        """Collector worker count of a stream tier, else None."""
+        return self._ingestor.workers if self._ingestor is not None else None
 
     @property
     def is_streaming(self) -> bool:
         """Whether the service accepts ``ingest``."""
-        return (self._collector is not None or self._refit is not None
-                or self._distributed is not None)
+        return self._ingestor is not None
 
     @property
     def is_ready(self) -> bool:
@@ -439,17 +656,12 @@ class QueryService:
     def status(self) -> dict:
         """Service health document (what ``GET /healthz`` returns)."""
         with self._lock:
-            reference = self._collector or self._estimator
-            if self._tier is not None:
-                n_attributes = self._tier.n_attributes
-                domain_size = self._tier.domain_size
-            elif reference is not None:
-                n_attributes = reference._n_attributes
-                domain_size = reference._domain_size
-            elif self._pending_schema is not None:
-                n_attributes, domain_size = self._pending_schema
-            else:
-                n_attributes, domain_size = None, self.domain_size
+            ingestor = self._ingestor
+            schema = ingestor.schema() if ingestor is not None else None
+            if schema is None and self._estimator is not None:
+                schema = (self._estimator._n_attributes,
+                          self._estimator._domain_size)
+            n_attributes, domain_size = schema or (None, self.domain_size)
             return {
                 "mechanism": self.mechanism_name,
                 "epsilon": self.epsilon,
@@ -463,8 +675,8 @@ class QueryService:
                 "n_attributes": n_attributes,
                 "domain_size": domain_size,
                 "ingest_workers": self.ingest_workers,
-                "ingest_tier": (self._tier.metrics()
-                                if self._tier is not None else None),
+                "ingest_tier": (ingestor.metrics()
+                                if ingestor is not None else None),
                 "epoch": self.epoch_id,
                 "plan_cache": (self._estimator.plan_cache_stats()
                                if self._estimator is not None else None),
@@ -475,61 +687,39 @@ class QueryService:
     # Ingest + re-finalize
     # ------------------------------------------------------------------
     def ingest(self, rows, domain_size: int | None = None) -> dict:
-        """Feed one batch of user reports into the open collector.
+        """Feed one batch of user reports into the service's ingestor.
 
         ``rows`` is a :class:`~repro.datasets.Dataset` or a raw
         ``(n, d)`` integer array/list (then the domain size comes from
         the call, the service default, or earlier batches).  Returns an
         ingest receipt including whether the batch tripped the
-        automatic re-finalize policy.
+        automatic re-finalize policy.  Once the batch is applied this
+        never raises: a failed automatic re-finalize is logged, the
+        receipt says ``refinalized: false``, and the reports stay
+        pending so the next ingest retries it.
         """
         with self._lock:
-            if not self.is_streaming:
+            if self._ingestor is None:
                 raise ServiceError(
                     "service is static (built from a fitted mechanism); "
                     "ingest needs streaming mode")
             batch = self._as_dataset(rows, domain_size)
-            if self._distributed is not None:
-                if self._closed:
-                    raise ServiceError(
-                        "service is closed: its ingest tier was shut down")
-                if self._tier is None:
-                    if self._distributed["ingest_mode"] == "stream":
-                        planning = self.total_users or batch.n_users
-                    else:
-                        planning = None
-                    self._build_tier(batch.n_attributes, batch.domain_size,
-                                     planning_users=planning)
-                elif (batch.n_attributes != self._tier.n_attributes
-                        or batch.domain_size != self._tier.domain_size):
-                    raise ServiceError(
-                        f"batch shape (d={batch.n_attributes}, "
-                        f"c={batch.domain_size}) does not match the ingest "
-                        f"tier's schema (d={self._tier.n_attributes}, "
-                        f"c={self._tier.domain_size})")
-                self._tier.submit(batch.values)
-            elif self._refit is not None:
-                schema = (batch.n_attributes, batch.domain_size)
-                if self._pending_schema is None:
-                    self._pending_schema = schema
-                elif schema != self._pending_schema:
-                    raise ServiceError(
-                        f"batch shape (d={schema[0]}, c={schema[1]}) does "
-                        f"not match earlier batches (d="
-                        f"{self._pending_schema[0]}, "
-                        f"c={self._pending_schema[1]})")
-                self._pending_rows.append(np.asarray(batch.values,
-                                                     dtype=np.int64))
-            else:
-                self._collector.partial_fit(batch,
-                                            total_users=self.total_users)
+            self._ingestor.submit(batch)
             self.reports_ingested += batch.n_users
             self.reports_since_finalize += batch.n_users
             refinalized = (self.refinalize_every is not None
                            and self.reports_since_finalize
                            >= self.refinalize_every)
         if refinalized:
-            self._refinalize()
+            try:
+                self._refinalize()
+            except Exception as error:
+                logger.warning(
+                    "automatic re-finalize of %s failed (%s: %s); %d "
+                    "reports stay pending and the next ingest retries",
+                    self.mechanism_name, type(error).__name__, error,
+                    self.reports_since_finalize, exc_info=True)
+                refinalized = False
         with self._lock:
             return {
                 "ingested": batch.n_users,
@@ -544,24 +734,20 @@ class QueryService:
             return rows
         domain_size = domain_size or self.domain_size
         if domain_size is None:
-            if self._tier is not None:
-                domain_size = self._tier.domain_size
-            elif self._collector is not None:
-                domain_size = self._collector._domain_size
-            elif self._pending_schema is not None:
-                domain_size = self._pending_schema[1]
-            if domain_size is None:
+            schema = self._ingestor.schema()
+            if schema is None:
                 raise ServiceError(
                     "domain_size is required for the first raw-row batch "
                     "(pass it per call or at service construction)")
+            domain_size = schema[1]
         return Dataset(np.asarray(rows, dtype=np.int64), int(domain_size))
 
     def refinalize(self) -> dict:
-        """Run Phase 2 on the collector's current state; swap the estimator.
+        """Finalize the ingestor's current state; swap the estimator.
 
-        The collector itself stays open — its accumulator state is
-        cloned through ``shard_state``/``load_shard_state``, the clone
-        is finalized, and the serving estimator is replaced atomically.
+        The ingestor itself stays open — its state is captured, the
+        capture is finalized (or refitted) into a fresh estimator, and
+        the serving estimator is replaced atomically.
         """
         with self._lock:
             if not self.is_streaming:
@@ -572,83 +758,27 @@ class QueryService:
         return self.status()
 
     def _refinalize(self) -> None:
-        """Capture → finalize a clone → swap.
+        """Capture → build → publish.
 
-        Only the accumulator capture and the estimator swap hold the
-        state lock; the Phase-2 pass (or, in refit mode, the full
-        ``fit``) itself runs without it, so concurrent queries keep
-        answering from the previous estimator instead of stalling.
-        Whole re-finalizes are serialized by their own lock so swaps
-        land in capture order.
+        Only the capture and the publish hold the state lock; the build
+        (the Phase-2 pass, the tier's flush + fold, or a refit's full
+        ``fit``) runs without it, so concurrent queries keep answering
+        from the previous epoch instead of stalling.  Whole
+        re-finalizes are serialized by their own lock so publishes land
+        in capture order.  The reports pending at capture stop counting
+        only once their epoch is published: a failed build leaves them
+        pending, and reports that arrive during the build stay counted.
         """
         with self._refinalize_lock:
-            if self._distributed is not None:
-                with self._lock:
-                    tier = self._tier
-                    self.reports_since_finalize = 0
-                if tier is None:
-                    raise ServiceError("no reports ingested yet")
-                # flush + fold + Phase 2 run outside the state lock, so
-                # queries keep answering from the previous epoch.
-                clone = tier.coordinator.merge()
-                with self._lock:
-                    self._publish(clone)
-                    self.finalize_count += 1
-                tier.coordinator.record_publication(self.epoch_id)
-                return
-            if self._refit is not None:
-                self._refinalize_refit()
-                return
             with self._lock:
-                collector = self._collector
-                factory = type(collector)
-                epsilon = collector.epsilon
-                config = collector._snapshot_config()
-                state = collector.shard_state()
-                self.reports_since_finalize = 0
-            clone = factory(epsilon, **config)
-            clone.load_shard_state(state)
-            clone.finalize()
+                build = self._ingestor.capture()
+                captured = self.reports_since_finalize
+            estimator = build()
             with self._lock:
-                self._publish(clone)
+                self._publish(estimator)
                 self.finalize_count += 1
-
-    def _refinalize_refit(self) -> None:
-        """Refit mode: full ``fit()`` on a fresh same-seeded instance.
-
-        Deterministic in (seed, buffered rows): refitting after a
-        restart-plus-replay lands on a bitwise-identical estimator —
-        including its post-fit RNG stream, so even noise-drawing
-        answering paths (HIO/LHIO) match an uninterrupted run.
-        """
-        with self._lock:
-            rows = np.concatenate(self._pending_rows, axis=0)
-            domain_size = self._pending_schema[1]
-            recipe = self._refit
-            self.reports_since_finalize = 0
-        clone = recipe["factory"](recipe["epsilon"], seed=recipe["seed"],
-                                  **recipe["kwargs"])
-        clone.fit(Dataset(rows, domain_size))
-        with self._lock:
-            self._publish(clone)
-            self.finalize_count += 1
-
-    def _build_tier(self, n_attributes: int, domain_size: int, *,
-                    planning_users: int | None = None,
-                    worker_states: list | None = None,
-                    key_base: int = 0) -> None:
-        """Start the distributed ingest tier for a now-known schema."""
-        recipe = self._distributed
-        self._tier = IngestTier(
-            recipe["name"], recipe["epsilon"],
-            n_workers=recipe["workers"],
-            n_attributes=int(n_attributes), domain_size=int(domain_size),
-            seed=recipe["seed"], ingest_mode=recipe["ingest_mode"],
-            planning_users=planning_users, total_users=self.total_users,
-            mechanism_kwargs=recipe["kwargs"],
-            worker_states=worker_states, key_base=int(key_base))
-        # Remembered so snapshots rebuild workers with the same layout.
-        recipe["planning_users"] = planning_users
+                self.reports_since_finalize -= captured
+                self._ingestor.published(self.epoch_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -705,18 +835,8 @@ class QueryService:
     # Snapshot / restore
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """One JSON document holding estimator + pending collector state."""
+        """One JSON document holding estimator + pending ingest state."""
         with self._lock:
-            collector_state = None
-            collector_config = None
-            collector_rng = None
-            if self._collector is not None:
-                collector_config = self._collector._snapshot_config()
-                # The RNG state makes a restored service's *future*
-                # ingest draws continue the exact same stream.
-                collector_rng = self._collector.rng.bit_generator.state
-                if self.reports_ingested > 0:
-                    collector_state = self._collector.shard_state()
             document = {
                 "format": SERVICE_SNAPSHOT_FORMAT,
                 "version": SERVICE_SNAPSHOT_VERSION,
@@ -732,53 +852,15 @@ class QueryService:
                 "epoch_id": self.epoch_id,
                 "plan_cache_entries": self.plan_cache_entries,
                 "answer_cache_entries": self.answer_cache_entries,
-                "collector_config": collector_config,
-                "collector_rng": collector_rng,
-                "collector": collector_state,
+                "collector_config": None,
+                "collector_rng": None,
+                "collector": None,
                 "estimator": (self._estimator.save_state()
                               if self._estimator is not None else None),
             }
-            if self._refit is not None:
-                document["refit"] = {
-                    "seed": self._refit["seed"],
-                    "kwargs": self._refit["kwargs"],
-                    "pending_rows": [batch.tolist()
-                                     for batch in self._pending_rows],
-                    "pending_schema": (list(self._pending_schema)
-                                       if self._pending_schema is not None
-                                       else None),
-                }
-            if self._distributed is not None:
-                document["distributed"] = self._distributed_state()
+            if self._ingestor is not None:
+                document.update(self._ingestor.state())
             return document
-
-    def _distributed_state(self) -> dict:
-        """The snapshot block for a distributed service (lock held).
-
-        Stream tiers capture every worker's shard + RNG state so the
-        rebuilt workers resume the exact per-worker streams; refit
-        tiers store the reassembled rows, which the restore re-submits
-        from key 0 (identical consistent-hash placement).  ``key_base``
-        makes post-restore WAL replay route new reports exactly as the
-        uninterrupted run would have.
-        """
-        recipe = self._distributed
-        block = {
-            "ingest_workers": recipe["workers"],
-            "seed": recipe["seed"],
-            "kwargs": recipe["kwargs"],
-            "planning_users": recipe["planning_users"],
-        }
-        if self._tier is not None:
-            block["schema"] = [self._tier.n_attributes,
-                               self._tier.domain_size]
-            block["key_base"] = self._tier.next_key
-            if recipe["ingest_mode"] == "stream":
-                block["worker_states"] = self._tier.capture_worker_states()
-            else:
-                rows, _ = self._tier.assembled_rows()
-                block["pending_rows"] = rows.tolist()
-        return block
 
     @classmethod
     def from_state_dict(cls, state: dict,
@@ -794,60 +876,22 @@ class QueryService:
             "plan_cache_entries": state.get("plan_cache_entries"),
             "answer_cache_entries": state.get("answer_cache_entries"),
         }
-        if state.get("distributed") is not None:
-            distributed = state["distributed"]
+        # The construction recipe: a tier or refit block, else the
+        # inline collector's config; a static service has neither.
+        recipe = state.get("distributed") or state.get("refit")
+        if recipe is None and state.get("collector_config") is not None:
+            recipe = {"seed": seed, "kwargs": state["collector_config"]}
+        if recipe is not None:
             service = cls(state["mechanism"], float(state["epsilon"]),
-                          seed=distributed.get("seed"),
-                          ingest_mode=state["ingest_mode"],
-                          ingest_workers=int(distributed["ingest_workers"]),
+                          seed=recipe.get("seed"),
+                          ingest_mode=state.get("ingest_mode") or "stream",
+                          ingest_workers=recipe.get("ingest_workers"),
                           refinalize_every=state.get("refinalize_every"),
                           total_users=state.get("total_users"),
                           domain_size=state.get("domain_size"),
                           **cache_config,
-                          **dict(distributed.get("kwargs") or {}))
-            schema = distributed.get("schema")
-            if schema is not None:
-                if state["ingest_mode"] == "stream":
-                    service._build_tier(
-                        int(schema[0]), int(schema[1]),
-                        planning_users=distributed.get("planning_users"),
-                        worker_states=distributed.get("worker_states"),
-                        key_base=int(distributed.get("key_base", 0)))
-                else:
-                    service._build_tier(int(schema[0]), int(schema[1]))
-                    rows = np.asarray(distributed.get("pending_rows") or [],
-                                      dtype=np.int64)
-                    if rows.size:
-                        # Re-submitting from key 0 reproduces the exact
-                        # original worker placement (keys are submission
-                        # indices), without touching ingest counters.
-                        service._tier.submit(rows.reshape(-1, int(schema[0])))
-        elif state.get("refit") is not None:
-            refit = state["refit"]
-            service = cls(state["mechanism"], float(state["epsilon"]),
-                          seed=refit.get("seed"), ingest_mode="refit",
-                          refinalize_every=state.get("refinalize_every"),
-                          total_users=state.get("total_users"),
-                          domain_size=state.get("domain_size"),
-                          **cache_config,
-                          **dict(refit.get("kwargs") or {}))
-            service._pending_rows = [np.asarray(batch, dtype=np.int64)
-                                     for batch in refit["pending_rows"]]
-            schema = refit.get("pending_schema")
-            service._pending_schema = tuple(schema) if schema else None
-        elif state.get("collector_config") is not None:
-            factory = SHARDABLE_MECHANISMS[state["mechanism"]]
-            collector = factory(float(state["epsilon"]), seed=seed,
-                                **state["collector_config"])
-            if state.get("collector") is not None:
-                collector.load_shard_state(state["collector"])
-            if state.get("collector_rng") is not None:
-                collector.rng.bit_generator.state = state["collector_rng"]
-            service = cls(collector,
-                          refinalize_every=state.get("refinalize_every"),
-                          total_users=state.get("total_users"),
-                          domain_size=state.get("domain_size"),
-                          **cache_config)
+                          **dict(recipe.get("kwargs") or {}))
+            service._ingestor.load(state)
         else:
             if estimator is None:
                 raise ValueError("snapshot holds neither an estimator nor "
@@ -890,17 +934,17 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the distributed ingest tier (workers + shared memory).
+        """Release the stream tier's workers and shared memory.
 
-        No-op for in-process services; the estimator keeps answering
-        queries either way, but a closed distributed service no longer
-        accepts ingest.
+        No-op for in-process ingest; the estimator keeps answering
+        queries either way, but a closed stream-tier service no longer
+        accepts ingest.  The tier shuts down outside the state lock.
         """
         with self._lock:
-            tier, self._tier = self._tier, None
-            self._closed = True
-        if tier is not None:
-            tier.close()
+            release = (self._ingestor.close()
+                       if self._ingestor is not None else None)
+        if release is not None:
+            release()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "streaming" if self.is_streaming else "static"

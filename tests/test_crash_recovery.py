@@ -182,7 +182,7 @@ def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     # SIGKILL one collector worker: no cleanup, no atexit — the shared
     # memory block survives (the parent owns it) but the worker's
     # inbox will never drain again.
-    victim = crashed.service("default")._tier.worker_pids()[0]
+    victim = crashed.service("default")._ingestor.tier.worker_pids()[0]
     os.kill(victim, signal.SIGKILL)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
@@ -208,6 +208,49 @@ def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     assert not recovered.quarantined_tenants()
     service = recovered.service("default")
     assert service.reports_ingested == 100
+    recovered.refinalize("default")
+    assert _answers(service) == expected
+    recovered.close()
+    backend.close()
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_failed_automatic_refinalize_keeps_the_batch(kind, tmp_path,
+                                                     monkeypatch, caplog):
+    """A re-finalize that fails inside ``ingest`` must not undo a batch
+    the service already absorbed: its WAL entry stays, the receipt says
+    ``refinalized: false``, and the live and recovered tenants agree."""
+    from repro import HDG
+
+    finalize = HDG.finalize
+    failures = []
+
+    def fail_once(self):
+        if not failures:
+            failures.append(self)
+            raise RuntimeError("injected finalize failure")
+        return finalize(self)
+
+    monkeypatch.setattr(HDG, "finalize", fail_once)
+    config = {**CASES["HDG"], "refinalize_every": 100}
+    backend = _open(kind, tmp_path, "live")
+    manager = TenantManager(backend, default_config=config)
+    with caplog.at_level("WARNING", logger="repro.serving"):
+        receipt = manager.ingest("default", _rows(0, n=150))
+    assert receipt["refinalized"] is False
+    assert "automatic re-finalize" in caplog.text
+    live = manager.service("default")
+    assert live.reports_ingested == 150
+    assert live.reports_since_finalize == 150
+    manager.refinalize("default")
+    expected = _answers(live)
+    manager.close()
+    backend.close()
+
+    backend = _open(kind, tmp_path, "live")
+    recovered = TenantManager(backend)
+    service = recovered.service("default")
+    assert service.reports_ingested == 150
     recovered.refinalize("default")
     assert _answers(service) == expected
     recovered.close()

@@ -9,11 +9,11 @@ estimates and query answers to the equivalent single-process execution:
   accumulator block under ``shard_seed(seed, i)``; the reference is
   the same shard plan executed in one process and folded through
   ``merge``/``finalize``;
-* the four non-shardable mechanisms (HIO, LHIO, MSW, Uni) run in
-  **refit** mode — workers append routed rows to shared row logs, the
-  merge reassembles them in global key order (== submission order) and
-  refits a fresh same-seeded instance, so the reference is simply the
-  single-process refit service over the same batches.
+* the four non-shardable mechanisms (HIO, LHIO, MSW, Uni) do all
+  their work in ``fit``, so the tier does not run them: a refit
+  service buffers its rows in-process whatever ``ingest_workers``
+  says, and snapshots the former multi-process refit mode wrote
+  restore into that buffer bitwise.
 
 Each case is additionally pinned across a snapshot/restore round-trip
 (through the JSON wire form of ``QueryService.state_dict``) taken
@@ -100,7 +100,7 @@ def test_stream_tier_matches_single_process_shard_plan(mechanism):
     planning = batches[0].shape[0]  # what the service resolves lazily
     tier = IngestTier(mechanism, EPSILON, n_workers=N_WORKERS,
                       n_attributes=D, domain_size=DOMAIN, seed=SEED,
-                      ingest_mode="stream", planning_users=planning)
+                      planning_users=planning)
     try:
         for rows in batches:
             tier.submit(rows)
@@ -132,6 +132,87 @@ def test_refit_tier_matches_single_process_refit(mechanism):
         assert _answers(distributed) == _answers(single)
     finally:
         distributed.close()
+
+
+def test_refit_with_workers_fits_every_row():
+    """Refit ingest ignores ``ingest_workers``: every row reaches the
+    refit, however many there are."""
+    service = QueryService("Uni", EPSILON, seed=SEED, domain_size=DOMAIN,
+                           ingest_mode="refit", ingest_workers=N_WORKERS)
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        service.ingest(rng.integers(0, DOMAIN, size=(50_000, 2)))
+    service.refinalize()
+    assert service.reports_ingested == 600_000
+    assert service.read_epoch().estimator.population \
+        == service.reports_ingested
+    status = service.status()
+    assert status["ingest_workers"] is None
+    assert status["ingest_tier"] is None
+
+
+def _distributed_refit_document(service: QueryService) -> dict:
+    """What the former multi-process refit mode wrote for ``service``:
+    a ``distributed`` block with the flat, key-ordered rows and the
+    schema, in place of the ``refit`` block."""
+    state = json.loads(json.dumps(service.state_dict()))
+    refit = state.pop("refit")
+    rows = [row for batch in refit["pending_rows"] for row in batch]
+    state["distributed"] = {
+        "ingest_workers": N_WORKERS,
+        "seed": refit["seed"],
+        "kwargs": refit["kwargs"],
+        "planning_users": None,
+        "schema": refit["pending_schema"],
+        "key_base": len(rows),
+        "pending_rows": rows,
+    }
+    return state
+
+
+@pytest.mark.parametrize("mechanism", REFIT_MECHANISMS)
+def test_distributed_refit_snapshot_restores_into_refit_buffer(mechanism):
+    batches = _batches()
+    uninterrupted = _service(mechanism, "refit", None)
+    interrupted = _service(mechanism, "refit", None)
+    for rows in batches[:2]:
+        uninterrupted.ingest(rows)
+        interrupted.ingest(rows)
+    restored = QueryService.from_state_dict(
+        _distributed_refit_document(interrupted))
+    assert restored.ingest_mode == "refit"
+    assert restored.ingest_workers is None
+    for rows in batches[2:]:
+        uninterrupted.ingest(rows)
+        restored.ingest(rows)
+    uninterrupted.refinalize()
+    restored.refinalize()
+    assert restored.reports_ingested == uninterrupted.reports_ingested
+    assert _answers(restored) == _answers(uninterrupted)
+
+
+def test_empty_distributed_refit_snapshot_restores():
+    """Before its first batch the former refit tier wrote no schema."""
+    state = json.loads(json.dumps(
+        _service("LHIO", "refit", None).state_dict()))
+    refit = state.pop("refit")
+    state["distributed"] = {"ingest_workers": N_WORKERS,
+                            "seed": refit["seed"], "kwargs": refit["kwargs"],
+                            "planning_users": None}
+    restored = QueryService.from_state_dict(state)
+    reference = _service("LHIO", "refit", None)
+    for rows in _batches():
+        restored.ingest(rows)
+        reference.ingest(rows)
+    restored.refinalize()
+    reference.refinalize()
+    assert _answers(restored) == _answers(reference)
+
+
+def test_tier_rejects_mechanisms_without_sharded_aggregation():
+    with pytest.raises(ValueError, match="sharded aggregation"):
+        IngestTier("LHIO", EPSILON, n_workers=N_WORKERS, n_attributes=D,
+                   domain_size=DOMAIN, seed=SEED)
 
 
 @pytest.mark.parametrize("mechanism",

@@ -254,6 +254,22 @@ def test_service_error_cases(serving_dataset, mixed_workload):
         no_domain.ingest([[1, 2, 3]])
 
 
+def test_failed_refinalize_keeps_reports_pending(serving_dataset,
+                                                monkeypatch):
+    service = QueryService("HDG", 1.0, seed=3, domain_size=16)
+    service.ingest(serving_dataset.values[:500])
+
+    def fail(self):
+        raise RuntimeError("injected finalize failure")
+
+    monkeypatch.setattr(HDG, "finalize", fail)
+    with pytest.raises(RuntimeError, match="injected"):
+        service.refinalize()
+    assert not service.is_ready
+    assert service.status()["reports_since_finalize"] \
+        == service.reports_ingested == 500
+
+
 def test_static_service_serves_any_fitted_mechanism(serving_dataset,
                                                     mixed_workload):
     mechanism = MSW(1.0, seed=0).fit(serving_dataset)
@@ -642,6 +658,27 @@ def test_http_bad_content_length_is_refused_and_closed(serving_dataset,
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("config", [{}, {"ingest_mode": "refit"},
+                                    {"ingest_workers": 2}],
+                         ids=["stream", "refit", "tier"])
+def test_http_mismatched_batch_shape_is_400_in_every_mode(config):
+    service = QueryService("TDG", 1.0, seed=9, domain_size=16, **config)
+    server = build_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        _http(port, "/ingest", {"rows": [[1, 2, 3], [4, 5, 6]]})
+        code, body = _http_error(port, "/ingest", {"rows": [[1, 2], [3, 4]]})
+        assert code == 400 and body["code"] == "bad-request"
+        assert "does not match" in body["error"]
+        assert service.reports_ingested == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
 
 
 def test_http_not_ready_is_conflict(tmp_path):
