@@ -1,17 +1,21 @@
 """Serving quickstart: ingest → snapshot → restore → query.
 
 This example drives the online serving subsystem (``repro.serving``)
-end to end against an in-process service:
+end to end in-process, the way ``repro serve --backend json --store
+DIR`` runs it:
 
-1. start a streaming :class:`~repro.serving.QueryService` and ingest
-   privatized report batches through the shard ``partial_fit`` path,
+1. host a streaming HDG service as the ``default`` tenant of a
+   :class:`~repro.serving.TenantManager` over a JSON
+   :class:`~repro.storage.DirectoryBackend`, and ingest privatized
+   report batches (each one enters the write-ahead log first),
 2. re-finalize so the service answers from the accumulated reports,
 3. answer a workload over the JSON-over-HTTP API (the same
    ``/healthz``, ``/ingest``, ``/query``, ``/snapshot`` surface that
    ``repro serve`` exposes),
-4. write a versioned snapshot, restore it into a *second* service, and
-   verify the restored answers are bitwise identical — the contract
-   the snapshot layer is property-tested on.
+4. write a versioned snapshot over ``POST /snapshot``, recover the
+   store in a *second* manager (what a restart does), and verify the
+   recovered answers are bitwise identical — the contract the
+   snapshot layer is property-tested on.
 
 Run with:  python examples/serving_quickstart.py
 
@@ -28,8 +32,9 @@ import urllib.request
 
 import numpy as np
 
-from repro import QueryService, WorkloadGenerator, make_dataset
-from repro.serving import SnapshotStore, build_server, query_to_wire
+from repro import WorkloadGenerator, make_dataset
+from repro.serving import TenantManager, build_server, query_to_wire
+from repro.storage import DirectoryBackend
 
 
 def http_json(port: int, path: str, payload: dict | None = None) -> dict:
@@ -43,15 +48,16 @@ def http_json(port: int, path: str, payload: dict | None = None) -> dict:
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. A streaming service and three batches of arriving reports.
+    # 1. A streaming default tenant and three batches of arriving reports.
     # ------------------------------------------------------------------
     rng = np.random.default_rng(0)
     dataset = make_dataset("normal", n_users=6_000, n_attributes=3,
                            domain_size=16, rng=rng)
-    service = QueryService("HDG", epsilon=1.0, seed=0, domain_size=16,
-                           total_users=dataset.n_users,
-                           refinalize_every=4_000)
-    server = build_server(service, port=0)
+    store = tempfile.TemporaryDirectory()
+    manager = TenantManager(DirectoryBackend(store.name), default_config={
+        "mechanism": "HDG", "epsilon": 1.0, "seed": 0, "domain_size": 16,
+        "total_users": dataset.n_users, "refinalize_every": 4_000})
+    server = build_server(port=0, tenant_manager=manager)
     port = server.server_address[1]
     threading.Thread(target=server.serve_forever, daemon=True).start()
     print(f"service up on http://127.0.0.1:{port}")
@@ -80,24 +86,22 @@ def main() -> None:
           f"{[round(answer, 4) for answer in live_answers[:3]]}")
 
     # ------------------------------------------------------------------
-    # 3. Snapshot, restore into a second service, re-query.
+    # 3. Snapshot, recover the store in a second manager, re-query.
     # ------------------------------------------------------------------
-    with tempfile.TemporaryDirectory() as directory:
-        store = SnapshotStore(directory)
-        info = store.save(service.state_dict())
-        print(f"wrote snapshot version {info.version} -> {info.path}")
-
-        restored = QueryService.from_snapshot(store)
-        restored_answers = restored.query(workload)
-        print(f"restored service: {restored.status()}")
-
-        if not np.array_equal(np.asarray(live_answers), restored_answers):
-            raise AssertionError(
-                "restored answers drifted from the live service's")
-        print("restored answers are bitwise identical to the live ones")
-
+    written = http_json(port, "/snapshot", {})
+    print(f"wrote snapshot version {written['version']} "
+          f"({written['size_bytes']} bytes)")
     server.shutdown()
     server.server_close()
+
+    restored = TenantManager(DirectoryBackend(store.name)).service()
+    restored_answers = restored.query(workload)
+    print(f"restored service: {restored.status()}")
+    if not np.array_equal(np.asarray(live_answers), restored_answers):
+        raise AssertionError(
+            "restored answers drifted from the live service's")
+    print("restored answers are bitwise identical to the live ones")
+    store.cleanup()
     print("done")
 
 

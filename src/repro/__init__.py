@@ -43,7 +43,7 @@ from .queries import (MarginalQuery, PointQuery, Predicate,
                       PredicateCountQuery, QueryPlanner, RangeQuery, TopKQuery,
                       WorkloadGenerator, answer_query, answer_workload,
                       evaluate_query, evaluate_workload)
-from .serving import QueryService, SnapshotStore, restore_mechanism
+from .serving import QueryService, restore_mechanism
 
 __all__ = [
     "CALM",
@@ -69,7 +69,6 @@ __all__ = [
     "TopKQuery",
     "RangeQueryMechanism",
     "ShardAggregator",
-    "SnapshotStore",
     "SquareWave",
     "SupportAccumulator",
     "TDG",

@@ -27,15 +27,16 @@ Seven subcommands mirror how the library is typically used:
 ``serve``
     Run the long-lived JSON-over-HTTP query service
     (:mod:`repro.serving`): ingest privatized reports incrementally,
-    re-finalize on a policy, answer workloads, write snapshots.  With
-    ``--backend`` the service runs multi-tenant over a durable storage
-    backend (JSON directory or SQLite database) with write-ahead-log
-    crash recovery.
+    re-finalize on a policy, answer workloads.  With ``--backend`` the
+    server hosts tenants over a durable storage backend (JSON directory
+    or SQLite database): snapshots, a write-ahead ingest log and
+    automatic recovery on start.  Without it one in-process service
+    runs with no storage.
 ``snapshot``
-    Manage the versioned on-disk snapshot store: ``create`` one from a
-    freshly collected dataset, ``list`` stored versions (size,
-    creation time and tenant, from listing metadata), ``inspect`` one
-    document.
+    Manage the default tenant's snapshots in a JSON store directory:
+    ``create`` one from a freshly collected dataset, ``list`` stored
+    versions (size, creation time and tenant, from listing metadata),
+    ``inspect`` one document.
 ``tenants``
     Administer the tenants of a storage backend offline: ``list``,
     ``create``, ``inspect``, ``delete``.
@@ -50,7 +51,7 @@ python -m repro.cli table2 --d 6 --lg-n 6.0
 python -m repro.cli shard-demo --shards 4 --save-state /tmp/shards
 python -m repro.cli merge /tmp/shards/shard*.json --output /tmp/merged.json
 python -m repro.cli serve --mechanism HDG --refinalize-every 5000 \\
-    --snapshot-dir /tmp/snapshots --port 8125
+    --backend json --store /tmp/snapshots --port 8125
 python -m repro.cli serve --backend sqlite --store /tmp/repro.db
 python -m repro.cli snapshot list --dir /tmp/snapshots
 python -m repro.cli tenants create --backend sqlite --store /tmp/repro.db \\
@@ -77,10 +78,9 @@ from .pipeline import (ParallelFitReport, ShardAggregator, merge_aggregators,
 from .ingest import IngestTier
 from .queries import RangeQuery, WorkloadGenerator, answer_workload
 from .resilience import RetryPolicy
-from .serving import (QueryService, SnapshotStore, TenantManager,
-                      build_server, serve)
+from .serving import QueryService, TenantManager, build_server, serve
 from .serving.tenants import service_from_config
-from .storage import BACKENDS, StorageError, open_backend
+from .storage import BACKENDS, DEFAULT_TENANT, StorageError, open_backend
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -346,131 +346,115 @@ def _default_tenant_config(args: argparse.Namespace) -> dict:
     }
 
 
-def _command_serve_multi_tenant(args: argparse.Namespace) -> int:
-    """``repro serve --backend ...``: multi-tenant over a storage backend."""
-    if not args.store:
-        print("--backend requires --store (the store directory for json, "
-              "the database file for sqlite)", file=sys.stderr)
-        return 2
-    if args.restore:
-        print("--restore is implicit with --backend: tenants recover "
-              "automatically from snapshots plus the ingest log",
-              file=sys.stderr)
-        return 2
-    try:
-        backend = open_backend(args.backend, args.store,
-                               busy_timeout_ms=args.busy_timeout)
-    except ValueError as error:
-        print(f"cannot open backend: {error}", file=sys.stderr)
-        return 2
-    retry_policy = RetryPolicy(attempts=args.retry_attempts,
-                               base_delay=args.retry_base_delay,
-                               max_delay=args.retry_max_delay)
-    try:
-        manager = TenantManager(backend,
-                                default_config=_default_tenant_config(args),
-                                retry_policy=retry_policy,
-                                breaker_threshold=args.breaker_threshold,
-                                breaker_reset=args.breaker_reset,
-                                op_deadline=args.op_deadline)
-    except (ValueError, StorageError) as error:
-        backend.close()
-        print(f"cannot start tenants: {error}", file=sys.stderr)
-        return 2
-    quarantined = manager.quarantined_tenants()
-    for name, info in quarantined.items():
-        print(f"warning: tenant {name!r} quarantined: {info['error']}",
-              file=sys.stderr)
-    server = build_server(host=args.host, port=args.port,
-                          verbose=args.verbose, workers=args.workers,
-                          tenant_manager=manager,
-                          queue_depth=args.queue_depth)
-    host, port = server.server_address[:2]
-    storage = manager.storage_status()
-    print(f"serving {storage['tenants']} tenant(s) from "
-          f"{storage['backend']}:{storage['location']} "
-          f"(pending ingest log: {storage['pending_ingest_log']}) "
-          f"on http://{host}:{port} with {args.workers} workers", flush=True)
-    print("endpoints: GET /healthz  GET /readyz  POST /ingest  POST /query  "
-          "POST /refinalize  POST|GET /snapshot  GET|POST /tenants  "
-          "GET|DELETE /tenants/<name>", flush=True)
-    try:
-        serve(server, max_requests=args.max_requests)
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        server.server_close()
-        backend.close()
-    return 0
+def _service_summary(status: dict) -> str:
+    return (f"{status['mechanism']} (eps={status['epsilon']}, "
+            f"mode={status['mode']}, ready={status['ready']})")
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.backend:
-        return _command_serve_multi_tenant(args)
-    if args.busy_timeout is not None:
+    """``repro serve``: a :class:`TenantManager` over ``--backend/--store``,
+    or one in-process :class:`QueryService` with no storage."""
+    if args.busy_timeout is not None and args.backend != "sqlite":
         print("--busy-timeout requires --backend sqlite", file=sys.stderr)
         return 2
-    store = None
-    if args.snapshot_dir:
-        store = SnapshotStore(args.snapshot_dir, keep_last=args.keep_last)
-    if args.restore:
-        if store is None:
-            print("--restore requires --snapshot-dir", file=sys.stderr)
-            return 2
-        try:
-            service = QueryService.from_snapshot(
-                store, version=args.snapshot_version, seed=args.seed)
-        except FileNotFoundError as error:
-            print(f"cannot restore: {error}", file=sys.stderr)
-            return 2
-    else:
+    service = manager = backend = None
+    if args.backend is None:
+        for flag, value in (("--store", args.store),
+                            ("--keep-last", args.keep_last)):
+            if value is not None:
+                print(f"{flag} requires --backend", file=sys.stderr)
+                return 2
         try:
             service = _build_streaming_service(args)
         except ValueError as error:
             print(f"cannot build service: {error}", file=sys.stderr)
             return 2
+    else:
+        if not args.store:
+            print("--backend requires --store (the store directory for "
+                  "json, the database file for sqlite)", file=sys.stderr)
+            return 2
+        if args.bootstrap_dataset:
+            print("--bootstrap-dataset is not supported with --backend: "
+                  "ingest the rows over POST /ingest so they enter the "
+                  "write-ahead log", file=sys.stderr)
+            return 2
+        try:
+            backend = open_backend(args.backend, args.store,
+                                   busy_timeout_ms=args.busy_timeout)
+        except ValueError as error:
+            print(f"cannot open backend: {error}", file=sys.stderr)
+            return 2
+        retry_policy = RetryPolicy(attempts=args.retry_attempts,
+                                   base_delay=args.retry_base_delay,
+                                   max_delay=args.retry_max_delay)
+        try:
+            manager = TenantManager(
+                backend, default_config=_default_tenant_config(args),
+                retry_policy=retry_policy,
+                breaker_threshold=args.breaker_threshold,
+                breaker_reset=args.breaker_reset,
+                op_deadline=args.op_deadline)
+        except (ValueError, StorageError) as error:
+            backend.close()
+            print(f"cannot start tenants: {error}", file=sys.stderr)
+            return 2
+        for name, info in manager.quarantined_tenants().items():
+            print(f"warning: tenant {name!r} quarantined: {info['error']}",
+                  file=sys.stderr)
 
     server = build_server(service, host=args.host, port=args.port,
-                          snapshot_store=store, verbose=args.verbose,
-                          workers=args.workers,
+                          verbose=args.verbose, workers=args.workers,
+                          tenant_manager=manager,
                           queue_depth=args.queue_depth)
     host, port = server.server_address[:2]
-    status = service.status()
-    print(f"serving {status['mechanism']} (eps={status['epsilon']}, "
-          f"mode={status['mode']}, ready={status['ready']}) "
-          f"on http://{host}:{port} with {args.workers} workers", flush=True)
-    print("endpoints: GET /healthz  GET /readyz  POST /ingest  POST /query  "
-          "POST /refinalize  POST|GET /snapshot", flush=True)
+    endpoints = ("GET /healthz  GET /readyz  POST /ingest  POST /query  "
+                 "POST /refinalize")
+    if manager is None:
+        serving = _service_summary(service.status())
+    else:
+        storage = manager.storage_status()
+        serving = (f"{storage['tenants']} tenant(s) from "
+                   f"{storage['backend']}:{storage['location']} "
+                   f"(pending ingest log: {storage['pending_ingest_log']})")
+        endpoints += ("  POST|GET /snapshot  GET|POST /tenants  "
+                      "GET|DELETE /tenants/<name>")
+    print(f"serving {serving} on http://{host}:{port} with {args.workers} "
+          "workers", flush=True)
+    if manager is not None and manager.has_tenant(DEFAULT_TENANT):
+        print(f"default tenant: serving "
+              f"{_service_summary(manager.service().status())}", flush=True)
+    print(f"endpoints: {endpoints}", flush=True)
     try:
         serve(server, max_requests=args.max_requests)
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     finally:
         server.server_close()
+        if backend is not None:
+            backend.close()
     return 0
 
 
 def _command_snapshot(args: argparse.Namespace) -> int:
+    """``repro snapshot``: the default tenant's versions in a JSON store."""
     if args.action == "list":
         return _command_snapshot_list(args)
+    backend = open_backend("json", args.dir)
     if args.action == "create":
-        # Write through the directory backend so the snapshot gets its
-        # sidecar listing metadata (size, creation time, mechanism).
-        backend = open_backend("json", args.dir)
         service = _build_streaming_service(args)
-        record = backend.save_snapshot("default", service.state_dict())
+        record = backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
         if args.keep_last is not None:
-            backend.prune_snapshots("default", args.keep_last)
+            backend.prune_snapshots(DEFAULT_TENANT, args.keep_last)
         status = service.status()
         print(f"wrote snapshot version {record.version} "
               f"({status['mechanism']}, eps={status['epsilon']}, "
               f"{status['reports_ingested']} reports) -> "
-              f"{Path(args.dir) / SnapshotStore.FILE_TEMPLATE.format(version=record.version)}")
+              f"{backend.snapshot_path(DEFAULT_TENANT, record.version)}")
         return 0
-    store = SnapshotStore(args.dir, keep_last=getattr(args, "keep_last", None))
     # inspect
     try:
-        state = store.load(args.version)
+        state, _ = backend.load_snapshot(DEFAULT_TENANT, args.version)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -651,7 +635,8 @@ def _add_serving_mechanism_arguments(parser: argparse.ArgumentParser) -> None:
                         help="attribute domain size c of ingested rows")
     parser.add_argument("--bootstrap-dataset", default=None, metavar="NAME",
                         help="warm-start: collect this generated dataset and "
-                             "finalize before serving")
+                             "finalize before serving (not with --backend: "
+                             "ingest over POST /ingest instead)")
     parser.add_argument("--n-users", type=int, default=100_000,
                         help="bootstrap dataset population")
     parser.add_argument("--n-attributes", type=int, default=6,
@@ -735,19 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8125,
                               help="TCP port (0 binds any free port)")
-    serve_parser.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                              help="enable the /snapshot endpoints against "
-                                   "this store")
     serve_parser.add_argument("--keep-last", type=int, default=None,
                               metavar="K",
-                              help="retain only the newest K snapshot "
+                              help="with --backend: the default tenant "
+                                   "retains only its newest K snapshot "
                                    "versions")
-    serve_parser.add_argument("--restore", action="store_true",
-                              help="restore service state from the snapshot "
-                                   "store instead of starting fresh")
-    serve_parser.add_argument("--snapshot-version", type=int, default=None,
-                              help="with --restore: load this version "
-                                   "instead of the latest")
     serve_parser.add_argument("--max-requests", type=int, default=None,
                               metavar="N",
                               help="exit after serving N connections (smoke "
@@ -761,10 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="log one line per handled request")
     serve_parser.add_argument("--backend", default=None,
                               choices=sorted(BACKENDS),
-                              help="run multi-tenant over this storage "
-                                   "backend (tenants, write-ahead ingest "
-                                   "log, automatic crash recovery); "
-                                   "requires --store")
+                              help="serve tenants from this storage "
+                                   "backend (snapshots, write-ahead ingest "
+                                   "log, automatic recovery of stored "
+                                   "state); requires --store.  Without it "
+                                   "the service keeps no state on disk")
     serve_parser.add_argument("--store", default=None, metavar="LOCATION",
                               help="storage backend location: the store "
                                    "directory for json, the database file "
@@ -806,13 +784,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.set_defaults(handler=_command_serve)
 
     snapshot_parser = subparsers.add_parser(
-        "snapshot", help="manage the versioned snapshot store")
+        "snapshot", help="manage the default tenant's snapshots in a JSON "
+                         "store directory")
     snapshot_actions = snapshot_parser.add_subparsers(dest="action",
                                                       required=True)
     create_parser = snapshot_actions.add_parser(
         "create", help="collect a dataset and write a snapshot version")
     create_parser.add_argument("--dir", required=True,
-                               help="snapshot store directory")
+                               help="JSON store directory (serve it with "
+                                    "--backend json --store DIR)")
     create_parser.add_argument("--keep-last", type=int, default=None,
                                metavar="K")
     _add_serving_mechanism_arguments(create_parser)
@@ -825,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="JSON snapshot store directory")
     list_parser.add_argument("--backend", default=None,
                              choices=sorted(BACKENDS),
-                             help="list a storage backend instead of a "
-                                  "plain directory (with --store)")
+                             help="list any storage backend's snapshots "
+                                  "(with --store)")
     list_parser.add_argument("--store", default=None, metavar="LOCATION",
                              help="storage backend location")
     list_parser.set_defaults(handler=_command_snapshot)

@@ -7,10 +7,9 @@ This package provides that serving layer on top of the mechanisms'
 ``save_state``/``load_state`` and ``partial_fit``/``finalize`` hooks:
 
 :mod:`repro.serving.snapshot`
-    :class:`SnapshotStore` — versioned, atomically-written on-disk
-    JSON snapshots — and :func:`restore_mechanism`, which rebuilds a
-    fitted estimator whose answers are bitwise identical to the saved
-    one's.
+    :func:`restore_mechanism`, which rebuilds a fitted estimator whose
+    answers are bitwise identical to the saved one's (the storage
+    backends of :mod:`repro.storage` persist the snapshot versions).
 :mod:`repro.serving.service`
     :class:`QueryService` — thread-safe ingest → re-finalize → answer
     loop around one mechanism, serializable with its pending (not yet
@@ -28,9 +27,10 @@ This package provides that serving layer on top of the mechanisms'
 :mod:`repro.serving.http`
     The stdlib worker-pool JSON API (``/ingest``, ``/query``,
     ``/snapshot``, ``/healthz``, ``/readyz``, ``/tenants``) behind the
-    ``repro serve`` CLI verb, in single-service or multi-tenant mode,
-    with bounded admission (load-shedding 503s) and degraded-mode
-    responses backed by :mod:`repro.resilience`.
+    ``repro serve`` CLI verb, hosting a :class:`TenantManager` over a
+    storage backend or one storage-less service, with bounded
+    admission (load-shedding 503s) and degraded-mode responses backed
+    by :mod:`repro.resilience`.
 
 See docs/serving.md for the operations guide, docs/storage.md for the
 storage backends and tenant lifecycle, docs/resilience.md for the
@@ -45,8 +45,7 @@ from .http import (ServingHTTPServer, ServingRequestHandler, build_server,
 from .service import (SERVICE_SNAPSHOT_FORMAT, SERVICE_SNAPSHOT_VERSION,
                       QueryService, ServiceError, predicate_from_wire,
                       queries_from_wire, query_from_wire, query_to_wire)
-from .snapshot import (SNAPSHOT_MECHANISMS, SnapshotInfo, SnapshotStore,
-                       fsync_directory, restore_mechanism)
+from .snapshot import SNAPSHOT_MECHANISMS, restore_mechanism
 from .tenants import QuotaExceededError, TenantManager
 
 __all__ = [
@@ -61,11 +60,8 @@ __all__ = [
     "ServiceError",
     "ServingHTTPServer",
     "ServingRequestHandler",
-    "SnapshotInfo",
-    "SnapshotStore",
     "TenantManager",
     "build_server",
-    "fsync_directory",
     "predicate_from_wire",
     "queries_from_wire",
     "query_from_wire",

@@ -21,8 +21,8 @@ POST     ``/query``         ``{"queries": [...]}`` — one typed wire
                             a batch answered under one lock acquisition (see
                             :meth:`~repro.serving.QueryService.query_wire_batch`)
 POST     ``/refinalize``    Force a re-finalize of the pending reports
-POST     ``/snapshot``      Write a snapshot version (requires a store)
-GET      ``/snapshot``      List stored snapshot versions
+POST     ``/snapshot``      Write a snapshot version (needs a backend)
+GET      ``/snapshot``      List stored snapshot versions (needs a backend)
 GET      ``/tenants``       List hosted tenants (multi-tenant mode)
 POST     ``/tenants``       Create a tenant: ``{"name": n, "config": {...}}``
 GET      ``/tenants/<n>``   Inspect one tenant (config, status, snapshots)
@@ -36,7 +36,8 @@ route to that tenant's service; requests without one fall back to the
 ``default`` tenant, so the single-tenant wire format keeps working
 unchanged.  Ingest then flows through the manager's write-ahead log
 (the receipt gains ``wal_seq``), and ``/snapshot`` persists through the
-storage backend instead of a bare directory store.
+storage backend.  A server built on a bare ``service`` has no storage:
+``/snapshot`` and ``/tenants`` answer 409.
 
 Errors return a structured body ``{"error": msg, "code": code}``:
 400 ``bad-request`` for malformed payloads (including bodies that are
@@ -46,8 +47,8 @@ body above :data:`MAX_BODY_BYTES` (both ``Content-Length`` rejections
 close the connection unread), 404 ``not-found``
 for unknown paths, 404 ``unknown-tenant`` for routes naming a tenant
 that does not exist, 409 ``conflict`` for operations the service cannot
-perform in its current state (not ready, static mode, no snapshot
-store, duplicate tenant), 429 ``quota-exceeded`` when an ingest batch
+perform in its current state (not ready, static mode, no storage
+backend, duplicate tenant), 429 ``quota-exceeded`` when an ingest batch
 would push a tenant past its configured quota, 503 ``degraded`` (with a
 ``Retry-After`` header) when a tenant's write-ahead log is unavailable
 or the tenant is quarantined, 503 ``overloaded`` (also ``Retry-After``)
@@ -76,7 +77,6 @@ from ..resilience import DegradedServiceError
 from ..storage.base import (DEFAULT_TENANT, TenantExistsError,
                             UnknownTenantError)
 from .service import QueryService, ServiceError
-from .snapshot import SnapshotStore
 from .tenants import QuotaExceededError, TenantManager
 
 __all__ = ["ServingHTTPServer", "ServingRequestHandler", "build_server",
@@ -220,17 +220,16 @@ class ServingHTTPServer(HTTPServer):
 
 
 class ServingRequestHandler(BaseHTTPRequestHandler):
-    """Routes the JSON API onto one :class:`QueryService`.
+    """Routes the JSON API onto a :class:`TenantManager` or one
+    :class:`QueryService`.
 
     Subclasses produced by :func:`build_server` bind the ``service``,
-    ``snapshot_store``, ``tenant_manager`` and ``verbose`` class
-    attributes.  With a ``tenant_manager``, serving routes resolve a
-    tenant per request; without one, the server runs in the original
-    single-service mode.
+    ``tenant_manager`` and ``verbose`` class attributes.  With a
+    ``tenant_manager``, serving routes resolve a tenant per request;
+    without one, a single storage-less service answers them.
     """
 
     service: QueryService | None = None
-    snapshot_store: SnapshotStore | None = None
     tenant_manager: TenantManager | None = None
     verbose: bool = False
 
@@ -363,42 +362,27 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200 if ready else 503, document)
 
     def _snapshot_listing(self, tenant: str) -> dict:
-        """``GET /snapshot``: versions from the store or metadata tables."""
-        if self.tenant_manager is not None:
-            records = self.tenant_manager.backend.list_snapshots(tenant)
-            return {
-                "tenant": tenant,
-                "location": self.tenant_manager.backend.location(),
-                "versions": [record.version for record in records],
-                "latest": records[-1].version if records else None,
-                "snapshots": [record.to_document() for record in records],
-            }
-        if self.snapshot_store is None:
-            raise ServiceError("no snapshot store configured "
-                               "(start with --snapshot-dir)")
+        """``GET /snapshot``: versions from the backend's metadata."""
+        backend = self._require_manager().backend
+        records = backend.list_snapshots(tenant)
         return {
-            "directory": str(self.snapshot_store.directory),
-            "versions": self.snapshot_store.versions(),
-            "latest": self.snapshot_store.latest_version(),
+            "tenant": tenant,
+            "location": backend.location(),
+            "versions": [record.version for record in records],
+            "latest": records[-1].version if records else None,
+            "snapshots": [record.to_document() for record in records],
         }
 
     def _save_snapshot(self, tenant: str) -> dict:
-        """``POST /snapshot``: persist through the manager or the store."""
-        if self.tenant_manager is not None:
-            record = self.tenant_manager.save_snapshot(tenant)
-            return {"tenant": tenant, "version": record.version,
-                    "wal_seq": record.wal_seq,
-                    "size_bytes": record.size_bytes}
-        if self.snapshot_store is None:
-            raise ServiceError("no snapshot store configured "
-                               "(start with --snapshot-dir)")
-        info = self.service.save_snapshot(self.snapshot_store)
-        return {"version": info.version, "path": str(info.path)}
+        """``POST /snapshot``: persist through the storage backend."""
+        record = self._require_manager().save_snapshot(tenant)
+        return {"tenant": tenant, "version": record.version,
+                "wal_seq": record.wal_seq, "size_bytes": record.size_bytes}
 
     def _require_manager(self) -> TenantManager:
         if self.tenant_manager is None:
-            raise ServiceError("multi-tenant administration needs a storage "
-                               "backend (start with --backend/--store)")
+            raise ServiceError("this endpoint needs a storage backend "
+                               "(start with --backend/--store)")
         return self.tenant_manager
 
     # ------------------------------------------------------------------
@@ -549,7 +533,7 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
 def build_server(service: QueryService | None = None,
                  host: str = "127.0.0.1",
-                 port: int = 0, snapshot_store: SnapshotStore | None = None,
+                 port: int = 0,
                  verbose: bool = False,
                  workers: int = DEFAULT_WORKERS,
                  tenant_manager: TenantManager | None = None,
@@ -558,9 +542,9 @@ def build_server(service: QueryService | None = None,
                  ) -> ServingHTTPServer:
     """A bound (not yet running) worker-pool HTTP server.
 
-    Pass ``service`` for the original single-service mode, or
-    ``tenant_manager`` for multi-tenant serving over a storage backend
-    (requests without a tenant route to the ``default`` tenant).
+    Pass ``tenant_manager`` to serve over a storage backend (requests
+    without a tenant route to the ``default`` tenant), or ``service``
+    for one in-process service with no storage.
     ``port=0`` binds any free port; read the result from
     ``server.server_address``.  ``workers`` sizes the request pool —
     each worker owns one keep-alive connection at a time —
@@ -570,8 +554,8 @@ def build_server(service: QueryService | None = None,
     """
     if (service is None) == (tenant_manager is None):
         raise ValueError("pass exactly one of service or tenant_manager")
-    attributes = {"service": service, "snapshot_store": snapshot_store,
-                  "tenant_manager": tenant_manager, "verbose": verbose}
+    attributes = {"service": service, "tenant_manager": tenant_manager,
+                  "verbose": verbose}
     if handler_timeout is not None:
         if handler_timeout <= 0:
             raise ValueError("handler_timeout must be > 0")

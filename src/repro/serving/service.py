@@ -40,7 +40,7 @@ The whole service serializes to one JSON document
 (:meth:`QueryService.state_dict`): the estimator's fitted state via
 ``save_state`` plus the collector's pending accumulators via
 ``shard_state``, so a restart restores both the answers *and* the
-not-yet-finalized reports.  :class:`~repro.serving.SnapshotStore`
+not-yet-finalized reports.  A :class:`~repro.storage.StorageBackend`
 versions those documents on disk.
 
 Concurrency: ingest, re-finalize and snapshot capture are serialized
@@ -76,8 +76,7 @@ from ..queries import (MarginalQuery, PointQuery, Predicate,
                        TopKQuery, query_kind)
 from .epoch import (DEFAULT_ANSWER_CACHE_ENTRIES, AnswerCache,
                     EstimatorEpoch)
-from .snapshot import (SNAPSHOT_MECHANISMS, SnapshotInfo, SnapshotStore,
-                       restore_mechanism)
+from .snapshot import SNAPSHOT_MECHANISMS, restore_mechanism
 
 #: Format tag written into serialized service states.
 SERVICE_SNAPSHOT_FORMAT = "repro.service-snapshot"
@@ -913,22 +912,6 @@ class QueryService:
         elif stored_epoch:
             service._epoch_counter = int(stored_epoch)
         return service
-
-    def save_snapshot(self,
-                      store: SnapshotStore | str) -> SnapshotInfo:
-        """Write the current :meth:`state_dict` as the store's next version."""
-        if not isinstance(store, SnapshotStore):
-            store = SnapshotStore(store)
-        return store.save(self.state_dict())
-
-    @classmethod
-    def from_snapshot(cls, store: SnapshotStore | str,
-                      version: int | None = None,
-                      seed: int | None = None) -> "QueryService":
-        """Restore a service from a stored snapshot (latest by default)."""
-        if not isinstance(store, SnapshotStore):
-            store = SnapshotStore(store)
-        return cls.from_state_dict(store.load(version), seed=seed)
 
     # ------------------------------------------------------------------
     # Lifecycle

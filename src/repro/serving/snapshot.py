@@ -1,15 +1,10 @@
-"""Versioned on-disk snapshots of fitted mechanisms and services.
+"""Rebuilding fitted mechanisms from their saved state documents.
 
 A snapshot is the JSON document produced by
 :meth:`repro.core.RangeQueryMechanism.save_state` (one fitted
 estimator) or :meth:`repro.serving.QueryService.state_dict` (estimator
-plus the open ingest collector).  :class:`SnapshotStore` manages a
-directory of such documents with monotonically increasing version
-numbers — every ``save`` writes ``snapshot-NNNNNN.json`` atomically
-(private temp file, then an exclusive hard-link claim of the version
-slot; requires a filesystem with hard links), ``load`` reads the
-latest (or any explicit) version, and an optional retention cap prunes
-old versions.
+plus the open ingest collector); a
+:class:`~repro.storage.StorageBackend` persists the versions.
 
 :func:`restore_mechanism` is the inverse of ``save_state`` for callers
 that only hold the document: it rebuilds the mechanism instance from
@@ -20,12 +15,6 @@ mechanism).
 """
 
 from __future__ import annotations
-
-import json
-import os
-import tempfile
-from dataclasses import dataclass
-from pathlib import Path
 
 from ..baselines import CALM, HIO, LHIO, MSW, Uniform
 from ..core import HDG, IHDG, ITDG, TDG, RangeQueryMechanism
@@ -45,28 +34,6 @@ SNAPSHOT_MECHANISMS: dict[str, type] = {
     "MSW": MSW,
     "Uni": Uniform,
 }
-
-
-def fsync_directory(directory: str | Path) -> None:
-    """fsync a directory so a just-renamed/linked entry survives power loss.
-
-    A rename or link is only durable once the *directory* holding the
-    new name is flushed; fsyncing the file alone leaves the name
-    itself in the page cache.  Platforms whose directories cannot be
-    opened for reading (or that lack ``O_DIRECTORY``) degrade to a
-    no-op rather than failing the write.
-    """
-    flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
-    try:
-        descriptor = os.open(directory, flags)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(descriptor)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(descriptor)
 
 
 def restore_mechanism(state: dict,
@@ -92,121 +59,3 @@ def restore_mechanism(state: dict,
     config = dict(state.get("config", {}))
     mechanism = factory(float(state["epsilon"]), seed=seed, **config)
     return mechanism.load_state(state)
-
-
-@dataclass(frozen=True)
-class SnapshotInfo:
-    """Identity of one stored snapshot: its version number and path."""
-
-    version: int
-    path: Path
-
-
-class SnapshotStore:
-    """A directory of versioned JSON snapshots.
-
-    Parameters
-    ----------
-    directory:
-        Where snapshot files live; created on first ``save``.
-    keep_last:
-        Optional retention cap — after each ``save``, only the newest
-        ``keep_last`` versions are kept on disk.  ``None`` keeps all.
-    """
-
-    #: File name pattern of one stored version.
-    FILE_TEMPLATE = "snapshot-{version:06d}.json"
-    _FILE_GLOB = "snapshot-*.json"
-
-    def __init__(self, directory: str | Path, keep_last: int | None = None):
-        if keep_last is not None and keep_last < 1:
-            raise ValueError("keep_last must be >= 1 when set")
-        self.directory = Path(directory)
-        self.keep_last = keep_last
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def versions(self) -> list[int]:
-        """Stored version numbers, ascending."""
-        if not self.directory.is_dir():
-            return []
-        versions = []
-        for path in self.directory.glob(self._FILE_GLOB):
-            stem = path.stem.removeprefix("snapshot-")
-            if stem.isdigit():
-                versions.append(int(stem))
-        return sorted(versions)
-
-    def latest_version(self) -> int | None:
-        """The newest stored version number, or None for an empty store."""
-        versions = self.versions()
-        return versions[-1] if versions else None
-
-    def path_of(self, version: int) -> Path:
-        """The on-disk path a given version is (or would be) stored at."""
-        return self.directory / self.FILE_TEMPLATE.format(version=version)
-
-    # ------------------------------------------------------------------
-    # Save / load
-    # ------------------------------------------------------------------
-    def save(self, state: dict) -> SnapshotInfo:
-        """Write ``state`` as the next version (atomic write + prune).
-
-        Safe under concurrent writers (the threaded ``/snapshot``
-        endpoint, or a parallel ``repro snapshot create`` on the same
-        store): the document lands in a fresh private temp file, and
-        the version slot is claimed with an exclusive hard link —
-        losing a claim race just moves this snapshot to the next
-        version number, never overwriting or corrupting another one.
-
-        Durable against power loss: the document bytes are fsync'd
-        before the version slot is claimed, and the directory itself
-        is fsync'd after, so a ``save`` that returned cannot produce a
-        missing or truncated snapshot file.  A failed ``save`` never
-        leaves its temp file behind.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        descriptor, temp = tempfile.mkstemp(dir=self.directory,
-                                            suffix=".json.tmp")
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(json.dumps(state))
-                handle.flush()
-                os.fsync(handle.fileno())
-            while True:
-                version = (self.latest_version() or 0) + 1
-                path = self.path_of(version)
-                try:
-                    os.link(temp, path)
-                    break
-                except FileExistsError:
-                    continue
-        finally:
-            os.unlink(temp)
-        fsync_directory(self.directory)
-        self._prune()
-        return SnapshotInfo(version=version, path=path)
-
-    def load(self, version: int | None = None) -> dict:
-        """Read one stored snapshot document (the latest by default)."""
-        if version is None:
-            version = self.latest_version()
-            if version is None:
-                raise FileNotFoundError(
-                    f"snapshot store {self.directory} is empty")
-        path = self.path_of(version)
-        if not path.exists():
-            raise FileNotFoundError(f"no snapshot version {version} in "
-                                    f"{self.directory}")
-        return json.loads(path.read_text())
-
-    def _prune(self) -> None:
-        if self.keep_last is None:
-            return
-        for version in self.versions()[:-self.keep_last]:
-            self.path_of(version).unlink(missing_ok=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SnapshotStore({str(self.directory)!r}, "
-                f"versions={self.versions()})")

@@ -125,7 +125,9 @@ class TenantManager:
         When given and no ``"default"`` tenant exists yet, one is
         created with this config — the tenant every request without an
         explicit tenant name routes to, which is what keeps the
-        single-tenant wire format working.
+        single-tenant wire format working.  If the backend already
+        holds default-tenant snapshots (a JSON store written without a
+        tenant registry), the new tenant recovers from the newest one.
     retry_policy:
         Retry schedule for storage calls on the ingest/snapshot path
         (default: 3 attempts, exponential backoff with seeded jitter).
@@ -164,7 +166,18 @@ class TenantManager:
         if default_config is not None and not (
                 DEFAULT_TENANT in self._runtimes
                 or DEFAULT_TENANT in self._quarantined):
-            self.create_tenant(DEFAULT_TENANT, default_config)
+            try:
+                adopt = bool(backend.list_snapshots(DEFAULT_TENANT))
+            except UnknownTenantError:  # snapshots need a registered tenant
+                adopt = False
+            if adopt:
+                # Root-level snapshots with no registry entry (written
+                # by ``repro snapshot create`` or a single-service
+                # release): recover the newest, do not serve empty.
+                self._try_recover(backend.create_tenant(
+                    DEFAULT_TENANT, dict(default_config)))
+            else:
+                self.create_tenant(DEFAULT_TENANT, default_config)
 
     # ------------------------------------------------------------------
     # Recovery

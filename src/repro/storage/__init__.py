@@ -23,7 +23,7 @@ from .base import (DEFAULT_TENANT, CorruptEntryError, IngestLogEntry,
                    SnapshotRecord, StorageBackend, StorageError,
                    TenantExistsError, TenantRecord, UnknownTenantError,
                    validate_tenant_name)
-from .directory import DirectoryBackend
+from .directory import DirectoryBackend, fsync_directory
 from .sqlite import SQLiteBackend
 
 #: Backend constructors by CLI name.
@@ -70,6 +70,7 @@ __all__ = [
     "TenantExistsError",
     "TenantRecord",
     "UnknownTenantError",
+    "fsync_directory",
     "open_backend",
     "validate_tenant_name",
 ]

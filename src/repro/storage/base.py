@@ -22,8 +22,8 @@ lose on a crash, organized around three concerns:
     replay; ``tests/test_crash_recovery.py`` pins it bitwise).
 
 Two implementations ship: :class:`~repro.storage.DirectoryBackend`
-(the original directory-of-JSON snapshots, refactored behind this
-interface) and :class:`~repro.storage.SQLiteBackend` (single-file
+(a directory of JSON snapshot files, the sole owner of that layout)
+and :class:`~repro.storage.SQLiteBackend` (single-file
 SQLite database in WAL mode).  docs/storage.md has the backend matrix
 and recovery semantics.
 """
@@ -205,8 +205,7 @@ class StorageBackend(abc.ABC):
         """One stored document + its record (latest version by default).
 
         Raises :class:`FileNotFoundError` when the tenant has no
-        snapshots (or no such version) — the same contract as
-        :meth:`repro.serving.SnapshotStore.load`.
+        snapshots (or no such version); the message names the version.
         """
 
     @abc.abstractmethod

@@ -1,11 +1,9 @@
 """Directory-of-JSON storage backend.
 
-This is the original PR-4 snapshot layout — a directory of
-``snapshot-NNNNNN.json`` documents managed by
-:class:`~repro.serving.SnapshotStore` — refactored behind the
-:class:`~repro.storage.StorageBackend` contract and extended with the
-two things the contract adds: a tenant registry and a write-ahead
-ingest log.
+The one owner of the on-disk JSON layout: versioned
+``snapshot-NNNNNN.json`` service documents, a tenant registry and a
+write-ahead ingest log, behind the
+:class:`~repro.storage.StorageBackend` contract.
 
 Layout::
 
@@ -19,30 +17,31 @@ Layout::
         <name>/snapshot-000001.json # other tenants' snapshots
         <name>/...
 
-The default tenant's snapshots live at the *root* so a store written
-by earlier releases (plain ``SnapshotStore`` directories) opens as a
-backend whose default tenant already has history — ``repro serve
---backend json --snapshot-dir old-store`` restores it.  Sidecar
+The default tenant's snapshots live at the *root*, so a directory
+holding only ``snapshot-*.json`` files (no ``tenants.json``, as
+``repro snapshot create`` and earlier single-service releases write
+it) opens as a backend whose default tenant already has history —
+``repro serve --backend json --store DIR`` restores it.  Sidecar
 ``.meta.json`` records carry the listing metadata (size, creation
 time, mechanism, ingest-log position); snapshots written before the
 sidecars existed fall back to ``stat`` and report ``wal_seq 0``.
 
-Every durable write goes through the same discipline as
-``SnapshotStore.save``: private temp file, fsync, atomic
-rename/link, fsync of the containing directory.
+Every durable write is a private temp file, fsync'd, then moved into
+place atomically (rename, or an exclusive hard link for a snapshot
+version slot — this needs a filesystem with hard links), then an fsync
+of the containing directory.  A failed write never leaves its temp
+file behind.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-import logging
-
-from ..serving.snapshot import SnapshotStore, fsync_directory
 from .base import (DEFAULT_TENANT, CorruptEntryError, IngestLogEntry,
                    SnapshotRecord, StorageBackend, TenantExistsError,
                    TenantRecord, UnknownTenantError,
@@ -56,25 +55,76 @@ TENANTS_FILE = "tenants.json"
 TENANTS_FORMAT = "repro.tenants"
 TENANTS_VERSION = 1
 
+_SNAPSHOT_TEMPLATE = "snapshot-{version:06d}.json"
+_SNAPSHOT_GLOB = "snapshot-*.json"
+
 _WAL_TEMPLATE = "entry-{seq:08d}.json"
 _WAL_GLOB = "entry-*.json"
 
 
-def _atomic_write_json(path: Path, document: dict) -> None:
-    """Write ``document`` at ``path`` durably (temp + fsync + rename)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def fsync_directory(directory: str | Path) -> None:
+    """fsync a directory so a just-renamed/linked entry survives power loss.
+
+    A rename or link is only durable once the *directory* holding the
+    new name is flushed; fsyncing the file alone leaves the name
+    itself in the page cache.  Platforms whose directories cannot be
+    opened for reading (or that lack ``O_DIRECTORY``) degrade to a
+    no-op rather than failing the write.
+    """
+    flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
+    try:
+        descriptor = os.open(directory, flags)
+    except OSError:  # pragma: no cover - platform-dependent
+        return
+    try:
+        os.fsync(descriptor)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+    finally:
+        os.close(descriptor)
+
+
+def _numbered(directory: Path, pattern: str, prefix: str) -> list[int]:
+    """The numbers of ``prefix``-named files matching ``pattern``, ascending.
+
+    Names whose number part is not all digits (the ``.meta.json``
+    sidecars match the snapshot glob) are not counted.
+    """
+    if not directory.is_dir():
+        return []
+    numbers = []
+    for path in directory.glob(pattern):
+        stem = path.stem.removeprefix(prefix)
+        if stem.isdigit():
+            numbers.append(int(stem))
+    return sorted(numbers)
+
+
+def _write_temp(directory: Path, document: dict) -> str:
+    """``document`` in a fresh fsync'd temp file inside ``directory``.
+
+    The caller moves the file into place and unlinks the temp name.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    descriptor, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "w") as handle:
             handle.write(json.dumps(document))
             handle.flush()
             os.fsync(handle.fileno())
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return temp
+
+
+def _atomic_write_json(path: Path, document: dict) -> None:
+    """Write ``document`` at ``path`` durably (temp + fsync + rename)."""
+    temp = _write_temp(path.parent, document)
+    try:
         os.replace(temp, path)
     except BaseException:
-        try:
-            os.unlink(temp)
-        except FileNotFoundError:
-            pass
+        os.unlink(temp)
         raise
     fsync_directory(path.parent)
 
@@ -85,9 +135,9 @@ class DirectoryBackend(StorageBackend):
     Parameters
     ----------
     root:
-        The store directory (created lazily).  A pre-existing
-        single-tenant ``SnapshotStore`` directory is adopted as the
-        default tenant's history.
+        The store directory (created lazily).  Root-level snapshot
+        files without a registry are adopted as the default tenant's
+        history.
     """
 
     name = "json"
@@ -145,30 +195,40 @@ class DirectoryBackend(StorageBackend):
             raise UnknownTenantError(f"unknown tenant {name!r}")
         del tenants[name]
         self._write_registry(tenants)
-        store = self._store_for(name)
-        for version in store.versions():
-            store.path_of(version).unlink(missing_ok=True)
-            self._meta_path(store, version).unlink(missing_ok=True)
+        self._remove_snapshots(name, self._versions(name))
         wal = self._wal_dir(name)
         if wal.is_dir():
             for path in wal.glob(_WAL_GLOB):
                 path.unlink(missing_ok=True)
         if name != DEFAULT_TENANT:
-            directory = store.directory
+            directory = self._snapshot_dir(name)
             if directory.is_dir() and not any(directory.iterdir()):
                 directory.rmdir()
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def _store_for(self, tenant: str) -> SnapshotStore:
+    def _snapshot_dir(self, tenant: str) -> Path:
         if tenant == DEFAULT_TENANT:
-            return SnapshotStore(self.root)
-        return SnapshotStore(self.root / "tenants" / tenant)
+            return self.root
+        return self.root / "tenants" / tenant
 
-    @staticmethod
-    def _meta_path(store: SnapshotStore, version: int) -> Path:
-        return store.path_of(version).with_suffix(".meta.json")
+    def snapshot_path(self, tenant: str, version: int) -> Path:
+        """Where one snapshot version of the tenant is (or would be)."""
+        return self._snapshot_dir(tenant) / _SNAPSHOT_TEMPLATE.format(
+            version=version)
+
+    def _meta_path(self, tenant: str, version: int) -> Path:
+        return self.snapshot_path(tenant, version).with_suffix(".meta.json")
+
+    def _versions(self, tenant: str) -> list[int]:
+        return _numbered(self._snapshot_dir(tenant), _SNAPSHOT_GLOB,
+                         "snapshot-")
+
+    def _remove_snapshots(self, tenant: str, versions: list[int]) -> None:
+        for version in versions:
+            self.snapshot_path(tenant, version).unlink(missing_ok=True)
+            self._meta_path(tenant, version).unlink(missing_ok=True)
 
     def _require_tenant(self, tenant: str) -> None:
         # The default tenant is implicit for adopted legacy stores:
@@ -180,29 +240,51 @@ class DirectoryBackend(StorageBackend):
 
     def save_snapshot(self, tenant: str, document: dict, *,
                       wal_seq: int = 0) -> SnapshotRecord:
+        """Write ``document`` as the tenant's next version.
+
+        Safe under concurrent writers (the threaded ``/snapshot``
+        endpoint, or a parallel ``repro snapshot create`` on the same
+        store): the version slot is claimed with an exclusive hard
+        link, so losing a claim race moves this snapshot to the next
+        number and never overwrites another one.  The document bytes
+        are fsync'd before the claim and the directory after it, so a
+        save that returned cannot leave a missing or truncated file.
+        """
         self._require_tenant(tenant)
-        store = self._store_for(tenant)
-        info = store.save(document)
+        directory = self._snapshot_dir(tenant)
+        temp = _write_temp(directory, document)
+        try:
+            while True:
+                versions = self._versions(tenant)
+                version = (versions[-1] if versions else 0) + 1
+                path = self.snapshot_path(tenant, version)
+                try:
+                    os.link(temp, path)
+                    break
+                except FileExistsError:
+                    continue
+        finally:
+            os.unlink(temp)
+        fsync_directory(directory)
         meta = {
             "tenant": tenant,
-            "version": info.version,
+            "version": version,
             "created_at": utc_now(),
-            "size_bytes": info.path.stat().st_size,
+            "size_bytes": path.stat().st_size,
             "wal_seq": int(wal_seq),
             **snapshot_meta_from_document(document),
         }
-        _atomic_write_json(self._meta_path(store, info.version), meta)
+        _atomic_write_json(self._meta_path(tenant, version), meta)
         return SnapshotRecord(**meta)
 
-    def _record_of(self, tenant: str, store: SnapshotStore,
-                   version: int) -> SnapshotRecord:
-        meta_path = self._meta_path(store, version)
+    def _record_of(self, tenant: str, version: int) -> SnapshotRecord:
+        meta_path = self._meta_path(tenant, version)
         if meta_path.exists():
             meta = json.loads(meta_path.read_text())
             meta.setdefault("tenant", tenant)
             return SnapshotRecord(**meta)
-        # Pre-backend snapshot: stat fallback, unknown log position.
-        stat = store.path_of(version).stat()
+        # Pre-sidecar snapshot: stat fallback, unknown log position.
+        stat = self.snapshot_path(tenant, version).stat()
         created = datetime.fromtimestamp(
             stat.st_mtime, timezone.utc).isoformat(timespec="seconds")
         return SnapshotRecord(tenant=tenant, version=version,
@@ -212,14 +294,20 @@ class DirectoryBackend(StorageBackend):
                       version: int | None = None) -> tuple[dict,
                                                            SnapshotRecord]:
         self._require_tenant(tenant)
-        store = self._store_for(tenant)
+        directory = self._snapshot_dir(tenant)
         if version is None:
-            version = store.latest_version()
-            if version is None:
+            versions = self._versions(tenant)
+            if not versions:
                 raise FileNotFoundError(
-                    f"tenant {tenant!r} has no snapshots in {self.root}")
-        document = store.load(version)
-        return document, self._record_of(tenant, store, version)
+                    f"snapshot store {directory} for tenant {tenant!r} "
+                    "is empty")
+            version = versions[-1]
+        path = self.snapshot_path(tenant, version)
+        if not path.exists():
+            raise FileNotFoundError(f"no snapshot version {version} for "
+                                    f"tenant {tenant!r} in {directory}")
+        document = json.loads(path.read_text())
+        return document, self._record_of(tenant, version)
 
     def list_snapshots(self, tenant: str | None = None) -> list[SnapshotRecord]:
         if tenant is None:
@@ -229,19 +317,15 @@ class DirectoryBackend(StorageBackend):
                 records.extend(self.list_snapshots(name))
             return records
         self._require_tenant(tenant)
-        store = self._store_for(tenant)
-        return [self._record_of(tenant, store, version)
-                for version in store.versions()]
+        return [self._record_of(tenant, version)
+                for version in self._versions(tenant)]
 
     def prune_snapshots(self, tenant: str, keep_last: int) -> int:
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
         self._require_tenant(tenant)
-        store = self._store_for(tenant)
-        stale = store.versions()[:-keep_last]
-        for version in stale:
-            store.path_of(version).unlink(missing_ok=True)
-            self._meta_path(store, version).unlink(missing_ok=True)
+        stale = self._versions(tenant)[:-keep_last]
+        self._remove_snapshots(tenant, stale)
         return len(stale)
 
     # ------------------------------------------------------------------
@@ -251,15 +335,7 @@ class DirectoryBackend(StorageBackend):
         return self.root / "wal" / tenant
 
     def _wal_seqs(self, tenant: str) -> list[int]:
-        directory = self._wal_dir(tenant)
-        if not directory.is_dir():
-            return []
-        seqs = []
-        for path in directory.glob(_WAL_GLOB):
-            stem = path.stem.removeprefix("entry-")
-            if stem.isdigit():
-                seqs.append(int(stem))
-        return sorted(seqs)
+        return _numbered(self._wal_dir(tenant), _WAL_GLOB, "entry-")
 
     def append_ingest(self, tenant: str, rows: list,
                       domain_size: int | None = None) -> int:

@@ -27,6 +27,7 @@ from repro.queries import (QUERY_KINDS, MarginalQuery, PointQuery, Predicate,
                            evaluate_workload, query_kind)
 from repro.serving import (QueryService, build_server, queries_from_wire,
                            query_from_wire, query_to_wire)
+from repro.storage import DEFAULT_TENANT, DirectoryBackend
 
 MIXED = ("range", "marginal", "point", "count", "topk")
 
@@ -352,9 +353,10 @@ def test_service_snapshot_restores_mixed_answers_bitwise(mixed_service,
     generator = WorkloadGenerator(3, 16, rng=np.random.default_rng(9))
     mixed = generator.mixed_workload(10, 2, 0.5, query_kinds=MIXED)
     wire = [query_to_wire(query) for query in mixed]
-    info = mixed_service.save_snapshot(str(tmp_path / "store"))
-    restored = QueryService.from_snapshot(str(tmp_path / "store"),
-                                          version=info.version)
+    backend = DirectoryBackend(tmp_path / "store")
+    info = backend.save_snapshot(DEFAULT_TENANT, mixed_service.state_dict())
+    restored = QueryService.from_state_dict(
+        backend.load_snapshot(DEFAULT_TENANT, info.version)[0])
     for _ in range(2):
         live = mixed_service.query_wire(wire)
         again = restored.query_wire(wire)

@@ -356,6 +356,48 @@ def test_http_snapshot_restart_round_trip(tmp_path):
         assert answers == expected
 
 
+def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
+    """Root-level snapshot files with no tenants.json (what ``repro
+    snapshot create`` writes) recover as the default tenant — they are
+    not shadowed by a fresh service built from the default config."""
+    saved = QueryService("HDG", 1.0, seed=3, domain_size=DOMAIN)
+    saved.ingest(_rows(0, n=400))
+    saved.refinalize()
+    saved.ingest(_rows(1))  # pending reports travel in the snapshot
+    store = tmp_path / "legacy"
+    store.mkdir()
+    (store / "snapshot-000001.json").write_text(
+        json.dumps(saved.state_dict()))
+    assert not (store / "tenants.json").exists()
+
+    manager = TenantManager(DirectoryBackend(store),
+                            default_config=_tdg_config())
+    adopted = manager.service("default")
+    assert adopted.mechanism_name == "HDG"
+    assert adopted.reports_ingested == saved.reports_ingested == 440
+    wire = [[[0, 0, 3]], [[1, 2, 6]], [[0, 1, 5], [1, 0, 2]]]
+    assert json.dumps(adopted.query_wire(wire)) == json.dumps(
+        saved.query_wire(wire))
+    # Same next batch on both: still bitwise (collector state restored).
+    manager.ingest("default", _rows(2))
+    manager.refinalize("default")
+    saved.ingest(_rows(2))
+    saved.refinalize()
+    assert json.dumps(adopted.query_wire(wire)) == json.dumps(
+        saved.query_wire(wire))
+
+    server = build_server(tenant_manager=manager)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        assert _http(port, "/snapshot", {})["version"] == 2
+        assert _http(port, "/snapshot")["versions"] == [1, 2]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_build_server_requires_exactly_one_mode(tmp_path):
     with pytest.raises(ValueError, match="exactly one"):
         build_server()

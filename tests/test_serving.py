@@ -5,8 +5,8 @@ mechanism, ``save_state`` → JSON → ``restore_mechanism`` →
 ``answer_workload`` must be **bitwise identical** to the live
 estimator's answers from the snapshot point on — including HIO/LHIO,
 whose answering path still draws noise (their RNG stream travels in
-the snapshot).  On top of that, the suite covers the versioned
-snapshot store, the ingest → re-finalize → answer service loop, the
+the snapshot).  On top of that, the suite covers versioned snapshots
+in the JSON directory backend, the ingest → re-finalize → answer service loop, the
 JSON-over-HTTP API and the ``serve``/``snapshot`` CLI verbs.
 """
 
@@ -25,9 +25,10 @@ from repro import (CALM, HDG, HIO, IHDG, ITDG, LHIO, MSW, TDG, Uniform,
 from repro.cli import main
 from repro.datasets import Dataset
 from repro.serving import (SNAPSHOT_MECHANISMS, QueryService, ServiceError,
-                           SnapshotStore, build_server, queries_from_wire,
+                           TenantManager, build_server, queries_from_wire,
                            query_from_wire, query_to_wire, restore_mechanism)
 from repro.serving.http import MAX_BODY_BYTES
+from repro.storage import DEFAULT_TENANT, DirectoryBackend
 
 
 @pytest.fixture(scope="module")
@@ -135,36 +136,48 @@ def test_restored_mechanism_config_shapes_answering(serving_dataset,
 
 
 # ----------------------------------------------------------------------
-# SnapshotStore: versions, retention, errors
+# Snapshot store (JSON directory backend): versions, retention, errors
 # ----------------------------------------------------------------------
+def _versions(backend: DirectoryBackend) -> list[int]:
+    return [record.version
+            for record in backend.list_snapshots(DEFAULT_TENANT)]
+
+
+def _load(backend: DirectoryBackend, version: int | None = None) -> dict:
+    return backend.load_snapshot(DEFAULT_TENANT, version)[0]
+
+
 def test_snapshot_store_versions_increment(tmp_path):
-    store = SnapshotStore(tmp_path / "snaps")
-    assert store.versions() == [] and store.latest_version() is None
-    first = store.save({"payload": 1})
-    second = store.save({"payload": 2})
+    store = DirectoryBackend(tmp_path / "snaps")
+    assert _versions(store) == []
+    assert store.latest_snapshot_version(DEFAULT_TENANT) is None
+    first = store.save_snapshot(DEFAULT_TENANT, {"payload": 1})
+    second = store.save_snapshot(DEFAULT_TENANT, {"payload": 2})
     assert (first.version, second.version) == (1, 2)
-    assert store.versions() == [1, 2]
-    assert store.load() == {"payload": 2}
-    assert store.load(1) == {"payload": 1}
+    assert _versions(store) == [1, 2]
+    assert _load(store) == {"payload": 2}
+    assert _load(store, 1) == {"payload": 1}
 
 
 def test_snapshot_store_retention(tmp_path):
-    store = SnapshotStore(tmp_path, keep_last=2)
+    store = DirectoryBackend(tmp_path)
     for index in range(4):
-        store.save({"payload": index})
-    assert store.versions() == [3, 4]
-    assert store.load() == {"payload": 3}
+        store.save_snapshot(DEFAULT_TENANT, {"payload": index})
+        store.prune_snapshots(DEFAULT_TENANT, keep_last=2)
+    assert _versions(store) == [3, 4]
+    assert _load(store) == {"payload": 3}
 
 
 def test_snapshot_store_concurrent_saves_get_distinct_versions(tmp_path):
     """Racing writers never collide on a version or corrupt a document."""
-    store = SnapshotStore(tmp_path)
+    store = DirectoryBackend(tmp_path)
     results: list = []
     barrier = threading.Barrier(8)
 
     def save(index: int) -> None:
         barrier.wait()
-        results.append((index, store.save({"writer": index}).version))
+        record = store.save_snapshot(DEFAULT_TENANT, {"writer": index})
+        results.append((index, record.version))
 
     threads = [threading.Thread(target=save, args=(index,))
                for index in range(8)]
@@ -174,18 +187,18 @@ def test_snapshot_store_concurrent_saves_get_distinct_versions(tmp_path):
         thread.join()
     assert sorted(version for _, version in results) == list(range(1, 9))
     for index, version in results:
-        assert store.load(version) == {"writer": index}
+        assert _load(store, version) == {"writer": index}
 
 
 def test_snapshot_store_error_cases(tmp_path):
-    store = SnapshotStore(tmp_path)
+    store = DirectoryBackend(tmp_path)
     with pytest.raises(FileNotFoundError, match="empty"):
-        store.load()
-    store.save({})
+        _load(store)
+    store.save_snapshot(DEFAULT_TENANT, {})
     with pytest.raises(FileNotFoundError, match="version 9"):
-        store.load(9)
+        _load(store, 9)
     with pytest.raises(ValueError, match="keep_last"):
-        SnapshotStore(tmp_path, keep_last=0)
+        store.prune_snapshots(DEFAULT_TENANT, keep_last=0)
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +300,9 @@ def test_service_snapshot_restores_answers_and_pending_reports(
     service.refinalize()
     service.ingest(serving_dataset.values[1_200:1_800])  # pending reports
 
-    info = service.save_snapshot(tmp_path / "svc")
-    restored = QueryService.from_snapshot(tmp_path / "svc")
+    backend = DirectoryBackend(tmp_path / "svc")
+    info = backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
+    restored = QueryService.from_state_dict(_load(backend))
     assert info.version == 1
     assert restored.reports_ingested == 1_800
     assert restored.reports_since_finalize == 600
@@ -310,8 +324,9 @@ def test_service_snapshot_restores_answers_and_pending_reports(
 def test_service_snapshot_of_static_service(tmp_path, serving_dataset,
                                             mixed_workload):
     service = QueryService(LHIO(1.0, seed=4).fit(serving_dataset))
-    service.save_snapshot(tmp_path)
-    restored = QueryService.from_snapshot(SnapshotStore(tmp_path))
+    backend = DirectoryBackend(tmp_path)
+    backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
+    restored = QueryService.from_state_dict(_load(backend))
     assert restored.status()["mode"] == "static"
     assert np.array_equal(service.query(mixed_workload),
                           restored.query(mixed_workload))
@@ -344,11 +359,14 @@ def test_query_wire_forms_are_equivalent():
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def http_service(serving_dataset, tmp_path):
-    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
-    service.ingest(serving_dataset.values[:1_000])
-    service.refinalize()
-    store = SnapshotStore(tmp_path / "http-snaps")
-    server = build_server(service, port=0, snapshot_store=store)
+    manager = TenantManager(DirectoryBackend(tmp_path / "http-snaps"),
+                            default_config={"mechanism": "TDG",
+                                            "epsilon": 1.0, "seed": 9,
+                                            "domain_size": 16})
+    manager.ingest(DEFAULT_TENANT, serving_dataset.values[:1_000])
+    manager.refinalize(DEFAULT_TENANT)
+    service = manager.service(DEFAULT_TENANT)
+    server = build_server(port=0, tenant_manager=manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield service, server.server_address[1]
@@ -692,6 +710,8 @@ def test_http_not_ready_is_conflict(tmp_path):
         assert code == 409 and "not ready" in body["error"]
         assert body["code"] == "conflict"
         assert _http_error(port, "/snapshot", {})[0] == 409  # no store
+        code, body = _http_error(port, "/snapshot")
+        assert code == 409 and "needs a storage backend" in body["error"]
     finally:
         server.shutdown()
         server.server_close()
@@ -718,30 +738,55 @@ def test_cli_snapshot_list_empty_store(tmp_path, capsys):
     assert "no snapshots" in capsys.readouterr().out
 
 
+def _create_snapshot(directory: str) -> None:
+    assert main(["snapshot", "create", "--dir", directory,
+                 "--mechanism", "TDG", "--n-users", "2000",
+                 "--n-attributes", "3", "--domain-size", "16"]) == 0
+
+
 def test_cli_serve_restore_smoke(tmp_path, capsys):
     """serve binds, restores the stored service and exits (0 requests)."""
     directory = str(tmp_path / "store")
-    main(["snapshot", "create", "--dir", directory, "--mechanism", "TDG",
-          "--n-users", "2000", "--n-attributes", "3",
-          "--domain-size", "16"])
+    _create_snapshot(directory)
     capsys.readouterr()
-    assert main(["serve", "--restore", "--snapshot-dir", directory,
+    assert main(["serve", "--backend", "json", "--store", directory,
                  "--port", "0", "--max-requests", "0"]) == 0
     output = capsys.readouterr().out
     assert "serving TDG" in output and "ready=True" in output
 
 
-def test_cli_serve_requires_store_for_restore(capsys):
-    assert main(["serve", "--restore", "--port", "0",
-                 "--max-requests", "0"]) == 2
-    assert "--restore requires" in capsys.readouterr().err
-
-
 def test_cli_clean_errors_on_missing_snapshots(tmp_path, capsys):
-    """Empty stores and missing versions exit 2 with a message, no traceback."""
+    """Empty stores and missing versions exit 2 with a message, no
+    traceback; serving an empty store starts a fresh default tenant."""
     directory = str(tmp_path / "empty")
-    assert main(["serve", "--restore", "--snapshot-dir", directory,
-                 "--port", "0", "--max-requests", "0"]) == 2
-    assert "cannot restore" in capsys.readouterr().err
     assert main(["snapshot", "inspect", "--dir", directory]) == 2
     assert "empty" in capsys.readouterr().err
+    assert main(["serve", "--backend", "json", "--store", directory,
+                 "--port", "0", "--max-requests", "0"]) == 0
+    assert "ready=False" in capsys.readouterr().out
+    _create_snapshot(directory)
+    capsys.readouterr()
+    assert main(["serve", "--backend", "json", "--store", directory,
+                 "--port", "0", "--max-requests", "0"]) == 0
+    output = capsys.readouterr().out
+    assert "serving TDG" in output and "ready=True" in output
+    assert main(["snapshot", "inspect", "--dir", directory,
+                 "--version", "9"]) == 2
+    assert "no snapshot version 9" in capsys.readouterr().err
+
+
+def test_cli_serve_backend_rejects_bootstrap_dataset(tmp_path, capsys):
+    """Bootstrap rows would bypass the write-ahead log: refused."""
+    store = tmp_path / "store"
+    assert main(["serve", "--backend", "json", "--store", str(store),
+                 "--bootstrap-dataset", "normal", "--port", "0",
+                 "--max-requests", "0"]) == 2
+    error = capsys.readouterr().err
+    assert "--bootstrap-dataset" in error and "POST /ingest" in error
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("flags", [["--store", "x"], ["--keep-last", "2"]])
+def test_cli_serve_storage_flags_require_backend(flags, capsys):
+    assert main(["serve", *flags, "--port", "0", "--max-requests", "0"]) == 2
+    assert f"{flags[0]} requires --backend" in capsys.readouterr().err

@@ -1,10 +1,12 @@
-"""SnapshotStore retention edge cases (keep_last pruning, claim races).
+"""Snapshot retention edge cases of the JSON directory backend.
 
-PR 4 shipped the versioned store with a ``keep_last`` retention cap and
-an exclusive hard-link version claim; these tests pin the behaviours the
-ops guide promises: pruning removes exactly the oldest versions, the
-latest version always survives (and restores) right after a prune, and
-concurrent writers never overwrite or skip-number each other's
+The directory backend versions snapshots with an exclusive hard-link
+claim and prunes them with ``prune_snapshots(tenant, keep_last)`` (the
+``keep_last`` retention a tenant config or ``repro snapshot create
+--keep-last`` applies after each save).  These tests pin the behaviours
+the ops guide promises: pruning removes exactly the oldest versions,
+the latest version always survives (and restores) right after a prune,
+and concurrent writers never overwrite or skip-number each other's
 snapshots.
 """
 
@@ -15,18 +17,46 @@ import threading
 
 import pytest
 
-from repro.serving import SnapshotStore
+from repro.storage import DEFAULT_TENANT, DirectoryBackend
 
 
 def _document(tag: int) -> dict:
     return {"format": "test-doc", "version": 1, "tag": tag}
 
 
+class _Store:
+    """The default tenant's snapshots in one directory backend, saved
+    with the tenant-config retention (prune after every save)."""
+
+    def __init__(self, directory, keep_last=None):
+        self.backend = DirectoryBackend(directory)
+        self.keep_last = keep_last
+
+    def save(self, document):
+        record = self.backend.save_snapshot(DEFAULT_TENANT, document)
+        if self.keep_last is not None:
+            self.backend.prune_snapshots(DEFAULT_TENANT, self.keep_last)
+        return record
+
+    def load(self, version=None):
+        return self.backend.load_snapshot(DEFAULT_TENANT, version)[0]
+
+    def versions(self):
+        return [record.version
+                for record in self.backend.list_snapshots(DEFAULT_TENANT)]
+
+    def latest_version(self):
+        return self.backend.latest_snapshot_version(DEFAULT_TENANT)
+
+    def path_of(self, version):
+        return self.backend.snapshot_path(DEFAULT_TENANT, version)
+
+
 # ----------------------------------------------------------------------
 # keep_last pruning order
 # ----------------------------------------------------------------------
 def test_keep_last_prunes_oldest_versions_in_order(tmp_path):
-    store = SnapshotStore(tmp_path, keep_last=3)
+    store = _Store(tmp_path, keep_last=3)
     for tag in range(6):
         store.save(_document(tag))
     # Exactly the newest three survive, oldest three are gone.
@@ -40,7 +70,7 @@ def test_keep_last_prunes_oldest_versions_in_order(tmp_path):
 
 
 def test_keep_last_one_keeps_only_the_newest(tmp_path):
-    store = SnapshotStore(tmp_path, keep_last=1)
+    store = _Store(tmp_path, keep_last=1)
     for tag in range(4):
         info = store.save(_document(tag))
     assert store.versions() == [info.version] == [4]
@@ -49,8 +79,8 @@ def test_keep_last_one_keeps_only_the_newest(tmp_path):
 
 def test_keep_last_validation_and_unbounded_default(tmp_path):
     with pytest.raises(ValueError, match="keep_last"):
-        SnapshotStore(tmp_path, keep_last=0)
-    store = SnapshotStore(tmp_path)  # no cap
+        DirectoryBackend(tmp_path).prune_snapshots(DEFAULT_TENANT, 0)
+    store = _Store(tmp_path)  # no cap
     for tag in range(5):
         store.save(_document(tag))
     assert store.versions() == [1, 2, 3, 4, 5]
@@ -58,10 +88,10 @@ def test_keep_last_validation_and_unbounded_default(tmp_path):
 
 def test_pruning_applies_to_preexisting_versions(tmp_path):
     """Opening an existing store with a cap prunes on the next save."""
-    unbounded = SnapshotStore(tmp_path)
+    unbounded = _Store(tmp_path)
     for tag in range(5):
         unbounded.save(_document(tag))
-    capped = SnapshotStore(tmp_path, keep_last=2)
+    capped = _Store(tmp_path, keep_last=2)
     capped.save(_document(99))
     assert capped.versions() == [5, 6]
 
@@ -70,7 +100,7 @@ def test_pruning_applies_to_preexisting_versions(tmp_path):
 # Restore-after-prune of the latest version
 # ----------------------------------------------------------------------
 def test_latest_version_restores_right_after_prune(tmp_path):
-    store = SnapshotStore(tmp_path, keep_last=2)
+    store = _Store(tmp_path, keep_last=2)
     for tag in range(10):
         saved = store.save(_document(tag))
         # After every save (and its prune) the just-written version is
@@ -81,7 +111,7 @@ def test_latest_version_restores_right_after_prune(tmp_path):
 
 
 def test_load_of_pruned_explicit_version_names_the_version(tmp_path):
-    store = SnapshotStore(tmp_path, keep_last=1)
+    store = _Store(tmp_path, keep_last=1)
     first = store.save(_document(0))
     store.save(_document(1))
     with pytest.raises(FileNotFoundError,
@@ -94,7 +124,7 @@ def test_load_of_pruned_explicit_version_names_the_version(tmp_path):
 # ----------------------------------------------------------------------
 def test_concurrent_saves_claim_distinct_contiguous_versions(tmp_path):
     """Racing writers never overwrite or skip a version slot."""
-    store = SnapshotStore(tmp_path)
+    store = _Store(tmp_path)
     n_writers, per_writer = 8, 5
     barrier = threading.Barrier(n_writers)
     claims: list[tuple[int, int]] = []
@@ -127,7 +157,7 @@ def test_concurrent_saves_claim_distinct_contiguous_versions(tmp_path):
 
 
 def test_concurrent_saves_with_retention_keep_the_newest(tmp_path):
-    store = SnapshotStore(tmp_path, keep_last=4)
+    store = _Store(tmp_path, keep_last=4)
     n_writers = 6
     barrier = threading.Barrier(n_writers)
 

@@ -5,7 +5,7 @@ the directory-of-JSON backend and the SQLite backend — covering the
 three concerns: the tenant registry, versioned snapshots with listing
 metadata, and the write-ahead ingest log (including sequence-number
 monotonicity across prunes).  Backend-specific sections pin the
-DirectoryBackend's adoption of legacy ``SnapshotStore`` directories,
+DirectoryBackend's adoption of legacy root-level snapshot directories,
 the SQLiteBackend's WAL-mode pragmas and trigger-maintained listing
 table, and the atomic-write durability regression: a failed write
 never leaves a temp file behind.
@@ -20,8 +20,9 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.serving import QueryService, SnapshotStore
-from repro.storage import (BACKENDS, DirectoryBackend, SQLiteBackend,
+from repro.serving import QueryService
+from repro.storage import (BACKENDS, DEFAULT_TENANT, DirectoryBackend,
+                           SQLiteBackend,
                            StorageBackend, TenantExistsError,
                            UnknownTenantError, open_backend,
                            validate_tenant_name)
@@ -239,25 +240,29 @@ def test_open_backend_dispatch(tmp_path):
 # DirectoryBackend: legacy store adoption
 # ----------------------------------------------------------------------
 def test_directory_backend_adopts_legacy_snapshot_store(tmp_path):
-    """A plain SnapshotStore directory opens as the default tenant's
-    history — size and creation time fall back to stat, wal_seq to 0."""
-    store = SnapshotStore(tmp_path)
+    """A legacy directory — root-level snapshot files, no sidecars, no
+    tenants.json — opens as the default tenant's history: size and
+    creation time fall back to stat, wal_seq to 0."""
     document = _service_document()
-    store.save(document)
+    legacy = tmp_path / "snapshot-000001.json"
+    legacy.write_text(json.dumps(document))
     backend = DirectoryBackend(tmp_path)
     records = backend.list_snapshots("default")
     assert [r.version for r in records] == [1]
-    assert records[0].size_bytes == store.path_of(1).stat().st_size
+    assert records[0].size_bytes == legacy.stat().st_size
     assert records[0].wal_seq == 0
     loaded, _ = backend.load_snapshot("default")
     assert loaded == document
 
 
 def test_directory_backend_meta_sidecars_ignored_by_snapshot_store(tmp_path):
-    """Sidecar .meta.json files must not count as snapshot versions."""
+    """Sidecar .meta.json files must not count as snapshot versions,
+    although they match the ``snapshot-*.json`` version glob."""
     backend = DirectoryBackend(tmp_path)
     backend.save_snapshot("default", _service_document())
-    assert SnapshotStore(tmp_path).versions() == [1]
+    assert (tmp_path / "snapshot-000001.meta.json").exists()
+    assert [r.version for r in backend.list_snapshots("default")] == [1]
+    assert backend.save_snapshot("default", _service_document()).version == 2
 
 
 # ----------------------------------------------------------------------
@@ -320,40 +325,46 @@ def test_sqlite_reopen_preserves_everything(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Atomic-write durability regression (SnapshotStore + backends)
+# Atomic-write durability regression (snapshot claims + backends)
 # ----------------------------------------------------------------------
 def _temp_files(directory) -> list:
     return [path for path in directory.iterdir()
             if path.suffix == ".tmp" or path.name.endswith(".json.tmp")]
 
 
+def _versions(backend: DirectoryBackend) -> list[int]:
+    return [record.version
+            for record in backend.list_snapshots(DEFAULT_TENANT)]
+
+
 def test_snapshot_store_failed_save_leaves_no_temp_file(tmp_path):
     """A save that dies mid-serialization must clean up its temp file
     and must not claim a version slot."""
-    store = SnapshotStore(tmp_path)
-    store.save({"ok": 1})
+    store = DirectoryBackend(tmp_path)
+    store.save_snapshot(DEFAULT_TENANT, {"ok": 1})
     with pytest.raises(TypeError):
-        store.save({"bad": object()})  # not JSON-serializable
-    assert store.versions() == [1]
+        # not JSON-serializable
+        store.save_snapshot(DEFAULT_TENANT, {"bad": object()})
+    assert _versions(store) == [1]
     assert _temp_files(tmp_path) == []
 
 
 def test_snapshot_store_failed_link_leaves_no_temp_file(tmp_path,
                                                         monkeypatch):
     """Even a failure at the claim step (os.link) cleans up."""
-    store = SnapshotStore(tmp_path)
+    store = DirectoryBackend(tmp_path)
 
     def refuse_link(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "link", refuse_link)
     with pytest.raises(OSError, match="disk full"):
-        store.save({"ok": 1})
+        store.save_snapshot(DEFAULT_TENANT, {"ok": 1})
     monkeypatch.undo()
-    assert store.versions() == []
+    assert _versions(store) == []
     assert _temp_files(tmp_path) == []
     # The store still works after the failure.
-    assert store.save({"ok": 1}).version == 1
+    assert store.save_snapshot(DEFAULT_TENANT, {"ok": 1}).version == 1
 
 
 def test_directory_backend_failed_write_leaves_no_temp_file(tmp_path):
