@@ -6,9 +6,9 @@ mechanisms with the granularity guideline — together with every substrate
 and baseline its evaluation depends on: LDP frequency oracles (GRR, OLH,
 Square Wave), the Uni/MSW/CALM/HIO/LHIO baselines, dataset generators,
 query workloads, post-processing, metrics and a per-figure experiment
-harness.  Collection is shard-mergeable: mechanisms support
-``partial_fit`` / ``merge`` / ``finalize`` and the :mod:`repro.pipeline`
-package streams, parallelises and serializes the per-shard state.
+harness.  Collection is shard-mergeable: TDG, HDG and CALM support
+``partial_fit`` / ``merge`` / ``finalize``, and :mod:`repro.mechanisms`
+registers every mechanism by its paper name.
 Fitted estimators snapshot and restore bitwise
 (``save_state``/``load_state``), and :mod:`repro.serving` serves them as
 a long-lived HTTP query service with incremental ingest
@@ -34,11 +34,11 @@ from .core import (HDG, IHDG, ITDG, TDG, Grid1D, Grid2D, RangeQueryMechanism,
                    build_response_matrix, choose_granularities_hdg,
                    choose_granularity_tdg, estimate_lambda_query)
 from .datasets import Dataset, available_datasets, make_dataset
-from .experiments import ExperimentConfig, build_mechanism, run_experiment, sweep_parameter
+from .experiments import ExperimentConfig, run_experiment, sweep_parameter
 from .frequency_oracles import (GeneralizedRandomizedResponse, OptimizedLocalHash,
                                 SquareWave, SupportAccumulator)
+from .mechanisms import MECHANISMS, build_mechanism
 from .metrics import absolute_errors, mean_absolute_error
-from .pipeline import ShardAggregator, parallel_fit, shard_dataset
 from .queries import (MarginalQuery, PointQuery, Predicate,
                       PredicateCountQuery, QueryPlanner, RangeQuery, TopKQuery,
                       WorkloadGenerator, answer_query, answer_workload,
@@ -57,6 +57,7 @@ __all__ = [
     "IHDG",
     "ITDG",
     "LHIO",
+    "MECHANISMS",
     "MSW",
     "MarginalQuery",
     "OptimizedLocalHash",
@@ -68,7 +69,6 @@ __all__ = [
     "RangeQuery",
     "TopKQuery",
     "RangeQueryMechanism",
-    "ShardAggregator",
     "SquareWave",
     "SupportAccumulator",
     "TDG",
@@ -89,9 +89,7 @@ __all__ = [
     "make_dataset",
     "mean_absolute_error",
     "package_version",
-    "parallel_fit",
     "restore_mechanism",
     "run_experiment",
-    "shard_dataset",
     "sweep_parameter",
 ]

@@ -18,14 +18,16 @@ noise error grows with the domain size.
 from __future__ import annotations
 
 from ..core.tdg import TDG
-from ..datasets import Dataset
 
 
 class CALM(TDG):
     """CALM configured with full-resolution 2-way marginals.
 
     Parameters are the same as :class:`repro.core.TDG` minus the
-    granularity, which is pinned to the dataset's domain size at fit time.
+    granularity, which is pinned to the domain size when the grid layout
+    is fixed — by ``fit``, the first ``partial_fit`` batch or
+    ``prepare_aggregation`` alike, so sharded and streamed collection
+    build the same full-resolution marginals as one-shot collection.
     """
 
     name = "CALM"
@@ -41,10 +43,10 @@ class CALM(TDG):
                          estimation_iterations=estimation_iterations,
                          oracle_mode=oracle_mode, seed=seed)
 
-    def _fit(self, dataset: Dataset) -> None:
+    def _ensure_layout(self, planning_users: int | None) -> None:
         # No binning: every marginal cell is a single 2-D value.
-        self.granularity = dataset.domain_size
-        super()._fit(dataset)
+        self.granularity = self._domain_size
+        super()._ensure_layout(planning_users)
 
     def _snapshot_config(self) -> dict:
         config = super()._snapshot_config()

@@ -11,14 +11,6 @@ Seven subcommands mirror how the library is typically used:
 ``table2``
     Print the recommended (g1, g2) granularities for a grid of
     (d, lg n, ε) settings — the paper's Table 2.
-``shard-demo``
-    Demonstrate the shard-mergeable pipeline: collect the same dataset
-    single-shot and as K parallel shards, compare MAE and wall time, and
-    optionally save the per-shard aggregator states as JSON.
-``merge``
-    Merge serialized shard states (written by ``shard-demo --save-state``
-    or :meth:`repro.pipeline.ShardAggregator.save`) into one aggregator
-    and print or save the combined state.
 ``ingest-demo``
     Drive the multi-process ingest tier (:mod:`repro.ingest`) once:
     route a synthetic dataset to N collector workers over shared-memory
@@ -48,8 +40,7 @@ python -m repro.cli sweep --parameter epsilon --values 0.2 0.5 1.0 2.0
 python -m repro.cli sweep --parameter epsilon --values 0.2 0.5 1.0 2.0 \\
     --jobs 4 --cache-dir /tmp/repro-cache
 python -m repro.cli table2 --d 6 --lg-n 6.0
-python -m repro.cli shard-demo --shards 4 --save-state /tmp/shards
-python -m repro.cli merge /tmp/shards/shard*.json --output /tmp/merged.json
+python -m repro.cli run --shards 4 --methods TDG HDG CALM Uni
 python -m repro.cli serve --mechanism HDG --refinalize-every 5000 \\
     --backend json --store /tmp/snapshots --port 8125
 python -m repro.cli serve --backend sqlite --store /tmp/repro.db
@@ -63,7 +54,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -72,15 +62,18 @@ from .datasets import make_dataset
 from .experiments import (ExperimentConfig, ResultCache, run_experiment,
                           sweep_parameter)
 from .experiments.figures import table_2_granularities
-from .metrics import mean_absolute_error
-from .pipeline import (ParallelFitReport, ShardAggregator, merge_aggregators,
-                       parallel_fit, shard_seed, write_state)
 from .ingest import IngestTier
-from .queries import RangeQuery, WorkloadGenerator, answer_workload
+from .mechanisms import MECHANISMS, supports_sharding
+from .queries import RangeQuery, answer_workload
 from .resilience import RetryPolicy
 from .serving import QueryService, TenantManager, build_server, serve
 from .serving.tenants import service_from_config
 from .storage import BACKENDS, DEFAULT_TENANT, StorageError, open_backend
+
+
+#: Mechanisms the stream ingest paths accept.
+_SHARDABLE = [name for name, cls in MECHANISMS.items()
+              if supports_sharding(cls)]
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -109,8 +102,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1,
                         help="collect shardable mechanisms over this many "
                              "parallel user shards (1 = single-shot)")
-    parser.add_argument("--shard-workers", type=int, default=None,
-                        help="concurrency cap for the shard executor")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the experiment executor; "
                              "the (sweep value, repetition, mechanism) cells "
@@ -131,9 +122,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         epsilon=args.epsilon, query_dimension=args.query_dimension,
         volume=args.volume, n_queries=args.n_queries,
         n_repeats=args.n_repeats, methods=tuple(args.methods), seed=args.seed,
-        n_shards=args.shards, shard_workers=args.shard_workers,
-        n_jobs=args.jobs, query_kinds=tuple(args.query_kinds),
-        top_k=args.top_k)
+        n_shards=args.shards, n_jobs=args.jobs,
+        query_kinds=tuple(args.query_kinds), top_k=args.top_k)
 
 
 def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
@@ -193,74 +183,6 @@ def _command_table2(args: argparse.Namespace) -> int:
     for epsilon in epsilons:
         g1, g2 = table[(args.d, args.lg_n, epsilon)]
         print(f"  eps={epsilon:<4}: g1={g1:>3}  g2={g2:>3}")
-    return 0
-
-
-def _command_shard_demo(args: argparse.Namespace) -> int:
-    from .pipeline.aggregator import SHARDABLE_MECHANISMS
-
-    rng = np.random.default_rng(args.seed)
-    dataset = make_dataset(args.dataset, args.n_users, args.n_attributes,
-                           args.domain_size, rng=rng)
-    generator = WorkloadGenerator(args.n_attributes, args.domain_size,
-                                  rng=np.random.default_rng(args.seed + 1))
-    queries = generator.random_workload(args.n_queries, args.query_dimension,
-                                        args.volume)
-    truths = answer_workload(dataset, queries)
-    factory_cls = SHARDABLE_MECHANISMS[args.mechanism]
-
-    start = time.perf_counter()
-    single = factory_cls(args.epsilon, seed=args.seed).fit(dataset)
-    single_seconds = time.perf_counter() - start
-    single_mae = mean_absolute_error(single.answer_workload(queries), truths)
-
-    report = ParallelFitReport(n_shards=0, max_workers=0)
-    start = time.perf_counter()
-    sharded = parallel_fit(
-        lambda i: factory_cls(args.epsilon, seed=shard_seed(args.seed, i)),
-        dataset, n_shards=args.shards, max_workers=args.shard_workers,
-        report=report)
-    sharded_seconds = time.perf_counter() - start
-    sharded_mae = mean_absolute_error(sharded.answer_workload(queries), truths)
-
-    print(f"shard demo: {args.mechanism} on {args.dataset} "
-          f"(n={args.n_users}, d={args.n_attributes}, c={args.domain_size}, "
-          f"eps={args.epsilon})")
-    print(f"  single-shot fit : MAE = {single_mae:.5f}  ({single_seconds:.2f}s)")
-    print(f"  {args.shards} shards merged: MAE = {sharded_mae:.5f}  "
-          f"({sharded_seconds:.2f}s, {report.n_workers_used} workers, "
-          f"shard sizes {report.shard_sizes})")
-
-    if args.save_state:
-        # The report carries the exact pre-merge states parallel_fit
-        # collected — no second collection pass.
-        directory = Path(args.save_state)
-        directory.mkdir(parents=True, exist_ok=True)
-        for index, state in enumerate(report.shard_states):
-            path = write_state(state, directory / f"shard{index}.json")
-            print(f"  wrote {path}")
-    return 0
-
-
-def _command_merge(args: argparse.Namespace) -> int:
-    aggregators = []
-    for path in args.states:
-        aggregator = ShardAggregator.load(path)
-        mechanism = aggregator.mechanism
-        print(f"{path}: {mechanism.name} eps={mechanism.epsilon} "
-              f"d={mechanism._n_attributes} c={mechanism._domain_size} "
-              f"reports={aggregator.n_reports}")
-        aggregators.append(aggregator)
-    merged = merge_aggregators(aggregators)
-    print(f"merged: {merged.n_reports} reports over {len(args.states)} shards")
-    if args.output:
-        path = merged.save(args.output)
-        print(f"wrote {path}")
-    if args.finalize:
-        mechanism = merged.finalize()
-        print(f"finalized {mechanism.name}: ready to answer range queries "
-              f"(g1={getattr(mechanism, 'chosen_g1', None)}, "
-              f"g2={mechanism.chosen_g2})")
     return 0
 
 
@@ -593,11 +515,10 @@ def _command_tenants(args: argparse.Namespace) -> int:
 
 def _add_serving_mechanism_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mechanism", default="HDG",
-                        choices=["TDG", "HDG", "ITDG", "IHDG", "CALM", "HIO",
-                                 "LHIO", "MSW", "Uni"],
+                        choices=list(MECHANISMS),
                         help="mechanism to collect and serve (the default "
                              "stream ingest mode needs a shardable one: "
-                             "TDG, HDG, ITDG, IHDG; any mechanism works "
+                             f"{', '.join(_SHARDABLE)}; any mechanism works "
                              "with --ingest-mode refit)")
     parser.add_argument("--ingest-mode", default="stream",
                         choices=["stream", "refit"],
@@ -672,33 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
     table_parser.add_argument("--epsilons", type=float, nargs="+")
     table_parser.set_defaults(handler=_command_table2)
 
-    demo_parser = subparsers.add_parser(
-        "shard-demo",
-        help="compare single-shot vs sharded-merged collection")
-    _add_config_arguments(demo_parser)
-    demo_parser.add_argument("--mechanism", default="HDG",
-                             choices=["TDG", "HDG", "ITDG", "IHDG"],
-                             help="shardable mechanism to demonstrate")
-    demo_parser.add_argument("--save-state", metavar="DIR",
-                             help="also write each shard's aggregator state "
-                                  "as JSON into this directory")
-    demo_parser.set_defaults(handler=_command_shard_demo)
-    demo_parser.set_defaults(shards=4)
-
-    merge_parser = subparsers.add_parser(
-        "merge", help="merge serialized shard aggregator states")
-    merge_parser.add_argument("states", nargs="+",
-                              help="shard state JSON files to merge")
-    merge_parser.add_argument("--output", help="write the merged state here")
-    merge_parser.add_argument("--finalize", action="store_true",
-                              help="run Phase 2 on the merged state")
-    merge_parser.set_defaults(handler=_command_merge)
-
     ingest_parser = subparsers.add_parser(
         "ingest-demo",
         help="drive the multi-process shared-memory ingest tier once")
     ingest_parser.add_argument("--mechanism", default="HDG",
-                               choices=["TDG", "HDG", "ITDG", "IHDG", "CALM"],
+                               choices=_SHARDABLE,
                                help="mechanism to collect (the tier runs "
                                     "mechanisms with sharded aggregation)")
     ingest_parser.add_argument("--workers", type=int, default=4,

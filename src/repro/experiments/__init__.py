@@ -3,9 +3,8 @@
 from .cache import CellResult, ResultCache, cell_key, clear_memos
 from .config import (DEFAULT_METHODS, METHODS_WITHOUT_HIO, ExperimentConfig)
 from .executor import evaluate_cell, execute_grid
-from .runner import (MECHANISM_FACTORIES, ExperimentResult, MethodResult,
-                     SweepResult, build_mechanism, run_experiment,
-                     sweep_parameter)
+from .runner import (ExperimentResult, MethodResult, SweepResult,
+                     run_experiment, sweep_parameter)
 from . import appendix, figures
 
 __all__ = [
@@ -14,12 +13,10 @@ __all__ = [
     "CellResult",
     "ExperimentConfig",
     "ExperimentResult",
-    "MECHANISM_FACTORIES",
     "MethodResult",
     "ResultCache",
     "SweepResult",
     "appendix",
-    "build_mechanism",
     "cell_key",
     "clear_memos",
     "evaluate_cell",

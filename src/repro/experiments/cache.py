@@ -7,13 +7,12 @@ every cell from scratch.  Two layers make the grid incremental:
 * :class:`ResultCache` — a directory of JSON files, one per completed
   cell, keyed by a stable SHA-256 hash of the fully-resolved
   configuration point plus the repetition index and mechanism name.
-  Execution-only knobs (``n_jobs``, ``shard_workers``) and the number of
-  repetitions are excluded from the key: they do not change what a cell
-  computes, so a sweep resumed with more workers or more repetitions
-  still hits every cell it already finished.  Any field that does change
-  the numbers — population, budget, seed, sharding, the query engine,
-  the mechanism line-up (whose order fixes the per-cell seed) —
-  invalidates the key.
+  The execution-only knob ``n_jobs`` and the number of repetitions are
+  excluded from the key: they do not change what a cell computes, so a
+  sweep resumed with more workers or more repetitions still hits every
+  cell it already finished.  Any field that does change the numbers —
+  population, budget, seed, sharding, the query kinds, the mechanism
+  line-up (whose order fixes the per-cell seed) — invalidates the key.
 * Input memoization — within one process, datasets, workloads and
   ground-truth answers are rebuilt from their generation parameters
   only when those parameters change.  An epsilon sweep re-uses one
@@ -50,10 +49,12 @@ from .config import ExperimentConfig
 #: Bump when the cached cell schema or the cell computation changes
 #: incompatibly; old entries then miss instead of being misread.
 #: v2: cells carry query kinds and per-kind MAEs for mixed workloads.
-CACHE_VERSION = 2
+#: v3: sharded CALM collects full-resolution grids (v2 cells held TDG
+#: guideline-grid numbers under the CALM name).
+CACHE_VERSION = 3
 
 #: Config fields that do not affect what one cell computes.
-EXECUTION_ONLY_FIELDS = frozenset({"n_jobs", "shard_workers", "n_repeats"})
+EXECUTION_ONLY_FIELDS = frozenset({"n_jobs", "n_repeats"})
 
 
 def _canonical(value: Any) -> Any:

@@ -47,8 +47,6 @@ class ExperimentConfig:
     #: classic single-shot fit).  Mechanisms without sharding support fall
     #: back to fit() regardless.
     n_shards: int = 1
-    #: Concurrency cap for the shard executor; None = one worker per shard.
-    shard_workers: int | None = None
     #: Worker processes used by the experiment executor to evaluate the
     #: (sweep value, repetition, mechanism) cell grid.  1 (the default)
     #: runs every cell in-process; any value reproduces the sequential
@@ -72,6 +70,9 @@ class ExperimentConfig:
         """Raise ValueError when the configuration is internally inconsistent."""
         if self.n_users < 1:
             raise ValueError("n_users must be positive")
+        if not 1 <= self.n_shards <= self.n_users:
+            raise ValueError(f"n_shards must be in [1, n_users], got "
+                             f"{self.n_shards} for {self.n_users} users")
         if self.n_attributes < 2:
             raise ValueError("n_attributes must be at least 2")
         if not (self.domain_size & (self.domain_size - 1)) == 0 or self.domain_size < 2:
@@ -86,10 +87,6 @@ class ExperimentConfig:
             raise ValueError("n_queries and n_repeats must be positive")
         if not self.methods:
             raise ValueError("at least one mechanism must be listed")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be positive")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be positive when set")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be positive")
         validate_query_kinds(self.query_kinds)

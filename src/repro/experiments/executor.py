@@ -40,6 +40,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..mechanisms import build_mechanism
 from ..metrics import (absolute_errors, mean_absolute_error, per_kind_errors,
                        workload_result_errors)
 from ..queries import RangeQuery, query_kind
@@ -108,7 +109,7 @@ def evaluate_cell(config: ExperimentConfig, repeat: int, position: int,
     seeds.
     """
     # Imported lazily: the runner imports this module at load time.
-    from .runner import build_mechanism, fit_sharded
+    from .runner import fit_sharded
 
     dataset = memoized_dataset(config, repeat)
     if queries is None:

@@ -16,56 +16,21 @@ interrupted run already completed.
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from ..baselines import CALM, HIO, LHIO, MSW, Uniform
-from ..core import HDG, IHDG, ITDG, TDG, RangeQueryMechanism
+from ..core import RangeQueryMechanism
 from ..datasets import Dataset
+from ..mechanisms import build_mechanism, shard_seed
 from ..metrics import RepeatedRunSummary
-from ..pipeline import parallel_fit, shard_seed
 from ..queries import RangeQuery
 from .cache import ResultCache, memoized_dataset, memoized_workload
 from .config import ExperimentConfig
 from .executor import (assemble_method_series, execute_grid,
                        validate_equal_workload_lengths)
-
-#: Registry of mechanism constructors keyed by the names used in the paper.
-MECHANISM_FACTORIES: dict[str, Callable[..., RangeQueryMechanism]] = {
-    "Uni": Uniform,
-    "MSW": MSW,
-    "CALM": CALM,
-    "HIO": HIO,
-    "LHIO": LHIO,
-    "TDG": TDG,
-    "HDG": HDG,
-    "ITDG": ITDG,
-    "IHDG": IHDG,
-}
-
-
-def build_mechanism(name: str, epsilon: float, seed: int | None = None,
-                    **kwargs) -> RangeQueryMechanism:
-    """Instantiate a mechanism by its paper name.
-
-    Names of the form ``"HDG(g1,g2)"`` build HDG with explicit
-    granularities (the guideline-verification experiments, Figures 7/16).
-    """
-    if name.startswith("HDG(") and name.endswith(")"):
-        inner = name[len("HDG("):-1]
-        g1_str, g2_str = inner.split(",")
-        kwargs = dict(kwargs)
-        kwargs["granularities"] = (int(g1_str), int(g2_str))
-        return HDG(epsilon, seed=seed, **kwargs)
-    try:
-        factory = MECHANISM_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {name!r}; known: {sorted(MECHANISM_FACTORIES)}"
-        ) from None
-    return factory(epsilon, seed=seed, **kwargs)
 
 
 @dataclass
@@ -98,14 +63,27 @@ def _prepare_dataset(config: ExperimentConfig, repeat: int) -> Dataset:
 
 def fit_sharded(method: str, method_seed: int, kwargs: dict[str, Any],
                 dataset: Dataset, config: ExperimentConfig) -> RangeQueryMechanism:
-    """Collect a shardable mechanism over n_shards parallel user shards."""
-    def factory(shard_index: int) -> RangeQueryMechanism:
-        return build_mechanism(method, config.epsilon,
-                               seed=shard_seed(method_seed, shard_index),
-                               **kwargs)
+    """Collect a shardable mechanism over ``config.n_shards`` user shards.
 
-    return parallel_fit(factory, dataset, n_shards=config.n_shards,
-                        max_workers=config.shard_workers)
+    The users split into contiguous near-equal parts; shard ``i`` runs
+    ``partial_fit`` on its own ``shard_seed(method_seed, i)``-seeded
+    instance (one thread per shard — the numpy collection path releases
+    the GIL), then the shards merge in shard order and finalize once,
+    so the result does not depend on thread scheduling.
+    """
+    n_shards = config.n_shards
+    shards = [build_mechanism(method, config.epsilon,
+                              seed=shard_seed(method_seed, index), **kwargs)
+              for index in range(n_shards)]
+    parts = [Dataset(values, dataset.domain_size)
+             for values in np.array_split(dataset.values, n_shards)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=n_shards) as pool:
+        list(pool.map(lambda shard, part: shard.partial_fit(
+            part, total_users=dataset.n_users), shards, parts))
+    merged = shards[0]
+    for shard in shards[1:]:
+        merged.merge(shard)
+    return merged.finalize()
 
 
 def _prepare_workload(config: ExperimentConfig, repeat: int) -> list[RangeQuery]:

@@ -14,7 +14,7 @@ mechanisms that support sharded aggregation; the serving layer
 from .routing import ConsistentHashRouter, mix64
 from .shared_state import AccumulatorLayout, SharedAccumulatorBlock
 from .tier import IngestError, IngestTier, IngestWorkerError, MergeCoordinator
-from .worker import MECHANISM_CLASSES, WorkerSpec
+from .worker import WorkerSpec
 
 __all__ = [
     "AccumulatorLayout",
@@ -22,7 +22,6 @@ __all__ = [
     "IngestError",
     "IngestTier",
     "IngestWorkerError",
-    "MECHANISM_CLASSES",
     "MergeCoordinator",
     "SharedAccumulatorBlock",
     "WorkerSpec",

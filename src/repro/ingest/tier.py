@@ -42,12 +42,12 @@ import weakref
 
 import numpy as np
 
-from ..pipeline.parallel import shard_seed
+from ..mechanisms import mechanism_class, shard_seed
 from .routing import ConsistentHashRouter
 from .shared_state import (HEADER_BATCHES_DONE, HEADER_FIXED_FIELDS,
                            HEADER_TOTAL_REPORTS, AccumulatorLayout,
                            SharedAccumulatorBlock)
-from .worker import MECHANISM_CLASSES, WorkerSpec, worker_main
+from .worker import WorkerSpec, worker_main
 
 #: Virtual nodes per worker on the consistent-hash ring.
 REPLICAS = 64
@@ -173,7 +173,7 @@ class IngestTier:
         Report schema (must be known up front to size shared memory).
     seed:
         Base seed; worker ``i`` collects under ``shard_seed(seed, i)``
-        (the :func:`repro.pipeline.parallel_fit` convention).
+        (the :func:`repro.mechanisms.shard_seed` convention).
     planning_users:
         Population fed to the granularity guideline when the mechanism
         has no explicit granularity.  Callers that learn it from the
@@ -199,11 +199,7 @@ class IngestTier:
                  worker_states: list | None = None, key_base: int = 0):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        try:
-            self._factory = MECHANISM_CLASSES[mechanism]
-        except KeyError:
-            raise ValueError(f"unknown mechanism {mechanism!r}; "
-                             f"known: {sorted(MECHANISM_CLASSES)}") from None
+        self._factory = mechanism_class(mechanism, sharded=True)
         self.mechanism = mechanism
         self.epsilon = float(epsilon)
         self.n_workers = int(n_workers)
@@ -219,10 +215,6 @@ class IngestTier:
                 "workers; restore with the same worker count")
 
         template = self._factory(self.epsilon, **self._mechanism_kwargs)
-        if not template.supports_sharding:
-            raise ValueError(
-                f"{mechanism} does not support sharded aggregation; a "
-                "refit service buffers its rows in-process instead")
         template.prepare_aggregation(self.n_attributes, self.domain_size,
                                      total_users=planning_users)
         self._slots = template.accumulator_slots()

@@ -1,10 +1,11 @@
 """Collector worker process: the ingest tier's per-core unit.
 
 A worker owns one shared-memory block and one inbound queue.  It holds
-a private mechanism instance (seeded with the same ``shard_seed``
-convention as :func:`repro.pipeline.parallel_fit`) whose accumulator
-slots are bound onto the shared block, so every ``partial_fit`` lands
-directly in memory the merge coordinator can read.
+a private mechanism instance (seeded by the
+:func:`repro.mechanisms.shard_seed` convention that sharded experiment
+runs use too) whose accumulator slots are bound onto the shared block,
+so every ``partial_fit`` lands directly in memory the merge coordinator
+can read.
 
 Protocol over the worker's inbox queue (FIFO, one consumer):
 
@@ -35,28 +36,11 @@ from __future__ import annotations
 import dataclasses
 import traceback
 
-from ..baselines import CALM, HIO, LHIO, MSW, Uniform
-from ..core import HDG, IHDG, ITDG, TDG
 from ..datasets import Dataset
+from ..mechanisms import mechanism_class
 from .shared_state import (HEADER_BATCHES_DONE, HEADER_FIXED_FIELDS,
                            HEADER_LAST_SEQ, HEADER_TOTAL_REPORTS,
                            AccumulatorLayout, SharedAccumulatorBlock)
-
-#: Mechanism classes by paper name, importable from a freshly spawned
-#: worker without touching :mod:`repro.serving` (avoids an import cycle
-#: with the service layer, which itself imports this package).
-MECHANISM_CLASSES: dict[str, type] = {
-    "TDG": TDG,
-    "HDG": HDG,
-    "ITDG": ITDG,
-    "IHDG": IHDG,
-    "CALM": CALM,
-    "HIO": HIO,
-    "LHIO": LHIO,
-    "MSW": MSW,
-    "Uni": Uniform,
-}
-
 
 @dataclasses.dataclass
 class WorkerSpec:
@@ -99,7 +83,7 @@ def worker_main(spec: WorkerSpec, inbox, outbox, lock) -> None:
 
 def _build_collector(spec: WorkerSpec):
     """The worker's mechanism instance, layout pinned, state restored."""
-    factory = MECHANISM_CLASSES[spec.mechanism]
+    factory = mechanism_class(spec.mechanism)
     collector = factory(spec.epsilon, seed=spec.seed,
                         **spec.mechanism_kwargs)
     if spec.initial_state is not None:

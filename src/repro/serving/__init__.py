@@ -45,7 +45,7 @@ from .http import (ServingHTTPServer, ServingRequestHandler, build_server,
 from .service import (SERVICE_SNAPSHOT_FORMAT, SERVICE_SNAPSHOT_VERSION,
                       QueryService, ServiceError, predicate_from_wire,
                       queries_from_wire, query_from_wire, query_to_wire)
-from .snapshot import SNAPSHOT_MECHANISMS, restore_mechanism
+from .snapshot import restore_mechanism
 from .tenants import QuotaExceededError, TenantManager
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "QuotaExceededError",
     "SERVICE_SNAPSHOT_FORMAT",
     "SERVICE_SNAPSHOT_VERSION",
-    "SNAPSHOT_MECHANISMS",
     "ServiceError",
     "ServingHTTPServer",
     "ServingRequestHandler",

@@ -22,10 +22,10 @@ analytical copy).  The ingestor is one of:
   folds the worker state through the same ``merge``/``finalize`` path.
   Results are bitwise identical to the equivalent single-process shard
   plan; see ``docs/ingest.md`` and ``tests/test_distributed_ingest.py``.
-* **refit buffer** (``ingest_mode="refit"``) — *any* snapshotable
-  mechanism name, shardable or not (LHIO, HIO, CALM, MSW, Uni
-  included).  ``ingest`` buffers the raw batches in the service
-  process (``ingest_workers`` is ignored); a re-finalize runs the full
+* **refit buffer** (``ingest_mode="refit"``) — *any* registered
+  mechanism name, shardable or not (LHIO, HIO, MSW, Uni included).
+  ``ingest`` buffers the raw batches in the service process
+  (``ingest_workers`` is ignored); a re-finalize runs the full
   ``fit()`` on a fresh same-seeded instance over everything buffered
   so far and swaps it in.  Refitting from scratch is deterministic in
   (seed, rows), which is what lets the multi-tenant write-ahead-log
@@ -70,13 +70,13 @@ from ..core import RangeQueryMechanism
 from ..core.base import check_state_document
 from ..datasets import Dataset
 from ..ingest import IngestTier
-from ..pipeline.aggregator import SHARDABLE_MECHANISMS
+from ..mechanisms import mechanism_class
 from ..queries import (MarginalQuery, PointQuery, Predicate,
                        PredicateCountQuery, Query, QueryResult, RangeQuery,
                        TopKQuery, query_kind)
 from .epoch import (DEFAULT_ANSWER_CACHE_ENTRIES, AnswerCache,
                     EstimatorEpoch)
-from .snapshot import SNAPSHOT_MECHANISMS, restore_mechanism
+from .snapshot import restore_mechanism
 
 #: Format tag written into serialized service states.
 SERVICE_SNAPSHOT_FORMAT = "repro.service-snapshot"
@@ -263,12 +263,7 @@ class _RefitBuffer:
 
     def __init__(self, name: str, epsilon: float, seed: int | None,
                  kwargs: dict):
-        try:
-            self.factory = SNAPSHOT_MECHANISMS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown mechanism {name!r}; "
-                f"known: {sorted(SNAPSHOT_MECHANISMS)}") from None
+        self.factory = mechanism_class(name)
         self.epsilon = epsilon
         self.seed = seed
         self.kwargs = dict(kwargs)
@@ -343,12 +338,7 @@ class _StreamTier:
 
     def __init__(self, name: str, epsilon: float, seed: int | None,
                  kwargs: dict, workers: int, total_users: int | None):
-        if name not in SNAPSHOT_MECHANISMS:
-            raise ValueError(f"unknown mechanism {name!r}; "
-                             f"known: {sorted(SNAPSHOT_MECHANISMS)}")
-        if not SNAPSHOT_MECHANISMS[name](epsilon, **kwargs).supports_sharding:
-            raise ValueError(f"{name} does not support sharded aggregation; "
-                             "use ingest_mode='refit'")
+        mechanism_class(name, sharded=True)  # fail before the first batch
         self.name = name
         self.epsilon = epsilon
         self.seed = seed
@@ -444,9 +434,9 @@ class QueryService:
     ----------
     mechanism:
         A shardable mechanism name (``"TDG"``, ``"HDG"``, ``"ITDG"``,
-        ``"IHDG"``) or un-fitted shardable instance for streaming mode;
-        any mechanism name with ``ingest_mode="refit"``; or any
-        *fitted* mechanism instance for static serving.
+        ``"IHDG"``, ``"CALM"``) or un-fitted shardable instance for
+        streaming mode; any mechanism name with ``ingest_mode="refit"``;
+        or any *fitted* mechanism instance for static serving.
     epsilon:
         Per-user privacy budget (ignored when an instance is passed).
     seed:
@@ -569,14 +559,7 @@ class QueryService:
                                          mechanism_kwargs, ingest_workers,
                                          total_users)
         else:
-            try:
-                factory = SHARDABLE_MECHANISMS[mechanism]
-            except KeyError:
-                raise ValueError(
-                    f"unknown or non-shardable mechanism {mechanism!r}; "
-                    f"known: {sorted(SHARDABLE_MECHANISMS)} "
-                    "(any snapshotable mechanism works with "
-                    "ingest_mode='refit')") from None
+            factory = mechanism_class(mechanism, sharded=True)
             self._ingestor = _InlineCollector(
                 factory(epsilon, seed=seed, **mechanism_kwargs), total_users)
 

@@ -16,33 +16,20 @@ mechanism).
 
 from __future__ import annotations
 
-from ..baselines import CALM, HIO, LHIO, MSW, Uniform
-from ..core import HDG, IHDG, ITDG, TDG, RangeQueryMechanism
+from ..core import RangeQueryMechanism
 from ..core.base import (MECHANISM_STATE_FORMAT, MECHANISM_STATE_VERSION,
                          check_state_document)
-
-#: Snapshotable mechanisms by paper name (every mechanism in the
-#: library implements the save_state/load_state hooks).
-SNAPSHOT_MECHANISMS: dict[str, type] = {
-    "TDG": TDG,
-    "HDG": HDG,
-    "ITDG": ITDG,
-    "IHDG": IHDG,
-    "CALM": CALM,
-    "HIO": HIO,
-    "LHIO": LHIO,
-    "MSW": MSW,
-    "Uni": Uniform,
-}
+from ..mechanisms import mechanism_class
 
 
 def restore_mechanism(state: dict,
                       seed: int | None = None) -> RangeQueryMechanism:
     """Rebuild a fitted mechanism from a ``save_state`` document.
 
-    The instance is constructed from the registry entry for
-    ``state["mechanism"]`` with the constructor keyword arguments the
-    document recorded (``state["config"]``), then the fitted state —
+    The instance is constructed from the
+    :data:`repro.mechanisms.MECHANISMS` entry for ``state["mechanism"]``
+    with the constructor keyword arguments the document recorded
+    (``state["config"]``), then the fitted state —
     grids, matrices, caches and the RNG stream — is loaded, so the
     restored estimator answers bitwise identically to the saved one.
     ``seed`` only seeds the throwaway pre-restore generator; the saved
@@ -50,12 +37,7 @@ def restore_mechanism(state: dict,
     """
     check_state_document(state, MECHANISM_STATE_FORMAT,
                          MECHANISM_STATE_VERSION)
-    name = state["mechanism"]
-    try:
-        factory = SNAPSHOT_MECHANISMS[name]
-    except KeyError:
-        raise ValueError(f"unknown mechanism in state: {name!r}; "
-                         f"known: {sorted(SNAPSHOT_MECHANISMS)}") from None
+    factory = mechanism_class(state["mechanism"])
     config = dict(state.get("config", {}))
     mechanism = factory(float(state["epsilon"]), seed=seed, **config)
     return mechanism.load_state(state)

@@ -60,36 +60,6 @@ def test_run_command_with_shards(capsys):
     exit_code = main(["run", "--dataset", "normal", "--n-users", "4000",
                       "--n-attributes", "3", "--domain-size", "16",
                       "--n-queries", "10", "--methods", "HDG",
-                      "--shards", "2", "--shard-workers", "2"])
+                      "--shards", "2"])
     assert exit_code == 0
     assert "MAE" in capsys.readouterr().out
-
-
-def test_shard_demo_command(capsys):
-    exit_code = main(["shard-demo", "--dataset", "normal", "--n-users", "4000",
-                      "--n-attributes", "3", "--domain-size", "16",
-                      "--n-queries", "10", "--shards", "2"])
-    assert exit_code == 0
-    output = capsys.readouterr().out
-    assert "single-shot fit" in output
-    assert "2 shards merged" in output
-
-
-def test_shard_demo_save_state_and_merge(tmp_path, capsys):
-    state_dir = tmp_path / "shards"
-    exit_code = main(["shard-demo", "--dataset", "normal", "--n-users", "4000",
-                      "--n-attributes", "3", "--domain-size", "16",
-                      "--n-queries", "5", "--shards", "2", "--mechanism", "TDG",
-                      "--save-state", str(state_dir)])
-    assert exit_code == 0
-    states = sorted(state_dir.glob("shard*.json"))
-    assert len(states) == 2
-
-    merged_path = tmp_path / "merged.json"
-    exit_code = main(["merge"] + [str(p) for p in states]
-                     + ["--output", str(merged_path), "--finalize"])
-    assert exit_code == 0
-    output = capsys.readouterr().out
-    assert "merged: 4000 reports over 2 shards" in output
-    assert "finalized TDG" in output
-    assert merged_path.exists()

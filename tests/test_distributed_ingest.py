@@ -31,8 +31,7 @@ import pytest
 
 from repro.datasets import Dataset
 from repro.ingest import ConsistentHashRouter, IngestTier
-from repro.ingest.worker import MECHANISM_CLASSES
-from repro.pipeline.parallel import shard_seed
+from repro.mechanisms import MECHANISMS, shard_seed
 from repro.serving import QueryService
 from repro.storage import BACKENDS
 
@@ -72,7 +71,7 @@ def _reference_shard_plan(mechanism: str, batches: list[np.ndarray],
                           planning_users: int):
     """Single-process execution of the tier's exact shard plan."""
     router = ConsistentHashRouter(N_WORKERS, seed=SEED)
-    factory = MECHANISM_CLASSES[mechanism]
+    factory = MECHANISMS[mechanism]
     workers = []
     for index in range(N_WORKERS):
         worker = factory(EPSILON, seed=shard_seed(SEED, index))

@@ -24,8 +24,9 @@ from repro.datasets import Dataset, make_dataset
 from repro.estimation.weighted_update import (Constraint, weighted_update,
                                               weighted_update_batch)
 from repro.queries import MarginalQuery, WorkloadGenerator
-from repro.serving import (SNAPSHOT_MECHANISMS, AnswerCache, QueryService,
-                           ServiceError, TenantManager, build_server)
+from repro.mechanisms import MECHANISMS
+from repro.serving import (AnswerCache, QueryService, ServiceError,
+                           TenantManager, build_server)
 from repro.storage import DirectoryBackend
 
 DOMAIN = 16
@@ -61,7 +62,7 @@ def _small_workload() -> list:
 # ----------------------------------------------------------------------
 # Bitwise identity: epoch path vs the estimator, every mechanism
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_epoch_answers_bitwise_identical_to_direct(name, epoch_dataset,
                                                    range_workload):
     """Twin same-seeded instances: one served through the epoch read
@@ -69,8 +70,8 @@ def test_epoch_answers_bitwise_identical_to_direct(name, epoch_dataset,
     run the identical call sequence, so even the noise-drawing
     mechanisms (HIO/LHIO) must match bit for bit — including the
     second, cache-hitting pass."""
-    served = SNAPSHOT_MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
-    direct = SNAPSHOT_MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
+    served = MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
+    direct = MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
     service = QueryService(served)
     for _ in range(2):  # second pass answers from the cache
         assert np.array_equal(service.query(range_workload),
@@ -84,8 +85,8 @@ def test_epoch_answers_bitwise_identical_to_direct(name, epoch_dataset,
 
 
 def test_epoch_typed_and_wire_match_direct(epoch_dataset):
-    served = SNAPSHOT_MECHANISMS["HDG"](1.0, seed=5).fit(epoch_dataset)
-    direct = SNAPSHOT_MECHANISMS["HDG"](1.0, seed=5).fit(epoch_dataset)
+    served = MECHANISMS["HDG"](1.0, seed=5).fit(epoch_dataset)
+    direct = MECHANISMS["HDG"](1.0, seed=5).fit(epoch_dataset)
     service = QueryService(served)
     generator = WorkloadGenerator(3, DOMAIN, rng=np.random.default_rng(2))
     workload = generator.random_workload(3, 2, 0.5) + [MarginalQuery((0, 1))]
@@ -368,7 +369,7 @@ def test_concurrent_readers_impure_mechanism(epoch_dataset, range_workload):
     """HIO answers draw lazy noise: the per-epoch answering lock must
     keep concurrent readers deterministic (repeat answering of a fixed
     epoch is memoized, so every read of one workload agrees)."""
-    served = SNAPSHOT_MECHANISMS["HIO"](1.0, seed=7).fit(epoch_dataset)
+    served = MECHANISMS["HIO"](1.0, seed=7).fit(epoch_dataset)
     service = QueryService(served)
     assert not service.read_epoch().answering_is_pure
     reference = service.query(range_workload).copy()
@@ -475,7 +476,7 @@ def test_answer_independent_of_batch_composition(name, composition_dataset):
     single-query paths — is bitwise equal to its answer inside a
     random mixed-λ (1–4) workload.  LHIO is impure only through lazy
     levels, and at this domain size every level is materialised."""
-    mechanism = SNAPSHOT_MECHANISMS[name](1.0, seed=7).fit(
+    mechanism = MECHANISMS[name](1.0, seed=7).fit(
         composition_dataset)
     if name == "LHIO":
         assert not any(pair_hierarchy.lazy_groups

@@ -12,6 +12,7 @@ The pipeline's contract has an exact half and a statistical half:
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -20,17 +21,19 @@ import pytest
 from repro.core import HDG, TDG
 from repro.datasets import Dataset, make_dataset
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.cache import memoized_dataset, memoized_workload
+from repro.experiments.runner import fit_sharded
 from repro.frequency_oracles import (GeneralizedRandomizedResponse,
                                      OptimizedLocalHash, SquareWave,
                                      SupportAccumulator)
+from repro.mechanisms import MECHANISMS, shard_seed
 from repro.metrics import mean_absolute_error
-from repro.pipeline import (ParallelFitReport, ShardAggregator,
-                            merge_aggregators, parallel_fit, shard_dataset)
 from repro.queries import WorkloadGenerator, answer_workload
 
 
 def _split(dataset: Dataset, n_shards: int) -> list[Dataset]:
-    return shard_dataset(dataset, n_shards)
+    return [Dataset(part, dataset.domain_size)
+            for part in np.array_split(dataset.values, n_shards)]
 
 
 # ----------------------------------------------------------------------
@@ -243,133 +246,139 @@ def test_baselines_report_no_sharding_support(tiny_dataset):
         mechanism.partial_fit(tiny_dataset)
 
 
-# ----------------------------------------------------------------------
-# ShardAggregator
-# ----------------------------------------------------------------------
-def test_shard_aggregator_end_to_end(small_dataset, workload_2d):
-    shards = _split(small_dataset, 2)
-    aggregators = [
-        ShardAggregator("HDG", epsilon=1.0, total_users=small_dataset.n_users,
-                        seed=i).add_batch(shard)
-        for i, shard in enumerate(shards)]
-    merged = merge_aggregators(aggregators)
-    assert merged.n_reports == small_dataset.n_users
-    mechanism = merged.finalize()
+def test_mechanism_single_use_after_finalize(tiny_dataset):
+    mechanism = TDG(1.0, seed=0).partial_fit(tiny_dataset).finalize()
+    with pytest.raises(RuntimeError):
+        mechanism.partial_fit(tiny_dataset)
+    with pytest.raises(RuntimeError):
+        mechanism.finalize()
+
+
+def test_sharded_collection_end_to_end(small_dataset, workload_2d):
+    n = small_dataset.n_users
+    shards = [HDG(1.0, seed=i).partial_fit(shard, total_users=n)
+              for i, shard in enumerate(_split(small_dataset, 2))]
+    merged = shards[0].merge(shards[1])
+    assert merged._total_reports == n
+    merged.finalize()
     truths = answer_workload(small_dataset, workload_2d)
-    mae = mean_absolute_error(mechanism.answer_workload(workload_2d), truths)
+    mae = mean_absolute_error(merged.answer_workload(workload_2d), truths)
     assert mae < 0.15
 
 
-def test_shard_aggregator_accepts_raw_arrays(tiny_dataset):
-    aggregator = ShardAggregator("TDG", epsilon=1.0, seed=0)
-    aggregator.add_batch(tiny_dataset.values, domain_size=tiny_dataset.domain_size)
-    assert aggregator.n_reports == tiny_dataset.n_users
-    with pytest.raises(ValueError):
-        aggregator.add_batch(tiny_dataset.values)  # domain_size required
-
-
-def test_shard_aggregator_rejects_unknown_mechanism():
-    with pytest.raises(ValueError, match="non-shardable"):
-        ShardAggregator("Uni", epsilon=1.0)
-
-
-def test_shard_aggregator_single_use(tiny_dataset):
-    aggregator = ShardAggregator("TDG", epsilon=1.0, seed=0)
-    aggregator.add_batch(tiny_dataset)
-    aggregator.finalize()
-    with pytest.raises(RuntimeError):
-        aggregator.add_batch(tiny_dataset)
-    with pytest.raises(RuntimeError):
-        aggregator.finalize()
-
-
 @pytest.mark.parametrize("mechanism", ["TDG", "HDG"])
-def test_shard_state_json_roundtrip(tmp_path, tiny_dataset, mechanism):
-    aggregator = ShardAggregator(mechanism, epsilon=1.0, seed=3)
-    aggregator.add_batch(tiny_dataset)
-    path = aggregator.save(tmp_path / "shard.json")
-    restored = ShardAggregator.load(path)
-    assert restored.n_reports == aggregator.n_reports
-    state, restored_state = aggregator.state_dict(), restored.state_dict()
-    assert restored_state == state
-    # The restored aggregator finalises into a working mechanism.
-    restored.finalize()
-    assert restored.mechanism.is_fitted
+def test_shard_state_json_roundtrip(tiny_dataset, mechanism):
+    factory = MECHANISMS[mechanism]
+    collector = factory(1.0, seed=3).partial_fit(tiny_dataset)
+    state = json.loads(json.dumps(collector.shard_state()))
+    restored = factory(1.0).load_shard_state(state)
+    assert restored.shard_state() == collector.shard_state()
+    # The restored collector finalises into a working mechanism.
+    assert restored.finalize().is_fitted
 
 
-def test_state_dict_rejects_wrong_format():
-    with pytest.raises(ValueError, match="format"):
-        ShardAggregator.from_state_dict({"format": "something-else"})
-
-
-# ----------------------------------------------------------------------
-# parallel_fit
-# ----------------------------------------------------------------------
-def test_shard_dataset_partitions_users(small_dataset):
-    shards = shard_dataset(small_dataset, 4)
-    assert sum(shard.n_users for shard in shards) == small_dataset.n_users
-    assert np.array_equal(np.vstack([s.values for s in shards]),
-                          small_dataset.values)
-
-
-def test_parallel_fit_uses_two_workers_concurrently(tiny_dataset):
-    """Both pool workers must be inside partial_fit at the same time."""
-    barrier = threading.Barrier(2, timeout=30)
-
-    class SynchronisedTDG(TDG):
-        def _partial_fit(self, dataset, total_users):
-            barrier.wait()
-            super()._partial_fit(dataset, total_users)
-
-    report = ParallelFitReport(n_shards=0, max_workers=0)
-    mechanism = parallel_fit(lambda i: SynchronisedTDG(1.0, seed=i),
-                             tiny_dataset, n_shards=2, max_workers=2,
-                             report=report)
-    assert mechanism.is_fitted
-    assert report.max_workers == 2
-    assert report.n_workers_used == 2
-    assert sum(report.shard_sizes) == tiny_dataset.n_users
-
-
-def test_parallel_fit_report_carries_premerge_shard_states(tiny_dataset):
-    report = ParallelFitReport(n_shards=0, max_workers=0)
-    mechanism = parallel_fit(lambda i: TDG(1.0, seed=i), tiny_dataset,
-                             n_shards=3, report=report)
-    assert len(report.shard_states) == 3
-    assert sum(state["total_reports"] for state in report.shard_states) \
-        == tiny_dataset.n_users
-    # The saved states rebuild aggregators that merge into the same counts
-    # the returned mechanism was finalised from.
-    aggregators = [ShardAggregator.from_state_dict(
-        {**state, "format": "repro.shard-state", "version": 1})
-        for state in report.shard_states]
-    rebuilt = merge_aggregators(aggregators).finalize()
-    for pair in mechanism.grids:
-        assert np.array_equal(mechanism.grids[pair].frequencies,
+def test_shard_states_rebuild_the_merged_estimate(tiny_dataset):
+    """Pre-merge shard states, moved as documents and merged in order,
+    finalise to the same counts as merging the live shards."""
+    n = tiny_dataset.n_users
+    shards = [TDG(1.0, seed=i).partial_fit(part, total_users=n)
+              for i, part in enumerate(_split(tiny_dataset, 3))]
+    states = [json.loads(json.dumps(shard.shard_state())) for shard in shards]
+    live = shards[0]
+    for shard in shards[1:]:
+        live.merge(shard)
+    live.finalize()
+    rebuilt = TDG(1.0).load_shard_state(states[0])
+    for state in states[1:]:
+        rebuilt.merge(TDG(1.0).load_shard_state(state))
+    rebuilt.finalize()
+    for pair in live.grids:
+        assert np.array_equal(live.grids[pair].frequencies,
                               rebuilt.grids[pair].frequencies)
 
 
+# ----------------------------------------------------------------------
+# fit_sharded: the runner's sharded collection
+# ----------------------------------------------------------------------
+def _shard_config(dataset: Dataset, n_shards: int) -> ExperimentConfig:
+    return ExperimentConfig(n_users=dataset.n_users,
+                            n_attributes=dataset.n_attributes,
+                            domain_size=dataset.domain_size,
+                            n_shards=n_shards)
+
+
+def test_fit_sharded_runs_one_thread_per_shard(tiny_dataset, monkeypatch):
+    """Both shard threads must be inside partial_fit at the same time."""
+    barrier = threading.Barrier(2, timeout=30)
+    threads = set()
+
+    class SynchronisedTDG(TDG):
+        def _partial_fit(self, dataset, total_users):
+            threads.add(threading.current_thread().name)
+            barrier.wait()
+            super()._partial_fit(dataset, total_users)
+
+    monkeypatch.setitem(MECHANISMS, "TDG", SynchronisedTDG)
+    mechanism = fit_sharded("TDG", 0, {}, tiny_dataset,
+                            _shard_config(tiny_dataset, 2))
+    assert isinstance(mechanism, SynchronisedTDG) and mechanism.is_fitted
+    assert len(threads) == 2
+    assert mechanism._total_reports == tiny_dataset.n_users
+
+
 def test_shard_seed_never_collides_with_base():
-    from repro.pipeline import shard_seed
     assert shard_seed(0, 0) != 0
     assert len({shard_seed(0, i) for i in range(100)}) == 100
 
 
-def test_parallel_fit_deterministic_for_fixed_seeds(tiny_dataset):
-    def factory(index):
-        return HDG(1.0, seed=50 + 977 * index)
-
-    first = parallel_fit(factory, tiny_dataset, n_shards=3, max_workers=2)
-    second = parallel_fit(factory, tiny_dataset, n_shards=3, max_workers=2)
+def test_fit_sharded_deterministic_for_fixed_seeds(tiny_dataset):
+    config = _shard_config(tiny_dataset, 3)
+    first = fit_sharded("HDG", 50, {}, tiny_dataset, config)
+    second = fit_sharded("HDG", 50, {}, tiny_dataset, config)
     for pair in first.response_matrices:
         assert np.array_equal(first.response_matrices[pair],
                               second.response_matrices[pair])
 
 
-def test_parallel_fit_rejects_non_shardable(tiny_dataset):
-    from repro.baselines import Uniform
-    with pytest.raises(ValueError, match="sharded"):
-        parallel_fit(lambda i: Uniform(1.0, seed=i), tiny_dataset, n_shards=2)
+def test_fit_sharded_matches_hand_written_protocol_loop():
+    """Oracle: run_experiment(n_shards=3) == array_split -> partial_fit ->
+    ordered merge -> finalize, written out by hand."""
+    config = ExperimentConfig(dataset="normal", n_users=6_000, n_attributes=3,
+                              domain_size=16, n_queries=20,
+                              methods=("Uni", "TDG", "CALM", "HDG"), seed=4,
+                              n_shards=3)
+    result = run_experiment(config)
+    dataset = memoized_dataset(config, 0)
+    queries = memoized_workload(config, 0)
+    truths = answer_workload(dataset, queries)
+    for position, method in enumerate(config.methods):
+        if method == "Uni":
+            continue
+        method_seed = config.seed + position
+        shards = [MECHANISMS[method](config.epsilon,
+                                     seed=shard_seed(method_seed, index))
+                  for index in range(config.n_shards)]
+        for shard, part in zip(shards, np.array_split(dataset.values, 3)):
+            shard.partial_fit(Dataset(part, dataset.domain_size),
+                              total_users=dataset.n_users)
+        merged = shards[0]
+        for shard in shards[1:]:
+            merged.merge(shard)
+        merged.finalize()
+        estimates = merged.answer_workload(queries)
+        assert result.mae_of(method) == mean_absolute_error(estimates, truths)
+
+
+def test_run_experiment_non_shardable_falls_back_to_fit():
+    """Mechanisms without partial_fit ignore n_shards: same MAE as 1."""
+    config = ExperimentConfig(dataset="normal", n_users=4_000, n_attributes=3,
+                              domain_size=16, n_queries=10,
+                              methods=("Uni", "MSW", "TDG"), seed=2)
+    single = run_experiment(config)
+    sharded = run_experiment(config.with_overrides(n_shards=3))
+    for method in ("Uni", "MSW"):
+        assert sharded.mae_of(method) == single.mae_of(method)
+    assert sharded.mae_of("TDG") != single.mae_of("TDG")
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +388,7 @@ def test_run_experiment_with_shards():
     config = ExperimentConfig(dataset="normal", n_users=8_000, n_attributes=3,
                               domain_size=16, epsilon=1.0, query_dimension=2,
                               volume=0.5, n_queries=15, n_repeats=1,
-                              methods=("Uni", "HDG"), seed=0,
-                              n_shards=2, shard_workers=2)
+                              methods=("Uni", "HDG"), seed=0, n_shards=2)
     result = run_experiment(config)
     assert set(result.methods) == {"Uni", "HDG"}
     # Uni has no sharding support and silently falls back to fit().
@@ -402,6 +410,6 @@ def test_config_validates_shard_fields():
     config = ExperimentConfig(n_shards=0)
     with pytest.raises(ValueError, match="n_shards"):
         config.validate()
-    config = ExperimentConfig(shard_workers=0)
-    with pytest.raises(ValueError, match="shard_workers"):
+    config = ExperimentConfig(n_users=10, n_shards=11)
+    with pytest.raises(ValueError, match="n_shards"):
         config.validate()

@@ -23,7 +23,7 @@ from repro.queries import (QUERY_KINDS, DistributionResult, MarginalQuery,
                            TopKQuery, TopKResult, WorkloadGenerator,
                            answer_workload, evaluate_query, evaluate_workload,
                            query_kind, top_k_cells)
-from repro.serving import SNAPSHOT_MECHANISMS
+from repro.mechanisms import MECHANISMS
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def ir_dataset() -> Dataset:
 def fitted(ir_dataset):
     """One fitted instance per mechanism, shared across this module."""
     return {name: factory(1.0, seed=9).fit(ir_dataset)
-            for name, factory in SNAPSHOT_MECHANISMS.items()}
+            for name, factory in MECHANISMS.items()}
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_answer_workload_rejects_typed_queries(ir_dataset):
 # ----------------------------------------------------------------------
 # The property: every mechanism, every kind, one answering stack
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_marginal_matches_degenerate_ranges(name, fitted, ir_dataset):
     mechanism = fitted[name]
     query = MarginalQuery((0, 2))
@@ -238,7 +238,7 @@ def test_marginal_matches_degenerate_ranges(name, fitted, ir_dataset):
     np.testing.assert_allclose(result.values.ravel(), flat, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_point_and_count_match_equivalent_range(name, fitted, ir_dataset):
     mechanism = fitted[name]
     point = PointQuery(((0, 3), (1, 12)))
@@ -252,7 +252,7 @@ def test_point_and_count_match_equivalent_range(name, fitted, ir_dataset):
     assert mechanism.population == ir_dataset.n_users
 
 
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_topk_is_norm_sub_of_the_estimated_marginal(name, fitted):
     mechanism = fitted[name]
     top = mechanism.answer(TopKQuery((1, 2), k=5))
@@ -264,7 +264,7 @@ def test_topk_is_norm_sub_of_the_estimated_marginal(name, fitted):
     np.testing.assert_allclose(top.values, values, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_mixed_workload_through_answer_workload(name, fitted, ir_dataset):
     generator = WorkloadGenerator(3, 16, rng=np.random.default_rng(21))
     mixed = generator.mixed_workload(10, 2, 0.5)
@@ -293,7 +293,7 @@ def test_legacy_engine_matches_batch_for_typed_queries(fitted):
 
 
 def test_answer_typed_caches_compiled_plans(ir_dataset):
-    mechanism = SNAPSHOT_MECHANISMS["TDG"](1.0, seed=0).fit(ir_dataset)
+    mechanism = MECHANISMS["TDG"](1.0, seed=0).fit(ir_dataset)
     workload = [MarginalQuery((0, 1)), PointQuery(((2, 5),))]
     first = mechanism.answer_typed(workload)
     assert len(mechanism._typed_plan_cache) == 1
@@ -309,7 +309,7 @@ def test_answer_typed_caches_compiled_plans(ir_dataset):
 
 
 def test_capability_dispatch_on_mechanisms(ir_dataset):
-    class RangeOnlyTDG(SNAPSHOT_MECHANISMS["TDG"]):
+    class RangeOnlyTDG(MECHANISMS["TDG"]):
         query_capabilities = frozenset({"range"})
 
     mechanism = RangeOnlyTDG(1.0, seed=0).fit(ir_dataset)
@@ -322,10 +322,10 @@ def test_capability_dispatch_on_mechanisms(ir_dataset):
 
 
 def test_count_query_needs_population_after_pre_ir_snapshot(ir_dataset):
-    mechanism = SNAPSHOT_MECHANISMS["MSW"](1.0, seed=0).fit(ir_dataset)
+    mechanism = MECHANISMS["MSW"](1.0, seed=0).fit(ir_dataset)
     state = mechanism.save_state()
     del state["n_reports"]  # simulate a pre-IR snapshot document
-    restored = SNAPSHOT_MECHANISMS["MSW"](1.0).load_state(state)
+    restored = MECHANISMS["MSW"](1.0).load_state(state)
     assert restored.population is None
     with pytest.raises(ValueError, match="no population"):
         restored.answer(PredicateCountQuery((Predicate(0, 0, 3),)))
@@ -340,16 +340,16 @@ def test_grid_mechanisms_recover_population_from_pre_ir_snapshots(
         name, ir_dataset):
     """TDG/HDG payloads always carried total_reports; a pre-IR snapshot
     (no top-level n_reports) restores a usable population from it."""
-    mechanism = SNAPSHOT_MECHANISMS[name](1.0, seed=0).fit(ir_dataset)
+    mechanism = MECHANISMS[name](1.0, seed=0).fit(ir_dataset)
     state = mechanism.save_state()
     del state["n_reports"]
-    restored = SNAPSHOT_MECHANISMS[name](1.0).load_state(state)
+    restored = MECHANISMS[name](1.0).load_state(state)
     assert restored.population == ir_dataset.n_users
     result = restored.answer(PredicateCountQuery((Predicate(0, 0, 3),)))
     assert result.population == ir_dataset.n_users
 
 
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_snapshot_restore_answers_mixed_workloads_bitwise(name, fitted):
     """Typed answers survive save_state/load_state bit-for-bit."""
     import json

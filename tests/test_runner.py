@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import HDG
-from repro.experiments import (ExperimentConfig, build_mechanism,
-                               run_experiment, sweep_parameter)
+from repro.experiments import (ExperimentConfig, run_experiment,
+                               sweep_parameter)
+from repro.mechanisms import build_mechanism
 
 
 TINY = ExperimentConfig(dataset="normal", n_users=5_000, n_attributes=3,

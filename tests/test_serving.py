@@ -24,9 +24,10 @@ from repro import (CALM, HDG, HIO, IHDG, ITDG, LHIO, MSW, TDG, Uniform,
                    WorkloadGenerator, make_dataset)
 from repro.cli import main
 from repro.datasets import Dataset
-from repro.serving import (SNAPSHOT_MECHANISMS, QueryService, ServiceError,
-                           TenantManager, build_server, queries_from_wire,
-                           query_from_wire, query_to_wire, restore_mechanism)
+from repro.mechanisms import MECHANISMS
+from repro.serving import (QueryService, ServiceError, TenantManager,
+                           build_server, queries_from_wire, query_from_wire,
+                           query_to_wire, restore_mechanism)
 from repro.serving.http import MAX_BODY_BYTES
 from repro.storage import DEFAULT_TENANT, DirectoryBackend
 
@@ -48,10 +49,10 @@ def mixed_workload() -> list:
 # ----------------------------------------------------------------------
 # Snapshot round trip: the bitwise property, for every mechanism
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_MECHANISMS))
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_snapshot_round_trip_is_bitwise_identical(name, serving_dataset,
                                                   mixed_workload):
-    mechanism = SNAPSHOT_MECHANISMS[name](1.0, seed=7).fit(serving_dataset)
+    mechanism = MECHANISMS[name](1.0, seed=7).fit(serving_dataset)
     # Serialize through an actual JSON string: proves the document is
     # plain JSON and that float round-tripping is exact.
     state = json.loads(json.dumps(mechanism.save_state()))
@@ -65,7 +66,7 @@ def test_snapshot_round_trip_is_bitwise_identical(name, serving_dataset,
 def test_snapshot_round_trip_stays_bitwise_on_repeat_answering(
         name, serving_dataset, mixed_workload):
     """Noise-drawing mechanisms keep matching across *multiple* workloads."""
-    mechanism = SNAPSHOT_MECHANISMS[name](1.0, seed=3).fit(serving_dataset)
+    mechanism = MECHANISMS[name](1.0, seed=3).fit(serving_dataset)
     restored = restore_mechanism(
         json.loads(json.dumps(mechanism.save_state())))
     for _ in range(2):
@@ -74,7 +75,7 @@ def test_snapshot_round_trip_stays_bitwise_on_repeat_answering(
 
 
 def test_every_mechanism_reports_snapshot_support():
-    for name, factory in SNAPSHOT_MECHANISMS.items():
+    for name, factory in MECHANISMS.items():
         assert factory(1.0).supports_snapshot, name
 
 
