@@ -1,11 +1,13 @@
 """Ingest-tier scaling: reports/sec vs collector worker count.
 
 The distributed ingest tier (:mod:`repro.ingest`) routes reports to N
-collector processes that ``partial_fit`` into shared-memory
+collector processes that each ``partial_fit`` into their own
 accumulators, so collection throughput should scale with workers until
 the router/queue machinery saturates.  This benchmark pushes one
 synthetic population through tiers of growing worker counts and
-reports reports/sec plus the speedup over one worker.
+reports reports/sec plus the speedup over one worker, and times one
+``merge()`` per worker count (the state exchange plus the fold and
+``finalize``) as ``merge ms``.
 
 Run directly::
 
@@ -67,8 +69,9 @@ def batch_size_for(n_users: int, workers: int,
 
 def time_ingest(mechanism: str, epsilon: float, workers: int,
                 rows: np.ndarray, domain_size: int, batch_size: int,
-                seed: int) -> float:
-    """Wall seconds to route + collect every row through one tier."""
+                seed: int) -> tuple[float, float]:
+    """Wall seconds to route + collect every row through one tier,
+    then to merge the collected tier once."""
     tier = IngestTier(mechanism, epsilon, n_workers=workers,
                       n_attributes=rows.shape[1], domain_size=domain_size,
                       seed=seed, planning_users=rows.shape[0],
@@ -83,9 +86,12 @@ def time_ingest(mechanism: str, epsilon: float, workers: int,
             raise RuntimeError(
                 f"tier absorbed {tier.reports_total} of {rows.shape[0]} "
                 "reports")
+        started = time.perf_counter()
+        tier.merge()
+        merge_seconds = time.perf_counter() - started
     finally:
         tier.close()
-    return elapsed
+    return elapsed, merge_seconds
 
 
 def run(n_users: int, epsilon: float, n_attributes: int, domain_size: int,
@@ -98,21 +104,24 @@ def run(n_users: int, epsilon: float, n_attributes: int, domain_size: int,
              f"c={domain_size} eps={epsilon} "
              f"batch={batch_size or 'auto'} cpus={cpus}",
              f"{'workers':>8}  {'batch':>8}  {'seconds':>10}  "
-             f"{'reports/sec':>12}  {'speedup':>8}"]
+             f"{'reports/sec':>12}  {'speedup':>8}  {'merge ms':>9}"]
     rates: dict[str, float] = {}
+    merge_ms: dict[str, float] = {}
     batch_sizes: dict[str, int] = {}
     base_rate = None
     for workers in worker_counts:
         batch = batch_size_for(n_users, workers, batch_size)
         batch_sizes[str(workers)] = batch
-        seconds = time_ingest(mechanism, epsilon, workers, rows,
-                              domain_size, batch, seed)
+        seconds, merge_seconds = time_ingest(mechanism, epsilon, workers,
+                                             rows, domain_size, batch, seed)
         rate = n_users / seconds
         if base_rate is None:
             base_rate = rate
         rates[str(workers)] = round(rate, 1)
+        merge_ms[str(workers)] = round(1000 * merge_seconds, 2)
         lines.append(f"{workers:>8}  {batch:>8}  {seconds:>10.3f}  "
-                     f"{rate:>12.0f}  {rate / base_rate:>7.2f}x")
+                     f"{rate:>12.0f}  {rate / base_rate:>7.2f}x  "
+                     f"{1000 * merge_seconds:>9.2f}")
     speedup_at_4 = (rates.get("4", 0.0) / rates["1"]) if "1" in rates else None
     text = "\n".join(lines)
     entry = {
@@ -126,6 +135,7 @@ def run(n_users: int, epsilon: float, n_attributes: int, domain_size: int,
         "cpus": cpus,
         "smoke": smoke,
         "reports_per_second": rates,
+        "merge_ms": merge_ms,
         "speedup_at_4_workers": (round(speedup_at_4, 2)
                                  if speedup_at_4 else None),
     }

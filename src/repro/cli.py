@@ -13,8 +13,8 @@ Seven subcommands mirror how the library is typically used:
     (d, lg n, ε) settings — the paper's Table 2.
 ``ingest-demo``
     Drive the multi-process ingest tier (:mod:`repro.ingest`) once:
-    route a synthetic dataset to N collector workers over shared-memory
-    accumulators, print per-worker back-pressure metrics, merge and
+    route a synthetic dataset to N collector worker processes, print
+    per-worker back-pressure metrics, merge their shard states and
     answer a sample query.
 ``serve``
     Run the long-lived JSON-over-HTTP query service
@@ -214,7 +214,7 @@ def _command_ingest_demo(args: argparse.Namespace) -> int:
                   f"{worker['reports_done']} reports over "
                   f"{worker['batches_done']} batches "
                   f"(queue depth {worker['queue_depth']})")
-        estimator = tier.coordinator.merge()
+        estimator = tier.merge()
         merge = tier.metrics()["merge"]
         print(f"  merged + finalized in {merge['last_merge_seconds']:.2f}s "
               f"(merge lag now {merge['merge_lag_reports']} reports)")
@@ -530,9 +530,8 @@ def _add_serving_mechanism_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ingest-workers", type=int, default=None,
                         metavar="N",
                         help="run stream ingest through N collector worker "
-                             "processes over shared-memory accumulators "
-                             "(default: in-process ingest; refit ingest "
-                             "ignores it; see docs/ingest.md)")
+                             "processes (default: in-process ingest; refit "
+                             "ingest ignores it; see docs/ingest.md)")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--plan-cache-entries", type=int, default=None,
@@ -595,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ingest_parser = subparsers.add_parser(
         "ingest-demo",
-        help="drive the multi-process shared-memory ingest tier once")
+        help="drive the multi-process ingest tier once")
     ingest_parser.add_argument("--mechanism", default="HDG",
                                choices=_SHARDABLE,
                                help="mechanism to collect (the tier runs "

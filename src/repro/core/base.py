@@ -33,7 +33,11 @@ support an incremental, shard-mergeable protocol:
 ``fit(data)`` is a thin wrapper equivalent to
 ``partial_fit(data); finalize()``.  Mechanisms that only implement the
 one-shot protocol raise :class:`NotImplementedError` from the sharded
-entry points and report ``supports_sharding == False``.
+entry points and report ``supports_sharding == False``.  Un-finalised
+state crosses process boundaries as a plain ``shard_state`` document
+that ``load_shard_state`` restores into a fresh instance; the ingest
+tier's collector workers reply with exactly that, and the parent
+folds the replies with ``merge``.
 
 Fitted mechanisms additionally serialize to portable snapshot
 documents: :meth:`RangeQueryMechanism.save_state` captures everything
@@ -239,7 +243,7 @@ class RangeQueryMechanism(abc.ABC):
         return type(self)._partial_fit is not RangeQueryMechanism._partial_fit
 
     # ------------------------------------------------------------------
-    # Shared-memory accumulator views (distributed ingest tier)
+    # Aggregation layout (distributed ingest tier)
     # ------------------------------------------------------------------
     def prepare_aggregation(self, n_attributes: int, domain_size: int,
                             total_users: int | None = None
@@ -247,10 +251,10 @@ class RangeQueryMechanism(abc.ABC):
         """Pin the aggregation layout without ingesting any data.
 
         Fixes the schema and the guideline granularities exactly as the
-        first ``partial_fit`` batch would, so the accumulator slot layout
-        (:meth:`accumulator_slots`) is known up front.  The distributed
-        ingest tier (:mod:`repro.ingest`) calls this on a template
-        instance to size shared-memory blocks before any worker starts.
+        first ``partial_fit`` batch would.  The distributed ingest tier
+        (:mod:`repro.ingest`) calls this in every collector worker so
+        all of them pin the same granularity, and once on a template
+        instance to reject a bad configuration before any worker starts.
 
         ``total_users`` feeds the granularity guideline; it is required
         when the mechanism has no explicit granularity configured,
@@ -280,63 +284,6 @@ class RangeQueryMechanism(abc.ABC):
         """Create grids/accumulator slots once the schema is known."""
         raise NotImplementedError(
             f"{type(self).__name__} does not expose an accumulator layout")
-
-    def accumulator_slots(self) -> list[tuple[str, int]]:
-        """Ordered ``(slot key, vector length)`` layout of the additive state.
-
-        Requires a prepared layout (:meth:`prepare_aggregation` or at
-        least one ingested batch).  The order is deterministic, so every
-        process sizing buffers from the same configuration agrees on it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an accumulator layout")
-
-    def _accumulator_ref(self, slot: str) -> tuple[dict, object]:
-        """``(container, key)`` locating one slot's accumulator."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an accumulator layout")
-
-    def bind_accumulator_views(self, views: dict) -> None:
-        """Re-home every accumulator slot onto caller-provided buffers.
-
-        ``views`` maps each slot key from :meth:`accumulator_slots` to a
-        float64 vector of the slot's length — typically views over a
-        ``multiprocessing.shared_memory`` block, so that ``partial_fit``
-        updates become visible to a merge coordinator in another process
-        without any serialization.  Existing counts are copied into the
-        buffers first; empty slots become zero-count accumulators (adding
-        zero supports is exact, so merge results are unchanged).
-        """
-        from ..frequency_oracles import SupportAccumulator
-        for slot, length in self.accumulator_slots():
-            view = np.asarray(views[slot])
-            if view.shape != (length,) or view.dtype != np.float64:
-                raise ValueError(
-                    f"slot {slot!r} needs a float64 view of length {length}, "
-                    f"got {view.dtype} with shape {view.shape}")
-            container, key = self._accumulator_ref(slot)
-            current = container[key]
-            if current is None:
-                view[:] = 0.0
-                container[key] = SupportAccumulator(view, 0)
-            else:
-                np.copyto(view, current.supports)
-                container[key] = SupportAccumulator(view, current.n_reports)
-
-    def accumulator_counts(self) -> dict[str, int]:
-        """Per-slot report counts (the header ingest workers publish)."""
-        counts: dict[str, int] = {}
-        for slot, _ in self.accumulator_slots():
-            container, key = self._accumulator_ref(slot)
-            accumulator = container[key]
-            counts[slot] = 0 if accumulator is None else accumulator.n_reports
-        return counts
-
-    @property
-    def supports_accumulator_views(self) -> bool:
-        """Whether the shared-memory accumulator-view API is implemented."""
-        return (type(self).accumulator_slots
-                is not RangeQueryMechanism.accumulator_slots)
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots)

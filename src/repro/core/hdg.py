@@ -279,30 +279,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             for pair, matrix in self.response_matrices.items()}
 
     # ------------------------------------------------------------------
-    # Shared-memory accumulator layout (see docs/ingest.md)
-    # ------------------------------------------------------------------
-    def accumulator_slots(self) -> list[tuple[str, int]]:
-        if self.chosen_g1 is None:
-            raise RuntimeError(
-                "aggregation layout not prepared; call prepare_aggregation "
-                "or ingest a batch first")
-        g1, g2 = self.chosen_g1, self.chosen_g2
-        slots = [(f"1d:{attribute}", g1)
-                 for attribute in sorted(self._acc_1d)]
-        slots.extend((f"2d:{a},{b}", g2 * g2)
-                     for (a, b) in sorted(self._acc_2d))
-        return slots
-
-    def _accumulator_ref(self, slot: str) -> tuple[dict, object]:
-        section, _, subkey = slot.partition(":")
-        if section == "1d":
-            return self._acc_1d, int(subkey)
-        if section == "2d":
-            a, _, b = subkey.partition(",")
-            return self._acc_2d, (int(a), int(b))
-        raise KeyError(slot)
-
-    # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
     # ------------------------------------------------------------------
     def shard_state(self) -> dict:

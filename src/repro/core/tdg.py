@@ -170,25 +170,6 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
             grid.build_index()
 
     # ------------------------------------------------------------------
-    # Shared-memory accumulator layout (see docs/ingest.md)
-    # ------------------------------------------------------------------
-    def accumulator_slots(self) -> list[tuple[str, int]]:
-        if self.chosen_g2 is None:
-            raise RuntimeError(
-                "aggregation layout not prepared; call prepare_aggregation "
-                "or ingest a batch first")
-        g2 = self.chosen_g2
-        return [(f"2d:{a},{b}", g2 * g2)
-                for (a, b) in sorted(self._accumulators)]
-
-    def _accumulator_ref(self, slot: str) -> tuple[dict, object]:
-        section, _, subkey = slot.partition(":")
-        if section != "2d":
-            raise KeyError(slot)
-        a, _, b = subkey.partition(",")
-        return self._accumulators, (int(a), int(b))
-
-    # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
     # ------------------------------------------------------------------
     def shard_state(self) -> dict:

@@ -62,11 +62,8 @@ class SupportAccumulator:
     def merge(self, other: "SupportAccumulator") -> "SupportAccumulator":
         """Add another batch's counts into this accumulator (in place).
 
-        The addition writes into the existing ``supports`` buffer rather
-        than rebinding it, so an accumulator whose buffer is a view over
-        external storage (the distributed ingest tier binds slots to
-        ``multiprocessing.shared_memory`` blocks) keeps publishing through
-        that view across merges.
+        Counts are sums over users, so folding shards in a fixed order
+        reproduces the single-process counts exactly.
         """
         if other.supports.shape != self.supports.shape:
             raise ValueError(

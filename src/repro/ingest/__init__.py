@@ -1,4 +1,4 @@
-"""Distributed ingest tier: routed collector workers over shared memory.
+"""Distributed ingest tier: routed collector worker processes.
 
 See ``docs/ingest.md`` for the architecture.  The tier runs the
 mechanisms that support sharded aggregation; the serving layer
@@ -8,22 +8,18 @@ mechanisms that support sharded aggregation; the serving layer
     tier = IngestTier("TDG", 1.0, n_workers=4, n_attributes=4,
                       domain_size=16, seed=7, planning_users=100_000)
     tier.submit(rows)
-    estimator = tier.coordinator.merge()
+    estimator = tier.merge()
 """
 
 from .routing import ConsistentHashRouter, mix64
-from .shared_state import AccumulatorLayout, SharedAccumulatorBlock
-from .tier import IngestError, IngestTier, IngestWorkerError, MergeCoordinator
+from .tier import IngestError, IngestTier, IngestWorkerError
 from .worker import WorkerSpec
 
 __all__ = [
-    "AccumulatorLayout",
     "ConsistentHashRouter",
     "IngestError",
     "IngestTier",
     "IngestWorkerError",
-    "MergeCoordinator",
-    "SharedAccumulatorBlock",
     "WorkerSpec",
     "mix64",
 ]

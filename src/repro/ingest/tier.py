@@ -1,18 +1,19 @@
-"""Ingest tier orchestration: router, collector workers, merge coordinator.
+"""Ingest tier orchestration: router, collector workers, merge.
 
 :class:`IngestTier` is the parent-process face of the multi-process
 ingest path (see ``docs/ingest.md``):
 
-* :meth:`submit` assigns each report a global key (its submission
-  index), routes rows to workers through a
+* :meth:`~IngestTier.submit` assigns each report a global key (its
+  submission index), routes rows to workers through a
   :class:`~repro.ingest.routing.ConsistentHashRouter`, and enqueues
   per-worker sub-batches in submission order;
 * collector worker processes (:mod:`repro.ingest.worker`) run
-  ``partial_fit`` into shared-memory accumulator blocks;
-* :class:`MergeCoordinator` folds the worker blocks into a fresh
-  serving estimator through the existing ``load_shard_state`` /
-  ``finalize`` path, so distributed results stay bitwise identical to
-  the equivalent single-process ingest.
+  ``partial_fit`` into their own private mechanism instance;
+* :meth:`~IngestTier.merge` asks every worker for its ``shard_state``
+  and folds the replies into a fresh serving estimator through the
+  existing ``load_shard_state`` / ``merge`` / ``finalize`` path, so
+  distributed results stay bitwise identical to the equivalent
+  single-process ingest.
 
 The tier runs only mechanisms that support sharded aggregation (TDG,
 HDG, ITDG, IHDG, CALM): their per-grid counts are additive, so the
@@ -24,6 +25,12 @@ Back-pressure contract: worker inboxes are bounded queues
 (:data:`QUEUE_BATCHES` deep), and ``submit`` blocks when a worker
 falls behind — bounded memory, no loss.
 
+Consistency: one tier lock serializes routing a whole batch and the
+state exchange (a ``("state",)`` request to every inbox, then every
+reply).  Inboxes are FIFO, so each reply reflects exactly the batches
+routed before the request, and a merge or snapshot cut always falls
+between whole submitted batches.
+
 Determinism: the tier's finalized estimator is a pure function of
 ``(mechanism config, seed, n_workers, router seed, submitted row
 sequence)`` — independent of timing, because routing keys are
@@ -34,9 +41,9 @@ single-process execution of the same shard plan.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import queue as queue_module
+import threading
 import time
 import weakref
 
@@ -44,10 +51,7 @@ import numpy as np
 
 from ..mechanisms import mechanism_class, shard_seed
 from .routing import ConsistentHashRouter
-from .shared_state import (HEADER_BATCHES_DONE, HEADER_FIXED_FIELDS,
-                           HEADER_TOTAL_REPORTS, AccumulatorLayout,
-                           SharedAccumulatorBlock)
-from .worker import WorkerSpec, worker_main
+from .worker import PROGRESS_BATCHES, PROGRESS_REPORTS, WorkerSpec, worker_main
 
 #: Virtual nodes per worker on the consistent-hash ring.
 REPLICAS = 64
@@ -55,15 +59,9 @@ REPLICAS = 64
 #: Depth of each worker's bounded inbox, in sub-batches.
 QUEUE_BATCHES = 64
 
-#: Seconds to wait for a worker's ready handshake before giving up.
-STARTUP_TIMEOUT = 60.0
-
-#: Seconds to wait for a worker's block lock.  A worker killed while
-#: publishing (SIGKILL inside its locked ``partial_fit`` window) leaves
-#: the lock held forever; every parent-side acquisition is bounded so a
-#: dead worker surfaces as :class:`IngestWorkerError` instead of a
-#: deadlock.
-LOCK_TIMEOUT = 10.0
+#: Seconds to wait for a worker's reply (the ready handshake, or its
+#: state once every batch queued ahead of the request is applied).
+REPLY_TIMEOUT = 60.0
 
 
 class IngestError(RuntimeError):
@@ -82,8 +80,18 @@ def _queue_depth(q) -> int | None:
         return None
 
 
-def _shutdown(processes, inboxes, outboxes, blocks) -> None:
-    """Stop workers and release queues + shared memory (idempotent)."""
+def _failure(index: int, message: tuple, expected: str) -> IngestWorkerError:
+    """The error for an outbox ``message`` the parent did not expect."""
+    if message[0] == "error":
+        return IngestWorkerError(
+            f"collector worker {index} failed:\n{message[2]}")
+    return IngestWorkerError(
+        f"collector worker {index} sent {message[0]!r} where {expected} "
+        "was expected")
+
+
+def _shutdown(processes, inboxes, outboxes) -> None:
+    """Stop workers and release their queues (idempotent)."""
     for process, inbox in zip(processes, inboxes):
         if process.is_alive():
             try:
@@ -98,63 +106,6 @@ def _shutdown(processes, inboxes, outboxes, blocks) -> None:
     for q in list(inboxes) + list(outboxes):
         q.close()
         q.cancel_join_thread()
-    for block in blocks:
-        block.close()
-
-
-class MergeCoordinator:
-    """Folds worker accumulators into a fresh serving estimator.
-
-    The coordinator does not run on its own timer — the owner (a
-    :class:`~repro.serving.QueryService` re-finalize policy, a
-    benchmark loop) decides when to merge; the coordinator contributes
-    the consistent fold and the merge-lag bookkeeping that ``/healthz``
-    reports.
-    """
-
-    def __init__(self, tier: "IngestTier"):
-        self.tier = tier
-        self.merges = 0
-        self.reports_merged = 0
-        self.last_merge_seconds: float | None = None
-        #: Epoch-publication bookkeeping: merged estimators the owning
-        #: service actually swapped in as published read epochs.
-        self.epochs_published = 0
-        self.last_published_epoch: int | None = None
-
-    def merge(self):
-        """Flush, fold every worker's state, finalize a fresh estimator."""
-        started = time.perf_counter()
-        estimator, reports = self.tier._finalize_estimator()
-        self.merges += 1
-        self.reports_merged = reports
-        self.last_merge_seconds = time.perf_counter() - started
-        return estimator
-
-    def record_publication(self, epoch_id: int) -> None:
-        """Note that a merged estimator was published as ``epoch_id``.
-
-        Called by the owning :class:`~repro.serving.QueryService` after
-        its epoch swap, so ``/healthz`` can show how far merge output
-        lags behind what readers currently observe.
-        """
-        self.epochs_published += 1
-        self.last_published_epoch = int(epoch_id)
-
-    @property
-    def merge_lag_reports(self) -> int:
-        """Reports ingested but not yet folded into a serving estimator."""
-        return self.tier.reports_total - self.reports_merged
-
-    def status(self) -> dict:
-        return {
-            "merges": self.merges,
-            "reports_merged": self.reports_merged,
-            "merge_lag_reports": self.merge_lag_reports,
-            "last_merge_seconds": self.last_merge_seconds,
-            "epochs_published": self.epochs_published,
-            "last_published_epoch": self.last_published_epoch,
-        }
 
 
 class IngestTier:
@@ -170,7 +121,7 @@ class IngestTier:
     n_workers:
         Number of collector processes.
     n_attributes, domain_size:
-        Report schema (must be known up front to size shared memory).
+        Report schema, fixed for the tier's lifetime.
     seed:
         Base seed; worker ``i`` collects under ``shard_seed(seed, i)``
         (the :func:`repro.mechanisms.shard_seed` convention).
@@ -213,37 +164,35 @@ class IngestTier:
             raise ValueError(
                 f"got {len(worker_states)} worker states for {n_workers} "
                 "workers; restore with the same worker count")
-
-        template = self._factory(self.epsilon, **self._mechanism_kwargs)
-        template.prepare_aggregation(self.n_attributes, self.domain_size,
-                                     total_users=planning_users)
-        self._slots = template.accumulator_slots()
-        self._layout = AccumulatorLayout(self._slots)
-        self._base_state = template.shard_state()
+        # Reject a bad configuration before any process starts.
+        self._fresh().prepare_aggregation(self.n_attributes,
+                                          self.domain_size,
+                                          total_users=planning_users)
 
         start_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in start_methods else "spawn")
-        unregister = self._ctx.get_start_method() != "fork"
-
         self._router = ConsistentHashRouter(self.n_workers,
                                             replicas=REPLICAS,
                                             seed=seed or 0)
-        self._blocks: list = []
-        self._locks: list = []
+        #: Serializes routing a whole batch against the state exchange.
+        self._lock = threading.Lock()
+        self._progress: list = []
         self._inboxes: list = []
         self._outboxes: list = []
         self._processes: list = []
-        self._stray: dict[int, list] = {}
         self._next_key = int(key_base)
-        self._global_seq = 0
         self._batches_routed = [0] * self.n_workers
         self._reports_routed = 0
-        self.coordinator = MergeCoordinator(self)
+        self.merges = 0
+        self.reports_merged = 0
+        self.last_merge_seconds: float | None = None
+        #: Merged estimators the owning service published as read epochs.
+        self.epochs_published = 0
+        self.last_published_epoch: int | None = None
 
         for index in range(self.n_workers):
-            block = SharedAccumulatorBlock.create(self._layout)
-            lock = self._ctx.Lock()
+            progress = self._ctx.RawArray("q", 2)
             inbox = self._ctx.Queue(maxsize=QUEUE_BATCHES)
             outbox = self._ctx.Queue()
             spec = WorkerSpec(
@@ -254,38 +203,32 @@ class IngestTier:
                 n_attributes=self.n_attributes,
                 domain_size=self.domain_size,
                 planning_users=planning_users, total_users=total_users,
-                shm_name=block.name, slots=self._slots,
                 initial_state=(worker_states[index]
-                               if worker_states is not None else None),
-                unregister_shm=unregister)
+                               if worker_states is not None else None))
             process = self._ctx.Process(
-                target=worker_main, args=(spec, inbox, outbox, lock),
+                target=worker_main, args=(spec, inbox, outbox, progress),
                 daemon=True, name=f"repro-ingest-{mechanism}-{index}")
-            self._blocks.append(block)
-            self._locks.append(lock)
+            self._progress.append(progress)
             self._inboxes.append(inbox)
             self._outboxes.append(outbox)
             self._processes.append(process)
             process.start()
         self._finalizer = weakref.finalize(
-            self, _shutdown, self._processes, self._inboxes, self._outboxes,
-            self._blocks)
-        for index in range(self.n_workers):
-            self._await(index, "ready", STARTUP_TIMEOUT)
+            self, _shutdown, self._processes, self._inboxes, self._outboxes)
         self._restored_reports = sum(
-            int(block.header[HEADER_TOTAL_REPORTS]) for block in self._blocks)
+            int(self._await(index, "ready")[2])
+            for index in range(self.n_workers))
+
+    def _fresh(self):
+        """An empty instance of the tier's mechanism configuration."""
+        return self._factory(self.epsilon, **self._mechanism_kwargs)
 
     # ------------------------------------------------------------------
     # Worker plumbing
     # ------------------------------------------------------------------
-    def _await(self, index: int, kind: str, timeout: float):
-        """Next outbox message of ``kind`` from one worker."""
-        stray = self._stray.get(index)
-        if stray:
-            for position, message in enumerate(stray):
-                if message[0] == kind:
-                    return stray.pop(position)
-        deadline = time.monotonic() + timeout
+    def _await(self, index: int, kind: str):
+        """One worker's next outbox message, which must be ``kind``."""
+        deadline = time.monotonic() + REPLY_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -302,24 +245,22 @@ class IngestTier:
                         f"{self._processes[index].exitcode}) before "
                         f"replying {kind!r}") from None
                 continue
-            if message[0] == "error":
-                raise IngestWorkerError(
-                    f"collector worker {index} failed:\n{message[2]}")
-            if message[0] == kind:
-                return message
-            self._stray.setdefault(index, []).append(message)
+            if message[0] != kind:
+                raise _failure(index, message, repr(kind))
+            return message
 
     def _check_worker(self, index: int) -> None:
-        """Raise if a worker reported an error or silently died."""
-        while True:
-            try:
-                message = self._outboxes[index].get_nowait()
-            except queue_module.Empty:
-                break
-            if message[0] == "error":
-                raise IngestWorkerError(
-                    f"collector worker {index} failed:\n{message[2]}")
-            self._stray.setdefault(index, []).append(message)
+        """Raise if a worker reported an error or silently died.
+
+        Callers hold the tier lock, so no state reply is in flight and
+        any outbox message is an error report.
+        """
+        try:
+            message = self._outboxes[index].get_nowait()
+        except queue_module.Empty:
+            pass
+        else:
+            raise _failure(index, message, "no message")
         process = self._processes[index]
         if not process.is_alive():
             raise IngestWorkerError(
@@ -327,24 +268,20 @@ class IngestTier:
                 f"{process.exitcode}); restart the service to recover "
                 "through the WAL replay path")
 
-    @contextlib.contextmanager
-    def _worker_lock(self, index: int, timeout: float = LOCK_TIMEOUT):
-        """Bounded acquisition of one worker's block lock.
+    def _exchange(self) -> list[dict]:
+        """Every worker's ``{"shard_state", "rng_state"}``, in order.
 
-        A worker that dies holding its lock (SIGKILL mid-publish)
-        abandons it; blocking indefinitely would deadlock the parent,
-        so a timeout re-checks the worker and raises instead.
+        Each reply reflects every batch routed before the request: the
+        inboxes are FIFO and the tier lock keeps ``submit`` out until
+        every reply is in.
         """
-        if not self._locks[index].acquire(timeout=timeout):
-            self._check_worker(index)  # dead worker: the precise error
-            raise IngestWorkerError(
-                f"collector worker {index} held its lock for more than "
-                f"{timeout}s; it is likely stuck — restart the service "
-                "to recover through the WAL replay path")
-        try:
-            yield
-        finally:
-            self._locks[index].release()
+        with self._lock:
+            for index in range(self.n_workers):
+                self._check_worker(index)
+            for inbox in self._inboxes:
+                inbox.put(("state",))
+            return [self._await(index, "state")[2]
+                    for index in range(self.n_workers)]
 
     def worker_pids(self) -> list[int]:
         """OS pids of the collector workers (chaos tests kill these)."""
@@ -371,49 +308,52 @@ class IngestTier:
     def submit(self, rows) -> dict:
         """Route one batch of reports to the collector workers.
 
-        ``rows`` is an ``(n, d)`` integer array.  Each row's key is its
-        global submission index; sub-batches preserve submission order
-        per worker.  Blocks while any target worker's inbox is full.
+        ``rows`` is an ``(n, d)`` integer array with every value in
+        ``[0, domain_size)``; a batch that is not is rejected whole,
+        before any row is routed.  Each row's key is its global
+        submission index; sub-batches preserve submission order per
+        worker.  Blocks while any target worker's inbox is full.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.n_attributes:
             raise ValueError(
                 f"rows must be (n, {self.n_attributes}); got shape "
                 f"{rows.shape}")
+        if rows.size and (rows.min() < 0
+                          or rows.max() >= self.domain_size):
+            raise ValueError(
+                "all attribute values must lie in [0, domain_size); got "
+                f"[{rows.min()}, {rows.max()}] with c={self.domain_size}")
         n = rows.shape[0]
-        keys = np.arange(self._next_key, self._next_key + n, dtype=np.int64)
-        split = self._router.split(keys)
-        for worker_index in sorted(split):
-            sequence = self._global_seq
-            self._global_seq += 1
-            self._check_worker(worker_index)
-            self._inboxes[worker_index].put(
-                ("batch", sequence, rows[split[worker_index]]))
-            self._batches_routed[worker_index] += 1
-        self._next_key += n
-        self._reports_routed += n
+        with self._lock:
+            keys = np.arange(self._next_key, self._next_key + n,
+                             dtype=np.int64)
+            split = sorted(self._router.split(keys).items())
+            for worker_index, _ in split:
+                self._check_worker(worker_index)
+            for worker_index, positions in split:
+                self._inboxes[worker_index].put(("batch", rows[positions]))
+                self._batches_routed[worker_index] += 1
+            self._next_key += n
+            self._reports_routed += n
         return {"submitted": n, "routed": n}
 
     def flush(self, timeout: float = 120.0) -> None:
-        """Wait until every worker has applied all routed batches."""
+        """Wait until every worker has applied all routed batches.
+
+        Raises :class:`IngestWorkerError` as soon as any worker is dead
+        or has failed, whether or not it still had batches to apply.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            lagging = []
-            for index in range(self.n_workers):
-                if self._locks[index].acquire(timeout=0.5):
-                    try:
-                        done = int(
-                            self._blocks[index].header[HEADER_BATCHES_DONE])
-                    finally:
-                        self._locks[index].release()
-                else:
-                    done = -1  # lock abandoned or long-held: keep waiting
-                if done < self._batches_routed[index]:
-                    lagging.append(index)
+            with self._lock:
+                for index in range(self.n_workers):
+                    self._check_worker(index)
+            lagging = [index for index in range(self.n_workers)
+                       if self._progress[index][PROGRESS_BATCHES]
+                       < self._batches_routed[index]]
             if not lagging:
                 return
-            for index in lagging:
-                self._check_worker(index)
             if time.monotonic() >= deadline:
                 raise IngestError(
                     f"flush timed out after {timeout}s; workers still "
@@ -423,54 +363,41 @@ class IngestTier:
     # ------------------------------------------------------------------
     # Merge path
     # ------------------------------------------------------------------
-    def merged_shard_state(self) -> dict:
-        """Fold every worker's shared accumulators into one shard state.
+    def merge(self):
+        """Fold every worker's shard state into a fresh finalized estimator.
 
-        Flushes first, then copies each worker's block under its lock
-        (a per-worker batch-consistent cut) and sums support vectors in
-        worker order — the same left fold ``merge`` performs — so the
-        result loads into ``load_shard_state`` and finalizes bitwise
-        identically to the single-process execution of the shard plan.
-        No JSON round-trip: the state dict carries the summed arrays.
+        The fold is the single-process shard plan: load worker 0's
+        state, ``merge`` workers 1…N−1 in order, then ``finalize``.
+        The tier does not merge on its own timer — the owner (a
+        :class:`~repro.serving.QueryService` re-finalize policy, a
+        benchmark loop) decides when.
         """
-        self.flush()
-        total_reports = 0
-        slot_sums: dict[str, np.ndarray | None] = {
-            key: None for key, _ in self._slots}
-        slot_counts = [0] * len(self._slots)
-        for index in range(self.n_workers):
-            with self._worker_lock(index):
-                header = self._blocks[index].header.copy()
-                payload = {key: view.copy() for key, view
-                           in self._blocks[index].views().items()}
-            total_reports += int(header[HEADER_TOTAL_REPORTS])
-            for position, (key, _) in enumerate(self._slots):
-                slot_counts[position] += int(
-                    header[HEADER_FIXED_FIELDS + position])
-                if slot_sums[key] is None:
-                    slot_sums[key] = payload[key]
-                else:
-                    slot_sums[key] += payload[key]
-        accumulators: dict[str, dict] = {}
-        for position, (key, _) in enumerate(self._slots):
-            section, _, subkey = key.partition(":")
-            entry = None
-            if slot_counts[position] > 0:
-                entry = {"supports": slot_sums[key],
-                         "n_reports": slot_counts[position]}
-            accumulators.setdefault(section, {})[subkey] = entry
-        state = dict(self._base_state)
-        state["total_reports"] = total_reports
-        state["accumulators"] = accumulators
-        return state
+        started = time.perf_counter()
+        states = [reply["shard_state"] for reply in self._exchange()]
+        estimator = self._fresh().load_shard_state(states[0])
+        for state in states[1:]:
+            estimator.merge(self._fresh().load_shard_state(state))
+        estimator.finalize()
+        self.merges += 1
+        self.reports_merged = sum(int(state["total_reports"])
+                                  for state in states)
+        self.last_merge_seconds = time.perf_counter() - started
+        return estimator
 
-    def _finalize_estimator(self):
-        """Build and finalize a fresh estimator from the workers' state."""
-        state = self.merged_shard_state()
-        clone = self._factory(self.epsilon, **self._mechanism_kwargs)
-        clone.load_shard_state(state)
-        clone.finalize()
-        return clone, int(state["total_reports"])
+    def record_publication(self, epoch_id: int) -> None:
+        """Note that a merged estimator was published as ``epoch_id``.
+
+        Called by the owning :class:`~repro.serving.QueryService` after
+        its epoch swap, so ``/healthz`` can show how far merge output
+        lags behind what readers currently observe.
+        """
+        self.epochs_published += 1
+        self.last_published_epoch = int(epoch_id)
+
+    @property
+    def merge_lag_reports(self) -> int:
+        """Reports ingested but not yet folded into a serving estimator."""
+        return self.reports_total - self.reports_merged
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -478,20 +405,13 @@ class IngestTier:
     def capture_worker_states(self) -> list:
         """Per-worker restore payloads (shard + RNG state).
 
-        Flushes first so each payload reflects every routed batch; the
-        round-trip through :class:`IngestTier` construction with
-        ``worker_states`` resumes the exact per-worker accumulator and
-        RNG streams, which keeps post-restore ingest bitwise identical
-        to an uninterrupted run.
+        Each payload reflects every routed batch; the round-trip
+        through :class:`IngestTier` construction with ``worker_states``
+        resumes the exact per-worker accumulator and RNG streams, which
+        keeps post-restore ingest bitwise identical to an uninterrupted
+        run.
         """
-        self.flush()
-        states = []
-        for index in range(self.n_workers):
-            self._inboxes[index].put(("state",))
-        for index in range(self.n_workers):
-            message = self._await(index, "state", STARTUP_TIMEOUT)
-            states.append(message[2])
-        return states
+        return self._exchange()
 
     # ------------------------------------------------------------------
     # Health
@@ -499,29 +419,21 @@ class IngestTier:
     def metrics(self) -> dict:
         """Back-pressure and progress counters for ``/healthz``.
 
-        Never blocks on a dead worker: if a block lock cannot be taken
-        promptly (a worker SIGKILLed mid-publish abandons it), the
-        header is read without the lock — the counters are advisory and
-        monotonic, and ``alive`` still reports the process state.
+        Lock-free, so it never waits on a state exchange or a dead
+        worker: the progress counters are advisory and monotonic, and
+        ``alive`` reports the process state.
         """
         workers = []
         for index in range(self.n_workers):
-            if self._locks[index].acquire(timeout=0.5):
-                try:
-                    header = self._blocks[index].header.copy()
-                finally:
-                    self._locks[index].release()
-            else:
-                header = self._blocks[index].header.copy()
+            batches_done = int(self._progress[index][PROGRESS_BATCHES])
             workers.append({
                 "index": index,
                 "alive": self._processes[index].is_alive(),
                 "queue_depth": _queue_depth(self._inboxes[index]),
                 "batches_routed": self._batches_routed[index],
-                "batches_done": int(header[HEADER_BATCHES_DONE]),
-                "batches_pending": (self._batches_routed[index]
-                                    - int(header[HEADER_BATCHES_DONE])),
-                "reports_done": int(header[HEADER_TOTAL_REPORTS]),
+                "batches_done": batches_done,
+                "batches_pending": self._batches_routed[index] - batches_done,
+                "reports_done": int(self._progress[index][PROGRESS_REPORTS]),
             })
         return {
             "mechanism": self.mechanism,
@@ -529,14 +441,21 @@ class IngestTier:
             "reports_routed": self._reports_routed,
             "reports_total": self.reports_total,
             "workers": workers,
-            "merge": self.coordinator.status(),
+            "merge": {
+                "merges": self.merges,
+                "reports_merged": self.reports_merged,
+                "merge_lag_reports": self.merge_lag_reports,
+                "last_merge_seconds": self.last_merge_seconds,
+                "epochs_published": self.epochs_published,
+                "last_published_epoch": self.last_published_epoch,
+            },
         }
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers, release queues and unlink shared memory."""
+        """Stop the workers and release their queues."""
         self._finalizer()
 
     @property

@@ -1,34 +1,30 @@
 """Collector worker process: the ingest tier's per-core unit.
 
-A worker owns one shared-memory block and one inbound queue.  It holds
-a private mechanism instance (seeded by the
-:func:`repro.mechanisms.shard_seed` convention that sharded experiment
-runs use too) whose accumulator slots are bound onto the shared block,
-so every ``partial_fit`` lands directly in memory the merge coordinator
-can read.
+A worker owns one inbound queue and a private mechanism instance,
+seeded by the :func:`repro.mechanisms.shard_seed` convention that
+sharded experiment runs use too.  Its state leaves the process only
+as a reply on its outbox.
 
 Protocol over the worker's inbox queue (FIFO, one consumer):
 
-``("batch", seq, rows)``
-    Ingest one routed sub-batch.  ``seq`` is the tier-wide submission
-    sequence number; rows arrive in submission order.
+``("batch", rows)``
+    Ingest one routed sub-batch; rows arrive in submission order.
 ``("state",)``
     Reply on the outbox with ``("state", index, payload)`` where the
     payload carries the collector's ``shard_state`` and RNG state.
-    Used for snapshots.
+    Merges and snapshots both use this exchange.
 ``("stop",)``
     Exit the loop cleanly.
 
-The worker publishes its header (report totals, batches done, last
-sequence) under the per-worker lock after every batch; holding the
-lock across the whole ``partial_fit`` is what gives the coordinator
-batch-granular consistent cuts.
+Progress goes into a two-word shared counter array (batches done,
+reports done) that only this worker writes, after each batch; the
+parent reads it without a lock for ``flush`` and ``/healthz``.
 
 Determinism: a worker's accumulator state is a pure function of
 ``(worker seed, ordered sub-batch sequence)`` — exactly the state the
 same sub-batches produce through single-process ``partial_fit`` — so
-merging worker blocks reproduces the single-process shard plan bit for
-bit (``tests/test_distributed_ingest.py``).
+merging the workers' replies reproduces the single-process shard plan
+bit for bit (``tests/test_distributed_ingest.py``).
 """
 
 from __future__ import annotations
@@ -38,9 +34,11 @@ import traceback
 
 from ..datasets import Dataset
 from ..mechanisms import mechanism_class
-from .shared_state import (HEADER_BATCHES_DONE, HEADER_FIXED_FIELDS,
-                           HEADER_LAST_SEQ, HEADER_TOTAL_REPORTS,
-                           AccumulatorLayout, SharedAccumulatorBlock)
+
+#: Slots of a worker's progress counter array.
+PROGRESS_BATCHES = 0
+PROGRESS_REPORTS = 1
+
 
 @dataclasses.dataclass
 class WorkerSpec:
@@ -58,24 +56,19 @@ class WorkerSpec:
     n_attributes: int
     domain_size: int
     #: Population fed to the granularity guideline (resolved once by
-    #: the tier so every worker pins the same layout as the template).
+    #: the tier so every worker pins the same layout).
     planning_users: int | None
     #: ``partial_fit``'s total_users argument (service-level setting).
     total_users: int | None
-    shm_name: str
-    slots: list[tuple[str, int]]
     #: Restored per-worker state (snapshot recovery): ``{"shard_state":
     #: ..., "rng_state": ...}`` or None for a fresh worker.
     initial_state: dict | None = None
-    #: Whether to unregister the attached segment from this process's
-    #: resource tracker (spawn start method only; see shared_state).
-    unregister_shm: bool = False
 
 
-def worker_main(spec: WorkerSpec, inbox, outbox, lock) -> None:
+def worker_main(spec: WorkerSpec, inbox, outbox, progress) -> None:
     """Process entry point: report fatal errors, then re-raise."""
     try:
-        _run_worker(spec, inbox, outbox, lock)
+        _run_worker(spec, inbox, outbox, progress)
     except BaseException:
         outbox.put(("error", spec.index, traceback.format_exc()))
         raise
@@ -96,44 +89,24 @@ def _build_collector(spec: WorkerSpec):
     return collector
 
 
-def _run_worker(spec: WorkerSpec, inbox, outbox, lock) -> None:
+def _run_worker(spec: WorkerSpec, inbox, outbox, progress) -> None:
     collector = _build_collector(spec)
-    layout = AccumulatorLayout(spec.slots)
-    block = SharedAccumulatorBlock.attach(layout, spec.shm_name,
-                                          unregister=spec.unregister_shm)
-    slot_index = {key: i for i, (key, _) in enumerate(layout.slots)}
-    with lock:
-        collector.bind_accumulator_views(block.views())
-        _publish_counts(collector, block, slot_index)
-    outbox.put(("ready", spec.index))
+    progress[PROGRESS_REPORTS] = int(collector.population or 0)
+    outbox.put(("ready", spec.index, progress[PROGRESS_REPORTS]))
     while True:
         message = inbox.get()
         kind = message[0]
         if kind == "batch":
-            _, seq, rows = message
-            batch = Dataset(rows, spec.domain_size)
-            with lock:
-                collector.partial_fit(batch, total_users=spec.total_users)
-                _publish_counts(collector, block, slot_index)
-                block.header[HEADER_BATCHES_DONE] += 1
-                block.header[HEADER_LAST_SEQ] = seq
+            collector.partial_fit(Dataset(message[1], spec.domain_size),
+                                  total_users=spec.total_users)
+            progress[PROGRESS_REPORTS] = collector.population
+            progress[PROGRESS_BATCHES] += 1
         elif kind == "state":
-            with lock:
-                payload = {
-                    "shard_state": collector.shard_state(),
-                    "rng_state": collector.rng.bit_generator.state,
-                }
-            outbox.put(("state", spec.index, payload))
+            outbox.put(("state", spec.index, {
+                "shard_state": collector.shard_state(),
+                "rng_state": collector.rng.bit_generator.state,
+            }))
         elif kind == "stop":
             return
         else:
             raise ValueError(f"unknown worker message {kind!r}")
-
-
-def _publish_counts(collector, block: SharedAccumulatorBlock,
-                    slot_index: dict[str, int]) -> None:
-    counts = collector.accumulator_counts()
-    header = block.header
-    for key, count in counts.items():
-        header[HEADER_FIXED_FIELDS + slot_index[key]] = count
-    header[HEADER_TOTAL_REPORTS] = int(collector.population or 0)

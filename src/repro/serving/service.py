@@ -18,8 +18,9 @@ analytical copy).  The ingestor is one of:
 * **stream tier** (stream with ``ingest_workers=N``) — the same, but
   batches are routed through a multi-process
   :class:`~repro.ingest.IngestTier` whose collector workers
-  ``partial_fit`` into shared-memory accumulators, and re-finalize
-  folds the worker state through the same ``merge``/``finalize`` path.
+  ``partial_fit`` in their own processes, and re-finalize asks every
+  worker for its shard state and folds the replies through the same
+  ``merge``/``finalize`` path.
   Results are bitwise identical to the equivalent single-process shard
   plan; see ``docs/ingest.md`` and ``tests/test_distributed_ingest.py``.
 * **refit buffer** (``ingest_mode="refit"``) — *any* registered
@@ -331,7 +332,7 @@ class _StreamTier:
     """Stream ingest through a multi-process :class:`IngestTier`.
 
     The tier starts on the first batch, whose schema pins its
-    shared-memory layout.
+    workers' layout.
     """
 
     mode = "stream"
@@ -381,12 +382,14 @@ class _StreamTier:
             raise ServiceError(
                 "service is closed: its ingest tier was shut down"
                 if self.closed else "no reports ingested yet")
-        # The flush + fold + Phase 2 run outside the state lock.
-        return self.tier.coordinator.merge
+        # The state exchange, fold and Phase 2 run outside the state
+        # lock; the tier's own lock orders them against submit and
+        # snapshot captures.
+        return self.tier.merge
 
     def published(self, epoch_id: int) -> None:
         if self.tier is not None:
-            self.tier.coordinator.record_publication(epoch_id)
+            self.tier.record_publication(epoch_id)
 
     def schema(self) -> tuple[int, int] | None:
         if self.tier is None:
@@ -743,11 +746,11 @@ class QueryService:
         """Capture → build → publish.
 
         Only the capture and the publish hold the state lock; the build
-        (the Phase-2 pass, the tier's flush + fold, or a refit's full
-        ``fit``) runs without it, so concurrent queries keep answering
-        from the previous epoch instead of stalling.  Whole
-        re-finalizes are serialized by their own lock so publishes land
-        in capture order.  The reports pending at capture stop counting
+        (the Phase-2 pass, the tier's state exchange + fold, or a
+        refit's full ``fit``) runs without it, so concurrent queries
+        keep answering from the previous epoch instead of stalling.
+        Whole re-finalizes are serialized by their own lock so publishes
+        land in capture order.  The reports pending at capture stop counting
         only once their epoch is published: a failed build leaves them
         pending, and reports that arrive during the build stay counted.
         """
@@ -900,7 +903,7 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the stream tier's workers and shared memory.
+        """Release the stream tier's worker processes.
 
         No-op for in-process ingest; the estimator keeps answering
         queries either way, but a closed stream-tier service no longer
