@@ -33,9 +33,12 @@ per client count and the 8-vs-1 speedup.  ``--min-single-qps Q``
 fails the run (exit 1) when the cached single-call rate drops below
 Q — CI's regression gate on the fast path.
 
-With ``--backend json|sqlite`` the server runs multi-tenant over that
-storage backend instead of a bare service: ingest then flows through
-the write-ahead ingest log (durability on the hot path), and the run
+The server is always a :class:`~repro.serving.TenantManager`; without
+``--backend`` it runs over a process-local
+:class:`~repro.storage.MemoryBackend`, as ``repro serve`` does.  With
+``--backend json|sqlite`` it runs over that durable storage backend
+instead: ingest then flows through the write-ahead ingest log
+(durability on the hot path), and the run
 additionally reports a **storage comparison** — snapshot save/restore
 latency and write-ahead ingest-log throughput for *both* backends side
 by side — so one trajectory row captures JSON vs SQLite.
@@ -87,7 +90,7 @@ from repro.resilience import (DegradedServiceError,  # noqa: E402
                               RetryPolicy)
 from repro.serving import (QueryService, TenantManager,  # noqa: E402
                            build_server, query_to_wire)
-from repro.storage import BACKENDS, open_backend  # noqa: E402
+from repro.storage import BACKENDS, MemoryBackend, open_backend  # noqa: E402
 
 
 def _post(port: int, path: str, payload: dict) -> dict:
@@ -333,25 +336,25 @@ def run(n_batches: int, batch_size: int, n_attributes: int, domain_size: int,
 
     stack = []
     if backend is None:
-        service = QueryService("HDG", epsilon, seed=seed,
-                               domain_size=domain_size,
-                               total_users=total_users)
-        server = build_server(service, port=0)
+        # The server ``repro serve`` runs without --backend: the same
+        # TenantManager over a process-local store whose ingest log
+        # keeps no rows.
+        storage = MemoryBackend()
     else:
-        # Multi-tenant serving over a durable backend: every ingest
-        # batch is WAL-appended before it is applied, so the measured
-        # ingest rate includes the durability cost.
+        # A durable backend: every ingest batch is WAL-appended before
+        # it is applied, so the measured ingest rate includes the
+        # durability cost.
         tmp = tempfile.TemporaryDirectory()
         stack.append(tmp.cleanup)
         location = Path(tmp.name) / ("store.db" if backend == "sqlite"
                                      else "store")
         storage = open_backend(backend, location)
         stack.append(storage.close)
-        manager = TenantManager(storage, default_config={
-            "mechanism": "HDG", "epsilon": epsilon, "seed": seed,
-            "domain_size": domain_size, "total_users": total_users})
-        service = manager.service("default")
-        server = build_server(tenant_manager=manager, port=0)
+    manager = TenantManager(storage, default_config={
+        "mechanism": "HDG", "epsilon": epsilon, "seed": seed,
+        "domain_size": domain_size, "total_users": total_users})
+    service = manager.service("default")
+    server = build_server(manager, port=0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -447,7 +450,7 @@ def run(n_batches: int, batch_size: int, n_attributes: int, domain_size: int,
     direct_rate = query_rounds * len(workload) / direct_seconds
     single_rate = query_rounds * len(workload) / single_seconds
     single_uncached_rate = len(workload) / single_uncached_seconds
-    front_end = "single-tenant" if backend is None else f"backend={backend}"
+    front_end = f"backend={backend or MemoryBackend.name}"
     lines = [
         f"serving throughput: HDG eps={epsilon} d={n_attributes} "
         f"c={domain_size} {front_end} ({'smoke' if smoke else 'full'})",

@@ -19,11 +19,13 @@ Seven subcommands mirror how the library is typically used:
 ``serve``
     Run the long-lived JSON-over-HTTP query service
     (:mod:`repro.serving`): ingest privatized reports incrementally,
-    re-finalize on a policy, answer workloads.  With ``--backend`` the
-    server hosts tenants over a durable storage backend (JSON directory
+    re-finalize on a policy, answer workloads.  The server always hosts
+    tenants through a :class:`~repro.serving.TenantManager`.  With
+    ``--backend`` they live in a durable storage backend (JSON directory
     or SQLite database): snapshots, a write-ahead ingest log and
-    automatic recovery on start.  Without it one in-process service
-    runs with no storage.
+    automatic recovery on start.  Without it they live in process memory
+    (:class:`~repro.storage.MemoryBackend`): nothing is written to disk
+    and ``POST /snapshot`` answers 409.
 ``snapshot``
     Manage the default tenant's snapshots in a JSON store directory:
     ``create`` one from a freshly collected dataset, ``list`` stored
@@ -68,7 +70,8 @@ from .queries import RangeQuery, answer_workload
 from .resilience import RetryPolicy
 from .serving import QueryService, TenantManager, build_server, serve
 from .serving.tenants import service_from_config
-from .storage import BACKENDS, DEFAULT_TENANT, StorageError, open_backend
+from .storage import (BACKENDS, DEFAULT_TENANT, MemoryBackend, StorageError,
+                      open_backend)
 
 
 #: Mechanisms the stream ingest paths accept.
@@ -230,25 +233,11 @@ def _command_ingest_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_streaming_service(args: argparse.Namespace) -> QueryService:
-    service = QueryService(args.mechanism, args.epsilon, seed=args.seed,
-                           refinalize_every=args.refinalize_every,
-                           total_users=args.total_users,
-                           domain_size=args.domain_size,
-                           ingest_mode=getattr(args, "ingest_mode", "stream"),
-                           ingest_workers=getattr(args, "ingest_workers",
-                                                  None),
-                           plan_cache_entries=getattr(
-                               args, "plan_cache_entries", None),
-                           answer_cache_entries=getattr(
-                               args, "answer_cache_entries", None))
-    if args.bootstrap_dataset:
-        rng = np.random.default_rng(args.seed)
-        dataset = make_dataset(args.bootstrap_dataset, args.n_users,
-                               args.n_attributes, args.domain_size, rng=rng)
-        service.ingest(dataset)
-        service.refinalize()
-    return service
+def _bootstrap_rows(args: argparse.Namespace) -> np.ndarray:
+    """The rows of the generated ``--bootstrap-dataset``."""
+    rng = np.random.default_rng(args.seed)
+    return make_dataset(args.bootstrap_dataset, args.n_users,
+                        args.n_attributes, args.domain_size, rng=rng).values
 
 
 def _default_tenant_config(args: argparse.Namespace) -> dict:
@@ -275,22 +264,17 @@ def _service_summary(status: dict) -> str:
 
 def _command_serve(args: argparse.Namespace) -> int:
     """``repro serve``: a :class:`TenantManager` over ``--backend/--store``,
-    or one in-process :class:`QueryService` with no storage."""
+    or over a process-local :class:`MemoryBackend` without ``--backend``."""
     if args.busy_timeout is not None and args.backend != "sqlite":
         print("--busy-timeout requires --backend sqlite", file=sys.stderr)
         return 2
-    service = manager = backend = None
     if args.backend is None:
         for flag, value in (("--store", args.store),
                             ("--keep-last", args.keep_last)):
             if value is not None:
                 print(f"{flag} requires --backend", file=sys.stderr)
                 return 2
-        try:
-            service = _build_streaming_service(args)
-        except ValueError as error:
-            print(f"cannot build service: {error}", file=sys.stderr)
-            return 2
+        backend = MemoryBackend()
     else:
         if not args.store:
             print("--backend requires --store (the store directory for "
@@ -307,54 +291,49 @@ def _command_serve(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"cannot open backend: {error}", file=sys.stderr)
             return 2
-        retry_policy = RetryPolicy(attempts=args.retry_attempts,
-                                   base_delay=args.retry_base_delay,
-                                   max_delay=args.retry_max_delay)
-        try:
-            manager = TenantManager(
-                backend, default_config=_default_tenant_config(args),
-                retry_policy=retry_policy,
-                breaker_threshold=args.breaker_threshold,
-                breaker_reset=args.breaker_reset,
-                op_deadline=args.op_deadline)
-        except (ValueError, StorageError) as error:
-            backend.close()
-            print(f"cannot start tenants: {error}", file=sys.stderr)
-            return 2
-        for name, info in manager.quarantined_tenants().items():
-            print(f"warning: tenant {name!r} quarantined: {info['error']}",
-                  file=sys.stderr)
+    retry_policy = RetryPolicy(attempts=args.retry_attempts,
+                               base_delay=args.retry_base_delay,
+                               max_delay=args.retry_max_delay)
+    try:
+        manager = TenantManager(
+            backend, default_config=_default_tenant_config(args),
+            retry_policy=retry_policy,
+            breaker_threshold=args.breaker_threshold,
+            breaker_reset=args.breaker_reset,
+            op_deadline=args.op_deadline)
+        if args.bootstrap_dataset:
+            manager.ingest(DEFAULT_TENANT, _bootstrap_rows(args))
+            manager.refinalize(DEFAULT_TENANT)
+    except (ValueError, StorageError) as error:
+        backend.close()
+        print(f"cannot start tenants: {error}", file=sys.stderr)
+        return 2
+    for name, info in manager.quarantined_tenants().items():
+        print(f"warning: tenant {name!r} quarantined: {info['error']}",
+              file=sys.stderr)
 
-    server = build_server(service, host=args.host, port=args.port,
+    server = build_server(manager, host=args.host, port=args.port,
                           verbose=args.verbose, workers=args.workers,
-                          tenant_manager=manager,
                           queue_depth=args.queue_depth)
     host, port = server.server_address[:2]
-    endpoints = ("GET /healthz  GET /readyz  POST /ingest  POST /query  "
-                 "POST /refinalize")
-    if manager is None:
-        serving = _service_summary(service.status())
-    else:
-        storage = manager.storage_status()
-        serving = (f"{storage['tenants']} tenant(s) from "
-                   f"{storage['backend']}:{storage['location']} "
-                   f"(pending ingest log: {storage['pending_ingest_log']})")
-        endpoints += ("  POST|GET /snapshot  GET|POST /tenants  "
-                      "GET|DELETE /tenants/<name>")
-    print(f"serving {serving} on http://{host}:{port} with {args.workers} "
-          "workers", flush=True)
-    if manager is not None and manager.has_tenant(DEFAULT_TENANT):
+    storage = manager.storage_status()
+    print(f"serving {storage['tenants']} tenant(s) from "
+          f"{storage['backend']}:{storage['location']} "
+          f"(pending ingest log: {storage['pending_ingest_log']}) "
+          f"on http://{host}:{port} with {args.workers} workers", flush=True)
+    if manager.has_tenant(DEFAULT_TENANT):
         print(f"default tenant: serving "
               f"{_service_summary(manager.service().status())}", flush=True)
-    print(f"endpoints: {endpoints}", flush=True)
+    print("endpoints: GET /healthz  GET /readyz  POST /ingest  POST /query  "
+          "POST /refinalize  POST|GET /snapshot  GET|POST /tenants  "
+          "GET|DELETE /tenants/<name>", flush=True)
     try:
         serve(server, max_requests=args.max_requests)
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     finally:
         server.server_close()
-        if backend is not None:
-            backend.close()
+        backend.close()
     return 0
 
 
@@ -364,7 +343,9 @@ def _command_snapshot(args: argparse.Namespace) -> int:
         return _command_snapshot_list(args)
     backend = open_backend("json", args.dir)
     if args.action == "create":
-        service = _build_streaming_service(args)
+        service = service_from_config(_default_tenant_config(args))
+        service.ingest(_bootstrap_rows(args))
+        service.refinalize()
         record = backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
         if args.keep_last is not None:
             backend.prune_snapshots(DEFAULT_TENANT, args.keep_last)

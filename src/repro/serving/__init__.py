@@ -27,10 +27,11 @@ This package provides that serving layer on top of the mechanisms'
 :mod:`repro.serving.http`
     The stdlib worker-pool JSON API (``/ingest``, ``/query``,
     ``/snapshot``, ``/healthz``, ``/readyz``, ``/tenants``) behind the
-    ``repro serve`` CLI verb, hosting a :class:`TenantManager` over a
-    storage backend or one storage-less service, with bounded
-    admission (load-shedding 503s) and degraded-mode responses backed
-    by :mod:`repro.resilience`.
+    ``repro serve`` CLI verb, always hosting a :class:`TenantManager`
+    (over a durable backend, or a process-local
+    :class:`~repro.storage.MemoryBackend` when nothing should reach
+    disk), with bounded admission (load-shedding 503s) and
+    degraded-mode responses backed by :mod:`repro.resilience`.
 
 See docs/serving.md for the operations guide, docs/storage.md for the
 storage backends and tenant lifecycle, docs/resilience.md for the

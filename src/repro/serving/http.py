@@ -10,9 +10,9 @@ state changes:
 =======  =================  ================================================
 Method   Path               Meaning
 =======  =================  ================================================
-GET      ``/healthz``       Liveness: status document + package version (and,
-                            in multi-tenant mode, the ``storage``,
-                            ``resilience`` and ``load`` sections)
+GET      ``/healthz``       Liveness: status document + package version and
+                            the ``storage``, ``resilience`` and ``load``
+                            sections
 GET      ``/readyz``        Readiness: 200 only when every tenant is
                             serving (no open breakers, nothing quarantined)
 POST     ``/ingest``        ``{"rows": [[...], ...], "domain_size"?: c}``
@@ -21,39 +21,43 @@ POST     ``/query``         ``{"queries": [...]}`` — one typed wire
                             a batch answered under one lock acquisition (see
                             :meth:`~repro.serving.QueryService.query_wire_batch`)
 POST     ``/refinalize``    Force a re-finalize of the pending reports
-POST     ``/snapshot``      Write a snapshot version (needs a backend)
-GET      ``/snapshot``      List stored snapshot versions (needs a backend)
-GET      ``/tenants``       List hosted tenants (multi-tenant mode)
+POST     ``/snapshot``      Write a snapshot version (durable backends)
+GET      ``/snapshot``      List stored snapshot versions
+GET      ``/tenants``       List hosted tenants
 POST     ``/tenants``       Create a tenant: ``{"name": n, "config": {...}}``
 GET      ``/tenants/<n>``   Inspect one tenant (config, status, snapshots)
 DELETE   ``/tenants/<n>``   Delete a tenant and all its stored state
 =======  =================  ================================================
 
-When the server is built with a :class:`~repro.serving.tenants.
-TenantManager`, the four serving routes take an optional tenant name —
+The server always fronts a :class:`~repro.serving.tenants.
+TenantManager`.  The four serving routes take an optional tenant name —
 ``"tenant"`` in the POST body or ``?tenant=<name>`` on the URL — and
 route to that tenant's service; requests without one fall back to the
 ``default`` tenant, so the single-tenant wire format keeps working
-unchanged.  Ingest then flows through the manager's write-ahead log
-(the receipt gains ``wal_seq``), and ``/snapshot`` persists through the
-storage backend.  A server built on a bare ``service`` has no storage:
-``/snapshot`` and ``/tenants`` answer 409.
+unchanged.  Ingest flows through the manager's write-ahead log (the
+receipt carries ``tenant`` and ``wal_seq``), and ``/snapshot``
+persists through the storage backend.  Over a process-local
+:class:`~repro.storage.MemoryBackend` (``repro serve`` without
+``--backend``) the log keeps no rows, ``GET /snapshot`` lists nothing
+and ``POST /snapshot`` answers 409.
 
 Errors return a structured body ``{"error": msg, "code": code}``:
 400 ``bad-request`` for malformed payloads (including bodies that are
-not valid JSON, unknown query ``"type"`` values and a ``Content-Length``
-that is not a non-negative integer), 413 ``too-large`` for a declared
+not valid JSON or nested too deeply, unknown query ``"type"`` values,
+ingest rows that are not all integers and a ``Content-Length`` that is
+not a non-negative integer), 413 ``too-large`` for a declared
 body above :data:`MAX_BODY_BYTES` (both ``Content-Length`` rejections
 close the connection unread), 404 ``not-found``
 for unknown paths, 404 ``unknown-tenant`` for routes naming a tenant
 that does not exist, 409 ``conflict`` for operations the service cannot
-perform in its current state (not ready, static mode, no storage
-backend, duplicate tenant), 429 ``quota-exceeded`` when an ingest batch
-would push a tenant past its configured quota, 503 ``degraded`` (with a
-``Retry-After`` header) when a tenant's write-ahead log is unavailable
-or the tenant is quarantined, 503 ``overloaded`` (also ``Retry-After``)
-when the bounded admission queue is full, and 500 ``internal`` for
-unexpected failures — never a raw traceback on the wire.
+perform in its current state (not ready, static mode, a snapshot
+without durable storage, duplicate tenant), 429 ``quota-exceeded``
+when an ingest batch would push a tenant past its configured quota,
+503 ``degraded`` (with a ``Retry-After`` header) when a tenant's
+write-ahead log is unavailable or the tenant is quarantined, 503
+``overloaded`` (also ``Retry-After``) when the bounded admission queue
+is full, and 500 ``internal`` for unexpected failures — never a raw
+traceback on the wire.
 
 Build a bound server with :func:`build_server` (``port=0`` picks a free
 port — the tests and the in-process quickstart rely on that) and run it
@@ -76,6 +80,7 @@ from .._version import package_version
 from ..resilience import DegradedServiceError
 from ..storage.base import (DEFAULT_TENANT, TenantExistsError,
                             UnknownTenantError)
+from ..storage.memory import NotDurableError
 from .service import QueryService, ServiceError
 from .tenants import QuotaExceededError, TenantManager
 
@@ -220,17 +225,14 @@ class ServingHTTPServer(HTTPServer):
 
 
 class ServingRequestHandler(BaseHTTPRequestHandler):
-    """Routes the JSON API onto a :class:`TenantManager` or one
-    :class:`QueryService`.
+    """Routes the JSON API onto a :class:`TenantManager`.
 
-    Subclasses produced by :func:`build_server` bind the ``service``,
-    ``tenant_manager`` and ``verbose`` class attributes.  With a
-    ``tenant_manager``, serving routes resolve a tenant per request;
-    without one, a single storage-less service answers them.
+    Subclasses produced by :func:`build_server` bind the
+    ``tenant_manager`` and ``verbose`` class attributes; serving routes
+    resolve a tenant per request.
     """
 
-    service: QueryService | None = None
-    tenant_manager: TenantManager | None = None
+    tenant_manager: TenantManager
     verbose: bool = False
 
     server_version = "repro-serving/1.0"
@@ -292,7 +294,9 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         a malformed body never desynchronizes a keep-alive connection.
         A length that is not a non-negative integer, or that exceeds
         :data:`MAX_BODY_BYTES`, raises :class:`BodyRejectedError`
-        before anything is read.
+        before anything is read.  A body nested deeper than the JSON
+        decoder's recursion limit is a ValueError like any other
+        malformed body.
         """
         header = (self.headers.get("Content-Length") or "0").strip()
         if not header.isdecimal():
@@ -309,7 +313,10 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        document = json.loads(raw)
+        try:
+            document = json.loads(raw)
+        except RecursionError:
+            raise ValueError("JSON body is nested too deeply") from None
         if not isinstance(document, dict):
             raise ValueError("request body must be a JSON object")
         return document
@@ -329,19 +336,11 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         return str(payload.get("tenant") or params.get("tenant")
                    or DEFAULT_TENANT)
 
-    def _service_for(self, tenant: str) -> QueryService:
-        """The :class:`QueryService` answering for ``tenant``."""
-        if self.tenant_manager is not None:
-            return self.tenant_manager.service(tenant)
-        return self.service
-
     def _healthz_document(self, params: dict) -> dict:
         """``GET /healthz``: liveness — always 200 while the process
         answers; degradation is reported inline, not via the status."""
         document = {"status": "ok", "version": package_version()}
         document["load"] = self.server.load_status()
-        if self.tenant_manager is None:
-            return {**document, **self.service.status()}
         storage = self.tenant_manager.storage_status()
         tenant = self._tenant_of({}, params)
         if self.tenant_manager.has_tenant(tenant):
@@ -353,17 +352,13 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
     def _readyz(self) -> None:
         """``GET /readyz``: readiness — 503 while any tenant is
-        degraded or quarantined (or, single-service, not ready)."""
-        if self.tenant_manager is None:
-            ready = bool(self.service.is_ready)
-            document = {"ready": ready}
-        else:
-            ready, document = self.tenant_manager.readiness()
+        degraded or quarantined."""
+        ready, document = self.tenant_manager.readiness()
         self._send_json(200 if ready else 503, document)
 
     def _snapshot_listing(self, tenant: str) -> dict:
         """``GET /snapshot``: versions from the backend's metadata."""
-        backend = self._require_manager().backend
+        backend = self.tenant_manager.backend
         records = backend.list_snapshots(tenant)
         return {
             "tenant": tenant,
@@ -375,15 +370,9 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
     def _save_snapshot(self, tenant: str) -> dict:
         """``POST /snapshot``: persist through the storage backend."""
-        record = self._require_manager().save_snapshot(tenant)
+        record = self.tenant_manager.save_snapshot(tenant)
         return {"tenant": tenant, "version": record.version,
                 "wal_seq": record.wal_seq, "size_bytes": record.size_bytes}
-
-    def _require_manager(self) -> TenantManager:
-        if self.tenant_manager is None:
-            raise ServiceError("this endpoint needs a storage backend "
-                               "(start with --backend/--store)")
-        return self.tenant_manager
 
     # ------------------------------------------------------------------
     # Routes
@@ -400,13 +389,13 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
                 tenant = self._tenant_of({}, params)
                 self._send_json(200, self._snapshot_listing(tenant))
             elif path == "/tenants":
-                manager = self._require_manager()
+                manager = self.tenant_manager
                 self._send_json(200, {"tenants": manager.list_tenants(),
                                       "count": len(manager.tenant_names())})
             elif path.startswith("/tenants/"):
-                manager = self._require_manager()
                 name = path.removeprefix("/tenants/")
-                self._send_json(200, manager.describe_tenant(name))
+                self._send_json(200,
+                                self.tenant_manager.describe_tenant(name))
             else:
                 self._send_error_json(404, "not-found",
                                       f"unknown path {path}")
@@ -442,23 +431,17 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         path, params = self._split_path()
         try:
             if path == "/ingest":
-                tenant = self._tenant_of(payload, params)
-                if self.tenant_manager is not None:
-                    receipt = self.tenant_manager.ingest(
-                        tenant, payload["rows"], payload.get("domain_size"))
-                else:
-                    receipt = self.service.ingest(payload["rows"],
-                                                  payload.get("domain_size"))
+                receipt = self.tenant_manager.ingest(
+                    self._tenant_of(payload, params), payload["rows"],
+                    payload.get("domain_size"))
                 self._send_json(200, receipt)
             elif path == "/query":
-                service = self._service_for(self._tenant_of(payload, params))
+                service = self.tenant_manager.service(
+                    self._tenant_of(payload, params))
                 self._send_json(200, self._answer_query(service, payload))
             elif path == "/refinalize":
-                tenant = self._tenant_of(payload, params)
-                if self.tenant_manager is not None:
-                    status = self.tenant_manager.refinalize(tenant)
-                else:
-                    status = self.service.refinalize()
+                status = self.tenant_manager.refinalize(
+                    self._tenant_of(payload, params))
                 # The epoch the re-finalize published: clients use the
                 # header to confirm subsequent reads observe it.
                 self._send_json(200, status,
@@ -468,8 +451,7 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
                 tenant = self._tenant_of(payload, params)
                 self._send_json(200, self._save_snapshot(tenant))
             elif path == "/tenants":
-                manager = self._require_manager()
-                record = manager.create_tenant(
+                record = self.tenant_manager.create_tenant(
                     str(payload["name"]), dict(payload.get("config") or {}))
                 self._send_json(201, {"name": record.name,
                                       "created_at": record.created_at,
@@ -483,10 +465,12 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
             self._send_degraded(error)
         except UnknownTenantError as error:
             self._send_error_json(404, "unknown-tenant", str(error))
-        except TenantExistsError as error:
+        except (TenantExistsError, ServiceError) as error:
             self._send_error_json(409, "conflict", str(error))
-        except ServiceError as error:
-            self._send_error_json(409, "conflict", str(error))
+        except NotDurableError:
+            self._send_error_json(409, "conflict",
+                                  "this endpoint needs a storage backend "
+                                  "(start with --backend/--store)")
         except (KeyError, ValueError, TypeError) as error:
             self._send_error_json(400, "bad-request",
                                   f"bad request: {error}")
@@ -500,9 +484,8 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         path, _ = self._split_path()
         try:
             if path.startswith("/tenants/"):
-                manager = self._require_manager()
                 name = path.removeprefix("/tenants/")
-                manager.delete_tenant(name)
+                self.tenant_manager.delete_tenant(name)
                 self._send_json(200, {"deleted": name})
             else:
                 self._send_error_json(404, "not-found",
@@ -531,31 +514,27 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         return service.query_wire(payload["queries"])
 
 
-def build_server(service: QueryService | None = None,
+def build_server(tenant_manager: TenantManager,
                  host: str = "127.0.0.1",
                  port: int = 0,
                  verbose: bool = False,
                  workers: int = DEFAULT_WORKERS,
-                 tenant_manager: TenantManager | None = None,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  handler_timeout: float | None = None,
                  ) -> ServingHTTPServer:
     """A bound (not yet running) worker-pool HTTP server.
 
-    Pass ``tenant_manager`` to serve over a storage backend (requests
-    without a tenant route to the ``default`` tenant), or ``service``
-    for one in-process service with no storage.
-    ``port=0`` binds any free port; read the result from
+    ``tenant_manager`` answers every route; requests without a tenant
+    route to its ``default`` tenant.  For a server that keeps no state
+    on disk, build the manager over a :class:`~repro.storage.
+    MemoryBackend`.  ``port=0`` binds any free port; read the result from
     ``server.server_address``.  ``workers`` sizes the request pool —
     each worker owns one keep-alive connection at a time —
     ``queue_depth`` bounds how many more connections may wait for a
     worker before the listener sheds with 503, and ``handler_timeout``
     overrides the idle keep-alive socket timeout (seconds).
     """
-    if (service is None) == (tenant_manager is None):
-        raise ValueError("pass exactly one of service or tenant_manager")
-    attributes = {"service": service, "tenant_manager": tenant_manager,
-                  "verbose": verbose}
+    attributes = {"tenant_manager": tenant_manager, "verbose": verbose}
     if handler_timeout is not None:
         if handler_timeout <= 0:
             raise ValueError("handler_timeout must be > 0")

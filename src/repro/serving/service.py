@@ -154,8 +154,15 @@ def query_from_wire(obj) -> Query:
 
 
 def queries_from_wire(objs) -> list[Query]:
-    """A workload from a JSON list of wire-format queries."""
-    return [query_from_wire(obj) for obj in objs]
+    """A workload from a JSON list of wire-format queries.
+
+    A number too large for an integer field (``1e400`` decodes to an
+    infinite float) is a ValueError, like any other malformed query.
+    """
+    try:
+        return [query_from_wire(obj) for obj in objs]
+    except OverflowError as error:
+        raise ValueError(f"query value out of range: {error}") from None
 
 
 def query_to_wire(query: Query) -> dict:
@@ -181,6 +188,22 @@ def query_to_wire(query: Query) -> dict:
                 "k": int(query.k)}
     raise TypeError(f"cannot serialize {type(query).__name__} "
                     f"({query_kind(query)})")
+
+
+def integer_rows(rows) -> np.ndarray:
+    """A raw ingest batch as an int64 array, if every value is an integer.
+
+    ``np.asarray(rows, dtype=np.int64)`` would store ``1.5`` as ``1``,
+    ``true`` as ``1`` and a numeric string as its number; a batch is
+    refused with ValueError instead, before it reaches a write-ahead
+    log or a collector.  (Mixed with integers, a boolean promotes to an
+    integer in the array and is not caught here.)
+    """
+    array = np.asarray(rows)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"rows must hold integers only; got "
+                         f"{array.dtype} values")
+    return array.astype(np.int64, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -725,7 +748,7 @@ class QueryService:
                     "domain_size is required for the first raw-row batch "
                     "(pass it per call or at service construction)")
             domain_size = schema[1]
-        return Dataset(np.asarray(rows, dtype=np.int64), int(domain_size))
+        return Dataset(integer_rows(rows), int(domain_size))
 
     def refinalize(self) -> dict:
         """Finalize the ingestor's current state; swap the estimator.

@@ -59,14 +59,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..resilience import (CircuitBreaker, Deadline, DegradedServiceError,
                           RetryPolicy)
 from ..storage.base import (DEFAULT_TENANT, StorageBackend,
                             TenantExistsError, TenantRecord,
                             UnknownTenantError)
-from .service import QueryService, ServiceError
+from .service import QueryService, ServiceError, integer_rows
 
 logger = logging.getLogger("repro.serving")
 
@@ -394,10 +392,11 @@ class TenantManager:
 
         ``rows`` must be a JSON-shaped nested list (or array) of
         integer rows; it is validated *before* the write-ahead append
-        so a malformed batch can never poison the log.
+        (:func:`~repro.serving.service.integer_rows`, then the shape) so
+        a malformed batch can never poison the log.
         """
         runtime = self._runtime(tenant)
-        batch = np.asarray(rows, dtype=np.int64)
+        batch = integer_rows(rows)
         if batch.ndim != 2:
             raise ValueError(f"rows must be a 2-D batch of user records; "
                              f"got shape {tuple(batch.shape)}")

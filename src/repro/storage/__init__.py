@@ -2,7 +2,8 @@
 
 The serving stack persists three concerns — tenant configurations,
 versioned service snapshots, and a write-ahead ingest log — behind one
-:class:`StorageBackend` contract with two implementations:
+:class:`StorageBackend` contract with two durable implementations and
+one process-local one:
 
 :class:`DirectoryBackend` (``"json"``)
     The original directory-of-JSON snapshot layout, kept as the
@@ -14,7 +15,11 @@ versioned service snapshots, and a write-ahead ingest log — behind one
     trigger-materialized listing view; listings and log scans never
     touch snapshot blobs.
 
-:func:`open_backend` builds either from CLI-style arguments.  See
+:class:`MemoryBackend` (not in :data:`BACKENDS`)
+    Process-local tenants with a row-free ingest log and no snapshots:
+    what ``repro serve`` runs over without ``--backend``.
+
+:func:`open_backend` builds a durable one from CLI-style arguments.  See
 docs/storage.md for the backend matrix, durability guarantees and
 recovery semantics.
 """
@@ -24,6 +29,7 @@ from .base import (DEFAULT_TENANT, CorruptEntryError, IngestLogEntry,
                    TenantExistsError, TenantRecord, UnknownTenantError,
                    validate_tenant_name)
 from .directory import DirectoryBackend, fsync_directory
+from .memory import MemoryBackend, NotDurableError
 from .sqlite import SQLiteBackend
 
 #: Backend constructors by CLI name.
@@ -63,6 +69,8 @@ __all__ = [
     "DEFAULT_TENANT",
     "DirectoryBackend",
     "IngestLogEntry",
+    "MemoryBackend",
+    "NotDurableError",
     "SQLiteBackend",
     "SnapshotRecord",
     "StorageBackend",

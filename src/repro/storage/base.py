@@ -21,10 +21,12 @@ lose on a crash, organized around three concerns:
     losing reports (:class:`~repro.serving.TenantManager` owns the
     replay; ``tests/test_crash_recovery.py`` pins it bitwise).
 
-Two implementations ship: :class:`~repro.storage.DirectoryBackend`
+Two durable implementations ship: :class:`~repro.storage.DirectoryBackend`
 (a directory of JSON snapshot files, the sole owner of that layout)
 and :class:`~repro.storage.SQLiteBackend` (single-file
-SQLite database in WAL mode).  docs/storage.md has the backend matrix
+SQLite database in WAL mode).  :class:`~repro.storage.MemoryBackend`
+keeps tenants in process memory only: it is what ``repro serve`` runs
+over without ``--backend``.  docs/storage.md has the backend matrix
 and recovery semantics.
 """
 

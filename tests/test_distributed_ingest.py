@@ -410,25 +410,16 @@ def test_concurrent_refinalize_and_snapshot_restore_bitwise():
 
 def test_healthz_ingest_tier_keys():
     """The /healthz ingest_tier document keeps its key set."""
-    import threading
     import urllib.request
 
-    from repro.serving import build_server
+    from serving_helpers import memory_server
 
-    service = _service("TDG", "stream", N_WORKERS)
-    server = build_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        service.ingest(_batches()[0])
-        service.refinalize()
+    config = {"mechanism": "TDG", "epsilon": EPSILON, "seed": SEED,
+              "domain_size": DOMAIN, "ingest_workers": N_WORKERS}
+    with memory_server(config, _batches()[0]) as (_, server):
         url = f"http://127.0.0.1:{server.server_address[1]}/healthz"
         with urllib.request.urlopen(url, timeout=10) as response:
             document = json.loads(response.read())["ingest_tier"]
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
     assert set(document) == {"mechanism", "n_workers", "reports_routed",
                              "reports_total", "workers", "merge"}
     assert set(document["merge"]) == {

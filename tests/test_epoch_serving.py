@@ -26,8 +26,9 @@ from repro.estimation.weighted_update import (Constraint, weighted_update,
 from repro.queries import MarginalQuery, WorkloadGenerator
 from repro.mechanisms import MECHANISMS
 from repro.serving import (AnswerCache, QueryService, ServiceError,
-                           TenantManager, build_server)
+                           TenantManager)
 from repro.storage import DirectoryBackend
+from serving_helpers import memory_server
 
 DOMAIN = 16
 
@@ -303,12 +304,10 @@ def test_snapshot_round_trip_preserves_epoch_and_cache_config():
 
 
 def test_refinalize_epoch_header_increments():
-    service = QueryService("TDG", 1.0, seed=3, domain_size=8)
-    server = build_server(service, port=0)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    config = {"mechanism": "TDG", "epsilon": 1.0, "seed": 3,
+              "domain_size": 8}
+    with memory_server(config) as (_, server):
+        port = server.server_address[1]
         rng = np.random.default_rng(31)
 
         def post(path, payload):
@@ -332,9 +331,6 @@ def test_refinalize_epoch_header_increments():
             health = json.loads(response.read())
         assert health["epoch"] == 2
         assert health["answer_cache"]["capacity"] > 0
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # ----------------------------------------------------------------------

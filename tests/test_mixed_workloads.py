@@ -10,7 +10,6 @@ surface.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.request
 
 import numpy as np
@@ -25,9 +24,10 @@ from repro.queries import (QUERY_KINDS, MarginalQuery, PointQuery, Predicate,
                            PredicateCountQuery, RangeQuery, ScalarResult,
                            TopKQuery, WorkloadGenerator, evaluate_query,
                            evaluate_workload, query_kind)
-from repro.serving import (QueryService, build_server, queries_from_wire,
-                           query_from_wire, query_to_wire)
+from repro.serving import (QueryService, queries_from_wire, query_from_wire,
+                           query_to_wire)
 from repro.storage import DEFAULT_TENANT, DirectoryBackend
+from serving_helpers import memory_server
 
 MIXED = ("range", "marginal", "point", "count", "topk")
 
@@ -46,11 +46,10 @@ def mixed_service(mixed_dataset):
     return service
 
 
-def _serve(service):
-    server = build_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, server.server_address[1]
+def _serve(dataset):
+    """An HTTP server whose default tenant is ``mixed_service``'s twin."""
+    return memory_server({"mechanism": "HDG", "epsilon": 1.0, "seed": 2,
+                          "domain_size": dataset.domain_size}, dataset.values)
 
 
 def _post(port, path, payload):
@@ -300,15 +299,18 @@ def test_wire_accepts_dict_assignment_and_rejects_unknown_type():
 
 
 def test_http_query_serves_typed_results(mixed_service, mixed_dataset):
-    server, port = _serve(mixed_service)
-    try:
-        document = _post(port, "/query", {"queries": [
-            {"predicates": [[0, 0, 7]]},
-            {"type": "marginal", "attributes": [0, 1]},
-            {"type": "point", "assignment": [[0, 3], [2, 5]]},
-            {"type": "count", "predicates": [[1, 2, 9]]},
-            {"type": "topk", "attributes": [0, 1], "k": 3},
-        ]})
+    queries = [
+        {"predicates": [[0, 0, 7]]},
+        {"type": "marginal", "attributes": [0, 1]},
+        {"type": "point", "assignment": [[0, 3], [2, 5]]},
+        {"type": "count", "predicates": [[1, 2, 9]]},
+        {"type": "topk", "attributes": [0, 1], "k": 3},
+    ]
+    with _serve(mixed_dataset) as (_, server):
+        port = server.server_address[1]
+        document = _post(port, "/query", {"queries": queries})
+        assert document == json.loads(json.dumps(
+            mixed_service.query_wire(queries)))
         assert document["count"] == 5
         kinds = [result["type"] for result in document["results"]]
         assert kinds == ["range", "marginal", "point", "count", "topk"]
@@ -330,22 +332,16 @@ def test_http_query_serves_typed_results(mixed_service, mixed_dataset):
         ]})
         assert len(scalars["answers"]) == 2
         assert scalars["answers"][0] == scalars["results"][0]["value"]
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
-def test_healthz_reports_package_version(mixed_service):
-    server, port = _serve(mixed_service)
-    try:
+def test_healthz_reports_package_version(mixed_dataset):
+    with _serve(mixed_dataset) as (_, server):
+        port = server.server_address[1]
         with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/healthz", timeout=30) as response:
             health = json.loads(response.read())
         assert health["version"] == package_version()
         assert health["status"] == "ok"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_service_snapshot_restores_mixed_answers_bitwise(mixed_service,

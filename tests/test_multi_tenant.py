@@ -398,16 +398,6 @@ def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
         server.server_close()
 
 
-def test_build_server_requires_exactly_one_mode(tmp_path):
-    with pytest.raises(ValueError, match="exactly one"):
-        build_server()
-    service = QueryService("TDG", 1.0, seed=0, domain_size=DOMAIN)
-    with SQLiteBackend(tmp_path / "x.db") as backend:
-        manager = TenantManager(backend)
-        with pytest.raises(ValueError, match="exactly one"):
-            build_server(service, tenant_manager=manager)
-
-
 # ----------------------------------------------------------------------
 # CLI smoke: tenants verb against a real backend
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.resilience import (CircuitBreaker, Deadline, DeadlineExceededError,
 from repro.serving import TenantManager, build_server
 from repro.storage import (BACKENDS, CorruptEntryError, DirectoryBackend,
                            SQLiteBackend, UnknownTenantError, open_backend)
+from serving_helpers import memory_server
 
 DOMAIN = 8
 
@@ -609,37 +610,29 @@ def test_http_degraded_503_with_retry_after(chaos_server):
     assert _http(port, "/readyz")["ready"] is True
 
 
-def test_http_readyz_single_service(tmp_path):
-    from repro.serving import QueryService
-    service = QueryService("TDG", 1.0, seed=3, domain_size=DOMAIN,
-                           total_users=100)
-    server = build_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+def test_http_readyz_single_service():
+    """Without durable storage /readyz follows the manager's rule: 200
+    before the first re-finalize, so a fresh server behind a load
+    balancer can take the ingest that warms it; /healthz says whether
+    the default tenant is ready to answer."""
+    with memory_server(_tdg_config(seed=3, total_users=100)) as (_, server):
         port = server.server_address[1]
-        status, _, body = _http_error(port, "/readyz")
-        assert status == 503 and body == {"ready": False}
+        assert _http(port, "/readyz") == {"ready": True,
+                                          "degraded_tenants": [],
+                                          "quarantined_tenants": []}
+        assert _http(port, "/healthz")["ready"] is False
         _http(port, "/ingest", {"rows": _rows(1)})
         _http(port, "/refinalize", {})
-        assert _http(port, "/readyz") == {"ready": True}
-    finally:
-        server.shutdown()
-        server.server_close()
+        assert _http(port, "/healthz")["ready"] is True
+        assert _http(port, "/readyz")["ready"] is True
 
 
 def test_admission_queue_sheds_with_503(tmp_path):
     import socket
 
-    from repro.serving import QueryService
-    service = QueryService("TDG", 1.0, seed=3, domain_size=DOMAIN,
-                           total_users=100)
-    server = build_server(service, workers=1, queue_depth=0,
-                          handler_timeout=30.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    port = server.server_address[1]
-    try:
+    with memory_server(_tdg_config(seed=3, total_users=100), workers=1,
+                       queue_depth=0, handler_timeout=30.0) as (_, server):
+        port = server.server_address[1]
         # One idle keep-alive connection occupies the only capacity slot.
         holder = socket.create_connection(("127.0.0.1", port), timeout=10)
         deadline = [None]
@@ -667,9 +660,6 @@ def test_admission_queue_sheds_with_503(tmp_path):
         probe.close()
         holder.close()
         assert server.load_status()["shed_connections"] >= 1
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_busy_timeout_configurable_end_to_end(tmp_path):

@@ -29,7 +29,13 @@ from repro.serving import (QueryService, ServiceError, TenantManager,
                            build_server, queries_from_wire, query_from_wire,
                            query_to_wire, restore_mechanism)
 from repro.serving.http import MAX_BODY_BYTES
-from repro.storage import DEFAULT_TENANT, DirectoryBackend
+from repro.storage import (DEFAULT_TENANT, DirectoryBackend, MemoryBackend,
+                           SQLiteBackend)
+from serving_helpers import memory_server
+
+#: Default-tenant config of the memory-backed HTTP tests.
+TDG_CONFIG = {"mechanism": "TDG", "epsilon": 1.0, "seed": 9,
+              "domain_size": 16}
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +484,19 @@ def test_http_malformed_json_is_400_not_500(http_service):
         assert "must be a JSON object" in body["error"]
     else:
         raise AssertionError("expected HTTP 400")
+    # Regression: nesting past the decoder's recursion limit used to
+    # abort the connection with no response, and an infinite bound
+    # (1e400) escaped as 500 ``internal``.
+    for raw, message in ((b"[" * 200_000, "nested too deeply"),
+                         (b'{"queries": [[[0, 0, 1e400]]]}', "out of range")):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/query", data=raw,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        body = json.loads(caught.value.read())
+        assert caught.value.code == 400 and body["code"] == "bad-request"
+        assert message in body["error"]
 
 
 def test_http_unknown_query_type_is_400_with_structured_body(http_service):
@@ -559,36 +578,28 @@ def test_http_concurrent_queries_no_cross_request_bleed(http_service):
 
 
 def test_build_server_workers_argument(serving_dataset):
-    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
     with pytest.raises(ValueError, match="workers"):
-        build_server(service, port=0, workers=0)
-    server = build_server(service, port=0, workers=2)
-    try:
+        with memory_server(TDG_CONFIG, workers=0):
+            pass
+    with memory_server(TDG_CONFIG, workers=2) as (_, server):
         assert server.workers == 2
-    finally:
-        server.server_close()
 
 
 def test_handler_crash_releases_worker_and_logs_peer(serving_dataset, caplog):
     import logging
     import socket
 
-    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
-    service.ingest(serving_dataset.values[:200])
-    service.refinalize()
-    server = build_server(service, port=0, workers=1)
-    handler_cls = server.RequestHandlerClass
-    original_do_get = handler_cls.do_GET
+    with memory_server(TDG_CONFIG, serving_dataset.values[:200],
+                       workers=1) as (_, server):
+        handler_cls = server.RequestHandlerClass
+        original_do_get = handler_cls.do_GET
 
-    def crashing_do_get(self):
-        if self.path == "/boom":
-            raise RuntimeError("injected handler crash")
-        original_do_get(self)
+        def crashing_do_get(self):
+            if self.path == "/boom":
+                raise RuntimeError("injected handler crash")
+            original_do_get(self)
 
-    handler_cls.do_GET = crashing_do_get
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+        handler_cls.do_GET = crashing_do_get
         port = server.server_address[1]
         with caplog.at_level(logging.WARNING, logger="repro.serving"):
             crasher = socket.create_connection(("127.0.0.1", port),
@@ -606,21 +617,13 @@ def test_handler_crash_releases_worker_and_logs_peer(serving_dataset, caplog):
         # The crashed connection released its admission slot (the last
         # healthz keep-alive may still be draining, hence <= 1).
         assert server.load_status()["in_flight"] <= 1
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_idle_keep_alive_connection_releases_worker(serving_dataset):
     import socket
 
-    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
-    service.ingest(serving_dataset.values[:200])
-    service.refinalize()
-    server = build_server(service, port=0, workers=1, handler_timeout=0.3)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with memory_server(TDG_CONFIG, serving_dataset.values[:200], workers=1,
+                       handler_timeout=0.3) as (_, server):
         port = server.server_address[1]
         # A stalled keep-alive client holds the only worker...
         staller = socket.create_connection(("127.0.0.1", port), timeout=10)
@@ -631,9 +634,6 @@ def test_idle_keep_alive_connection_releases_worker(serving_dataset):
         # this concurrent request is answered, not starved forever.
         assert _http(port, "/healthz")["status"] == "ok"
         staller.close()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 @pytest.mark.parametrize("length, status, code", [
@@ -650,13 +650,8 @@ def test_http_bad_content_length_is_refused_and_closed(serving_dataset,
     import socket
     import time
 
-    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
-    service.ingest(serving_dataset.values[:200])
-    service.refinalize()
-    server = build_server(service, port=0, workers=1)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with memory_server(TDG_CONFIG, serving_dataset.values[:200],
+                       workers=1) as (_, server):
         port = server.server_address[1]
         client = socket.create_connection(("127.0.0.1", port), timeout=1.0)
         started = time.monotonic()
@@ -674,48 +669,87 @@ def test_http_bad_content_length_is_refused_and_closed(serving_dataset,
         assert json.loads(body)["code"] == code
         # The only worker was released: the next connection is served.
         assert _http(port, "/healthz")["status"] == "ok"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 @pytest.mark.parametrize("config", [{}, {"ingest_mode": "refit"},
                                     {"ingest_workers": 2}],
                          ids=["stream", "refit", "tier"])
 def test_http_mismatched_batch_shape_is_400_in_every_mode(config):
-    service = QueryService("TDG", 1.0, seed=9, domain_size=16, **config)
-    server = build_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with memory_server({**TDG_CONFIG, **config}) as (manager, server):
         port = server.server_address[1]
         _http(port, "/ingest", {"rows": [[1, 2, 3], [4, 5, 6]]})
         code, body = _http_error(port, "/ingest", {"rows": [[1, 2], [3, 4]]})
         assert code == 400 and body["code"] == "bad-request"
         assert "does not match" in body["error"]
-        assert service.reports_ingested == 2
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+        assert manager.service().reports_ingested == 2
 
 
 def test_http_not_ready_is_conflict(tmp_path):
-    service = QueryService("TDG", 1.0, domain_size=16)
-    server = build_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with memory_server({"mechanism": "TDG", "epsilon": 1.0,
+                        "domain_size": 16}) as (_, server):
         port = server.server_address[1]
         code, body = _http_error(port, "/query", {"queries": [[[0, 0, 1]]]})
         assert code == 409 and "not ready" in body["error"]
         assert body["code"] == "conflict"
-        assert _http_error(port, "/snapshot", {})[0] == 409  # no store
-        code, body = _http_error(port, "/snapshot")
-        assert code == 409 and "needs a storage backend" in body["error"]
+        # No durable storage: nothing to write, an empty listing.
+        code, body = _http_error(port, "/snapshot", {})
+        assert code == 409 and body["code"] == "conflict"
+        assert "needs a storage backend" in body["error"]
+        assert _http(port, "/snapshot") == {
+            "tenant": DEFAULT_TENANT, "location": ":memory:", "versions": [],
+            "latest": None, "snapshots": []}
+
+
+def _open_store(kind: str, tmp_path):
+    if kind == "json":
+        return DirectoryBackend(tmp_path / "store")
+    if kind == "sqlite":
+        return SQLiteBackend(tmp_path / "store.db")
+    return MemoryBackend()
+
+
+@pytest.mark.parametrize("kind", ["json", "sqlite", "memory"])
+@pytest.mark.parametrize("rows", [
+    b"[[1.5, 2.7, 3.9]]", b"[[true, false, true]]", b"[[1e400, 0, 0]]",
+    b'[["1", "2", "3"]]'], ids=["float", "bool", "overflow", "string"])
+def test_http_ingest_rejects_non_integer_rows(kind, rows, tmp_path):
+    """Regression: non-integer rows used to be truncated (1.5 -> 1,
+    true -> 1) and written to the write-ahead log, and 1e400 answered
+    500.  They are refused with 400 before the log sees them."""
+    backend = _open_store(kind, tmp_path)
+    manager = TenantManager(backend, default_config=TDG_CONFIG)
+    server = build_server(manager, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        _http(port, "/ingest", {"rows": [[1, 2, 3]]})
+        depth = backend.ingest_log_depth(DEFAULT_TENANT)
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/ingest", data=b'{"rows": ' + rows + b"}")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        body = json.loads(caught.value.read())
+        assert caught.value.code == 400 and body["code"] == "bad-request"
+        assert "integers" in body["error"]
+        assert backend.ingest_log_depth(DEFAULT_TENANT) == depth
+        assert backend.last_ingest_seq(DEFAULT_TENANT) == 1
+        assert manager.service().reports_ingested == 1
     finally:
         server.shutdown()
         server.server_close()
+        backend.close()
+
+
+def test_service_ingest_rejects_non_integer_rows():
+    service = QueryService("TDG", 1.0, seed=9, domain_size=16)
+    with pytest.raises(ValueError, match="integers"):
+        service.ingest([[1.5, 2.7, 3.9]])
+    with pytest.raises(ValueError, match="integers"):
+        service.ingest(np.ones((2, 3), dtype=bool))
+    assert service.reports_ingested == 0
+    service.ingest(np.ones((2, 3), dtype=np.uint8))
+    assert service.reports_ingested == 2
 
 
 # ----------------------------------------------------------------------
