@@ -20,6 +20,14 @@ targets are HDG's clipped 2-D sub-answers (2000 rows each; 64 under
 ``--smoke``), and reports rows/s.  Under ``--smoke`` every row must be
 bitwise equal to the sequential ``weighted_update`` on that row.
 
+A third section times single queries, the served case: for TDG and HDG,
+fresh λ = 2 and λ = 3 ranges, each answered by its own
+``answer_workload([q])`` call (a one-row group per pair, so the
+prefix-sum gathers run on Python scalars), and reports µs per query.
+Every query is new to the plan cache.  Every single-call answer must be
+bitwise equal to its answer inside the batched workload.  The section
+is appended to ``BENCH_fit.json`` (``single_query``).
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_query_throughput.py
@@ -35,6 +43,7 @@ The loops are imported from ``tests/oracles.py`` by path, like
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -45,7 +54,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "tests"))
 
-from _scale import report  # noqa: E402
+from _scale import append_trajectory, report  # noqa: E402
 from oracles import loop_answers  # noqa: E402
 
 from repro.baselines import CALM, LHIO, MSW, Uniform  # noqa: E402
@@ -156,8 +165,41 @@ def weighted_update_section(mechanism, n_rows: int, n_attributes: int,
     return lines, failures
 
 
+def single_query_section(fitted: dict, n_queries: int, n_attributes: int,
+                         domain_size: int,
+                         seed: int) -> tuple[list[str], dict, list[str]]:
+    """µs per fresh single query (one ``answer_workload([q])`` call each)
+    for TDG and HDG at λ = 2 and 3; every single-call answer is compared
+    bitwise with its answer inside the batched workload."""
+    lines = [f"single queries: {n_queries} fresh ranges per lambda, one "
+             "answer_workload([q]) call each",
+             f"{'mechanism':>10}  {'lambda':>6}  {'us/query':>10}"]
+    entry: dict = {}
+    failures = []
+    for name in ("TDG", "HDG"):
+        mechanism = fitted[name]
+        entry[name] = {}
+        for dimension in (2, 3):
+            generator = WorkloadGenerator(
+                n_attributes, domain_size,
+                rng=np.random.default_rng(seed + dimension))
+            queries = generator.random_workload(n_queries, dimension, 0.5)
+            batched = mechanism.answer_workload(queries)
+            singles = np.empty(n_queries)
+            start = time.perf_counter()
+            for position, query in enumerate(queries):
+                singles[position] = mechanism.answer_workload([query])[0]
+            micros = (time.perf_counter() - start) / n_queries * 1e6
+            lines.append(f"{name:>10}  {dimension:>6}  {micros:>10.1f}")
+            entry[name][f"lambda{dimension}_us_per_query"] = round(micros, 2)
+            if not np.array_equal(singles, batched):
+                failures.append(f"{name} lambda={dimension}: a single-call "
+                                "answer differs from its batched answer")
+    return lines, entry, failures
+
+
 def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
-        domain_size: int, seed: int, smoke: bool) -> str:
+        domain_size: int, seed: int, smoke: bool) -> tuple[str, dict]:
     rng = np.random.default_rng(seed)
     dataset = make_dataset("normal", n_users, n_attributes, domain_size,
                            rng=rng)
@@ -193,10 +235,19 @@ def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
         seed + 11, check=smoke)
     lines += [""] + section
     failures += section_failures
+    n_single = 100 if smoke else 1_000
+    section, single, section_failures = single_query_section(
+        fitted, n_single, n_attributes, domain_size, seed + 13)
+    lines += [""] + section
+    failures += section_failures
+    entry = {"mode": "smoke" if smoke else "full", "n_users": n_users,
+             "n_attributes": n_attributes, "domain_size": domain_size,
+             "epsilon": epsilon, "n_queries": n_single,
+             "cpu_count": os.cpu_count(), **single}
     text = "\n".join(lines)
     if failures:
         raise SystemExit(text + "\n\nFAILURES:\n" + "\n".join(failures))
-    return text
+    return text, entry
 
 
 def main(argv=None) -> int:
@@ -215,9 +266,10 @@ def main(argv=None) -> int:
 
     n_users = args.n_users or (5_000 if args.smoke else 200_000)
     n_queries = args.n_queries or (200 if args.smoke else 2_000)
-    text = run(n_users, n_queries, args.epsilon, args.n_attributes,
-               args.domain_size, args.seed, smoke=args.smoke)
+    text, entry = run(n_users, n_queries, args.epsilon, args.n_attributes,
+                      args.domain_size, args.seed, smoke=args.smoke)
     report("query_throughput", text)
+    append_trajectory("single_query", entry)
     return 0
 
 

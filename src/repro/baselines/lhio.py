@@ -264,6 +264,14 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                     max_iterations=self.estimation_iterations))
         return np.array(answers, dtype=float)
 
+    def _pair_answer(self, query) -> float:
+        """One 2-D query through :meth:`_fused_pair_ranges`, alone."""
+        first, second = query.predicates
+        return float(self._fused_pair_ranges(
+            (first.attribute, second.attribute), np.array([first.low]),
+            np.array([first.high]), np.array([second.low]),
+            np.array([second.high]))[0])
+
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:
         """Sum every entry's node combinations with one gather per level.

@@ -12,7 +12,10 @@ Range answering runs on prefix-sum indexes (:mod:`repro.core.prefix_sum`)
 that are built lazily from the current frequencies and invalidated by
 every mutation through the grid API; each answer is then O(1) corner
 lookups instead of a Python cell loop, and the ``answer_ranges`` batch
-entry points answer whole query groups in one vectorised call.  The
+entry points answer whole query groups in one vectorised call.  A lone
+query (``answer_range``, or a one-row group) is gathered on Python
+scalars in the vectorised fold order, so its answer is bitwise the same
+alone or in a batch.  The
 original cell loops live in ``tests/oracles.py``: they are the ground
 truth the lookups are property-tested against and the baseline the
 throughput benchmark measures.
@@ -161,15 +164,19 @@ class Grid1D:
         """1-D range answer with the uniformity assumption inside cells."""
         if not 0 <= low <= high < self.domain_size:
             raise ValueError(f"invalid interval [{low}, {high}]")
-        return float(self.build_index().answer(low, high))
+        return self.build_index().answer_one(low, high)
 
     def answer_ranges(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Vectorised range answers for arrays of inclusive intervals.
 
         Intervals are assumed valid (the mechanisms validate queries
-        before batching).
+        before batching).  A single interval is gathered on Python
+        scalars, bitwise equal to its row of a batch.
         """
-        return np.asarray(self.build_index().answer(lows, highs), dtype=float)
+        index = self.build_index()
+        if len(lows) == 1:
+            return np.array([index.answer_one(int(lows[0]), int(highs[0]))])
+        return index.answer(lows, highs)
 
 
 class Grid2D:
@@ -310,14 +317,12 @@ class Grid2D:
                 raise ValueError(f"invalid interval [{low}, {high}]")
         self._check_response_shape(response_matrix, response_index)
 
-        if response_matrix is None and response_index is None:
-            return float(self.build_index().answer_uniform(
-                row_low, row_high, col_low, col_high))
         if response_index is not None:
-            return float(self.answer_ranges(
-                np.array([row_low]), np.array([row_high]),
-                np.array([col_low]), np.array([col_high]),
-                response_index=response_index)[0])
+            return self.build_index().answer_response_one(
+                response_index, row_low, row_high, col_low, col_high)
+        if response_matrix is None:
+            return self.build_index().answer_uniform_one(
+                row_low, row_high, col_low, col_high)
 
         # Raw matrix, no index: the partial-cell mass is the query
         # rectangle's matrix mass minus the fully-covered block's mass.
@@ -343,22 +348,22 @@ class Grid2D:
         With ``response_index=None`` every query follows the uniformity
         rule (TDG); otherwise partially covered cells draw their mass
         from the response matrix's summed-area table (HDG).  Intervals
-        are assumed valid.
+        are assumed valid.  A single query is gathered on Python
+        scalars, bitwise equal to its row of a batch.
         """
+        index = self.build_index()
+        if len(row_lows) == 1:
+            bounds = (int(row_lows[0]), int(row_highs[0]),
+                      int(col_lows[0]), int(col_highs[0]))
+            if response_index is None:
+                return np.array([index.answer_uniform_one(*bounds)])
+            return np.array([index.answer_response_one(response_index,
+                                                       *bounds)])
         if response_index is None:
-            return np.asarray(self.build_index().answer_uniform(
-                row_lows, row_highs, col_lows, col_highs), dtype=float)
-        w = self.cell_width
-        first_row, last_row = full_cell_range(row_lows, row_highs, w)
-        first_col, last_col = full_cell_range(col_lows, col_highs, w)
-        grid_part = self.build_index().cell_block_sum(first_row, last_row,
-                                                      first_col, last_col)
-        matrix_all = response_index.rect_sum(row_lows, row_highs,
-                                             col_lows, col_highs)
-        matrix_full = response_index.rect_sum(
-            first_row * w, (last_row + 1) * w - 1,
-            first_col * w, (last_col + 1) * w - 1)
-        return np.asarray(grid_part + matrix_all - matrix_full, dtype=float)
+            return index.answer_uniform(row_lows, row_highs, col_lows,
+                                        col_highs)
+        return index.answer_response(response_index, row_lows, row_highs,
+                                     col_lows, col_highs)
 
     def _check_response_shape(self, response_matrix: np.ndarray | None,
                               response_index: SummedAreaTable | None) -> None:

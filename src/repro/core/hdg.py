@@ -454,17 +454,14 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             self._response_indexes[key] = entry
         return entry[1]
 
-    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
-                           col_highs) -> np.ndarray:
-        """One pair grid's corner lookups through the response SAT."""
+    def _pair_grid(self, key):
+        """The pair's grid, answered through its response SAT."""
         grid = self.grids_2d.get(key)
-        if grid is None:
+        transposed = grid is None
+        if transposed:
             key = (key[1], key[0])
             grid = self.grids_2d[key]
-            row_lows, row_highs, col_lows, col_highs = \
-                col_lows, col_highs, row_lows, row_highs
-        return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
-                                  response_index=self._response_index(key))
+        return grid, self._response_index(key), transposed
 
     def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
         """1-D group: vectorised lookups on the fine-grained 1-D grid."""

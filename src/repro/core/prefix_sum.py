@@ -18,9 +18,24 @@ so that a range answer becomes a constant number of corner lookups:
   value-level matrix; used for the HDG response matrices, where partially
   covered cells contribute exact response-matrix mass.
 
-All three evaluate vectorised over arrays of interval endpoints, which is
-what makes workload batching (thousands of queries per call) cheap.  The
-answers are algebraically identical to the per-cell loops in
+Every rule has two evaluations: a vectorised one over arrays of interval
+endpoints, which is what makes workload batching (thousands of queries
+per call) cheap, and a one-row one (the ``*_one`` functions) on Python
+ints and floats, which answers a lone query without a NumPy call per
+lookup.  The one-row evaluation reads the same table entries with
+``ndarray.item`` and combines them in exactly the association the
+vectorised one uses, so a query's answer is bitwise the same whether
+it is gathered alone or inside a batch:
+
+* rectangle: ``((T[rh+1, ch+1] - T[rl, ch+1]) - T[rh+1, cl]) + T[rl, cl]``,
+  and ``0.0`` for an empty rectangle;
+* 1-D uniformity: ``V(high + 1) - V(low)``;
+* 2-D uniformity (TDG): ``((S + fx*R/w) + fy*C/w) + fx*fy*f/(w*w)`` per
+  corner, combined as ``((D(rh, ch) - D(rl, ch)) - D(rh, cl)) + D(rl, cl)``;
+* response matrix (HDG): ``(grid block + matrix rectangle) - matrix
+  block``.
+
+The answers are algebraically identical to the per-cell loops in
 ``tests/oracles.py``; the test suite asserts agreement to 1e-9 on
 randomised inputs.
 """
@@ -73,6 +88,16 @@ def _rect_sum(table: np.ndarray, row_low, row_high, col_low,
     return np.where(empty, 0.0, total)
 
 
+def _rect_sum_one(table: np.ndarray, row_low: int, row_high: int,
+                  col_low: int, col_high: int) -> float:
+    """One rectangle of :func:`_rect_sum` on Python scalars."""
+    if row_low > row_high or col_low > col_high:
+        return 0.0
+    item = table.item
+    return (item(row_high + 1, col_high + 1) - item(row_low, col_high + 1)
+            - item(row_high + 1, col_low) + item(row_low, col_low))
+
+
 class SummedAreaTable:
     """O(1) inclusive rectangle sums over a fixed value-level matrix."""
 
@@ -117,6 +142,15 @@ class PrefixIndex1D:
         """Vectorised inclusive range answers ``[low, high]``."""
         return (self.value_prefix(np.asarray(highs, dtype=np.int64) + 1)
                 - self.value_prefix(lows))
+
+    def _value_prefix_one(self, position: int) -> float:
+        cell, frac = divmod(position, self.cell_width)
+        return (self._cell_prefix.item(cell)
+                + frac * self._freq_padded.item(cell) / self.cell_width)
+
+    def answer_one(self, low: int, high: int) -> float:
+        """One row of :meth:`answer` on Python scalars."""
+        return self._value_prefix_one(high + 1) - self._value_prefix_one(low)
 
 
 class PrefixIndex2D:
@@ -167,9 +201,60 @@ class PrefixIndex2D:
         return (self.value_prefix(rh, ch) - self.value_prefix(rl, ch)
                 - self.value_prefix(rh, cl) + self.value_prefix(rl, cl))
 
-    def cell_block_sum(self, row_low, row_high, col_low, col_high) -> np.ndarray:
-        """Inclusive *cell-coordinate* block sums (empty blocks yield 0)."""
-        return _rect_sum(self._cell_sat, row_low, row_high, col_low, col_high)
+    def _value_prefix_one(self, x: int, y: int) -> float:
+        w = self.cell_width
+        i, fx = divmod(x, w)
+        j, fy = divmod(y, w)
+        return (self._cell_sat.item(i, j)
+                + fx * self._row_cum.item(i, j) / w
+                + fy * self._col_cum.item(i, j) / w
+                + fx * fy * self._freq_padded.item(i, j) / (w * w))
+
+    def answer_uniform_one(self, row_low: int, row_high: int, col_low: int,
+                           col_high: int) -> float:
+        """One row of :meth:`answer_uniform` on Python scalars."""
+        prefix = self._value_prefix_one
+        rh, ch = row_high + 1, col_high + 1
+        return (prefix(rh, ch) - prefix(row_low, ch)
+                - prefix(rh, col_low) + prefix(row_low, col_low))
+
+    def answer_response(self, response_index: SummedAreaTable, row_lows,
+                        row_highs, col_lows, col_highs) -> np.ndarray:
+        """Vectorised 2-D range answers under the response-matrix rule.
+
+        Fully covered cells contribute their frequency and partially
+        covered cells the response matrix's mass: the cell block's grid
+        mass, plus the query rectangle's matrix mass, minus the cell
+        block's matrix mass.
+        """
+        w = self.cell_width
+        first_row, last_row = full_cell_range(row_lows, row_highs, w)
+        first_col, last_col = full_cell_range(col_lows, col_highs, w)
+        grid_part = _rect_sum(self._cell_sat, first_row, last_row,
+                              first_col, last_col)
+        matrix_all = response_index.rect_sum(row_lows, row_highs,
+                                             col_lows, col_highs)
+        matrix_full = response_index.rect_sum(
+            first_row * w, (last_row + 1) * w - 1,
+            first_col * w, (last_col + 1) * w - 1)
+        return grid_part + matrix_all - matrix_full
+
+    def answer_response_one(self, response_index: SummedAreaTable,
+                            row_low: int, row_high: int, col_low: int,
+                            col_high: int) -> float:
+        """One row of :meth:`answer_response` on Python scalars."""
+        w = self.cell_width
+        first_row, last_row = -(-row_low // w), (row_high + 1) // w - 1
+        first_col, last_col = -(-col_low // w), (col_high + 1) // w - 1
+        matrix = response_index._table
+        grid_part = _rect_sum_one(self._cell_sat, first_row, last_row,
+                                  first_col, last_col)
+        matrix_all = _rect_sum_one(matrix, row_low, row_high,
+                                   col_low, col_high)
+        matrix_full = _rect_sum_one(
+            matrix, first_row * w, (last_row + 1) * w - 1,
+            first_col * w, (last_col + 1) * w - 1)
+        return grid_part + matrix_all - matrix_full
 
 
 def full_cell_range(lows: np.ndarray, highs: np.ndarray,

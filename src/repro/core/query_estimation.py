@@ -138,10 +138,12 @@ class PairwiseBatchAnswering:
 
     Mechanisms that answer 1-D/2-D queries directly and λ > 2 queries by
     combining 2-D sub-answers (TDG, HDG, LHIO and their variants) mix
-    this in and provide the fused hook :meth:`_fused_pair_ranges` (one
-    attribute pair's 2-D endpoint arrays), plus
-    :meth:`_fused_attribute_ranges` (one attribute's 1-D endpoint
-    arrays) when they answer 1-D queries from anything but a pair.
+    this in.  Grid mechanisms provide :meth:`_pair_grid` (the grid
+    answering an attribute pair); LHIO replaces the fused hook
+    :meth:`_fused_pair_ranges` (one attribute pair's 2-D endpoint
+    arrays) instead.  :meth:`_fused_attribute_ranges` (one attribute's
+    1-D endpoint arrays) is overridden by mechanisms that answer 1-D
+    queries from anything but a pair.
     :meth:`_answer_compiled` runs a :class:`~repro.queries.CompiledPlan`'s
     groups through them — one vectorised lookup per attribute or pair
     group — and combines every λ-D group's C(λ,2) sub-answers with one
@@ -170,19 +172,38 @@ class PairwiseBatchAnswering:
             (attribute, other), lows, highs, np.zeros_like(lows),
             np.full_like(lows, self._domain_size - 1))
 
+    def _pair_grid(self, key: tuple[int, int]):
+        """The grid answering attribute pair ``key``.
+
+        Returns ``(grid, response_index, transposed)``: the
+        :class:`~repro.core.grid.Grid2D`, the summed-area table its
+        partial cells draw on (``None`` for the uniformity rule), and
+        whether ``key`` lists the grid's attributes in (column, row)
+        order.
+        """
+        raise NotImplementedError
+
     def _fused_pair_ranges(self, key: tuple[int, int], row_lows: np.ndarray,
                            row_highs: np.ndarray, col_lows: np.ndarray,
                            col_highs: np.ndarray) -> np.ndarray:
         """Vectorised answers for one attribute pair's 2-D endpoint arrays."""
-        raise NotImplementedError
+        grid, response_index, transposed = self._pair_grid(key)
+        if transposed:
+            row_lows, row_highs, col_lows, col_highs = \
+                col_lows, col_highs, row_lows, row_highs
+        return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
+                                  response_index=response_index)
 
     def _pair_answer(self, query: RangeQuery) -> float:
-        """One 2-D query through :meth:`_fused_pair_ranges`, alone."""
+        """One 2-D query through the grid's one-row gather, alone."""
         first, second = query.predicates
-        return float(self._fused_pair_ranges(
-            (first.attribute, second.attribute), np.array([first.low]),
-            np.array([first.high]), np.array([second.low]),
-            np.array([second.high]))[0])
+        grid, response_index, transposed = self._pair_grid(
+            (first.attribute, second.attribute))
+        if transposed:
+            first, second = second, first
+        return grid.answer_range((first.low, first.high),
+                                 (second.low, second.high),
+                                 response_index=response_index)
 
     def _answer_compiled(self, compiled) -> np.ndarray:
         """Execute a compiled plan through the fused grouped gathers.

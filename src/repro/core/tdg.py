@@ -255,15 +255,12 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Phase 3: answering (the fused hooks of PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
-                           col_highs) -> np.ndarray:
-        """One grid's corner lookups (uniformity rule) for a pair group."""
+    def _pair_grid(self, key):
+        """The pair's grid, answered under the uniformity rule."""
         grid = self.grids.get(key)
         if grid is None:
-            grid = self.grids[(key[1], key[0])]
-            row_lows, row_highs, col_lows, col_highs = \
-                col_lows, col_highs, row_lows, row_highs
-        return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs)
+            return self.grids[(key[1], key[0])], None, True
+        return grid, None, False
 
 
 class ITDG(TDG):

@@ -30,11 +30,12 @@ its health document.
 
 Every kernel a group runs (``Grid1D.answer_ranges``,
 ``Grid2D.answer_ranges``, ``weighted_update_batch``) is
-elementwise-independent, so a primitive's answer does not depend on
-the workload it arrives in.  ``tests/test_plan_compiler.py`` pins the
-compiled answers bitwise to the per-query scalar reference in
-``tests/oracles.py`` for all five query kinds across all nine
-mechanisms.
+elementwise-independent, and evaluates a one-row group on Python
+scalars in the same fold order as a larger group, so a primitive's
+answer does not depend on the workload it arrives in.
+``tests/test_plan_compiler.py`` pins the compiled answers bitwise to
+the per-query scalar reference in ``tests/oracles.py`` for all five
+query kinds across all nine mechanisms.
 """
 
 from __future__ import annotations
