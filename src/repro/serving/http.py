@@ -44,10 +44,12 @@ and ``POST /snapshot`` answers 409.
 Errors return a structured body ``{"error": msg, "code": code}``:
 400 ``bad-request`` for malformed payloads (including bodies that are
 not valid JSON or nested too deeply, unknown query ``"type"`` values,
-ingest rows that are not all integers and a ``Content-Length`` that is
-not a non-negative integer), 413 ``too-large`` for a declared
-body above :data:`MAX_BODY_BYTES` (both ``Content-Length`` rejections
-close the connection unread), 404 ``not-found``
+ingest rows that are not all integers, a ``Content-Length`` that is
+not a non-negative integer and two ``Content-Length`` fields that
+disagree), 413 ``too-large`` for a declared body above
+:data:`MAX_BODY_BYTES`, 501 ``bad-request`` for a body sent with any
+``Transfer-Encoding`` (these four body refusals close the connection
+unread), 404 ``not-found``
 for unknown paths, 404 ``unknown-tenant`` for routes naming a tenant
 that does not exist, 409 ``conflict`` for operations the service cannot
 perform in its current state (not ready, static mode, a snapshot
@@ -57,7 +59,14 @@ when an ingest batch would push a tenant past its configured quota,
 write-ahead log is unavailable or the tenant is quarantined, 503
 ``overloaded`` (also ``Retry-After``) when the bounded admission queue
 is full, and 500 ``internal`` for unexpected failures — never a raw
-traceback on the wire.
+traceback on the wire.  The framing errors found before a route runs
+are JSON too, and close the connection: 400 ``bad-request`` for a
+malformed request line or header line, 414 ``too-large`` for a request
+line over 65,536 bytes, 431 ``too-large`` for more than 100 header
+lines or one over 65,536 bytes, 501 ``bad-request`` for an unknown
+method and 505 ``bad-request`` for HTTP/2 and later.  Each response is
+one write of the head (status line, ``Server``, ``Date``,
+``Content-Type``, ``Content-Length``) and the body.
 
 Build a bound server with :func:`build_server` (``port=0`` picks a free
 port — the tests and the in-process quickstart rely on that) and run it
@@ -68,10 +77,12 @@ curl transcript.
 
 from __future__ import annotations
 
+import email.utils
 import json
 import logging
 import math
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -114,8 +125,71 @@ _SHED_RESPONSE = (b"HTTP/1.1 503 Service Unavailable\r\n"
                   + b"\r\n\r\n" + _SHED_BODY)
 
 
+#: The stdlib's request-header bounds (``http.client``): the longest
+#: header line, and the most lines in a header block counting its blank
+#: terminator.  Either overrun is answered 431.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: ``(second, text)`` of the last ``Date`` header value.  Workers swap
+#: the whole tuple, so a reader never pairs one second with another's
+#: text.
+_date_cache = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` header value for now, formatted once per second."""
+    global _date_cache
+    now = int(time.time())
+    second, text = _date_cache
+    if second != now:
+        text = email.utils.formatdate(now, usegmt=True)
+        _date_cache = (now, text)
+    return text
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/major.minor`` as two integers, or None when malformed.
+
+    The stdlib's rules (RFC 2145 §3.1): exactly one dot, decimal
+    components of at most ten digits, leading zeros ignored.
+    """
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(part.isdecimal() and len(part) <= 10
+                                  for part in parts):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
+class RequestHeaders:
+    """A request's header fields, looked up case-insensitively.
+
+    ``get`` answers a field's first value, as the stdlib's
+    :class:`email.message.Message` does; ``get_all`` answers every
+    value in arrival order.  Values are stripped of surrounding
+    whitespace.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self):
+        self._fields: dict[str, list[str]] = {}
+
+    def add(self, name: str, value: str) -> None:
+        self._fields.setdefault(name.lower(), []).append(value)
+
+    def get(self, name: str, default=None):
+        values = self._fields.get(name.lower())
+        return default if values is None else values[0]
+
+    def get_all(self, name: str) -> list[str]:
+        return self._fields.get(name.lower(), [])
+
+
 class BodyRejectedError(ValueError):
-    """A request body refused from its ``Content-Length`` alone.
+    """A request body refused from its framing headers alone.
 
     The body is left unread, so the connection cannot be realigned on
     the next request: the handler answers ``status``/``code`` and
@@ -242,9 +316,10 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
     #: Socket timeout: an idle keep-alive connection releases its pool
     #: worker after this many seconds instead of pinning it forever.
     timeout = 5.0
-    #: TCP_NODELAY: a response is written as two small sends (headers,
-    #: body); with Nagle on, the second waits for the client's delayed
-    #: ACK — a ~40 ms stall per keep-alive request.
+    #: TCP_NODELAY: a response is one write, but one longer than a TCP
+    #: segment ends in a short segment, and after ``100 Continue`` the
+    #: answer follows a short send; with Nagle on, either waits for the
+    #: client's delayed ACK — a ~40 ms stall.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -254,16 +329,129 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         if self.verbose:
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Parse one request's line and headers; False once answered.
+
+        The request line follows the stdlib's rules: 400 for a
+        malformed line or version, 505 for HTTP/2 and later, a two-word
+        ``GET`` served as HTTP/0.9 and closed, and a leading ``//``
+        collapsed to ``/``.  The headers are split by hand rather than
+        through the ``email`` parser, within the stdlib's bounds: 431
+        for a line over :data:`_MAX_LINE` bytes or a block over
+        :data:`_MAX_HEADERS` lines.  A header line that is not
+        ``name: value`` (an obs-fold continuation included) is 400.
+        ``Connection`` and ``Expect: 100-continue`` keep the stdlib's
+        meaning.
+        """
+        self.command = None
+        # No version accepted yet, so an error answered now has a head.
+        self.request_version = ""
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            if command != "GET":
+                self.send_error(400,
+                                f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+            self.request_version = "HTTP/0.9"
+        self.command = command
+        # As the stdlib does: a path starting "//" would read as a
+        # scheme-relative URL to clients that echo it.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers = self.headers = RequestHeaders()
+        readline = self.rfile.readline
+        lines = 0
+        while True:
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long", "header line")
+                return False
+            lines += 1
+            if lines > _MAX_HEADERS:
+                self.send_error(431, "Too many headers",
+                                f"got more than {_MAX_HEADERS} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or not name or " " in name or "\t" in name:
+                self.send_error(400, f"Bad header line ({line[:64]!r})")
+                return False
+            headers.add(name, value.strip())
+
+        connection = headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
     def _send_json(self, status: int, document: dict,
                    headers: dict | None = None) -> None:
+        """Answer ``document`` as JSON, head and body in one write.
+
+        An extra ``Connection: close`` header closes the connection
+        after this response.  An HTTP/0.9 answer is the bare body.
+        """
         body = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.log_request(status)
+        extra = ""
         for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+            extra += f"{name}: {value}\r\n"
+            if name.lower() == "connection" and str(value).lower() == "close":
+                self.close_connection = True
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {_http_date()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n{extra}\r\n")
+        self.wfile.write(head.encode("latin-1") + body)
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Answer a framing error as a structured error and close.
+
+        These are the errors found before a route runs, by the stdlib's
+        connection loop (414, 501) or by :meth:`parse_request` (400,
+        431, 505): 414 and 431 are ``too-large``, the rest
+        ``bad-request``.
+        """
+        code = int(code)
+        error = message or self.responses[code][0]
+        if explain:
+            error = f"{error}: {explain}"
+        self.log_error("code %d, message %s", code, error)
+        self._send_json(code, {"error": error,
+                               "code": ("too-large" if code in (414, 431)
+                                        else "bad-request")},
+                        headers={"Connection": "close"})
 
     def _send_error_json(self, status: int, code: str, message: str) -> None:
         """Structured error body: ``error`` stays a plain string (the
@@ -277,28 +465,35 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         that cannot read headers (or log aggregators) still see them.
         """
         retry_after = max(1, math.ceil(error.retry_after))
-        body = json.dumps({"error": str(error), "code": "degraded",
-                           "tenant": error.tenant,
-                           "retry_after": retry_after}).encode("utf-8")
-        self.send_response(503)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Retry-After", str(retry_after))
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_json(503, {"error": str(error), "code": "degraded",
+                              "tenant": error.tenant,
+                              "retry_after": retry_after},
+                        headers={"Retry-After": retry_after})
 
     def _read_json(self) -> dict:
         """The request body as a JSON object.
 
         Always consumes the full ``Content-Length`` before raising, so
         a malformed body never desynchronizes a keep-alive connection.
-        A length that is not a non-negative integer, or that exceeds
-        :data:`MAX_BODY_BYTES`, raises :class:`BodyRejectedError`
-        before anything is read.  A body nested deeper than the JSON
-        decoder's recursion limit is a ValueError like any other
+        A body the server cannot frame raises :class:`BodyRejectedError`
+        before anything is read: any ``Transfer-Encoding`` (501), two
+        ``Content-Length`` fields that disagree (400), a length that is
+        not a non-negative integer (400) or one above
+        :data:`MAX_BODY_BYTES` (413).  A body nested deeper than the
+        JSON decoder's recursion limit is a ValueError like any other
         malformed body.
         """
-        header = (self.headers.get("Content-Length") or "0").strip()
+        if self.headers.get("Transfer-Encoding") is not None:
+            raise BodyRejectedError(
+                501, "bad-request",
+                "Transfer-Encoding is not supported: send the body with "
+                "a Content-Length")
+        lengths = self.headers.get_all("Content-Length")
+        if len(set(lengths)) > 1:
+            raise BodyRejectedError(
+                400, "bad-request",
+                f"bad request: conflicting Content-Length values {lengths}")
+        header = self.headers.get("Content-Length") or "0"
         if not header.isdecimal():
             raise BodyRejectedError(
                 400, "bad-request",
