@@ -8,6 +8,13 @@ are independent.  MSW therefore handles large domains and avoids the curse
 of dimensionality but completely loses attribute correlations — which is
 exactly the failure mode the paper's experiments expose on correlated
 datasets.
+
+Collection is shardable: each attribute's Square Wave reports reduce to
+additive report-bucket counts (:meth:`SquareWave.accumulate`), which
+``partial_fit`` adds up batch by batch and shards ``merge`` exactly;
+``finalize`` runs EM once per attribute on the merged counts.  ``fit``
+is ``partial_fit`` plus ``finalize`` on one batch, with the same random
+draws in the same order as a one-shot collection.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from ..core.base import RangeQueryMechanism
 from ..datasets import Dataset
-from ..frequency_oracles import SquareWave
+from ..frequency_oracles import SquareWave, SupportAccumulator
 from ..protocol import partition_users
 
 
@@ -44,26 +51,90 @@ class MSW(RangeQueryMechanism):
         self.smoothing = bool(smoothing)
         self.distributions: dict[int, np.ndarray] = {}
         self._prefixes: dict[int, np.ndarray] = {}
+        self._accumulators: dict[int, SupportAccumulator | None] = {}
 
     def _fit(self, dataset: Dataset) -> None:
-        d = dataset.n_attributes
-        groups = partition_users(dataset.n_users, d, self.rng)
-        self.distributions = {}
-        for attribute, group in zip(range(d), groups):
-            if group.size == 0:
-                self.distributions[attribute] = np.full(
-                    dataset.domain_size, 1.0 / dataset.domain_size)
-                continue
-            oracle = SquareWave(self.epsilon, dataset.domain_size, rng=self.rng,
-                                em_iterations=self.em_iterations,
-                                smoothing=self.smoothing)
-            estimate = oracle.estimate_frequencies(dataset.column(attribute)[group])
-            self.distributions[attribute] = estimate
+        self._accumulators = {}
+        self._partial_fit(dataset, total_users=None)
+        self._finalize()
+
+    def _oracle(self) -> SquareWave:
+        return SquareWave(self.epsilon, self._domain_size, rng=self.rng,
+                          em_iterations=self.em_iterations,
+                          smoothing=self.smoothing)
+
+    def _ensure_layout(self, planning_users: int | None) -> None:
+        # One report-bucket count vector per attribute; nothing to plan.
+        if not self._accumulators:
+            self._accumulators = dict.fromkeys(range(self._n_attributes))
+
+    def _add(self, attribute: int, batch: SupportAccumulator) -> None:
+        current = self._accumulators[attribute]
+        if current is None:
+            self._accumulators[attribute] = batch
+        else:
+            current.merge(batch)
+
+    def _partial_fit(self, dataset: Dataset, total_users: int | None) -> None:
+        self._ensure_layout(total_users)
+        groups = partition_users(dataset.n_users, dataset.n_attributes,
+                                 self.rng)
+        for attribute, group in enumerate(groups):
+            if group.size > 0:
+                self._add(attribute, self._oracle().accumulate(
+                    dataset.column(attribute)[group]))
+
+    def _merge(self, other: "MSW") -> None:
+        self._ensure_layout(None)
+        for attribute, accumulator in other._accumulators.items():
+            if accumulator is not None:
+                self._add(attribute, accumulator.copy())
+
+    def _finalize(self) -> None:
+        """EM once per attribute on its merged report-bucket counts; an
+        attribute no user reported on gets the uniform distribution."""
+        c = self._domain_size
+        self.distributions = {
+            attribute: (np.full(c, 1.0 / c) if accumulator is None
+                        else self._oracle().estimate_from_accumulator(
+                            accumulator))
+            for attribute, accumulator in self._accumulators.items()}
+        self._build_prefixes()
+
+    def _build_prefixes(self) -> None:
         # Prefix sums turn each per-attribute interval mass into one
         # subtraction.
         self._prefixes = {
             attribute: np.concatenate(([0.0], np.cumsum(distribution)))
             for attribute, distribution in self.distributions.items()}
+
+    # ------------------------------------------------------------------
+    # Shard-state serialization (see docs/architecture.md for the schema)
+    # ------------------------------------------------------------------
+    def shard_state(self) -> dict:
+        """Portable snapshot of the un-finalised report-bucket counts."""
+        if not self._accumulators:
+            raise RuntimeError("no batches ingested; nothing to serialize")
+        return {
+            **self._shard_header(self._n_reports or 0),
+            "accumulators": {
+                str(attribute): (accumulator.to_dict()
+                                 if accumulator is not None else None)
+                for attribute, accumulator in self._accumulators.items()},
+        }
+
+    def load_shard_state(self, state: dict) -> "MSW":
+        """Restore accumulator state produced by :meth:`shard_state`."""
+        if self._accumulators or self._fitted:
+            raise RuntimeError("shard state can only be loaded into a fresh "
+                               "mechanism instance")
+        self._load_shard_header(state)
+        entries = state["accumulators"]
+        self._accumulators = {
+            attribute: (SupportAccumulator.from_dict(entries[str(attribute)])
+                        if entries.get(str(attribute)) is not None else None)
+            for attribute in range(self._n_attributes)}
+        return self
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)
@@ -81,9 +152,7 @@ class MSW(RangeQueryMechanism):
         self.distributions = {
             int(attribute): np.asarray(distribution, dtype=float)
             for attribute, distribution in payload["distributions"].items()}
-        self._prefixes = {
-            attribute: np.concatenate(([0.0], np.cumsum(distribution)))
-            for attribute, distribution in self.distributions.items()}
+        self._build_prefixes()
 
     def _interval_mass(self, attribute: int, low: int, high: int) -> float:
         prefix = self._prefixes[attribute]

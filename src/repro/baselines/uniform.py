@@ -4,7 +4,9 @@ Uni never looks at the data: a λ-D range query is answered by the fraction
 of the λ-D domain it covers (the answer an aggregator would give if every
 attribute were uniformly and independently distributed).  It serves as the
 "free" baseline — any LDP mechanism performing worse than Uni is adding
-noise without adding information.
+noise without adding information.  Its aggregation hooks are no-ops, so
+it streams and shards like every other served mechanism: its whole
+state is the (d, c) schema and the report count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,27 @@ class Uniform(RangeQueryMechanism):
     def _fit(self, dataset: Dataset) -> None:
         # Only the domain metadata captured by the base class is needed.
         return None
+
+    def _aggregate_nothing(self, *args) -> None:
+        return None
+
+    # Every aggregation hook is a no-op: the base class keeps the schema
+    # and the report count, which is all Uni needs.
+    _ensure_layout = _partial_fit = _merge = _finalize = _aggregate_nothing
+
+    def shard_state(self) -> dict:
+        """The schema and report count: all Uni ever aggregates."""
+        if self._n_attributes is None:
+            raise RuntimeError("no batches ingested; nothing to serialize")
+        return self._shard_header(self._n_reports or 0)
+
+    def load_shard_state(self, state: dict) -> "Uniform":
+        """Restore the metadata produced by :meth:`shard_state`."""
+        if self._n_attributes is not None or self._fitted:
+            raise RuntimeError("shard state can only be loaded into a fresh "
+                               "mechanism instance")
+        self._load_shard_header(state)
+        return self
 
     def _state_payload(self) -> dict:
         # Uni's whole fitted state is the (d, c) metadata the base

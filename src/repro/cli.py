@@ -48,7 +48,7 @@ python -m repro.cli serve --mechanism HDG --refinalize-every 5000 \\
 python -m repro.cli serve --backend sqlite --store /tmp/repro.db
 python -m repro.cli snapshot list --dir /tmp/snapshots
 python -m repro.cli tenants create --backend sqlite --store /tmp/repro.db \\
-    --name acme --mechanism LHIO --ingest-mode refit
+    --name acme --mechanism MSW --quota 100000
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .storage import (BACKENDS, DEFAULT_TENANT, MemoryBackend, StorageError,
                       open_backend)
 
 
-#: Mechanisms the stream ingest paths accept.
+#: Mechanisms the serving and ingest paths accept.
 _SHARDABLE = [name for name, cls in MECHANISMS.items()
               if supports_sharding(cls)]
 
@@ -249,7 +249,6 @@ def _default_tenant_config(args: argparse.Namespace) -> dict:
         "refinalize_every": args.refinalize_every,
         "total_users": args.total_users,
         "domain_size": args.domain_size,
-        "ingest_mode": getattr(args, "ingest_mode", "stream"),
         "ingest_workers": getattr(args, "ingest_workers", None),
         "plan_cache_entries": getattr(args, "plan_cache_entries", None),
         "answer_cache_entries": getattr(args, "answer_cache_entries", None),
@@ -495,24 +494,14 @@ def _command_tenants(args: argparse.Namespace) -> int:
 
 
 def _add_serving_mechanism_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mechanism", default="HDG",
-                        choices=list(MECHANISMS),
-                        help="mechanism to collect and serve (the default "
-                             "stream ingest mode needs a shardable one: "
-                             f"{', '.join(_SHARDABLE)}; any mechanism works "
-                             "with --ingest-mode refit)")
-    parser.add_argument("--ingest-mode", default="stream",
-                        choices=["stream", "refit"],
-                        help="stream feeds batches through the shard "
-                             "partial_fit path; refit buffers raw rows and "
-                             "re-finalizes by fitting a fresh same-seeded "
-                             "instance from scratch (works for every "
-                             "mechanism, deterministic for crash recovery)")
+    parser.add_argument("--mechanism", default="HDG", choices=_SHARDABLE,
+                        help="mechanism to collect and serve (HIO and LHIO "
+                             "are experiment-only)")
     parser.add_argument("--ingest-workers", type=int, default=None,
                         metavar="N",
-                        help="run stream ingest through N collector worker "
-                             "processes (default: in-process ingest; refit "
-                             "ingest ignores it; see docs/ingest.md)")
+                        help="run ingest through N collector worker "
+                             "processes (default: in-process ingest; see "
+                             "docs/ingest.md)")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--plan-cache-entries", type=int, default=None,

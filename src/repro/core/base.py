@@ -20,8 +20,9 @@ Ranges take the same path (a range is its own single primitive), and
 pure range workloads keep the flat ``numpy`` answer vector they always
 had.
 
-Mechanisms whose collection step is aggregation-based (TDG, HDG) also
-support an incremental, shard-mergeable protocol:
+Mechanisms whose collection step is aggregation-based (TDG, HDG and
+their variants, CALM, MSW; Uni trivially) also support an incremental,
+shard-mergeable protocol:
 
 * :meth:`RangeQueryMechanism.partial_fit` ingests one batch of user
   reports, maintaining additive per-grid support counts;
@@ -109,8 +110,8 @@ class RangeQueryMechanism(abc.ABC):
     #: Pure mechanisms may answer concurrently from many threads with
     #: no lock (the serving tier's epoch read path relies on this);
     #: mechanisms that draw noise lazily or memoize per-query state
-    #: during answering (HIO, LHIO) override this to False and the
-    #: epoch serializes their answering with a per-epoch lock.
+    #: during answering (HIO, LHIO) override this to False, and the
+    #: serving tier refuses them.
     answering_is_pure: bool = True
 
     def __init__(self, epsilon: float, seed: int | None = None):
@@ -241,6 +242,26 @@ class RangeQueryMechanism(abc.ABC):
     def supports_sharding(self) -> bool:
         """Whether partial_fit/merge/finalize are implemented."""
         return type(self)._partial_fit is not RangeQueryMechanism._partial_fit
+
+    def _shard_header(self, total_reports: int) -> dict:
+        """The fields every ``shard_state`` document starts with."""
+        return {"mechanism": self.name, "epsilon": self.epsilon,
+                "n_attributes": self._n_attributes,
+                "domain_size": self._domain_size,
+                "total_reports": int(total_reports)}
+
+    def _load_shard_header(self, state: dict) -> int:
+        """Check a ``shard_state`` document's owner, restore its schema and
+        report count, and return that count."""
+        if state["mechanism"] != self.name:
+            raise ValueError(f"state belongs to {state['mechanism']!r}, "
+                             f"not {self.name!r}")
+        if float(state["epsilon"]) != self.epsilon:
+            raise ValueError("state was collected under a different epsilon")
+        self._n_attributes = int(state["n_attributes"])
+        self._domain_size = int(state["domain_size"])
+        self._n_reports = int(state["total_reports"])
+        return self._n_reports
 
     # ------------------------------------------------------------------
     # Aggregation layout (distributed ingest tier)

@@ -286,12 +286,8 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         if self.chosen_g1 is None:
             raise RuntimeError("no batches ingested; nothing to serialize")
         return {
-            "mechanism": self.name,
-            "epsilon": self.epsilon,
-            "n_attributes": self._n_attributes,
-            "domain_size": self._domain_size,
+            **self._shard_header(self._total_reports),
             "granularity": {"g1": self.chosen_g1, "g2": self.chosen_g2},
-            "total_reports": self._total_reports,
             "accumulators": {
                 "1d": {str(attribute): (acc.to_dict() if acc is not None else None)
                        for attribute, acc in self._acc_1d.items()},
@@ -305,17 +301,9 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         if self.chosen_g1 is not None or self._fitted:
             raise RuntimeError("shard state can only be loaded into a fresh "
                                "mechanism instance")
-        if state["mechanism"] != self.name:
-            raise ValueError(f"state belongs to {state['mechanism']!r}, "
-                             f"not {self.name!r}")
-        if float(state["epsilon"]) != self.epsilon:
-            raise ValueError("state was collected under a different epsilon")
-        self._n_attributes = int(state["n_attributes"])
-        self._domain_size = int(state["domain_size"])
+        self._total_reports = self._load_shard_header(state)
         self.chosen_g1 = int(state["granularity"]["g1"])
         self.chosen_g2 = int(state["granularity"]["g2"])
-        self._total_reports = int(state["total_reports"])
-        self._n_reports = self._total_reports
         d, c = self._n_attributes, self._domain_size
         pairs = list(combinations(range(d), 2))
         self.grids_1d = {attribute: Grid1D(attribute, c, self.chosen_g1)

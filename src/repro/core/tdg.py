@@ -177,12 +177,8 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         if self.chosen_g2 is None:
             raise RuntimeError("no batches ingested; nothing to serialize")
         return {
-            "mechanism": self.name,
-            "epsilon": self.epsilon,
-            "n_attributes": self._n_attributes,
-            "domain_size": self._domain_size,
+            **self._shard_header(self._total_reports),
             "granularity": {"g2": self.chosen_g2},
-            "total_reports": self._total_reports,
             "accumulators": {
                 "2d": {f"{a},{b}": (acc.to_dict() if acc is not None else None)
                        for (a, b), acc in self._accumulators.items()},
@@ -194,16 +190,8 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         if self.chosen_g2 is not None or self._fitted:
             raise RuntimeError("shard state can only be loaded into a fresh "
                                "mechanism instance")
-        if state["mechanism"] != self.name:
-            raise ValueError(f"state belongs to {state['mechanism']!r}, "
-                             f"not {self.name!r}")
-        if float(state["epsilon"]) != self.epsilon:
-            raise ValueError("state was collected under a different epsilon")
-        self._n_attributes = int(state["n_attributes"])
-        self._domain_size = int(state["domain_size"])
+        self._total_reports = self._load_shard_header(state)
         self.chosen_g2 = int(state["granularity"]["g2"])
-        self._total_reports = int(state["total_reports"])
-        self._n_reports = self._total_reports
         pairs = list(combinations(range(self._n_attributes), 2))
         self.grids = {pair: Grid2D(pair, self._domain_size, self.chosen_g2)
                       for pair in pairs}

@@ -51,7 +51,8 @@ from .config import ExperimentConfig
 #: v2: cells carry query kinds and per-kind MAEs for mixed workloads.
 #: v3: sharded CALM collects full-resolution grids (v2 cells held TDG
 #: guideline-grid numbers under the CALM name).
-CACHE_VERSION = 3
+#: v4: MSW shards under ``n_shards > 1`` (v3 cells held one-shot numbers).
+CACHE_VERSION = 4
 
 #: Config fields that do not affect what one cell computes.
 EXECUTION_ONLY_FIELDS = frozenset({"n_jobs", "n_repeats"})

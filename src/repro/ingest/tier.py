@@ -15,11 +15,10 @@ ingest path (see ``docs/ingest.md``):
   distributed results stay bitwise identical to the equivalent
   single-process ingest.
 
-The tier runs only mechanisms that support sharded aggregation (TDG,
-HDG, ITDG, IHDG, CALM): their per-grid counts are additive, so the
-work splits across processes exactly.  The other mechanisms do all
-their work in ``fit``; a service refitting them buffers raw rows in
-its own process instead.
+The tier runs the mechanisms that support sharded aggregation (TDG,
+HDG, ITDG, IHDG, CALM, MSW, Uni): their per-grid or per-attribute
+counts are additive, so the work splits across processes exactly.
+HIO and LHIO do all their work in ``fit`` and are experiment-only.
 
 Back-pressure contract: worker inboxes are bounded queues
 (:data:`QUEUE_BATCHES` deep), and ``submit`` blocks when a worker
@@ -115,7 +114,8 @@ class IngestTier:
     ----------
     mechanism:
         Paper name of a mechanism that supports sharded aggregation
-        (TDG, HDG, ITDG, IHDG, CALM); any other raises ``ValueError``.
+        (TDG, HDG, ITDG, IHDG, CALM, MSW, Uni); HIO and LHIO raise
+        ``ValueError``.
     epsilon:
         Per-user privacy budget.
     n_workers:

@@ -8,8 +8,10 @@ the same message everywhere.
 
 Sharding is a property of the class, not a list: a mechanism is
 shardable exactly when it implements ``partial_fit``/``merge``/
-``finalize`` (:func:`supports_sharding`).  TDG, HDG, ITDG, IHDG and
-CALM are; their per-grid support counts add up across user shards.
+``finalize`` (:func:`supports_sharding`).  All but HIO and LHIO are:
+grid support counts and MSW's report-bucket counts add up across user
+shards, and Uni counts nothing.  HIO and LHIO draw noise lazily while
+answering; they are experiment-only, and only shardable names serve.
 
 This module sits just above :mod:`repro.core` and :mod:`repro.baselines`
 and imports nothing from the serving, ingest or experiment layers, so a
@@ -63,8 +65,8 @@ def mechanism_class(name: str, *,
                            if supports_sharding(c))
         raise ValueError(
             f"non-shardable mechanism {name!r}: it does not support "
-            f"sharded aggregation (shardable: {shardable}); a refit "
-            "service (ingest_mode='refit') serves any mechanism")
+            f"sharded aggregation (shardable: {shardable}); HIO and LHIO "
+            "are experiment-only")
     return cls
 
 

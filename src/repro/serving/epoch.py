@@ -23,19 +23,15 @@ that with RCU-style *epoch publication*:
 Consistency contract (pinned by ``tests/test_epoch_serving.py``): a
 query observes exactly one fully-published epoch — never a mix of two
 — and its answers are bitwise identical to quiescing the service and
-answering through the estimator directly, for all nine mechanisms.
+answering through the estimator directly, for every served mechanism.
 
-Purity: mechanisms whose answering is side-effect free
-(:attr:`~repro.core.RangeQueryMechanism.answering_is_pure`) answer
-concurrently with no lock at all.  HIO and LHIO draw lazy noise and
-memoize it during answering, so their epochs carry one per-epoch
-answering lock — readers of *those* mechanisms serialize against each
-other, but still never against ingest or re-finalize.
+Every served mechanism answers free of side effects
+(:attr:`~repro.core.RangeQueryMechanism.answering_is_pure`; the
+service refuses HIO and LHIO), so epochs answer concurrently with no
+lock at all.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -76,31 +72,21 @@ class EstimatorEpoch:
     """One immutable published read view of the service.
 
     Built entirely before publication and never mutated afterwards
-    (the estimator's plan cache and lazy-noise caches are internal
-    memoization, invisible in answers), so any thread that loads the
-    epoch reference answers against one consistent finalized
-    estimator.
+    (the estimator's plan cache is internal memoization, invisible in
+    answers), so any thread that loads the epoch reference answers
+    against one consistent finalized estimator.
 
     Answers are bitwise identical to calling the estimator directly:
     both run the same compiled plan through the same answering hook.
     """
 
-    __slots__ = ("epoch_id", "estimator", "answer_cache", "_answer_lock")
+    __slots__ = ("epoch_id", "estimator", "answer_cache")
 
     def __init__(self, epoch_id: int, estimator,
                  answer_cache: AnswerCache | None = None):
         self.epoch_id = int(epoch_id)
         self.estimator = estimator
         self.answer_cache = answer_cache
-        #: Impure mechanisms (HIO/LHIO) mutate lazy-noise state while
-        #: answering; one per-epoch lock serializes their readers.
-        self._answer_lock = (None if estimator.answering_is_pure
-                             else threading.Lock())
-
-    @property
-    def answering_is_pure(self) -> bool:
-        """Whether this epoch answers with no lock at all."""
-        return self._answer_lock is None
 
     # ------------------------------------------------------------------
     # Answering
@@ -134,23 +120,14 @@ class EstimatorEpoch:
         """
         cache = self.answer_cache
         if cache is None or cache.capacity == 0:
-            return self._compute_typed(queries)
+            return self.estimator.answer_typed(queries)
         key = (self.epoch_id, *queries)
         results = cache.get(key)
         if results is None:
-            results = self._compute_typed(queries)
+            results = self.estimator.answer_typed(queries)
             cache.put(key, results)
         return results
 
-    def _compute_typed(self, queries: tuple) -> list[QueryResult]:
-        """The estimator's own answering path, under the epoch's lock
-        when the mechanism is impure."""
-        if self._answer_lock is None:
-            return self.estimator.answer_typed(queries)
-        with self._answer_lock:
-            return self.estimator.answer_typed(queries)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EstimatorEpoch(id={self.epoch_id}, "
-                f"{type(self.estimator).__name__}, "
-                f"{'lock-free' if self.answering_is_pure else 'locked'})")
+                f"{type(self.estimator).__name__})")

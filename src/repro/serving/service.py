@@ -7,15 +7,15 @@ behind one private *ingestor* — the update path — and only counts
 reports, runs the re-finalize policy and publishes epochs (the
 analytical copy).  The ingestor is one of:
 
-* **inline collector** (stream, the default) — a shardable mechanism
-  name or un-fitted shardable instance.  ``ingest`` feeds batches into
+* **inline collector** (the default) — a shardable mechanism name or
+  un-fitted shardable instance.  ``ingest`` feeds batches into
   an open collector; a *re-finalize* (triggered automatically every
   ``refinalize_every`` reports, or on demand with ``refinalize``)
   clones the collector's accumulator state, runs the paper's Phase-2
   machinery on the clone and atomically swaps it in as the serving
   estimator.  Answers therefore stay fresh without ever refitting from
   scratch, and collection never pauses for finalization.
-* **stream tier** (stream with ``ingest_workers=N``) — the same, but
+* **stream tier** (``ingest_workers=N``) — the same, but
   batches are routed through a multi-process
   :class:`~repro.ingest.IngestTier` whose collector workers
   ``partial_fit`` in their own processes, and re-finalize asks every
@@ -23,19 +23,15 @@ analytical copy).  The ingestor is one of:
   ``merge``/``finalize`` path.
   Results are bitwise identical to the equivalent single-process shard
   plan; see ``docs/ingest.md`` and ``tests/test_distributed_ingest.py``.
-* **refit buffer** (``ingest_mode="refit"``) — *any* registered
-  mechanism name, shardable or not (LHIO, HIO, MSW, Uni included).
-  ``ingest`` buffers the raw batches in the service process
-  (``ingest_workers`` is ignored); a re-finalize runs the full
-  ``fit()`` on a fresh same-seeded instance over everything buffered
-  so far and swaps it in.  Refitting from scratch is deterministic in
-  (seed, rows), which is what lets the multi-tenant write-ahead-log
-  recovery replay a crashed refit tenant bitwise
-  (``tests/test_crash_recovery.py``).
 
-A **static** service — constructed from an already-fitted mechanism
-(any of the nine) — has no ingestor: queries and snapshots work;
-``ingest`` raises :class:`ServiceError`.
+Every served mechanism is shardable: TDG, HDG, ITDG, IHDG, CALM, MSW
+and Uni.  A **static** service — constructed from an already-fitted
+mechanism — has no ingestor: queries and snapshots work; ``ingest``
+raises :class:`ServiceError`.  HIO and LHIO are experiment-only: they
+draw noise lazily while answering, so their state grows with every
+distinct query, and the service refuses them.  Snapshots written by the
+retired refit ingest (which buffered raw rows and refitted from
+scratch) still restore: see :func:`_legacy_refit_batches`.
 
 The whole service serializes to one JSON document
 (:meth:`QueryService.state_dict`): the estimator's fitted state via
@@ -84,6 +80,9 @@ SERVICE_SNAPSHOT_FORMAT = "repro.service-snapshot"
 SERVICE_SNAPSHOT_VERSION = 1
 
 logger = logging.getLogger("repro.serving")
+
+#: Element types ``integer_rows`` refuses among a list's integers.
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 class ServiceError(RuntimeError):
@@ -196,13 +195,20 @@ def integer_rows(rows) -> np.ndarray:
     ``np.asarray(rows, dtype=np.int64)`` would store ``1.5`` as ``1``,
     ``true`` as ``1`` and a numeric string as its number; a batch is
     refused with ValueError instead, before it reaches a write-ahead
-    log or a collector.  (Mixed with integers, a boolean promotes to an
-    integer in the array and is not caught here.)
+    log or a collector.  An array is judged by its dtype.  In a nested
+    list, numpy promotes a boolean mixed with integers to 0 or 1, so
+    the elements that landed on 0 or 1 get their type checked.
     """
     array = np.asarray(rows)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"rows must hold integers only; got "
                          f"{array.dtype} values")
+    if array.ndim == 2 and not isinstance(rows, np.ndarray):
+        width = array.shape[1]
+        for index in np.flatnonzero((array == 0) | (array == 1)).tolist():
+            if type(rows[index // width][index % width]) in _BOOL_TYPES:
+                raise ValueError("rows must hold integers only; got a "
+                                 "boolean among the integers")
     return array.astype(np.int64, copy=False)
 
 
@@ -210,14 +216,13 @@ def integer_rows(rows) -> np.ndarray:
 # Ingestors: the update path of a streaming service
 # ----------------------------------------------------------------------
 # Every method runs under the owning service's state lock, except the
-# builder ``capture()`` returns (the Phase-2 pass or the full ``fit``)
+# builder ``capture()`` returns (the Phase-2 pass or the tier's fold)
 # and the release step ``close()`` returns, which the service runs
 # after dropping the lock.  ``state()`` returns the ingestor's entries
 # of the service snapshot document; ``load(document)`` reads them back.
 class _InlineCollector:
     """Stream ingest into one open ``partial_fit`` collector."""
 
-    mode = "stream"
     workers = None
 
     def __init__(self, collector: RangeQueryMechanism,
@@ -273,82 +278,26 @@ class _InlineCollector:
         return None
 
 
-class _RefitBuffer:
-    """Refit ingest: raw rows buffered in the service process.
+def _legacy_refit_batches(state: dict) -> list[Dataset] | None:
+    """The raw batches a refit-ingest snapshot buffered; None otherwise.
 
-    Re-finalize fits a fresh same-seeded instance over every buffered
-    row, so the estimator is a pure function of (seed, rows).  The
-    buffer keeps every row in memory and in every snapshot, with no
-    cap of its own; a tenant ``quota`` is the bound.
+    Refit ingest is retired.  Its snapshots hold the rows either as a
+    ``refit`` block of batches or, in the older flat form, as one
+    ``distributed.pending_rows`` list.  Either restores into an
+    in-process stream service that replays the rows through
+    ``partial_fit``, while the stored estimator stays the published
+    epoch.  HIO and LHIO snapshots fail there: they cannot stream.
     """
-
-    mode = "refit"
-    workers = None
-
-    def __init__(self, name: str, epsilon: float, seed: int | None,
-                 kwargs: dict):
-        self.factory = mechanism_class(name)
-        self.epsilon = epsilon
-        self.seed = seed
-        self.kwargs = dict(kwargs)
-        self.rows: list[np.ndarray] = []
-        self._schema: tuple[int, int] | None = None
-
-    def submit(self, batch: Dataset) -> None:
-        schema = (batch.n_attributes, batch.domain_size)
-        if self._schema is None:
-            self._schema = schema
-        elif schema != self._schema:
-            raise ValueError(
-                f"batch shape (d={schema[0]}, c={schema[1]}) does not "
-                f"match earlier batches (d={self._schema[0]}, "
-                f"c={self._schema[1]})")
-        self.rows.append(np.asarray(batch.values, dtype=np.int64))
-
-    def capture(self):
-        rows, domain_size = np.concatenate(self.rows, axis=0), self._schema[1]
-
-        def build() -> RangeQueryMechanism:
-            clone = self.factory(self.epsilon, seed=self.seed, **self.kwargs)
-            clone.fit(Dataset(rows, domain_size))
-            return clone
-        return build
-
-    def published(self, epoch_id: int) -> None:
-        pass
-
-    def schema(self) -> tuple[int, int] | None:
-        return self._schema
-
-    def state(self) -> dict:
-        return {"refit": {
-            "seed": self.seed,
-            "kwargs": self.kwargs,
-            "pending_rows": [batch.tolist() for batch in self.rows],
-            "pending_schema": (list(self._schema)
-                               if self._schema is not None else None),
-        }}
-
-    def load(self, document: dict) -> None:
-        block = document.get("refit")
-        if block is not None:
-            self.rows = [np.asarray(batch, dtype=np.int64)
-                         for batch in block["pending_rows"]]
-            schema = block.get("pending_schema")
-        else:
-            # A refit snapshot taken through the former multi-process
-            # refit mode: one flat row list in submission order.
-            block = document["distributed"]
-            schema = block.get("schema")
-            rows = block.get("pending_rows")
-            self.rows = [np.asarray(rows, dtype=np.int64)] if rows else []
-        self._schema = tuple(schema) if schema else None
-
-    def metrics(self) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
+    block = state.get("refit")
+    if block is not None:
+        batches, schema = block["pending_rows"], block.get("pending_schema")
+    else:
+        block = state.get("distributed") or {}
+        if "pending_rows" not in block:
+            return None
+        batches, schema = [block["pending_rows"]], block.get("schema")
+    return [Dataset(np.asarray(rows, dtype=np.int64), int(schema[1]))
+            for rows in batches if rows]
 
 
 class _StreamTier:
@@ -357,8 +306,6 @@ class _StreamTier:
     The tier starts on the first batch, whose schema pins its
     workers' layout.
     """
-
-    mode = "stream"
 
     def __init__(self, name: str, epsilon: float, seed: int | None,
                  kwargs: dict, workers: int, total_users: int | None):
@@ -460,9 +407,9 @@ class QueryService:
     ----------
     mechanism:
         A shardable mechanism name (``"TDG"``, ``"HDG"``, ``"ITDG"``,
-        ``"IHDG"``, ``"CALM"``) or un-fitted shardable instance for
-        streaming mode; any mechanism name with ``ingest_mode="refit"``;
-        or any *fitted* mechanism instance for static serving.
+        ``"IHDG"``, ``"CALM"``, ``"MSW"``, ``"Uni"``) or un-fitted
+        shardable instance for streaming mode, or a *fitted* instance
+        whose answering is pure for static serving.
     epsilon:
         Per-user privacy budget (ignored when an instance is passed).
     seed:
@@ -479,20 +426,11 @@ class QueryService:
         Default attribute domain size ``c`` assumed for raw-row ingest
         batches; per-call and :class:`~repro.datasets.Dataset` values
         override it.
-    ingest_mode:
-        ``"stream"`` (default) ingests through the shard
-        ``partial_fit`` path and requires a shardable mechanism;
-        ``"refit"`` buffers the raw batches and re-finalizes by
-        fitting a fresh same-seeded instance from scratch, which works
-        for every snapshotable mechanism.  Ignored when a fitted
-        instance is passed (static serving).
     ingest_workers:
         When set (>= 1), stream ingest runs through a multi-process
         :class:`~repro.ingest.IngestTier` with this many collector
         workers instead of an in-process collector.  Requires
-        name-based construction.  Refit ingest ignores it and always
-        buffers in the service process (``ingest_workers`` then
-        reports ``None``).
+        name-based construction.
     plan_cache_entries:
         Capacity of the estimator's compiled-plan LRU (``None`` keeps
         the mechanism default); applied to every published estimator.
@@ -504,24 +442,17 @@ class QueryService:
         Extra keyword arguments for name-based mechanism construction.
     """
 
-    #: Legal ``ingest_mode`` values.
-    INGEST_MODES = ("stream", "refit")
-
     def __init__(self, mechanism: str | RangeQueryMechanism = "HDG",
                  epsilon: float = 1.0, *, seed: int | None = None,
                  refinalize_every: int | None = None,
                  total_users: int | None = None,
                  domain_size: int | None = None,
-                 ingest_mode: str = "stream",
                  ingest_workers: int | None = None,
                  plan_cache_entries: int | None = None,
                  answer_cache_entries: int | None = None,
                  **mechanism_kwargs):
         if refinalize_every is not None and refinalize_every < 1:
             raise ValueError("refinalize_every must be >= 1 when set")
-        if ingest_mode not in self.INGEST_MODES:
-            raise ValueError(f"unknown ingest_mode {ingest_mode!r}; "
-                             f"known: {list(self.INGEST_MODES)}")
         if ingest_workers is not None and ingest_workers < 1:
             raise ValueError("ingest_workers must be >= 1 when set")
         if plan_cache_entries is not None and plan_cache_entries < 1:
@@ -553,8 +484,7 @@ class QueryService:
         self.finalize_count = 0
 
         #: The update path; None for a static service.
-        self._ingestor: (_InlineCollector | _RefitBuffer | _StreamTier
-                         | None) = None
+        self._ingestor: _InlineCollector | _StreamTier | None = None
         if isinstance(mechanism, RangeQueryMechanism):
             if ingest_workers is not None:
                 raise ValueError(
@@ -564,23 +494,19 @@ class QueryService:
             #: Paper name and privacy budget of the served mechanism.
             self.mechanism_name = mechanism.name
             self.epsilon = mechanism.epsilon
+            if not mechanism.answering_is_pure:
+                raise ValueError(
+                    f"{mechanism.name} cannot be served: it draws noise "
+                    "while answering, so its state grows with every "
+                    "distinct query (HIO and LHIO are experiment-only)")
             if mechanism.is_fitted:
                 self._publish(mechanism)
-            elif mechanism.supports_sharding:
-                self._ingestor = _InlineCollector(mechanism, total_users)
             else:
-                raise ValueError(
-                    f"{type(mechanism).__name__} does not support "
-                    "incremental ingest; pass a fitted instance for "
-                    "static serving, or construct by name with "
-                    "ingest_mode='refit'")
+                self._ingestor = _InlineCollector(mechanism, total_users)
             return
         self.mechanism_name = mechanism
         self.epsilon = float(epsilon)
-        if ingest_mode == "refit":
-            self._ingestor = _RefitBuffer(mechanism, self.epsilon, seed,
-                                          mechanism_kwargs)
-        elif ingest_workers is not None:
+        if ingest_workers is not None:
             self._ingestor = _StreamTier(mechanism, self.epsilon, seed,
                                          mechanism_kwargs, ingest_workers,
                                          total_users)
@@ -592,11 +518,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def ingest_mode(self) -> str | None:
-        """``"stream"``, ``"refit"``, or None for static services."""
-        return self._ingestor.mode if self._ingestor is not None else None
-
     @property
     def ingest_workers(self) -> int | None:
         """Collector worker count of a stream tier, else None."""
@@ -674,7 +595,6 @@ class QueryService:
                 "mechanism": self.mechanism_name,
                 "epsilon": self.epsilon,
                 "mode": "streaming" if self.is_streaming else "static",
-                "ingest_mode": self.ingest_mode,
                 "ready": self.is_ready,
                 "reports_ingested": self.reports_ingested,
                 "reports_since_finalize": self.reports_since_finalize,
@@ -754,7 +674,7 @@ class QueryService:
         """Finalize the ingestor's current state; swap the estimator.
 
         The ingestor itself stays open — its state is captured, the
-        capture is finalized (or refitted) into a fresh estimator, and
+        capture is finalized into a fresh estimator, and
         the serving estimator is replaced atomically.
         """
         with self._lock:
@@ -769,8 +689,8 @@ class QueryService:
         """Capture → build → publish.
 
         Only the capture and the publish hold the state lock; the build
-        (the Phase-2 pass, the tier's state exchange + fold, or a
-        refit's full ``fit``) runs without it, so concurrent queries
+        (the Phase-2 pass, or the tier's state exchange + fold) runs
+        without it, so concurrent queries
         keep answering from the previous epoch instead of stalling.
         Whole re-finalizes are serialized by their own lock so publishes
         land in capture order.  The reports pending at capture stop counting
@@ -850,7 +770,6 @@ class QueryService:
                 "version": SERVICE_SNAPSHOT_VERSION,
                 "mechanism": self.mechanism_name,
                 "epsilon": self.epsilon,
-                "ingest_mode": self.ingest_mode,
                 "refinalize_every": self.refinalize_every,
                 "total_users": self.total_users,
                 "domain_size": self.domain_size,
@@ -884,22 +803,27 @@ class QueryService:
             "plan_cache_entries": state.get("plan_cache_entries"),
             "answer_cache_entries": state.get("answer_cache_entries"),
         }
-        # The construction recipe: a tier or refit block, else the
-        # inline collector's config; a static service has neither.
+        # The construction recipe: a tier or legacy refit block, else
+        # the inline collector's config; a static service has neither.
+        legacy_batches = _legacy_refit_batches(state)
         recipe = state.get("distributed") or state.get("refit")
         if recipe is None and state.get("collector_config") is not None:
             recipe = {"seed": seed, "kwargs": state["collector_config"]}
         if recipe is not None:
             service = cls(state["mechanism"], float(state["epsilon"]),
                           seed=recipe.get("seed"),
-                          ingest_mode=state.get("ingest_mode") or "stream",
-                          ingest_workers=recipe.get("ingest_workers"),
+                          ingest_workers=(recipe.get("ingest_workers")
+                                          if legacy_batches is None
+                                          else None),
                           refinalize_every=state.get("refinalize_every"),
                           total_users=state.get("total_users"),
                           domain_size=state.get("domain_size"),
                           **cache_config,
                           **dict(recipe.get("kwargs") or {}))
-            service._ingestor.load(state)
+            if legacy_batches is None:
+                service._ingestor.load(state)
+            for batch in legacy_batches or ():
+                service._ingestor.submit(batch)
         else:
             if estimator is None:
                 raise ValueError("snapshot holds neither an estimator nor "

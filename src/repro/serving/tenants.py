@@ -28,10 +28,10 @@ service document together with the last appended log sequence and
 prunes the entries the snapshot captured.  Recovery (automatic at
 construction) restores each tenant from its newest snapshot — or a
 fresh service from the tenant's stored config — and replays the
-pending log tail in order.  Because both ingest paths are
-deterministic in (restored state, replayed rows), a recovered
+pending log tail in order.  Because ingest is deterministic in
+(restored state, replayed rows), a recovered
 tenant's answers are bitwise identical to an uninterrupted run
-(``tests/test_crash_recovery.py`` pins this for TDG, HDG and LHIO).
+(``tests/test_crash_recovery.py`` pins this for TDG, HDG and MSW).
 
 Resilience
 ----------
@@ -70,7 +70,7 @@ logger = logging.getLogger("repro.serving")
 
 #: Tenant-config keys forwarded to the QueryService constructor.
 _SERVICE_CONFIG_KEYS = ("mechanism", "epsilon", "seed", "refinalize_every",
-                        "total_users", "domain_size", "ingest_mode",
+                        "total_users", "domain_size",
                         "ingest_workers", "plan_cache_entries",
                         "answer_cache_entries")
 

@@ -94,7 +94,7 @@ class TenantRecord:
     ``config`` holds the :class:`~repro.serving.QueryService`
     construction keywords (``mechanism``, ``epsilon``, ``seed``,
     ``domain_size``, ``total_users``, ``refinalize_every``,
-    ``ingest_mode``, ``mechanism_kwargs``) plus the tenant-level
+    ``ingest_workers``, ``mechanism_kwargs``) plus the tenant-level
     ``quota`` (max total reports; ``None`` = unlimited) and
     ``keep_last`` snapshot retention.
     """

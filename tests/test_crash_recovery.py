@@ -7,12 +7,10 @@ happened.  A restarted process recovers the tenant from the newest
 snapshot plus the pending log tail, and from then on its answers must
 be **bitwise identical** to a process that never crashed.
 
-The property is pinned for TDG and HDG (shardable: recovery restores
-the collector's accumulators and RNG stream, replay re-draws the same
-randomness) and for LHIO under ``ingest_mode="refit"`` (recovery
-restores the buffered raw rows; refitting a fresh same-seeded instance
-is deterministic in (seed, rows), and LHIO's answer-time noise draws
-come from the refitted clone's RNG stream, identical in both runs).
+The property is pinned for TDG, HDG and MSW: recovery restores the
+collector's accumulators (grid support counts, or MSW's per-attribute
+Square Wave report-bucket counts) and its RNG stream, so the replay
+re-draws the same randomness.
 
 One test also kills a real ``repro serve`` process with SIGKILL
 between the WAL append and the finalize, then recovers from the
@@ -46,15 +44,14 @@ from repro.storage import BACKENDS, DirectoryBackend, SQLiteBackend
 DOMAIN = 8
 
 #: (mechanism, service config) cases the recovery property is pinned
-#: for: two shardable stream-mode mechanisms and one refit-mode
-#: non-shardable mechanism.
+#: for: two grid mechanisms and MSW, whose Phase 2 is EM.
 CASES = {
     "TDG": {"mechanism": "TDG", "epsilon": 1.0, "seed": 13,
             "domain_size": DOMAIN},
     "HDG": {"mechanism": "HDG", "epsilon": 1.0, "seed": 13,
             "domain_size": DOMAIN},
-    "LHIO": {"mechanism": "LHIO", "epsilon": 1.0, "seed": 13,
-             "domain_size": DOMAIN, "ingest_mode": "refit"},
+    "MSW": {"mechanism": "MSW", "epsilon": 1.0, "seed": 13,
+            "domain_size": DOMAIN},
 }
 
 #: A batch of two wire workloads: one 2-dim range query, then two

@@ -1,19 +1,15 @@
 """Distributed-determinism harness: the ingest tier, pinned bitwise.
 
-For every one of the paper's nine mechanisms, N-worker ingest
-followed by a merge must produce **bitwise identical** finalized
-estimates and query answers to the equivalent single-process execution:
-
-* the five shardable mechanisms (TDG, HDG, ITDG, IHDG, CALM) run in
-  **stream** mode — each worker ``partial_fit``\\ s into its own
-  accumulators under ``shard_seed(seed, i)``; the reference is
-  the same shard plan executed in one process and folded through
-  ``merge``/``finalize``;
-* the four non-shardable mechanisms (HIO, LHIO, MSW, Uni) do all
-  their work in ``fit``, so the tier does not run them: a refit
-  service buffers its rows in-process whatever ``ingest_workers``
-  says, and snapshots the former multi-process refit mode wrote
-  restore into that buffer bitwise.
+For every served mechanism (TDG, HDG, ITDG, IHDG, CALM, MSW, Uni),
+N-worker ingest followed by a merge must produce **bitwise identical**
+finalized estimates and query answers to the equivalent single-process
+execution: each worker ``partial_fit``\\ s into its own accumulators
+under ``shard_seed(seed, i)``; the reference is the same shard plan
+executed in one process and folded through ``merge``/``finalize``.
+HIO and LHIO do all their work in ``fit`` and the tier refuses them.
+Snapshots that the retired refit ingest wrote in the flat
+``distributed.pending_rows`` form restore into a stream service that
+replays the rows through ``partial_fit``.
 
 Each case is additionally pinned across a snapshot/restore round-trip
 (through the JSON wire form of ``QueryService.state_dict``) taken
@@ -32,7 +28,7 @@ import pytest
 from repro.datasets import Dataset
 from repro.ingest import ConsistentHashRouter, IngestTier
 from repro.mechanisms import MECHANISMS, shard_seed
-from repro.serving import QueryService
+from repro.serving import QueryService, restore_mechanism
 from repro.storage import BACKENDS
 
 DOMAIN = 8
@@ -49,8 +45,7 @@ WORKLOAD = [
     [[2, 0, 4]],
 ]
 
-STREAM_MECHANISMS = ("TDG", "HDG", "ITDG", "IHDG", "CALM")
-REFIT_MECHANISMS = ("HIO", "LHIO", "MSW", "Uni")
+STREAM_MECHANISMS = ("TDG", "HDG", "ITDG", "IHDG", "CALM", "MSW", "Uni")
 
 
 def _batches(n_batches: int = 3, n: int = 150) -> list[np.ndarray]:
@@ -58,9 +53,9 @@ def _batches(n_batches: int = 3, n: int = 150) -> list[np.ndarray]:
     return [rng.integers(0, DOMAIN, size=(n, D)) for _ in range(n_batches)]
 
 
-def _service(mechanism: str, mode: str, workers: int | None) -> QueryService:
+def _service(mechanism: str, workers: int | None) -> QueryService:
     return QueryService(mechanism, EPSILON, seed=SEED, domain_size=DOMAIN,
-                        ingest_mode=mode, ingest_workers=workers)
+                        ingest_workers=workers)
 
 
 def _answers(service: QueryService) -> list[float]:
@@ -117,70 +112,44 @@ def test_stream_tier_matches_single_process_shard_plan(mechanism):
         == _answers(QueryService(reference))
 
 
-@pytest.mark.parametrize("mechanism", REFIT_MECHANISMS)
-def test_refit_tier_matches_single_process_refit(mechanism):
+def _distributed_refit_document(mechanism: str,
+                                rows: np.ndarray) -> dict:
+    """What the former multi-process refit mode wrote after fitting
+    ``rows``: the estimator plus a ``distributed`` block holding the
+    flat, key-ordered rows and the schema."""
+    fitted = MECHANISMS[mechanism](EPSILON, seed=SEED).fit(
+        Dataset(rows, DOMAIN))
+    return json.loads(json.dumps({
+        "format": "repro.service-snapshot", "version": 1,
+        "mechanism": mechanism, "epsilon": EPSILON, "ingest_mode": "refit",
+        "domain_size": DOMAIN, "reports_ingested": len(rows),
+        "reports_since_finalize": 0, "finalize_count": 1, "epoch_id": 1,
+        "collector_config": None, "estimator": fitted.save_state(),
+        "distributed": {"ingest_workers": N_WORKERS, "seed": SEED,
+                        "kwargs": {}, "planning_users": None,
+                        "schema": [D, DOMAIN], "key_base": len(rows),
+                        "pending_rows": rows.tolist()},
+    }))
+
+
+@pytest.mark.parametrize("mechanism", ("HIO", "LHIO", "MSW", "Uni"))
+def test_distributed_refit_snapshot_restores_into_stream_service(mechanism):
+    """The flat form restores in process: the stored estimator is the
+    published epoch, and the rows replay through ``partial_fit`` as one
+    batch.  HIO and LHIO cannot stream, and say so."""
     batches = _batches()
-    distributed = _service(mechanism, "refit", N_WORKERS)
-    single = _service(mechanism, "refit", None)
-    try:
-        for rows in batches:
-            distributed.ingest(rows)
-            single.ingest(rows)
-        distributed.refinalize()
-        single.refinalize()
-        assert _answers(distributed) == _answers(single)
-    finally:
-        distributed.close()
-
-
-def test_refit_with_workers_fits_every_row():
-    """Refit ingest ignores ``ingest_workers``: every row reaches the
-    refit, however many there are."""
-    service = QueryService("Uni", EPSILON, seed=SEED, domain_size=DOMAIN,
-                           ingest_mode="refit", ingest_workers=N_WORKERS)
-    rng = np.random.default_rng(21)
-    for _ in range(12):
-        service.ingest(rng.integers(0, DOMAIN, size=(50_000, 2)))
-    service.refinalize()
-    assert service.reports_ingested == 600_000
-    assert service.read_epoch().estimator.population \
-        == service.reports_ingested
-    status = service.status()
-    assert status["ingest_workers"] is None
-    assert status["ingest_tier"] is None
-
-
-def _distributed_refit_document(service: QueryService) -> dict:
-    """What the former multi-process refit mode wrote for ``service``:
-    a ``distributed`` block with the flat, key-ordered rows and the
-    schema, in place of the ``refit`` block."""
-    state = json.loads(json.dumps(service.state_dict()))
-    refit = state.pop("refit")
-    rows = [row for batch in refit["pending_rows"] for row in batch]
-    state["distributed"] = {
-        "ingest_workers": N_WORKERS,
-        "seed": refit["seed"],
-        "kwargs": refit["kwargs"],
-        "planning_users": None,
-        "schema": refit["pending_schema"],
-        "key_base": len(rows),
-        "pending_rows": rows,
-    }
-    return state
-
-
-@pytest.mark.parametrize("mechanism", REFIT_MECHANISMS)
-def test_distributed_refit_snapshot_restores_into_refit_buffer(mechanism):
-    batches = _batches()
-    uninterrupted = _service(mechanism, "refit", None)
-    interrupted = _service(mechanism, "refit", None)
-    for rows in batches[:2]:
-        uninterrupted.ingest(rows)
-        interrupted.ingest(rows)
-    restored = QueryService.from_state_dict(
-        _distributed_refit_document(interrupted))
-    assert restored.ingest_mode == "refit"
+    flat = np.concatenate(batches[:2])
+    document = _distributed_refit_document(mechanism, flat)
+    if mechanism in ("HIO", "LHIO"):
+        with pytest.raises(ValueError, match=mechanism):
+            QueryService.from_state_dict(document)
+        return
+    restored = QueryService.from_state_dict(document)
     assert restored.ingest_workers is None
+    stored = restore_mechanism(document["estimator"])
+    assert _answers(restored) == _answers(QueryService(stored))
+    uninterrupted = _service(mechanism, None)
+    uninterrupted.ingest(flat)
     for rows in batches[2:]:
         uninterrupted.ingest(rows)
         restored.ingest(rows)
@@ -191,21 +160,24 @@ def test_distributed_refit_snapshot_restores_into_refit_buffer(mechanism):
 
 
 def test_empty_distributed_refit_snapshot_restores():
-    """Before its first batch the former refit tier wrote no schema."""
-    state = json.loads(json.dumps(
-        _service("LHIO", "refit", None).state_dict()))
-    refit = state.pop("refit")
-    state["distributed"] = {"ingest_workers": N_WORKERS,
-                            "seed": refit["seed"], "kwargs": refit["kwargs"],
-                            "planning_users": None}
+    """Before its first batch the former refit tier wrote no schema and
+    no rows: the document restores as an empty stream tier."""
+    state = json.loads(json.dumps(_service("MSW", None).state_dict()))
+    state["distributed"] = {"ingest_workers": N_WORKERS, "seed": SEED,
+                            "kwargs": {}, "planning_users": None}
+    state["ingest_mode"] = "refit"
     restored = QueryService.from_state_dict(state)
-    reference = _service("LHIO", "refit", None)
-    for rows in _batches():
-        restored.ingest(rows)
-        reference.ingest(rows)
-    restored.refinalize()
-    reference.refinalize()
-    assert _answers(restored) == _answers(reference)
+    reference = _service("MSW", N_WORKERS)
+    try:
+        for rows in _batches():
+            restored.ingest(rows)
+            reference.ingest(rows)
+        restored.refinalize()
+        reference.refinalize()
+        assert _answers(restored) == _answers(reference)
+    finally:
+        restored.close()
+        reference.close()
 
 
 def test_tier_rejects_mechanisms_without_sharded_aggregation():
@@ -214,16 +186,14 @@ def test_tier_rejects_mechanisms_without_sharded_aggregation():
                    domain_size=DOMAIN, seed=SEED)
 
 
-@pytest.mark.parametrize("mechanism",
-                         STREAM_MECHANISMS + REFIT_MECHANISMS)
+@pytest.mark.parametrize("mechanism", STREAM_MECHANISMS)
 def test_snapshot_restore_round_trip_is_bitwise(mechanism):
     """Snapshot mid-stream, restore from the JSON wire form, continue:
     same answers as an uninterrupted distributed run."""
-    mode = "stream" if mechanism in STREAM_MECHANISMS else "refit"
     batches = _batches()
 
-    uninterrupted = _service(mechanism, mode, N_WORKERS)
-    interrupted = _service(mechanism, mode, N_WORKERS)
+    uninterrupted = _service(mechanism, N_WORKERS)
+    interrupted = _service(mechanism, N_WORKERS)
     try:
         for rows in batches[:2]:
             uninterrupted.ingest(rows)
@@ -250,7 +220,7 @@ def test_stream_service_matches_standalone_tier():
     """The service's lazy tier (planning users from the first batch)
     answers exactly like the tier driven by hand."""
     batches = _batches()
-    service = _service("TDG", "stream", N_WORKERS)
+    service = _service("TDG", N_WORKERS)
     try:
         for rows in batches:
             service.ingest(rows)
@@ -271,7 +241,7 @@ def test_stream_service_matches_standalone_tier():
 
 def test_merge_lag_tracks_unmerged_reports():
     batches = _batches()
-    service = _service("HDG", "stream", N_WORKERS)
+    service = _service("HDG", N_WORKERS)
     try:
         service.ingest(batches[0])
         service.refinalize()
@@ -362,8 +332,8 @@ def test_concurrent_refinalize_and_snapshot_restore_bitwise():
     import threading
 
     batches = _batches(n_batches=4)
-    uninterrupted = _service("HDG", "stream", N_WORKERS)
-    live = _service("HDG", "stream", N_WORKERS)
+    uninterrupted = _service("HDG", N_WORKERS)
+    live = _service("HDG", N_WORKERS)
     documents: list[dict] = []
     errors: list[BaseException] = []
     try:

@@ -3,8 +3,9 @@
 The load-bearing property is the read-consistency contract: a query
 observes exactly one fully-published :class:`EstimatorEpoch` — never a
 mix of two — and its answers are **bitwise identical** to answering
-through the estimator directly, for every mechanism, with or without
-the answer cache in the way.  On top of that the suite covers the
+through the estimator directly, for every served mechanism, with or
+without the answer cache in the way.  HIO and LHIO draw noise while
+answering; the service refuses them.  On top of that the suite covers the
 ``(epoch_id, workload)`` answer LRU (counters, eviction, isolation
 across tenants), the single-query fast path, cache-capacity plumbing
 end to end, the ``Refinalize-Epoch`` response header, and epoch
@@ -60,17 +61,20 @@ def _small_workload() -> list:
     return generator.random_workload(6, 2, 0.5)
 
 
+#: Mechanisms whose answering draws no noise: everything the service
+#: accepts.
+PURE_MECHANISMS = ("Uni", "MSW", "CALM", "TDG", "HDG", "ITDG", "IHDG")
+
+
 # ----------------------------------------------------------------------
-# Bitwise identity: epoch path vs the estimator, every mechanism
+# Bitwise identity: epoch path vs the estimator, every served mechanism
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(MECHANISMS))
+@pytest.mark.parametrize("name", sorted(PURE_MECHANISMS))
 def test_epoch_answers_bitwise_identical_to_direct(name, epoch_dataset,
                                                    range_workload):
     """Twin same-seeded instances: one served through the epoch read
-    path (cache + fast paths live), one answered directly.  Both sides
-    run the identical call sequence, so even the noise-drawing
-    mechanisms (HIO/LHIO) must match bit for bit — including the
-    second, cache-hitting pass."""
+    path (cache + fast paths live), one answered directly; they must
+    match bit for bit — including the second, cache-hitting pass."""
     served = MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
     direct = MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
     service = QueryService(served)
@@ -361,32 +365,33 @@ def test_concurrent_readers_see_identical_answers():
     assert not failures
 
 
-def test_concurrent_readers_impure_mechanism(epoch_dataset, range_workload):
-    """HIO answers draw lazy noise: the per-epoch answering lock must
-    keep concurrent readers deterministic (repeat answering of a fixed
-    epoch is memoized, so every read of one workload agrees)."""
-    served = MECHANISMS["HIO"](1.0, seed=7).fit(epoch_dataset)
-    service = QueryService(served)
-    assert not service.read_epoch().answering_is_pure
-    reference = service.query(range_workload).copy()
-    failures: list = []
+@pytest.mark.parametrize("name", ["HIO", "LHIO"])
+def test_static_service_refuses_impure_mechanism(name, epoch_dataset):
+    """HIO and LHIO draw lazy noise while answering, so their state
+    grows with every distinct query: static serving refuses them with
+    an error that names the mechanism."""
+    fitted = MECHANISMS[name](1.0, seed=7).fit(epoch_dataset)
+    assert not fitted.answering_is_pure
+    with pytest.raises(ValueError, match=f"^{name} cannot be served") \
+            as raised:
+        QueryService(fitted)
+    assert "experiment-only" in str(raised.value)
 
-    def reader():
-        try:
-            for _ in range(10):
-                if not np.array_equal(service.query(range_workload),
-                                      reference):
-                    failures.append("answer mismatch")
-                    return
-        except Exception as error:  # pragma: no cover - failure path
-            failures.append(repr(error))
 
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not failures
+def test_concurrent_readers_impure_mechanism(epoch_dataset):
+    """Epochs carry no answering lock, so concurrent readers are safe
+    only because no service ever publishes an impure estimator: every
+    way of putting HIO behind the read path — a fitted instance, an
+    unfitted one to ingest into, or its name — is refused up front."""
+    fitted = MECHANISMS["HIO"](1.0, seed=7).fit(epoch_dataset)
+    for mechanism in (fitted, MECHANISMS["HIO"](1.0, seed=7)):
+        with pytest.raises(ValueError, match="^HIO cannot be served"):
+            QueryService(mechanism)
+    with pytest.raises(ValueError, match="'HIO'.*experiment-only"):
+        QueryService("HIO", 1.0, seed=7, domain_size=DOMAIN)
+    with pytest.raises(ValueError, match="'HIO'.*experiment-only"):
+        QueryService("HIO", 1.0, seed=7, domain_size=DOMAIN,
+                     ingest_workers=2)
 
 
 @pytest.mark.chaos
@@ -454,12 +459,6 @@ def test_no_torn_reads_under_epoch_churn():
 # ----------------------------------------------------------------------
 # Batch composition: an answer depends on (epoch, query) only
 # ----------------------------------------------------------------------
-#: HIO and LHIO are excluded: they draw lazy noise while answering
-#: (``answering_is_pure=False``), so their bits depend on the order
-#: queries are first seen, not only on the batch they arrive in.
-PURE_MECHANISMS = ("Uni", "MSW", "CALM", "TDG", "HDG", "ITDG", "IHDG")
-
-
 @pytest.fixture(scope="module")
 def composition_dataset() -> Dataset:
     return make_dataset("normal", 2_000, 4, DOMAIN,
@@ -471,7 +470,9 @@ def test_answer_independent_of_batch_composition(name, composition_dataset):
     """Each query answered alone — directly and through the epoch's
     single-query paths — is bitwise equal to its answer inside a
     random mixed-λ (1–4) workload.  LHIO is impure only through lazy
-    levels, and at this domain size every level is materialised."""
+    levels, and at this domain size every level is materialised; it is
+    not served, so only its direct answers are checked.  HIO is left
+    out: its bits depend on the order queries are first seen."""
     mechanism = MECHANISMS[name](1.0, seed=7).fit(
         composition_dataset)
     if name == "LHIO":
@@ -485,10 +486,12 @@ def test_answer_independent_of_batch_composition(name, composition_dataset):
                 for query in generator.random_workload(6, dimension, 0.5)]
     workload = [workload[index] for index in rng.permutation(len(workload))]
     batched = mechanism.answer_workload(workload)
-    service = QueryService(mechanism, answer_cache_entries=0)
+    service = (QueryService(mechanism, answer_cache_entries=0)
+               if name != "LHIO" else None)
     for query, expected in zip(workload, batched):
         assert np.array_equal(mechanism.answer(query), expected)
         assert np.array_equal(mechanism.answer_workload([query]),
                               [expected])
-        assert np.array_equal(service.query([query]), [expected])
-        assert service.query_typed([query])[0].value == expected
+        if service is not None:
+            assert np.array_equal(service.query([query]), [expected])
+            assert service.query_typed([query])[0].value == expected

@@ -1,12 +1,13 @@
 """The mechanism registry agrees with every layer that builds by name.
 
-``repro.mechanisms.MECHANISMS`` is the only name → class table.  Every
-entry point accepts all nine names where sharding is not needed
-(static serving, refit ingest, snapshot restore, ``build_mechanism``);
-the stream entry points (the inline collector and the ingest tier)
-accept exactly the classes that implement ``partial_fit`` and reject
-the rest with one message; unknown names fail with one message
-everywhere.  CALM is shardable, so it streams like TDG and HDG.
+``repro.mechanisms.MECHANISMS`` is the only name → class table.
+``build_mechanism`` and ``restore_mechanism`` accept all nine names;
+the serving entry points (static service, inline collector, ingest
+tier) accept exactly the seven shardable, pure-answering classes and
+refuse HIO and LHIO with one message each; a snapshot written by the
+retired refit ingest restores for every served name; unknown names
+fail with one message everywhere.  CALM, MSW and Uni are shardable, so
+they stream like TDG and HDG.
 """
 
 from __future__ import annotations
@@ -47,27 +48,57 @@ def _tier(name: str) -> IngestTier:
 
 
 def test_shardable_set_is_the_grid_mechanisms():
-    assert SHARDABLE == {"TDG", "HDG", "ITDG", "IHDG", "CALM"}
+    """The grid mechanisms plus MSW and Uni: everything but HIO/LHIO."""
+    assert SHARDABLE == {"TDG", "HDG", "ITDG", "IHDG", "CALM", "MSW", "Uni"}
+    assert SHARDABLE == {name for name, cls in MECHANISMS.items()
+                         if cls.answering_is_pure}
     assert all(supports_sharding(cls) == cls(1.0).supports_sharding
                for cls in MECHANISMS.values())
 
 
+def _refit_document(fitted, rows: np.ndarray) -> dict:
+    """A service snapshot as the retired refit ingest wrote it: the
+    fitted estimator plus every buffered row, in one batch."""
+    return {
+        "format": "repro.service-snapshot", "version": 1,
+        "mechanism": fitted.name, "epsilon": fitted.epsilon,
+        "ingest_mode": "refit", "refinalize_every": None,
+        "total_users": None, "domain_size": DOMAIN,
+        "reports_ingested": len(rows), "reports_since_finalize": 0,
+        "finalize_count": 1, "epoch_id": 1,
+        "collector_config": None, "collector_rng": None, "collector": None,
+        "estimator": fitted.save_state(),
+        "refit": {"seed": 0, "kwargs": {}, "pending_rows": [rows.tolist()],
+                  "pending_schema": [rows.shape[1], DOMAIN]},
+    }
+
+
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_every_name_serves_refits_restores_and_builds(name, registry_dataset):
+    """A refit-era snapshot restores into a stream service for every
+    served name (its estimator published as is); HIO and LHIO fail."""
     fitted = MECHANISMS[name](1.0, seed=0).fit(registry_dataset)
-    assert QueryService(fitted).is_ready
-    refit = QueryService(name, 1.0, seed=0, domain_size=DOMAIN,
-                         ingest_mode="refit")
-    assert refit.ingest_mode == "refit"
+    document = _refit_document(fitted, registry_dataset.values)
+    if name in SHARDABLE:
+        service = QueryService.from_state_dict(document)
+        assert service.is_streaming and service.epoch_id == 1
+        assert service.read_epoch().estimator.save_state() \
+            == fitted.save_state()
+        service.refinalize()
+        assert service.read_epoch().estimator.population \
+            == registry_dataset.n_users
+    else:
+        assert name in _error(lambda: QueryService.from_state_dict(document))
     restored = restore_mechanism(fitted.save_state())
     assert type(restored) is MECHANISMS[name]
     assert type(build_mechanism(name, 1.0, seed=0)) is MECHANISMS[name]
 
 
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
-def test_stream_entry_points_accept_exactly_the_shardable(name):
+def test_stream_entry_points_accept_exactly_the_shardable(name,
+                                                          registry_dataset):
     if name in SHARDABLE:
-        assert QueryService(name, 1.0).ingest_mode == "stream"
+        assert QueryService(name, 1.0).is_streaming
         tier = _tier(name)
         tier.close()
         return
@@ -81,6 +112,10 @@ def test_stream_entry_points_accept_exactly_the_shardable(name):
     [message] = messages
     assert f"non-shardable mechanism {name!r}" in message
     assert "sharded aggregation" in message
+    assert "experiment-only" in message
+    static = _error(lambda: QueryService(
+        MECHANISMS[name](1.0, seed=0).fit(registry_dataset)))
+    assert name in static and "experiment-only" in static
 
 
 def test_unknown_name_fails_with_one_message():
@@ -92,7 +127,6 @@ def test_unknown_name_fails_with_one_message():
         _error(lambda: mechanism_class("NOPE")),
         _error(lambda: build_mechanism("NOPE", 1.0)),
         _error(lambda: QueryService("NOPE", 1.0)),
-        _error(lambda: QueryService("NOPE", 1.0, ingest_mode="refit")),
         _error(lambda: QueryService("NOPE", 1.0, ingest_workers=1)),
         _error(lambda: _tier("NOPE")),
         _error(lambda: restore_mechanism(state)),

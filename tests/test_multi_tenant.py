@@ -404,14 +404,13 @@ def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
 def test_cli_tenants_lifecycle(tmp_path, capsys):
     db = str(tmp_path / "repro.db")
     assert main(["tenants", "create", "--backend", "sqlite", "--store", db,
-                 "--name", "acme", "--mechanism", "LHIO",
-                 "--ingest-mode", "refit", "--quota", "1000",
+                 "--name", "acme", "--mechanism", "MSW", "--quota", "1000",
                  "--domain-size", str(DOMAIN)]) == 0
     assert "created tenant 'acme'" in capsys.readouterr().out
     assert main(["tenants", "list", "--backend", "sqlite",
                  "--store", db]) == 0
     out = capsys.readouterr().out
-    assert "acme" in out and "LHIO" in out
+    assert "acme" in out and "MSW" in out
     assert main(["tenants", "inspect", "--backend", "sqlite", "--store", db,
                  "--name", "acme"]) == 0
     assert "'quota': 1000" in capsys.readouterr().out

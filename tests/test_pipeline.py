@@ -239,11 +239,12 @@ def test_finalize_without_batches_rejected():
 
 
 def test_baselines_report_no_sharding_support(tiny_dataset):
-    from repro.baselines import Uniform
-    mechanism = Uniform(1.0, seed=0)
-    assert not mechanism.supports_sharding
-    with pytest.raises(NotImplementedError):
-        mechanism.partial_fit(tiny_dataset)
+    """HIO and LHIO draw noise at query time; they have no sharded path."""
+    for name in ("HIO", "LHIO"):
+        mechanism = MECHANISMS[name](1.0, seed=0)
+        assert not mechanism.supports_sharding
+        with pytest.raises(NotImplementedError):
+            mechanism.partial_fit(tiny_dataset)
 
 
 def test_mechanism_single_use_after_finalize(tiny_dataset):
@@ -370,15 +371,19 @@ def test_fit_sharded_matches_hand_written_protocol_loop():
 
 
 def test_run_experiment_non_shardable_falls_back_to_fit():
-    """Mechanisms without partial_fit ignore n_shards: same MAE as 1."""
+    """HIO and LHIO have no partial_fit and ignore n_shards: same MAE as
+    1.  Uni shards, but collects nothing, so its MAE stays equal too;
+    MSW shards like TDG and draws shard-seeded noise."""
     config = ExperimentConfig(dataset="normal", n_users=4_000, n_attributes=3,
                               domain_size=16, n_queries=10,
-                              methods=("Uni", "MSW", "TDG"), seed=2)
+                              methods=("Uni", "HIO", "LHIO", "MSW", "TDG"),
+                              seed=2)
     single = run_experiment(config)
     sharded = run_experiment(config.with_overrides(n_shards=3))
-    for method in ("Uni", "MSW"):
+    for method in ("Uni", "HIO", "LHIO"):
         assert sharded.mae_of(method) == single.mae_of(method)
-    assert sharded.mae_of("TDG") != single.mae_of("TDG")
+    for method in ("MSW", "TDG"):
+        assert sharded.mae_of(method) != single.mae_of(method)
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +396,7 @@ def test_run_experiment_with_shards():
                               methods=("Uni", "HDG"), seed=0, n_shards=2)
     result = run_experiment(config)
     assert set(result.methods) == {"Uni", "HDG"}
-    # Uni has no sharding support and silently falls back to fit().
+    # Uni shards too; it collects nothing, so its answers do not move.
     assert result.methods["Uni"].mae.mean >= 0
     assert result.methods["HDG"].mae.mean < 0.1
 

@@ -263,9 +263,9 @@ def test_service_error_cases(serving_dataset, mixed_workload):
         static.refinalize()
 
     with pytest.raises(ValueError, match="non-shardable"):
-        QueryService("MSW", 1.0)
-    with pytest.raises(ValueError, match="incremental ingest"):
-        QueryService(MSW(1.0))
+        QueryService("LHIO", 1.0)
+    with pytest.raises(ValueError, match="LHIO cannot be served"):
+        QueryService(LHIO(1.0))
     with pytest.raises(ValueError, match="refinalize_every"):
         QueryService("TDG", 1.0, refinalize_every=0)
 
@@ -330,13 +330,20 @@ def test_service_snapshot_restores_answers_and_pending_reports(
 
 def test_service_snapshot_of_static_service(tmp_path, serving_dataset,
                                             mixed_workload):
-    service = QueryService(LHIO(1.0, seed=4).fit(serving_dataset))
+    service = QueryService(MSW(1.0, seed=4).fit(serving_dataset))
     backend = DirectoryBackend(tmp_path)
     backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
     restored = QueryService.from_state_dict(_load(backend))
     assert restored.status()["mode"] == "static"
     assert np.array_equal(service.query(mixed_workload),
                           restored.query(mixed_workload))
+    # A static LHIO snapshot (served before HIO and LHIO became
+    # experiment-only) is refused by name.
+    document = _load(backend)
+    document["mechanism"] = "LHIO"
+    document["estimator"] = LHIO(1.0, seed=4).fit(serving_dataset).save_state()
+    with pytest.raises(ValueError, match="LHIO cannot be served"):
+        QueryService.from_state_dict(document)
 
 
 def test_service_rejects_foreign_snapshot_documents():
@@ -671,9 +678,8 @@ def test_http_bad_content_length_is_refused_and_closed(serving_dataset,
         assert _http(port, "/healthz")["status"] == "ok"
 
 
-@pytest.mark.parametrize("config", [{}, {"ingest_mode": "refit"},
-                                    {"ingest_workers": 2}],
-                         ids=["stream", "refit", "tier"])
+@pytest.mark.parametrize("config", [{}, {"ingest_workers": 2}],
+                         ids=["stream", "tier"])
 def test_http_mismatched_batch_shape_is_400_in_every_mode(config):
     with memory_server({**TDG_CONFIG, **config}) as (manager, server):
         port = server.server_address[1]
@@ -711,11 +717,13 @@ def _open_store(kind: str, tmp_path):
 @pytest.mark.parametrize("kind", ["json", "sqlite", "memory"])
 @pytest.mark.parametrize("rows", [
     b"[[1.5, 2.7, 3.9]]", b"[[true, false, true]]", b"[[1e400, 0, 0]]",
-    b'[["1", "2", "3"]]'], ids=["float", "bool", "overflow", "string"])
+    b'[["1", "2", "3"]]', b"[[1, true, 0], [0, 2, 1]]"],
+    ids=["float", "bool", "overflow", "string", "mixed-bool"])
 def test_http_ingest_rejects_non_integer_rows(kind, rows, tmp_path):
     """Regression: non-integer rows used to be truncated (1.5 -> 1,
     true -> 1) and written to the write-ahead log, and 1e400 answered
-    500.  They are refused with 400 before the log sees them."""
+    500.  A boolean among integers was read as 1 or 0.  They are
+    refused with 400 before the log sees them."""
     backend = _open_store(kind, tmp_path)
     manager = TenantManager(backend, default_config=TDG_CONFIG)
     server = build_server(manager, port=0)
@@ -747,6 +755,8 @@ def test_service_ingest_rejects_non_integer_rows():
         service.ingest([[1.5, 2.7, 3.9]])
     with pytest.raises(ValueError, match="integers"):
         service.ingest(np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="boolean"):
+        service.ingest([[1, True, 0], [0, 2, 1]])
     assert service.reports_ingested == 0
     service.ingest(np.ones((2, 3), dtype=np.uint8))
     assert service.reports_ingested == 2
