@@ -18,6 +18,10 @@ delivers, per mechanism (TDG, HDG):
   kernels; the reported overhead is the typed surface's plan-cache
   lookup and typed reassembly minus the range workload's own
   plan-cache lookup, whose key holds every primitive;
+* **kernel only** — the mechanism's ``_answer_compiled`` on the warm
+  compiled plan of the typed workload, with no plan-cache lookup and no
+  reassembly: the baseline the typed surface's own cost (``typed over
+  kernel``) is measured against (recorded only, no gate);
 * **primitives/query** — how many range primitives one typed query
   expands to on average (marginals dominate: ``c²`` cells each);
 * **cold compile** — median milliseconds of ``QueryPlanner.plan`` plus
@@ -115,6 +119,13 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
         typed_seconds = time.perf_counter() - start
         assert len(results) == n_queries
 
+        compiled = mechanism._plan_for(mixed)  # the warm plan, cached
+        start = time.perf_counter()
+        for _ in range(rounds):
+            kernel = mechanism._answer_compiled(compiled)
+        kernel_seconds = time.perf_counter() - start
+        assert kernel.shape == (primitives,)
+
         flat_ranges = plan.ranges
         mechanism.answer_workload(flat_ranges)  # compile outside the timer
         start = time.perf_counter()
@@ -127,6 +138,8 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
         typed_rate = rounds * n_queries / typed_seconds
         primitive_rate = rounds * primitives / flat_seconds
         overhead = (typed_seconds - flat_seconds) / max(flat_seconds, 1e-12)
+        typed_over_kernel = ((typed_seconds - kernel_seconds)
+                             / max(kernel_seconds, 1e-12))
         worst_overhead = max(worst_overhead, overhead)
         lines += [
             f"  {mechanism.name:>4}: {primitives} primitives for "
@@ -139,6 +152,9 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
             f"        pre-lowered ranges: {flat_seconds:6.2f}s "
             f"-> {primitive_rate:10.1f} primitives/sec "
             f"(plan+reassemble overhead {overhead * 100:+.1f}%)",
+            f"        kernel only       : {kernel_seconds:6.2f}s "
+            f"-> {rounds * primitives / kernel_seconds:10.1f} primitives/sec "
+            f"(typed over kernel {typed_over_kernel * 100:+.1f}%)",
         ]
         entry[mechanism.name] = {
             "primitives": primitives,
@@ -147,6 +163,9 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
             "typed_queries_per_sec": round(typed_rate, 1),
             "primitive_ranges_per_sec": round(primitive_rate, 1),
             "plan_and_reassemble_overhead_fraction": round(overhead, 4),
+            "kernel_primitives_per_sec": round(
+                rounds * primitives / kernel_seconds, 1),
+            "typed_over_kernel_fraction": round(typed_over_kernel, 4),
         }
     entry["worst_overhead_fraction"] = round(worst_overhead, 4)
     return "\n".join(lines), entry

@@ -253,8 +253,8 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
         for query in compiled.flat_ranges:
             if query.dimension == 1:
                 predicate = query.predicates[0]
-                answers.append(self._fused_attribute_ranges(
-                    predicate.attribute, np.array([predicate.low]),
+                answers.append(self._answer_attributes(
+                    np.array([predicate.attribute]), np.array([predicate.low]),
                     np.array([predicate.high]))[0])
             elif query.dimension == 2:
                 answers.append(self._pair_answer(query))
@@ -263,14 +263,6 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                     query, self._pair_answer, method=self.estimation_method,
                     max_iterations=self.estimation_iterations))
         return np.array(answers, dtype=float)
-
-    def _pair_answer(self, query) -> float:
-        """One 2-D query through :meth:`_fused_pair_ranges`, alone."""
-        first, second = query.predicates
-        return float(self._fused_pair_ranges(
-            (first.attribute, second.attribute), np.array([first.low]),
-            np.array([first.high]), np.array([second.low]),
-            np.array([second.high]))[0])
 
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:

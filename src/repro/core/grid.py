@@ -13,12 +13,13 @@ that are built lazily from the current frequencies and invalidated by
 every mutation through the grid API; each answer is then O(1) corner
 lookups instead of a Python cell loop, and the ``answer_ranges`` batch
 entry points answer whole query groups in one vectorised call.  A lone
-query (``answer_range``, or a one-row group) is gathered on Python
+query (``answer_range``), or a group of at most
+:data:`~repro.core.prefix_sum.SCALAR_ROWS` rows, is gathered on Python
 scalars in the vectorised fold order, so its answer is bitwise the same
-alone or in a batch.  The
-original cell loops live in ``tests/oracles.py``: they are the ground
-truth the lookups are property-tested against and the baseline the
-throughput benchmark measures.
+alone or in a batch.  The original cell loops live in
+``tests/oracles.py``: they are the ground truth the lookups are
+property-tested against and the baseline the throughput benchmark
+measures.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..frequency_oracles import FrequencyOracle, SupportAccumulator
-from .prefix_sum import (PrefixIndex1D, PrefixIndex2D, SummedAreaTable,
-                         full_cell_range)
+from .prefix_sum import (SCALAR_ROWS, PrefixIndex1D, PrefixIndex2D,
+                         SummedAreaTable, full_cell_range)
 
 
 def _check_divisible(domain_size: int, granularity: int) -> int:
@@ -170,12 +171,14 @@ class Grid1D:
         """Vectorised range answers for arrays of inclusive intervals.
 
         Intervals are assumed valid (the mechanisms validate queries
-        before batching).  A single interval is gathered on Python
-        scalars, bitwise equal to its row of a batch.
+        before batching).  Up to ``SCALAR_ROWS`` intervals are gathered
+        on Python scalars, bitwise equal to their rows of a larger batch.
         """
         index = self.build_index()
-        if len(lows) == 1:
-            return np.array([index.answer_one(int(lows[0]), int(highs[0]))])
+        if len(lows) <= SCALAR_ROWS:
+            return np.array([index.answer_one(low, high) for low, high in
+                             zip(np.asarray(lows).tolist(),
+                                 np.asarray(highs).tolist())])
         return index.answer(lows, highs)
 
 
@@ -348,17 +351,19 @@ class Grid2D:
         With ``response_index=None`` every query follows the uniformity
         rule (TDG); otherwise partially covered cells draw their mass
         from the response matrix's summed-area table (HDG).  Intervals
-        are assumed valid.  A single query is gathered on Python
-        scalars, bitwise equal to its row of a batch.
+        are assumed valid.  Up to ``SCALAR_ROWS`` queries are gathered
+        on Python scalars, bitwise equal to their rows of a larger batch.
         """
         index = self.build_index()
-        if len(row_lows) == 1:
-            bounds = (int(row_lows[0]), int(row_highs[0]),
-                      int(col_lows[0]), int(col_highs[0]))
+        if len(row_lows) <= SCALAR_ROWS:
+            rows = zip(*(np.asarray(bounds).tolist() for bounds in
+                         (row_lows, row_highs, col_lows, col_highs)))
             if response_index is None:
-                return np.array([index.answer_uniform_one(*bounds)])
+                return np.array([index.answer_uniform_one(*bounds)
+                                 for bounds in rows])
             return np.array([index.answer_response_one(response_index,
-                                                       *bounds)])
+                                                       *bounds)
+                             for bounds in rows])
         if response_index is None:
             return index.answer_uniform(row_lows, row_highs, col_lows,
                                         col_highs)

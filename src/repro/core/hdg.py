@@ -28,13 +28,15 @@ from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, SupportAccumulator
 from ..protocol import partition_users, partition_users_weighted
 from ..queries import RangeQuery
+from ..queries.compiler import pair_slot
 from .base import RangeQueryMechanism
 from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2,
                           choose_granularities_hdg)
 from .grid import Grid1D, Grid2D
 from .phase2 import run_phase2
-from .prefix_sum import SummedAreaTable
-from .query_estimation import PairwiseBatchAnswering, estimate_lambda_query
+from .prefix_sum import PrefixStack1D, PrefixStack2D, SummedAreaTable
+from .query_estimation import (PairwiseBatchAnswering, by_pair_slot,
+                               estimate_lambda_query, grid_index, stack_grids)
 from .response_matrix import build_response_matrix
 
 
@@ -102,11 +104,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self.grids_1d: dict[int, Grid1D] = {}
         self.grids_2d: dict[tuple[int, int], Grid2D] = {}
         self.response_matrices: dict[tuple[int, int], np.ndarray] = {}
-        #: Per-pair (source matrix, summed-area table) pairs; the source
-        #: reference detects a replaced response matrix so the table is
-        #: rebuilt instead of served stale.
-        self._response_indexes: dict[tuple[int, int],
-                                     tuple[np.ndarray, SummedAreaTable]] = {}
         self.matrix_iteration_history: dict[tuple[int, int], list[float]] = {}
         self.chosen_g1: int | None = None
         self.chosen_g2: int | None = None
@@ -126,7 +123,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         self.grids_1d = {}
         self.grids_2d = {}
         self.response_matrices = {}
-        self._response_indexes = {}
         self.matrix_iteration_history = {}
         self.chosen_g1 = None
         self.chosen_g2 = None
@@ -257,7 +253,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         threshold = min(self.convergence_threshold,
                         1.0 / max(self._total_reports, 1))
         self.response_matrices = {}
-        self._response_indexes = {}
         self.matrix_iteration_history = {}
         for pair, grid in self.grids_2d.items():
             result = build_response_matrix(self.grids_1d[pair[0]],
@@ -268,15 +263,9 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             self.response_matrices[pair] = result.matrix
             self.matrix_iteration_history[pair] = result.change_history
 
-        # Precompute the answering lookup tables: prefix-sum indexes
-        # over every grid plus a summed-area table per response matrix.
-        for grid in self.grids_1d.values():
-            grid.build_index()
-        for grid in self.grids_2d.values():
-            grid.build_index()
-        self._response_indexes = {
-            pair: (matrix, SummedAreaTable(matrix))
-            for pair, matrix in self.response_matrices.items()}
+        # Precompute the answering tables: prefix sums over every grid
+        # plus a summed-area table per response matrix.
+        self._tables()
 
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
@@ -371,22 +360,17 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
             attribute = int(key)
             grid = Grid1D(attribute, c, self.chosen_g1)
             grid.set_frequencies(np.asarray(values, dtype=float))
-            grid.build_index()
             self.grids_1d[attribute] = grid
         self.grids_2d = {}
         for key, rows in payload["grids_2d"].items():
             a, b = (int(part) for part in key.split(","))
             grid = Grid2D((a, b), c, self.chosen_g2)
             grid.set_frequencies(np.asarray(rows, dtype=float))
-            grid.build_index()
             self.grids_2d[(a, b)] = grid
         self.response_matrices = {}
         for key, rows in payload["response_matrices"].items():
             a, b = (int(part) for part in key.split(","))
             self.response_matrices[(a, b)] = np.asarray(rows, dtype=float)
-        self._response_indexes = {
-            pair: (matrix, SummedAreaTable(matrix))
-            for pair, matrix in self.response_matrices.items()}
         self.matrix_iteration_history = {}
         for key, history in payload.get("matrix_iteration_history", {}).items():
             a, b = (int(part) for part in key.split(","))
@@ -394,6 +378,7 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
                                                      for change in history]
         self._acc_1d = {attribute: None for attribute in self.grids_1d}
         self._acc_2d = {pair: None for pair in self.grids_2d}
+        self._tables()
 
     def _batch_split(self, n_users: int, d: int) -> tuple[int, int]:
         """1-D/2-D user split ``(n1, n2)`` for one batch.
@@ -422,38 +407,43 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         return blocks[0], blocks[1]
 
     # ------------------------------------------------------------------
-    # Phase 3: answering (the fused hooks of PairwiseBatchAnswering)
+    # Phase 3: answering (the block hooks of PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _response_index(self, key: tuple[int, int]) -> SummedAreaTable | None:
-        """The pair's response-matrix summed-area table, built on demand.
+    def _tables(self) -> tuple[PrefixStack1D, PrefixStack2D]:
+        """The 1-D grids' tables in attribute order, and the 2-D grids'
+        tables with their response matrices' summed-area tables in
+        pair-slot order.
 
-        Returning None only when the pair genuinely has no response
-        matrix keeps answering on the HDG rule — a missing or
-        out-of-date cache entry (the pair's matrix was replaced after
-        finalize) is rebuilt, never silently downgraded to the
-        uniformity rule or served stale.
+        Rebuilt when a grid's index or a response matrix is replaced
+        (a replaced matrix is never served stale).
         """
-        matrix = self.response_matrices.get(key)
-        if matrix is None:
-            return None
-        entry = self._response_indexes.get(key)
-        if entry is None or entry[0] is not matrix:
-            entry = (matrix, SummedAreaTable(matrix))
-            self._response_indexes[key] = entry
-        return entry[1]
+        pairs, singles = self.grids_2d, self.grids_1d
+        matrices = self.response_matrices
 
-    def _pair_grid(self, key):
-        """The pair's grid, answered through its response SAT."""
-        grid = self.grids_2d.get(key)
-        transposed = grid is None
-        if transposed:
-            key = (key[1], key[0])
-            grid = self.grids_2d[key]
-        return grid, self._response_index(key), transposed
+        return self._stacked(
+            lambda: [*map(grid_index, pairs.values()),
+                     *map(grid_index, singles.values()), *matrices.values()],
+            lambda: (
+                stack_grids(PrefixStack1D,
+                            [singles[attribute]
+                             for attribute in sorted(singles)]),
+                stack_grids(PrefixStack2D, by_pair_slot(pairs),
+                            by_pair_slot(matrices))))
 
-    def _fused_attribute_ranges(self, attribute, lows, highs) -> np.ndarray:
-        """1-D group: vectorised lookups on the fine-grained 1-D grid."""
-        return self.grids_1d[attribute].answer_ranges(lows, highs)
+    def _response_index(self, key: tuple[int, int]) -> SummedAreaTable:
+        """The summed-area table of pair ``key``'s response matrix."""
+        return self._tables()[1].responses[pair_slot(*key)]
+
+    def _answer_attributes(self, attributes, lows, highs) -> np.ndarray:
+        """Attribute block rows: one gather over the stacked 1-D grids."""
+        return self._tables()[0].answer(attributes, lows, highs)
+
+    def _answer_pairs(self, pairs, row_lows, row_highs, col_lows,
+                      col_highs) -> np.ndarray:
+        """Pair block rows: one gather over the stacked grids and
+        response matrices."""
+        return self._tables()[1].answer(pairs, row_lows, row_highs,
+                                        col_lows, col_highs)
 
     # ------------------------------------------------------------------
     # Diagnostics used by the convergence experiments

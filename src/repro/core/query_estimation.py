@@ -12,17 +12,28 @@ answer is the orthant in which every attribute keeps its interval.
 The alternative combiner from Appendix A.8 (Maximum Entropy, solved by
 iterative proportional fitting) is exposed through ``method="max_entropy"``
 for the ablation benchmark.
+
+:class:`PairwiseBatchAnswering` is the compiled-plan executor built on
+this: one gather for a plan's attribute block, one for its pair block
+(direct λ = 2 primitives and λ > 2 sub-pairs together), then one
+batched Algorithm-2 call per distinct λ over the memoized constraint
+structure :func:`lambda_constraint_index_sets`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from ..estimation import (Constraint, max_entropy_estimate, weighted_update,
                           weighted_update_batch)
+from ..estimation.weighted_update import ConstraintSets
 from ..queries import RangeQuery
+from ..queries.compiler import pair_slot
 
 #: Signature of the callable that answers an associated 2-D sub-query.
 PairAnswerFn = Callable[[RangeQuery], float]
@@ -138,105 +149,131 @@ class PairwiseBatchAnswering:
 
     Mechanisms that answer 1-D/2-D queries directly and λ > 2 queries by
     combining 2-D sub-answers (TDG, HDG, LHIO and their variants) mix
-    this in.  Grid mechanisms provide :meth:`_pair_grid` (the grid
-    answering an attribute pair); LHIO replaces the fused hook
-    :meth:`_fused_pair_ranges` (one attribute pair's 2-D endpoint
-    arrays) instead.  :meth:`_fused_attribute_ranges` (one attribute's
-    1-D endpoint arrays) is overridden by mechanisms that answer 1-D
-    queries from anything but a pair.
-    :meth:`_answer_compiled` runs a :class:`~repro.queries.CompiledPlan`'s
-    groups through them — one vectorised lookup per attribute or pair
-    group — and combines every λ-D group's C(λ,2) sub-answers with one
-    Algorithm-2 call per distinct λ.
+    this in.  :meth:`_answer_compiled` answers a
+    :class:`~repro.queries.CompiledPlan`'s attribute block with one
+    :meth:`_answer_attributes` call and its pair block — λ = 2
+    primitives and the C(λ,2) sub-pairs of λ > 2 ones alike — with one
+    :meth:`_answer_pairs` call, then combines every λ-D group's
+    sub-answers with one Algorithm-2 call per distinct λ.
+
+    Grid mechanisms answer the pair block with one gather over their
+    stacked tables (:class:`~repro.core.prefix_sum.PrefixStack2D`).
+    LHIO keeps the default :meth:`_answer_pairs`, which splits the block
+    by pair and calls its hierarchy kernel :meth:`_fused_pair_ranges`.
+    The defaults of the two call each other, so a mechanism overrides
+    one.  The default :meth:`_answer_attributes` marginalises a pair;
+    HDG answers from its fine-grained 1-D grids instead.
 
     Every query kind arrives here already lowered: a 2-D marginal's
-    ``c²`` degenerate cells land in one pair group and are answered as
-    one grouped corner-lookup batch — the mixin needs no per-kind code.
+    ``c²`` degenerate cells are rows of the pair block like any other —
+    the mixin needs no per-kind code.
     """
 
     #: Combiner for λ > 2 queries; set by the mechanism constructor.
     estimation_method: str = "weighted_update"
     #: Iteration cap for Algorithm 2; set by the mechanism constructor.
     estimation_iterations: int = 100
+    #: ``(sources, tables)`` of :meth:`_stacked`.
+    _stack_cache: tuple | None = None
 
-    def _fused_attribute_ranges(self, attribute: int, lows: np.ndarray,
-                                highs: np.ndarray) -> np.ndarray:
-        """Vectorised answers for one attribute's 1-D endpoint arrays.
+    def _stacked(self, sources: Callable[[], list], build: Callable):
+        """The stacked tables ``build()`` makes, cached against ``sources()``.
 
-        The default marginalises a pair containing the attribute (the
-        other attribute spans its full domain); HDG overrides it with
-        its fine-grained 1-D grids.
+        ``sources()`` lists the per-grid objects the tables derive from:
+        each grid's prefix index, which the grid drops whenever its
+        frequencies change (Phase 2, ``set_frequencies``) and which a
+        re-fit or restore replaces with the grid, and HDG's response
+        matrices.  The tables are rebuilt exactly when one of them is
+        no longer the object they were built from.
         """
-        other = 0 if attribute != 0 else 1
-        return self._fused_pair_ranges(
-            (attribute, other), lows, highs, np.zeros_like(lows),
-            np.full_like(lows, self._domain_size - 1))
+        cached = self._stack_cache
+        current = sources()
+        if (cached is None or len(cached[0]) != len(current)
+                or not all(map(operator.is_, cached[0], current))):
+            tables = build()
+            cached = self._stack_cache = (sources(), tables)
+        return cached[1]
 
-    def _pair_grid(self, key: tuple[int, int]):
-        """The grid answering attribute pair ``key``.
+    def _answer_attributes(self, attributes: np.ndarray, lows: np.ndarray,
+                           highs: np.ndarray) -> np.ndarray:
+        """Attribute block rows, as rows of pair ``(a, other)`` with the
+        other attribute over its whole domain.
 
-        Returns ``(grid, response_index, transposed)``: the
-        :class:`~repro.core.grid.Grid2D`, the summed-area table its
-        partial cells draw on (``None`` for the uniformity rule), and
-        whether ``key`` lists the grid's attributes in (column, row)
-        order.
+        ``other`` is 1 for ``a = 0`` (slot 0, the interval on the row
+        axis) and 0 otherwise (slot ``a(a-1)/2``, the interval on the
+        column axis).
         """
-        raise NotImplementedError
+        first = attributes == 0
+        top = self._domain_size - 1
+        return self._answer_pairs(
+            attributes * (attributes - 1) // 2,
+            np.where(first, lows, 0), np.where(first, highs, top),
+            np.where(first, 0, lows), np.where(first, top, highs))
+
+    def _answer_pairs(self, pairs: np.ndarray, row_lows: np.ndarray,
+                      row_highs: np.ndarray, col_lows: np.ndarray,
+                      col_highs: np.ndarray) -> np.ndarray:
+        """Pair block rows: split by pair slot, one
+        :meth:`_fused_pair_ranges` call per pair."""
+        answers = np.empty(len(pairs))
+        for slot in np.unique(pairs).tolist():
+            rows = np.flatnonzero(pairs == slot)
+            answers[rows] = self._fused_pair_ranges(
+                slot_pair(slot), row_lows[rows], row_highs[rows],
+                col_lows[rows], col_highs[rows])
+        return answers
 
     def _fused_pair_ranges(self, key: tuple[int, int], row_lows: np.ndarray,
                            row_highs: np.ndarray, col_lows: np.ndarray,
                            col_highs: np.ndarray) -> np.ndarray:
-        """Vectorised answers for one attribute pair's 2-D endpoint arrays."""
-        grid, response_index, transposed = self._pair_grid(key)
-        if transposed:
+        """One attribute pair's rows, the pair in either attribute order.
+
+        Answered as pair block rows.  LHIO overrides this with its
+        hierarchy kernel, which the default :meth:`_answer_pairs` calls.
+        """
+        first, second = key
+        if first > second:
+            first, second = second, first
             row_lows, row_highs, col_lows, col_highs = \
                 col_lows, col_highs, row_lows, row_highs
-        return grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
-                                  response_index=response_index)
+        return self._answer_pairs(
+            np.full(len(row_lows), pair_slot(first, second)),
+            *(np.asarray(bounds, dtype=np.int64) for bounds in
+              (row_lows, row_highs, col_lows, col_highs)))
 
     def _pair_answer(self, query: RangeQuery) -> float:
-        """One 2-D query through the grid's one-row gather, alone."""
+        """One 2-D query, alone."""
         first, second = query.predicates
-        grid, response_index, transposed = self._pair_grid(
-            (first.attribute, second.attribute))
-        if transposed:
-            first, second = second, first
-        return grid.answer_range((first.low, first.high),
-                                 (second.low, second.high),
-                                 response_index=response_index)
+        return float(self._fused_pair_ranges(
+            (first.attribute, second.attribute), np.array([first.low]),
+            np.array([first.high]), np.array([second.low]),
+            np.array([second.high]))[0])
 
     def _answer_compiled(self, compiled) -> np.ndarray:
-        """Execute a compiled plan through the fused grouped gathers.
+        """Execute a compiled plan: one call per block, one Algorithm-2
+        combination per distinct λ.
 
-        Grouping by dimension and grid was done once at compile time;
-        answering is one vectorised lookup per (attribute or pair) group
-        plus one Algorithm-2 combination per distinct λ.  Every kernel
-        is elementwise-independent, so a primitive's answer does not
+        The blocks write one answers-plus-sub-answers vector; its first
+        ``n_primitives`` entries are the answers.  Every kernel is
+        elementwise-independent, so a primitive's answer does not
         depend on the workload it arrives in.
         """
-        answers = np.empty(compiled.n_primitives)
-        for group in compiled.single_groups:
-            answers[group.positions] = self._fused_attribute_ranges(
-                group.attribute, group.lows, group.highs)
-        for group in compiled.pair_groups:
-            answers[group.positions] = self._fused_pair_ranges(
-                group.key, group.row_lows, group.row_highs, group.col_lows,
-                group.col_highs)
-        if compiled.n_sub_entries:
-            sub_answers = np.empty(compiled.n_sub_entries)
-            for group in compiled.multi_pair_groups:
-                sub_answers[group.positions] = self._fused_pair_ranges(
-                    group.key, group.row_lows, group.row_highs, group.col_lows,
-                    group.col_highs)
-            for group in compiled.multi_dim_groups:
-                # The constraints of estimate_lambda_query: the clipped
-                # pair answers plus the simplex normalisation to 1.
-                targets = np.ones((group.positions.size,
-                                   len(group.index_sets)))
-                targets[:, :-1] = np.maximum(
-                    0.0, sub_answers[group.sub_index_matrix])
-                answers[group.positions] = self._combine(group, targets)
-        return answers
+        values = np.empty(compiled.n_primitives + compiled.n_sub_entries)
+        singles, pairs = compiled.singles, compiled.pairs
+        if singles.positions.size:
+            values[singles.positions] = self._answer_attributes(
+                singles.attributes, singles.lows, singles.highs)
+        if pairs.positions.size:
+            values[pairs.positions] = self._answer_pairs(
+                pairs.pairs, pairs.row_lows, pairs.row_highs, pairs.col_lows,
+                pairs.col_highs)
+        for group in compiled.multi_dim_groups:
+            # The constraints of estimate_lambda_query: the clipped
+            # pair answers plus the simplex normalisation to 1.
+            targets = np.ones((group.positions.size, len(group.index_sets)))
+            targets[:, :-1] = np.maximum(0.0, values[group.sub_index_matrix])
+            values[group.positions] = self._combine(group, targets)
+        return values[:compiled.n_primitives]
 
     def _combine(self, group, targets: np.ndarray) -> np.ndarray:
         """Algorithm 2's λ-D estimates for one group's target rows."""
@@ -257,17 +294,52 @@ class PairwiseBatchAnswering:
                          f"got {self.estimation_method!r}")
 
 
-def lambda_constraint_index_sets(dimension: int) -> list[np.ndarray]:
+#: A grid's current prefix-sum index: ``None`` once the grid dropped it.
+grid_index = operator.attrgetter("_index")
+
+
+def stack_grids(stack: type, grids: list, *matrices):
+    """A ``stack`` (:class:`~repro.core.prefix_sum.PrefixStack1D` or
+    ``PrefixStack2D``) of ``grids``' frequencies in list order.
+
+    Each grid then answers through its view into the stack, so the
+    stack is the only copy of the tables and a grid that drops its
+    index no longer matches the stack's :func:`grid_index` sources.
+    """
+    built = stack([grid.frequencies for grid in grids], grids[0].cell_width,
+                  *matrices)
+    for grid, index in zip(grids, built.indexes):
+        grid._index = index
+    return built
+
+
+def by_pair_slot(pairs: dict) -> list:
+    """The values of ``pairs`` (keyed by attribute pair) in pair-slot
+    order: the order of a stacked table."""
+    return [pairs[pair]
+            for pair in sorted(pairs, key=lambda pair: pair_slot(*pair))]
+
+
+def slot_pair(slot: int) -> tuple[int, int]:
+    """The attribute pair in :func:`~repro.queries.compiler.pair_slot`
+    ``slot``: the inverse of ``second * (second - 1) // 2 + first``."""
+    second = (1 + math.isqrt(8 * slot + 1)) // 2
+    return slot - second * (second - 1) // 2, second
+
+
+@lru_cache(maxsize=16)
+def lambda_constraint_index_sets(dimension: int) -> ConstraintSets:
     """Algorithm 2's constraint index sets for a λ-D query.
 
     One set per attribute pair in the order
     :meth:`~repro.queries.RangeQuery.pairwise_subqueries` produces them
     (lexicographic by position), followed by the simplex normalisation
     over all ``2^λ`` orthants — the exact sweep order of
-    :func:`estimate_lambda_query`.
+    :func:`estimate_lambda_query`.  Cached and read-only: every λ-D
+    group of every plan shares one structure.
     """
     sets = [pair_constraint_indices(dimension, pos_a, pos_b)
             for pos_a in range(dimension)
             for pos_b in range(pos_a + 1, dimension)]
     sets.append(np.arange(1 << dimension, dtype=np.int64))
-    return sets
+    return ConstraintSets(sets)

@@ -28,7 +28,9 @@ from .base import RangeQueryMechanism
 from .granularity import DEFAULT_ALPHA2, choose_granularity_tdg
 from .grid import Grid2D
 from .phase2 import run_phase2
-from .query_estimation import PairwiseBatchAnswering
+from .prefix_sum import PrefixStack2D
+from .query_estimation import (PairwiseBatchAnswering, by_pair_slot,
+                               grid_index, stack_grids)
 
 
 class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
@@ -164,10 +166,9 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
         if self.postprocess:
             run_phase2(self._n_attributes, {}, self.grids, n_buckets=g2,
                        rounds=self.consistency_rounds)
-        # Precompute the prefix-sum indexes so the first query is as fast
+        # Precompute the answering tables so the first query is as fast
         # as the thousandth.
-        for grid in self.grids.values():
-            grid.build_index()
+        self._pair_stack()
 
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
@@ -236,19 +237,25 @@ class TDG(PairwiseBatchAnswering, RangeQueryMechanism):
             a, b = (int(part) for part in key.split(","))
             grid = Grid2D((a, b), self._domain_size, self.chosen_g2)
             grid.set_frequencies(np.asarray(rows, dtype=float))
-            grid.build_index()
             self.grids[(a, b)] = grid
         self._accumulators = {pair: None for pair in self.grids}
+        self._pair_stack()
 
     # ------------------------------------------------------------------
-    # Phase 3: answering (the fused hooks of PairwiseBatchAnswering)
+    # Phase 3: answering (the block hooks of PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _pair_grid(self, key):
-        """The pair's grid, answered under the uniformity rule."""
-        grid = self.grids.get(key)
-        if grid is None:
-            return self.grids[(key[1], key[0])], None, True
-        return grid, None, False
+    def _pair_stack(self) -> PrefixStack2D:
+        """Every pair's uniformity tables, stacked in pair-slot order."""
+        grids = self.grids
+        return self._stacked(
+            lambda: list(map(grid_index, grids.values())),
+            lambda: stack_grids(PrefixStack2D, by_pair_slot(grids)))
+
+    def _answer_pairs(self, pairs, row_lows, row_highs, col_lows,
+                      col_highs) -> np.ndarray:
+        """Pair block rows: one gather over the stacked tables."""
+        return self._pair_stack().answer(pairs, row_lows, row_highs,
+                                         col_lows, col_highs)
 
 
 class ITDG(TDG):

@@ -35,6 +35,25 @@ class Constraint:
         object.__setattr__(self, "indices", indices)
 
 
+class ConstraintSets(tuple):
+    """Constraint index sets frozen as read-only int64 arrays.
+
+    Frozen sets cannot change, so :func:`weighted_update_batch` builds
+    its one-row solver key once per instance instead of on every call.
+    """
+
+    def __new__(cls, index_sets):
+        arrays = [np.array(indices, dtype=np.int64) for indices in index_sets]
+        for array in arrays:
+            array.flags.writeable = False
+        return super().__new__(cls, arrays)
+
+    @functools.cached_property
+    def solver_key(self) -> tuple[tuple[int, ...], ...]:
+        """The index sets as nested tuples: :func:`_row_solver`'s key."""
+        return tuple(tuple(array.tolist()) for array in self)
+
+
 @dataclass
 class WeightedUpdateResult:
     """Outcome of a weighted-update run."""
@@ -179,7 +198,8 @@ def weighted_update_batch(size: int, index_sets: list[np.ndarray],
     size:
         Length of each estimate vector (``2^λ`` for Algorithm 2).
     index_sets:
-        One index array per constraint, in sweep order.
+        One index array per constraint, in sweep order; a
+        :class:`ConstraintSets` keeps its one-row solver key.
     targets:
         Array of shape ``(n_problems, n_constraints)``; row ``b`` holds
         problem ``b``'s constraint targets.
@@ -201,8 +221,10 @@ def weighted_update_batch(size: int, index_sets: list[np.ndarray],
             f"got {targets.shape[1]} targets per problem for "
             f"{len(index_sets)} constraints")
     if targets.shape[0] == 1:
-        solve = _row_solver(size, tuple(tuple(np.asarray(idx).tolist())
-                                        for idx in index_sets))
+        key = (index_sets.solver_key if isinstance(index_sets, ConstraintSets)
+               else tuple(tuple(np.asarray(idx).tolist())
+                          for idx in index_sets))
+        solve = _row_solver(size, key)
         return np.array([solve(targets[0].tolist(), threshold,
                                max_iterations)])
     return _weighted_update_columns(size, index_sets, targets, threshold,

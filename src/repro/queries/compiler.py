@@ -7,16 +7,16 @@ row-major cells of each marginal/top-k table, kept as its attribute
 tuple and cell count.  :class:`CompiledPlan` walks that plan *once*
 and freezes everything answering needs into NumPy index arrays:
 
-* **execution groups** — primitives partitioned by dimension and
-  attribute signature up front: one :class:`SingleGroup` per queried
-  attribute (positions + endpoint arrays), one :class:`PairGroup` per
-  attribute pair, and for λ > 2 primitives the flattened C(λ,2)
-  sub-pair layout plus the per-λ Weighted-Update constraint structure
-  (:class:`MultiDimGroup`) — so a pair-decomposable mechanism answers
-  the whole workload with one vectorised gather per group and one
-  batched Algorithm-2 iteration per distinct λ, no per-primitive
-  Python.  A table's cells join these groups as one index block, never
-  as per-cell objects; mechanisms without pair decomposition read
+* **execution blocks** — a fixed number of arrays whatever the
+  workload: an :class:`AttributeBlock` with every 1-D row and a
+  :class:`PairBlock` with every 2-D row (the λ = 2 primitives and the
+  C(λ,2) sub-pairs of the λ > 2 ones, keyed by :func:`pair_slot`),
+  plus per distinct λ > 2 the Weighted-Update layout
+  (:class:`MultiDimGroup`).  A pair-decomposable mechanism answers
+  each block with one gather over its stacked grid tables and each λ
+  with one batched Algorithm-2 call, no per-primitive Python.  A
+  table's cells join the blocks as index arrays, never as per-cell
+  objects; mechanisms without pair decomposition read
   :attr:`CompiledPlan.flat_ranges`, built on first read;
 * **reassembly arrays** — scalar results (range, point, count) become
   one fancy-indexed gather with a precomputed scale vector (count
@@ -28,11 +28,11 @@ thread-safe bounded LRU keyed by the fitted schema plus the workload
 itself, with hit/miss/eviction counters the serving tier surfaces in
 its health document.
 
-Every kernel a group runs (``Grid1D.answer_ranges``,
-``Grid2D.answer_ranges``, ``weighted_update_batch``) is
-elementwise-independent, and evaluates a one-row group on Python
-scalars in the same fold order as a larger group, so a primitive's
-answer does not depend on the workload it arrives in.
+Every kernel a block runs (the stacked gathers of
+:mod:`repro.core.prefix_sum`, ``weighted_update_batch``) is
+elementwise-independent, and evaluates a small block on Python scalars
+in the same fold order as a larger one, so a primitive's answer does
+not depend on the workload it arrives in.
 ``tests/test_plan_compiler.py`` pins the compiled answers bitwise to
 the per-query scalar reference in ``tests/oracles.py`` for all five
 query kinds across all nine mechanisms.
@@ -44,6 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from threading import Lock
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,58 +55,108 @@ from .ir import (DistributionResult, MarginalQuery, PointQuery,
 from .planner import QueryPlan, top_k_cells
 from .range_query import RangeQuery
 
-__all__ = ["CompiledPlan", "MultiDimGroup", "PairGroup", "PlanCache",
-           "SingleGroup"]
+__all__ = ["AttributeBlock", "CompiledPlan", "MultiDimGroup", "PairBlock",
+           "PlanCache", "pair_slot"]
 
 
 # ----------------------------------------------------------------------
-# Execution groups
+# Execution blocks
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SingleGroup:
-    """All 1-D primitives of one attribute, as endpoint arrays.
+def pair_slot(first: int, second: int) -> int:
+    """Slot of attribute pair ``first < second`` in a stack of pair tables.
 
-    ``positions`` indexes into the flat primitive-answer vector (or the
-    sub-answer vector when the group feeds a λ > 2 decomposition).
+    Colex order — (0, 1), (0, 2), (1, 2), (0, 3), ... — numbers the
+    C(d,2) pairs of any ``d`` densely from 0, so a plan is compiled
+    without knowing ``d``.
+    """
+    return second * (second - 1) // 2 + first
+
+
+class AttributeBlock(NamedTuple):
+    """Every 1-D primitive of a plan, one row each.
+
+    Row ``k`` asks attribute ``attributes[k]`` for ``[lows[k],
+    highs[k]]``; its answer goes to ``positions[k]`` of the answer
+    vector.
     """
 
-    attribute: int
     positions: np.ndarray
+    attributes: np.ndarray
     lows: np.ndarray
     highs: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairGroup:
-    """All 2-D primitives of one (sorted) attribute pair.
+class PairBlock(NamedTuple):
+    """Every 2-D rectangle of a plan, one row each.
 
-    Primitives keep plan order within the group; the mechanism resolves
-    grid orientation once per group instead of once per primitive.
+    The rows are the λ = 2 primitives and the C(λ,2) sub-pairs of the
+    λ > 2 primitives.  Row ``k`` asks pair slot ``pairs[k]``
+    (:func:`pair_slot`) for rows ``[row_lows[k], row_highs[k]]`` of the
+    pair's first attribute and columns ``[col_lows[k], col_highs[k]]``
+    of its second.  ``positions`` index the answers-plus-sub-answers
+    vector: a primitive's own position, or ``n_primitives`` plus the
+    sub-answer's index.
     """
 
-    key: tuple[int, int]
     positions: np.ndarray
+    pairs: np.ndarray
     row_lows: np.ndarray
     row_highs: np.ndarray
     col_lows: np.ndarray
     col_highs: np.ndarray
 
 
+def _table_rows(tables: list[tuple[int, int]], domain_size: int,
+                dimension: int) -> list[np.ndarray]:
+    """The rows of λ = ``dimension`` tables, as one ``(width, n)`` part.
+
+    ``tables`` holds each table's first position and its attribute or
+    pair slot.  Every table's cells are the same row-major block, each
+    axis's value as both the low and the high endpoint.
+    """
+    if not tables:
+        return []
+    starts, keys = np.array(tables, dtype=np.int64).T
+    cells = np.repeat(_cell_block(domain_size, dimension), 2, axis=0)
+    n_cells = cells.shape[1]
+    return [np.concatenate([
+        (starts[:, None] + np.arange(n_cells)).reshape(1, -1),
+        np.repeat(keys, n_cells)[None], np.tile(cells, len(tables))])]
+
+
+@lru_cache(maxsize=None)
+def _empty_block(cls):
+    """The empty block of ``cls``, shared and read-only."""
+    columns = np.empty((len(cls._fields), 0), dtype=np.int64)
+    columns.flags.writeable = False
+    return cls(*columns)
+
+
+def _block(cls, rows: list[tuple], parts: list[np.ndarray]):
+    """A block of ``cls`` from scalar rows, then ``(width, n)`` table parts."""
+    if rows:
+        parts = [np.array(rows, dtype=np.int64).T, *parts]
+    if not parts:
+        return _empty_block(cls)
+    return cls(*(parts[0] if len(parts) == 1
+                 else np.concatenate(parts, axis=1)))
+
+
 @dataclass(frozen=True)
 class MultiDimGroup:
     """All λ-D primitives (λ > 2) of one dimension.
 
-    ``sub_index_matrix`` has one row per primitive holding the indices
+    ``sub_index_matrix`` has one row per primitive holding the positions
     of its C(λ,2) sub-answers (in
-    :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order) inside
-    the flat sub-answer vector; ``index_sets`` is Algorithm 2's
-    constraint structure for this λ, precompiled once.
+    :meth:`~repro.queries.RangeQuery.pairwise_subqueries` order) in the
+    answers-plus-sub-answers vector; ``index_sets`` is Algorithm 2's
+    constraint structure for this λ (shared and read-only).
     """
 
     dimension: int
     positions: np.ndarray
     sub_index_matrix: np.ndarray
-    index_sets: list[np.ndarray] = field(repr=False)
+    index_sets: tuple[np.ndarray, ...] = field(repr=False)
 
 
 @lru_cache(maxsize=16)
@@ -120,22 +171,6 @@ def _cell_block(domain_size: int, dimension: int) -> np.ndarray:
                        dtype=np.int64).reshape(dimension, -1)
     cells.flags.writeable = False
     return cells
-
-
-def _group_columns(key, rows: dict, blocks: dict) -> np.ndarray:
-    """Group ``key``'s ``(width, n)`` columns: scalar rows, then table blocks.
-
-    ``rows[key]`` holds one tuple per scalar primitive; each of
-    ``blocks[key]`` is a ``(width, n)`` array of table cells.  A group
-    without table blocks is built from its rows alone, with no
-    concatenation.
-    """
-    parts = blocks.get(key)
-    if not parts:
-        return np.asarray(rows[key], dtype=np.int64).T
-    if key in rows:
-        parts = [np.asarray(rows[key], dtype=np.int64).T, *parts]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -167,26 +202,24 @@ class _TableLayout:
 class CompiledPlan:
     """A :class:`~repro.queries.QueryPlan` frozen into fused index arrays.
 
-    Build with :meth:`from_plan`; mechanisms execute the groups through
-    their vectorised primitives and hand the flat answer vector to
-    :meth:`assemble`.  Mechanisms without pair decomposition run their
-    kernel over :attr:`flat_ranges` — the plan's primitive list,
-    materialised on first read instead of per call.
+    Build with :meth:`from_plan`; pair-decomposable mechanisms answer
+    the :attr:`singles` and :attr:`pairs` blocks with one gather each,
+    combine the :attr:`multi_dim_groups`, and hand the flat answer
+    vector to :meth:`assemble`.  Mechanisms without pair decomposition
+    run their kernel over :attr:`flat_ranges` — the plan's primitive
+    list, materialised on first read instead of per call.
     """
 
-    def __init__(self, plan: QueryPlan,
-                 single_groups: list[SingleGroup],
-                 pair_groups: list[PairGroup],
-                 multi_pair_groups: list[PairGroup],
+    def __init__(self, plan: QueryPlan, n_primitives: int,
+                 singles: AttributeBlock, pairs: PairBlock,
                  multi_dim_groups: list[MultiDimGroup],
                  n_sub_entries: int, scalars: _ScalarLayout,
                  tables: list[_TableLayout]):
         self.plan = plan
-        self.n_primitives = plan.n_primitives
+        self.n_primitives = n_primitives
         self.n_queries = len(plan.lowered)
-        self.single_groups = single_groups
-        self.pair_groups = pair_groups
-        self.multi_pair_groups = multi_pair_groups
+        self.singles = singles
+        self.pairs = pairs
         self.multi_dim_groups = multi_dim_groups
         self.n_sub_entries = n_sub_entries
         self._scalars = scalars
@@ -197,7 +230,7 @@ class CompiledPlan:
         """The plan's primitive list, built on first read and kept.
 
         Only mechanisms without pair decomposition (Uni, MSW, HIO, and
-        LHIO with lazy levels) read it; the grouped executor never does.
+        LHIO with lazy levels) read it; the block executor never does.
         """
         return self.plan.ranges
 
@@ -215,23 +248,24 @@ class CompiledPlan:
         their own — the same value the planner resolved at lowering
         time, so compiled count answers match the combiner's exactly.
 
-        A scalar query's one primitive is filed row by row; a table's
-        ``c^λ`` cells join the same groups as one row-major index block
-        (:func:`_cell_block`), with no per-cell Python.
+        A scalar query's primitive is filed as one row (or C(λ,2)
+        sub-pair rows); a table's ``c^λ`` cells join the same blocks as
+        one row-major index block (:func:`_cell_block`), with no
+        per-cell Python.
         """
         domain_size = int(domain_size)
-        singles: dict[int, list[tuple[int, int, int]]] = {}
-        pairs: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
-        multi_pairs: dict[tuple[int, int],
-                          list[tuple[int, int, int, int, int]]] = {}
+        n_primitives = plan.n_primitives
+        single_rows: list[tuple[int, int, int, int]] = []
+        pair_rows: list[tuple[int, int, int, int, int, int]] = []
+        # 1-D and 2-D tables as (first position, attribute or pair slot);
+        # λ > 2 table cells as (width, n) int64 column blocks.
+        single_tables: list[tuple[int, int]] = []
+        pair_tables: list[tuple[int, int]] = []
+        pair_parts: list[np.ndarray] = []
         multis_by_dim: dict[int, tuple[list[int], list[list[int]]]] = {}
-        # Table cells, as (width, n) int64 column blocks per group key.
-        single_blocks: dict[int, list[np.ndarray]] = {}
-        pair_blocks: dict[tuple[int, int], list[np.ndarray]] = {}
-        multi_pair_blocks: dict[tuple[int, int], list[np.ndarray]] = {}
         multi_dim_blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         index = 0
-        n_sub = 0
+        sub = n_primitives  # position of the next sub-answer
 
         scalar_positions: list[int] = []
         scalar_queries: list[Query] = []
@@ -249,62 +283,59 @@ class CompiledPlan:
                 predicates = primitive.predicates
                 if len(predicates) == 1:
                     predicate = predicates[0]
-                    singles.setdefault(predicate.attribute, []).append(
-                        (start, predicate.low, predicate.high))
+                    single_rows.append((start, predicate.attribute,
+                                        predicate.low, predicate.high))
                 elif len(predicates) == 2:
                     first, second = predicates
-                    pairs.setdefault((first.attribute, second.attribute),
-                                     []).append(
-                        (start, first.low, first.high, second.low, second.high))
+                    pair_rows.append(
+                        (start, pair_slot(first.attribute, second.attribute),
+                         first.low, first.high, second.low, second.high))
                 else:
-                    sub_indices = []
+                    sub_positions = []
                     # Same lexicographic-by-position order as
                     # pairwise_subqueries (Algorithm 2's constraint order).
-                    for i in range(len(predicates)):
-                        for j in range(i + 1, len(predicates)):
-                            multi_pairs.setdefault(
-                                (predicates[i].attribute,
-                                 predicates[j].attribute), []).append(
-                                (n_sub, predicates[i].low, predicates[i].high,
-                                 predicates[j].low, predicates[j].high))
-                            sub_indices.append(n_sub)
-                            n_sub += 1
+                    for i, first in enumerate(predicates):
+                        for second in predicates[i + 1:]:
+                            pair_rows.append(
+                                (sub, pair_slot(first.attribute,
+                                                second.attribute),
+                                 first.low, first.high, second.low,
+                                 second.high))
+                            sub_positions.append(sub)
+                            sub += 1
                     positions, rows = multis_by_dim.setdefault(
                         len(predicates), ([], []))
                     positions.append(start)
-                    rows.append(sub_indices)
+                    rows.append(sub_positions)
             else:
                 attributes = entry.table_attributes
-                cells = _cell_block(domain_size, len(attributes))
-                n_cells = cells.shape[1]
-                index += n_cells
-                positions = np.arange(start, index, dtype=np.int64)
+                index += domain_size ** len(attributes)
                 if len(attributes) == 1:
-                    single_blocks.setdefault(attributes[0], []).append(
-                        np.stack([positions, cells[0], cells[0]]))
+                    single_tables.append((start, attributes[0]))
                 elif len(attributes) == 2:
-                    pair_blocks.setdefault(attributes, []).append(
-                        np.stack([positions, cells[0], cells[0],
-                                  cells[1], cells[1]]))
+                    pair_tables.append((start, pair_slot(*attributes)))
                 else:
+                    cells = _cell_block(domain_size, len(attributes))
+                    n_cells = cells.shape[1]
+                    positions = np.arange(start, index, dtype=np.int64)
                     # Cell ``n``'s C(λ,2) sub-answers sit contiguously at
-                    # n_sub + n·C(λ,2) + k, k in pairwise_subqueries order.
+                    # sub + n·C(λ,2) + k, k in pairwise_subqueries order.
                     n_pairs = len(attributes) * (len(attributes) - 1) // 2
                     sub_index_matrix = (
-                        n_sub + n_pairs * np.arange(n_cells, dtype=np.int64)
+                        sub + n_pairs * np.arange(n_cells, dtype=np.int64)
                     )[:, None] + np.arange(n_pairs, dtype=np.int64)
                     k = 0
                     for i in range(len(attributes)):
                         for j in range(i + 1, len(attributes)):
-                            multi_pair_blocks.setdefault(
-                                (attributes[i], attributes[j]), []).append(
-                                np.stack([sub_index_matrix[:, k],
-                                          cells[i], cells[i],
-                                          cells[j], cells[j]]))
+                            pair_parts.append(np.stack([
+                                sub_index_matrix[:, k],
+                                np.full(n_cells, pair_slot(attributes[i],
+                                                           attributes[j])),
+                                cells[i], cells[i], cells[j], cells[j]]))
                             k += 1
                     multi_dim_blocks.setdefault(len(attributes), []).append(
                         (positions, sub_index_matrix))
-                    n_sub += n_cells * n_pairs
+                    sub += n_cells * n_pairs
 
             if isinstance(query, (RangeQuery, PointQuery)):
                 scalar_positions.append(result_position)
@@ -335,15 +366,6 @@ class CompiledPlan:
 
         from ..core.query_estimation import lambda_constraint_index_sets
 
-        def single_group(attribute) -> SingleGroup:
-            columns = _group_columns(attribute, singles, single_blocks)
-            return SingleGroup(attribute, columns[0], columns[1], columns[2])
-
-        def pair_group(key, rows, blocks) -> PairGroup:
-            columns = _group_columns(key, rows, blocks)
-            return PairGroup(key, columns[0], columns[1], columns[2],
-                             columns[3], columns[4])
-
         multi_dims = []
         for dimension in {**multis_by_dim, **multi_dim_blocks}:
             parts = multi_dim_blocks.get(dimension, [])
@@ -360,15 +382,14 @@ class CompiledPlan:
 
         return cls(
             plan=plan,
-            single_groups=[single_group(attribute)
-                           for attribute in {**singles, **single_blocks}],
-            pair_groups=[pair_group(key, pairs, pair_blocks)
-                         for key in {**pairs, **pair_blocks}],
-            multi_pair_groups=[
-                pair_group(key, multi_pairs, multi_pair_blocks)
-                for key in {**multi_pairs, **multi_pair_blocks}],
+            n_primitives=n_primitives,
+            singles=_block(AttributeBlock, single_rows,
+                           _table_rows(single_tables, domain_size, 1)),
+            pairs=_block(PairBlock, pair_rows,
+                         [*_table_rows(pair_tables, domain_size, 2),
+                          *pair_parts]),
             multi_dim_groups=multi_dims,
-            n_sub_entries=n_sub,
+            n_sub_entries=sub - n_primitives,
             scalars=_ScalarLayout(scalar_positions, scalar_queries,
                                   np.asarray(scalar_primitives,
                                              dtype=np.int64),

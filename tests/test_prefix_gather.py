@@ -1,8 +1,8 @@
 """Property tests: a one-row gather is bitwise equal to its batched row.
 
-A group with one row is answered on Python scalars
+A gather of at most ``SCALAR_ROWS`` rows is answered on Python scalars
 (``PrefixIndex1D.answer_one``, ``PrefixIndex2D.answer_uniform_one`` and
-``answer_response_one``); larger groups run the vectorised NumPy rules.
+``answer_response_one``); larger ones run the vectorised NumPy rules.
 An answer must not depend on which of the two produced it, so every
 check here is ``np.array_equal`` between a lone query and the same query
 inside a multi-row call: for the 1-D uniformity rule, the TDG 2-D
@@ -18,6 +18,7 @@ import pytest
 from repro.baselines import CALM
 from repro.core import (HDG, IHDG, ITDG, TDG, Grid1D, Grid2D,
                         SummedAreaTable)
+from repro.core.prefix_sum import SCALAR_ROWS
 from repro.datasets import make_dataset
 from repro.queries import Predicate, RangeQuery
 
@@ -141,8 +142,9 @@ def query(*triples):
 
 @pytest.mark.parametrize("name", ["HDG", "TDG", "IHDG", "ITDG", "CALM"])
 def test_mixed_plan_one_and_many_row_groups(fitted, name):
-    """One workload whose groups have one row and several rows: every
-    query's batched answer equals its answer alone."""
+    """One workload whose attribute block is gathered row by row and
+    whose pair block is gathered vectorised: every query's batched
+    answer equals its answer alone."""
     mechanism = fitted[name]
     workload = [
         query((0, 0, 15)),                                  # attribute 0: 1 row
@@ -153,13 +155,13 @@ def test_mixed_plan_one_and_many_row_groups(fitted, name):
         query((0, 1, 14), (1, 2, 2), (2, 0, 7)),            # λ = 3: 1 row
         query((0, 0, 3), (1, 4, 9), (2, 6, 15), (3, 0, 0)),
         query((0, 8, 15), (1, 0, 0), (2, 3, 3), (3, 15, 15)),
+        # Pair (1, 3): enough rows to push the pair block past K.
+        *(query((1, low % 16, 15), (3, 0, low // 16))
+          for low in range(SCALAR_ROWS)),
     ]
     compiled = mechanism._plan_for(workload)
-    sizes = {group.positions.size
-             for groups in (compiled.single_groups, compiled.pair_groups,
-                            compiled.multi_pair_groups)
-             for group in groups}
-    assert 1 in sizes and max(sizes) > 1
+    assert compiled.singles.positions.size <= SCALAR_ROWS
+    assert compiled.pairs.positions.size > SCALAR_ROWS
     batched = mechanism.answer_workload(workload)
     for position, item in enumerate(workload):
         assert np.array_equal(mechanism.answer_workload([item]),
