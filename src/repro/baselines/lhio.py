@@ -32,7 +32,7 @@ import numpy as np
 
 from ..core.base import RangeQueryMechanism
 from ..core.query_estimation import (PairwiseBatchAnswering,
-                                     estimate_lambda_query)
+                                     estimate_lambda_query, slot_pair)
 from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, olh_variance
 from ..postprocess import constrained_inference_2d, norm_sub
@@ -233,7 +233,7 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
             self._pairs[(a, b)] = pair_hierarchy
 
     # ------------------------------------------------------------------
-    # Answering (the fused hooks of PairwiseBatchAnswering): each 2-D
+    # Answering (the block hooks of PairwiseBatchAnswering): each 2-D
     # lookup decomposes both intervals into their least hierarchy nodes
     # and sums the (row node, column node) combinations' frequencies;
     # λ = 1 queries are padded to pairs and λ > 2 queries combine their
@@ -264,9 +264,22 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
                     max_iterations=self.estimation_iterations))
         return np.array(answers, dtype=float)
 
+    def _answer_pairs(self, pairs, row_lows, row_highs, col_lows,
+                      col_highs) -> np.ndarray:
+        """Pair block rows: split by pair slot, one
+        :meth:`_fused_pair_ranges` call per pair."""
+        answers = np.empty(len(pairs))
+        for slot in np.unique(pairs).tolist():
+            rows = np.flatnonzero(pairs == slot)
+            answers[rows] = self._fused_pair_ranges(
+                slot_pair(slot), row_lows[rows], row_highs[rows],
+                col_lows[rows], col_highs[rows])
+        return answers
+
     def _fused_pair_ranges(self, key, row_lows, row_highs, col_lows,
                            col_highs) -> np.ndarray:
-        """Sum every entry's node combinations with one gather per level.
+        """Pair ``key``'s rows: sum every entry's node combinations with
+        one gather per level.
 
         Combinations from all entries are grouped by 2-dim level, and
         each level is answered with a single fancy-indexed lookup into
@@ -277,11 +290,7 @@ class LHIO(PairwiseBatchAnswering, RangeQueryMechanism):
         drawing lazy noise as it goes.
         """
         assert self.hierarchy is not None
-        pair_hierarchy = self._pairs.get(key)
-        if pair_hierarchy is None:
-            pair_hierarchy = self._pairs[(key[1], key[0])]
-            row_lows, row_highs, col_lows, col_highs = \
-                col_lows, col_highs, row_lows, row_highs
+        pair_hierarchy = self._pairs[key]
         entries = list(zip(row_lows.tolist(), row_highs.tolist(),
                            col_lows.tolist(), col_highs.tolist()))
         if pair_hierarchy.lazy_groups:

@@ -9,8 +9,6 @@ from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2, GranularityChoice,
 from .grid import Grid1D, Grid2D
 from .hdg import HDG, IHDG
 from .phase2 import run_phase2
-from .prefix_sum import (PrefixIndex1D, PrefixIndex2D, SummedAreaTable,
-                         prefix_sum_1d, summed_area_table)
 from .query_estimation import (estimate_lambda_query,
                                lambda_constraint_index_sets)
 from .response_matrix import ResponseMatrixResult, build_response_matrix
@@ -25,11 +23,8 @@ __all__ = [
     "HDG",
     "IHDG",
     "ITDG",
-    "PrefixIndex1D",
-    "PrefixIndex2D",
     "RangeQueryMechanism",
     "ResponseMatrixResult",
-    "SummedAreaTable",
     "TDG",
     "build_response_matrix",
     "choose_granularities_hdg",
@@ -40,10 +35,8 @@ __all__ = [
     "minimum_granularity",
     "nearest_divisor",
     "nearest_power_of_two",
-    "prefix_sum_1d",
     "raw_g1",
     "raw_g2",
     "recommended_granularity_table",
     "run_phase2",
-    "summed_area_table",
 ]

@@ -8,18 +8,16 @@ range-answering primitives of Phase 3: summing fully-covered cells and
 estimating partially-covered cells either under the uniformity assumption
 (TDG) or from a response matrix (HDG).
 
-Range answering runs on prefix-sum indexes (:mod:`repro.core.prefix_sum`)
-that are built lazily from the current frequencies and invalidated by
-every mutation through the grid API; each answer is then O(1) corner
-lookups instead of a Python cell loop, and the ``answer_ranges`` batch
-entry points answer whole query groups in one vectorised call.  A lone
-query (``answer_range``), or a group of at most
-:data:`~repro.core.prefix_sum.SCALAR_ROWS` rows, is gathered on Python
-scalars in the vectorised fold order, so its answer is bitwise the same
-alone or in a batch.  The original cell loops live in
-``tests/oracles.py``: they are the ground truth the lookups are
-property-tested against and the baseline the throughput benchmark
-measures.
+Range answering reads prefix-sum tables (:mod:`repro.core.prefix_sum`):
+each answer is O(1) corner lookups on Python scalars instead of a cell
+loop.  A grid's ``_index`` is ``(stack, position)``: its mechanism's
+stack of every grid's tables, set when the mechanism stacks its grids,
+or else a stack of one, built on first use.  Every mutation through the
+grid API drops it.  The lookups use the fold order of the stacks'
+vectorised gathers, so a lone query's answer is bitwise its row of a
+batch.  The original cell loops live in ``tests/oracles.py``: they are
+the ground truth the lookups are property-tested against and the
+baseline the throughput benchmark measures.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..frequency_oracles import FrequencyOracle, SupportAccumulator
-from .prefix_sum import (SCALAR_ROWS, PrefixIndex1D, PrefixIndex2D,
-                         SummedAreaTable, full_cell_range)
+from .prefix_sum import PrefixStack1D, PrefixStack2D
 
 
 def _check_divisible(domain_size: int, granularity: int) -> int:
@@ -62,16 +59,16 @@ class Grid1D:
         self.granularity = int(granularity)
         self.cell_width = _check_divisible(self.domain_size, self.granularity)
         self._frequencies = np.zeros(self.granularity)
-        self._index: PrefixIndex1D | None = None
+        self._index: tuple[PrefixStack1D, int] | None = None
 
     # ------------------------------------------------------------------
-    # Prefix-sum index
+    # Prefix-sum tables
     # ------------------------------------------------------------------
     @property
     def frequencies(self) -> np.ndarray:
         """Cell frequencies (read-only view).
 
-        Exposed read-only because answering runs on a prefix-sum index
+        Exposed read-only because answering runs on prefix-sum tables
         derived from these values; silent in-place edits would serve
         stale answers.  Use :meth:`set_frequencies` to replace them or
         :meth:`mutable_frequencies` for in-place post-processing.
@@ -81,19 +78,13 @@ class Grid1D:
         return view
 
     def mutable_frequencies(self) -> np.ndarray:
-        """Writable handle for in-place post-processing (drops the index)."""
+        """Writable handle for in-place post-processing (drops the tables)."""
         self.invalidate_index()
         return self._frequencies
 
     def invalidate_index(self) -> None:
-        """Drop the prefix-sum index (call after mutating ``frequencies``)."""
+        """Drop the prefix-sum tables (call after mutating ``frequencies``)."""
         self._index = None
-
-    def build_index(self) -> PrefixIndex1D:
-        """Prefix-sum index over the current frequencies (cached)."""
-        if self._index is None:
-            self._index = PrefixIndex1D(self._frequencies, self.cell_width)
-        return self._index
 
     # ------------------------------------------------------------------
     # Cell geometry
@@ -165,21 +156,11 @@ class Grid1D:
         """1-D range answer with the uniformity assumption inside cells."""
         if not 0 <= low <= high < self.domain_size:
             raise ValueError(f"invalid interval [{low}, {high}]")
-        return self.build_index().answer_one(low, high)
-
-    def answer_ranges(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Vectorised range answers for arrays of inclusive intervals.
-
-        Intervals are assumed valid (the mechanisms validate queries
-        before batching).  Up to ``SCALAR_ROWS`` intervals are gathered
-        on Python scalars, bitwise equal to their rows of a larger batch.
-        """
-        index = self.build_index()
-        if len(lows) <= SCALAR_ROWS:
-            return np.array([index.answer_one(low, high) for low, high in
-                             zip(np.asarray(lows).tolist(),
-                                 np.asarray(highs).tolist())])
-        return index.answer(lows, highs)
+        if self._index is None:
+            self._index = (PrefixStack1D([self._frequencies], self.cell_width),
+                           0)
+        stack, position = self._index
+        return stack.answer_one(position, low, high)
 
 
 class Grid2D:
@@ -205,10 +186,10 @@ class Grid2D:
         self.granularity = int(granularity)
         self.cell_width = _check_divisible(self.domain_size, self.granularity)
         self._frequencies = np.zeros((self.granularity, self.granularity))
-        self._index: PrefixIndex2D | None = None
+        self._index: tuple[PrefixStack2D, int] | None = None
 
     # ------------------------------------------------------------------
-    # Prefix-sum index
+    # Prefix-sum tables
     # ------------------------------------------------------------------
     @property
     def frequencies(self) -> np.ndarray:
@@ -218,19 +199,13 @@ class Grid2D:
         return view
 
     def mutable_frequencies(self) -> np.ndarray:
-        """Writable handle for in-place post-processing (drops the index)."""
+        """Writable handle for in-place post-processing (drops the tables)."""
         self.invalidate_index()
         return self._frequencies
 
     def invalidate_index(self) -> None:
-        """Drop the prefix-sum index (call after mutating ``frequencies``)."""
+        """Drop the prefix-sum tables (call after mutating ``frequencies``)."""
         self._index = None
-
-    def build_index(self) -> PrefixIndex2D:
-        """Prefix-sum index over the current frequencies (cached)."""
-        if self._index is None:
-            self._index = PrefixIndex2D(self._frequencies, self.cell_width)
-        return self._index
 
     # ------------------------------------------------------------------
     # Cell geometry
@@ -300,87 +275,36 @@ class Grid2D:
     # ------------------------------------------------------------------
     def answer_range(self, interval_row: tuple[int, int],
                      interval_col: tuple[int, int],
-                     response_matrix: np.ndarray | None = None,
-                     response_index: SummedAreaTable | None = None) -> float:
+                     response_matrix: np.ndarray | None = None) -> float:
         """2-D range answer.
 
         Fully covered cells contribute their noisy frequency.  Partially
         covered cells contribute either a uniform-guess share of their
-        frequency (``response_matrix=None``, the TDG rule) or the sum of
-        the response-matrix entries of the covered 2-D values (the HDG
-        rule, Section 4.1 Phase 3).  Passing a precomputed
-        ``response_index`` (the matrix's summed-area table) makes the HDG
-        rule O(1); with only the raw matrix the partial mass is taken
-        from two vectorised rectangle sums instead of a cell loop.
+        frequency (``response_matrix=None``, the TDG rule, read from the
+        grid's own tables) or the sum of the response-matrix entries of
+        the covered 2-D values (the HDG rule, Section 4.1 Phase 3,
+        answered through a stack of one holding ``response_matrix``).
         """
         row_low, row_high = interval_row
         col_low, col_high = interval_col
         for low, high in ((row_low, row_high), (col_low, col_high)):
             if not 0 <= low <= high < self.domain_size:
                 raise ValueError(f"invalid interval [{low}, {high}]")
-        self._check_response_shape(response_matrix, response_index)
-
-        if response_index is not None:
-            return self.build_index().answer_response_one(
-                response_index, row_low, row_high, col_low, col_high)
-        if response_matrix is None:
-            return self.build_index().answer_uniform_one(
-                row_low, row_high, col_low, col_high)
-
-        # Raw matrix, no index: the partial-cell mass is the query
-        # rectangle's matrix mass minus the fully-covered block's mass.
-        w = self.cell_width
-        first_row, last_row = full_cell_range(row_low, row_high, w)
-        first_col, last_col = full_cell_range(col_low, col_high, w)
-        answer = float(
-            response_matrix[row_low:row_high + 1, col_low:col_high + 1].sum())
-        if first_row <= last_row and first_col <= last_col:
-            answer += float(
-                self._frequencies[first_row:last_row + 1,
-                                  first_col:last_col + 1].sum())
-            answer -= float(
-                response_matrix[first_row * w:(last_row + 1) * w,
-                                first_col * w:(last_col + 1) * w].sum())
-        return answer
-
-    def answer_ranges(self, row_lows: np.ndarray, row_highs: np.ndarray,
-                      col_lows: np.ndarray, col_highs: np.ndarray,
-                      response_index: SummedAreaTable | None = None) -> np.ndarray:
-        """Vectorised 2-D range answers for arrays of inclusive intervals.
-
-        With ``response_index=None`` every query follows the uniformity
-        rule (TDG); otherwise partially covered cells draw their mass
-        from the response matrix's summed-area table (HDG).  Intervals
-        are assumed valid.  Up to ``SCALAR_ROWS`` queries are gathered
-        on Python scalars, bitwise equal to their rows of a larger batch.
-        """
-        index = self.build_index()
-        if len(row_lows) <= SCALAR_ROWS:
-            rows = zip(*(np.asarray(bounds).tolist() for bounds in
-                         (row_lows, row_highs, col_lows, col_highs)))
-            if response_index is None:
-                return np.array([index.answer_uniform_one(*bounds)
-                                 for bounds in rows])
-            return np.array([index.answer_response_one(response_index,
-                                                       *bounds)
-                             for bounds in rows])
-        if response_index is None:
-            return index.answer_uniform(row_lows, row_highs, col_lows,
-                                        col_highs)
-        return index.answer_response(response_index, row_lows, row_highs,
-                                     col_lows, col_highs)
-
-    def _check_response_shape(self, response_matrix: np.ndarray | None,
-                              response_index: SummedAreaTable | None) -> None:
-        expected = (self.domain_size, self.domain_size)
-        if response_matrix is not None and response_matrix.shape != expected:
-            raise ValueError(
-                f"response matrix must have shape {expected}, got "
-                f"{response_matrix.shape}")
-        if response_index is not None and response_index.shape != expected:
-            raise ValueError(
-                f"response index must cover shape {expected}, got "
-                f"{response_index.shape}")
+        if response_matrix is not None:
+            expected = (self.domain_size, self.domain_size)
+            if np.shape(response_matrix) != expected:
+                raise ValueError(
+                    f"response matrix must have shape {expected}, got "
+                    f"{np.shape(response_matrix)}")
+            return PrefixStack2D([self._frequencies], self.cell_width,
+                                 [response_matrix]).answer_one(
+                0, row_low, row_high, col_low, col_high)
+        if self._index is None:
+            self._index = (PrefixStack2D([self._frequencies], self.cell_width),
+                           0)
+        stack, position = self._index
+        return stack.answer_uniform_one(position, row_low, row_high, col_low,
+                                        col_high)
 
     def marginal(self, axis: int) -> np.ndarray:
         """Grid-level marginal of one of the two attributes (sums over the other)."""

@@ -28,13 +28,12 @@ from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, SupportAccumulator
 from ..protocol import partition_users, partition_users_weighted
 from ..queries import RangeQuery
-from ..queries.compiler import pair_slot
 from .base import RangeQueryMechanism
 from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2,
                           choose_granularities_hdg)
 from .grid import Grid1D, Grid2D
 from .phase2 import run_phase2
-from .prefix_sum import PrefixStack1D, PrefixStack2D, SummedAreaTable
+from .prefix_sum import PrefixStack1D, PrefixStack2D
 from .query_estimation import (PairwiseBatchAnswering, by_pair_slot,
                                estimate_lambda_query, grid_index, stack_grids)
 from .response_matrix import build_response_matrix
@@ -429,10 +428,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
                              for attribute in sorted(singles)]),
                 stack_grids(PrefixStack2D, by_pair_slot(pairs),
                             by_pair_slot(matrices))))
-
-    def _response_index(self, key: tuple[int, int]) -> SummedAreaTable:
-        """The summed-area table of pair ``key``'s response matrix."""
-        return self._tables()[1].responses[pair_slot(*key)]
 
     def _answer_attributes(self, attributes, lows, highs) -> np.ndarray:
         """Attribute block rows: one gather over the stacked 1-D grids."""

@@ -156,13 +156,12 @@ class PairwiseBatchAnswering:
     :meth:`_answer_pairs` call, then combines every λ-D group's
     sub-answers with one Algorithm-2 call per distinct λ.
 
-    Grid mechanisms answer the pair block with one gather over their
-    stacked tables (:class:`~repro.core.prefix_sum.PrefixStack2D`).
-    LHIO keeps the default :meth:`_answer_pairs`, which splits the block
-    by pair and calls its hierarchy kernel :meth:`_fused_pair_ranges`.
-    The defaults of the two call each other, so a mechanism overrides
-    one.  The default :meth:`_answer_attributes` marginalises a pair;
-    HDG answers from its fine-grained 1-D grids instead.
+    A mechanism provides :meth:`_answer_pairs`: grid mechanisms answer
+    the pair block with one gather over their stacked tables
+    (:class:`~repro.core.prefix_sum.PrefixStack2D`), LHIO with its
+    hierarchy kernel.  The default :meth:`_answer_attributes`
+    marginalises a pair; HDG answers from its fine-grained 1-D grids
+    instead.
 
     Every query kind arrives here already lowered: a 2-D marginal's
     ``c²`` degenerate cells are rows of the pair block like any other —
@@ -180,10 +179,10 @@ class PairwiseBatchAnswering:
         """The stacked tables ``build()`` makes, cached against ``sources()``.
 
         ``sources()`` lists the per-grid objects the tables derive from:
-        each grid's prefix index, which the grid drops whenever its
-        frequencies change (Phase 2, ``set_frequencies``) and which a
-        re-fit or restore replaces with the grid, and HDG's response
-        matrices.  The tables are rebuilt exactly when one of them is
+        each grid's ``(stack, position)`` index, which the grid drops
+        whenever its frequencies change (Phase 2, ``set_frequencies``)
+        and which a re-fit or restore replaces with the grid, and HDG's
+        response matrices.  The tables are rebuilt exactly when one of them is
         no longer the object they were built from.
         """
         cached = self._stack_cache
@@ -213,41 +212,20 @@ class PairwiseBatchAnswering:
     def _answer_pairs(self, pairs: np.ndarray, row_lows: np.ndarray,
                       row_highs: np.ndarray, col_lows: np.ndarray,
                       col_highs: np.ndarray) -> np.ndarray:
-        """Pair block rows: split by pair slot, one
-        :meth:`_fused_pair_ranges` call per pair."""
-        answers = np.empty(len(pairs))
-        for slot in np.unique(pairs).tolist():
-            rows = np.flatnonzero(pairs == slot)
-            answers[rows] = self._fused_pair_ranges(
-                slot_pair(slot), row_lows[rows], row_highs[rows],
-                col_lows[rows], col_highs[rows])
-        return answers
-
-    def _fused_pair_ranges(self, key: tuple[int, int], row_lows: np.ndarray,
-                           row_highs: np.ndarray, col_lows: np.ndarray,
-                           col_highs: np.ndarray) -> np.ndarray:
-        """One attribute pair's rows, the pair in either attribute order.
-
-        Answered as pair block rows.  LHIO overrides this with its
-        hierarchy kernel, which the default :meth:`_answer_pairs` calls.
-        """
-        first, second = key
-        if first > second:
-            first, second = second, first
-            row_lows, row_highs, col_lows, col_highs = \
-                col_lows, col_highs, row_lows, row_highs
-        return self._answer_pairs(
-            np.full(len(row_lows), pair_slot(first, second)),
-            *(np.asarray(bounds, dtype=np.int64) for bounds in
-              (row_lows, row_highs, col_lows, col_highs)))
+        """Pair block rows: row ``k`` asks the pair in slot ``pairs[k]``
+        (:func:`~repro.queries.compiler.pair_slot`) for rows
+        ``[row_lows[k], row_highs[k]]`` of its smaller attribute and
+        columns ``[col_lows[k], col_highs[k]]`` of its larger one."""
+        raise NotImplementedError
 
     def _pair_answer(self, query: RangeQuery) -> float:
-        """One 2-D query, alone."""
+        """One 2-D query, alone: one pair block row.  A query keeps its
+        predicates sorted by attribute, so the first is the row axis."""
         first, second = query.predicates
-        return float(self._fused_pair_ranges(
-            (first.attribute, second.attribute), np.array([first.low]),
-            np.array([first.high]), np.array([second.low]),
-            np.array([second.high]))[0])
+        return float(self._answer_pairs(
+            np.array([pair_slot(first.attribute, second.attribute)]),
+            np.array([first.low]), np.array([first.high]),
+            np.array([second.low]), np.array([second.high]))[0])
 
     def _answer_compiled(self, compiled) -> np.ndarray:
         """Execute a compiled plan: one call per block, one Algorithm-2
@@ -294,7 +272,8 @@ class PairwiseBatchAnswering:
                          f"got {self.estimation_method!r}")
 
 
-#: A grid's current prefix-sum index: ``None`` once the grid dropped it.
+#: A grid's current ``(stack, position)``: ``None`` once the grid
+#: dropped it.
 grid_index = operator.attrgetter("_index")
 
 
@@ -302,14 +281,15 @@ def stack_grids(stack: type, grids: list, *matrices):
     """A ``stack`` (:class:`~repro.core.prefix_sum.PrefixStack1D` or
     ``PrefixStack2D``) of ``grids``' frequencies in list order.
 
-    Each grid then answers through its view into the stack, so the
-    stack is the only copy of the tables and a grid that drops its
-    index no longer matches the stack's :func:`grid_index` sources.
+    Each grid's ``_index`` becomes ``(stack, position)``, so the stack
+    is the only copy of the tables, the grid's own ``answer_range``
+    reads it, and a grid that drops its index no longer matches the
+    stack's :func:`grid_index` sources.
     """
     built = stack([grid.frequencies for grid in grids], grids[0].cell_width,
                   *matrices)
-    for grid, index in zip(grids, built.indexes):
-        grid._index = index
+    for position, grid in enumerate(grids):
+        grid._index = (built, position)
     return built
 
 

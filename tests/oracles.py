@@ -243,11 +243,8 @@ def _pairwise_answer(mechanism, query: RangeQuery, loops: bool) -> float:
               if isinstance(mechanism, HDG) else None)
     if loops:
         return grid2d_range_loop(pairs[key], interval_a, interval_b, matrix)
-    index = (mechanism._response_index(key) if matrix is not None
-             else None)
     return pairs[key].answer_range(interval_a, interval_b,
-                                   response_matrix=matrix,
-                                   response_index=index)
+                                   response_matrix=matrix)
 
 
 def _lhio_pair(mechanism, pair_hierarchy, interval_a, interval_b,

@@ -1,26 +1,26 @@
 """Property tests: a one-row gather is bitwise equal to its batched row.
 
 A gather of at most ``SCALAR_ROWS`` rows is answered on Python scalars
-(``PrefixIndex1D.answer_one``, ``PrefixIndex2D.answer_uniform_one`` and
-``answer_response_one``); larger ones run the vectorised NumPy rules.
-An answer must not depend on which of the two produced it, so every
-check here is ``np.array_equal`` between a lone query and the same query
-inside a multi-row call: for the 1-D uniformity rule, the TDG 2-D
-uniformity rule and the HDG response-matrix rule, at granularity 1, an
-interior granularity and full resolution, with empty full-cell blocks,
-single values, the full domain and both domain edges among the
-intervals.
+(the stacks' one-row methods ``PrefixStack1D.answer_one``,
+``PrefixStack2D.answer_one`` and ``answer_uniform_one``); larger ones run
+the vectorised NumPy rules.  An answer must not depend on which of the
+two produced it, so every check here is ``np.array_equal`` between a
+lone query and the same query inside a multi-row call: for the 1-D
+uniformity rule, the TDG 2-D uniformity rule and the HDG response-matrix
+rule, at granularity 1, an interior granularity and full resolution,
+with empty full-cell blocks, single values, the full domain and both
+domain edges among the intervals.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import CALM
-from repro.core import (HDG, IHDG, ITDG, TDG, Grid1D, Grid2D,
-                        SummedAreaTable)
-from repro.core.prefix_sum import SCALAR_ROWS
+from repro.core import HDG, IHDG, ITDG, TDG, Grid1D, Grid2D
+from repro.core.prefix_sum import SCALAR_ROWS, PrefixStack1D, PrefixStack2D
 from repro.datasets import make_dataset
 from repro.queries import Predicate, RangeQuery
+from repro.queries.compiler import pair_slot
 
 #: Domain size -> an interior granularity.  60 gives a cell width (12)
 #: that is not a power of two, so division by ``w`` rounds.
@@ -64,14 +64,19 @@ def assert_rows_match(batch, one_row):
 
 @pytest.mark.parametrize("domain_size", DOMAINS)
 def test_grid1d_one_row_equals_batch(rng, domain_size):
+    """A stack of one: its vectorised rows, its one-row gathers and the
+    grid's own ``answer_range``."""
     for granularity in granularities(domain_size):
         grid = Grid1D(0, domain_size, granularity)
         grid.set_frequencies(rng.normal(size=granularity))
         cases = intervals(domain_size, grid.cell_width, rng)
         lows, highs = endpoint_arrays(cases)
-        batch = grid.answer_ranges(lows, highs)
+        at = np.zeros(len(cases), dtype=np.int64)
+        assert len(cases) > SCALAR_ROWS
+        stack = PrefixStack1D([grid.frequencies], grid.cell_width)
+        batch = stack.answer(at, lows, highs)
         assert_rows_match(batch, [
-            grid.answer_ranges(lows[i:i + 1], highs[i:i + 1])
+            stack.answer(at[i:i + 1], lows[i:i + 1], highs[i:i + 1])
             for i in range(len(cases))])
         assert_rows_match(batch, [
             np.array([grid.answer_range(low, high)]) for low, high in cases])
@@ -83,22 +88,24 @@ def test_grid2d_one_row_equals_batch(rng, domain_size, rule):
     for granularity in granularities(domain_size):
         grid = Grid2D((0, 1), domain_size, granularity)
         grid.set_frequencies(rng.normal(size=(granularity, granularity)))
-        index = (SummedAreaTable(rng.normal(size=(domain_size,) * 2))
-                 if rule == "response" else None)
+        matrix = (rng.normal(size=(domain_size,) * 2)
+                  if rule == "response" else None)
         rows = intervals(domain_size, grid.cell_width, rng, n_random=6)
         cols = intervals(domain_size, grid.cell_width, rng, n_random=6)
         cases = [(row, col) for row in rows for col in cols]
         row_lows, row_highs = endpoint_arrays([row for row, _ in cases])
         col_lows, col_highs = endpoint_arrays([col for _, col in cases])
-        batch = grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
-                                   response_index=index)
+        at = np.zeros(len(cases), dtype=np.int64)
+        assert len(cases) > SCALAR_ROWS
+        stack = PrefixStack2D([grid.frequencies], grid.cell_width,
+                              None if matrix is None else [matrix])
+        batch = stack.answer(at, row_lows, row_highs, col_lows, col_highs)
         assert_rows_match(batch, [
-            grid.answer_ranges(row_lows[i:i + 1], row_highs[i:i + 1],
-                               col_lows[i:i + 1], col_highs[i:i + 1],
-                               response_index=index)
+            stack.answer(at[i:i + 1], row_lows[i:i + 1], row_highs[i:i + 1],
+                         col_lows[i:i + 1], col_highs[i:i + 1])
             for i in range(len(cases))])
         assert_rows_match(batch, [
-            np.array([grid.answer_range(row, col, response_index=index)])
+            np.array([grid.answer_range(row, col, response_matrix=matrix)])
             for row, col in cases])
 
 
@@ -112,28 +119,30 @@ def fitted():
 
 @pytest.mark.parametrize("name", ["HDG", "TDG"])
 def test_swapped_pair_key_one_row_equals_batch(rng, fitted, name):
-    """A (column, row) key transposes onto the stored grid on both paths."""
+    """A query naming pair (b, a) lands on the stored (a, b) grid with
+    a's interval on the row axis, alone and in a batch."""
     mechanism = fitted[name]
     rows = intervals(16, 4, rng, n_random=8)
     cols = intervals(16, 4, rng, n_random=8)
     row_lows, row_highs = endpoint_arrays(rows)
     col_lows, col_highs = endpoint_arrays(cols[:len(rows)])
+    assert len(rows) > SCALAR_ROWS
     for a, b in ((0, 1), (1, 3), (0, 3)):
-        forward = mechanism._fused_pair_ranges(
-            (a, b), row_lows, row_highs, col_lows, col_highs)
-        swapped = mechanism._fused_pair_ranges(
-            (b, a), col_lows, col_highs, row_lows, row_highs)
-        assert np.array_equal(forward, swapped)
+        slots = np.full(len(rows), pair_slot(a, b))
+        forward = mechanism._answer_pairs(slots, row_lows, row_highs,
+                                          col_lows, col_highs)
+        swapped = [RangeQuery((
+            Predicate(b, int(col_lows[i]), int(col_highs[i])),
+            Predicate(a, int(row_lows[i]), int(row_highs[i]))))
+            for i in range(len(rows))]
+        assert np.array_equal(forward, mechanism.answer_workload(swapped))
         assert_rows_match(forward, [
-            mechanism._fused_pair_ranges(
-                (b, a), col_lows[i:i + 1], col_highs[i:i + 1],
-                row_lows[i:i + 1], row_highs[i:i + 1])
+            mechanism._answer_pairs(slots[i:i + 1], row_lows[i:i + 1],
+                                    row_highs[i:i + 1], col_lows[i:i + 1],
+                                    col_highs[i:i + 1])
             for i in range(len(rows))])
         assert_rows_match(forward, [
-            np.array([mechanism._pair_answer(RangeQuery((
-                Predicate(b, int(col_lows[i]), int(col_highs[i])),
-                Predicate(a, int(row_lows[i]), int(row_highs[i])))))])
-            for i in range(len(rows))])
+            np.array([mechanism._pair_answer(query)]) for query in swapped])
 
 
 def query(*triples):

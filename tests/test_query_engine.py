@@ -13,9 +13,10 @@ import pytest
 from oracles import (grid1d_range_loop, grid2d_range_loop, loop_answers,
                      scalar_answers)
 from repro.baselines import CALM, HIO, LHIO, MSW, Uniform
-from repro.core import (HDG, TDG, Grid1D, Grid2D, PrefixIndex1D,
-                        PrefixIndex2D, SummedAreaTable, prefix_sum_1d,
-                        summed_area_table)
+from repro.core import HDG, TDG, Grid1D, Grid2D
+from repro.core.prefix_sum import (PrefixStack1D, PrefixStack2D, _corner_sum,
+                                   _rect_sum_one, _sats, _tables_1d,
+                                   _tables_2d)
 from repro.datasets import Dataset
 from repro.estimation import (Constraint, weighted_update,
                               weighted_update_batch)
@@ -54,39 +55,54 @@ def assert_engine_matches_legacy(mechanism, queries, tolerance=1e-9):
 
 
 # ----------------------------------------------------------------------
-# Prefix-sum primitives
+# Prefix-sum primitives: the stack builders and rectangle sums
 # ----------------------------------------------------------------------
 def test_prefix_sum_1d_matches_slicing(rng):
     values = rng.normal(size=17)
-    prefix = prefix_sum_1d(values)
+    (prefix,), (padded,) = _tables_1d([values])
     for i in range(18):
         assert prefix[i] == pytest.approx(values[:i].sum(), abs=1e-12)
+    assert np.array_equal(padded, np.append(values, 0.0))
 
 
 def test_summed_area_table_matches_slicing(rng):
     matrix = rng.normal(size=(9, 13))
-    table = summed_area_table(matrix)
+    (table,) = _sats([matrix])
     for i in (0, 3, 9):
         for j in (0, 5, 13):
             assert table[i, j] == pytest.approx(matrix[:i, :j].sum(), abs=1e-12)
 
 
+def _random_rectangles(rng, n, size):
+    row_lows, col_lows = rng.integers(0, size, size=(2, n))
+    row_highs = np.array([rng.integers(low, size) for low in row_lows])
+    col_highs = np.array([rng.integers(low, size) for low in col_lows])
+    return row_lows, row_highs, col_lows, col_highs
+
+
 def test_sat_rect_sum_random_rectangles(rng):
+    """The vectorised and the one-row rectangle sums of a summed-area
+    table against slicing, and bitwise against each other."""
     matrix = rng.normal(size=(20, 20))
-    sat = SummedAreaTable(matrix)
-    for _ in range(50):
-        rl, cl = rng.integers(0, 20, size=2)
-        rh = rng.integers(rl, 20)
-        ch = rng.integers(cl, 20)
-        expected = matrix[rl:rh + 1, cl:ch + 1].sum()
-        assert float(sat.rect_sum(rl, rh, cl, ch)) == pytest.approx(
-            expected, abs=1e-9)
+    tables = _sats([matrix])
+    rl, rh, cl, ch = _random_rectangles(rng, 50, 20)
+    batch = _corner_sum(tables, np.zeros(50, dtype=np.int64),
+                        np.array((rh, ch)) + 1, np.array((rl, cl)))
+    for k in range(50):
+        expected = matrix[rl[k]:rh[k] + 1, cl[k]:ch[k] + 1].sum()
+        one = _rect_sum_one(tables, 0, int(rl[k]), int(rh[k]), int(cl[k]),
+                            int(ch[k]))
+        assert one == pytest.approx(expected, abs=1e-9)
+        assert np.array_equal(batch[k:k + 1], [one])
 
 
 def test_sat_rect_sum_empty_rectangle_is_zero(rng):
-    sat = SummedAreaTable(rng.normal(size=(8, 8)))
-    assert float(sat.rect_sum(5, 4, 0, 7)) == 0.0
-    assert float(sat.rect_sum(0, 7, 6, 2)) == 0.0
+    tables = _sats([rng.normal(size=(8, 8))])
+    assert _rect_sum_one(tables, 0, 5, 4, 0, 7) == 0.0
+    assert _rect_sum_one(tables, 0, 0, 7, 6, 2) == 0.0
+    empty = _corner_sum(tables, np.zeros(2, dtype=np.int64),
+                        np.array(((5, 8), (8, 3))), np.array(((5, 0), (0, 6))))
+    assert np.array_equal(empty, [0.0, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +128,6 @@ def test_grid2d_engine_matches_loop(rng, domain_size, granularity):
     grid = Grid2D((0, 1), domain_size, granularity)
     grid.set_frequencies(rng.normal(size=(granularity, granularity)))
     matrix = rng.normal(size=(domain_size, domain_size))
-    index = SummedAreaTable(matrix)
     for _ in range(60):
         row_low = int(rng.integers(0, domain_size))
         row_high = int(rng.integers(row_low, domain_size))
@@ -122,29 +137,30 @@ def test_grid2d_engine_matches_loop(rng, domain_size, granularity):
         # Uniformity rule (TDG)
         assert grid.answer_range(*intervals) == pytest.approx(
             grid2d_range_loop(grid, *intervals), abs=1e-9)
-        # Response-matrix rule (HDG), with and without precomputed SAT
+        # Response-matrix rule (HDG)
         expected = grid2d_range_loop(grid, *intervals, response_matrix=matrix)
         assert grid.answer_range(*intervals, response_matrix=matrix) == \
             pytest.approx(expected, abs=1e-9)
-        assert grid.answer_range(*intervals, response_index=index) == \
-            pytest.approx(expected, abs=1e-9)
 
 
-def test_grid_answer_ranges_batch_matches_scalar(rng):
-    grid = Grid2D((0, 1), 32, 8)
-    grid.set_frequencies(rng.normal(size=(8, 8)))
-    matrix = rng.normal(size=(32, 32))
-    index = SummedAreaTable(matrix)
-    row_lows = rng.integers(0, 32, size=40)
-    row_highs = np.array([rng.integers(low, 32) for low in row_lows])
-    col_lows = rng.integers(0, 32, size=40)
-    col_highs = np.array([rng.integers(low, 32) for low in col_lows])
-    batch = grid.answer_ranges(row_lows, row_highs, col_lows, col_highs,
-                               response_index=index)
+def test_stack_batch_matches_loop(rng):
+    """Vectorised rows of a stack of two grids, each with its response
+    matrix, against the cell loop of the grid each row names."""
+    grids, matrices = [], []
+    for _ in range(2):
+        grid = Grid2D((0, 1), 32, 8)
+        grid.set_frequencies(rng.normal(size=(8, 8)))
+        grids.append(grid)
+        matrices.append(rng.normal(size=(32, 32)))
+    stack = PrefixStack2D([grid.frequencies for grid in grids], 4, matrices)
+    at = rng.integers(0, 2, size=40)
+    row_lows, row_highs, col_lows, col_highs = _random_rectangles(rng, 40, 32)
+    batch = stack.answer(at, row_lows, row_highs, col_lows, col_highs)
     for position in range(40):
         expected = grid2d_range_loop(
-            grid, (row_lows[position], row_highs[position]),
-            (col_lows[position], col_highs[position]), response_matrix=matrix)
+            grids[at[position]], (row_lows[position], row_highs[position]),
+            (col_lows[position], col_highs[position]),
+            response_matrix=matrices[at[position]])
         assert batch[position] == pytest.approx(expected, abs=1e-9)
 
 
@@ -157,13 +173,24 @@ def test_grid_index_invalidated_on_set_frequencies(rng):
 
 
 def test_prefix_index_classes_are_consistent(rng):
+    """The full domain holds the whole mass, and the 2-D partial sums
+    match slicing."""
     frequencies = rng.normal(size=6)
-    index = PrefixIndex1D(frequencies, cell_width=5)
-    assert float(index.value_prefix(30)) == pytest.approx(frequencies.sum())
+    stack = PrefixStack1D([frequencies], cell_width=5)
+    assert stack.answer_one(0, 0, 29) == pytest.approx(frequencies.sum())
     frequencies_2d = rng.normal(size=(4, 4))
-    index_2d = PrefixIndex2D(frequencies_2d, cell_width=3)
-    assert float(index_2d.value_prefix(12, 12)) == pytest.approx(
+    stack_2d = PrefixStack2D([frequencies_2d], cell_width=3)
+    assert stack_2d.answer_one(0, 0, 11, 0, 11) == pytest.approx(
         frequencies_2d.sum())
+    _, (row_cum,), (col_cum,), (padded,) = _tables_2d([frequencies_2d])
+    expected = np.pad(frequencies_2d, ((0, 1), (0, 1)))
+    assert np.array_equal(padded, expected)
+    for i in range(5):
+        for j in range(5):
+            assert row_cum[i, j] == pytest.approx(expected[i, :j].sum(),
+                                                  abs=1e-12)
+            assert col_cum[i, j] == pytest.approx(expected[:i, j].sum(),
+                                                  abs=1e-12)
 
 
 # ----------------------------------------------------------------------

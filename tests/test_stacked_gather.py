@@ -5,10 +5,10 @@ primitives plus the C(λ,2) sub-pairs of λ > 2 primitives).  TDG and HDG
 answer each block with one gather over tables stacked along a grid
 axis, or row by row on Python scalars when the block has at most
 ``SCALAR_ROWS`` rows.  Every block row here is compared with
-``np.array_equal`` against the one-row kernels ``PrefixIndex1D.answer_one``,
-``PrefixIndex2D.answer_uniform_one`` and ``answer_response_one``, run on
-per-grid tables built afresh from the mechanism's current frequencies
-and response matrices.  The pair of every row is decoded here, from the
+``np.array_equal`` against the one-row methods
+``PrefixStack1D.answer_one`` and ``PrefixStack2D.answer_one`` of a stack
+of one (position 0) built afresh from the grid's current frequencies
+and response matrix.  The pair of every row is decoded here, from the
 colex order of the stack, and the pair of every query from the query
 itself, so a wrong slot, a wrong fold or a missing orientation swap
 shows as a differing bit.
@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import CALM
-from repro.core import (HDG, IHDG, ITDG, TDG, PrefixIndex1D, PrefixIndex2D,
-                        SummedAreaTable, estimate_lambda_query)
-from repro.core.prefix_sum import SCALAR_ROWS
+from repro.core import HDG, IHDG, ITDG, TDG, Grid2D, estimate_lambda_query
+from repro.core.prefix_sum import SCALAR_ROWS, PrefixStack1D, PrefixStack2D
 from repro.datasets import make_dataset
 from repro.queries import (MarginalQuery, Predicate, RangeQuery,
                            WorkloadGenerator)
+from repro.queries.compiler import pair_slot
 from repro.serving import restore_mechanism
 
 D, C = 4, 16
@@ -55,7 +55,7 @@ def fitted():
 
 
 # ----------------------------------------------------------------------
-# References: the one-row kernels on freshly built per-grid tables
+# References: the one-row methods of freshly built stacks of one
 # ----------------------------------------------------------------------
 def pair_grids(mechanism):
     return (mechanism.grids_2d if isinstance(mechanism, HDG)
@@ -65,11 +65,11 @@ def pair_grids(mechanism):
 def reference_pair(mechanism, pair, row, col) -> float:
     """Pair ``pair`` (smaller attribute first) over rows x columns."""
     grid = pair_grids(mechanism)[pair]
-    index = PrefixIndex2D(np.array(grid.frequencies), grid.cell_width)
-    if isinstance(mechanism, HDG):
-        response = SummedAreaTable(mechanism.response_matrices[pair])
-        return index.answer_response_one(response, *row, *col)
-    return index.answer_uniform_one(*row, *col)
+    matrices = ([mechanism.response_matrices[pair]]
+                if isinstance(mechanism, HDG) else None)
+    stack = PrefixStack2D([np.array(grid.frequencies)], grid.cell_width,
+                          matrices)
+    return stack.answer_one(0, *row, *col)
 
 
 def reference_attribute(mechanism, attribute, low, high) -> float:
@@ -78,8 +78,8 @@ def reference_attribute(mechanism, attribute, low, high) -> float:
     ``(0, a)`` with its interval on the column axis."""
     if isinstance(mechanism, HDG):
         grid = mechanism.grids_1d[attribute]
-        index = PrefixIndex1D(np.array(grid.frequencies), grid.cell_width)
-        return index.answer_one(low, high)
+        stack = PrefixStack1D([np.array(grid.frequencies)], grid.cell_width)
+        return stack.answer_one(0, low, high)
     full = (0, mechanism._domain_size - 1)
     if attribute == 0:
         return reference_pair(mechanism, (0, 1), (low, high), full)
@@ -185,9 +185,10 @@ def test_attribute_rows_read_the_transposed_pair(fitted, name):
         answers = assert_answers_match(mechanism, queries)
         if not isinstance(mechanism, HDG):
             grid = mechanism.grids[(0, 3)]
-            index = PrefixIndex2D(np.array(grid.frequencies), grid.cell_width)
+            stack = PrefixStack2D([np.array(grid.frequencies)],
+                                  grid.cell_width)
             assert np.array_equal(answers, [
-                index.answer_uniform_one(0, C - 1, low, high)
+                stack.answer_one(0, 0, C - 1, low, high)
                 for low, high in intervals[:n_rows]])
 
 
@@ -256,6 +257,45 @@ def test_set_frequencies_after_a_first_answer(rng, name):
             rng.random(mechanism.grids_1d[2].frequencies.shape))
     after = assert_stale_answers_match(mechanism, workload)
     assert not np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("name", ["HDG", "TDG"])
+def test_set_frequencies_serves_grid_and_mechanism(rng, name):
+    """A stacked grid's ``answer_range`` and the mechanism's ``answer``
+    serve new frequencies after ``set_frequencies``, equal to a grid
+    that was never stacked and answers through its own stack of one."""
+    mechanism = FACTORIES[name](1.0, seed=3).fit(dataset())
+    pair, rows, cols = (1, 3), (0, 9), (3, 15)
+    query = RangeQuery((Predicate(1, *rows), Predicate(3, *cols)))
+    grid = pair_grids(mechanism)[pair]
+    matrix = mechanism.response_matrices[pair] if name == "HDG" else None
+    stack, position = grid._index
+    assert position == pair_slot(*pair) and stack._tables[0].shape[0] == 6
+
+    def lone_answers(frequencies):
+        """(uniform rule, mechanism's rule) of a fresh, unstacked grid."""
+        lone = Grid2D(pair, C, grid.granularity)
+        lone.set_frequencies(frequencies)
+        assert lone._index is None
+        uniform = lone.answer_range(rows, cols)
+        own, at = lone._index
+        assert at == 0 and own._tables[0].shape[0] == 1
+        return uniform, lone.answer_range(rows, cols,
+                                          response_matrix=matrix)
+
+    before = lone_answers(np.array(grid.frequencies))
+    assert (grid.answer_range(rows, cols),
+            grid.answer_range(rows, cols, response_matrix=matrix)) == before
+    assert mechanism.answer(query) == before[1]
+    grid.set_frequencies(rng.random(grid.frequencies.shape))
+    after = lone_answers(np.array(grid.frequencies))
+    assert after[0] != before[0] and after[1] != before[1]
+    assert (grid.answer_range(rows, cols),
+            grid.answer_range(rows, cols, response_matrix=matrix)) == after
+    assert mechanism.answer(query) == after[1]
+    # The rebuilt stack took the grid back.
+    assert grid._index[0] is not stack and grid._index[1] == position
+    assert grid.answer_range(rows, cols) == after[0]
 
 
 @pytest.mark.parametrize("name", ["HDG", "IHDG"])
