@@ -67,10 +67,8 @@ def cold_compile_ms(mechanism, workloads) -> float:
     timings = []
     for queries in workloads:
         start = time.perf_counter()
-        planner = mechanism.query_planner()
-        plan = planner.plan(queries, capabilities=mechanism.query_capabilities)
-        CompiledPlan.from_plan(plan, planner.domain_size,
-                               population=planner.population)
+        CompiledPlan.from_plan(mechanism.query_planner().plan(
+            queries, capabilities=mechanism.query_capabilities))
         timings.append(time.perf_counter() - start)
     return float(np.median(timings)) * 1e3
 
@@ -102,9 +100,6 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
     worst = 0.0
     for factory in (TDG, HDG):
         mechanism = factory(epsilon, seed=seed).fit(dataset)
-        plan = mechanism.query_planner().plan(mixed)
-        primitives = plan.n_primitives
-
         # Warm-up: compile the plan (and populate the LRU) outside the
         # timer, so the rounds below measure the steady-state serving
         # rate and the one-time compilation cost is reported on its own.
@@ -114,6 +109,7 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
         assert mechanism.plan_cache_stats()["size"] == 1
 
         compiled = mechanism._plan_for(mixed)  # the warm plan, cached
+        primitives = compiled.n_primitives
         typed_times, kernel_times = [], []
         for _ in range(rounds):
             start = time.perf_counter()
@@ -128,7 +124,7 @@ def run(n_users: int, n_attributes: int, domain_size: int, n_queries: int,
         typed_over_kernel = float(np.median(
             np.divide(typed_times, kernel_times))) - 1.0
 
-        flat_ranges = plan.ranges
+        flat_ranges = compiled.flat_ranges
         mechanism.answer_workload(flat_ranges)  # compile outside the timer
         start = time.perf_counter()
         for _ in range(rounds):

@@ -435,10 +435,10 @@ class RangeQueryMechanism(abc.ABC):
     def answer_typed(self, queries: list) -> list[QueryResult]:
         """Answer a typed IR workload: compile, answer, reassemble.
 
-        The planner lowers every query onto range primitives (checking
-        it against :attr:`query_capabilities` and the fitted schema),
-        the compiler freezes the lowered plan into fused gather arrays,
-        the primitives run through :meth:`_answer_compiled`, and the
+        The planner checks every query against :attr:`query_capabilities`
+        and the fitted schema, the compiler lowers the validated plan
+        onto range primitives frozen into fused gather arrays, the
+        primitives run through :meth:`_answer_compiled`, and the
         compiled plan gathers the flat answers back into typed results
         in one vectorised pass, so marginal cells, point estimates,
         count scaling and top-k selection all ride the one answering
@@ -452,7 +452,7 @@ class RangeQueryMechanism(abc.ABC):
         self._require_fitted()
         compiled = self._plan_for(queries)
         # The planner validated every query against the fitted schema, and
-        # lowering only emits primitives inside the validated bounds — no
+        # the compiler only emits primitives inside those bounds — no
         # per-primitive re-validation needed.
         answers = (self._answer_compiled(compiled) if compiled.n_primitives
                    else np.empty(0))
@@ -473,11 +473,8 @@ class RangeQueryMechanism(abc.ABC):
                *queries)
         compiled = self._typed_plan_cache.get(key)
         if compiled is None:
-            plan = self.query_planner().plan(
-                queries, capabilities=self.query_capabilities)
-            assert self._domain_size is not None
-            compiled = CompiledPlan.from_plan(plan, self._domain_size,
-                                              population=self._n_reports)
+            compiled = CompiledPlan.from_plan(self.query_planner().plan(
+                queries, capabilities=self.query_capabilities))
             self._typed_plan_cache.put(key, compiled)
         return compiled
 

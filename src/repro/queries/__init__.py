@@ -9,28 +9,27 @@ The package is the logical query layer of the library:
     :class:`PointQuery`, :class:`PredicateCountQuery`,
     :class:`TopKQuery` — plus the typed result classes.
 :mod:`repro.queries.planner`
-    :class:`QueryPlanner`, which lowers every IR kind onto range
-    primitives so all mechanisms answer mixed workloads through one
-    stack.
+    :class:`QueryPlanner`, which validates a workload against the fitted
+    schema and the mechanism's capabilities into a :class:`QueryPlan`.
 :mod:`repro.queries.compiler`
-    :class:`CompiledPlan` and :class:`PlanCache` — a lowered plan
-    frozen into fused NumPy index arrays (grouped gathers in, one
-    vectorised reassembly out) and the bounded LRU that reuses
-    compiled plans across requests.
+    :class:`CompiledPlan` and :class:`PlanCache` — the one place every
+    IR kind lowers onto range primitives: a plan frozen into fused
+    NumPy index arrays (grouped gathers in, one vectorised reassembly
+    out), so all mechanisms answer mixed workloads through one stack,
+    and the bounded LRU that reuses compiled plans across requests.
 :mod:`repro.queries.workload`
     Random/exhaustive/mixed workload generation.
 :mod:`repro.queries.ground_truth`
     Exact (non-private) answers used as the evaluation baseline.
 """
 
-from .compiler import CompiledPlan, PlanCache
+from .compiler import CompiledPlan, PlanCache, top_k_cells
 from .ground_truth import (answer_query, answer_query_from_joint,
                            answer_workload, evaluate_query, evaluate_workload)
 from .ir import (QUERY_KINDS, DistributionResult, MarginalQuery, PointQuery,
                  PredicateCountQuery, Query, QueryResult, ScalarResult,
                  TopKQuery, TopKResult, query_kind, validate_query_kinds)
-from .planner import (ALL_QUERY_KINDS, LoweredQuery, QueryPlan, QueryPlanner,
-                      top_k_cells)
+from .planner import ALL_QUERY_KINDS, QueryPlan, QueryPlanner
 from .range_query import Predicate, RangeQuery
 from .workload import WorkloadGenerator
 
@@ -38,7 +37,6 @@ __all__ = [
     "ALL_QUERY_KINDS",
     "CompiledPlan",
     "DistributionResult",
-    "LoweredQuery",
     "MarginalQuery",
     "PlanCache",
     "PointQuery",

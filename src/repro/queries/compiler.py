@@ -1,11 +1,22 @@
-"""Plan compiler: the fused NumPy execution layout of every workload.
+"""Plan compiler: how every query kind lowers and reassembles.
 
-:class:`~repro.queries.QueryPlanner` lowers a workload — plain ranges
-or any mix of the five query kinds — onto range primitives: one
-:class:`~repro.queries.RangeQuery` per scalar query, and the ``c^λ``
-row-major cells of each marginal/top-k table, kept as its attribute
-tuple and cell count.  :class:`CompiledPlan` walks that plan *once*
-and freezes everything answering needs into NumPy index arrays:
+:class:`~repro.queries.QueryPlanner` validates a workload; this module
+is the one place that knows what each query kind means in range
+primitives and how their answers come back as typed results:
+
+========  =====================================  ========================
+Kind      Lowering                               Reassembly
+========  =====================================  ========================
+range     itself (one primitive)                 identity
+point     one degenerate width-1 range           identity
+count     one range                              ``× population``
+marginal  ``c^λ`` width-1 cells, row-major       reshape to the λ-D table
+topk      the full marginal's cells              Norm-Sub, then arg-top-k
+========  =====================================  ========================
+
+:meth:`CompiledPlan.from_plan` walks a plan *once*, dispatching on each
+query's kind one time, and freezes everything answering needs into
+NumPy index arrays:
 
 * **execution blocks** — a fixed number of arrays whatever the
   workload: an :class:`AttributeBlock` with every 1-D row and a
@@ -14,10 +25,11 @@ and freezes everything answering needs into NumPy index arrays:
   plus per distinct λ > 2 the Weighted-Update layout
   (:class:`MultiDimGroup`).  A pair-decomposable mechanism answers
   each block with one gather over its stacked grid tables and each λ
-  with one batched Algorithm-2 call, no per-primitive Python.  A
-  table's cells join the blocks as index arrays, never as per-cell
-  objects; mechanisms without pair decomposition read
-  :attr:`CompiledPlan.flat_ranges`, built on first read;
+  with one batched Algorithm-2 call, no per-primitive Python.  Points
+  and counts file their rows straight from their assignment or
+  predicates, and a table's cells join the blocks as index arrays,
+  never as per-cell objects; mechanisms without pair decomposition
+  read :attr:`CompiledPlan.flat_ranges`, built on first read;
 * **reassembly arrays** — scalar results (range, point, count) become
   one fancy-indexed gather with a precomputed scale vector (count
   queries fold their population in); marginal/top-k tables keep their
@@ -34,8 +46,8 @@ elementwise-independent, and evaluates a small block on Python scalars
 in the same fold order as a larger one, so a primitive's answer does
 not depend on the workload it arrives in.
 ``tests/test_plan_compiler.py`` pins the compiled answers bitwise to
-the per-query scalar reference in ``tests/oracles.py`` for all five
-query kinds across all nine mechanisms.
+the interpreted per-query reference in ``tests/oracles.py`` for all
+five query kinds across all nine mechanisms.
 """
 
 from __future__ import annotations
@@ -49,14 +61,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ..postprocess.norm_sub import norm_sub
-from .ir import (DistributionResult, MarginalQuery, PointQuery,
-                 PredicateCountQuery, Query, QueryResult, ScalarResult,
-                 TopKQuery, TopKResult)
-from .planner import QueryPlan, top_k_cells
+from .ir import (DistributionResult, Query, QueryResult, ScalarResult,
+                 TopKResult, query_kind)
+from .planner import QueryPlan
 from .range_query import RangeQuery
 
 __all__ = ["AttributeBlock", "CompiledPlan", "MultiDimGroup", "PairBlock",
-           "PlanCache", "pair_slot"]
+           "PlanCache", "pair_slot", "top_k_cells"]
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +187,22 @@ def _cell_block(domain_size: int, dimension: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Reassembly layout
 # ----------------------------------------------------------------------
+def top_k_cells(values: np.ndarray, k: int) -> tuple[tuple[tuple[int, ...], ...],
+                                                     np.ndarray]:
+    """Deterministic top-k selection over a marginal table.
+
+    Returns the ``k`` largest cells (as value tuples) and their
+    frequencies, sorted by descending frequency with ties broken by
+    row-major cell order — stable, so snapshot-restored estimators
+    reproduce the selection bit-for-bit.
+    """
+    flat = values.ravel()
+    k = min(int(k), flat.size)
+    order = np.argsort(-flat, kind="stable")[:k]
+    cells = np.stack(np.unravel_index(order, values.shape), axis=1)
+    return tuple(map(tuple, cells.tolist())), flat[order].astype(float)
+
+
 @dataclass(frozen=True)
 class _ScalarLayout:
     """Vectorised reassembly of every scalar-valued query in the plan."""
@@ -217,7 +244,7 @@ class CompiledPlan:
                  tables: list[_TableLayout]):
         self.plan = plan
         self.n_primitives = n_primitives
-        self.n_queries = len(plan.lowered)
+        self.n_queries = len(plan.queries)
         self.singles = singles
         self.pairs = pairs
         self.multi_dim_groups = multi_dim_groups
@@ -229,43 +256,54 @@ class CompiledPlan:
     def flat_ranges(self) -> list[RangeQuery]:
         """The plan's primitive list, built on first read and kept.
 
+        One range per scalar query, the row-major cells of each table.
         Only mechanisms without pair decomposition (Uni, MSW, HIO, and
         LHIO with lazy levels) read it; the block executor never does.
         """
-        return self.plan.ranges
+        domain_size = self.plan.domain_size
+        ranges: list[RangeQuery] = []
+        for query in self.plan.queries:
+            kind = query_kind(query)
+            if kind == "range":
+                ranges.append(query)
+            elif kind == "marginal":
+                ranges.extend(query.to_ranges(domain_size))
+            elif kind == "topk":
+                ranges.extend(query.marginal().to_ranges(domain_size))
+            else:
+                ranges.append(query.as_range())
+        return ranges
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_plan(cls, plan: QueryPlan, domain_size: int,
-                  population: int | None = None) -> "CompiledPlan":
+    def from_plan(cls, plan: QueryPlan) -> "CompiledPlan":
         """Compile a validated plan into its fused execution layout.
 
-        ``domain_size`` shapes marginal/top-k tables (a λ-attribute
-        marginal's primitives reshape to ``(c,) * λ``); ``population``
-        is the fallback scale for count queries that carry none of
-        their own — the same value the planner resolved at lowering
-        time, so compiled count answers match the combiner's exactly.
-
-        A scalar query's primitive is filed as one row (or C(λ,2)
-        sub-pair rows); a table's ``c^λ`` cells join the same blocks as
-        one row-major index block (:func:`_cell_block`), with no
-        per-cell Python.
+        One walk over the queries with one kind dispatch each.  A
+        scalar query (range, point, count) files its primitive as one
+        row — or as C(λ,2) sub-pair rows for λ > 2 — straight from its
+        predicates or assignment, plus its gather position and scale.
+        A table (marginal, top-k) files its ``c^λ`` cells into the same
+        blocks as one row-major index block (:func:`_cell_block`), plus
+        its slice and shape, with no per-cell Python.  Sub-answers are
+        numbered from 0 during the walk and moved behind the primitive
+        answers once their count is known.
         """
-        domain_size = int(domain_size)
-        n_primitives = plan.n_primitives
+        domain_size = plan.domain_size
         single_rows: list[tuple[int, int, int, int]] = []
         pair_rows: list[tuple[int, int, int, int, int, int]] = []
+        sub_rows: list[tuple[int, int, int, int, int, int]] = []
         # 1-D and 2-D tables as (first position, attribute or pair slot);
-        # λ > 2 table cells as (width, n) int64 column blocks.
+        # λ > 2 table sub-pairs as (width, n) int64 column blocks.
         single_tables: list[tuple[int, int]] = []
         pair_tables: list[tuple[int, int]] = []
-        pair_parts: list[np.ndarray] = []
+        sub_parts: list[np.ndarray] = []
         multis_by_dim: dict[int, tuple[list[int], list[list[int]]]] = {}
         multi_dim_blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         index = 0
-        sub = n_primitives  # position of the next sub-answer
+        sub = 0  # index of the next sub-answer
 
         scalar_positions: list[int] = []
         scalar_queries: list[Query] = []
@@ -274,95 +312,85 @@ class CompiledPlan:
         scalar_populations: list[int | None] = []
         tables: list[_TableLayout] = []
 
-        for result_position, entry in enumerate(plan.lowered):
-            query = entry.query
-            primitive = entry.primitive
+        for result_position, (query, population) in enumerate(
+                zip(plan.queries, plan.populations)):
+            kind = query_kind(query)
             start = index
-            if primitive is not None:
-                index += 1
-                predicates = primitive.predicates
-                if len(predicates) == 1:
-                    predicate = predicates[0]
-                    single_rows.append((start, predicate.attribute,
-                                        predicate.low, predicate.high))
-                elif len(predicates) == 2:
-                    first, second = predicates
-                    pair_rows.append(
-                        (start, pair_slot(first.attribute, second.attribute),
-                         first.low, first.high, second.low, second.high))
-                else:
-                    sub_positions = []
-                    # Same lexicographic-by-position order as
-                    # pairwise_subqueries (Algorithm 2's constraint order).
-                    for i, first in enumerate(predicates):
-                        for second in predicates[i + 1:]:
-                            pair_rows.append(
-                                (sub, pair_slot(first.attribute,
-                                                second.attribute),
-                                 first.low, first.high, second.low,
-                                 second.high))
-                            sub_positions.append(sub)
-                            sub += 1
-                    positions, rows = multis_by_dim.setdefault(
-                        len(predicates), ([], []))
-                    positions.append(start)
-                    rows.append(sub_positions)
-            else:
-                attributes = entry.table_attributes
-                index += domain_size ** len(attributes)
-                if len(attributes) == 1:
+            if kind == "marginal" or kind == "topk":
+                attributes = query.attributes
+                dimension = len(attributes)
+                index += domain_size ** dimension
+                tables.append(_TableLayout(
+                    result_position, query, start, index,
+                    (domain_size,) * dimension,
+                    query.k if kind == "topk" else None))
+                if dimension == 1:
                     single_tables.append((start, attributes[0]))
-                elif len(attributes) == 2:
+                elif dimension == 2:
                     pair_tables.append((start, pair_slot(*attributes)))
                 else:
-                    cells = _cell_block(domain_size, len(attributes))
+                    cells = _cell_block(domain_size, dimension)
                     n_cells = cells.shape[1]
-                    positions = np.arange(start, index, dtype=np.int64)
                     # Cell ``n``'s C(λ,2) sub-answers sit contiguously at
                     # sub + n·C(λ,2) + k, k in pairwise_subqueries order.
-                    n_pairs = len(attributes) * (len(attributes) - 1) // 2
+                    n_pairs = dimension * (dimension - 1) // 2
                     sub_index_matrix = (
                         sub + n_pairs * np.arange(n_cells, dtype=np.int64)
                     )[:, None] + np.arange(n_pairs, dtype=np.int64)
                     k = 0
-                    for i in range(len(attributes)):
-                        for j in range(i + 1, len(attributes)):
-                            pair_parts.append(np.stack([
+                    for i in range(dimension):
+                        for j in range(i + 1, dimension):
+                            sub_parts.append(np.stack([
                                 sub_index_matrix[:, k],
                                 np.full(n_cells, pair_slot(attributes[i],
                                                            attributes[j])),
                                 cells[i], cells[i], cells[j], cells[j]]))
                             k += 1
-                    multi_dim_blocks.setdefault(len(attributes), []).append(
-                        (positions, sub_index_matrix))
+                    multi_dim_blocks.setdefault(dimension, []).append(
+                        (np.arange(start, index, dtype=np.int64),
+                         sub_index_matrix))
                     sub += n_cells * n_pairs
+                continue
 
-            if isinstance(query, (RangeQuery, PointQuery)):
-                scalar_positions.append(result_position)
-                scalar_queries.append(query)
-                scalar_primitives.append(start)
-                scalar_scales.append(1.0)
-                scalar_populations.append(None)
-            elif isinstance(query, PredicateCountQuery):
-                scale = (query.population if query.population is not None
-                         else population)
-                assert scale is not None, \
-                    "planner resolved the population at lowering time"
-                scalar_positions.append(result_position)
-                scalar_queries.append(query)
-                scalar_primitives.append(start)
-                scalar_scales.append(float(scale))
-                scalar_populations.append(int(scale))
-            elif isinstance(query, MarginalQuery):
-                tables.append(_TableLayout(result_position, query, start, index,
-                                           (domain_size,) * query.dimension,
-                                           None))
-            elif isinstance(query, TopKQuery):
-                tables.append(_TableLayout(result_position, query, start, index,
-                                           (domain_size,) * query.dimension,
-                                           int(query.k)))
-            else:  # pragma: no cover - planner rejects unknown kinds first
-                raise TypeError(f"cannot compile {type(query).__name__}")
+            index += 1
+            if kind == "point":
+                intervals = [(a, v, v) for a, v in query.assignment]
+            else:
+                intervals = [(p.attribute, p.low, p.high)
+                             for p in query.predicates]
+            if len(intervals) == 1:
+                single_rows.append((start, *intervals[0]))
+            elif len(intervals) == 2:
+                first, second = intervals
+                pair_rows.append((start, pair_slot(first[0], second[0]),
+                                  first[1], first[2], second[1], second[2]))
+            else:
+                sub_positions = []
+                # Same lexicographic-by-position order as
+                # pairwise_subqueries (Algorithm 2's constraint order).
+                for i, first in enumerate(intervals):
+                    for second in intervals[i + 1:]:
+                        sub_rows.append((sub, pair_slot(first[0], second[0]),
+                                         first[1], first[2], second[1],
+                                         second[2]))
+                        sub_positions.append(sub)
+                        sub += 1
+                positions, rows = multis_by_dim.setdefault(
+                    len(intervals), ([], []))
+                positions.append(start)
+                rows.append(sub_positions)
+            scalar_positions.append(result_position)
+            scalar_queries.append(query)
+            scalar_primitives.append(start)
+            scalar_scales.append(1.0 if population is None
+                                 else float(population))
+            scalar_populations.append(population)
+
+        n_primitives = index
+        if sub_rows:
+            sub_parts.insert(0, np.array(sub_rows, dtype=np.int64).T)
+        for part in sub_parts:
+            part[0] += n_primitives
 
         from ..core.query_estimation import lambda_constraint_index_sets
 
@@ -377,7 +405,7 @@ class CompiledPlan:
                 np.concatenate([block for block, _ in parts]),
                 np.concatenate([block for _, block in parts]))
             multi_dims.append(MultiDimGroup(
-                dimension, positions, rows,
+                dimension, positions, rows + n_primitives,
                 lambda_constraint_index_sets(dimension)))
 
         return cls(
@@ -387,9 +415,9 @@ class CompiledPlan:
                            _table_rows(single_tables, domain_size, 1)),
             pairs=_block(PairBlock, pair_rows,
                          [*_table_rows(pair_tables, domain_size, 2),
-                          *pair_parts]),
+                          *sub_parts]),
             multi_dim_groups=multi_dims,
-            n_sub_entries=sub - n_primitives,
+            n_sub_entries=sub,
             scalars=_ScalarLayout(scalar_positions, scalar_queries,
                                   np.asarray(scalar_primitives,
                                              dtype=np.int64),

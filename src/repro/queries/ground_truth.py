@@ -9,7 +9,7 @@ Range workloads keep the flat float-vector interface
 (:func:`answer_workload`); the typed IR kinds — marginal, point, count,
 top-k — are evaluated through :func:`evaluate_query` /
 :func:`evaluate_workload`, which return the same typed result objects
-the mechanisms' planner path produces so estimates and truths can be
+the mechanisms' compiled path produces so estimates and truths can be
 scored pairwise (:func:`repro.metrics.result_error`).
 """
 
@@ -51,7 +51,7 @@ def answer_workload(dataset: Dataset, queries: list[RangeQuery]) -> np.ndarray:
 def evaluate_query(dataset: Dataset, query) -> QueryResult:
     """Exact typed answer of one IR query (any kind).
 
-    The result mirrors what the mechanisms' planner path produces for
+    The result mirrors what the mechanisms' compiled path produces for
     the same query, with two ground-truth extras: a count query with no
     explicit population is scaled by the dataset's own size, and a
     top-k result carries the full true marginal table so estimated
@@ -70,8 +70,8 @@ def evaluate_query(dataset: Dataset, query) -> QueryResult:
     if isinstance(query, MarginalQuery):
         return DistributionResult(query, dataset.marginal_table(query.attributes))
     if isinstance(query, TopKQuery):
-        # Deferred import: the planner imports this module's siblings.
-        from .planner import top_k_cells
+        # Deferred import: the compiler imports this module's siblings.
+        from .compiler import top_k_cells
         table = dataset.marginal_table(query.attributes)
         cells, values = top_k_cells(table, query.k)
         return TopKResult(query, cells, values, distribution=table)

@@ -1,4 +1,4 @@
-"""Typed query IR: the query classes the planner compiles to range primitives.
+"""Typed query IR: the query classes the compiler lowers to range primitives.
 
 The mechanisms' physical primitives are 1-D/2-D grid estimates and the
 prefix-sum engine's batched range lookups, but those primitives answer far
@@ -20,8 +20,9 @@ query surface as a small typed intermediate representation:
     The ``k`` most frequent cells of a group-by marginal, computed from
     the estimated marginal after a Norm-Sub cleanup.
 
-Every query type lowers onto :class:`~repro.queries.RangeQuery`
-primitives through :class:`~repro.queries.QueryPlanner`; the typed
+:class:`~repro.queries.QueryPlanner` validates a workload against the
+fitted schema and :class:`~repro.queries.CompiledPlan` lowers every
+query type onto :class:`~repro.queries.RangeQuery` primitives; the typed
 result classes (:class:`ScalarResult`, :class:`DistributionResult`,
 :class:`TopKResult`) carry the reassembled answers plus their wire
 (JSON) form for the serving layer.
@@ -113,8 +114,9 @@ class MarginalQuery(Query):
     def to_ranges(self, domain_size: int) -> list[RangeQuery]:
         """One degenerate range query per cell, in :meth:`cells` order.
 
-        The reference form of the lowering, for code that reads
-        :attr:`~repro.queries.QueryPlan.ranges`; answering never calls it.
+        The reference form of the lowering, read by
+        :attr:`~repro.queries.CompiledPlan.flat_ranges`; the block
+        executor never calls it.
         """
         return [RangeQuery(tuple(Predicate(attribute, value, value)
                                  for attribute, value
@@ -131,7 +133,7 @@ class PointQuery(Query):
     """The frequency of one exact cell: ``a1 = v1 ∧ a2 = v2 ∧ ...``.
 
     Equivalent to a range query whose every interval has width 1; the
-    planner lowers it to exactly that degenerate range.
+    compiler lowers it to exactly that degenerate range.
     """
 
     assignment: tuple[tuple[int, int], ...]
@@ -173,7 +175,7 @@ class PredicateCountQuery(Query):
     """A conjunctive range predicate answered as an absolute user *count*.
 
     ``population`` scales the underlying fractional range answer into a
-    count; when None, the planner uses the answering mechanism's
+    count; when None, the planner resolves the answering mechanism's
     collected population (and ground truth uses the dataset's size).
     """
 
@@ -222,7 +224,7 @@ class TopKQuery(Query):
     """The ``k`` most frequent cells of a group-by marginal.
 
     Lowered as the full :class:`MarginalQuery` over ``attributes``; the
-    planner's combiner runs Norm-Sub over the estimated table (negative
+    compiled reassembly runs Norm-Sub over the estimated table (negative
     noisy cells would scramble the ranking) and keeps the ``k`` largest
     cells, breaking ties deterministically by row-major cell order.
     """
@@ -256,18 +258,24 @@ class TopKQuery(Query):
 Query.register(RangeQuery)
 
 
+#: Kind name by exact query class, in :data:`QUERY_KINDS` dispatch order.
+_KIND_BY_TYPE = {RangeQuery: "range", MarginalQuery: "marginal",
+                 PointQuery: "point", PredicateCountQuery: "count",
+                 TopKQuery: "topk"}
+
+
 def query_kind(query) -> str:
-    """The canonical kind name of one IR query (see :data:`QUERY_KINDS`)."""
-    if isinstance(query, RangeQuery):
-        return "range"
-    if isinstance(query, MarginalQuery):
-        return "marginal"
-    if isinstance(query, PointQuery):
-        return "point"
-    if isinstance(query, PredicateCountQuery):
-        return "count"
-    if isinstance(query, TopKQuery):
-        return "topk"
+    """The canonical kind name of one IR query (see :data:`QUERY_KINDS`).
+
+    One dictionary lookup for the IR classes themselves; subclasses fall
+    back to ``isinstance``.
+    """
+    kind = _KIND_BY_TYPE.get(type(query))
+    if kind is not None:
+        return kind
+    for cls, kind in _KIND_BY_TYPE.items():
+        if isinstance(query, cls):
+            return kind
     raise TypeError(f"not an IR query: {type(query).__name__} "
                     f"(known kinds: {', '.join(QUERY_KINDS)})")
 
@@ -276,7 +284,7 @@ def query_kind(query) -> str:
 # Typed results
 # ----------------------------------------------------------------------
 class QueryResult(abc.ABC):
-    """Base of the typed answers :meth:`QueryPlan.assemble` produces."""
+    """Base of the typed answers :meth:`CompiledPlan.assemble` produces."""
 
     query: Query
 

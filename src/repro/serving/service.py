@@ -59,6 +59,7 @@ wire form.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 
 import numpy as np
@@ -92,26 +93,55 @@ class ServiceError(RuntimeError):
 # ----------------------------------------------------------------------
 # Wire format: typed queries and results as plain JSON values
 # ----------------------------------------------------------------------
+def _wire_int(value, field: str) -> int:
+    """An integer query field; a float, bool or string is a ValueError.
+
+    ``int()`` would answer ``1.7`` as ``1``, ``true`` as ``1`` and
+    ``"3"`` as ``3``; query fields are refused instead, as ingest rows
+    are (:func:`integer_rows`).  An infinite float (``1e400`` decodes
+    to one) is named as out of range.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"query value out of range: {field} is {value}")
+    raise ValueError(f"{field} must be an integer, got "
+                     f"{type(value).__name__} {value!r}")
+
+
 def predicate_from_wire(obj) -> Predicate:
     """One predicate from ``[attribute, low, high]`` or the dict form."""
     if isinstance(obj, dict):
-        return Predicate(int(obj["attribute"]), int(obj["low"]),
-                         int(obj["high"]))
-    attribute, low, high = obj
-    return Predicate(int(attribute), int(low), int(high))
+        attribute, low, high = obj["attribute"], obj["low"], obj["high"]
+    else:
+        attribute, low, high = obj
+    return Predicate(_wire_int(attribute, "predicate attribute"),
+                     _wire_int(low, "predicate low"),
+                     _wire_int(high, "predicate high"))
 
 
 def _predicates_from_wire(obj) -> tuple[Predicate, ...]:
     return tuple(predicate_from_wire(item) for item in obj["predicates"])
 
 
+def _attributes_from_wire(obj) -> tuple[int, ...]:
+    return tuple(_wire_int(attribute, "attributes entry")
+                 for attribute in obj["attributes"])
+
+
 def _assignment_from_wire(obj) -> tuple[tuple[int, int], ...]:
-    """A point query's cell from ``[[attr, value], ...]`` or a dict."""
+    """A point query's cell from ``[[attr, value], ...]`` or a dict.
+
+    JSON object keys are always strings, so the dict form takes its
+    attributes as decimal strings.
+    """
     assignment = obj["assignment"]
     if isinstance(assignment, dict):
-        return tuple((int(attribute), int(value))
-                     for attribute, value in assignment.items())
-    return tuple((int(attribute), int(value))
+        assignment = [(int(attribute) if isinstance(attribute, str)
+                       and attribute.isdecimal() else attribute, value)
+                      for attribute, value in assignment.items()]
+    return tuple((_wire_int(attribute, "point attribute"),
+                  _wire_int(value, "point value"))
                  for attribute, value in assignment)
 
 
@@ -129,7 +159,7 @@ def query_from_wire(obj) -> Query:
     * ``{"type": "topk", "attributes": [a, ...], "k": k}``
 
     A bare predicate list (the pre-IR wire form) still parses as a
-    range query.
+    range query.  Every integer field must be a JSON integer.
     """
     if not isinstance(obj, dict):
         return RangeQuery(tuple(predicate_from_wire(item) for item in obj))
@@ -137,31 +167,25 @@ def query_from_wire(obj) -> Query:
     if kind == "range":
         return RangeQuery(_predicates_from_wire(obj))
     if kind == "marginal":
-        return MarginalQuery(tuple(int(a) for a in obj["attributes"]))
+        return MarginalQuery(_attributes_from_wire(obj))
     if kind == "point":
         return PointQuery(_assignment_from_wire(obj))
     if kind == "count":
         population = obj.get("population")
         return PredicateCountQuery(
             _predicates_from_wire(obj),
-            population=int(population) if population is not None else None)
+            population=(None if population is None
+                        else _wire_int(population, "population")))
     if kind == "topk":
-        return TopKQuery(tuple(int(a) for a in obj["attributes"]),
-                         k=int(obj.get("k", 1)))
+        return TopKQuery(_attributes_from_wire(obj),
+                         k=_wire_int(obj.get("k", 1), "k"))
     raise ValueError(f"unknown query type {kind!r}; known: "
                      "range, marginal, point, count, topk")
 
 
 def queries_from_wire(objs) -> list[Query]:
-    """A workload from a JSON list of wire-format queries.
-
-    A number too large for an integer field (``1e400`` decodes to an
-    infinite float) is a ValueError, like any other malformed query.
-    """
-    try:
-        return [query_from_wire(obj) for obj in objs]
-    except OverflowError as error:
-        raise ValueError(f"query value out of range: {error}") from None
+    """A workload from a JSON list of wire-format queries."""
+    return [query_from_wire(obj) for obj in objs]
 
 
 def query_to_wire(query: Query) -> dict:

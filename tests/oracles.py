@@ -17,6 +17,12 @@ against:
   path for every mechanism but LHIO, whose scalar path sums its levels
   in another order) and :func:`loop_answer` (the per-cell, slice-sum,
   per-combination and per-node loops; within 1e-9).
+* typed workloads interpreted query by query: :func:`reference_ranges`
+  lowers each IR query to its range primitives and
+  :func:`reference_assemble` slices the flat answers back into typed
+  results, the reference :class:`~repro.queries.CompiledPlan` is
+  compared against (:func:`interpreted_results` chains both around one
+  of the answer oracles above).
 
 Run per query, in workload order, so mechanisms that draw lazy noise
 (HIO, LHIO) consume their RNG stream in the order a one-query-at-a-time
@@ -31,7 +37,11 @@ import numpy as np
 
 from repro.baselines import HIO, LHIO, MSW, Uniform
 from repro.core import HDG, TDG, estimate_lambda_query
-from repro.queries import Predicate, RangeQuery
+from repro.postprocess import norm_sub
+from repro.queries import (DistributionResult, MarginalQuery, PointQuery,
+                           Predicate, PredicateCountQuery, RangeQuery,
+                           ScalarResult, TopKQuery, TopKResult, top_k_cells)
+
 
 # ----------------------------------------------------------------------
 # Grids
@@ -272,3 +282,82 @@ def _lhio_pair(mechanism, pair_hierarchy, interval_a, interval_b,
             values = pair_hierarchy.levels[(row_level, col_level)]
             answer += float(values[np.ix_(row_indices, col_indices)].sum())
     return answer
+
+
+# ----------------------------------------------------------------------
+# Typed workloads: interpreted lowering and reassembly
+# ----------------------------------------------------------------------
+def reference_ranges(queries, domain_size: int) -> list[RangeQuery]:
+    """Every query's range primitives, in workload order.
+
+    A range is itself; a point is its width-1 range; a count is its
+    predicates' range; a marginal or top-k table is one width-1 range
+    per cell, row-major over the sorted attributes.
+    """
+    ranges = []
+    for query in queries:
+        if isinstance(query, RangeQuery):
+            ranges.append(query)
+        elif isinstance(query, PointQuery):
+            ranges.append(RangeQuery(tuple(
+                Predicate(attribute, value, value)
+                for attribute, value in query.assignment)))
+        elif isinstance(query, PredicateCountQuery):
+            ranges.append(RangeQuery(query.predicates))
+        elif isinstance(query, (MarginalQuery, TopKQuery)):
+            for cell in product(range(domain_size),
+                                repeat=len(query.attributes)):
+                ranges.append(RangeQuery(tuple(
+                    Predicate(attribute, value, value)
+                    for attribute, value in zip(query.attributes, cell))))
+        else:
+            raise TypeError(f"no reference for {type(query).__name__}")
+    return ranges
+
+
+def reference_assemble(queries, answers, domain_size: int,
+                       population: int | None) -> list:
+    """Typed results from flat primitive answers, one query at a time.
+
+    Ranges and points take their one answer; a count scales it by its
+    own population, else ``population``; a marginal reshapes its cells
+    to the λ-D table; a top-k Norm-Subs that table and takes the
+    arg-top-k.
+    """
+    answers = np.asarray(answers, dtype=float)
+    results = []
+    start = 0
+    for query in queries:
+        if isinstance(query, (MarginalQuery, TopKQuery)):
+            dimension = len(query.attributes)
+            stop = start + domain_size ** dimension
+            table = answers[start:stop].reshape((domain_size,) * dimension)
+            if isinstance(query, TopKQuery):
+                cells, values = top_k_cells(norm_sub(table), query.k)
+                results.append(TopKResult(query, cells, values))
+            else:
+                results.append(DistributionResult(query, table))
+        else:
+            stop = start + 1
+            value = float(answers[start])
+            if isinstance(query, PredicateCountQuery):
+                scale = (query.population if query.population is not None
+                         else population)
+                results.append(ScalarResult(query, value * scale,
+                                            population=scale))
+            else:
+                results.append(ScalarResult(query, value))
+        start = stop
+    if start != answers.size:
+        raise ValueError(f"{start} primitives, {answers.size} answers")
+    return results
+
+
+def interpreted_results(mechanism, queries, answers=scalar_answers) -> list:
+    """A typed workload answered primitive by primitive through
+    ``answers`` (:func:`scalar_answers` or :func:`loop_answers`) and
+    reassembled by :func:`reference_assemble`."""
+    domain_size = mechanism._domain_size
+    flat = answers(mechanism, reference_ranges(queries, domain_size))
+    return reference_assemble(queries, flat, domain_size,
+                              mechanism.population)

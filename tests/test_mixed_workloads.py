@@ -298,6 +298,31 @@ def test_wire_accepts_dict_assignment_and_rejects_unknown_type():
         query_from_wire({"type": "nope"})
 
 
+@pytest.mark.parametrize("wire, field", [
+    ([[0, 1.7, 5.9]], "predicate low"),
+    ([[True, 0, 3]], "predicate attribute"),
+    ([["0", 0, 3]], "predicate attribute"),
+    ({"predicates": [{"attribute": 0, "low": 0, "high": 3.0}]},
+     "predicate high"),
+    ({"type": "point", "assignment": [[0, 2.0]]}, "point value"),
+    ({"type": "point", "assignment": {"0": True}}, "point value"),
+    ({"type": "point", "assignment": [[False, 2]]}, "point attribute"),
+    ({"type": "point", "assignment": {"a": 2}}, "point attribute"),
+    ({"type": "marginal", "attributes": [0, 1.0]}, "attributes entry"),
+    ({"type": "topk", "attributes": ["1"], "k": 2}, "attributes entry"),
+    ({"type": "topk", "attributes": [0], "k": 2.9}, "k"),
+    ({"type": "topk", "attributes": [0], "k": True}, "k"),
+    ({"type": "count", "predicates": [[0, 0, 3]], "population": 10.5},
+     "population"),
+    ({"type": "count", "predicates": [[0, 0, 3]], "population": "10"},
+     "population"),
+])
+def test_wire_refuses_non_integer_fields(wire, field):
+    # int() would have answered 1.7 as 1, true as 1 and "0" as 0.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        query_from_wire(wire)
+
+
 def test_http_query_serves_typed_results(mixed_service, mixed_dataset):
     queries = [
         {"predicates": [[0, 0, 7]]},

@@ -1,13 +1,16 @@
 """Differential harness pinning the compiled answering path.
 
-Every workload is answered through :class:`~repro.queries.CompiledPlan`
-— fused grouped gathers plus one vectorised reassembly.  For every
-mechanism and every query kind its typed results must equal **bitwise**
+Every workload is answered through :class:`~repro.queries.CompiledPlan`,
+the one module that lowers query kinds onto range primitives and
+reassembles their answers — fused grouped gathers plus one vectorised
+reassembly.  For every mechanism and every query kind its typed results
+must equal **bitwise**
 
-* the interpreted reference: the plan's primitives answered one at a
-  time through the scalar oracle of ``tests/oracles.py``, reassembled
-  by :meth:`~repro.queries.QueryPlan.assemble` (LHIO, whose scalar
-  oracle sums its hierarchy levels in another order, to 1e-9);
+* the interpreted reference of ``tests/oracles.py``: each query lowered
+  to its primitives on its own (``reference_ranges``), every primitive
+  answered one at a time through the scalar oracle, and the answers
+  reassembled query by query (``reference_assemble``) — LHIO, whose
+  scalar oracle sums its hierarchy levels in another order, to 1e-9;
 * the per-query reference: each query answered alone.
 
 Bitwise (not approximate) equality is assertable because every layer
@@ -29,7 +32,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import loop_answers, scalar_answers
+from oracles import interpreted_results, loop_answers, reference_ranges
 from repro import build_mechanism, make_dataset
 from repro.queries import CompiledPlan, PlanCache, WorkloadGenerator
 from repro.queries import (MarginalQuery, PointQuery, Predicate,
@@ -94,13 +97,6 @@ def assert_results_bitwise_equal(fused, reference, atol=0.0):
             raise AssertionError(f"unhandled result type {type(left)!r}")
 
 
-def interpreted_reference(mechanism, queries, oracle=scalar_answers):
-    """Plan once, answer each primitive alone through the oracle,
-    reassemble with the interpreted :meth:`QueryPlan.assemble`."""
-    plan = mechanism.query_planner().plan(queries)
-    return plan.assemble(oracle(mechanism, plan.ranges))
-
-
 def per_query_reference(mechanism, queries):
     """The strictest reference: each query planned and answered alone."""
     return [mechanism.answer_typed([query])[0] for query in queries]
@@ -123,7 +119,7 @@ def test_fused_matches_planner_paths_all_mechanisms(name, dataset):
 
     fused = mechanism.answer_typed(queries)
     assert_results_bitwise_equal(fused,
-                                 interpreted_reference(mechanism, queries),
+                                 interpreted_results(mechanism, queries),
                                  atol=scalar_tolerance(name))
     assert_results_bitwise_equal(fused, per_query_reference(mechanism,
                                                             queries))
@@ -138,8 +134,8 @@ def test_fused_matches_planner_paths_lambda3(name, dataset):
     mechanism = fitted(name, dataset)
     queries = seeded_mixed_workload(18, 3, seed=202)
     fused = mechanism.answer_typed(queries)
-    assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
-                                                              queries))
+    assert_results_bitwise_equal(fused,
+                                 interpreted_results(mechanism, queries))
     # Per-query answering re-batches the λ=3 weighted-update rows one at
     # a time; each row's bits do not depend on its batch.
     assert_results_bitwise_equal(fused,
@@ -153,8 +149,8 @@ def test_fused_matches_planner_paths_max_entropy(dataset):
                        estimation_iterations=50)
     queries = seeded_mixed_workload(12, 3, seed=303)
     fused = mechanism.answer_typed(queries)
-    assert_results_bitwise_equal(fused, interpreted_reference(mechanism,
-                                                              queries))
+    assert_results_bitwise_equal(fused,
+                                 interpreted_results(mechanism, queries))
     assert_results_bitwise_equal(fused,
                                  per_query_reference(mechanism, queries))
 
@@ -194,7 +190,7 @@ def test_table_blocks_match_interpreted_reference(name, table_dataset):
     queries = overlapping_table_workload()
     assert_results_bitwise_equal(
         mechanism.answer_typed(queries),
-        interpreted_reference(mechanism, queries),
+        interpreted_results(mechanism, queries),
         atol=scalar_tolerance(name))
 
 
@@ -216,11 +212,10 @@ def test_table_lowering_builds_no_cell_ranges(monkeypatch):
     assert compiled.n_primitives == 2 * 64 ** 2 + 1
     monkeypatch.undo()
 
-    plan = mechanism.query_planner().plan(queries)
-    assert compiled.flat_ranges == plan.ranges
+    assert compiled.flat_ranges == reference_ranges(queries, 64)
     assert compiled.flat_ranges is compiled.flat_ranges
     assert_results_bitwise_equal(results,
-                                 interpreted_reference(mechanism, queries))
+                                 interpreted_results(mechanism, queries))
 
 
 @pytest.mark.parametrize("name", ["TDG", "HDG"])
@@ -231,7 +226,7 @@ def test_fused_matches_legacy_toggle(name, dataset):
     queries = seeded_mixed_workload(12, 2, seed=404)
     fused = mechanism.answer_typed(queries)
     assert_results_bitwise_equal(
-        fused, interpreted_reference(mechanism, queries, loop_answers),
+        fused, interpreted_results(mechanism, queries, loop_answers),
         atol=1e-9)
 
 
@@ -244,7 +239,7 @@ def test_randomized_workloads_sweep(dataset):
         queries = seeded_mixed_workload(6 + draw, dimension, seed=seed)
         assert_results_bitwise_equal(
             mechanism.answer_typed(queries),
-            interpreted_reference(mechanism, queries))
+            interpreted_results(mechanism, queries))
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +249,12 @@ def test_compiled_plan_counts_and_shape_check(dataset):
     mechanism = fitted("TDG", dataset)
     queries = seeded_mixed_workload(20, 2, seed=606)
     plan = mechanism.query_planner().plan(queries)
-    compiled = CompiledPlan.from_plan(plan, DOMAIN_SIZE,
-                                      population=N_USERS)
+    assert plan.queries == queries and plan.domain_size == DOMAIN_SIZE
+    compiled = CompiledPlan.from_plan(plan)
+    n_primitives = len(reference_ranges(queries, DOMAIN_SIZE))
     assert compiled.n_queries == len(queries)
-    assert compiled.n_primitives == plan.n_primitives
-    assert len(compiled.flat_ranges) == plan.n_primitives
+    assert compiled.n_primitives == n_primitives
+    assert len(compiled.flat_ranges) == n_primitives
     with pytest.raises(ValueError, match="primitive answers"):
         compiled.assemble(np.zeros(compiled.n_primitives + 1))
 

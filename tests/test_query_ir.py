@@ -1,4 +1,4 @@
-"""Typed query IR + planner tests (repro.queries.ir / planner).
+"""Typed query IR, planner and compiled-reassembly tests.
 
 The load-bearing property: every IR kind lowers onto the *same* range
 primitives the mechanisms already answer, so marginal cells and point
@@ -13,16 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import loop_answers
+from oracles import loop_answers, reference_ranges
 from repro import make_dataset
 from repro.datasets import Dataset
 from repro.postprocess import norm_sub
-from repro.queries import (QUERY_KINDS, DistributionResult, MarginalQuery,
-                           PointQuery, Predicate, PredicateCountQuery,
-                           Query, QueryPlanner, RangeQuery, ScalarResult,
-                           TopKQuery, TopKResult, WorkloadGenerator,
-                           answer_workload, evaluate_query, evaluate_workload,
-                           query_kind, top_k_cells)
+from repro.queries import (QUERY_KINDS, CompiledPlan, DistributionResult,
+                           MarginalQuery, PointQuery, Predicate,
+                           PredicateCountQuery, Query, QueryPlanner,
+                           RangeQuery, ScalarResult, TopKQuery, TopKResult,
+                           WorkloadGenerator, answer_workload, evaluate_query,
+                           evaluate_workload, query_kind, top_k_cells)
 from repro.mechanisms import MECHANISMS
 
 
@@ -106,17 +106,22 @@ def test_query_kind_names_every_kind():
 
 
 # ----------------------------------------------------------------------
-# Planner lowering and validation
+# Planner validation, compiled lowering and reassembly
 # ----------------------------------------------------------------------
+def compile_workload(planner, queries):
+    return CompiledPlan.from_plan(planner.plan(queries))
+
+
 def test_planner_lowers_marginal_in_row_major_cell_order():
     planner = QueryPlanner(domain_size=3, n_attributes=4)
-    plan = planner.plan([MarginalQuery((1, 3))])
-    ranges = plan.ranges
-    assert len(ranges) == 9
+    compiled = compile_workload(planner, [MarginalQuery((1, 3))])
+    ranges = compiled.flat_ranges
+    assert len(ranges) == 9 == compiled.n_primitives
+    assert ranges == reference_ranges([MarginalQuery((1, 3))], 3)
     # Row-major: the last attribute varies fastest.
     cells = [(r.interval(1)[0], r.interval(3)[0]) for r in ranges]
     assert cells == [(a, b) for a in range(3) for b in range(3)]
-    results = plan.assemble(np.arange(9.0))
+    results = compiled.assemble(np.arange(9.0))
     assert isinstance(results[0], DistributionResult)
     assert results[0].values.shape == (3, 3)
     assert results[0].values[2, 1] == 7.0
@@ -125,11 +130,15 @@ def test_planner_lowers_marginal_in_row_major_cell_order():
 def test_planner_count_scaling_and_population_fallbacks():
     planner = QueryPlanner(domain_size=8, n_attributes=2, population=1000)
     query = PredicateCountQuery((Predicate(0, 0, 3),))
-    [result] = planner.plan([query]).assemble(np.array([0.25]))
-    assert result.value == 250.0 and result.population == 1000
     explicit = PredicateCountQuery((Predicate(0, 0, 3),), population=40)
-    [result] = planner.plan([explicit]).assemble(np.array([0.25]))
-    assert result.value == 10.0 and result.population == 40
+    point = PointQuery(((0, 1),))
+    plan = planner.plan([query, explicit, point])
+    assert plan.populations == [1000, 40, None]
+    results = CompiledPlan.from_plan(plan).assemble(
+        np.array([0.25, 0.25, 0.5]))
+    assert results[0].value == 250.0 and results[0].population == 1000
+    assert results[1].value == 10.0 and results[1].population == 40
+    assert results[2].value == 0.5 and results[2].population is None
     bare = QueryPlanner(domain_size=8, n_attributes=2, population=None)
     with pytest.raises(ValueError, match="count query 0 has no population"):
         bare.plan([query])
@@ -155,9 +164,9 @@ def test_planner_capability_dispatch_rejects_unsupported_kinds():
 
 def test_plan_assemble_checks_answer_count():
     planner = QueryPlanner(domain_size=4, n_attributes=2)
-    plan = planner.plan([MarginalQuery((0,))])
+    compiled = compile_workload(planner, [MarginalQuery((0,))])
     with pytest.raises(ValueError, match="expects 4 primitive answers"):
-        plan.assemble(np.zeros(3))
+        compiled.assemble(np.zeros(3))
 
 
 def test_top_k_cells_is_deterministic_under_ties():

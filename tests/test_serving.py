@@ -516,6 +516,23 @@ def test_http_unknown_query_type_is_400_with_structured_body(http_service):
     assert body["code"] == "bad-request"
 
 
+def test_http_non_integer_query_fields_are_400(http_service):
+    """Regression: float, boolean and string query fields used to be
+    truncated or parsed by int() ([0, 1.7, 5.9] answered as [1, 5])."""
+    _, port = http_service
+    for query in ([[0, 1.7, 5.9]], [[True, 0, 3]], [["0", 0, 3]],
+                  {"type": "topk", "attributes": [0], "k": 2.5},
+                  {"type": "count", "predicates": [[0, 0, 3]],
+                   "population": 10.5}):
+        code, body = _http_error(port, "/query", {"queries": [query]})
+        assert code == 400 and body["code"] == "bad-request"
+        assert "must be an integer" in body["error"]
+    # JSON object keys are strings: the dict-form assignment keeps them.
+    answer = _http(port, "/query", {"queries": [
+        {"type": "point", "assignment": {"0": 3}}]})
+    assert answer["results"][0]["type"] == "point"
+
+
 def test_http_error_bodies_carry_machine_codes(http_service):
     _, port = http_service
     code, body = _http_error(port, "/nope", {})
