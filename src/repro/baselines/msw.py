@@ -10,20 +10,23 @@ exactly the failure mode the paper's experiments expose on correlated
 datasets.
 
 Collection is shardable: each attribute's Square Wave reports reduce to
-additive report-bucket counts (:meth:`SquareWave.accumulate`), which
-``partial_fit`` adds up batch by batch and shards ``merge`` exactly;
+additive report-bucket counts (:meth:`SquareWave.accumulate`), kept in
+the keyed :class:`~repro.core.aggregation.AccumulatorTable` the grid
+mechanisms use too.  ``partial_fit`` adds them up batch by batch,
+shards ``merge`` exactly, ``shard_state`` writes the table, and
 ``finalize`` runs EM once per attribute on the merged counts.  ``fit``
-is ``partial_fit`` plus ``finalize`` on one batch, with the same random
-draws in the same order as a one-shot collection.
+is the base class's ``partial_fit`` plus ``finalize`` on one batch, with
+the same random draws in the same order as a one-shot collection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.aggregation import AccumulatorTable
 from ..core.base import RangeQueryMechanism
 from ..datasets import Dataset
-from ..frequency_oracles import SquareWave, SupportAccumulator
+from ..frequency_oracles import SquareWave
 from ..protocol import partition_users
 
 
@@ -51,12 +54,10 @@ class MSW(RangeQueryMechanism):
         self.smoothing = bool(smoothing)
         self.distributions: dict[int, np.ndarray] = {}
         self._prefixes: dict[int, np.ndarray] = {}
-        self._accumulators: dict[int, SupportAccumulator | None] = {}
+        self._accumulators = AccumulatorTable()
 
-    def _fit(self, dataset: Dataset) -> None:
-        self._accumulators = {}
-        self._partial_fit(dataset, total_users=None)
-        self._finalize()
+    def _reset_aggregation(self) -> None:
+        self._accumulators = AccumulatorTable()
 
     def _oracle(self) -> SquareWave:
         return SquareWave(self.epsilon, self._domain_size, rng=self.rng,
@@ -66,14 +67,8 @@ class MSW(RangeQueryMechanism):
     def _ensure_layout(self, planning_users: int | None) -> None:
         # One report-bucket count vector per attribute; nothing to plan.
         if not self._accumulators:
-            self._accumulators = dict.fromkeys(range(self._n_attributes))
-
-    def _add(self, attribute: int, batch: SupportAccumulator) -> None:
-        current = self._accumulators[attribute]
-        if current is None:
-            self._accumulators[attribute] = batch
-        else:
-            current.merge(batch)
+            self._accumulators = AccumulatorTable.fromkeys(
+                range(self._n_attributes))
 
     def _partial_fit(self, dataset: Dataset, total_users: int | None) -> None:
         self._ensure_layout(total_users)
@@ -81,14 +76,12 @@ class MSW(RangeQueryMechanism):
                                  self.rng)
         for attribute, group in enumerate(groups):
             if group.size > 0:
-                self._add(attribute, self._oracle().accumulate(
+                self._accumulators.add(attribute, self._oracle().accumulate(
                     dataset.column(attribute)[group]))
 
     def _merge(self, other: "MSW") -> None:
         self._ensure_layout(None)
-        for attribute, accumulator in other._accumulators.items():
-            if accumulator is not None:
-                self._add(attribute, accumulator.copy())
+        self._accumulators.fold(other._accumulators)
 
     def _finalize(self) -> None:
         """EM once per attribute on its merged report-bucket counts; an
@@ -111,30 +104,12 @@ class MSW(RangeQueryMechanism):
     # ------------------------------------------------------------------
     # Shard-state serialization (see docs/architecture.md for the schema)
     # ------------------------------------------------------------------
-    def shard_state(self) -> dict:
-        """Portable snapshot of the un-finalised report-bucket counts."""
-        if not self._accumulators:
-            raise RuntimeError("no batches ingested; nothing to serialize")
-        return {
-            **self._shard_header(self._n_reports or 0),
-            "accumulators": {
-                str(attribute): (accumulator.to_dict()
-                                 if accumulator is not None else None)
-                for attribute, accumulator in self._accumulators.items()},
-        }
+    def _shard_body(self) -> dict:
+        return {"accumulators": self._accumulators.to_document()}
 
-    def load_shard_state(self, state: dict) -> "MSW":
-        """Restore accumulator state produced by :meth:`shard_state`."""
-        if self._accumulators or self._fitted:
-            raise RuntimeError("shard state can only be loaded into a fresh "
-                               "mechanism instance")
-        self._load_shard_header(state)
-        entries = state["accumulators"]
-        self._accumulators = {
-            attribute: (SupportAccumulator.from_dict(entries[str(attribute)])
-                        if entries.get(str(attribute)) is not None else None)
-            for attribute in range(self._n_attributes)}
-        return self
+    def _load_shard_body(self, state: dict) -> None:
+        self._accumulators = AccumulatorTable.from_document(
+            state["accumulators"], range(self._n_attributes))
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)

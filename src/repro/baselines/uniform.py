@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..datasets import Dataset
 from ..core.base import RangeQueryMechanism
 
 
@@ -26,30 +25,17 @@ class Uniform(RangeQueryMechanism):
         # epsilon is accepted for interface compatibility; no reports are sent.
         super().__init__(epsilon, seed)
 
-    def _fit(self, dataset: Dataset) -> None:
-        # Only the domain metadata captured by the base class is needed.
-        return None
-
     def _aggregate_nothing(self, *args) -> None:
         return None
 
     # Every aggregation hook is a no-op: the base class keeps the schema
-    # and the report count, which is all Uni needs.
+    # and the report count, which is all Uni needs, and writes them in
+    # every shard_state header.
     _ensure_layout = _partial_fit = _merge = _finalize = _aggregate_nothing
+    _load_shard_body = _aggregate_nothing
 
-    def shard_state(self) -> dict:
-        """The schema and report count: all Uni ever aggregates."""
-        if self._n_attributes is None:
-            raise RuntimeError("no batches ingested; nothing to serialize")
-        return self._shard_header(self._n_reports or 0)
-
-    def load_shard_state(self, state: dict) -> "Uniform":
-        """Restore the metadata produced by :meth:`shard_state`."""
-        if self._n_attributes is not None or self._fitted:
-            raise RuntimeError("shard state can only be loaded into a fresh "
-                               "mechanism instance")
-        self._load_shard_header(state)
-        return self
+    def _shard_body(self) -> dict:
+        return {}
 
     def _state_payload(self) -> dict:
         # Uni's whole fitted state is the (d, c) metadata the base

@@ -11,11 +11,10 @@ query IR (:mod:`repro.queries`): a workload may mix
 :class:`~repro.queries.RangeQuery` with marginal, point,
 predicate-count and top-k queries.  Non-range kinds are compiled by a
 :class:`~repro.queries.QueryPlanner` onto the mechanism's range
-primitives — subject to the mechanism's declared
-:attr:`~RangeQueryMechanism.query_capabilities` — frozen into a
-:class:`~repro.queries.CompiledPlan`, answered through the mechanism's
-one answering hook (:meth:`RangeQueryMechanism._answer_compiled`) and
-reassembled into typed :class:`~repro.queries.QueryResult` objects.
+primitives, frozen into a :class:`~repro.queries.CompiledPlan`,
+answered through the mechanism's one answering hook
+(:meth:`RangeQueryMechanism._answer_compiled`) and reassembled into
+typed :class:`~repro.queries.QueryResult` objects.
 Ranges take the same path (a range is its own single primitive), and
 pure range workloads keep the flat ``numpy`` answer vector they always
 had.
@@ -31,14 +30,17 @@ shard-mergeable protocol:
 * :meth:`RangeQueryMechanism.finalize` runs the one-shot pipeline's
   Phase-2 consistency/estimation machinery on the merged counts.
 
-``fit(data)`` is a thin wrapper equivalent to
-``partial_fit(data); finalize()``.  Mechanisms that only implement the
-one-shot protocol raise :class:`NotImplementedError` from the sharded
-entry points and report ``supports_sharding == False``.  Un-finalised
-state crosses process boundaries as a plain ``shard_state`` document
-that ``load_shard_state`` restores into a fresh instance; the ingest
-tier's collector workers reply with exactly that, and the parent
-folds the replies with ``merge``.
+``fit(data)`` is the same path over one batch: ``_fit`` runs
+``_reset_aggregation``, ``_partial_fit`` and ``_finalize``.  Mechanisms
+that only implement the one-shot protocol (HIO, LHIO) override
+``_fit``, raise :class:`NotImplementedError` from the sharded entry
+points and report ``supports_sharding == False``.  Un-finalised state
+crosses process boundaries as a plain ``shard_state`` document — a
+common header plus the mechanism's ``_shard_body`` — that
+``load_shard_state`` restores into a fresh instance; the ingest tier's
+collector workers reply with exactly that, and the parent folds the
+replies with ``merge``.  The grid mechanisms share their aggregation
+code in :mod:`repro.core.aggregation`.
 
 Fitted mechanisms additionally serialize to portable snapshot
 documents: :meth:`RangeQueryMechanism.save_state` captures everything
@@ -58,8 +60,8 @@ import abc
 import numpy as np
 
 from ..datasets import Dataset
-from ..queries import (ALL_QUERY_KINDS, CompiledPlan, PlanCache,
-                       QueryPlanner, QueryResult, RangeQuery)
+from ..queries import (CompiledPlan, PlanCache, QueryPlanner, QueryResult,
+                       RangeQuery)
 
 #: Format tag written into serialized fitted-mechanism states.
 MECHANISM_STATE_FORMAT = "repro.mechanism-state"
@@ -99,13 +101,6 @@ class RangeQueryMechanism(abc.ABC):
     #: Short name used in experiment tables (overridden by subclasses).
     name: str = "mechanism"
 
-    #: Query kinds this mechanism can answer (see
-    #: :data:`repro.queries.QUERY_KINDS`).  Every kind lowers onto range
-    #: primitives, so the default grants all of them; a subclass that
-    #: cannot serve some kind narrows the set and the planner rejects
-    #: such queries with a clear per-query error.
-    query_capabilities: frozenset[str] = ALL_QUERY_KINDS
-
     #: Whether answering a fitted instance is free of side effects.
     #: Pure mechanisms may answer concurrently from many threads with
     #: no lock (the serving tier's epoch read path relies on this);
@@ -142,9 +137,14 @@ class RangeQueryMechanism(abc.ABC):
         self._fitted = True
         return self
 
-    @abc.abstractmethod
     def _fit(self, dataset: Dataset) -> None:
-        """Mechanism-specific collection logic."""
+        """One-shot collection: the sharded path over one batch."""
+        self._reset_aggregation()
+        self._partial_fit(dataset, None)
+        self._finalize()
+
+    def _reset_aggregation(self) -> None:
+        """Drop the collected state before a one-shot ``fit``."""
 
     # ------------------------------------------------------------------
     # Sharded collection (incremental aggregation pipeline)
@@ -243,16 +243,24 @@ class RangeQueryMechanism(abc.ABC):
         """Whether partial_fit/merge/finalize are implemented."""
         return type(self)._partial_fit is not RangeQueryMechanism._partial_fit
 
-    def _shard_header(self, total_reports: int) -> dict:
-        """The fields every ``shard_state`` document starts with."""
+    # ------------------------------------------------------------------
+    # Shard-state serialization (see docs/architecture.md for the schema)
+    # ------------------------------------------------------------------
+    def shard_state(self) -> dict:
+        """Portable snapshot of the un-finalised aggregation state."""
+        if self._n_attributes is None:
+            raise RuntimeError("no batches ingested; nothing to serialize")
         return {"mechanism": self.name, "epsilon": self.epsilon,
                 "n_attributes": self._n_attributes,
                 "domain_size": self._domain_size,
-                "total_reports": int(total_reports)}
+                "total_reports": int(self._n_reports or 0),
+                **self._shard_body()}
 
-    def _load_shard_header(self, state: dict) -> int:
-        """Check a ``shard_state`` document's owner, restore its schema and
-        report count, and return that count."""
+    def load_shard_state(self, state: dict) -> "RangeQueryMechanism":
+        """Restore aggregation state produced by :meth:`shard_state`."""
+        if self._n_attributes is not None or self._fitted:
+            raise RuntimeError("shard state can only be loaded into a fresh "
+                               "mechanism instance")
         if state["mechanism"] != self.name:
             raise ValueError(f"state belongs to {state['mechanism']!r}, "
                              f"not {self.name!r}")
@@ -261,7 +269,18 @@ class RangeQueryMechanism(abc.ABC):
         self._n_attributes = int(state["n_attributes"])
         self._domain_size = int(state["domain_size"])
         self._n_reports = int(state["total_reports"])
-        return self._n_reports
+        self._load_shard_body(state)
+        return self
+
+    def _shard_body(self) -> dict:
+        """The mechanism's fields of a ``shard_state`` document."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support sharded aggregation")
+
+    def _load_shard_body(self, state: dict) -> None:
+        """Restore the aggregation state :meth:`_shard_body` wrote."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support sharded aggregation")
 
     # ------------------------------------------------------------------
     # Aggregation layout (distributed ingest tier)
@@ -435,8 +454,8 @@ class RangeQueryMechanism(abc.ABC):
     def answer_typed(self, queries: list) -> list[QueryResult]:
         """Answer a typed IR workload: compile, answer, reassemble.
 
-        The planner checks every query against :attr:`query_capabilities`
-        and the fitted schema, the compiler lowers the validated plan
+        The planner checks every query against the fitted schema, the
+        compiler lowers the validated plan
         onto range primitives frozen into fused gather arrays, the
         primitives run through :meth:`_answer_compiled`, and the
         compiled plan gathers the flat answers back into typed results
@@ -473,8 +492,8 @@ class RangeQueryMechanism(abc.ABC):
                *queries)
         compiled = self._typed_plan_cache.get(key)
         if compiled is None:
-            compiled = CompiledPlan.from_plan(self.query_planner().plan(
-                queries, capabilities=self.query_capabilities))
+            compiled = CompiledPlan.from_plan(
+                self.query_planner().plan(queries))
             self._typed_plan_cache.put(key, compiled)
         return compiled
 

@@ -40,26 +40,20 @@ def _check_divisible(domain_size: int, granularity: int) -> int:
     return domain_size // granularity
 
 
-class Grid1D:
-    """Equal-width binning of a single attribute into ``granularity`` cells.
+class _CellGrid:
+    """What both grid shapes share: equal-width cells of ``[c]`` on each
+    axis, cell frequencies behind prefix-sum tables, and collection."""
 
-    Parameters
-    ----------
-    attribute:
-        Index of the attribute this grid summarises.
-    domain_size:
-        Attribute domain size ``c``.
-    granularity:
-        Number of cells ``g1``; must divide ``c``.
-    """
+    #: Number of attributes the grid bins (its number of axes).
+    dimension: int
 
-    def __init__(self, attribute: int, domain_size: int, granularity: int):
-        self.attribute = int(attribute)
+    def __init__(self, domain_size: int, granularity: int):
         self.domain_size = int(domain_size)
         self.granularity = int(granularity)
         self.cell_width = _check_divisible(self.domain_size, self.granularity)
-        self._frequencies = np.zeros(self.granularity)
-        self._index: tuple[PrefixStack1D, int] | None = None
+        self.shape = (self.granularity,) * self.dimension
+        self._frequencies = np.zeros(self.shape)
+        self._index: tuple | None = None
 
     # ------------------------------------------------------------------
     # Prefix-sum tables
@@ -87,6 +81,76 @@ class Grid1D:
         self._index = None
 
     # ------------------------------------------------------------------
+    # Collection
+    # ------------------------------------------------------------------
+    def _cells(self, values: np.ndarray, oracle: FrequencyOracle) -> np.ndarray:
+        n_cells = self.granularity ** self.dimension
+        if oracle.domain_size != n_cells:
+            raise ValueError(
+                f"oracle domain {oracle.domain_size} does not match the "
+                f"grid's {n_cells} cells")
+        return self.cell_index(values)
+
+    def collect(self, values: np.ndarray, oracle: FrequencyOracle) -> None:
+        """Collect noisy cell frequencies from the grid's user group."""
+        self._frequencies = oracle.estimate_frequencies(
+            self._cells(values, oracle)).reshape(self.shape)
+        self.invalidate_index()
+
+    def accumulate(self, values: np.ndarray,
+                   oracle: FrequencyOracle) -> SupportAccumulator:
+        """Collect one user batch into an additive support accumulator.
+
+        The returned accumulator can be merged with accumulators of other
+        batches of this grid (from any shard) and turned into cell
+        frequencies once at the end with :meth:`finalize_from`.
+        """
+        return oracle.accumulate(self._cells(values, oracle))
+
+    def finalize_from(self, accumulator: SupportAccumulator | None,
+                      oracle: FrequencyOracle) -> None:
+        """Set cell frequencies from merged support counts.
+
+        An empty accumulator (``None`` or zero reports) leaves the grid
+        all-zero, matching the one-shot behaviour for empty user groups.
+        """
+        self.invalidate_index()
+        if accumulator is None or accumulator.n_reports == 0:
+            self._frequencies = np.zeros(self.shape)
+            return
+        self._frequencies = oracle.estimate_from_accumulator(
+            accumulator).reshape(self.shape)
+
+    def set_frequencies(self, frequencies: np.ndarray) -> None:
+        """Directly set cell frequencies (used by tests and post-processing)."""
+        frequencies = np.asarray(frequencies, dtype=float)
+        if frequencies.shape != self.shape:
+            raise ValueError(
+                f"expected shape {self.shape}, got {frequencies.shape}")
+        self._frequencies = frequencies.copy()
+        self.invalidate_index()
+
+
+class Grid1D(_CellGrid):
+    """Equal-width binning of a single attribute into ``granularity`` cells.
+
+    Parameters
+    ----------
+    attribute:
+        Index of the attribute this grid summarises.
+    domain_size:
+        Attribute domain size ``c``.
+    granularity:
+        Number of cells ``g1``; must divide ``c``.
+    """
+
+    dimension = 1
+
+    def __init__(self, attribute: int, domain_size: int, granularity: int):
+        self.attribute = int(attribute)
+        super().__init__(domain_size, granularity)
+
+    # ------------------------------------------------------------------
     # Cell geometry
     # ------------------------------------------------------------------
     def cell_index(self, value: int | np.ndarray) -> np.ndarray:
@@ -99,55 +163,6 @@ class Grid1D:
             raise ValueError(f"cell index {cell} out of range [0, {self.granularity})")
         low = cell * self.cell_width
         return low, low + self.cell_width - 1
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def collect(self, values: np.ndarray, oracle: FrequencyOracle) -> None:
-        """Collect noisy cell frequencies from the grid's user group."""
-        if oracle.domain_size != self.granularity:
-            raise ValueError(
-                f"oracle domain {oracle.domain_size} does not match grid "
-                f"granularity {self.granularity}")
-        cells = self.cell_index(values)
-        self._frequencies = oracle.estimate_frequencies(cells)
-        self.invalidate_index()
-
-    def accumulate(self, values: np.ndarray,
-                   oracle: FrequencyOracle) -> SupportAccumulator:
-        """Collect one user batch into an additive support accumulator.
-
-        The returned accumulator can be merged with accumulators of other
-        batches of this grid (from any shard) and turned into cell
-        frequencies once at the end with :meth:`finalize_from`.
-        """
-        if oracle.domain_size != self.granularity:
-            raise ValueError(
-                f"oracle domain {oracle.domain_size} does not match grid "
-                f"granularity {self.granularity}")
-        return oracle.accumulate(self.cell_index(values))
-
-    def finalize_from(self, accumulator: SupportAccumulator | None,
-                      oracle: FrequencyOracle) -> None:
-        """Set cell frequencies from merged support counts.
-
-        An empty accumulator (``None`` or zero reports) leaves the grid
-        all-zero, matching the one-shot behaviour for empty user groups.
-        """
-        self.invalidate_index()
-        if accumulator is None or accumulator.n_reports == 0:
-            self._frequencies = np.zeros(self.granularity)
-            return
-        self._frequencies = oracle.estimate_from_accumulator(accumulator)
-
-    def set_frequencies(self, frequencies: np.ndarray) -> None:
-        """Directly set cell frequencies (used by tests and post-processing)."""
-        frequencies = np.asarray(frequencies, dtype=float)
-        if frequencies.shape != (self.granularity,):
-            raise ValueError(
-                f"expected shape ({self.granularity},), got {frequencies.shape}")
-        self._frequencies = frequencies.copy()
-        self.invalidate_index()
 
     # ------------------------------------------------------------------
     # Answering
@@ -163,7 +178,7 @@ class Grid1D:
         return stack.answer_one(position, low, high)
 
 
-class Grid2D:
+class Grid2D(_CellGrid):
     """Equal-width 2-D binning of an attribute pair into ``g2 x g2`` cells.
 
     Parameters
@@ -177,35 +192,14 @@ class Grid2D:
         Number of cells per axis ``g2``; must divide ``c``.
     """
 
+    dimension = 2
+
     def __init__(self, attributes: tuple[int, int], domain_size: int,
                  granularity: int):
         if len(attributes) != 2 or attributes[0] == attributes[1]:
             raise ValueError("attributes must be a pair of distinct indices")
         self.attributes = (int(attributes[0]), int(attributes[1]))
-        self.domain_size = int(domain_size)
-        self.granularity = int(granularity)
-        self.cell_width = _check_divisible(self.domain_size, self.granularity)
-        self._frequencies = np.zeros((self.granularity, self.granularity))
-        self._index: tuple[PrefixStack2D, int] | None = None
-
-    # ------------------------------------------------------------------
-    # Prefix-sum tables
-    # ------------------------------------------------------------------
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Cell frequencies (read-only view; see :class:`Grid1D`)."""
-        view = self._frequencies.view()
-        view.flags.writeable = False
-        return view
-
-    def mutable_frequencies(self) -> np.ndarray:
-        """Writable handle for in-place post-processing (drops the tables)."""
-        self.invalidate_index()
-        return self._frequencies
-
-    def invalidate_index(self) -> None:
-        """Drop the prefix-sum tables (call after mutating ``frequencies``)."""
-        self._index = None
+        super().__init__(domain_size, granularity)
 
     # ------------------------------------------------------------------
     # Cell geometry
@@ -225,50 +219,6 @@ class Grid2D:
         col_low = col * self.cell_width
         return (row_low, row_low + self.cell_width - 1,
                 col_low, col_low + self.cell_width - 1)
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def collect(self, values_pair: np.ndarray, oracle: FrequencyOracle) -> None:
-        """Collect noisy cell frequencies from the grid's user group."""
-        n_cells = self.granularity * self.granularity
-        if oracle.domain_size != n_cells:
-            raise ValueError(
-                f"oracle domain {oracle.domain_size} does not match grid cell "
-                f"count {n_cells}")
-        cells = self.cell_index(values_pair)
-        flat = oracle.estimate_frequencies(cells)
-        self._frequencies = flat.reshape(self.granularity, self.granularity)
-        self.invalidate_index()
-
-    def accumulate(self, values_pair: np.ndarray,
-                   oracle: FrequencyOracle) -> SupportAccumulator:
-        """Collect one user batch into an additive support accumulator."""
-        n_cells = self.granularity * self.granularity
-        if oracle.domain_size != n_cells:
-            raise ValueError(
-                f"oracle domain {oracle.domain_size} does not match grid cell "
-                f"count {n_cells}")
-        return oracle.accumulate(self.cell_index(values_pair))
-
-    def finalize_from(self, accumulator: SupportAccumulator | None,
-                      oracle: FrequencyOracle) -> None:
-        """Set cell frequencies from merged support counts (see Grid1D)."""
-        self.invalidate_index()
-        if accumulator is None or accumulator.n_reports == 0:
-            self._frequencies = np.zeros((self.granularity, self.granularity))
-            return
-        flat = oracle.estimate_from_accumulator(accumulator)
-        self._frequencies = flat.reshape(self.granularity, self.granularity)
-
-    def set_frequencies(self, frequencies: np.ndarray) -> None:
-        """Directly set cell frequencies (tests and post-processing)."""
-        frequencies = np.asarray(frequencies, dtype=float)
-        expected = (self.granularity, self.granularity)
-        if frequencies.shape != expected:
-            raise ValueError(f"expected shape {expected}, got {frequencies.shape}")
-        self._frequencies = frequencies.copy()
-        self.invalidate_index()
 
     # ------------------------------------------------------------------
     # Answering

@@ -16,30 +16,31 @@ HDG extends TDG with finer-grained 1-D grids and response matrices:
    uniformity assumption.  λ-D queries (λ > 2) combine the associated 2-D
    answers with Weighted Update (Algorithm 2); 1-D queries read the
    attribute's own fine-grained 1-D grid.
+
+Phases 1 and 2 run in the aggregation core HDG shares with TDG
+(:class:`~repro.core.aggregation.GridMechanism`), over a 1-D layer and
+TDG's 2-D layer.  This module keeps what is HDG's own: the ``(g1, g2)``
+granularity rule, the σ split of each batch between the layers, the
+response matrices and the 1-D answering.  IHDG derives from it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from ..datasets import Dataset
-from ..frequency_oracles import OptimizedLocalHash, SupportAccumulator
 from ..protocol import partition_users, partition_users_weighted
 from ..queries import RangeQuery
-from .base import RangeQueryMechanism
+from .aggregation import GridMechanism, parse_state_key, state_key
 from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2,
                           choose_granularities_hdg)
-from .grid import Grid1D, Grid2D
-from .phase2 import run_phase2
 from .prefix_sum import PrefixStack1D, PrefixStack2D
-from .query_estimation import (PairwiseBatchAnswering, by_pair_slot,
-                               estimate_lambda_query, grid_index, stack_grids)
+from .query_estimation import (by_pair_slot, estimate_lambda_query,
+                               grid_index, stack_grids)
 from .response_matrix import build_response_matrix
 
 
-class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
+class HDG(GridMechanism):
     """Hybrid-Dimensional Grids under ε-LDP.
 
     Parameters
@@ -76,6 +77,7 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
     """
 
     name = "HDG"
+    _LAYERS = {1: "grids_1d", 2: "grids_2d"}
 
     def __init__(self, epsilon: float,
                  granularities: tuple[int, int] | None = None,
@@ -86,176 +88,71 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
                  matrix_iterations: int = 100, estimation_iterations: int = 100,
                  convergence_threshold: float = 1e-7,
                  oracle_mode: str = "fast", seed: int | None = None):
-        super().__init__(epsilon, seed)
+        super().__init__(epsilon, postprocess, consistency_rounds,
+                         estimation_method, estimation_iterations,
+                         oracle_mode, seed)
         self.granularities = granularities
         self.alpha1 = float(alpha1)
         self.alpha2 = float(alpha2)
         if sigma is not None and not 0.0 < sigma < 1.0:
             raise ValueError(f"sigma must be in (0, 1), got {sigma}")
         self.sigma = sigma
-        self.postprocess = bool(postprocess)
-        self.consistency_rounds = int(consistency_rounds)
-        self.estimation_method = estimation_method
         self.matrix_iterations = int(matrix_iterations)
-        self.estimation_iterations = int(estimation_iterations)
         self.convergence_threshold = float(convergence_threshold)
-        self.oracle_mode = oracle_mode
-        self.grids_1d: dict[int, Grid1D] = {}
-        self.grids_2d: dict[tuple[int, int], Grid2D] = {}
         self.response_matrices: dict[tuple[int, int], np.ndarray] = {}
         self.matrix_iteration_history: dict[tuple[int, int], list[float]] = {}
-        self.chosen_g1: int | None = None
-        self.chosen_g2: int | None = None
-        self._acc_1d: dict[int, SupportAccumulator | None] = {}
-        self._acc_2d: dict[tuple[int, int], SupportAccumulator | None] = {}
-        self._total_reports = 0
+
+    @property
+    def chosen_g1(self) -> int | None:
+        """The 1-D granularity (None before the layout is fixed)."""
+        return self._layers[1].granularity if self._layers else None
 
     # ------------------------------------------------------------------
-    # Phase 1 + 2: collection and post-processing
+    # Phase 1 + 2: the granularity rule, the user split, response matrices
     # ------------------------------------------------------------------
-    def _fit(self, dataset: Dataset) -> None:
-        self._reset_aggregation()
-        self._partial_fit(dataset, total_users=None)
-        self._finalize()
-
-    def _reset_aggregation(self) -> None:
-        self.grids_1d = {}
-        self.grids_2d = {}
-        self.response_matrices = {}
-        self.matrix_iteration_history = {}
-        self.chosen_g1 = None
-        self.chosen_g2 = None
-        self._acc_1d = {}
-        self._acc_2d = {}
-        self._total_reports = 0
-
-    def _ensure_layout(self, planning_users: int | None) -> None:
-        if self.chosen_g1 is not None:
-            return
-        d, c = self._n_attributes, self._domain_size
-        if d < 2:
-            raise ValueError(f"{self.name} requires at least 2 attributes")
-        pairs = list(combinations(range(d), 2))
+    def _choose_granularities(self, planning_users: int | None
+                              ) -> tuple[int, int]:
         if self.granularities is not None:
             g1, g2 = int(self.granularities[0]), int(self.granularities[1])
             if g1 < g2:
                 raise ValueError(
                     f"g1 ({g1}) must be at least g2 ({g2}) so the consistency "
                     "buckets align")
-        else:
-            if planning_users is None:
-                raise ValueError(
-                    "total_users is required to derive the guideline "
-                    "granularities before the first batch")
-            planning = choose_granularities_hdg(
-                self.epsilon, planning_users, d, c,
-                alpha1=self.alpha1, alpha2=self.alpha2, sigma=self.sigma)
-            g1, g2 = planning.g1, planning.g2
-        self.chosen_g1, self.chosen_g2 = g1, g2
-        self.grids_1d = {attribute: Grid1D(attribute, c, g1)
-                         for attribute in range(d)}
-        self.grids_2d = {pair: Grid2D(pair, c, g2) for pair in pairs}
-        self._acc_1d = {attribute: None for attribute in range(d)}
-        self._acc_2d = {pair: None for pair in pairs}
-
-    def _partial_fit(self, dataset: Dataset, total_users: int | None) -> None:
-        d = dataset.n_attributes
-        if d < 2:
-            raise ValueError("HDG requires at least 2 attributes")
-        pairs = list(combinations(range(d), 2))
-        self._ensure_layout(total_users or dataset.n_users)
-        g1, g2 = self.chosen_g1, self.chosen_g2
-
-        # Split this batch's population between 1-D and 2-D duties (the σ
-        # split applies per shard), then into per-grid groups.
-        n1, n2 = self._batch_split(dataset.n_users, d)
-        block_1d, block_2d = self._population_blocks(dataset.n_users, n1, n2)
-        groups_1d = partition_users(max(block_1d.size, 1), d, self.rng)
-        groups_2d = partition_users(max(block_2d.size, 1), len(pairs), self.rng)
-
-        for attribute, group in zip(range(d), groups_1d):
-            members = block_1d[group] if block_1d.size else np.array([], dtype=int)
-            if members.size > 0:
-                oracle = OptimizedLocalHash(self.epsilon, g1, rng=self.rng,
-                                            mode=self.oracle_mode)
-                batch = self.grids_1d[attribute].accumulate(
-                    dataset.column(attribute)[members], oracle)
-                if self._acc_1d[attribute] is None:
-                    self._acc_1d[attribute] = batch
-                else:
-                    self._acc_1d[attribute].merge(batch)
-
-        for pair, group in zip(pairs, groups_2d):
-            members = block_2d[group] if block_2d.size else np.array([], dtype=int)
-            if members.size > 0:
-                oracle = OptimizedLocalHash(self.epsilon, g2 * g2, rng=self.rng,
-                                            mode=self.oracle_mode)
-                batch = self.grids_2d[pair].accumulate(
-                    dataset.columns(pair)[members], oracle)
-                if self._acc_2d[pair] is None:
-                    self._acc_2d[pair] = batch
-                else:
-                    self._acc_2d[pair].merge(batch)
-        self._total_reports += dataset.n_users
-
-    def _merge(self, other: "HDG") -> None:
-        if other.chosen_g1 is None:
-            return
-        if self.chosen_g1 is None:
-            self.chosen_g1, self.chosen_g2 = other.chosen_g1, other.chosen_g2
-            c = self._domain_size
-            self.grids_1d = {attribute: Grid1D(attribute, c, other.chosen_g1)
-                             for attribute in other.grids_1d}
-            self.grids_2d = {pair: Grid2D(pair, c, other.chosen_g2)
-                             for pair in other.grids_2d}
-            self._acc_1d = {attribute: None for attribute in other.grids_1d}
-            self._acc_2d = {pair: None for pair in other.grids_2d}
-        elif (self.chosen_g1, self.chosen_g2) != (other.chosen_g1, other.chosen_g2):
+            return g1, g2
+        if planning_users is None:
             raise ValueError(
-                f"shards disagree on granularities (g1={self.chosen_g1}, "
-                f"g2={self.chosen_g2}) vs (g1={other.chosen_g1}, "
-                f"g2={other.chosen_g2}); pass the same total_users or explicit "
-                "granularities to every shard")
-        for attribute, accumulator in other._acc_1d.items():
-            if accumulator is None:
-                continue
-            if self._acc_1d[attribute] is None:
-                self._acc_1d[attribute] = accumulator.copy()
-            else:
-                self._acc_1d[attribute].merge(accumulator)
-        for pair, accumulator in other._acc_2d.items():
-            if accumulator is None:
-                continue
-            if self._acc_2d[pair] is None:
-                self._acc_2d[pair] = accumulator.copy()
-            else:
-                self._acc_2d[pair].merge(accumulator)
-        self._total_reports += other._total_reports
+                "total_users is required to derive the guideline "
+                "granularities before the first batch")
+        planning = choose_granularities_hdg(
+            self.epsilon, planning_users, self._n_attributes,
+            self._domain_size, alpha1=self.alpha1, alpha2=self.alpha2,
+            sigma=self.sigma)
+        return planning.g1, planning.g2
+
+    def _split_users(self, dataset: Dataset) -> list[list[np.ndarray]]:
+        """This batch's population split between 1-D and 2-D duties (the
+        σ split applies per shard), then into per-grid groups."""
+        d = dataset.n_attributes
+        n1, n2 = self._batch_split(dataset.n_users, d)
+        blocks = partition_users_weighted(dataset.n_users, [n1, n2], self.rng)
+        groups = [partition_users(max(blocks[0].size, 1), d, self.rng),
+                  partition_users(max(blocks[1].size, 1), len(self.grids_2d),
+                                  self.rng)]
+        return [[block[group] if block.size else np.array([], dtype=int)
+                 for group in block_groups]
+                for block, block_groups in zip(blocks, groups)]
 
     def _finalize(self) -> None:
-        g1, g2 = self.chosen_g1, self.chosen_g2
-        c = self._domain_size
-        for attribute, grid in self.grids_1d.items():
-            oracle = OptimizedLocalHash(self.epsilon, g1, rng=self.rng,
-                                        mode=self.oracle_mode)
-            grid.finalize_from(self._acc_1d[attribute], oracle)
-        for pair, grid in self.grids_2d.items():
-            oracle = OptimizedLocalHash(self.epsilon, g2 * g2, rng=self.rng,
-                                        mode=self.oracle_mode)
-            grid.finalize_from(self._acc_2d[pair], oracle)
-
-        if self.postprocess:
-            run_phase2(self._n_attributes, self.grids_1d, self.grids_2d,
-                       n_buckets=g2, rounds=self.consistency_rounds)
-
+        super()._finalize()
         # Build all response matrices up front (they are reused by every query).
         threshold = min(self.convergence_threshold,
-                        1.0 / max(self._total_reports, 1))
+                        1.0 / max(self._n_reports, 1))
         self.response_matrices = {}
         self.matrix_iteration_history = {}
         for pair, grid in self.grids_2d.items():
             result = build_response_matrix(self.grids_1d[pair[0]],
-                                           self.grids_1d[pair[1]], grid, c,
+                                           self.grids_1d[pair[1]], grid,
+                                           self._domain_size,
                                            threshold=threshold,
                                            max_iterations=self.matrix_iterations,
                                            track_history=True)
@@ -265,49 +162,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         # Precompute the answering tables: prefix sums over every grid
         # plus a summed-area table per response matrix.
         self._tables()
-
-    # ------------------------------------------------------------------
-    # Shard-state serialization (see docs/architecture.md for the schema)
-    # ------------------------------------------------------------------
-    def shard_state(self) -> dict:
-        """Portable snapshot of the un-finalised accumulator state."""
-        if self.chosen_g1 is None:
-            raise RuntimeError("no batches ingested; nothing to serialize")
-        return {
-            **self._shard_header(self._total_reports),
-            "granularity": {"g1": self.chosen_g1, "g2": self.chosen_g2},
-            "accumulators": {
-                "1d": {str(attribute): (acc.to_dict() if acc is not None else None)
-                       for attribute, acc in self._acc_1d.items()},
-                "2d": {f"{a},{b}": (acc.to_dict() if acc is not None else None)
-                       for (a, b), acc in self._acc_2d.items()},
-            },
-        }
-
-    def load_shard_state(self, state: dict) -> "HDG":
-        """Restore accumulator state produced by :meth:`shard_state`."""
-        if self.chosen_g1 is not None or self._fitted:
-            raise RuntimeError("shard state can only be loaded into a fresh "
-                               "mechanism instance")
-        self._total_reports = self._load_shard_header(state)
-        self.chosen_g1 = int(state["granularity"]["g1"])
-        self.chosen_g2 = int(state["granularity"]["g2"])
-        d, c = self._n_attributes, self._domain_size
-        pairs = list(combinations(range(d), 2))
-        self.grids_1d = {attribute: Grid1D(attribute, c, self.chosen_g1)
-                         for attribute in range(d)}
-        self.grids_2d = {pair: Grid2D(pair, c, self.chosen_g2) for pair in pairs}
-        entries_1d = state["accumulators"]["1d"]
-        entries_2d = state["accumulators"]["2d"]
-        self._acc_1d = {
-            attribute: (SupportAccumulator.from_dict(entries_1d[str(attribute)])
-                        if entries_1d.get(str(attribute)) is not None else None)
-            for attribute in range(d)}
-        self._acc_2d = {
-            pair: (SupportAccumulator.from_dict(entries_2d[f"{pair[0]},{pair[1]}"])
-                   if entries_2d.get(f"{pair[0]},{pair[1]}") is not None else None)
-            for pair in pairs}
-        return self
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)
@@ -330,53 +184,24 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
 
     def _state_payload(self) -> dict:
         return {
-            "g1": self.chosen_g1,
-            "g2": self.chosen_g2,
-            "total_reports": self._total_reports,
-            "grids_1d": {str(attribute): grid.frequencies.tolist()
-                         for attribute, grid in self.grids_1d.items()},
-            "grids_2d": {f"{a},{b}": grid.frequencies.tolist()
-                         for (a, b), grid in self.grids_2d.items()},
-            "response_matrices": {f"{a},{b}": matrix.tolist()
-                                  for (a, b), matrix
+            **super()._state_payload(),
+            "response_matrices": {state_key(pair): matrix.tolist()
+                                  for pair, matrix
                                   in self.response_matrices.items()},
             "matrix_iteration_history": {
-                f"{a},{b}": [float(change) for change in history]
-                for (a, b), history in self.matrix_iteration_history.items()},
+                state_key(pair): [float(change) for change in history]
+                for pair, history in self.matrix_iteration_history.items()},
         }
 
     def _restore_state_payload(self, payload: dict) -> None:
-        self.chosen_g1 = int(payload["g1"])
-        self.chosen_g2 = int(payload["g2"])
-        self._total_reports = int(payload["total_reports"])
-        if self._n_reports is None:
-            # Pre-IR snapshot documents carry no top-level n_reports, but
-            # the grid payload always recorded the same count.
-            self._n_reports = self._total_reports
-        c = self._domain_size
-        self.grids_1d = {}
-        for key, values in payload["grids_1d"].items():
-            attribute = int(key)
-            grid = Grid1D(attribute, c, self.chosen_g1)
-            grid.set_frequencies(np.asarray(values, dtype=float))
-            self.grids_1d[attribute] = grid
-        self.grids_2d = {}
-        for key, rows in payload["grids_2d"].items():
-            a, b = (int(part) for part in key.split(","))
-            grid = Grid2D((a, b), c, self.chosen_g2)
-            grid.set_frequencies(np.asarray(rows, dtype=float))
-            self.grids_2d[(a, b)] = grid
-        self.response_matrices = {}
-        for key, rows in payload["response_matrices"].items():
-            a, b = (int(part) for part in key.split(","))
-            self.response_matrices[(a, b)] = np.asarray(rows, dtype=float)
-        self.matrix_iteration_history = {}
-        for key, history in payload.get("matrix_iteration_history", {}).items():
-            a, b = (int(part) for part in key.split(","))
-            self.matrix_iteration_history[(a, b)] = [float(change)
-                                                     for change in history]
-        self._acc_1d = {attribute: None for attribute in self.grids_1d}
-        self._acc_2d = {pair: None for pair in self.grids_2d}
+        super()._restore_state_payload(payload)
+        self.response_matrices = {
+            parse_state_key(key): np.asarray(rows, dtype=float)
+            for key, rows in payload["response_matrices"].items()}
+        self.matrix_iteration_history = {
+            parse_state_key(key): [float(change) for change in history]
+            for key, history
+            in payload.get("matrix_iteration_history", {}).items()}
         self._tables()
 
     def _batch_split(self, n_users: int, d: int) -> tuple[int, int]:
@@ -398,12 +223,6 @@ class HDG(PairwiseBatchAnswering, RangeQueryMechanism):
         else:
             n1 = min(max(n1, 0), n_users)
         return n1, n_users - n1
-
-    def _population_blocks(self, n_users: int, n1: int,
-                           n2: int) -> tuple[np.ndarray, np.ndarray]:
-        """Split user indices into the 1-D block and the 2-D block."""
-        blocks = partition_users_weighted(n_users, [n1, n2], self.rng)
-        return blocks[0], blocks[1]
 
     # ------------------------------------------------------------------
     # Phase 3: answering (the block hooks of PairwiseBatchAnswering)

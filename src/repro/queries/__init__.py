@@ -10,7 +10,7 @@ The package is the logical query layer of the library:
     :class:`TopKQuery` — plus the typed result classes.
 :mod:`repro.queries.planner`
     :class:`QueryPlanner`, which validates a workload against the fitted
-    schema and the mechanism's capabilities into a :class:`QueryPlan`.
+    schema into a :class:`QueryPlan`.
 :mod:`repro.queries.compiler`
     :class:`CompiledPlan` and :class:`PlanCache` — the one place every
     IR kind lowers onto range primitives: a plan frozen into fused
@@ -29,12 +29,11 @@ from .ground_truth import (answer_query, answer_query_from_joint,
 from .ir import (QUERY_KINDS, DistributionResult, MarginalQuery, PointQuery,
                  PredicateCountQuery, Query, QueryResult, ScalarResult,
                  TopKQuery, TopKResult, query_kind, validate_query_kinds)
-from .planner import ALL_QUERY_KINDS, QueryPlan, QueryPlanner
+from .planner import QueryPlan, QueryPlanner
 from .range_query import Predicate, RangeQuery
 from .workload import WorkloadGenerator
 
 __all__ = [
-    "ALL_QUERY_KINDS",
     "CompiledPlan",
     "DistributionResult",
     "MarginalQuery",

@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .range_query import Predicate, RangeQuery
+from .range_query import Predicate, RangeQuery, canonical_predicates
 
 #: Canonical short names of every query kind the planner understands.
 QUERY_KINDS = ("range", "marginal", "point", "count", "topk")
@@ -183,9 +183,8 @@ class PredicateCountQuery(Query):
     population: int | None = None
 
     def __post_init__(self) -> None:
-        # Reuse RangeQuery's canonicalisation + validation of predicates.
-        canonical = RangeQuery(tuple(self.predicates))
-        object.__setattr__(self, "predicates", canonical.predicates)
+        object.__setattr__(self, "predicates",
+                           canonical_predicates(self.predicates))
         if self.population is not None:
             population = int(self.population)
             if population < 1:

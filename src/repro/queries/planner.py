@@ -2,11 +2,11 @@
 
 The :class:`QueryPlanner` is the gate between the logical query surface
 (:mod:`repro.queries.ir`) and the answering mechanisms.  A workload is
-*planned* once: every query is checked against the answering
-mechanism's declared capabilities and the fitted schema (``d``
-attributes, domain size ``c``), and every count query's population is
-resolved.  The resulting :class:`QueryPlan` is the validated workload
-itself — the queries, their count populations and ``c``.
+*planned* once: every query is checked against the fitted schema
+(``d`` attributes, domain size ``c``), and every count query's
+population is resolved.  The resulting :class:`QueryPlan` is the
+validated workload itself — the queries, their count populations and
+``c``.
 
 How each query kind lowers onto range primitives and how its answers
 reassemble into typed results is :mod:`repro.queries.compiler`'s
@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import QUERY_KINDS, Query, query_kind
-
-#: Capability set granting every query kind (the library-wide default:
-#: all nine mechanisms answer ranges, so every kind can be compiled).
-ALL_QUERY_KINDS = frozenset(QUERY_KINDS)
+from .ir import Query, query_kind
 
 
 @dataclass(frozen=True)
@@ -96,23 +92,17 @@ class QueryPlanner:
                 f"{where} interval [{low}, {high}] exceeds the fitted "
                 f"domain size {self.domain_size}")
 
-    def plan(self, queries,
-             capabilities: frozenset[str] = ALL_QUERY_KINDS) -> QueryPlan:
+    def plan(self, queries) -> QueryPlan:
         """Validate a whole workload into one :class:`QueryPlan`.
 
-        ``capabilities`` is the answering mechanism's declared set of
-        supported query kinds; queries outside it are rejected with an
-        error naming the query's position and kind.
+        Every kind lowers onto range primitives, so every mechanism
+        answers every kind; a query outside the schema is rejected with
+        an error naming its position and kind.
         """
         queries = list(queries)
         populations: list[int | None] = []
         for position, query in enumerate(queries):
             kind = query_kind(query)
-            if kind not in capabilities:
-                raise ValueError(
-                    f"query {position} is a {kind} query, which this "
-                    f"mechanism does not support (capabilities: "
-                    f"{', '.join(sorted(capabilities))})")
             self._check(query, kind, position)
             if kind != "count":
                 populations.append(None)

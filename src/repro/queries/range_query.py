@@ -37,6 +37,21 @@ class Predicate:
         return self.low <= value <= self.high
 
 
+def canonical_predicates(predicates) -> tuple[Predicate, ...]:
+    """A conjunction's predicates, checked and sorted by attribute.
+
+    Shared by every query class built from predicates, so a range and a
+    count over the same conjunction hold the same canonical tuple.
+    """
+    predicates = tuple(predicates)
+    if not predicates:
+        raise ValueError("a range query needs at least one predicate")
+    attributes = [p.attribute for p in predicates]
+    if len(set(attributes)) != len(attributes):
+        raise ValueError("each attribute may appear at most once in a query")
+    return tuple(sorted(predicates, key=lambda p: p.attribute))
+
+
 @dataclass(frozen=True)
 class RangeQuery:
     """A conjunction of interval predicates over distinct attributes."""
@@ -44,14 +59,8 @@ class RangeQuery:
     predicates: tuple[Predicate, ...]
 
     def __post_init__(self) -> None:
-        if not self.predicates:
-            raise ValueError("a range query needs at least one predicate")
-        attributes = [p.attribute for p in self.predicates]
-        if len(set(attributes)) != len(attributes):
-            raise ValueError("each attribute may appear at most once in a query")
-        # Store predicates sorted by attribute for a canonical representation.
         object.__setattr__(self, "predicates",
-                           tuple(sorted(self.predicates, key=lambda p: p.attribute)))
+                           canonical_predicates(self.predicates))
 
     # ------------------------------------------------------------------
     # Constructors

@@ -130,9 +130,7 @@ def test_merged_accumulators_equal_sum_of_shards(small_dataset, mechanism_cls):
     merged = mechanism_cls(1.0, seed=9).merge(fitted[0]).merge(fitted[1])
 
     def acc_maps(mechanism):
-        if mechanism_cls is TDG:
-            return [mechanism._accumulators]
-        return [mechanism._acc_1d, mechanism._acc_2d]
+        return [layer.accumulators for layer in mechanism._layers.values()]
 
     for merged_map, map_a, map_b in zip(acc_maps(merged), acc_maps(fitted[0]),
                                         acc_maps(fitted[1])):
@@ -142,7 +140,7 @@ def test_merged_accumulators_equal_sum_of_shards(small_dataset, mechanism_cls):
             expected = np.sum([p.supports for p in parts], axis=0)
             assert np.array_equal(accumulator.supports, expected)
             assert accumulator.n_reports == sum(p.n_reports for p in parts)
-    assert merged._total_reports == n
+    assert merged.population == n
 
 
 @pytest.mark.parametrize("n_shards", [2, 4])
@@ -188,7 +186,7 @@ def test_incremental_batches_accumulate_on_one_mechanism(small_dataset):
     mechanism = HDG(1.0, seed=0)
     for shard in shards:
         mechanism.partial_fit(shard, total_users=small_dataset.n_users)
-    assert mechanism._total_reports == small_dataset.n_users
+    assert mechanism.population == small_dataset.n_users
     mechanism.finalize()
     assert mechanism.is_fitted
 
@@ -200,7 +198,7 @@ def test_partial_fit_accepts_single_user_batches():
     for _ in range(5):
         batch = Dataset(rng.integers(0, 16, size=(1, 3)), 16)
         mechanism.partial_fit(batch, total_users=5)
-    assert mechanism._total_reports == 5
+    assert mechanism.population == 5
     mechanism.finalize()
     assert mechanism.is_fitted
 
@@ -260,7 +258,7 @@ def test_sharded_collection_end_to_end(small_dataset, workload_2d):
     shards = [HDG(1.0, seed=i).partial_fit(shard, total_users=n)
               for i, shard in enumerate(_split(small_dataset, 2))]
     merged = shards[0].merge(shards[1])
-    assert merged._total_reports == n
+    assert merged.population == n
     merged.finalize()
     truths = answer_workload(small_dataset, workload_2d)
     mae = mean_absolute_error(merged.answer_workload(workload_2d), truths)
@@ -324,7 +322,7 @@ def test_fit_sharded_runs_one_thread_per_shard(tiny_dataset, monkeypatch):
                             _shard_config(tiny_dataset, 2))
     assert isinstance(mechanism, SynchronisedTDG) and mechanism.is_fitted
     assert len(threads) == 2
-    assert mechanism._total_reports == tiny_dataset.n_users
+    assert mechanism.population == tiny_dataset.n_users
 
 
 def test_shard_seed_never_collides_with_base():

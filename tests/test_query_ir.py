@@ -79,6 +79,16 @@ def test_count_query_wraps_range_and_checks_population():
         PredicateCountQuery((Predicate(0, 0, 1),), population=0)
 
 
+@pytest.mark.parametrize("query_cls", [RangeQuery, PredicateCountQuery])
+def test_range_and_count_share_predicate_canonicalisation(query_cls):
+    query = query_cls([Predicate(2, 0, 1), Predicate(0, 3, 4)])
+    assert query.predicates == (Predicate(0, 3, 4), Predicate(2, 0, 1))
+    with pytest.raises(ValueError, match="needs at least one predicate"):
+        query_cls(())
+    with pytest.raises(ValueError, match="may appear at most once"):
+        query_cls((Predicate(1, 0, 1), Predicate(1, 2, 3)))
+
+
 def test_topk_query_validates_k():
     query = TopKQuery((1, 0), k=3)
     assert query.attributes == (0, 1)
@@ -154,12 +164,6 @@ def test_planner_rejects_out_of_schema_queries_by_position_and_kind():
         planner.plan([RangeQuery((Predicate(0, 0, 9),))])
     with pytest.raises(TypeError, match="not an IR query"):
         planner.plan([object()])
-
-
-def test_planner_capability_dispatch_rejects_unsupported_kinds():
-    planner = QueryPlanner(domain_size=8, n_attributes=2)
-    with pytest.raises(ValueError, match="query 0 is a topk query"):
-        planner.plan([TopKQuery((0,))], capabilities=frozenset({"range"}))
 
 
 def test_plan_assemble_checks_answer_count():
@@ -315,19 +319,6 @@ def test_answer_typed_caches_compiled_plans(ir_dataset):
     for value in range(mechanism._PLAN_CACHE_ENTRIES + 2):
         mechanism.answer_typed([PointQuery(((0, value),))])
     assert len(mechanism._typed_plan_cache) == mechanism._PLAN_CACHE_ENTRIES
-
-
-def test_capability_dispatch_on_mechanisms(ir_dataset):
-    class RangeOnlyTDG(MECHANISMS["TDG"]):
-        query_capabilities = frozenset({"range"})
-
-    mechanism = RangeOnlyTDG(1.0, seed=0).fit(ir_dataset)
-    # Ranges still answer through the unchanged fast path...
-    assert np.isfinite(mechanism.answer(RangeQuery((Predicate(0, 0, 5),))))
-    # ...but planned kinds outside the capability set are rejected.
-    with pytest.raises(ValueError, match="marginal query, which this "
-                                         "mechanism does not support"):
-        mechanism.answer_workload([MarginalQuery((0,))])
 
 
 def test_count_query_needs_population_after_pre_ir_snapshot(ir_dataset):
