@@ -1,25 +1,14 @@
-"""Shared scale settings and reporting helpers for the benchmark harness.
+"""Reporting helpers shared by the benchmark scripts.
 
-Every benchmark regenerates one of the paper's tables or figures.  The
-paper's own settings (n = 10^6 users, 200 queries, 10 repetitions, four
-datasets, ten ε values) take hours; by default the harness runs a reduced
-but shape-preserving configuration and scales up when the environment
-variable ``REPRO_BENCH_SCALE`` is set:
-
-* ``quick``  (default) — minutes on a laptop; per-figure subsets.
-* ``paper``  — the paper's settings; expect hours.
-
-Results are printed to stdout (run pytest with ``-s`` to see them live)
-and also written to ``benchmarks/results/<name>.txt`` so the series survive
-the pytest capture.
+``report`` prints a result table and keeps it under
+``benchmarks/results/<name>.txt``; ``append_trajectory`` records one
+throughput run in ``BENCH_fit.json`` at the repository root.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -27,51 +16,6 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 #: Machine-readable trajectory of the fit/sweep performance benchmarks;
 #: every run appends one record so speedups can be tracked across PRs.
 BENCH_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_fit.json"
-
-
-@dataclass(frozen=True)
-class BenchScale:
-    """Knobs shared by every figure driver at benchmark time."""
-
-    n_users: int
-    n_queries: int
-    n_repeats: int
-    datasets: tuple[str, ...]
-    epsilons: tuple[float, ...]
-    volumes: tuple[float, ...]
-    domain_size: int
-    n_attributes: int
-
-
-_QUICK = BenchScale(
-    n_users=40_000,
-    n_queries=50,
-    n_repeats=1,
-    datasets=("ipums", "normal"),
-    epsilons=(0.2, 0.5, 1.0, 2.0),
-    volumes=(0.1, 0.3, 0.5, 0.7, 0.9),
-    domain_size=64,
-    n_attributes=6,
-)
-
-_PAPER = BenchScale(
-    n_users=1_000_000,
-    n_queries=200,
-    n_repeats=10,
-    datasets=("ipums", "bfive", "normal", "laplace"),
-    epsilons=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
-    volumes=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    domain_size=64,
-    n_attributes=6,
-)
-
-
-def current_scale() -> BenchScale:
-    """Scale selected through the REPRO_BENCH_SCALE environment variable."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-    if name == "paper":
-        return _PAPER
-    return _QUICK
 
 
 def report(name: str, text: str) -> None:

@@ -39,7 +39,7 @@ setup(
     extras_require={
         # The core library deliberately avoids scipy; it is only useful for
         # ad-hoc analysis next to the benchmarks.
-        "benchmarks": ["pytest", "pytest-benchmark", "scipy"],
+        "benchmarks": ["pytest", "scipy"],
         "test": ["pytest"],
     },
     entry_points={

@@ -1,8 +1,8 @@
 """Smoke tests for the per-figure reproduction drivers (tiny scale).
 
-These do not validate the paper's numbers (the benchmark harness does, at
-larger scale); they check that every driver runs end to end and returns
-series of the right shape.
+These do not validate the paper's numbers (the claims of
+``benchmarks/reproduce_figures.py`` do, at larger scale); they check that
+every driver runs end to end and returns series of the right shape.
 """
 
 import numpy as np
