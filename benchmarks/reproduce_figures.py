@@ -738,8 +738,7 @@ FIGURES = (
         paper=_scaled(PAPER, "n_repeats", "seed", n_queries=100),
         render=lambda r: "\n".join(
             ["== Ablation: Algorithm 2 combiner =="]
-            + [f"{method:16s} MAE={mae:.5f}  answer-time={elapsed:.2f}s"
-               for method, (mae, elapsed) in r.items()]),
+            + [f"{method:16s} MAE={mae:.5f}" for method, (mae, _) in r.items()]),
         claims=(
             Claim("Weighted Update's MAE is within 2x (+0.01) of Max-Ent's",
                   lambda r: [(r["weighted_update"][0] <= r["max_entropy"][0] * 2.0 + 0.01,

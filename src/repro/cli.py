@@ -69,7 +69,7 @@ from .mechanisms import MECHANISMS, supports_sharding
 from .queries import RangeQuery, answer_workload
 from .resilience import RetryPolicy
 from .serving import QueryService, TenantManager, build_server, serve
-from .serving.tenants import service_from_config
+from .serving.tenants import check_tenant_config, service_from_config
 from .storage import (BACKENDS, DEFAULT_TENANT, MemoryBackend, StorageError,
                       open_backend)
 
@@ -449,7 +449,8 @@ def _command_tenants(args: argparse.Namespace) -> int:
                 config = _default_tenant_config(args)
                 if args.quota is not None:
                     config["quota"] = args.quota
-                service_from_config(config)  # validate before persisting
+                # Validate before persisting.
+                service_from_config(check_tenant_config(config))
                 record = backend.create_tenant(args.name, config)
                 print(f"created tenant {record.name!r} "
                       f"({config['mechanism']}, eps={config['epsilon']}) "

@@ -26,6 +26,7 @@ documents an attribute's key is ``"a"`` and a pair's is ``"a,b"``.
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from ..frequency_oracles import OptimizedLocalHash, SupportAccumulator
 from .base import RangeQueryMechanism
 from .grid import Grid1D, Grid2D
 from .phase2 import run_phase2
-from .query_estimation import PairwiseBatchAnswering
+from .prefix_sum import PrefixStack2D
+from .query_estimation import PairwiseBatchAnswering, by_pair_slot, stack_grids
 
 
 def state_key(key: int | tuple[int, int]) -> str:
@@ -130,9 +132,10 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
     """Phases 1 and 2 of the grid mechanisms (TDG, HDG and variants).
 
     A subclass names its layers in :attr:`_LAYERS` and implements
-    :meth:`_choose_granularities` and :meth:`_split_users`.  It builds
-    its answering tables after :meth:`_finalize` and
-    :meth:`_restore_state_payload`.
+    :meth:`_choose_granularities` and :meth:`_split_users`.  It calls
+    :meth:`_build_tables` once its grids are final, at the end of
+    :meth:`_finalize` and of :meth:`_restore_state_payload`; from then
+    on the grids are read-only.
     """
 
     #: ``save_state`` payload key of each layer's grids, by layer
@@ -152,16 +155,16 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
         self._layers: dict[int, GridLayer] = {}
 
     @property
-    def grids_1d(self) -> dict[int, Grid1D]:
+    def grids_1d(self) -> MappingProxyType[int, Grid1D]:
         """Each attribute's 1-D grid (none without a 1-D layer)."""
         layer = self._layers.get(1)
-        return layer.grids if layer else {}
+        return MappingProxyType(layer.grids if layer else {})
 
     @property
-    def grids_2d(self) -> dict[tuple[int, int], Grid2D]:
+    def grids_2d(self) -> MappingProxyType[tuple[int, int], Grid2D]:
         """Each attribute pair's 2-D grid (none before the layout)."""
         layer = self._layers.get(2)
-        return layer.grids if layer else {}
+        return MappingProxyType(layer.grids if layer else {})
 
     @property
     def chosen_g2(self) -> int | None:
@@ -279,3 +282,18 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
                 dimension, self._domain_size, payload[f"g{dimension}"],
                 payload[name])
             for dimension, name in self._LAYERS.items()}
+
+    # ------------------------------------------------------------------
+    # Phase 3: the answering tables
+    # ------------------------------------------------------------------
+    def _build_tables(self) -> None:
+        """Every pair's 2-D grid, stacked in pair-slot order: the
+        uniformity tables the pair block reads."""
+        self._pair_stack = stack_grids(PrefixStack2D,
+                                       by_pair_slot(self.grids_2d))
+
+    def _answer_pairs(self, pairs, row_lows, row_highs, col_lows,
+                      col_highs) -> np.ndarray:
+        """Pair block rows: one gather over the stacked tables."""
+        return self._pair_stack.answer(pairs, row_lows, row_highs, col_lows,
+                                       col_highs)

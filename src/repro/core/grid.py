@@ -10,10 +10,11 @@ estimating partially-covered cells either under the uniformity assumption
 
 Range answering reads prefix-sum tables (:mod:`repro.core.prefix_sum`):
 each answer is O(1) corner lookups on Python scalars instead of a cell
-loop.  A grid's ``_index`` is ``(stack, position)``: its mechanism's
-stack of every grid's tables, set when the mechanism stacks its grids,
-or else a stack of one, built on first use.  Every mutation through the
-grid API drops it.  The lookups use the fold order of the stacks'
+loop.  A lone grid answers through a stack of one, built for the call
+from its current frequencies.  A fitted TDG/HDG builds its tables once
+and then freezes its grids (``_CellGrid.freeze``): their frequencies
+are read-only for good, so a change that would leave the tables stale
+raises instead.  The lookups use the fold order of the stacks'
 vectorised gathers, so a lone query's answer is bitwise its row of a
 batch.  The original cell loops live in ``tests/oracles.py``: they are
 the ground truth the lookups are property-tested against and the
@@ -53,32 +54,37 @@ class _CellGrid:
         self.cell_width = _check_divisible(self.domain_size, self.granularity)
         self.shape = (self.granularity,) * self.dimension
         self._frequencies = np.zeros(self.shape)
-        self._index: tuple | None = None
 
     # ------------------------------------------------------------------
-    # Prefix-sum tables
+    # Frequencies
     # ------------------------------------------------------------------
     @property
     def frequencies(self) -> np.ndarray:
         """Cell frequencies (read-only view).
 
-        Exposed read-only because answering runs on prefix-sum tables
-        derived from these values; silent in-place edits would serve
-        stale answers.  Use :meth:`set_frequencies` to replace them or
-        :meth:`mutable_frequencies` for in-place post-processing.
+        Change them with :meth:`set_frequencies`, or in place through
+        :meth:`mutable_frequencies`; both raise once the grid is
+        frozen.
         """
         view = self._frequencies.view()
         view.flags.writeable = False
         return view
 
     def mutable_frequencies(self) -> np.ndarray:
-        """Writable handle for in-place post-processing (drops the tables)."""
-        self.invalidate_index()
-        return self._frequencies
+        """Writable handle for in-place post-processing."""
+        return self._writable()
 
-    def invalidate_index(self) -> None:
-        """Drop the prefix-sum tables (call after mutating ``frequencies``)."""
-        self._index = None
+    def freeze(self) -> None:
+        """Make the frequencies read-only for good: a mechanism freezes
+        its grids once it has built its answering tables over them."""
+        self._frequencies.flags.writeable = False
+
+    def _writable(self) -> np.ndarray:
+        if not self._frequencies.flags.writeable:
+            raise ValueError(
+                "the grid's frequencies are read-only: its mechanism "
+                "answers from tables built over them")
+        return self._frequencies
 
     # ------------------------------------------------------------------
     # Collection
@@ -93,9 +99,9 @@ class _CellGrid:
 
     def collect(self, values: np.ndarray, oracle: FrequencyOracle) -> None:
         """Collect noisy cell frequencies from the grid's user group."""
+        self._writable()
         self._frequencies = oracle.estimate_frequencies(
             self._cells(values, oracle)).reshape(self.shape)
-        self.invalidate_index()
 
     def accumulate(self, values: np.ndarray,
                    oracle: FrequencyOracle) -> SupportAccumulator:
@@ -114,7 +120,7 @@ class _CellGrid:
         An empty accumulator (``None`` or zero reports) leaves the grid
         all-zero, matching the one-shot behaviour for empty user groups.
         """
-        self.invalidate_index()
+        self._writable()
         if accumulator is None or accumulator.n_reports == 0:
             self._frequencies = np.zeros(self.shape)
             return
@@ -127,8 +133,8 @@ class _CellGrid:
         if frequencies.shape != self.shape:
             raise ValueError(
                 f"expected shape {self.shape}, got {frequencies.shape}")
+        self._writable()
         self._frequencies = frequencies.copy()
-        self.invalidate_index()
 
 
 class Grid1D(_CellGrid):
@@ -171,11 +177,8 @@ class Grid1D(_CellGrid):
         """1-D range answer with the uniformity assumption inside cells."""
         if not 0 <= low <= high < self.domain_size:
             raise ValueError(f"invalid interval [{low}, {high}]")
-        if self._index is None:
-            self._index = (PrefixStack1D([self._frequencies], self.cell_width),
-                           0)
-        stack, position = self._index
-        return stack.answer_one(position, low, high)
+        return PrefixStack1D([self._frequencies],
+                             self.cell_width).answer_one(0, low, high)
 
 
 class Grid2D(_CellGrid):
@@ -230,31 +233,27 @@ class Grid2D(_CellGrid):
 
         Fully covered cells contribute their noisy frequency.  Partially
         covered cells contribute either a uniform-guess share of their
-        frequency (``response_matrix=None``, the TDG rule, read from the
-        grid's own tables) or the sum of the response-matrix entries of
-        the covered 2-D values (the HDG rule, Section 4.1 Phase 3,
-        answered through a stack of one holding ``response_matrix``).
+        frequency (``response_matrix=None``, the TDG rule) or the sum of
+        the response-matrix entries of the covered 2-D values (the HDG
+        rule, Section 4.1 Phase 3), read through a stack of one built
+        for the call.
         """
         row_low, row_high = interval_row
         col_low, col_high = interval_col
         for low, high in ((row_low, row_high), (col_low, col_high)):
             if not 0 <= low <= high < self.domain_size:
                 raise ValueError(f"invalid interval [{low}, {high}]")
+        matrices = None
         if response_matrix is not None:
             expected = (self.domain_size, self.domain_size)
             if np.shape(response_matrix) != expected:
                 raise ValueError(
                     f"response matrix must have shape {expected}, got "
                     f"{np.shape(response_matrix)}")
-            return PrefixStack2D([self._frequencies], self.cell_width,
-                                 [response_matrix]).answer_one(
-                0, row_low, row_high, col_low, col_high)
-        if self._index is None:
-            self._index = (PrefixStack2D([self._frequencies], self.cell_width),
-                           0)
-        stack, position = self._index
-        return stack.answer_uniform_one(position, row_low, row_high, col_low,
-                                        col_high)
+            matrices = [response_matrix]
+        return PrefixStack2D([self._frequencies], self.cell_width,
+                             matrices).answer_one(0, row_low, row_high,
+                                                  col_low, col_high)
 
     def marginal(self, axis: int) -> np.ndarray:
         """Grid-level marginal of one of the two attributes (sums over the other)."""

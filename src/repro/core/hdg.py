@@ -26,6 +26,8 @@ response matrices and the 1-D answering.  IHDG derives from it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from ..datasets import Dataset
@@ -36,7 +38,7 @@ from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2,
                           choose_granularities_hdg)
 from .prefix_sum import PrefixStack1D, PrefixStack2D
 from .query_estimation import (by_pair_slot, estimate_lambda_query,
-                               grid_index, stack_grids)
+                               stack_grids)
 from .response_matrix import build_response_matrix
 
 
@@ -99,8 +101,14 @@ class HDG(GridMechanism):
         self.sigma = sigma
         self.matrix_iterations = int(matrix_iterations)
         self.convergence_threshold = float(convergence_threshold)
-        self.response_matrices: dict[tuple[int, int], np.ndarray] = {}
+        self._response_matrices: dict[tuple[int, int], np.ndarray] = {}
         self.matrix_iteration_history: dict[tuple[int, int], list[float]] = {}
+
+    @property
+    def response_matrices(self) -> MappingProxyType:
+        """Each attribute pair's ``c x c`` response matrix (read-only,
+        like the matrices themselves once the tables are built)."""
+        return MappingProxyType(self._response_matrices)
 
     @property
     def chosen_g1(self) -> int | None:
@@ -147,7 +155,7 @@ class HDG(GridMechanism):
         # Build all response matrices up front (they are reused by every query).
         threshold = min(self.convergence_threshold,
                         1.0 / max(self._n_reports, 1))
-        self.response_matrices = {}
+        self._response_matrices = {}
         self.matrix_iteration_history = {}
         for pair, grid in self.grids_2d.items():
             result = build_response_matrix(self.grids_1d[pair[0]],
@@ -156,12 +164,9 @@ class HDG(GridMechanism):
                                            threshold=threshold,
                                            max_iterations=self.matrix_iterations,
                                            track_history=True)
-            self.response_matrices[pair] = result.matrix
+            self._response_matrices[pair] = result.matrix
             self.matrix_iteration_history[pair] = result.change_history
-
-        # Precompute the answering tables: prefix sums over every grid
-        # plus a summed-area table per response matrix.
-        self._tables()
+        self._build_tables()
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)
@@ -195,14 +200,14 @@ class HDG(GridMechanism):
 
     def _restore_state_payload(self, payload: dict) -> None:
         super()._restore_state_payload(payload)
-        self.response_matrices = {
+        self._response_matrices = {
             parse_state_key(key): np.asarray(rows, dtype=float)
             for key, rows in payload["response_matrices"].items()}
         self.matrix_iteration_history = {
             parse_state_key(key): [float(change) for change in history]
             for key, history
             in payload.get("matrix_iteration_history", {}).items()}
-        self._tables()
+        self._build_tables()
 
     def _batch_split(self, n_users: int, d: int) -> tuple[int, int]:
         """1-D/2-D user split ``(n1, n2)`` for one batch.
@@ -227,37 +232,20 @@ class HDG(GridMechanism):
     # ------------------------------------------------------------------
     # Phase 3: answering (the block hooks of PairwiseBatchAnswering)
     # ------------------------------------------------------------------
-    def _tables(self) -> tuple[PrefixStack1D, PrefixStack2D]:
+    def _build_tables(self) -> None:
         """The 1-D grids' tables in attribute order, and the 2-D grids'
-        tables with their response matrices' summed-area tables in
-        pair-slot order.
-
-        Rebuilt when a grid's index or a response matrix is replaced
-        (a replaced matrix is never served stale).
-        """
-        pairs, singles = self.grids_2d, self.grids_1d
-        matrices = self.response_matrices
-
-        return self._stacked(
-            lambda: [*map(grid_index, pairs.values()),
-                     *map(grid_index, singles.values()), *matrices.values()],
-            lambda: (
-                stack_grids(PrefixStack1D,
-                            [singles[attribute]
-                             for attribute in sorted(singles)]),
-                stack_grids(PrefixStack2D, by_pair_slot(pairs),
-                            by_pair_slot(matrices))))
+        with their response matrices' summed-area tables in pair-slot
+        order."""
+        singles = self.grids_1d
+        self._attribute_stack = stack_grids(
+            PrefixStack1D, [singles[key] for key in sorted(singles)])
+        self._pair_stack = stack_grids(PrefixStack2D,
+                                       by_pair_slot(self.grids_2d),
+                                       by_pair_slot(self._response_matrices))
 
     def _answer_attributes(self, attributes, lows, highs) -> np.ndarray:
         """Attribute block rows: one gather over the stacked 1-D grids."""
-        return self._tables()[0].answer(attributes, lows, highs)
-
-    def _answer_pairs(self, pairs, row_lows, row_highs, col_lows,
-                      col_highs) -> np.ndarray:
-        """Pair block rows: one gather over the stacked grids and
-        response matrices."""
-        return self._tables()[1].answer(pairs, row_lows, row_highs,
-                                        col_lows, col_highs)
+        return self._attribute_stack.answer(attributes, lows, highs)
 
     # ------------------------------------------------------------------
     # Diagnostics used by the convergence experiments

@@ -44,8 +44,7 @@ def attribute_views(attribute: int, grids_1d: dict[int, Grid1D],
             raise ValueError(
                 f"1-D granularity {grid.granularity} is not a multiple of the "
                 f"bucket count {n_buckets}")
-        # mutable_frequencies drops each grid's prefix-sum index, since the
-        # consistency step adjusts the arrays in place.
+        # The consistency step adjusts the arrays in place.
         views.append(GridView(frequencies=grid.mutable_frequencies(), axis=0,
                               cells_per_bucket=grid.granularity // n_buckets))
     for (attr_a, attr_b), grid in grids_2d.items():

@@ -24,8 +24,8 @@ There is one table type per dimension: :class:`PrefixStack1D` and
 :class:`PrefixStack2D` stack the tables of equal-shape grids along a
 leading grid axis (TDG/HDG give every 2-D grid the same ``g2`` and
 every 1-D grid the same ``g1``), so one fancy-indexed gather answers
-rows aimed at different grids.  A mechanism stacks all its grids; a
-lone grid answers through a stack of one.
+rows aimed at different grids.  A fitted TDG/HDG stacks all its grids
+once; a lone grid answers through a stack of one built for the call.
 
 Each stack has two evaluations: ``answer`` over arrays of (grid,
 endpoints) rows, one flat ``take`` per table, and the one-row methods
@@ -235,17 +235,18 @@ class PrefixStack2D:
 
     Built from the grids' frequency matrices; grid ``p`` of the stack is
     entry ``p`` of the list.  With ``matrices`` (HDG's response
-    matrices, one per grid) the stack also holds their summed-area
-    tables and answers by the response-matrix rule; without, by the
-    uniformity rule (TDG).  Every stack holds the uniformity tables, so
-    :meth:`answer_uniform_one` serves either kind.
+    matrices, one per grid) the stack holds the grids' and the
+    matrices' summed-area tables and answers by the response-matrix
+    rule; without, the uniformity tables and the uniformity rule (TDG).
     """
 
     def __init__(self, frequencies: list, cell_width: int,
                  matrices: list | None = None):
         self.cell_width = int(cell_width)
-        self._tables = _tables_2d(frequencies)
-        self._matrix = None if matrices is None else _sats(matrices)
+        if matrices is None:
+            self._tables, self._matrix = _tables_2d(frequencies), None
+        else:
+            self._tables, self._matrix = (_sats(frequencies),), _sats(matrices)
 
     def _value_prefix_one(self, grid: int, x: int, y: int) -> float:
         """``D(x, y)`` of grid ``grid``, on Python scalars."""
@@ -258,22 +259,16 @@ class PrefixStack2D:
                 + fy * col_cum.item(grid, i, j) / w
                 + fx * fy * freq_padded.item(grid, i, j) / (w * w))
 
-    def answer_uniform_one(self, grid: int, row_low: int, row_high: int,
-                           col_low: int, col_high: int) -> float:
-        """Grid ``grid`` over one rectangle by the uniformity rule, on
-        Python scalars."""
-        prefix = self._value_prefix_one
-        rh, ch = row_high + 1, col_high + 1
-        return (prefix(grid, rh, ch) - prefix(grid, row_low, ch)
-                - prefix(grid, rh, col_low) + prefix(grid, row_low, col_low))
-
     def answer_one(self, grid: int, row_low: int, row_high: int,
                    col_low: int, col_high: int) -> float:
         """Grid ``grid`` over one rectangle by the stack's rule, on
         Python scalars."""
         if self._matrix is None:
-            return self.answer_uniform_one(grid, row_low, row_high, col_low,
-                                           col_high)
+            prefix = self._value_prefix_one
+            rh, ch = row_high + 1, col_high + 1
+            return (prefix(grid, rh, ch) - prefix(grid, row_low, ch)
+                    - prefix(grid, rh, col_low)
+                    + prefix(grid, row_low, col_low))
         w = self.cell_width
         first_row, last_row = -(-row_low // w), (row_high + 1) // w - 1
         first_col, last_col = -(-col_low // w), (col_high + 1) // w - 1

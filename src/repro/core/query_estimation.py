@@ -17,14 +17,17 @@ for the ablation benchmark.
 this: one gather for a plan's attribute block, one for its pair block
 (direct λ = 2 primitives and λ > 2 sub-pairs together), then one
 batched Algorithm-2 call per distinct λ over the memoized constraint
-structure :func:`lambda_constraint_index_sets`.
+structure :func:`lambda_constraint_index_sets`.  A grid mechanism builds
+the stacked tables those gathers read once, when it becomes fitted
+(:func:`stack_grids`), and freezes the grids and response matrices they
+were built from.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -157,7 +160,8 @@ class PairwiseBatchAnswering:
     sub-answers with one Algorithm-2 call per distinct λ.
 
     A mechanism provides :meth:`_answer_pairs`: grid mechanisms answer
-    the pair block with one gather over their stacked tables
+    the pair block with one gather over the stacked tables they built
+    when they became fitted
     (:class:`~repro.core.prefix_sum.PrefixStack2D`), LHIO with its
     hierarchy kernel.  The default :meth:`_answer_attributes`
     marginalises a pair; HDG answers from its fine-grained 1-D grids
@@ -172,27 +176,6 @@ class PairwiseBatchAnswering:
     estimation_method: str = "weighted_update"
     #: Iteration cap for Algorithm 2; set by the mechanism constructor.
     estimation_iterations: int = 100
-    #: ``(sources, tables)`` of :meth:`_stacked`.
-    _stack_cache: tuple | None = None
-
-    def _stacked(self, sources: Callable[[], list], build: Callable):
-        """The stacked tables ``build()`` makes, cached against ``sources()``.
-
-        ``sources()`` lists the per-grid objects the tables derive from:
-        each grid's ``(stack, position)`` index, which the grid drops
-        whenever its frequencies change (Phase 2, ``set_frequencies``)
-        and which a re-fit or restore replaces with the grid, and HDG's
-        response matrices.  The tables are rebuilt exactly when one of them is
-        no longer the object they were built from.
-        """
-        cached = self._stack_cache
-        current = sources()
-        if (cached is None or len(cached[0]) != len(current)
-                or not all(map(operator.is_, cached[0], current))):
-            tables = build()
-            cached = self._stack_cache = (sources(), tables)
-        return cached[1]
-
     def _answer_attributes(self, attributes: np.ndarray, lows: np.ndarray,
                            highs: np.ndarray) -> np.ndarray:
         """Attribute block rows, as rows of pair ``(a, other)`` with the
@@ -272,24 +255,21 @@ class PairwiseBatchAnswering:
                          f"got {self.estimation_method!r}")
 
 
-#: A grid's current ``(stack, position)``: ``None`` once the grid
-#: dropped it.
-grid_index = operator.attrgetter("_index")
-
-
 def stack_grids(stack: type, grids: list, *matrices):
     """A ``stack`` (:class:`~repro.core.prefix_sum.PrefixStack1D` or
-    ``PrefixStack2D``) of ``grids``' frequencies in list order.
+    ``PrefixStack2D``) of ``grids``' frequencies in list order, with
+    ``matrices`` (HDG's response matrices) in the same order.
 
-    Each grid's ``_index`` becomes ``(stack, position)``, so the stack
-    is the only copy of the tables, the grid's own ``answer_range``
-    reads it, and a grid that drops its index no longer matches the
-    stack's :func:`grid_index` sources.
+    The stack is built once and never rebuilt, so the grids and
+    matrices become read-only: a change to what it was built from
+    raises instead of being answered stale.
     """
     built = stack([grid.frequencies for grid in grids], grids[0].cell_width,
                   *matrices)
-    for position, grid in enumerate(grids):
-        grid._index = (built, position)
+    for grid in grids:
+        grid.freeze()
+    for matrix in chain(*matrices):
+        matrix.flags.writeable = False
     return built
 
 

@@ -19,9 +19,10 @@ Phases 1 and 2 run in the aggregation core TDG shares with HDG
 per-pair support counts through ``partial_fit``, shards ``merge`` by
 adding them, ``finalize`` debiases them and runs Phase 2 once, and
 ``shard_state``/``save_state`` serialize them.  This module keeps what
-is TDG's own: the granularity rule, the user split (one group per
-attribute pair) and the uniformity tables Phase 3 answers from.  CALM
-and ITDG derive from it.
+is TDG's own: the granularity rule and the user split (one group per
+attribute pair); the core stacks the uniformity tables Phase 3 answers
+from, once, when the mechanism becomes fitted.  CALM and ITDG derive
+from it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from ..datasets import Dataset
 from ..protocol import partition_users
 from .aggregation import GridMechanism
 from .granularity import DEFAULT_ALPHA2, choose_granularity_tdg
-from .prefix_sum import PrefixStack2D
-from .query_estimation import by_pair_slot, grid_index, stack_grids
 
 
 class TDG(GridMechanism):
@@ -101,9 +100,7 @@ class TDG(GridMechanism):
 
     def _finalize(self) -> None:
         super()._finalize()
-        # Precompute the answering tables so the first query is as fast
-        # as the thousandth.
-        self._pair_stack()
+        self._build_tables()
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)
@@ -121,23 +118,7 @@ class TDG(GridMechanism):
 
     def _restore_state_payload(self, payload: dict) -> None:
         super()._restore_state_payload(payload)
-        self._pair_stack()
-
-    # ------------------------------------------------------------------
-    # Phase 3: answering (the block hooks of PairwiseBatchAnswering)
-    # ------------------------------------------------------------------
-    def _pair_stack(self) -> PrefixStack2D:
-        """Every pair's uniformity tables, stacked in pair-slot order."""
-        grids = self.grids
-        return self._stacked(
-            lambda: list(map(grid_index, grids.values())),
-            lambda: stack_grids(PrefixStack2D, by_pair_slot(grids)))
-
-    def _answer_pairs(self, pairs, row_lows, row_highs, col_lows,
-                      col_highs) -> np.ndarray:
-        """Pair block rows: one gather over the stacked tables."""
-        return self._pair_stack().answer(pairs, row_lows, row_highs,
-                                         col_lows, col_highs)
+        self._build_tables()
 
 
 class ITDG(TDG):

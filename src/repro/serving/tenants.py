@@ -75,6 +75,38 @@ _SERVICE_CONFIG_KEYS = ("mechanism", "epsilon", "seed", "refinalize_every",
                         "answer_cache_entries")
 
 
+#: The integer keys of a new tenant's config and their ``(least, most)``
+#: values; the 64 bounds the worker processes one tenant can start.
+_INTEGER_CONFIG_KEYS = {"quota": (0, None), "keep_last": (1, None),
+                        "total_users": (1, None), "domain_size": (2, None),
+                        "ingest_workers": (1, 64)}
+
+
+def checked_count(value, key: str, least: int, most: int | None = None):
+    """``value`` if it is None or a JSON integer in ``[least, most]``;
+    anything else is a ValueError naming ``key``.
+
+    ``int()`` would take ``8.7`` as 8 and ``"8"`` as 8, and a list
+    would fail later, inside a storage call; the value is refused
+    before it is stored instead.
+    """
+    if value is None or (type(value) is int and least <= value
+                         and (most is None or value <= most)):
+        return value
+    bound = f">= {least}" if most is None else f"from {least} to {most}"
+    raise ValueError(f"{key} must be an integer {bound}, got "
+                     f"{type(value).__name__} {value!r}")
+
+
+def check_tenant_config(config: dict) -> dict:
+    """``config`` if each of its integer keys is absent, None or in
+    range (:func:`checked_count`).  Checked when a tenant is created;
+    stored configs recover unchecked."""
+    for key, (least, most) in _INTEGER_CONFIG_KEYS.items():
+        checked_count(config.get(key), key, least, most)
+    return config
+
+
 class QuotaExceededError(ServiceError):
     """An ingest batch would push a tenant past its report quota."""
 
@@ -172,8 +204,9 @@ class TenantManager:
                 # Root-level snapshots with no registry entry (written
                 # by ``repro snapshot create`` or a single-service
                 # release): recover the newest, do not serve empty.
-                self._try_recover(backend.create_tenant(
-                    DEFAULT_TENANT, dict(default_config)))
+                config = check_tenant_config(dict(default_config))
+                self._try_recover(backend.create_tenant(DEFAULT_TENANT,
+                                                        config))
             else:
                 self.create_tenant(DEFAULT_TENANT, default_config)
 
@@ -287,7 +320,7 @@ class TenantManager:
         a bad config (unknown mechanism, bad epsilon) never leaves a
         half-created tenant in the backend.
         """
-        config = dict(config)
+        config = check_tenant_config(dict(config))
         service = service_from_config(config)  # validates the config
         with self._registry_lock:
             if name in self._runtimes or name in self._quarantined:
@@ -393,9 +426,11 @@ class TenantManager:
         ``rows`` must be a JSON-shaped nested list (or array) of
         integer rows; it is validated *before* the write-ahead append
         (:func:`~repro.serving.service.integer_rows`, then the shape) so
-        a malformed batch can never poison the log.
+        a malformed batch can never poison the log.  So is
+        ``domain_size``: an integer >= 2, or None.
         """
         runtime = self._runtime(tenant)
+        checked_count(domain_size, "domain_size", 2)
         batch = integer_rows(rows)
         if batch.ndim != 2:
             raise ValueError(f"rows must be a 2-D batch of user records; "

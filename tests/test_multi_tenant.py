@@ -87,6 +87,34 @@ def test_manager_rejects_duplicate_and_bad_configs(backend):
     assert not backend.has_tenant("bad")
 
 
+BAD_CONFIG_VALUES = [
+    ("quota", "lots"), ("quota", -1), ("quota", 1.5), ("keep_last", 0),
+    ("keep_last", True), ("total_users", 0), ("total_users", "100"),
+    ("domain_size", 1), ("domain_size", 8.7), ("ingest_workers", 0),
+    ("ingest_workers", 1_000_000), ("ingest_workers", [2])]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+def test_manager_refuses_bad_integer_configs(backend, key, value):
+    """A tenant config's integer keys are checked before the record is
+    written, for a created tenant and for the default tenant.  No
+    worker process is started: the service is never built."""
+    manager = TenantManager(backend)
+    with pytest.raises(ValueError, match=key):
+        manager.create_tenant("bad", _tdg_config(**{key: value}))
+    assert not backend.has_tenant("bad")
+    with pytest.raises(ValueError, match=key):
+        TenantManager(backend, default_config=_tdg_config(**{key: value}))
+    assert backend.list_tenants() == []
+
+
+def test_manager_accepts_integer_configs_at_their_bounds(backend):
+    manager = TenantManager(backend)
+    manager.create_tenant("a", _tdg_config(quota=0, keep_last=1,
+                                           total_users=1, domain_size=2))
+    assert backend.get_tenant("a").config["keep_last"] == 1
+
+
 def test_manager_ingest_appends_wal_before_apply(backend):
     manager = TenantManager(backend)
     manager.create_tenant("a", _tdg_config())
@@ -398,6 +426,17 @@ def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
         server.server_close()
 
 
+def test_http_bad_integer_fields_are_400(mt_server):
+    manager, port = mt_server
+    status, body = _http_error(port, "/tenants", {
+        "name": "acme", "config": _tdg_config(quota="lots")})
+    assert status == 400 and "quota" in body["error"]
+    status, body = _http_error(port, "/ingest", {"rows": _rows(0),
+                                                 "domain_size": 8.7})
+    assert status == 400 and "domain_size" in body["error"]
+    assert manager.tenant_names() == ["default"]
+
+
 # ----------------------------------------------------------------------
 # CLI smoke: tenants verb against a real backend
 # ----------------------------------------------------------------------
@@ -420,6 +459,16 @@ def test_cli_tenants_lifecycle(tmp_path, capsys):
     assert main(["tenants", "delete", "--backend", "sqlite", "--store", db,
                  "--name", "acme"]) == 0
     assert "deleted tenant 'acme'" in capsys.readouterr().out
+
+
+def test_cli_tenants_create_refuses_bad_integer_configs(tmp_path, capsys):
+    db = str(tmp_path / "repro.db")
+    for flags in (["--quota", "-1"], ["--keep-last", "0"]):
+        assert main(["tenants", "create", "--backend", "sqlite", "--store",
+                     db, "--name", "acme", *flags]) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+    with SQLiteBackend(db) as backend:
+        assert backend.list_tenants() == []
 
 
 def test_cli_serve_multi_tenant_smoke(tmp_path, capsys):

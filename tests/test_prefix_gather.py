@@ -1,8 +1,8 @@
 """Property tests: a one-row gather is bitwise equal to its batched row.
 
 A gather of at most ``SCALAR_ROWS`` rows is answered on Python scalars
-(the stacks' one-row methods ``PrefixStack1D.answer_one``,
-``PrefixStack2D.answer_one`` and ``answer_uniform_one``); larger ones run
+(the stacks' one-row methods ``PrefixStack1D.answer_one`` and
+``PrefixStack2D.answer_one``); larger ones run
 the vectorised NumPy rules.  An answer must not depend on which of the
 two produced it, so every check here is ``np.array_equal`` between a
 lone query and the same query inside a multi-row call: for the 1-D

@@ -307,8 +307,9 @@ def test_lhio_fresh_instances_agree_across_engines(rng):
 
 
 def test_grid_frequencies_are_read_only(rng):
-    # In-place edits of the public array would silently bypass the
-    # prefix-sum index, so they must fail loudly.
+    # The public array is a read-only view: edits go through
+    # set_frequencies or the in-place handle, which a fitted
+    # mechanism's grids refuse.
     grid = Grid1D(0, 16, 4)
     grid.set_frequencies(np.array([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(ValueError):
@@ -316,22 +317,27 @@ def test_grid_frequencies_are_read_only(rng):
     grid_2d = Grid2D((0, 1), 16, 4)
     with pytest.raises(ValueError):
         grid_2d.frequencies[0, 0] = 1.0
-    # The sanctioned in-place handle works and invalidates the index.
+    # A lone grid's in-place handle works and is answered from.
     assert grid.answer_range(0, 3) == pytest.approx(0.1)
     grid.mutable_frequencies()[0] = 0.9
     assert grid.answer_range(0, 3) == pytest.approx(0.9)
 
 
 def test_hdg_response_matrix_replacement_not_stale(rng):
+    """A fitted HDG refuses a replaced or edited response matrix, so its
+    answers stay those of the matrices its tables were built from."""
     dataset = Dataset(rng.integers(0, 16, size=(4_000, 2)), 16)
     mechanism = HDG(1.0, granularities=(4, 2), seed=0).fit(dataset)
     key = (0, 1)
     query = RangeQuery.from_dict({0: (1, 9), 1: (2, 13)})
-    mechanism.response_matrices[key] = np.full((16, 16), 1.0 / 256)
-    replaced = mechanism.answer(query)
-    batch = mechanism.answer_workload([query])[0]
+    before = mechanism.answer_workload([query])
+    with pytest.raises(TypeError):
+        mechanism.response_matrices[key] = np.full((16, 16), 1.0 / 256)
+    with pytest.raises(ValueError):
+        mechanism.response_matrices[key][:] = 1.0 / 256
+    assert np.array_equal(mechanism.answer_workload([query]), before)
     expected = grid2d_range_loop(
         mechanism.grids_2d[key], (1, 9), (2, 13),
         response_matrix=mechanism.response_matrices[key])
-    assert replaced == pytest.approx(expected, abs=1e-9)
-    assert batch == pytest.approx(expected, abs=1e-9)
+    assert mechanism.answer(query) == pytest.approx(expected, abs=1e-9)
+    assert before[0] == pytest.approx(expected, abs=1e-9)

@@ -73,3 +73,13 @@ def test_gate_fails_when_an_outcome_disagrees_with_its_status(
     assert script.gate([row], {"stub": holds}, "quick") == exit_code
     out = capsys.readouterr().out
     assert ("MISMATCH" in out) == bool(exit_code)
+
+
+def test_maxent_rendering_leaves_out_the_answer_times(script):
+    """The results file holds the MAEs only, so it is reproducible byte
+    for byte; the times stay in the claims' facts."""
+    (row,) = [row for row in script.FIGURES if row.id == "ablation_maxent"]
+    fast = {"weighted_update": (0.03911, 0.02), "max_entropy": (0.0391, 1.08)}
+    slow = {"weighted_update": (0.03911, 0.51), "max_entropy": (0.0391, 9.7)}
+    assert row.render(fast) == row.render(slow)
+    assert "0.03911" in row.render(fast)

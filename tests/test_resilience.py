@@ -438,6 +438,24 @@ def test_degradation_is_per_tenant(backend):
         "state"] == "closed"
 
 
+@pytest.mark.parametrize("domain_size", [[8], {"a": 1}, 8.7, "8", True, 1])
+def test_malformed_ingest_domain_size_leaves_breaker_closed(backend,
+                                                            domain_size):
+    """A ``domain_size`` that is not an integer >= 2 is refused before
+    the write-ahead append: it never counts against the breaker, and a
+    good batch is accepted afterwards."""
+    manager = TenantManager(backend, default_config=_tdg_config(),
+                            retry_policy=_fast_policy(), breaker_threshold=3)
+    for _ in range(4):
+        with pytest.raises(ValueError, match="domain_size"):
+            manager.ingest("default", _rows(0), domain_size)
+    assert manager.resilience_status()["breakers"]["default"][
+        "state"] == "closed"
+    assert backend.ingest_log_depth("default") == 0
+    assert manager.ingest("default", _rows(1), DOMAIN)["ingested"] == 30
+    assert backend.pending_ingest("default")[0].domain_size == DOMAIN
+
+
 # ----------------------------------------------------------------------
 # Chaos: torn write-ahead append and quarantine
 # ----------------------------------------------------------------------

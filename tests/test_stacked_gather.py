@@ -25,7 +25,6 @@ from repro.core.prefix_sum import SCALAR_ROWS, PrefixStack1D, PrefixStack2D
 from repro.datasets import make_dataset
 from repro.queries import (MarginalQuery, Predicate, RangeQuery,
                            WorkloadGenerator)
-from repro.queries.compiler import pair_slot
 from repro.serving import restore_mechanism
 
 D, C = 4, 16
@@ -231,7 +230,8 @@ def test_table_only_plans(fitted, name):
 
 
 # ----------------------------------------------------------------------
-# Stale stacks
+# Stale stacks: a fitted mechanism refuses changes to what its tables
+# were built from; re-fitting and restoring build new tables
 # ----------------------------------------------------------------------
 def stale_workload():
     return ranges(1, 40, seed=7) + ranges(2, 40, seed=8) + ranges(3, 5, seed=9)
@@ -245,67 +245,90 @@ def assert_stale_answers_match(mechanism, workload):
     return assert_answers_match(mechanism, workload)
 
 
+def assert_grid_refuses_changes(grid, rng):
+    """Every way to change a fitted grid's frequencies raises."""
+    with pytest.raises(ValueError, match="read-only"):
+        grid.set_frequencies(rng.random(grid.shape))
+    with pytest.raises(ValueError, match="read-only"):
+        grid.mutable_frequencies()
+    with pytest.raises(ValueError):
+        grid.frequencies[(0,) * grid.dimension] = 1.0
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_set_frequencies_after_a_first_answer(rng, name):
     mechanism = FACTORIES[name](1.0, seed=3).fit(dataset())
     workload = stale_workload()
-    before = assert_answers_match(mechanism, workload)
-    for grid in pair_grids(mechanism).values():
-        grid.set_frequencies(rng.random(grid.frequencies.shape))
+    before = mechanism.answer_workload(workload)
+    layers = [pair_grids(mechanism)]
     if isinstance(mechanism, HDG):
-        mechanism.grids_1d[2].set_frequencies(
-            rng.random(mechanism.grids_1d[2].frequencies.shape))
-    after = assert_stale_answers_match(mechanism, workload)
-    assert not np.array_equal(before, after)
+        layers.append(mechanism.grids_1d)
+    for grids in layers:
+        for key, grid in grids.items():
+            assert_grid_refuses_changes(grid, rng)
+        with pytest.raises(TypeError):
+            grids[key] = grid
+    assert np.array_equal(mechanism.answer_workload(workload), before)
+    assert np.array_equal(assert_stale_answers_match(mechanism, workload),
+                          before)
 
 
 @pytest.mark.parametrize("name", ["HDG", "TDG"])
 def test_set_frequencies_serves_grid_and_mechanism(rng, name):
-    """A stacked grid's ``answer_range`` and the mechanism's ``answer``
-    serve new frequencies after ``set_frequencies``, equal to a grid
-    that was never stacked and answers through its own stack of one."""
+    """A fitted mechanism's grid answers like a lone grid holding its
+    frequencies and refuses ``set_frequencies``; a lone grid serves its
+    new frequencies after ``set_frequencies`` and in-place edits."""
     mechanism = FACTORIES[name](1.0, seed=3).fit(dataset())
     pair, rows, cols = (1, 3), (0, 9), (3, 15)
     query = RangeQuery((Predicate(1, *rows), Predicate(3, *cols)))
     grid = pair_grids(mechanism)[pair]
     matrix = mechanism.response_matrices[pair] if name == "HDG" else None
-    stack, position = grid._index
-    assert position == pair_slot(*pair) and stack._tables[0].shape[0] == 6
+    lone = Grid2D(pair, C, grid.granularity)
 
-    def lone_answers(frequencies):
-        """(uniform rule, mechanism's rule) of a fresh, unstacked grid."""
-        lone = Grid2D(pair, C, grid.granularity)
-        lone.set_frequencies(frequencies)
-        assert lone._index is None
-        uniform = lone.answer_range(rows, cols)
-        own, at = lone._index
-        assert at == 0 and own._tables[0].shape[0] == 1
-        return uniform, lone.answer_range(rows, cols,
-                                          response_matrix=matrix)
+    def answers(grid):
+        """(uniform rule, mechanism's rule) of ``grid``."""
+        return (grid.answer_range(rows, cols),
+                grid.answer_range(rows, cols, response_matrix=matrix))
 
-    before = lone_answers(np.array(grid.frequencies))
-    assert (grid.answer_range(rows, cols),
-            grid.answer_range(rows, cols, response_matrix=matrix)) == before
+    def fresh(frequencies):
+        """The same two answers from freshly built stacks of one."""
+        width = grid.cell_width
+        return (PrefixStack2D([frequencies], width).answer_one(0, *rows,
+                                                               *cols),
+                PrefixStack2D([frequencies], width,
+                              None if matrix is None else [matrix]
+                              ).answer_one(0, *rows, *cols))
+
+    before = fresh(np.array(grid.frequencies))
+    lone.set_frequencies(np.array(grid.frequencies))
+    assert answers(grid) == answers(lone) == before
     assert mechanism.answer(query) == before[1]
-    grid.set_frequencies(rng.random(grid.frequencies.shape))
-    after = lone_answers(np.array(grid.frequencies))
+    assert_grid_refuses_changes(grid, rng)
+    assert answers(grid) == before
+    assert mechanism.answer(query) == before[1]
+
+    lone.set_frequencies(rng.random(grid.shape))
+    after = answers(lone)
+    assert after == fresh(np.array(lone.frequencies))
     assert after[0] != before[0] and after[1] != before[1]
-    assert (grid.answer_range(rows, cols),
-            grid.answer_range(rows, cols, response_matrix=matrix)) == after
-    assert mechanism.answer(query) == after[1]
-    # The rebuilt stack took the grid back.
-    assert grid._index[0] is not stack and grid._index[1] == position
-    assert grid.answer_range(rows, cols) == after[0]
+    lone.mutable_frequencies()[0, 0] += 1.0
+    assert answers(lone) == fresh(np.array(lone.frequencies)) != after
 
 
 @pytest.mark.parametrize("name", ["HDG", "IHDG"])
 def test_replaced_response_matrix(rng, name):
     mechanism = FACTORIES[name](1.0, seed=3).fit(dataset())
     workload = stale_workload()
-    before = assert_answers_match(mechanism, workload)
-    mechanism.response_matrices[(1, 3)] = rng.random((C, C)) / (C * C)
-    after = assert_stale_answers_match(mechanism, workload)
-    assert not np.array_equal(before, after)
+    before = mechanism.answer_workload(workload)
+    with pytest.raises(TypeError):
+        mechanism.response_matrices[(1, 3)] = rng.random((C, C)) / (C * C)
+    with pytest.raises(ValueError):
+        mechanism.response_matrices[(1, 3)][0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        mechanism.response_matrices = {}
+    assert np.array_equal(mechanism.answer_workload(workload), before)
+    assert np.array_equal(assert_stale_answers_match(mechanism, workload),
+                          before)
 
 
 @pytest.mark.parametrize("name", NAMES)
