@@ -195,9 +195,9 @@ def compare_storage_backends(document: dict, rows: np.ndarray,
                 restore_seconds = (time.perf_counter() - start) / rounds
                 assert restored.reports_ingested == document["reports_ingested"]
 
-                batches = [
-                    rows[index * batch_size:(index + 1) * batch_size].tolist()
-                    for index in range(n_batches)]
+                # Arrays, as the server's ingest path appends them.
+                batches = [rows[index * batch_size:(index + 1) * batch_size]
+                           for index in range(n_batches)]
                 start = time.perf_counter()
                 for chunk in batches:
                     backend.append_ingest("default", chunk, domain_size)

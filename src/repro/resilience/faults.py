@@ -246,7 +246,7 @@ class FaultInjectingBackend(StorageBackend):
         directory.mkdir(parents=True, exist_ok=True)
         seq = self.inner.last_ingest_seq(tenant) + 1
         path = directory / f"entry-{seq:08d}.json"
-        path.write_text('{"seq": %d, "rows": [[1, 2' % seq)
+        path.write_text('{"seq": %d, "rows": "UjEBAgA' % seq)
 
     # ------------------------------------------------------------------
     # Delegation
@@ -286,7 +286,7 @@ class FaultInjectingBackend(StorageBackend):
         self._maybe_fail("prune_snapshots")
         return self.inner.prune_snapshots(tenant, keep_last)
 
-    def append_ingest(self, tenant: str, rows: list,
+    def append_ingest(self, tenant: str, rows: np.ndarray,
                       domain_size: int | None = None) -> int:
         self._maybe_fail("append_ingest",
                          tear=lambda: self._tear_wal_append(tenant))

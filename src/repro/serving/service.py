@@ -236,6 +236,26 @@ def integer_rows(rows) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+#: Most collector worker processes one service's stream tier may start.
+MAX_INGEST_WORKERS = 64
+
+
+def checked_count(value, key: str, least: int, most: int | None = None):
+    """``value`` if it is None or a JSON integer in ``[least, most]``;
+    anything else is a ValueError naming ``key``.
+
+    ``int()`` would take ``8.7`` as 8 and ``"8"`` as 8, and a list
+    would fail later, inside a storage call; the value is refused
+    before it is stored instead.
+    """
+    if value is None or (type(value) is int and least <= value
+                         and (most is None or value <= most)):
+        return value
+    bound = f">= {least}" if most is None else f"from {least} to {most}"
+    raise ValueError(f"{key} must be an integer {bound}, got "
+                     f"{type(value).__name__} {value!r}")
+
+
 # ----------------------------------------------------------------------
 # Ingestors: the update path of a streaming service
 # ----------------------------------------------------------------------
@@ -642,20 +662,15 @@ class QueryService:
         """Feed one batch of user reports into the service's ingestor.
 
         ``rows`` is a :class:`~repro.datasets.Dataset` or a raw
-        ``(n, d)`` integer array/list (then the domain size comes from
-        the call, the service default, or earlier batches).  Returns an
-        ingest receipt including whether the batch tripped the
-        automatic re-finalize policy.  Once the batch is applied this
+        ``(n, d)`` integer array/list, which :meth:`check_batch` turns
+        into one.  Returns an ingest receipt including whether the
+        batch tripped the automatic re-finalize policy.  Once the batch is applied this
         never raises: a failed automatic re-finalize is logged, the
         receipt says ``refinalized: false``, and the reports stay
         pending so the next ingest retries it.
         """
         with self._lock:
-            if self._ingestor is None:
-                raise ServiceError(
-                    "service is static (built from a fitted mechanism); "
-                    "ingest needs streaming mode")
-            batch = self._as_dataset(rows, domain_size)
+            batch = self.check_batch(rows, domain_size)
             self._ingestor.submit(batch)
             self.reports_ingested += batch.n_users
             self.reports_since_finalize += batch.n_users
@@ -681,18 +696,43 @@ class QueryService:
                 "ready": self.is_ready,
             }
 
-    def _as_dataset(self, rows, domain_size: int | None) -> Dataset:
+    def check_batch(self, rows, domain_size: int | None = None) -> Dataset:
+        """One raw ingest batch as the :class:`Dataset` ingest applies.
+
+        The domain size comes from the call, the service default, or
+        the schema earlier batches pinned.  Non-integer values
+        (:func:`integer_rows`), values outside ``[0, c)`` and a batch
+        whose (width, domain size) differs from that schema are
+        ValueErrors; a static service, or a first batch with no domain
+        size, is a :class:`ServiceError`.  A :class:`Dataset` is taken
+        as it is (``partial_fit`` checks its schema).
+        :class:`~repro.serving.TenantManager` calls this before its
+        write-ahead append, so a batch the service would refuse never
+        reaches the log, and then ingests the result.
+        """
+        with self._lock:
+            if self._ingestor is None:
+                raise ServiceError(
+                    "service is static (built from a fitted mechanism); "
+                    "ingest needs streaming mode")
+            schema = self._ingestor.schema()
         if isinstance(rows, Dataset):
             return rows
         domain_size = domain_size or self.domain_size
         if domain_size is None:
-            schema = self._ingestor.schema()
             if schema is None:
                 raise ServiceError(
                     "domain_size is required for the first raw-row batch "
                     "(pass it per call or at service construction)")
             domain_size = schema[1]
-        return Dataset(integer_rows(rows), int(domain_size))
+        batch = Dataset(integer_rows(rows), int(domain_size))
+        if schema is not None and (batch.n_attributes,
+                                   batch.domain_size) != schema:
+            raise ValueError(
+                f"batch shape (d={batch.n_attributes}, "
+                f"c={batch.domain_size}) does not match earlier batches "
+                f"(d={schema[0]}, c={schema[1]})")
+        return batch
 
     def refinalize(self) -> dict:
         """Finalize the ingestor's current state; swap the estimator.
@@ -834,11 +874,12 @@ class QueryService:
         if recipe is None and state.get("collector_config") is not None:
             recipe = {"seed": seed, "kwargs": state["collector_config"]}
         if recipe is not None:
+            workers = (checked_count(recipe.get("ingest_workers"),
+                                     "ingest_workers", 1, MAX_INGEST_WORKERS)
+                       if legacy_batches is None else None)
             service = cls(state["mechanism"], float(state["epsilon"]),
                           seed=recipe.get("seed"),
-                          ingest_workers=(recipe.get("ingest_workers")
-                                          if legacy_batches is None
-                                          else None),
+                          ingest_workers=workers,
                           refinalize_every=state.get("refinalize_every"),
                           total_users=state.get("total_users"),
                           domain_size=state.get("domain_size"),

@@ -64,7 +64,8 @@ from ..resilience import (CircuitBreaker, Deadline, DegradedServiceError,
 from ..storage.base import (DEFAULT_TENANT, StorageBackend,
                             TenantExistsError, TenantRecord,
                             UnknownTenantError)
-from .service import QueryService, ServiceError, integer_rows
+from .service import (MAX_INGEST_WORKERS, QueryService, ServiceError,
+                      checked_count)
 
 logger = logging.getLogger("repro.serving")
 
@@ -75,33 +76,17 @@ _SERVICE_CONFIG_KEYS = ("mechanism", "epsilon", "seed", "refinalize_every",
                         "answer_cache_entries")
 
 
-#: The integer keys of a new tenant's config and their ``(least, most)``
-#: values; the 64 bounds the worker processes one tenant can start.
+#: The integer keys of a tenant's config and their ``(least, most)``
+#: values.
 _INTEGER_CONFIG_KEYS = {"quota": (0, None), "keep_last": (1, None),
                         "total_users": (1, None), "domain_size": (2, None),
-                        "ingest_workers": (1, 64)}
-
-
-def checked_count(value, key: str, least: int, most: int | None = None):
-    """``value`` if it is None or a JSON integer in ``[least, most]``;
-    anything else is a ValueError naming ``key``.
-
-    ``int()`` would take ``8.7`` as 8 and ``"8"`` as 8, and a list
-    would fail later, inside a storage call; the value is refused
-    before it is stored instead.
-    """
-    if value is None or (type(value) is int and least <= value
-                         and (most is None or value <= most)):
-        return value
-    bound = f">= {least}" if most is None else f"from {least} to {most}"
-    raise ValueError(f"{key} must be an integer {bound}, got "
-                     f"{type(value).__name__} {value!r}")
+                        "ingest_workers": (1, MAX_INGEST_WORKERS)}
 
 
 def check_tenant_config(config: dict) -> dict:
     """``config`` if each of its integer keys is absent, None or in
-    range (:func:`checked_count`).  Checked when a tenant is created;
-    stored configs recover unchecked."""
+    range (:func:`~repro.serving.service.checked_count`).  Checked when
+    a tenant is created and again when a stored one recovers."""
     for key, (least, most) in _INTEGER_CONFIG_KEYS.items():
         checked_count(config.get(key), key, least, most)
     return config
@@ -246,6 +231,7 @@ class TenantManager:
 
     def _recover(self, record: TenantRecord) -> _TenantRuntime:
         """Newest snapshot (if any) + write-ahead-log tail replay."""
+        check_tenant_config(record.config)
         try:
             document, snapshot = self.backend.load_snapshot(record.name)
             service = QueryService.from_state_dict(
@@ -421,28 +407,29 @@ class TenantManager:
     # Tenant-routed serving operations
     # ------------------------------------------------------------------
     def ingest(self, tenant: str, rows, domain_size: int | None = None) -> dict:
-        """Quota check → WAL append → in-memory apply, atomically.
+        """Validate → quota check → WAL append → in-memory apply,
+        atomically.
 
-        ``rows`` must be a JSON-shaped nested list (or array) of
-        integer rows; it is validated *before* the write-ahead append
-        (:func:`~repro.serving.service.integer_rows`, then the shape) so
-        a malformed batch can never poison the log.  So is
-        ``domain_size``: an integer >= 2, or None.
+        ``rows`` is a JSON-shaped nested list (or array) of integer
+        rows.  The tenant's service checks it once
+        (:meth:`~repro.serving.QueryService.check_batch`: integers, in
+        ``[0, c)``, the width and domain size of earlier batches)
+        *before* the write-ahead append, so a batch the service would
+        refuse never reaches the log; the log and the collector then
+        share the checked array.  ``domain_size`` must be an integer
+        >= 2, or None.
         """
         runtime = self._runtime(tenant)
         checked_count(domain_size, "domain_size", 2)
-        batch = integer_rows(rows)
-        if batch.ndim != 2:
-            raise ValueError(f"rows must be a 2-D batch of user records; "
-                             f"got shape {tuple(batch.shape)}")
         with runtime.lock:
+            batch = runtime.service.check_batch(rows, domain_size)
             quota = runtime.record.config.get("quota")
             if quota is not None and (runtime.service.reports_ingested
-                                      + len(batch) > int(quota)):
+                                      + batch.n_users > int(quota)):
                 raise QuotaExceededError(
                     f"tenant {tenant!r} quota exceeded: "
                     f"{runtime.service.reports_ingested} ingested + "
-                    f"{len(batch)} in batch > quota {int(quota)}")
+                    f"{batch.n_users} in batch > quota {int(quota)}")
             if not runtime.breaker.allow():
                 raise DegradedServiceError(
                     f"tenant {tenant!r} is degraded: write-ahead log "
@@ -450,11 +437,10 @@ class TenantManager:
                     "finalized estimator",
                     retry_after=runtime.breaker.retry_after() or 1.0,
                     tenant=tenant)
-            payload = batch.tolist()
             try:
                 seq = self.retry_policy.call(
-                    lambda: self.backend.append_ingest(tenant, payload,
-                                                       domain_size),
+                    lambda: self.backend.append_ingest(
+                        tenant, batch.values, batch.domain_size),
                     deadline=self._op_deadline(),
                     operation=f"WAL append for tenant {tenant!r}")
             except Exception as error:
@@ -471,7 +457,7 @@ class TenantManager:
                     tenant=tenant) from error
             runtime.breaker.record_success()
             try:
-                receipt = runtime.service.ingest(batch, domain_size)
+                receipt = runtime.service.ingest(batch)
             except BaseException:
                 # The apply failed after the durable append: drop the
                 # entry so recovery does not replay a batch the live

@@ -19,7 +19,9 @@ lose on a crash, organized around three concerns:
     is appended *before* it is applied in memory, so a crashed service
     replays the un-snapshotted tail on restart instead of silently
     losing reports (:class:`~repro.serving.TenantManager` owns the
-    replay; ``tests/test_crash_recovery.py`` pins it bitwise).
+    replay; ``tests/test_crash_recovery.py`` pins it bitwise).  The
+    durable backends store each batch in the compact row encoding of
+    :func:`encode_rows`, and :func:`decode_rows` reads it back.
 
 Two durable implementations ship: :class:`~repro.storage.DirectoryBackend`
 (a directory of JSON snapshot files, the sole owner of that layout)
@@ -33,8 +35,11 @@ and recovery semantics.
 from __future__ import annotations
 
 import abc
+import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+
+import numpy as np
 
 #: Tenant names must be path- and URL-safe: they become directory
 #: names (DirectoryBackend) and path segments (``/tenants/<name>``).
@@ -135,13 +140,78 @@ class SnapshotRecord:
 
 @dataclass(frozen=True)
 class IngestLogEntry:
-    """One write-ahead ingest-log entry: a raw batch awaiting capture."""
+    """One write-ahead ingest-log entry: a raw batch awaiting capture.
+
+    ``rows`` is the batch as an ``(n, d)`` int64 array."""
 
     tenant: str
     seq: int
-    rows: list
+    rows: np.ndarray
     domain_size: int | None
     created_at: str = ""
+
+
+#: Header of an encoded batch: format tag, item size in bytes of the
+#: little-endian unsigned values that follow, and the column count.
+_ROWS_HEADER = struct.Struct("<2sBH")
+_ROWS_TAG = b"R1"
+
+
+def encode_rows(rows) -> bytes:
+    """A 2-D batch of non-negative integers as a write-ahead-log blob.
+
+    The blob is a 5-byte header followed by the values in row-major
+    order, each in the narrowest little-endian unsigned type that holds
+    the batch's largest value: one byte per value when the domain size
+    is at most 256.  A non-integer batch is a TypeError; a batch that
+    is not 2-D, has more than 65,535 columns or holds a negative value
+    is a ValueError.
+    """
+    array = np.asarray(rows)
+    if array.dtype.kind not in "iu":
+        raise TypeError(f"ingest-log rows must be integers, got "
+                        f"{array.dtype} values")
+    if array.ndim != 2 or array.shape[1] > 0xFFFF:
+        raise ValueError(f"ingest-log rows must be a 2-D batch of at most "
+                         f"65535 columns, got shape {array.shape}")
+    if array.size and array.min() < 0:
+        raise ValueError("ingest-log rows must be non-negative")
+    largest = int(array.max()) if array.size else 0
+    itemsize = next(size for size in (1, 2, 4, 8)
+                    if largest < 1 << (8 * size))
+    header = _ROWS_HEADER.pack(_ROWS_TAG, itemsize, array.shape[1])
+    return header + array.astype(f"<u{itemsize}", copy=False).tobytes()
+
+
+def decode_rows(stored) -> np.ndarray:
+    """The int64 ``(n, d)`` batch a stored ingest-log value holds.
+
+    ``stored`` is an :func:`encode_rows` blob, or the nested list of
+    integers that entries written before the blob format held.  An
+    unreadable value is a ValueError; the backends decide whether that
+    is a torn tail or a :class:`CorruptEntryError`.
+    """
+    if isinstance(stored, list):
+        array = np.asarray(stored)
+        if array.ndim != 2 or (array.size and array.dtype.kind not in "iu"):
+            raise ValueError("ingest-log entry is not a 2-D integer batch")
+        return array.astype(np.int64)
+    if not isinstance(stored, bytes):
+        raise ValueError(f"ingest-log entry holds {type(stored).__name__}, "
+                         "not a row list or blob")
+    if len(stored) < _ROWS_HEADER.size:
+        raise ValueError(f"ingest-log blob of {len(stored)} bytes is "
+                         "shorter than its header")
+    tag, itemsize, columns = _ROWS_HEADER.unpack_from(stored)
+    if tag != _ROWS_TAG or itemsize not in (1, 2, 4, 8) or columns < 1:
+        raise ValueError(f"ingest-log blob has an unknown header "
+                         f"{stored[:_ROWS_HEADER.size]!r}")
+    body = memoryview(stored)[_ROWS_HEADER.size:]
+    if len(body) % (itemsize * columns):
+        raise ValueError(f"ingest-log blob body of {len(body)} bytes is "
+                         f"not a whole number of {columns}-column rows")
+    values = np.frombuffer(body, dtype=f"<u{itemsize}")
+    return values.reshape(-1, columns).astype(np.int64)
 
 
 def snapshot_meta_from_document(document: dict) -> dict:
@@ -231,10 +301,10 @@ class StorageBackend(abc.ABC):
     # Write-ahead ingest log
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def append_ingest(self, tenant: str, rows: list,
+    def append_ingest(self, tenant: str, rows: np.ndarray,
                       domain_size: int | None = None) -> int:
-        """Durably append one raw ingest batch; returns its sequence
-        number (per-tenant, strictly increasing)."""
+        """Durably append one ``(n, d)`` integer batch; returns its
+        sequence number (per-tenant, strictly increasing)."""
 
     @abc.abstractmethod
     def pending_ingest(self, tenant: str,

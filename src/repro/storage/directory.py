@@ -26,6 +26,11 @@ it) opens as a backend whose default tenant already has history —
 time, mechanism, ingest-log position); snapshots written before the
 sidecars existed fall back to ``stat`` and report ``wal_seq 0``.
 
+A write-ahead entry is a JSON document whose ``"rows"`` field is the
+base64 text of the batch's :func:`~repro.storage.base.encode_rows`
+blob; a ``"rows"`` list (entries written before the blob format)
+still replays.
+
 Every durable write is a private temp file, fsync'd, then moved into
 place atomically (rename, or an exclusive hard link for a snapshot
 version slot — this needs a filesystem with hard links), then an fsync
@@ -35,6 +40,7 @@ file behind.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -42,10 +48,12 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .base import (DEFAULT_TENANT, CorruptEntryError, IngestLogEntry,
                    SnapshotRecord, StorageBackend, TenantExistsError,
-                   TenantRecord, UnknownTenantError,
-                   snapshot_meta_from_document, utc_now,
+                   TenantRecord, UnknownTenantError, decode_rows,
+                   encode_rows, snapshot_meta_from_document, utc_now,
                    validate_tenant_name)
 
 logger = logging.getLogger("repro.storage")
@@ -127,6 +135,14 @@ def _atomic_write_json(path: Path, document: dict) -> None:
         os.unlink(temp)
         raise
     fsync_directory(path.parent)
+
+
+def _entry_rows(stored) -> np.ndarray:
+    """One entry's ``"rows"`` field: the base64 text of a row blob, or
+    the JSON list entries written before the blob format hold."""
+    if isinstance(stored, str):
+        stored = base64.b64decode(stored, validate=True)
+    return decode_rows(stored)
 
 
 class DirectoryBackend(StorageBackend):
@@ -337,13 +353,14 @@ class DirectoryBackend(StorageBackend):
     def _wal_seqs(self, tenant: str) -> list[int]:
         return _numbered(self._wal_dir(tenant), _WAL_GLOB, "entry-")
 
-    def append_ingest(self, tenant: str, rows: list,
+    def append_ingest(self, tenant: str, rows: np.ndarray,
                       domain_size: int | None = None) -> int:
         self._require_tenant(tenant)
         directory = self._wal_dir(tenant)
         directory.mkdir(parents=True, exist_ok=True)
         seq = self.last_ingest_seq(tenant) + 1
-        entry = {"seq": seq, "rows": rows, "domain_size": domain_size,
+        blob = base64.b64encode(encode_rows(rows)).decode("ascii")
+        entry = {"seq": seq, "rows": blob, "domain_size": domain_size,
                  "created_at": utc_now()}
         _atomic_write_json(directory / _WAL_TEMPLATE.format(seq=seq), entry)
         self._write_wal_floor(tenant, seq)
@@ -378,7 +395,8 @@ class DirectoryBackend(StorageBackend):
             path = directory / _WAL_TEMPLATE.format(seq=seq)
             try:
                 raw = json.loads(path.read_text())
-            except (ValueError, OSError) as error:
+                rows = _entry_rows(raw["rows"])
+            except (ValueError, OSError, KeyError, TypeError) as error:
                 # A corrupt *tail* entry is a torn final write: the
                 # append never returned, the batch was never
                 # acknowledged, so quarantine the file and move on.  A
@@ -398,7 +416,7 @@ class DirectoryBackend(StorageBackend):
                     "reports would be lost — refusing to recover"
                 ) from error
             entries.append(IngestLogEntry(
-                tenant=tenant, seq=seq, rows=raw["rows"],
+                tenant=tenant, seq=seq, rows=rows,
                 domain_size=raw.get("domain_size"),
                 created_at=raw.get("created_at", "")))
         return entries

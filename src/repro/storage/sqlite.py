@@ -31,6 +31,11 @@ listing query is a bare single-table scan with the tenant name already
 denormalized in.  ``wal_floor`` keeps ingest-log sequence numbers
 monotonic per tenant across prunes (a recovered service must never
 reuse a sequence number a snapshot already claims to have captured).
+``ingest_log.rows`` holds each batch as an
+:func:`~repro.storage.base.encode_rows` blob: SQLite keeps a BLOB in
+its TEXT-affinity column as a BLOB, so no schema change was needed,
+and the JSON text of entries written before the blob format still
+replays.
 
 The connection is process-wide (``check_same_thread=False``) with one
 lock serializing statements — the HTTP worker pool's calls interleave
@@ -44,8 +49,11 @@ import sqlite3
 import threading
 from pathlib import Path
 
-from .base import (IngestLogEntry, SnapshotRecord, StorageBackend,
-                   TenantExistsError, TenantRecord, UnknownTenantError,
+import numpy as np
+
+from .base import (CorruptEntryError, IngestLogEntry, SnapshotRecord,
+                   StorageBackend, TenantExistsError, TenantRecord,
+                   UnknownTenantError, decode_rows, encode_rows,
                    snapshot_meta_from_document, utc_now,
                    validate_tenant_name)
 
@@ -320,16 +328,18 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Write-ahead ingest log
     # ------------------------------------------------------------------
-    def append_ingest(self, tenant: str, rows: list,
+    def append_ingest(self, tenant: str, rows: np.ndarray,
                       domain_size: int | None = None) -> int:
+        blob = encode_rows(rows)
         created = utc_now()
         with self._lock:
             tenant_id = self._tenant_id(tenant)
             seq = self.last_ingest_seq(tenant) + 1
+            # A BLOB keeps its storage class in the TEXT-affinity column.
             self._connection.execute(
                 "INSERT INTO ingest_log (tenant_id, seq, rows, domain_size, "
                 "created_at) VALUES (?, ?, ?, ?, ?)",
-                (tenant_id, seq, json.dumps(rows), domain_size, created))
+                (tenant_id, seq, blob, domain_size, created))
             self._connection.execute(
                 "UPDATE wal_floor SET last_seq = ? "
                 "WHERE tenant_id = ? AND last_seq < ?",
@@ -346,10 +356,26 @@ class SQLiteBackend(StorageBackend):
                 "WHERE tenant_id = ? AND seq > ? ORDER BY seq",
                 (tenant_id, after_seq)).fetchall()
         return [IngestLogEntry(tenant=tenant, seq=int(row["seq"]),
-                               rows=json.loads(row["rows"]),
+                               rows=self._entry_rows(tenant, row),
                                domain_size=row["domain_size"],
                                created_at=row["created_at"])
                 for row in rows]
+
+    @staticmethod
+    def _entry_rows(tenant: str, row: sqlite3.Row) -> np.ndarray:
+        """One stored batch: a blob, or JSON text from before the blob
+        format.  Appends are transactional, so no entry can be a torn
+        write: an unreadable one, wherever it sits, is acknowledged
+        data that is gone."""
+        stored = row["rows"]
+        try:
+            return decode_rows(json.loads(stored) if isinstance(stored, str)
+                               else stored)
+        except ValueError as error:
+            raise CorruptEntryError(
+                f"ingest-log entry seq={row['seq']} for tenant {tenant!r} "
+                f"is corrupt ({error}); acknowledged reports would be "
+                "lost — refusing to recover") from error
 
     def prune_ingest(self, tenant: str, upto_seq: int) -> int:
         with self._lock:

@@ -108,6 +108,41 @@ def test_manager_refuses_bad_integer_configs(backend, key, value):
     assert backend.list_tenants() == []
 
 
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+def test_recovery_quarantines_bad_stored_configs(backend, key, value):
+    """A record stored without the check (written directly, or before
+    the check existed) is checked when it recovers.  Nothing ingests,
+    so no worker process starts."""
+    backend.create_tenant("bad", _tdg_config(**{key: value}))
+    backend.create_tenant("good", _tdg_config())
+    manager = TenantManager(backend)
+    assert manager.tenant_names() == ["good"]
+    error = manager.quarantined_tenants()["bad"]["error"]
+    assert error.startswith("ValueError") and key in error
+
+
+def test_recovery_bounds_a_snapshot_recipes_ingest_workers(backend):
+    """A stream-tier snapshot's own ``ingest_workers`` is bounded as a
+    config's is.  The tier never started (no schema), so restoring it
+    starts no worker process either way."""
+    service = QueryService("TDG", 1.0, seed=11, domain_size=DOMAIN,
+                           ingest_workers=2)
+    for workers, quarantined in ((1_000_000, True), (0, True),
+                                 (64, False)):
+        document = service.state_dict()
+        assert "schema" not in document["distributed"]
+        document["distributed"]["ingest_workers"] = workers
+        name = f"w{workers}"
+        backend.create_tenant(name, _tdg_config())
+        backend.save_snapshot(name, document)
+    manager = TenantManager(backend)
+    assert sorted(manager.quarantined_tenants()) == ["w0", "w1000000"]
+    assert all("ingest_workers" in info["error"]
+               for info in manager.quarantined_tenants().values())
+    assert manager.service("w64").ingest_workers == 64
+    manager.close()
+
+
 def test_manager_accepts_integer_configs_at_their_bounds(backend):
     manager = TenantManager(backend)
     manager.create_tenant("a", _tdg_config(quota=0, keep_last=1,
@@ -121,18 +156,25 @@ def test_manager_ingest_appends_wal_before_apply(backend):
     receipt = manager.ingest("a", _rows(0))
     assert receipt["tenant"] == "a"
     assert receipt["wal_seq"] == 1
-    assert backend.pending_ingest("a")[0].rows == _rows(0)
+    assert backend.pending_ingest("a")[0].rows.tolist() == _rows(0)
 
 
-def test_manager_failed_apply_rolls_back_wal_entry(backend):
+def test_manager_failed_apply_rolls_back_wal_entry(backend, monkeypatch):
     manager = TenantManager(backend)
     manager.create_tenant("a", _tdg_config())
     manager.ingest("a", _rows(0))
-    # Mismatched width fails the in-memory apply after the append; the
-    # entry must be discarded so recovery cannot replay it.
-    with pytest.raises(Exception):
-        manager.ingest("a", np.zeros((5, 3), dtype=np.int64))
+    # The in-memory apply fails after the append (a dead worker, say);
+    # the entry must be discarded so recovery cannot replay it.
+    collector = manager.service("a")._ingestor
+
+    def fail(batch):
+        raise RuntimeError("apply failed")
+
+    monkeypatch.setattr(collector, "submit", fail)
+    with pytest.raises(RuntimeError, match="apply failed"):
+        manager.ingest("a", _rows(1))
     assert [e.seq for e in backend.pending_ingest("a")] == [1]
+    assert backend.last_ingest_seq("a") == 2
 
 
 def test_manager_rejects_malformed_batches_before_wal(backend):
@@ -435,6 +477,48 @@ def test_http_bad_integer_fields_are_400(mt_server):
                                                  "domain_size": 8.7})
     assert status == 400 and "domain_size" in body["error"]
     assert manager.tenant_names() == ["default"]
+
+
+BAD_BATCHES = [
+    ({"rows": [[0, 0, 8]]}, "domain_size"),     # a value >= c
+    ({"rows": [[0, -1, 0]]}, "domain_size"),    # a negative value
+    ({"rows": [[0, 0]]}, "d=2"),                # the wrong width
+    ({"rows": [[0, 0, 1]], "domain_size": 16}, "c=16"),
+]
+
+
+@pytest.mark.parametrize("payload, match", BAD_BATCHES)
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_http_bad_batch_is_400_before_the_log(kind, payload, match,
+                                              tmp_path):
+    """A batch the tenant's schema refuses answers 400 without any
+    backend call: nothing is appended, discarded or sequenced."""
+    from repro.resilience import FaultInjectingBackend
+
+    inner = (DirectoryBackend(tmp_path / "store") if kind == "json"
+             else SQLiteBackend(tmp_path / "store.db"))
+    backend = FaultInjectingBackend(inner)
+    manager = TenantManager(backend, default_config=_tdg_config())
+    server = build_server(tenant_manager=manager)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = server.server_address[1]
+        rng = np.random.default_rng(1)
+        pinned = rng.integers(0, DOMAIN, size=(20, 3)).tolist()
+        assert _http(port, "/ingest", {"rows": pinned})["wal_seq"] == 1
+        calls = dict(backend.call_counts)
+        status, body = _http_error(port, "/ingest", payload)
+        assert status == 400 and match in body["error"]
+        assert backend.call_counts == calls
+        assert inner.last_ingest_seq("default") == 1
+        assert [entry.seq for entry in inner.pending_ingest("default")] \
+            == [1]
+        assert manager.service("default").reports_ingested == 20
+    finally:
+        server.shutdown()
+        server.server_close()
+        inner.close()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ never leaves a temp file behind.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import sqlite3
@@ -20,12 +21,13 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.serving import QueryService
-from repro.storage import (BACKENDS, DEFAULT_TENANT, DirectoryBackend,
-                           SQLiteBackend,
+from repro.serving import QueryService, TenantManager
+from repro.storage import (BACKENDS, DEFAULT_TENANT, CorruptEntryError,
+                           DirectoryBackend, SQLiteBackend,
                            StorageBackend, TenantExistsError,
                            UnknownTenantError, open_backend,
                            validate_tenant_name)
+from repro.storage.base import decode_rows, encode_rows
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -165,12 +167,111 @@ def test_wal_append_pending_prune(backend):
     assert backend.append_ingest("acme", [[3, 4], [5, 6]], 8) == 2
     entries = backend.pending_ingest("acme")
     assert [e.seq for e in entries] == [1, 2]
-    assert entries[1].rows == [[3, 4], [5, 6]]
+    assert entries[1].rows.tolist() == [[3, 4], [5, 6]]
     assert entries[0].domain_size == 8
     assert backend.pending_ingest("acme", after_seq=1)[0].seq == 2
     assert backend.ingest_log_depth("acme") == 2
     assert backend.prune_ingest("acme", 1) == 1
     assert [e.seq for e in backend.pending_ingest("acme")] == [2]
+
+
+@pytest.mark.parametrize("largest, itemsize", [
+    (0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4),
+    (2**32 - 1, 4), (2**32, 8), (2**63 - 1, 8)])
+def test_row_blob_uses_the_narrowest_unsigned_type(largest, itemsize):
+    rows = np.array([[0, 3, largest], [largest, 1, 2]], dtype=np.int64)
+    blob = encode_rows(rows)
+    assert len(blob) == 5 + rows.size * itemsize
+    decoded = decode_rows(blob)
+    assert decoded.dtype == np.int64
+    assert decoded.tolist() == rows.tolist()
+
+
+def test_row_blob_round_trips_lists_and_empty_batches():
+    assert decode_rows(encode_rows([[1, 2], [3, 4]])).tolist() == [
+        [1, 2], [3, 4]]
+    empty = decode_rows(encode_rows(np.zeros((0, 3), dtype=np.int64)))
+    assert empty.shape == (0, 3)
+    # Entries written before the blob format held the JSON list.
+    legacy = decode_rows([[5, 6], [7, 8]])
+    assert legacy.dtype == np.int64 and legacy.tolist() == [[5, 6], [7, 8]]
+
+
+def test_row_blob_refuses_what_it_cannot_store():
+    with pytest.raises(TypeError, match="integers"):
+        encode_rows([[1.5, 2.0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        encode_rows([[1, -1]])
+    with pytest.raises(ValueError, match="2-D"):
+        encode_rows([1, 2, 3])
+
+
+@pytest.mark.parametrize("stored, match", [
+    (b"R1", "shorter than its header"),
+    (b"XX\x01\x02\x00\x01\x02", "unknown header"),
+    (b"R1\x03\x02\x00\x01\x02\x03", "unknown header"),
+    (b"R1\x01\x00\x00", "unknown header"),
+    (b"R1\x01\x02\x00\x01\x02\x03", "whole number of 2-column rows"),
+    ("[[1, 2]]", "not a row list or blob"),
+    ([1, 2], "2-D integer batch"),
+    ([["a"]], "2-D integer batch"),
+])
+def test_row_blob_decode_refuses_corrupt_values(stored, match):
+    with pytest.raises(ValueError, match=match):
+        decode_rows(stored)
+
+
+def _corrupt_entry(backend, tenant: str, seq: int, case: str) -> None:
+    """Overwrite one stored entry's rows with a bad tag, a truncated
+    blob or garbage text, behind the backend's back."""
+    blob = encode_rows([[1, 2], [3, 4]])
+    stored = {"bad-tag": b"ZZ" + blob[2:], "truncated": blob[:-1],
+              "garbage": "@@ not rows @@"}[case]
+    if isinstance(backend, SQLiteBackend):
+        connection = sqlite3.connect(backend.path)
+        try:
+            connection.execute("UPDATE ingest_log SET rows = ? WHERE seq = ?",
+                               (stored, seq))
+            connection.commit()
+        finally:
+            connection.close()
+        return
+    if isinstance(stored, bytes):
+        stored = base64.b64encode(stored).decode("ascii")
+    path = backend._wal_dir(tenant) / f"entry-{seq:08d}.json"
+    path.write_text(json.dumps({"seq": seq, "rows": stored,
+                                "domain_size": 8}))
+
+
+@pytest.mark.parametrize("case", ["bad-tag", "truncated", "garbage"])
+def test_corrupt_mid_log_entry_is_corrupt_entry_error(backend, case):
+    backend.create_tenant("acme", {"mechanism": "TDG", "seed": 3,
+                                   "domain_size": 8})
+    for value in range(3):
+        backend.append_ingest("acme", [[value, value]], 8)
+    _corrupt_entry(backend, "acme", 2, case)
+    with pytest.raises(CorruptEntryError, match="seq=2"):
+        backend.pending_ingest("acme")
+    quarantined = TenantManager(backend).quarantined_tenants()
+    assert "CorruptEntryError" in quarantined["acme"]["error"]
+
+
+@pytest.mark.parametrize("case", ["bad-tag", "truncated", "garbage"])
+def test_corrupt_log_tail(backend, case):
+    """A directory store quarantines an unreadable tail entry as a torn
+    write; SQLite appends are transactional, so there it is corrupt."""
+    backend.create_tenant("acme", {})
+    for value in range(3):
+        backend.append_ingest("acme", [[value, value]], 8)
+    _corrupt_entry(backend, "acme", 3, case)
+    if isinstance(backend, SQLiteBackend):
+        with pytest.raises(CorruptEntryError, match="seq=3"):
+            backend.pending_ingest("acme")
+        return
+    entries = backend.pending_ingest("acme")
+    assert [entry.rows.tolist() for entry in entries] == [[[0, 0]], [[1, 1]]]
+    assert [path.name for path in backend._wal_dir("acme").glob("*.torn")] \
+        == ["entry-00000003.json.torn"]
 
 
 def test_wal_sequence_monotonic_across_prunes(backend):
@@ -320,7 +421,7 @@ def test_sqlite_reopen_preserves_everything(tmp_path):
         assert backend.get_tenant("acme").config == {"mechanism": "TDG"}
         loaded, record = backend.load_snapshot("acme")
         assert loaded == document and record.wal_seq == 1
-        assert backend.pending_ingest("acme")[0].rows == [[1, 2]]
+        assert backend.pending_ingest("acme")[0].rows.tolist() == [[1, 2]]
         assert backend.last_ingest_seq("acme") == 1
 
 
