@@ -5,11 +5,14 @@
 ``FIGURES`` has one row per figure (or figures sharing one run): the
 ``repro.experiments`` call with its ``quick`` settings (minutes) and
 ``paper`` settings (hours), the renderer of ``benchmarks/results/<ID>.txt``
-and the row's claims.  A claim holds when each of its facts (one
-comparison, printed with the measured values) holds.  Its recorded status
-per scale is ``holds``, ``deviates`` (measured not to hold) or
-``unverified`` (not measured; never fails the run).  The exit status is 1
-when an outcome disagrees with a recorded ``holds`` or ``deviates``.
+and the row's claims.  Most rows call ``sweep_panels``: their settings
+name the swept ``parameter``, its ``values``, the ``panels`` and every
+other ``ExperimentConfig`` field the figure sets.  A claim holds when
+each of its facts (one comparison, printed with the measured values)
+holds.  Its recorded status per scale is ``holds``, ``deviates``
+(measured not to hold) or ``unverified`` (not measured; never fails the
+run).  The exit status is 1 when an outcome disagrees with a recorded
+``holds`` or ``deviates``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from _scale import report
 
 from repro.core import HDG
 from repro.datasets import make_dataset
-from repro.experiments import appendix, figures
-from repro.experiments.config import METHODS_WITHOUT_HIO
+from repro.experiments import (DEFAULT_METHODS, METHODS_WITHOUT_HIO, appendix,
+                               figures, sweep_panels)
 from repro.frequency_oracles import (AdaptiveFrequencyOracle,
                                      GeneralizedRandomizedResponse,
                                      OptimizedLocalHash)
@@ -130,10 +133,56 @@ def _most(facts: list[Fact], what: str) -> list[Fact]:
     return [(2 * held > len(facts), f"{what} in {held} of {len(facts)}")]
 
 
+def _panels(datasets, query_dimensions=None) -> dict:
+    """A figure's panels: one per dataset, or per (dataset, λ)."""
+    if query_dimensions is None:
+        return {"dataset": datasets}
+    return {"dataset": datasets, "query_dimension": query_dimensions}
+
+
+def _guideline(combinations) -> tuple[str, ...]:
+    """Figures 7 and 16's line-up: HDG at each fixed (g1, g2), then HDG at
+    the guideline's choice."""
+    return tuple(f"HDG({g1},{g2})" for g1, g2 in combinations) + ("HDG",)
+
+
 def _count_conditioned(**settings):
-    """Figures 13-14: high-λ 0-count queries, then non-0-count queries."""
-    return tuple(appendix.figure_13_14_count_conditioned(zero_count=zero, **settings)
-                 for zero in (True, False))
+    """Figures 13-14: high-λ 0-count queries (ω = 0.3), then non-0-count
+    queries (ω = 0.7)."""
+    return (sweep_panels(workload_factory=appendix.zero_count_workload,
+                         volume=0.3, **settings),
+            sweep_panels(workload_factory=appendix.nonzero_count_workload,
+                         volume=0.7, **settings))
+
+
+def _guideline_d(attribute_counts, **settings):
+    """Figure 16: Figure 7's sweep at several attribute counts d."""
+    return {d: sweep_panels(n_attributes=d, **settings) for d in attribute_counts}
+
+
+def _new_datasets(epsilons, volumes, attribute_counts, **settings):
+    """Figures 19-21: Figures 1, 2 and 4's sweeps on the Loan and Acs
+    datasets; Figure 21 leaves HIO out, as Figure 4 does."""
+    return {name: sweep_panels(parameter, values, methods=methods, **settings)
+            for name, parameter, values, methods in (
+                ("fig19_epsilon", "epsilon", epsilons, DEFAULT_METHODS),
+                ("fig20_volume", "volume", volumes, DEFAULT_METHODS),
+                ("fig21_attributes", "n_attributes", attribute_counts,
+                 METHODS_WITHOUT_HIO))}
+
+
+def _covariance(datasets, covariances, query_dimensions, **settings):
+    """Figure 28: one sweep per (dataset, covariance, λ) panel, where the
+    covariance between the synthetic dataset's attributes varies."""
+    results = {}
+    for dataset in datasets:
+        for covariance in covariances:
+            sweeps = sweep_panels(panels=_panels((dataset,), query_dimensions),
+                                  dataset_kwargs={"covariance": covariance},
+                                  **settings)
+            results.update({(dataset, covariance, dimension): sweep
+                            for (_, dimension), sweep in sweeps.items()})
+    return results
 
 
 def _convergence(matrix: dict, queries: dict):
@@ -291,11 +340,13 @@ def _scaled(base: dict, *drop: str, **settings) -> dict:
 
 FIGURES = (
     Figure(
-        "fig01_vary_epsilon", figures.figure_1_vary_epsilon,
-        quick=_scaled(QUICK, datasets=QUICK_DATASETS, epsilons=QUICK_EPSILONS,
-                      query_dimensions=(2, 4)),
-        paper=_scaled(PAPER, datasets=PAPER_DATASETS,
-                      epsilons=figures.PAPER_EPSILONS, query_dimensions=(2, 4)),
+        "fig01_vary_epsilon", sweep_panels,
+        quick=_scaled(QUICK, parameter="epsilon", values=QUICK_EPSILONS,
+                      panels=_panels(QUICK_DATASETS, (2, 4)),
+                      methods=DEFAULT_METHODS, volume=0.5),
+        paper=_scaled(PAPER, parameter="epsilon", values=figures.PAPER_EPSILONS,
+                      panels=_panels(PAPER_DATASETS, (2, 4)),
+                      methods=DEFAULT_METHODS, volume=0.5),
         render=_figure_text("Figure 1: MAE vs epsilon"),
         claims=(
             Claim("HDG beats Uni at the largest ε on every panel",
@@ -327,11 +378,13 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig02_vary_volume", figures.figure_2_vary_volume,
-        quick=_scaled(QUICK, datasets=QUICK_DATASETS, volumes=(0.1, 0.3, 0.5, 0.7, 0.9),
-                      query_dimensions=(2,), epsilon=1.0),
-        paper=_scaled(PAPER, datasets=PAPER_DATASETS, volumes=figures.PAPER_VOLUMES,
-                      query_dimensions=(2,), epsilon=1.0),
+        "fig02_vary_volume", sweep_panels,
+        quick=_scaled(QUICK, parameter="volume", values=(0.1, 0.3, 0.5, 0.7, 0.9),
+                      panels=_panels(QUICK_DATASETS, (2,)),
+                      methods=DEFAULT_METHODS, epsilon=1.0),
+        paper=_scaled(PAPER, parameter="volume", values=figures.PAPER_VOLUMES,
+                      panels=_panels(PAPER_DATASETS, (2,)),
+                      methods=DEFAULT_METHODS, epsilon=1.0),
         render=_figure_text("Figure 2: MAE vs volume"),
         claims=(
             Claim("HDG beats Uni on at least half the volumes of every panel",
@@ -347,13 +400,14 @@ FIGURES = (
                   lambda r: _interior_peak(r, LDP_WITHOUT_HIO), quick="deviates"),
         )),
     Figure(
-        "fig03_vary_domain", figures.figure_3_vary_domain,
-        quick=_scaled(QUICK, "domain_size", datasets=("normal",),
-                      domain_sizes=(16, 64, 256), query_dimensions=(2,),
-                      epsilon=1.0, volume=0.5),
-        paper=_scaled(PAPER, "domain_size", datasets=("normal", "laplace"),
-                      domain_sizes=(16, 32, 64, 128, 256, 512, 1024),
-                      query_dimensions=(2,), epsilon=1.0, volume=0.5),
+        "fig03_vary_domain", sweep_panels,
+        quick=_scaled(QUICK, "domain_size", parameter="domain_size",
+                      values=(16, 64, 256), panels=_panels(("normal",), (2,)),
+                      methods=METHODS_WITHOUT_HIO, epsilon=1.0, volume=0.5),
+        paper=_scaled(PAPER, "domain_size", parameter="domain_size",
+                      values=(16, 32, 64, 128, 256, 512, 1024),
+                      panels=_panels(("normal", "laplace"), (2,)),
+                      methods=METHODS_WITHOUT_HIO, epsilon=1.0, volume=0.5),
         render=_figure_text("Figure 3: MAE vs domain size"),
         claims=(
             Claim("CALM degrades from the smallest to the largest domain",
@@ -374,13 +428,14 @@ FIGURES = (
                   quick="holds"),
         )),
     Figure(
-        "fig04_vary_attributes", figures.figure_4_vary_attributes,
-        quick=_scaled(QUICK, "n_attributes", datasets=QUICK_DATASETS,
-                      attribute_counts=(3, 6, 8), query_dimensions=(2,),
-                      epsilon=1.0, volume=0.5),
-        paper=_scaled(PAPER, "n_attributes", datasets=PAPER_DATASETS,
-                      attribute_counts=(3, 4, 5, 6, 7, 8, 9, 10),
-                      query_dimensions=(2,), epsilon=1.0, volume=0.5),
+        "fig04_vary_attributes", sweep_panels,
+        quick=_scaled(QUICK, "n_attributes", parameter="n_attributes",
+                      values=(3, 6, 8), panels=_panels(QUICK_DATASETS, (2,)),
+                      methods=METHODS_WITHOUT_HIO, epsilon=1.0, volume=0.5),
+        paper=_scaled(PAPER, "n_attributes", parameter="n_attributes",
+                      values=(3, 4, 5, 6, 7, 8, 9, 10),
+                      panels=_panels(PAPER_DATASETS, (2,)),
+                      methods=METHODS_WITHOUT_HIO, epsilon=1.0, volume=0.5),
         render=_figure_text("Figure 4: MAE vs attributes"),
         claims=(
             Claim("HDG is no worse than Uni at the smallest d",
@@ -396,12 +451,14 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig05_vary_query_dim", figures.figure_5_vary_query_dimension,
-        quick=_scaled(QUICK, datasets=QUICK_DATASETS, query_dimensions=(2, 3, 4, 6),
-                      epsilon=1.0, volume=0.5),
-        paper=_scaled(PAPER, datasets=PAPER_DATASETS,
-                      query_dimensions=(2, 3, 4, 5, 6, 7, 8, 9, 10),
-                      epsilon=1.0, volume=0.5),
+        "fig05_vary_query_dim", sweep_panels,
+        # λ goes up to d = 6: the paper's λ = 7..10 need more attributes.
+        quick=_scaled(QUICK, parameter="query_dimension", values=(2, 3, 4, 6),
+                      panels=_panels(QUICK_DATASETS),
+                      methods=METHODS_WITHOUT_HIO, epsilon=1.0, volume=0.5),
+        paper=_scaled(PAPER, parameter="query_dimension", values=(2, 3, 4, 5, 6),
+                      panels=_panels(PAPER_DATASETS),
+                      methods=METHODS_WITHOUT_HIO, epsilon=1.0, volume=0.5),
         render=_figure_text("Figure 5: MAE vs query dimension"),
         claims=(
             Claim("HDG's MAE is non-negative at every λ",
@@ -419,13 +476,15 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig06_vary_population", figures.figure_6_vary_population,
-        quick=_scaled(QUICK, "n_users", datasets=("normal",),
-                      populations=(10_000, 40_000, 160_000), query_dimensions=(2,),
-                      epsilon=1.0, volume=0.5),
-        paper=_scaled(PAPER, "n_users", datasets=("normal", "laplace"),
-                      populations=(100_000, 1_000_000, 10_000_000),
-                      query_dimensions=(2,), epsilon=1.0, volume=0.5),
+        "fig06_vary_population", sweep_panels,
+        quick=_scaled(QUICK, "n_users", parameter="n_users",
+                      values=(10_000, 40_000, 160_000),
+                      panels=_panels(("normal",), (2,)),
+                      methods=DEFAULT_METHODS, epsilon=1.0, volume=0.5),
+        paper=_scaled(PAPER, "n_users", parameter="n_users",
+                      values=(100_000, 1_000_000, 10_000_000),
+                      panels=_panels(("normal", "laplace"), (2,)),
+                      methods=DEFAULT_METHODS, epsilon=1.0, volume=0.5),
         render=_figure_text("Figure 6: MAE vs population"),
         claims=(
             Claim("More users: HDG's MAE at the largest n is at most that at "
@@ -440,12 +499,15 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig07_guideline", figures.figure_7_guideline,
-        quick=_scaled(QUICK, datasets=QUICK_DATASETS, epsilons=QUICK_EPSILONS,
-                      combinations=((8, 2), (8, 4), (16, 4), (32, 8)), volume=0.5),
-        paper=_scaled(PAPER, datasets=("ipums", "bfive"),
-                      epsilons=figures.PAPER_EPSILONS,
-                      combinations=figures.GUIDELINE_COMBINATIONS, volume=0.5),
+        "fig07_guideline", sweep_panels,
+        quick=_scaled(QUICK, parameter="epsilon", values=QUICK_EPSILONS,
+                      panels=_panels(QUICK_DATASETS),
+                      methods=_guideline(((8, 2), (8, 4), (16, 4), (32, 8))),
+                      query_dimension=2, volume=0.5),
+        paper=_scaled(PAPER, parameter="epsilon", values=figures.PAPER_EPSILONS,
+                      panels=_panels(("ipums", "bfive")),
+                      methods=_guideline(figures.GUIDELINE_COMBINATIONS),
+                      query_dimension=2, volume=0.5),
         render=_figure_text("Figure 7: guideline verification"),
         claims=(
             Claim("Guideline HDG is consistently close to the best fixed "
@@ -453,12 +515,13 @@ FIGURES = (
                   _near_best_fixed, **ASSERTED),
         )),
     Figure(
-        "fig08_component_ablation", figures.figure_8_component_ablation,
-        quick=_scaled(QUICK, datasets=QUICK_DATASETS, epsilons=QUICK_EPSILONS,
-                      query_dimensions=(2,), volume=0.5),
-        paper=_scaled(PAPER, datasets=("ipums", "bfive"),
-                      epsilons=figures.PAPER_EPSILONS, query_dimensions=(2,),
-                      volume=0.5),
+        "fig08_component_ablation", sweep_panels,
+        quick=_scaled(QUICK, parameter="epsilon", values=QUICK_EPSILONS,
+                      panels=_panels(QUICK_DATASETS, (2,)),
+                      methods=("ITDG", "IHDG", "TDG", "HDG"), volume=0.5),
+        paper=_scaled(PAPER, parameter="epsilon", values=figures.PAPER_EPSILONS,
+                      panels=_panels(("ipums", "bfive"), (2,)),
+                      methods=("ITDG", "IHDG", "TDG", "HDG"), volume=0.5),
         render=_figure_text("Figure 8: Phase-2 ablation"),
         claims=(
             Claim("TDG and ITDG stay within 3x of each other on average",
@@ -498,13 +561,19 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig11_full_marginals", appendix.figure_11_full_marginals,
+        "fig11_full_marginals", sweep_panels,
         # The exhaustive marginal workload has C(d,2) * c^2 queries, so the
-        # quick row shrinks the domain and attribute count.
-        quick=_scaled(QUICK, "n_queries", datasets=QUICK_DATASETS,
-                      epsilons=(0.2, 0.5, 1.0), n_attributes=4, domain_size=16),
-        paper=_scaled(PAPER, "n_queries", datasets=("ipums", "bfive"),
-                      epsilons=(0.2, 0.4, 0.6)),
+        # quick row shrinks the domain and attribute count.  The exhaustive
+        # workloads of Figures 11 and 12 do not read n_queries.
+        quick=_scaled(QUICK, parameter="epsilon", values=(0.2, 0.5, 1.0), n_queries=1,
+                      panels=_panels(QUICK_DATASETS),
+                      workload_factory=appendix.full_marginal_workload,
+                      methods=METHODS_WITHOUT_HIO, n_attributes=4, domain_size=16,
+                      query_dimension=2),
+        paper=_scaled(PAPER, parameter="epsilon", values=(0.2, 0.4, 0.6), n_queries=1,
+                      panels=_panels(("ipums", "bfive")),
+                      workload_factory=appendix.full_marginal_workload,
+                      methods=METHODS_WITHOUT_HIO, query_dimension=2),
         render=_figure_text("Figure 11: full 2-D marginals"),
         claims=(
             Claim("HDG beats Uni at the largest ε",
@@ -523,13 +592,16 @@ FIGURES = (
                   quick="holds"),
         )),
     Figure(
-        "fig12_full_range", appendix.figure_12_full_range,
-        quick=_scaled(QUICK, "n_queries", datasets=QUICK_DATASETS,
-                      epsilons=(0.2, 0.5, 1.0), methods=METHODS_WITHOUT_HIO,
-                      n_attributes=4, domain_size=16, volume=0.5),
-        paper=_scaled(PAPER, "n_queries", datasets=("ipums", "bfive"),
-                      epsilons=(0.2, 0.4, 0.6), methods=METHODS_WITHOUT_HIO,
-                      volume=0.5),
+        "fig12_full_range", sweep_panels,
+        quick=_scaled(QUICK, parameter="epsilon", values=(0.2, 0.5, 1.0), n_queries=1,
+                      panels=_panels(QUICK_DATASETS),
+                      workload_factory=appendix.full_range_workload,
+                      methods=METHODS_WITHOUT_HIO, n_attributes=4, domain_size=16,
+                      query_dimension=2, volume=0.5),
+        paper=_scaled(PAPER, parameter="epsilon", values=(0.2, 0.4, 0.6), n_queries=1,
+                      panels=_panels(("ipums", "bfive")),
+                      workload_factory=appendix.full_range_workload,
+                      methods=METHODS_WITHOUT_HIO, query_dimension=2, volume=0.5),
         render=_figure_text("Figure 12: full 2-D ranges"),
         claims=(
             Claim("HDG beats Uni at the largest ε",
@@ -541,12 +613,12 @@ FIGURES = (
         )),
     Figure(
         "fig13_14_zero_count", _count_conditioned,
-        quick=_scaled(QUICK, datasets=("ipums",), query_dimensions=(6, 8),
-                      methods=METHODS_WITHOUT_HIO, n_attributes=8, epsilon=1.0,
-                      n_queries=10),
-        paper=_scaled(PAPER, datasets=("ipums",), query_dimensions=(6, 7, 8, 9, 10),
-                      methods=METHODS_WITHOUT_HIO, n_attributes=10, epsilon=1.0,
-                      n_queries=40),
+        quick=_scaled(QUICK, parameter="query_dimension", values=(6, 8),
+                      panels=_panels(("ipums",)), methods=METHODS_WITHOUT_HIO,
+                      n_attributes=8, epsilon=1.0, n_queries=10),
+        paper=_scaled(PAPER, parameter="query_dimension", values=(6, 7, 8, 9, 10),
+                      panels=_panels(("ipums",)), methods=METHODS_WITHOUT_HIO,
+                      n_attributes=10, epsilon=1.0, n_queries=40),
         render=lambda r: (figures.format_figure_results(r[0], "Figure 13: 0-count queries")
                           + "\n" + figures.format_figure_results(
                               r[1], "Figure 14: non-0-count queries")),
@@ -591,13 +663,17 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig16_guideline_d", appendix.figure_16_guideline_d,
-        quick=_scaled(QUICK, "n_attributes", datasets=("ipums",),
-                      attribute_counts=(4, 8), epsilons=(0.2, 0.5, 1.0),
-                      combinations=((8, 2), (16, 4), (32, 8)), volume=0.5),
-        paper=_scaled(PAPER, "n_attributes", datasets=("ipums",),
-                      attribute_counts=(4, 8, 10), epsilons=(0.2, 0.4, 0.6),
-                      combinations=figures.GUIDELINE_COMBINATIONS, volume=0.5),
+        "fig16_guideline_d", _guideline_d,
+        quick=_scaled(QUICK, "n_attributes", attribute_counts=(4, 8),
+                      parameter="epsilon", values=(0.2, 0.5, 1.0),
+                      panels=_panels(("ipums",)),
+                      methods=_guideline(((8, 2), (16, 4), (32, 8))),
+                      query_dimension=2, volume=0.5),
+        paper=_scaled(PAPER, "n_attributes", attribute_counts=(4, 8, 10),
+                      parameter="epsilon", values=(0.2, 0.4, 0.6),
+                      panels=_panels(("ipums",)),
+                      methods=_guideline(figures.GUIDELINE_COMBINATIONS),
+                      query_dimension=2, volume=0.5),
         render=lambda r: "\n".join(
             figures.format_figure_results(per_dataset, f"Figure 16: guideline at d={d}")
             for d, per_dataset in r.items()),
@@ -639,12 +715,14 @@ FIGURES = (
                   quick="deviates"),
         )),
     Figure(
-        "fig19_21_new_datasets", appendix.figure_19_21_new_datasets,
+        "fig19_21_new_datasets", _new_datasets,
         quick=_scaled(QUICK, epsilons=(0.2, 0.5, 1.0), volumes=(0.3, 0.5, 0.7),
-                      attribute_counts=(4, 6), query_dimensions=(2,)),
+                      attribute_counts=(4, 6), panels=_panels(("loan", "acs"), (2,)),
+                      epsilon=1.0, volume=0.5),
         paper=_scaled(PAPER, epsilons=figures.PAPER_EPSILONS,
                       volumes=figures.PAPER_VOLUMES,
-                      attribute_counts=(4, 5, 6, 7, 8, 9, 10), query_dimensions=(2,)),
+                      attribute_counts=(4, 5, 6, 7, 8, 9, 10),
+                      panels=_panels(("loan", "acs"), (2,)), epsilon=1.0, volume=0.5),
         render=lambda r: "\n".join(figures.format_figure_results(panels, name)
                                    for name, panels in r.items()),
         claims=(
@@ -655,11 +733,13 @@ FIGURES = (
                   lambda r: _beats(_flat(r), "HDG"), quick="deviates"),
         )),
     Figure(
-        "fig23_27_lambda6", appendix.figure_23_27_lambda6,
-        quick=_scaled(QUICK, datasets=("normal",), epsilons=(0.2, 0.5, 1.0),
+        "fig23_27_lambda6", sweep_panels,
+        quick=_scaled(QUICK, parameter="epsilon", values=(0.2, 0.5, 1.0),
+                      panels=_panels(("normal",), (6,)), methods=DEFAULT_METHODS,
                       volume=0.5, n_queries=25),
-        paper=_scaled(PAPER, datasets=("normal", "laplace"), epsilons=(0.2, 0.4, 0.6),
-                      volume=0.5, n_queries=100),
+        paper=_scaled(PAPER, parameter="epsilon", values=(0.2, 0.4, 0.6),
+                      panels=_panels(("normal", "laplace"), (6,)),
+                      methods=DEFAULT_METHODS, volume=0.5, n_queries=100),
         render=_figure_text("Figures 23-27: lambda = 6"),
         claims=(
             Claim("HDG beats HIO at the largest ε",
@@ -669,12 +749,14 @@ FIGURES = (
                   lambda r: _beats(r, "HDG", at=-1), quick="deviates"),
         )),
     Figure(
-        "fig28_covariance", appendix.figure_28_covariance,
+        "fig28_covariance", _covariance,
         quick=_scaled(QUICK, datasets=("normal",), covariances=(0.0, 1.0),
-                      epsilons=(0.2, 0.5, 1.0), query_dimensions=(2,), volume=0.5),
+                      query_dimensions=(2,), parameter="epsilon",
+                      values=(0.2, 0.5, 1.0), methods=DEFAULT_METHODS, volume=0.5),
         paper=_scaled(PAPER, datasets=("normal", "laplace"),
-                      covariances=(0.0, 0.2, 0.6, 1.0), epsilons=(0.2, 0.4, 0.6),
-                      query_dimensions=(2,), volume=0.5),
+                      covariances=(0.0, 0.2, 0.6, 1.0), query_dimensions=(2,),
+                      parameter="epsilon", values=(0.2, 0.4, 0.6),
+                      methods=DEFAULT_METHODS, volume=0.5),
         render=lambda r: "\n".join(
             ["== Figure 28: covariance sweep =="]
             + [f"{dataset} cov={covariance} λ={dimension}: " + "  ".join(

@@ -1,8 +1,14 @@
-"""Reproduction drivers for the paper's appendix experiments (Figures 9-28).
+"""The paper's appendix experiments that are more than one sweep.
 
-Like :mod:`repro.experiments.figures`, every public function regenerates
-one appendix figure's data at a configurable (default laptop-friendly)
-scale.
+Most appendix figures (11-14, 16, 19-28) are parameter sweeps over panels
+like the main-body ones, run by :func:`~repro.experiments.runner.sweep_panels`
+from the rows of ``benchmarks/reproduce_figures.py``; Figures 11-14 take
+their workloads from the factories below (module-level functions, so a
+sweep with ``n_jobs > 1`` can send them to worker processes).  The
+drivers here build
+more than a sweep: error histograms (Figures 9-10), a σ sweep per ε
+(Figure 15) and the convergence traces of Algorithms 1 and 2 (Figures
+17-18).
 """
 
 from __future__ import annotations
@@ -13,11 +19,8 @@ from ..core import HDG, TDG
 from ..datasets import make_dataset
 from ..metrics import absolute_errors, error_histogram
 from ..queries import WorkloadGenerator, answer_workload
-from .config import DEFAULT_METHODS, METHODS_WITHOUT_HIO, ExperimentConfig
-from .figures import (GUIDELINE_COMBINATIONS, PAPER_EPSILONS, PAPER_VOLUMES,
-                      figure_1_vary_epsilon, figure_2_vary_volume,
-                      figure_4_vary_attributes, figure_7_guideline)
-from .runner import SweepResult, run_experiment, sweep_parameter
+from .config import ExperimentConfig
+from .runner import sweep_parameter
 
 
 def figure_9_10_error_distribution(datasets=("ipums", "bfive", "normal", "laplace"),
@@ -48,88 +51,33 @@ def figure_9_10_error_distribution(datasets=("ipums", "bfive", "normal", "laplac
     return results
 
 
-def _exhaustive_workload_factory(kind: str, volume: float):
-    """Workload factory returning full 2-D marginal or range workloads."""
-
-    def factory(config: ExperimentConfig, dataset, repeat: int):
-        generator = WorkloadGenerator(config.n_attributes, config.domain_size,
-                                      rng=np.random.default_rng(config.seed + repeat))
-        if kind == "marginals":
-            return generator.full_marginal_workload()
-        return generator.full_2d_range_workload(volume)
-
-    return factory
+def _generator(config: ExperimentConfig, repeat: int) -> WorkloadGenerator:
+    return WorkloadGenerator(config.n_attributes, config.domain_size,
+                             rng=np.random.default_rng(config.seed + repeat))
 
 
-def figure_11_full_marginals(datasets=("ipums", "bfive", "normal", "laplace"),
-                             epsilons=PAPER_EPSILONS,
-                             methods=METHODS_WITHOUT_HIO, n_users=100_000,
-                             n_attributes=6, domain_size=64, n_repeats=1,
-                             seed=0) -> dict[str, SweepResult]:
-    """Figure 11: MAE over all full 2-D marginal (point) queries."""
-    results = {}
-    factory = _exhaustive_workload_factory("marginals", 0.0)
-    for dataset in datasets:
-        config = ExperimentConfig(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes,
-                                  domain_size=domain_size, query_dimension=2,
-                                  n_queries=1, n_repeats=n_repeats,
-                                  methods=tuple(methods), seed=seed)
-        results[dataset] = sweep_parameter(config, "epsilon", list(epsilons),
-                                           workload_factory=factory)
-    return results
+def full_marginal_workload(config: ExperimentConfig, dataset, repeat: int):
+    """Figure 11's workload: every full 2-D marginal (point) query."""
+    return _generator(config, repeat).full_marginal_workload()
 
 
-def figure_12_full_range(datasets=("ipums", "bfive", "normal", "laplace"),
-                         epsilons=PAPER_EPSILONS, methods=DEFAULT_METHODS,
-                         n_users=100_000, n_attributes=6, domain_size=64,
-                         volume=0.5, n_repeats=1, seed=0) -> dict[str, SweepResult]:
-    """Figure 12: MAE over all 2-D range queries of volume ω."""
-    results = {}
-    factory = _exhaustive_workload_factory("ranges", volume)
-    for dataset in datasets:
-        config = ExperimentConfig(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes,
-                                  domain_size=domain_size, volume=volume,
-                                  query_dimension=2, n_queries=1,
-                                  n_repeats=n_repeats, methods=tuple(methods),
-                                  seed=seed)
-        results[dataset] = sweep_parameter(config, "epsilon", list(epsilons),
-                                           workload_factory=factory)
-    return results
+def full_range_workload(config: ExperimentConfig, dataset, repeat: int):
+    """Figure 12's workload: every 2-D range query of volume ω."""
+    return _generator(config, repeat).full_2d_range_workload(config.volume)
 
 
-def figure_13_14_count_conditioned(datasets=("ipums", "bfive", "normal", "laplace"),
-                                   query_dimensions=(6, 7, 8, 9, 10),
-                                   zero_count=True,
-                                   methods=METHODS_WITHOUT_HIO,
-                                   n_users=100_000, n_attributes=10,
-                                   domain_size=64, epsilon=1.0,
-                                   volume=None, n_queries=100, n_repeats=1,
-                                   seed=0) -> dict[str, SweepResult]:
-    """Figures 13-14: 0-count (ω = 0.3) and non-0-count (ω = 0.7) high-λ queries."""
-    if volume is None:
-        volume = 0.3 if zero_count else 0.7
+def zero_count_workload(config: ExperimentConfig, dataset, repeat: int):
+    """Figure 13's workload: λ-D queries whose true answer is 0."""
+    return _generator(config, repeat).count_conditioned_workload(
+        dataset, config.n_queries, config.query_dimension, config.volume,
+        zero_count=True)
 
-    def factory(config: ExperimentConfig, dataset, repeat: int):
-        generator = WorkloadGenerator(config.n_attributes, config.domain_size,
-                                      rng=np.random.default_rng(config.seed + repeat))
-        return generator.count_conditioned_workload(
-            dataset, config.n_queries, config.query_dimension, config.volume,
-            zero_count=zero_count)
 
-    results = {}
-    for dataset in datasets:
-        valid_dims = [dim for dim in query_dimensions if dim <= n_attributes]
-        config = ExperimentConfig(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes,
-                                  domain_size=domain_size, epsilon=epsilon,
-                                  volume=volume, n_queries=n_queries,
-                                  n_repeats=n_repeats, methods=tuple(methods),
-                                  seed=seed)
-        results[dataset] = sweep_parameter(config, "query_dimension", valid_dims,
-                                           workload_factory=factory)
-    return results
+def nonzero_count_workload(config: ExperimentConfig, dataset, repeat: int):
+    """Figure 14's workload: λ-D queries whose true answer is not 0."""
+    return _generator(config, repeat).count_conditioned_workload(
+        dataset, config.n_queries, config.query_dimension, config.volume,
+        zero_count=False)
 
 
 def figure_15_user_split(datasets=("ipums", "bfive", "normal", "laplace"),
@@ -157,23 +105,6 @@ def figure_15_user_split(datasets=("ipums", "bfive", "normal", "laplace"),
             per_epsilon[epsilon] = sweep_parameter(config, "sigma", list(sigmas),
                                                    config_transform=transform)
         results[dataset] = per_epsilon
-    return results
-
-
-def figure_16_guideline_d(datasets=("ipums", "bfive", "normal", "laplace"),
-                          attribute_counts=(4, 8, 10), epsilons=PAPER_EPSILONS,
-                          combinations=GUIDELINE_COMBINATIONS, n_users=100_000,
-                          domain_size=64, volume=0.5, n_queries=200,
-                          n_repeats=1, seed=0) -> dict:
-    """Figure 16: guideline verification at d = 4, 8, 10."""
-    results = {}
-    for d in attribute_counts:
-        results[d] = figure_7_guideline(datasets=datasets, epsilons=epsilons,
-                                        combinations=combinations,
-                                        n_users=n_users, n_attributes=d,
-                                        domain_size=domain_size, volume=volume,
-                                        n_queries=n_queries, n_repeats=n_repeats,
-                                        seed=seed)
     return results
 
 
@@ -232,66 +163,4 @@ def figure_18_convergence_query(datasets=("ipums", "bfive", "normal", "laplace")
                 padded[row, :len(history)] = history
             per_epsilon[epsilon] = padded.mean(axis=0)
         results[dataset_name] = per_epsilon
-    return results
-
-
-def figure_19_21_new_datasets(epsilons=PAPER_EPSILONS, volumes=PAPER_VOLUMES,
-                              attribute_counts=(4, 5, 6, 7, 8, 9, 10),
-                              query_dimensions=(2, 4), n_users=100_000,
-                              n_attributes=6, domain_size=64,
-                              n_queries=200, n_repeats=1, seed=0) -> dict:
-    """Figures 19-21: ε, ω and d sweeps on the Loan and Acs datasets."""
-    datasets = ("loan", "acs")
-    return {
-        "fig19_epsilon": figure_1_vary_epsilon(
-            datasets=datasets, epsilons=epsilons,
-            query_dimensions=query_dimensions, n_users=n_users,
-            n_attributes=n_attributes, domain_size=domain_size,
-            n_queries=n_queries, n_repeats=n_repeats, seed=seed),
-        "fig20_volume": figure_2_vary_volume(
-            datasets=datasets, volumes=volumes,
-            query_dimensions=query_dimensions, n_users=n_users,
-            n_attributes=n_attributes, domain_size=domain_size,
-            n_queries=n_queries, n_repeats=n_repeats, seed=seed),
-        "fig21_attributes": figure_4_vary_attributes(
-            datasets=datasets, attribute_counts=attribute_counts,
-            query_dimensions=query_dimensions, n_users=n_users,
-            domain_size=domain_size, n_queries=n_queries,
-            n_repeats=n_repeats, seed=seed),
-    }
-
-
-def figure_23_27_lambda6(datasets=("normal", "laplace"),
-                         epsilons=PAPER_EPSILONS, n_users=100_000,
-                         n_attributes=6, domain_size=64, volume=0.5,
-                         n_queries=200, n_repeats=1, seed=0) -> dict:
-    """Figures 23-27: λ = 6 variants of the ε sweep (the other λ = 6 panels
-    reuse the same drivers with ``query_dimensions=(6,)``)."""
-    return figure_1_vary_epsilon(datasets=datasets, epsilons=epsilons,
-                                 query_dimensions=(6,), n_users=n_users,
-                                 n_attributes=n_attributes,
-                                 domain_size=domain_size, volume=volume,
-                                 n_queries=n_queries, n_repeats=n_repeats,
-                                 seed=seed)
-
-
-def figure_28_covariance(datasets=("normal", "laplace"),
-                         covariances=(0.0, 0.2, 0.6, 1.0),
-                         epsilons=PAPER_EPSILONS, query_dimensions=(2, 4, 6),
-                         methods=DEFAULT_METHODS, n_users=100_000,
-                         n_attributes=6, domain_size=64, volume=0.5,
-                         n_queries=200, n_repeats=1, seed=0) -> dict:
-    """Figure 28: ε sweep at several attribute-covariance levels."""
-    results = {}
-    for dataset in datasets:
-        for covariance in covariances:
-            for dimension in query_dimensions:
-                config = ExperimentConfig(
-                    dataset=dataset, n_users=n_users, n_attributes=n_attributes,
-                    domain_size=domain_size, volume=volume,
-                    query_dimension=dimension, n_queries=n_queries,
-                    n_repeats=n_repeats, methods=tuple(methods), seed=seed,
-                    dataset_kwargs={"covariance": covariance})
-                results[(dataset, covariance, dimension)] = sweep_parameter(
-                    config, "epsilon", list(epsilons))
     return results

@@ -40,7 +40,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..mechanisms import build_mechanism
+from ..core import RangeQueryMechanism
+from ..datasets import Dataset
+from ..mechanisms import build_mechanism, shard_seed
 from ..metrics import (absolute_errors, mean_absolute_error, per_kind_errors,
                        workload_result_errors)
 from ..queries import RangeQuery, query_kind
@@ -96,6 +98,31 @@ class Cell:
     method: str
 
 
+def fit_sharded(method: str, method_seed: int, kwargs: dict[str, Any],
+                dataset: Dataset, config: ExperimentConfig) -> RangeQueryMechanism:
+    """Collect a shardable mechanism over ``config.n_shards`` user shards.
+
+    The users split into contiguous near-equal parts; shard ``i`` runs
+    ``partial_fit`` on its own ``shard_seed(method_seed, i)``-seeded
+    instance (one thread per shard — the numpy collection path releases
+    the GIL), then the shards merge in shard order and finalize once,
+    so the result does not depend on thread scheduling.
+    """
+    n_shards = config.n_shards
+    shards = [build_mechanism(method, config.epsilon,
+                              seed=shard_seed(method_seed, index), **kwargs)
+              for index in range(n_shards)]
+    parts = [Dataset(values, dataset.domain_size)
+             for values in np.array_split(dataset.values, n_shards)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=n_shards) as pool:
+        list(pool.map(lambda shard, part: shard.partial_fit(
+            part, total_users=dataset.n_users), shards, parts))
+    merged = shards[0]
+    for shard in shards[1:]:
+        merged.merge(shard)
+    return merged.finalize()
+
+
 def evaluate_cell(config: ExperimentConfig, repeat: int, position: int,
                   method: str,
                   workload_factory: WorkloadFactory | None = None,
@@ -108,9 +135,6 @@ def evaluate_cell(config: ExperimentConfig, repeat: int, position: int,
     once per repetition); otherwise both are rebuilt from the cell's
     seeds.
     """
-    # Imported lazily: the runner imports this module at load time.
-    from .runner import fit_sharded
-
     dataset = memoized_dataset(config, repeat)
     if queries is None:
         if workload_factory is None:

@@ -1,19 +1,14 @@
-"""Reproduction drivers for the paper's main-body figures and Table 2.
+"""The paper's parameter grids, Table 2 and the figure text renderer.
 
-Every public function regenerates one figure's data series (per-method MAE
-against the swept parameter).  The paper-scale settings (n = 10^6, 200
-queries, 10 repeats, all four datasets) are expensive; each driver
-therefore accepts the relevant knobs with laptop-friendly defaults and the
-benchmark harness passes explicit values.  The shapes the paper reports —
-which method wins, by roughly what factor, where the crossovers lie — are
-preserved at reduced scale because all mechanisms face the same population
-and workload.
+Figures 1-8 are each one parameter swept on a grid of panels:
+:func:`~repro.experiments.runner.sweep_panels` runs them, and the rows of
+``benchmarks/reproduce_figures.py`` name each figure's parameter, values,
+panels and settings at a quick and at the paper's scale.  This module
+keeps the grids those rows share, the guideline's Table 2 and
+:func:`format_figure_results`, which prints a figure one panel at a time.
 """
 
 from __future__ import annotations
-
-from .config import DEFAULT_METHODS, METHODS_WITHOUT_HIO, ExperimentConfig
-from .runner import SweepResult, run_experiment, sweep_parameter
 
 #: ε grid used throughout the paper's ε sweeps.
 PAPER_EPSILONS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
@@ -24,174 +19,6 @@ PAPER_VOLUMES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 #: Granularity combinations enumerated in Figures 7 and 16.
 GUIDELINE_COMBINATIONS = ((4, 2), (8, 2), (8, 4), (16, 2), (16, 4), (16, 8),
                           (32, 2), (32, 4), (32, 8), (32, 16))
-
-
-def _base_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig().with_overrides(**overrides)
-
-
-def figure_1_vary_epsilon(datasets=("ipums", "bfive", "normal", "laplace"),
-                          epsilons=PAPER_EPSILONS, query_dimensions=(2, 4),
-                          methods=DEFAULT_METHODS, n_users=100_000,
-                          n_attributes=6, domain_size=64, volume=0.5,
-                          n_queries=200, n_repeats=1,
-                          seed=0) -> dict[tuple[str, int], SweepResult]:
-    """Figure 1: MAE vs ε on every dataset for λ = 2 and λ = 4."""
-    results = {}
-    for dataset in datasets:
-        for dimension in query_dimensions:
-            config = _base_config(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes,
-                                  domain_size=domain_size, volume=volume,
-                                  query_dimension=dimension,
-                                  n_queries=n_queries, n_repeats=n_repeats,
-                                  methods=tuple(methods), seed=seed)
-            results[(dataset, dimension)] = sweep_parameter(config, "epsilon",
-                                                            list(epsilons))
-    return results
-
-
-def figure_2_vary_volume(datasets=("ipums", "bfive", "normal", "laplace"),
-                         volumes=PAPER_VOLUMES, query_dimensions=(2, 4),
-                         methods=DEFAULT_METHODS, n_users=100_000,
-                         n_attributes=6, domain_size=64, epsilon=1.0,
-                         n_queries=200, n_repeats=1,
-                         seed=0) -> dict[tuple[str, int], SweepResult]:
-    """Figure 2: MAE vs query volume ω."""
-    results = {}
-    for dataset in datasets:
-        for dimension in query_dimensions:
-            config = _base_config(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes,
-                                  domain_size=domain_size, epsilon=epsilon,
-                                  query_dimension=dimension,
-                                  n_queries=n_queries, n_repeats=n_repeats,
-                                  methods=tuple(methods), seed=seed)
-            results[(dataset, dimension)] = sweep_parameter(config, "volume",
-                                                            list(volumes))
-    return results
-
-
-def figure_3_vary_domain(datasets=("normal", "laplace"),
-                         domain_sizes=(16, 32, 64, 128, 256, 512, 1024),
-                         query_dimensions=(2, 4),
-                         methods=METHODS_WITHOUT_HIO, n_users=100_000,
-                         n_attributes=6, epsilon=1.0, volume=0.5,
-                         n_queries=200, n_repeats=1,
-                         seed=0) -> dict[tuple[str, int], SweepResult]:
-    """Figure 3: MAE vs domain size c on the synthetic datasets."""
-    results = {}
-    for dataset in datasets:
-        for dimension in query_dimensions:
-            config = _base_config(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes, epsilon=epsilon,
-                                  volume=volume, query_dimension=dimension,
-                                  n_queries=n_queries, n_repeats=n_repeats,
-                                  methods=tuple(methods), seed=seed)
-            results[(dataset, dimension)] = sweep_parameter(
-                config, "domain_size", list(domain_sizes))
-    return results
-
-
-def figure_4_vary_attributes(datasets=("ipums", "bfive", "normal", "laplace"),
-                             attribute_counts=(3, 4, 5, 6, 7, 8, 9, 10),
-                             query_dimensions=(2, 4),
-                             methods=METHODS_WITHOUT_HIO, n_users=100_000,
-                             domain_size=64, epsilon=1.0, volume=0.5,
-                             n_queries=200, n_repeats=1,
-                             seed=0) -> dict[tuple[str, int], SweepResult]:
-    """Figure 4: MAE vs number of attributes d."""
-    results = {}
-    for dataset in datasets:
-        for dimension in query_dimensions:
-            valid_counts = [d for d in attribute_counts if d >= dimension]
-            config = _base_config(dataset=dataset, n_users=n_users,
-                                  domain_size=domain_size, epsilon=epsilon,
-                                  volume=volume, query_dimension=dimension,
-                                  n_queries=n_queries, n_repeats=n_repeats,
-                                  methods=tuple(methods), seed=seed)
-            results[(dataset, dimension)] = sweep_parameter(
-                config, "n_attributes", valid_counts)
-    return results
-
-
-def figure_5_vary_query_dimension(datasets=("ipums", "bfive", "normal", "laplace"),
-                                  query_dimensions=(2, 3, 4, 5, 6, 7, 8, 9, 10),
-                                  methods=METHODS_WITHOUT_HIO, n_users=100_000,
-                                  n_attributes=6, domain_size=64, epsilon=1.0,
-                                  volume=0.5, n_queries=200, n_repeats=1,
-                                  seed=0) -> dict[str, SweepResult]:
-    """Figure 5: MAE vs query dimension λ (capped at d)."""
-    results = {}
-    for dataset in datasets:
-        valid_dims = [dim for dim in query_dimensions if dim <= n_attributes]
-        config = _base_config(dataset=dataset, n_users=n_users,
-                              n_attributes=n_attributes, domain_size=domain_size,
-                              epsilon=epsilon, volume=volume,
-                              n_queries=n_queries, n_repeats=n_repeats,
-                              methods=tuple(methods), seed=seed)
-        results[dataset] = sweep_parameter(config, "query_dimension", valid_dims)
-    return results
-
-
-def figure_6_vary_population(datasets=("normal", "laplace"),
-                             populations=(100_000, 250_000, 630_000, 1_000_000),
-                             query_dimensions=(2, 4), methods=DEFAULT_METHODS,
-                             n_attributes=6, domain_size=64, epsilon=1.0,
-                             volume=0.5, n_queries=200, n_repeats=1,
-                             seed=0) -> dict[tuple[str, int], SweepResult]:
-    """Figure 6: MAE vs population n on the synthetic datasets."""
-    results = {}
-    for dataset in datasets:
-        for dimension in query_dimensions:
-            config = _base_config(dataset=dataset, n_attributes=n_attributes,
-                                  domain_size=domain_size, epsilon=epsilon,
-                                  volume=volume, query_dimension=dimension,
-                                  n_queries=n_queries, n_repeats=n_repeats,
-                                  methods=tuple(methods), seed=seed)
-            results[(dataset, dimension)] = sweep_parameter(config, "n_users",
-                                                            list(populations))
-    return results
-
-
-def figure_7_guideline(datasets=("ipums", "bfive", "normal", "laplace"),
-                       epsilons=PAPER_EPSILONS,
-                       combinations=GUIDELINE_COMBINATIONS, n_users=100_000,
-                       n_attributes=6, domain_size=64, volume=0.5,
-                       n_queries=200, n_repeats=1,
-                       seed=0) -> dict[str, SweepResult]:
-    """Figure 7: guideline-chosen HDG vs every fixed (g1, g2) combination, λ = 2."""
-    methods = tuple(f"HDG({g1},{g2})" for g1, g2 in combinations) + ("HDG",)
-    results = {}
-    for dataset in datasets:
-        config = _base_config(dataset=dataset, n_users=n_users,
-                              n_attributes=n_attributes, domain_size=domain_size,
-                              volume=volume, query_dimension=2,
-                              n_queries=n_queries, n_repeats=n_repeats,
-                              methods=methods, seed=seed)
-        results[dataset] = sweep_parameter(config, "epsilon", list(epsilons))
-    return results
-
-
-def figure_8_component_ablation(datasets=("ipums", "bfive", "normal", "laplace"),
-                                epsilons=PAPER_EPSILONS, query_dimensions=(2, 4),
-                                n_users=100_000, n_attributes=6, domain_size=64,
-                                volume=0.5, n_queries=200, n_repeats=1,
-                                seed=0) -> dict[tuple[str, int], SweepResult]:
-    """Figure 8: Phase-2 ablation — ITDG/IHDG vs TDG/HDG."""
-    methods = ("ITDG", "IHDG", "TDG", "HDG")
-    results = {}
-    for dataset in datasets:
-        for dimension in query_dimensions:
-            config = _base_config(dataset=dataset, n_users=n_users,
-                                  n_attributes=n_attributes,
-                                  domain_size=domain_size, volume=volume,
-                                  query_dimension=dimension,
-                                  n_queries=n_queries, n_repeats=n_repeats,
-                                  methods=methods, seed=seed)
-            results[(dataset, dimension)] = sweep_parameter(config, "epsilon",
-                                                            list(epsilons))
-    return results
 
 
 def table_2_granularities(epsilons=PAPER_EPSILONS,

@@ -4,7 +4,8 @@ The runner turns an :class:`~repro.experiments.config.ExperimentConfig`
 into the numbers the paper plots: for every mechanism, the Mean Absolute
 Error over a random query workload, averaged over repetitions.  Parameter
 sweeps (the x-axes of the figures) reuse the same machinery by overriding
-one field per point.
+one field per point, and :func:`sweep_panels` runs one sweep per panel
+of a figure (dataset × λ, say).
 
 Both entry points route through :mod:`repro.experiments.executor`: the
 (sweep value, repetition, mechanism) cells are independent given the
@@ -16,18 +17,16 @@ interrupted run already completed.
 
 from __future__ import annotations
 
-import concurrent.futures
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from ..core import RangeQueryMechanism
 from ..datasets import Dataset
-from ..mechanisms import build_mechanism, shard_seed
 from ..metrics import RepeatedRunSummary
 from ..queries import RangeQuery
-from .cache import ResultCache, memoized_dataset, memoized_workload
+from .cache import ResultCache
 from .config import ExperimentConfig
 from .executor import (assemble_method_series, execute_grid,
                        validate_equal_workload_lengths)
@@ -54,41 +53,6 @@ class ExperimentResult:
     def mae_of(self, method: str) -> float:
         """Mean MAE of one mechanism across the repetitions."""
         return self.methods[method].mae.mean
-
-
-def _prepare_dataset(config: ExperimentConfig, repeat: int) -> Dataset:
-    """The repetition's dataset (memoized while its parameters repeat)."""
-    return memoized_dataset(config, repeat)
-
-
-def fit_sharded(method: str, method_seed: int, kwargs: dict[str, Any],
-                dataset: Dataset, config: ExperimentConfig) -> RangeQueryMechanism:
-    """Collect a shardable mechanism over ``config.n_shards`` user shards.
-
-    The users split into contiguous near-equal parts; shard ``i`` runs
-    ``partial_fit`` on its own ``shard_seed(method_seed, i)``-seeded
-    instance (one thread per shard — the numpy collection path releases
-    the GIL), then the shards merge in shard order and finalize once,
-    so the result does not depend on thread scheduling.
-    """
-    n_shards = config.n_shards
-    shards = [build_mechanism(method, config.epsilon,
-                              seed=shard_seed(method_seed, index), **kwargs)
-              for index in range(n_shards)]
-    parts = [Dataset(values, dataset.domain_size)
-             for values in np.array_split(dataset.values, n_shards)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_shards) as pool:
-        list(pool.map(lambda shard, part: shard.partial_fit(
-            part, total_users=dataset.n_users), shards, parts))
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged.merge(shard)
-    return merged.finalize()
-
-
-def _prepare_workload(config: ExperimentConfig, repeat: int) -> list[RangeQuery]:
-    """The repetition's default workload (memoized like the dataset)."""
-    return memoized_workload(config, repeat)
 
 
 def _assemble_result(config: ExperimentConfig, cells) -> ExperimentResult:
@@ -200,3 +164,24 @@ def sweep_parameter(base_config: ExperimentConfig, parameter: str,
     results = [_assemble_result(config, cells)
                for config, cells in zip(configs, grids)]
     return SweepResult(parameter=parameter, values=list(values), results=results)
+
+
+def sweep_panels(parameter: str, values: list[Any], panels: dict[str, Any], *,
+                 workload_factory=None, **settings) -> dict[Any, SweepResult]:
+    """Sweep one field on every panel of a figure.
+
+    ``panels`` maps config fields to the values the panels take, outer
+    axis first: ``{"dataset": ("ipums", "normal"), "query_dimension":
+    (2, 4)}`` is four panels, datasets outer, λ inner.  Each panel's base
+    config is ``ExperimentConfig(**settings)`` with its fields set.  A
+    panel is keyed by the tuple of its field values, or by the bare value
+    when ``panels`` has one axis, and the keys keep the panel order.
+    """
+    base = ExperimentConfig(**settings)
+    results = {}
+    for fields in itertools.product(*panels.values()):
+        key = fields[0] if len(panels) == 1 else fields
+        results[key] = sweep_parameter(
+            base.with_overrides(**dict(zip(panels, fields))), parameter,
+            list(values), workload_factory=workload_factory)
+    return results

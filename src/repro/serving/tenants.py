@@ -127,6 +127,24 @@ def service_from_config(config: dict) -> QueryService:
     return QueryService(mechanism, float(epsilon), **kwargs, **extra)
 
 
+def create_tenant_record(backend: StorageBackend, name: str,
+                         config: dict) -> tuple[TenantRecord, QueryService]:
+    """Check a new tenant's config, then persist its record.
+
+    The one way a tenant record is written: ``repro tenants create``,
+    :meth:`TenantManager.create_tenant` and the manager's adoption of
+    default-tenant snapshots all come here.  The service is built from
+    the config before the record is persisted, so a bad config (an
+    integer key out of range, an unknown mechanism, a bad epsilon)
+    never leaves a half-created tenant in the backend.  The caller
+    serves the returned service or closes it; no worker process has
+    started yet, since a stream tier starts on its first batch.
+    """
+    config = check_tenant_config(dict(config))
+    service = service_from_config(config)
+    return backend.create_tenant(name, config), service
+
+
 class TenantManager:
     """Hosts one :class:`QueryService` per tenant over a storage backend.
 
@@ -189,9 +207,10 @@ class TenantManager:
                 # Root-level snapshots with no registry entry (written
                 # by ``repro snapshot create`` or a single-service
                 # release): recover the newest, do not serve empty.
-                config = check_tenant_config(dict(default_config))
-                self._try_recover(backend.create_tenant(DEFAULT_TENANT,
-                                                        config))
+                record, fresh = create_tenant_record(
+                    backend, DEFAULT_TENANT, default_config)
+                fresh.close()
+                self._try_recover(record)
             else:
                 self.create_tenant(DEFAULT_TENANT, default_config)
 
@@ -300,18 +319,12 @@ class TenantManager:
             return tenant in self._runtimes
 
     def create_tenant(self, name: str, config: dict) -> TenantRecord:
-        """Validate, persist and start a new tenant.
-
-        The service is constructed *before* the record is persisted so
-        a bad config (unknown mechanism, bad epsilon) never leaves a
-        half-created tenant in the backend.
-        """
-        config = check_tenant_config(dict(config))
-        service = service_from_config(config)  # validates the config
+        """Validate, persist and start a new tenant
+        (:func:`create_tenant_record`)."""
         with self._registry_lock:
             if name in self._runtimes or name in self._quarantined:
                 raise TenantExistsError(f"tenant {name!r} already exists")
-            record = self.backend.create_tenant(name, config)
+            record, service = create_tenant_record(self.backend, name, config)
             self._runtimes[name] = _TenantRuntime(
                 record=record, service=service,
                 breaker=self._new_breaker())

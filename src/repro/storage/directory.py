@@ -161,6 +161,9 @@ class DirectoryBackend(StorageBackend):
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._tenants_path = self.root / TENANTS_FILE
+        #: Per tenant, the last sequence this backend appended: the next
+        #: append needs no directory listing.
+        self._appended: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Tenant registry
@@ -211,6 +214,7 @@ class DirectoryBackend(StorageBackend):
             raise UnknownTenantError(f"unknown tenant {name!r}")
         del tenants[name]
         self._write_registry(tenants)
+        self._appended.pop(name, None)
         self._remove_snapshots(name, self._versions(name))
         wal = self._wal_dir(name)
         if wal.is_dir():
@@ -355,20 +359,43 @@ class DirectoryBackend(StorageBackend):
 
     def append_ingest(self, tenant: str, rows: np.ndarray,
                       domain_size: int | None = None) -> int:
+        """Write the next entry without listing the log.
+
+        The sequence follows the one this backend last appended, or the
+        floor if a prune or discard raised it (the log is listed only on
+        a tenant's first append).  The entry's name is claimed with an
+        exclusive hard link: if another writer took the number, the log
+        is listed again and the next free number is tried, so an entry
+        is never overwritten.
+        """
         self._require_tenant(tenant)
         directory = self._wal_dir(tenant)
         directory.mkdir(parents=True, exist_ok=True)
-        seq = self.last_ingest_seq(tenant) + 1
         blob = base64.b64encode(encode_rows(rows)).decode("ascii")
-        entry = {"seq": seq, "rows": blob, "domain_size": domain_size,
-                 "created_at": utc_now()}
-        _atomic_write_json(directory / _WAL_TEMPLATE.format(seq=seq), entry)
-        self._write_wal_floor(tenant, seq)
+        if tenant in self._appended:
+            seq = max(self._appended[tenant], self._read_wal_floor(tenant))
+        else:
+            seq = self.last_ingest_seq(tenant)
+        while True:
+            seq += 1
+            temp = _write_temp(directory, {
+                "seq": seq, "rows": blob, "domain_size": domain_size,
+                "created_at": utc_now()})
+            try:
+                os.link(temp, directory / _WAL_TEMPLATE.format(seq=seq))
+                break
+            except FileExistsError:
+                seq = self.last_ingest_seq(tenant)
+            finally:
+                os.unlink(temp)
+        fsync_directory(directory)
+        self._appended[tenant] = seq
         return seq
 
-    # The floor file makes last_ingest_seq monotonic across prunes:
-    # without it, pruning every entry would restart sequence numbers
-    # and a later snapshot could mistake new entries for captured ones.
+    # The floor file makes last_ingest_seq monotonic across prunes and
+    # discards: before the newest entry goes, its number is written
+    # there, so a later append never reuses it and a later snapshot
+    # cannot mistake new entries for captured ones.
     def _floor_path(self, tenant: str) -> Path:
         return self._wal_dir(tenant) / "floor.json"
 
@@ -424,18 +451,19 @@ class DirectoryBackend(StorageBackend):
     def prune_ingest(self, tenant: str, upto_seq: int) -> int:
         self._require_tenant(tenant)
         directory = self._wal_dir(tenant)
-        removed = 0
-        for seq in self._wal_seqs(tenant):
-            if seq <= upto_seq:
-                (directory / _WAL_TEMPLATE.format(seq=seq)).unlink(
-                    missing_ok=True)
-                removed += 1
-        return removed
+        stale = [seq for seq in self._wal_seqs(tenant) if seq <= upto_seq]
+        if stale:
+            self._write_wal_floor(tenant, stale[-1])
+        for seq in stale:
+            (directory / _WAL_TEMPLATE.format(seq=seq)).unlink(missing_ok=True)
+        return len(stale)
 
     def discard_ingest(self, tenant: str, seq: int) -> None:
         self._require_tenant(tenant)
         path = self._wal_dir(tenant) / _WAL_TEMPLATE.format(seq=seq)
-        path.unlink(missing_ok=True)
+        if path.exists():
+            self._write_wal_floor(tenant, seq)
+            path.unlink()
 
     def ingest_log_depth(self, tenant: str | None = None) -> int:
         if tenant is not None:

@@ -23,8 +23,9 @@ import pytest
 from repro.cli import main
 from repro.serving import (QueryService, QuotaExceededError, TenantManager,
                            build_server)
-from repro.storage import (BACKENDS, DirectoryBackend, SQLiteBackend,
-                           TenantExistsError, UnknownTenantError)
+from repro.storage import (BACKENDS, DEFAULT_TENANT, DirectoryBackend,
+                           SQLiteBackend, TenantExistsError,
+                           UnknownTenantError)
 
 DOMAIN = 8
 
@@ -553,6 +554,55 @@ def test_cli_tenants_create_refuses_bad_integer_configs(tmp_path, capsys):
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
     with SQLiteBackend(db) as backend:
         assert backend.list_tenants() == []
+
+
+#: Bad tenant configs every creation route can express, with the
+#: ``repro tenants create`` flags that spell each one.
+BAD_CREATE_CONFIGS = [
+    ({"quota": -1}, ["--quota", "-1"], "quota"),
+    ({"keep_last": 0}, ["--keep-last", "0"], "keep_last"),
+    ({"total_users": 0}, ["--total-users", "0"], "total_users"),
+    ({"domain_size": 1}, ["--domain-size", "1"], "domain_size"),
+    ({"ingest_workers": 1_000_000}, ["--ingest-workers", "1000000"],
+     "ingest_workers"),
+    ({"epsilon": -1.0}, ["--epsilon=-1"], "epsilon"),
+]
+
+
+@pytest.mark.parametrize("bad, flags, key", BAD_CREATE_CONFIGS)
+def test_every_tenant_creation_route_refuses_a_bad_config(tmp_path, capsys,
+                                                          bad, flags, key):
+    """``repro tenants create``, ``POST /tenants``,
+    ``TenantManager.create_tenant`` and the manager's adoption of
+    default-tenant snapshots write a tenant record through one
+    function: each refuses the same bad configs and persists nothing.
+    No worker process starts: nothing is ingested."""
+    db = str(tmp_path / "repro.db")
+    assert main(["tenants", "create", "--backend", "sqlite", "--store", db,
+                 "--name", "acme", *flags]) == 2
+    assert key in capsys.readouterr().err
+    with SQLiteBackend(db) as backend:
+        manager = TenantManager(backend)
+        with pytest.raises(ValueError, match=key):
+            manager.create_tenant("acme", _tdg_config(**bad))
+        server = build_server(tenant_manager=manager)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, body = _http_error(server.server_address[1], "/tenants",
+                                       {"name": "acme",
+                                        "config": _tdg_config(**bad)})
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert status == 400 and key in body["error"]
+        assert backend.list_tenants() == [] and manager.tenant_names() == []
+    store = DirectoryBackend(tmp_path / "adopted")
+    store.save_snapshot(DEFAULT_TENANT, QueryService(
+        "TDG", 1.0, seed=11, domain_size=DOMAIN).state_dict())
+    with pytest.raises(ValueError, match=key):
+        TenantManager(store, default_config=_tdg_config(**bad))
+    assert store.list_tenants() == []
 
 
 def test_cli_serve_multi_tenant_smoke(tmp_path, capsys):

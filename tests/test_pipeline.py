@@ -22,7 +22,7 @@ from repro.core import HDG, TDG
 from repro.datasets import Dataset, make_dataset
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.cache import memoized_dataset, memoized_workload
-from repro.experiments.runner import fit_sharded
+from repro.experiments.executor import fit_sharded
 from repro.frequency_oracles import (GeneralizedRandomizedResponse,
                                      OptimizedLocalHash, SquareWave,
                                      SupportAccumulator)
@@ -297,7 +297,7 @@ def test_shard_states_rebuild_the_merged_estimate(tiny_dataset):
 
 
 # ----------------------------------------------------------------------
-# fit_sharded: the runner's sharded collection
+# fit_sharded: the executor's sharded collection
 # ----------------------------------------------------------------------
 def _shard_config(dataset: Dataset, n_shards: int) -> ExperimentConfig:
     return ExperimentConfig(n_users=dataset.n_users,

@@ -476,3 +476,58 @@ def test_directory_backend_failed_write_leaves_no_temp_file(tmp_path):
     wal_dir = tmp_path / "wal" / "acme"
     assert _temp_files(wal_dir) == []
     assert backend.pending_ingest("acme") == []
+
+
+def test_directory_backend_append_does_not_list_a_growing_log(tmp_path,
+                                                              monkeypatch):
+    """An append's cost must not grow with the log: the WAL directory's
+    entries are listed at most once per tenant, not once per append."""
+    from pathlib import Path
+    backend = DirectoryBackend(tmp_path)
+    backend.create_tenant("acme", {})
+    wal_dir = tmp_path / "wal" / "acme"
+    listed = []
+    real_glob = Path.glob
+
+    def counting_glob(self, pattern):
+        for path in real_glob(self, pattern):
+            if self == wal_dir:
+                listed.append(path)
+            yield path
+
+    monkeypatch.setattr(Path, "glob", counting_glob)
+    per_append = []
+    for seq in range(1, 41):
+        before = len(listed)
+        assert backend.append_ingest("acme", [[seq % 4, 1]]) == seq
+        per_append.append(len(listed) - before)
+    assert per_append[-1] == per_append[4] == 0
+    monkeypatch.undo()
+    assert [e.seq for e in backend.pending_ingest("acme")] == list(range(1, 41))
+
+
+def test_directory_backend_floor_survives_prune_discard_and_reopen(tmp_path):
+    """Without a per-append floor write, a prune or discard still
+    raises the floor first, so no number is reused by this backend, by
+    a reopened one, or after a full prune."""
+    backend = DirectoryBackend(tmp_path)
+    backend.create_tenant("acme", {})
+    for _ in range(3):
+        backend.append_ingest("acme", [[1, 2]])
+    backend.discard_ingest("acme", 3)
+    assert DirectoryBackend(tmp_path).last_ingest_seq("acme") == 3
+    assert backend.append_ingest("acme", [[1, 2]]) == 4
+    backend.prune_ingest("acme", 4)
+    assert backend.ingest_log_depth("acme") == 0
+    reopened = DirectoryBackend(tmp_path)
+    assert reopened.last_ingest_seq("acme") == 4
+    assert reopened.append_ingest("acme", [[1, 2]]) == 5
+    # The first backend's remembered position is behind both the
+    # other writer's entry and, after a prune, the floor.
+    assert backend.append_ingest("acme", [[3, 4]]) == 6
+    assert reopened.append_ingest("acme", [[1, 2]]) == 7
+    reopened.prune_ingest("acme", 7)
+    assert backend.append_ingest("acme", [[5, 6]]) == 8
+    assert [(e.seq, e.rows.tolist()) for e in backend.pending_ingest("acme")] \
+        == [(8, [[5, 6]])]
+    assert _temp_files(tmp_path / "wal" / "acme") == []
