@@ -10,9 +10,9 @@ exactly the failure mode the paper's experiments expose on correlated
 datasets.
 
 Collection is shardable: each attribute's Square Wave reports reduce to
-additive report-bucket counts (:meth:`SquareWave.accumulate`), kept in
-the keyed :class:`~repro.core.aggregation.AccumulatorTable` the grid
-mechanisms use too.  ``partial_fit`` adds them up batch by batch,
+additive report-bucket counts (:meth:`SquareWave.accumulate`), kept as
+one :class:`~repro.frequency_oracles.SupportAccumulator` per attribute
+(None until its first report).  ``partial_fit`` adds them up batch by batch,
 shards ``merge`` exactly, ``shard_state`` writes the table, and
 ``finalize`` runs EM once per attribute on the merged counts.  ``fit``
 is the base class's ``partial_fit`` plus ``finalize`` on one batch, with
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.aggregation import AccumulatorTable
 from ..core.base import RangeQueryMechanism
 from ..datasets import Dataset
-from ..frequency_oracles import SquareWave
+from ..frequency_oracles import SquareWave, SupportAccumulator
 from ..protocol import partition_users
 
 
@@ -54,10 +53,10 @@ class MSW(RangeQueryMechanism):
         self.smoothing = bool(smoothing)
         self.distributions: dict[int, np.ndarray] = {}
         self._prefixes: dict[int, np.ndarray] = {}
-        self._accumulators = AccumulatorTable()
+        self._accumulators: dict[int, SupportAccumulator | None] = {}
 
     def _reset_aggregation(self) -> None:
-        self._accumulators = AccumulatorTable()
+        self._accumulators = {}
 
     def _oracle(self) -> SquareWave:
         return SquareWave(self.epsilon, self._domain_size, rng=self.rng,
@@ -67,8 +66,7 @@ class MSW(RangeQueryMechanism):
     def _ensure_layout(self, planning_users: int | None) -> None:
         # One report-bucket count vector per attribute; nothing to plan.
         if not self._accumulators:
-            self._accumulators = AccumulatorTable.fromkeys(
-                range(self._n_attributes))
+            self._accumulators = dict.fromkeys(range(self._n_attributes))
 
     def _partial_fit(self, dataset: Dataset, total_users: int | None) -> None:
         self._ensure_layout(total_users)
@@ -76,12 +74,20 @@ class MSW(RangeQueryMechanism):
                                  self.rng)
         for attribute, group in enumerate(groups):
             if group.size > 0:
-                self._accumulators.add(attribute, self._oracle().accumulate(
+                self._add(attribute, self._oracle().accumulate(
                     dataset.column(attribute)[group]))
 
     def _merge(self, other: "MSW") -> None:
         self._ensure_layout(None)
-        self._accumulators.fold(other._accumulators)
+        for attribute, accumulator in other._accumulators.items():
+            if accumulator is not None:
+                self._add(attribute, accumulator.copy())
+
+    def _add(self, attribute: int, batch: SupportAccumulator) -> None:
+        """Add counts (sums over users, so the totals are exact)."""
+        current = self._accumulators[attribute]
+        self._accumulators[attribute] = (batch if current is None
+                                         else current.merge(batch))
 
     def _finalize(self) -> None:
         """EM once per attribute on its merged report-bucket counts; an
@@ -105,11 +111,18 @@ class MSW(RangeQueryMechanism):
     # Shard-state serialization (see docs/architecture.md for the schema)
     # ------------------------------------------------------------------
     def _shard_body(self) -> dict:
-        return {"accumulators": self._accumulators.to_document()}
+        return {"accumulators": {
+            str(attribute): (None if accumulator is None
+                             else accumulator.to_dict())
+            for attribute, accumulator in self._accumulators.items()}}
 
     def _load_shard_body(self, state: dict) -> None:
-        self._accumulators = AccumulatorTable.from_document(
-            state["accumulators"], range(self._n_attributes))
+        entries = state["accumulators"]
+        self._accumulators = {
+            attribute: (None if entries.get(str(attribute)) is None
+                        else SupportAccumulator.from_dict(
+                            entries[str(attribute)]))
+            for attribute in range(self._n_attributes)}
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)

@@ -1,26 +1,23 @@
-"""The aggregation core: keyed support accumulators and grid layers.
+"""The aggregation core: grid layers as stacked arrays.
 
 Phase 1 of TDG and HDG is one job.  Users are split into groups, each
-group reports its cell of one grid through OLH, and every report lands
-in that grid's additive
-:class:`~repro.frequency_oracles.SupportAccumulator`.
-:class:`GridMechanism` does that job once for both.  A mechanism holds
-one :class:`GridLayer` per grid dimensionality: TDG a 2-D layer (a
-grid per attribute pair), HDG a 1-D layer (a grid per attribute) and
-the 2-D one.  For every layer, the base class does the per-grid steps:
-
-* building the layout and adopting another shard's;
-* accumulating batches and merging shards;
-* turning the merged counts into cell frequencies, then running Phase 2;
-* the ``shard_state`` accumulators and the ``save_state`` grids.
+group reports its cell of one grid through OLH, and every report adds
+to that grid's support counts.  :class:`GridMechanism` does that job
+once for both.  A mechanism holds one :class:`GridLayer` per grid
+dimensionality: TDG a 2-D layer (a grid per attribute pair), HDG a 1-D
+layer (a grid per attribute) and the 2-D one.  A layer keeps its grids
+as arrays, one row per grid in key order: ``supports`` ``(n_grids,
+n_cells)``, ``n_reports`` ``(n_grids,)`` and, once finalized,
+``frequencies`` ``(n_grids, g)`` or ``(n_grids, g, g)``.  Collection
+(one ``bincount`` and one binomial call per layer), merging,
+debiasing, Phase 2 and the state documents work on whole layers and
+give the per-grid loops' floats bit for bit (docs/architecture.md,
+"Layer arrays"); each grid object is a view of its frequency row.
 
 A subclass keeps only what differs: its granularity rule, its user
 split (which fixes the order of the RNG draws) and what it builds for
-answering on top of the grids.
-
-:class:`AccumulatorTable` is the keyed accumulator table of the layers;
-MSW keeps one too, over its per-attribute Square Wave counts.  In state
-documents an attribute's key is ``"a"`` and a pair's is ``"a,b"``.
+answering on top of the grids.  In state documents an attribute's key
+is ``"a"`` and a pair's is ``"a,b"``.
 """
 
 from __future__ import annotations
@@ -50,51 +47,10 @@ def parse_state_key(text: str) -> int | tuple[int, int]:
     return parts[0] if len(parts) == 1 else parts
 
 
-class AccumulatorTable(dict):
-    """Support accumulators keyed by attribute or attribute pair.
-
-    A key maps to None until its first report arrives.  Counts are sums
-    over users, so adding batches and folding shards in a fixed order
-    reproduces the single-process counts exactly.
-    """
-
-    def add(self, key, batch: SupportAccumulator) -> None:
-        """Add one batch's counts to ``key``'s accumulator."""
-        current = self[key]
-        if current is None:
-            self[key] = batch
-        else:
-            current.merge(batch)
-
-    def fold(self, other: "AccumulatorTable") -> None:
-        """Add another shard's counts, key by key."""
-        for key, accumulator in other.items():
-            if accumulator is None:
-                continue
-            if self[key] is None:
-                self[key] = accumulator.copy()
-            else:
-                self[key].merge(accumulator)
-
-    def to_document(self) -> dict:
-        return {state_key(key): (accumulator.to_dict()
-                                 if accumulator is not None else None)
-                for key, accumulator in self.items()}
-
-    @classmethod
-    def from_document(cls, entries: dict, keys) -> "AccumulatorTable":
-        """A table over ``keys`` from :meth:`to_document` output."""
-        table = cls.fromkeys(keys)
-        for key in table:
-            entry = entries.get(state_key(key))
-            if entry is not None:
-                table[key] = SupportAccumulator.from_dict(entry)
-        return table
-
-
 class GridLayer:
-    """The grids of one dimensionality and their support accumulators:
-    a 1-D grid per attribute or a 2-D grid per attribute pair."""
+    """The grids of one dimensionality as stacked arrays: a 1-D grid per
+    attribute or a 2-D grid per attribute pair, one row per grid in key
+    order."""
 
     def __init__(self, dimension: int, keys, domain_size: int,
                  granularity: int):
@@ -105,17 +61,82 @@ class GridLayer:
         self.n_cells = self.granularity ** dimension
         self.grids = {key: grid(key, domain_size, self.granularity)
                       for key in keys}
-        self.accumulators = AccumulatorTable.fromkeys(self.grids)
+        self.keys = list(self.grids)
+        self.cell_width = domain_size // self.granularity
+        #: The attributes each grid bins, one row per grid.
+        self._attributes = np.array(self.keys).reshape(len(self.keys), -1)
+        self.supports = np.zeros((len(self.keys), self.n_cells))
+        self.n_reports = np.zeros(len(self.keys), dtype=np.int64)
+        #: ``(n_grids, *grid shape)``; None until finalized or restored.
+        self.frequencies: np.ndarray | None = None
 
-    def values(self, dataset: Dataset, key) -> np.ndarray:
-        """The dataset's values that ``key``'s grid bins."""
-        if self.dimension == 1:
-            return dataset.column(key)
-        return dataset.columns(key)
+    def collect(self, dataset: Dataset, groups: list[np.ndarray],
+                oracle: OptimizedLocalHash) -> None:
+        """Add one batch's reports; ``groups[i]`` reports to grid ``i``."""
+        sizes = np.array([group.size for group in groups])
+        grids = np.repeat(np.arange(len(groups)), sizes)
+        binned = (dataset.values[np.concatenate(groups)[:, None],
+                                 self._attributes[grids]]
+                  // self.cell_width)
+        cells = binned[:, 0]
+        for axis in range(1, self.dimension):
+            cells = cells * self.granularity + binned[:, axis]
+        self.n_reports += sizes
+        if oracle.mode == "user":
+            parts = np.split(cells, np.cumsum(sizes)[:-1])
+            for index, part in enumerate(parts):
+                if part.size:
+                    self.supports[index] += oracle.accumulate(part).supports
+            return
+        filled = np.flatnonzero(sizes)
+        own = np.bincount(grids * self.n_cells + cells,
+                          minlength=self.supports.size).reshape(
+                              self.supports.shape)[filled]
+        self.supports[filled] += oracle.draw_supports(own, sizes[filled])
+
+    def debias(self, oracle: OptimizedLocalHash) -> None:
+        """Cell frequencies from the support counts; a grid without
+        reports stays all-zero."""
+        frequencies = np.zeros((len(self.keys),
+                                *(self.granularity,) * self.dimension))
+        seen = self.n_reports > 0
+        frequencies.reshape(self.supports.shape)[seen] = (
+            (self.supports[seen] / self.n_reports[seen, None]
+             - oracle.q_support) / (oracle.p - oracle.q_support))
+        self.set_frequencies(frequencies)
+
+    def set_frequencies(self, frequencies: np.ndarray) -> None:
+        """Adopt ``(n_grids, *grid shape)`` frequencies; each grid
+        becomes a view of its row."""
+        self.frequencies = frequencies
+        for grid, row in zip(self.grids.values(), frequencies):
+            grid.share_frequencies(row)
+
+    def freeze(self) -> None:
+        """Make the frequencies read-only, with every grid's view."""
+        self.frequencies.flags.writeable = False
+        for grid in self.grids.values():
+            grid.freeze()
+
+    def accumulators_document(self) -> dict:
+        return {state_key(key): ({"supports": supports.tolist(),
+                                  "n_reports": int(n_reports)}
+                                 if n_reports else None)
+                for key, supports, n_reports
+                in zip(self.keys, self.supports, self.n_reports)}
+
+    def load_accumulators(self, entries: dict) -> None:
+        """Read :meth:`accumulators_document` output into the rows."""
+        for index, key in enumerate(self.keys):
+            entry = entries.get(state_key(key))
+            if entry is not None:
+                accumulator = SupportAccumulator.from_dict(entry)
+                self.supports[index] = accumulator.supports
+                self.n_reports[index] = accumulator.n_reports
 
     def frequencies_document(self) -> dict:
-        return {state_key(key): grid.frequencies.tolist()
-                for key, grid in self.grids.items()}
+        return {state_key(key): row.tolist()
+                for key, row in zip(self.keys, self.frequencies)}
 
     @classmethod
     def from_frequencies(cls, dimension: int, domain_size: int,
@@ -123,8 +144,8 @@ class GridLayer:
         """A layer whose grids hold :meth:`frequencies_document` output."""
         layer = cls(dimension, map(parse_state_key, document), domain_size,
                     granularity)
-        for grid, values in zip(layer.grids.values(), document.values()):
-            grid.set_frequencies(np.asarray(values, dtype=float))
+        layer.set_frequencies(np.array(list(document.values()), dtype=float))
+        layer.freeze()
         return layer
 
 
@@ -214,11 +235,7 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
         self._ensure_layout(total_users or dataset.n_users)
         for layer, groups in zip(self._layers.values(),
                                  self._split_users(dataset)):
-            for (key, grid), members in zip(layer.grids.items(), groups):
-                if members.size > 0:
-                    oracle = self._oracle(layer)
-                    layer.accumulators.add(key, grid.accumulate(
-                        layer.values(dataset, key)[members], oracle))
+            layer.collect(dataset, groups, self._oracle(layer))
 
     def _merge(self, other: "GridMechanism") -> None:
         if not other._layers:
@@ -233,17 +250,19 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
                 "pass the same total_users or an explicit granularity to "
                 "every shard")
         for dimension, layer in self._layers.items():
-            layer.accumulators.fold(other._layers[dimension].accumulators)
+            layer.supports += other._layers[dimension].supports
+            layer.n_reports += other._layers[dimension].n_reports
 
     def _finalize(self) -> None:
         for layer in self._layers.values():
-            for key, grid in layer.grids.items():
-                grid.finalize_from(layer.accumulators[key],
-                                   self._oracle(layer))
+            layer.debias(self._oracle(layer))
         if self.postprocess:
-            run_phase2(self._n_attributes, self.grids_1d, self.grids_2d,
-                       n_buckets=self.chosen_g2,
+            singles, pairs = self._layers.get(1), self._layers[2]
+            run_phase2(self._n_attributes, singles and singles.frequencies,
+                       pairs.frequencies, pairs.keys,
                        rounds=self.consistency_rounds)
+        for layer in self._layers.values():
+            layer.freeze()
 
     # ------------------------------------------------------------------
     # Shard-state and fitted-state serialization (see docs/architecture.md
@@ -252,7 +271,7 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
     def _shard_body(self) -> dict:
         return {
             "granularity": self._granularities(),
-            "accumulators": {f"{dimension}d": layer.accumulators.to_document()
+            "accumulators": {f"{dimension}d": layer.accumulators_document()
                              for dimension, layer in self._layers.items()},
         }
 
@@ -261,8 +280,7 @@ class GridMechanism(PairwiseBatchAnswering, RangeQueryMechanism):
         self._build_layout([granularity[f"g{dimension}"]
                             for dimension in self._LAYERS])
         for dimension, layer in self._layers.items():
-            layer.accumulators = AccumulatorTable.from_document(
-                entries[f"{dimension}d"], layer.grids)
+            layer.load_accumulators(entries[f"{dimension}d"])
 
     def _state_payload(self) -> dict:
         return {

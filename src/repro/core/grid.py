@@ -19,13 +19,15 @@ vectorised gathers, so a lone query's answer is bitwise its row of a
 batch.  The original cell loops live in ``tests/oracles.py``: they are
 the ground truth the lookups are property-tested against and the
 baseline the throughput benchmark measures.
+A TDG/HDG's grids are views of its layer arrays
+(:mod:`repro.core.aggregation`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..frequency_oracles import FrequencyOracle, SupportAccumulator
+from ..frequency_oracles import FrequencyOracle
 from .prefix_sum import PrefixStack1D, PrefixStack2D
 
 
@@ -103,29 +105,14 @@ class _CellGrid:
         self._frequencies = oracle.estimate_frequencies(
             self._cells(values, oracle)).reshape(self.shape)
 
-    def accumulate(self, values: np.ndarray,
-                   oracle: FrequencyOracle) -> SupportAccumulator:
-        """Collect one user batch into an additive support accumulator.
-
-        The returned accumulator can be merged with accumulators of other
-        batches of this grid (from any shard) and turned into cell
-        frequencies once at the end with :meth:`finalize_from`.
-        """
-        return oracle.accumulate(self._cells(values, oracle))
-
-    def finalize_from(self, accumulator: SupportAccumulator | None,
-                      oracle: FrequencyOracle) -> None:
-        """Set cell frequencies from merged support counts.
-
-        An empty accumulator (``None`` or zero reports) leaves the grid
-        all-zero, matching the one-shot behaviour for empty user groups.
-        """
+    def share_frequencies(self, frequencies: np.ndarray) -> None:
+        """Hold ``frequencies`` itself, not a copy: a mechanism's grids
+        are views of its layer's stacked frequencies."""
+        if frequencies.shape != self.shape:
+            raise ValueError(
+                f"expected shape {self.shape}, got {frequencies.shape}")
         self._writable()
-        if accumulator is None or accumulator.n_reports == 0:
-            self._frequencies = np.zeros(self.shape)
-            return
-        self._frequencies = oracle.estimate_from_accumulator(
-            accumulator).reshape(self.shape)
+        self._frequencies = frequencies
 
     def set_frequencies(self, frequencies: np.ndarray) -> None:
         """Directly set cell frequencies (used by tests and post-processing)."""

@@ -39,7 +39,7 @@ from .granularity import (DEFAULT_ALPHA1, DEFAULT_ALPHA2,
 from .prefix_sum import PrefixStack1D, PrefixStack2D
 from .query_estimation import (by_pair_slot, estimate_lambda_query,
                                stack_grids)
-from .response_matrix import build_response_matrix
+from .response_matrix import build_response_matrices
 
 
 class HDG(GridMechanism):
@@ -93,6 +93,12 @@ class HDG(GridMechanism):
         super().__init__(epsilon, postprocess, consistency_rounds,
                          estimation_method, estimation_iterations,
                          oracle_mode, seed)
+        if granularities is not None and postprocess:
+            g1, g2 = int(granularities[0]), int(granularities[1])
+            if 1 <= g2 <= g1 and g1 % g2 != 0:
+                raise ValueError(
+                    f"g1 ({g1}) must be a multiple of g2 ({g2}) so the "
+                    "consistency buckets align")
         self.granularities = granularities
         self.alpha1 = float(alpha1)
         self.alpha2 = float(alpha2)
@@ -152,20 +158,21 @@ class HDG(GridMechanism):
 
     def _finalize(self) -> None:
         super()._finalize()
-        # Build all response matrices up front (they are reused by every query).
+        # Build all response matrices up front (they are reused by every
+        # query) in one sweep; the 1-D layer's rows are in attribute order.
         threshold = min(self.convergence_threshold,
                         1.0 / max(self._n_reports, 1))
-        self._response_matrices = {}
-        self.matrix_iteration_history = {}
-        for pair, grid in self.grids_2d.items():
-            result = build_response_matrix(self.grids_1d[pair[0]],
-                                           self.grids_1d[pair[1]], grid,
-                                           self._domain_size,
-                                           threshold=threshold,
-                                           max_iterations=self.matrix_iterations,
-                                           track_history=True)
-            self._response_matrices[pair] = result.matrix
-            self.matrix_iteration_history[pair] = result.change_history
+        singles, pairs = self._layers[1], self._layers[2]
+        first, second = np.array(pairs.keys).T
+        results = build_response_matrices(
+            singles.frequencies[first], singles.frequencies[second],
+            pairs.frequencies, self._domain_size, threshold=threshold,
+            max_iterations=self.matrix_iterations)
+        self._response_matrices = {
+            pair: result.matrix for pair, result in zip(pairs.keys, results)}
+        self.matrix_iteration_history = {
+            pair: result.change_history
+            for pair, result in zip(pairs.keys, results)}
         self._build_tables()
 
     # ------------------------------------------------------------------

@@ -11,71 +11,63 @@ The aggregator alternates two steps over the collected grids:
 The two steps can undo each other slightly, so they are interleaved for a
 few rounds and the process ends with a non-negativity step (required
 because Algorithm 1's multiplicative updates need non-negative inputs).
+
+Both steps run on the layer arrays in place: Norm-Sub is one row-wise
+pass per layer (:func:`~repro.postprocess.norm_sub_rows`), and the
+consistency step is one gather-reduce-scatter per attribute
+(:func:`~repro.postprocess.enforce_consistency`).  The attributes stay
+a sequential loop, because each step reads the grids the previous
+attribute's step adjusted.
 """
 
 from __future__ import annotations
 
-from ..postprocess import GridView, enforce_attribute_consistency, norm_sub
-from .grid import Grid1D, Grid2D
+import numpy as np
+
+from ..postprocess import enforce_consistency, norm_sub_rows
 
 
-def apply_norm_sub(grids_1d: dict[int, Grid1D],
-                   grids_2d: dict[tuple[int, int], Grid2D]) -> None:
-    """Norm-Sub every grid's frequencies in place."""
-    for grid in grids_1d.values():
-        grid.set_frequencies(norm_sub(grid.frequencies))
-    for grid in grids_2d.values():
-        grid.set_frequencies(norm_sub(grid.frequencies))
+def attribute_pairs(pairs: list[tuple[int, int]],
+                    attribute: int) -> tuple[list[int], list[int]]:
+    """The rows of the 2-D layer holding ``attribute`` second (on axis
+    1), then those holding it first (on axis 0)."""
+    second = [index for index, pair in enumerate(pairs)
+              if pair[1] == attribute]
+    first = [index for index, pair in enumerate(pairs)
+             if pair[0] == attribute]
+    return second, first
 
 
-def attribute_views(attribute: int, grids_1d: dict[int, Grid1D],
-                    grids_2d: dict[tuple[int, int], Grid2D],
-                    n_buckets: int) -> list[GridView]:
-    """Collect consistency views of every grid containing ``attribute``.
-
-    The consistency buckets are the ``g2`` coarse intervals of the
-    attribute; a 2-D grid contributes one cell per bucket along the
-    attribute's axis while a 1-D grid contributes ``g1 / g2`` cells.
-    """
-    views: list[GridView] = []
-    if attribute in grids_1d:
-        grid = grids_1d[attribute]
-        if grid.granularity % n_buckets != 0:
-            raise ValueError(
-                f"1-D granularity {grid.granularity} is not a multiple of the "
-                f"bucket count {n_buckets}")
-        # The consistency step adjusts the arrays in place.
-        views.append(GridView(frequencies=grid.mutable_frequencies(), axis=0,
-                              cells_per_bucket=grid.granularity // n_buckets))
-    for (attr_a, attr_b), grid in grids_2d.items():
-        if attribute == attr_a:
-            axis = 0
-        elif attribute == attr_b:
-            axis = 1
-        else:
-            continue
-        views.append(GridView(frequencies=grid.mutable_frequencies(), axis=axis,
-                              cells_per_bucket=1))
-    return views
-
-
-def apply_consistency(n_attributes: int, grids_1d: dict[int, Grid1D],
-                      grids_2d: dict[tuple[int, int], Grid2D],
-                      n_buckets: int) -> None:
-    """Run the attribute-by-attribute consistency step once."""
-    for attribute in range(n_attributes):
-        views = attribute_views(attribute, grids_1d, grids_2d, n_buckets)
-        if len(views) >= 2:
-            enforce_attribute_consistency(views, n_buckets)
-
-
-def run_phase2(n_attributes: int, grids_1d: dict[int, Grid1D],
-               grids_2d: dict[tuple[int, int], Grid2D], n_buckets: int,
+def run_phase2(n_attributes: int, singles: np.ndarray | None,
+               pair_grids: np.ndarray, pairs: list[tuple[int, int]],
                rounds: int = 3) -> None:
-    """Full Phase 2: interleave both steps, ending with non-negativity."""
+    """Full Phase 2 over the layer arrays, in place: interleave both
+    steps, ending with non-negativity.
+
+    ``singles`` is HDG's ``(d, g1)`` 1-D layer in attribute order
+    (``None`` for TDG); ``pair_grids`` is the ``(len(pairs), g2, g2)``
+    2-D layer, one grid per pair of ``pairs`` (sorted, lexicographic).
+    Both must be C-contiguous.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    n_buckets = pair_grids.shape[1]
+    if singles is not None and singles.shape[1] % n_buckets != 0:
+        raise ValueError(
+            f"1-D granularity {singles.shape[1]} is not a multiple of the "
+            f"bucket count {n_buckets}")
+    steps = []
+    for attribute in range(n_attributes):
+        second, first = attribute_pairs(pairs, attribute)
+        if len(second) + len(first) + (singles is not None) >= 2:
+            steps.append((None if singles is None else singles[attribute],
+                          second, first))
+    layers = [layer.reshape(len(layer), -1)
+              for layer in (singles, pair_grids) if layer is not None]
     for _ in range(rounds):
-        apply_norm_sub(grids_1d, grids_2d)
-        apply_consistency(n_attributes, grids_1d, grids_2d, n_buckets)
-    apply_norm_sub(grids_1d, grids_2d)
+        for rows in layers:
+            norm_sub_rows(rows)
+        for single, second, first in steps:
+            enforce_consistency(single, pair_grids, second, first, n_buckets)
+    for rows in layers:
+        norm_sub_rows(rows)

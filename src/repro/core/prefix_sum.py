@@ -64,10 +64,15 @@ SCALAR_ROWS = 16
 # ----------------------------------------------------------------------
 # Table builders for a list of equal-shape grids, stacked on a leading
 # axis.  The padding is zeroed across the stack, the rest is filled one
-# grid at a time, each NumPy call the size of one grid's table: one call
-# over a whole stack can release the GIL long enough for a concurrent
-# reader to take it, and a server thread that loses the GIL waits a
-# thread switch.
+# grid at a time, each NumPy call the size of one grid's table.  In a
+# server, a NumPy call that releases the GIL lets a concurrent reader
+# take it, and the finalizing thread then waits for the GIL back, so
+# in-process timings cannot choose between per-grid calls and one call
+# over the stack; only the in-server span can.  For Algorithm 1 it did
+# (perfbench ``ingest-refresh --trace 1``, HDG, d=6, c=64, 2 vCPUs):
+# ``finalize.phase2`` took 12.7 ms per re-finalize with one call per
+# step over the (15, 64, 64) stack and 29.3 ms with the same steps
+# called pair by pair.  These builders have not been measured that way.
 # ----------------------------------------------------------------------
 def _sats(matrices: list) -> np.ndarray:
     """Summed-area tables behind a leading zero row and column:

@@ -260,14 +260,12 @@ def stack_grids(stack: type, grids: list, *matrices):
     ``PrefixStack2D``) of ``grids``' frequencies in list order, with
     ``matrices`` (HDG's response matrices) in the same order.
 
-    The stack is built once and never rebuilt, so the grids and
-    matrices become read-only: a change to what it was built from
-    raises instead of being answered stale.
+    The stack is built once and never rebuilt, so the matrices become
+    read-only, as the mechanism's frozen grids are: a change to what it
+    was built from raises instead of being answered stale.
     """
     built = stack([grid.frequencies for grid in grids], grids[0].cell_width,
                   *matrices)
-    for grid in grids:
-        grid.freeze()
     for matrix in chain(*matrices):
         matrix.flags.writeable = False
     return built

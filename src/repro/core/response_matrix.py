@@ -13,6 +13,14 @@ until the total change per sweep falls below a threshold (any value below
 Because grid cells are axis-aligned equal-width blocks, the updates are
 implemented as vectorised block rescalings rather than through the generic
 constraint engine; the semantics match Algorithm 1 line for line.
+
+HDG builds every pair's matrix in one sweep over a ``(P, c, c)`` stack
+(:func:`build_response_matrices`): each step is one NumPy call over the
+pairs not yet converged (an active set), and a pair leaves the stack at
+the sweep it converges in, so each pair keeps its own iteration count
+and change history.  The per-pair reductions read the same memory layout
+as a lone ``c x c`` matrix, so a stacked pair's matrix and history are
+bitwise those of :func:`build_response_matrix`, a stack of one.
 """
 
 from __future__ import annotations
@@ -34,91 +42,99 @@ class ResponseMatrixResult:
     change_history: list[float] = field(default_factory=list)
 
 
-def _scale_blocks(matrix: np.ndarray, block_sums: np.ndarray,
-                  targets: np.ndarray, rows_per_block: int,
-                  cols_per_block: int) -> None:
-    """Rescale each (rows_per_block x cols_per_block) block of ``matrix``.
-
-    ``block_sums`` and ``targets`` have one entry per block; blocks with a
-    zero current sum are left untouched (Algorithm 1 line 7).
-    """
-    g_rows = matrix.shape[0] // rows_per_block
-    g_cols = matrix.shape[1] // cols_per_block
+def _rescale(stack: np.ndarray, targets: np.ndarray, rows_per_block: int,
+             cols_per_block: int) -> None:
+    """Rescale each ``(rows_per_block x cols_per_block)`` block of every
+    matrix in ``stack`` so it sums to its entry of ``targets``
+    (``(P, g_rows, g_cols)``); blocks with a zero current sum are left
+    untouched (Algorithm 1 line 7)."""
+    n_pairs, c_rows, c_cols = stack.shape
+    g_rows = c_rows // rows_per_block
+    g_cols = c_cols // cols_per_block
+    blocked = stack.reshape(n_pairs, g_rows, rows_per_block, g_cols,
+                            cols_per_block)
+    sums = blocked.sum(axis=(2, 4))
     ratios = np.ones_like(targets)
-    nonzero = block_sums != 0.0
-    ratios[nonzero] = targets[nonzero] / block_sums[nonzero]
-    blocked = matrix.reshape(g_rows, rows_per_block, g_cols, cols_per_block)
-    blocked *= ratios.reshape(g_rows, 1, g_cols, 1)
+    nonzero = sums != 0.0
+    ratios[nonzero] = targets[nonzero] / sums[nonzero]
+    blocked *= ratios.reshape(n_pairs, g_rows, 1, g_cols, 1)
 
 
-def _block_sums(matrix: np.ndarray, rows_per_block: int,
-                cols_per_block: int) -> np.ndarray:
-    g_rows = matrix.shape[0] // rows_per_block
-    g_cols = matrix.shape[1] // cols_per_block
-    blocked = matrix.reshape(g_rows, rows_per_block, g_cols, cols_per_block)
-    return blocked.sum(axis=(1, 3))
+def build_response_matrices(rows: np.ndarray, cols: np.ndarray,
+                            pairs: np.ndarray, domain_size: int,
+                            threshold: float = 1e-7,
+                            max_iterations: int = 100
+                            ) -> list[ResponseMatrixResult]:
+    """Algorithm 1 for ``P`` attribute pairs at once.
+
+    ``rows`` and ``cols`` are the ``(P, g1)`` frequencies of each pair's
+    first and second attribute's 1-D grid (they constrain row-band and
+    column-band sums), ``pairs`` the ``(P, g2, g2)`` frequencies of its
+    2-D grid (block sums).  A pair stops once its summed absolute change
+    per sweep falls below ``threshold`` (the paper recommends any value
+    below ``1/n``), or after ``max_iterations`` sweeps (the paper sees
+    convergence within roughly twenty).  Returns one result per pair,
+    with its per-sweep change history; the matrices are views of one
+    ``(P, c, c)`` array.
+    """
+    c = int(domain_size)
+    n_pairs = len(pairs)
+    matrices = np.full((n_pairs, c, c), 1.0 / (c * c))
+    histories: list[list[float]] = [[] for _ in range(n_pairs)]
+    # Rows per 1-D cell of the first attribute, columns per 1-D cell of
+    # the second, rows/columns per 2-D cell.
+    row_band, col_band = c // rows.shape[1], c // cols.shape[1]
+    pair_band = c // pairs.shape[1]
+    active, stack = np.arange(n_pairs), matrices
+    targets = (rows.reshape(n_pairs, -1, 1), cols.reshape(n_pairs, 1, -1),
+               pairs)
+    buffer = np.empty_like(matrices)
+    for _ in range(max_iterations):
+        if not active.size:
+            break
+        before = buffer[:active.size]
+        np.copyto(before, stack)
+        _rescale(stack, targets[0], row_band, c)
+        _rescale(stack, targets[1], c, col_band)
+        _rescale(stack, targets[2], pair_band, pair_band)
+        np.subtract(stack, before, out=before)
+        changes = np.abs(before, out=before).reshape(active.size, -1).sum(
+            axis=1)
+        for pair, change in zip(active.tolist(), changes.tolist()):
+            histories[pair].append(change)
+        done = changes < threshold
+        if done.any():
+            # Until the first pair leaves, the stack is ``matrices``.
+            if stack is not matrices:
+                matrices[active[done]] = stack[done]
+            active, stack = active[~done], stack[~done]
+            targets = tuple(target[~done] for target in targets)
+    if stack is not matrices:
+        matrices[active] = stack
+    return [ResponseMatrixResult(
+                matrix=matrix, iterations=len(history),
+                converged=bool(history) and history[-1] < threshold,
+                change_history=history)
+            for matrix, history in zip(matrices, histories)]
 
 
 def build_response_matrix(grid_row: Grid1D, grid_col: Grid1D, grid_pair: Grid2D,
                           domain_size: int, threshold: float = 1e-7,
                           max_iterations: int = 100,
                           track_history: bool = False) -> ResponseMatrixResult:
-    """Algorithm 1: build the ``c x c`` response matrix for one attribute pair.
-
-    Parameters
-    ----------
-    grid_row, grid_col:
-        The 1-D grids of the pair's first and second attribute (these
-        constrain row-band and column-band sums of the matrix).
-    grid_pair:
-        The pair's 2-D grid (constrains block sums).
-    domain_size:
-        The common domain size ``c``.
-    threshold:
-        Convergence threshold on the summed absolute change of the matrix
-        per sweep; the paper recommends any value below ``1/n``.
-    max_iterations:
-        Safety bound on sweeps (the paper observes convergence within
-        roughly twenty).
-    track_history:
-        Record the per-sweep change for the convergence experiment
-        (Figure 17).
+    """Algorithm 1 for one attribute pair from its grids: the pair's
+    first and second attribute's 1-D grids and its 2-D grid, as a stack
+    of one (:func:`build_response_matrices`).  ``track_history`` keeps
+    the per-sweep changes for the convergence experiment (Figure 17).
     """
     c = int(domain_size)
     if grid_pair.domain_size != c or grid_row.domain_size != c or grid_col.domain_size != c:
         raise ValueError("all grids must share the requested domain size")
-    matrix = np.full((c, c), 1.0 / (c * c))
-    history: list[float] = []
-    converged = False
-    iterations = 0
-
-    row_band = grid_row.cell_width      # rows per 1-D cell of the first attribute
-    col_band = grid_col.cell_width      # columns per 1-D cell of the second attribute
-    pair_band = grid_pair.cell_width    # rows/cols per 2-D cell
-
-    for iterations in range(1, max_iterations + 1):
-        before = matrix.copy()
-
-        # 1-D grid of the row attribute: each cell covers a horizontal band.
-        sums = _block_sums(matrix, row_band, c)
-        _scale_blocks(matrix, sums, grid_row.frequencies.reshape(-1, 1),
-                      row_band, c)
-
-        # 1-D grid of the column attribute: each cell covers a vertical band.
-        sums = _block_sums(matrix, c, col_band)
-        _scale_blocks(matrix, sums, grid_col.frequencies.reshape(1, -1),
-                      c, col_band)
-
-        # 2-D grid: each cell covers a square block.
-        sums = _block_sums(matrix, pair_band, pair_band)
-        _scale_blocks(matrix, sums, grid_pair.frequencies, pair_band, pair_band)
-
-        change = float(np.abs(matrix - before).sum())
-        if track_history:
-            history.append(change)
-        if change < threshold:
-            converged = True
-            break
-
-    return ResponseMatrixResult(matrix=matrix, iterations=iterations,
-                                converged=converged, change_history=history)
+    [result] = build_response_matrices(grid_row.frequencies[None],
+                                       grid_col.frequencies[None],
+                                       grid_pair.frequencies[None], c,
+                                       threshold=threshold,
+                                       max_iterations=max_iterations)
+    if not track_history:
+        result.change_history = []
+    return result

@@ -135,14 +135,20 @@ class OptimizedLocalHash(FrequencyOracle):
     # ------------------------------------------------------------------
     # Fast aggregate simulation
     # ------------------------------------------------------------------
+    def draw_supports(self, true_counts: np.ndarray,
+                      n_users: np.ndarray) -> np.ndarray:
+        """Supports of ``k`` groups from their value counts and sizes, in
+        one call with the draws of two calls per group (fast mode)."""
+        trials = np.stack((true_counts,
+                           np.asarray(n_users)[:, None] - true_counts), axis=1)
+        return self.rng.binomial(
+            trials, [[self.p], [self.q_support]]).sum(axis=1)
+
     def _accumulate_fast(self, values: np.ndarray) -> SupportAccumulator:
         values = self._validate_values(values)
-        n = values.size
         true_counts = np.bincount(values, minlength=self.domain_size)
-        own_support = self.rng.binomial(true_counts, self.p)
-        other_support = self.rng.binomial(n - true_counts, self.q_support)
-        supports = (own_support + other_support).astype(float)
-        return SupportAccumulator(supports, n)
+        supports = self.draw_supports(true_counts[None], [values.size])[0]
+        return SupportAccumulator(supports.astype(float), values.size)
 
     # ------------------------------------------------------------------
     # FrequencyOracle API

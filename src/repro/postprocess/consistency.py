@@ -12,99 +12,70 @@ total matches the average.
 The weights follow the analysis in the paper / CALM: a grid in which the
 bucket total is the sum of ``|S_i|`` cells contributes weight proportional
 to ``1 / |S_i|``.
+
+The grids are rows of a mechanism's layer arrays: the attribute's 1-D
+grid, then the 2-D grids holding it second (its axis 1) and those
+holding it first (axis 0) — pair order, for sorted pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class GridView:
-    """A view of one grid's cells as seen from a single attribute.
+def bucket_totals(single: np.ndarray | None, pairs: np.ndarray, second,
+                  first, n_buckets: int) -> np.ndarray:
+    """Every view's per-bucket totals, one row per view.
 
-    Parameters
-    ----------
-    frequencies:
-        The grid's cell-frequency array (1-D of length ``g1`` for a 1-D
-        grid, 2-D of shape ``(g2, g2)`` for a 2-D grid).  Updated in place
-        by :func:`enforce_attribute_consistency`.
-    axis:
-        Which axis of ``frequencies`` corresponds to the attribute being
-        reconciled (ignored for 1-D grids).
-    cells_per_bucket:
-        How many of the attribute's own cells fall inside one consistency
-        bucket.  With a common bucket count of ``g2``, a 2-D grid has 1
-        cell per bucket along the attribute axis and a 1-D grid has
-        ``g1 / g2`` cells per bucket.
+    ``single`` is the attribute's 1-D grid (``None`` for TDG), ``pairs``
+    the 2-D layer and ``second``/``first`` the indices of the pairs that
+    hold the attribute second or first.  A lone 2-D view sums in place
+    along its axis.  Several sum as one ``np.concatenate`` copy, the
+    grids holding the attribute second transposed; the copy keeps its
+    inputs' memory order (bucket-major when every grid holds the
+    attribute second, row-major otherwise), and so does the sum.
     """
-
-    frequencies: np.ndarray
-    axis: int
-    cells_per_bucket: int
-
-    def bucket_totals(self, n_buckets: int) -> np.ndarray:
-        """Sum of frequencies per consistency bucket along the attribute axis."""
-        return _grouped_cells(self, n_buckets).sum(axis=(1, 2))
-
-    def cells_contributing(self) -> int:
-        """Number of cells whose frequencies sum into one bucket total (|S_i|)."""
-        other = self.frequencies.size // self.frequencies.shape[self.axis]
-        return self.cells_per_bucket * other
-
-    def apply_adjustment(self, bucket_deltas: np.ndarray) -> None:
-        """Distribute each bucket's total adjustment equally over its cells."""
-        grouped = _grouped_cells(self, bucket_deltas.shape[0])
-        per_cell = bucket_deltas / (self.cells_per_bucket * grouped.shape[2])
-        grouped += per_cell[:, None, None]
-        # ``grouped`` shares memory with the grid, so += updates it.
+    n_pair_views = len(second) + len(first)
+    totals = np.empty((int(single is not None) + n_pair_views, n_buckets))
+    if single is not None:
+        totals[0] = single.reshape(n_buckets, -1, 1).sum(axis=(1, 2))
+    if n_pair_views == 1:
+        grid, axis = (pairs[second[0]], 1) if second else (pairs[first[0]], 0)
+        totals[-1] = np.moveaxis(grid, axis, 0).reshape(
+            n_buckets, 1, -1).sum(axis=(1, 2))
+    elif n_pair_views:
+        cells = np.concatenate([part for part in (
+            pairs[second].transpose(0, 2, 1), pairs[first]) if len(part)])
+        totals[-n_pair_views:] = cells.reshape(
+            n_pair_views, n_buckets, 1, -1).sum(axis=(2, 3))
+    return totals
 
 
-def _grouped_cells(view: GridView, n_buckets: int) -> np.ndarray:
-    """The view's cells as a writable ``(buckets, cells_per_bucket, other)``
-    tensor sharing memory with the grid's frequency array."""
-    moved = np.moveaxis(view.frequencies, view.axis, 0)
-    attr_cells = moved.shape[0]
-    if attr_cells != n_buckets * view.cells_per_bucket:
-        raise ValueError(
-            f"grid has {attr_cells} cells along the attribute axis, which is "
-            f"not {n_buckets} buckets x {view.cells_per_bucket} cells")
-    return moved.reshape(n_buckets, view.cells_per_bucket, -1)
+def enforce_consistency(single: np.ndarray | None, pairs: np.ndarray, second,
+                        first, n_buckets: int) -> np.ndarray:
+    """Make all grids holding one attribute agree on its bucket totals.
 
-
-def enforce_attribute_consistency(views: list[GridView], n_buckets: int) -> np.ndarray:
-    """Make all grids agree on one attribute's bucket totals.
-
-    Views with identical grouped shapes — the ``d - 1`` 2-D grids of an
-    attribute all view as ``(g2, 1, g2)`` — are stacked into one tensor,
-    so one consistency round costs a handful of whole-stack reductions
-    instead of one reduction and one adjustment pass per view.
-
-    Returns the consensus bucket totals (mainly for testing/inspection);
-    the grids referenced by ``views`` are modified in place.
+    ``single`` (a row of the 1-D layer) and ``pairs`` (the 2-D layer)
+    are adjusted in place: each view's bucket delta is spread equally
+    over the bucket's cells.  Returns the consensus bucket totals.
     """
-    if not views:
+    n_pair_views = len(second) + len(first)
+    if single is None and not n_pair_views:
         raise ValueError("need at least one grid view")
-    grouped = [_grouped_cells(view, n_buckets) for view in views]
-    totals = np.empty((len(views), n_buckets))
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for position, cells in enumerate(grouped):
-        by_shape.setdefault(cells.shape, []).append(position)
-    for members in by_shape.values():
-        if len(members) == 1:
-            totals[members[0]] = grouped[members[0]].sum(axis=(1, 2))
-        else:
-            stacked = np.stack([grouped[position] for position in members])
-            totals[members] = stacked.sum(axis=(2, 3))
-    weights = np.array([1.0 / view.cells_contributing() for view in views])
+    totals = bucket_totals(single, pairs, second, first, n_buckets)
+    # A view whose bucket total sums |S_i| cells weighs 1 / |S_i|.
+    sizes = [n_buckets] * n_pair_views
+    if single is not None:
+        cells_per_bucket = single.size // n_buckets
+        sizes.insert(0, cells_per_bucket)
+    weights = np.array([1.0 / size for size in sizes])
     weights = weights / weights.sum()
     consensus = weights @ totals
-    # Distribute each view's bucket deltas equally over its cells; the
-    # grouped tensors share memory with the grids, so += updates them.
-    for view, cells, current in zip(views, grouped, totals):
-        per_cell = (consensus - current) / (view.cells_per_bucket
-                                            * cells.shape[2])
-        cells += per_cell[:, None, None]
+    if single is not None:
+        grouped = single.reshape(n_buckets, cells_per_bucket)
+        grouped += ((consensus - totals[0]) / cells_per_bucket)[:, None]
+    if n_pair_views:
+        per_cell = (consensus - totals[-n_pair_views:]) / pairs.shape[2]
+        pairs[second] += per_cell[:len(second), None, :]
+        pairs[first] += per_cell[len(second):, :, None]
     return consensus

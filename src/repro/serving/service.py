@@ -278,16 +278,13 @@ class _InlineCollector:
         self.collector.partial_fit(batch, total_users=self.total_users)
 
     def capture(self):
+        # A fresh instance merging the collector copies its counts (the
+        # layer arrays), so ingest can go on while the clone finalizes.
         collector = self.collector
-        factory, epsilon = type(collector), collector.epsilon
-        config, state = collector._snapshot_config(), collector.shard_state()
-
-        def build() -> RangeQueryMechanism:
-            clone = factory(epsilon, **config)
-            clone.load_shard_state(state)
-            clone.finalize()
-            return clone
-        return build
+        clone = type(collector)(collector.epsilon,
+                                **collector._snapshot_config())
+        clone.merge(collector)
+        return clone.finalize
 
     def published(self, epoch_id: int) -> None:
         pass

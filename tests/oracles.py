@@ -11,7 +11,14 @@ against:
 * per-cell grid loops (:func:`grid1d_range_loop`,
   :func:`grid2d_range_loop`);
 * per-user perturbation loops of GRR and Square Wave;
-* the per-view Phase-2 consistency pass;
+* the per-grid collection, Phase 2 and Algorithm 1 the layer arrays
+  replaced (:func:`partial_fit_loop`, :func:`phase2_loop`,
+  :func:`response_matrix_loop`): one OLH object and two binomial calls
+  per grid, one Norm-Sub call per grid, a :class:`GridView` per grid
+  and attribute, and one ``c x c`` matrix per pair.  The layer arrays
+  must match them bitwise;
+* the per-view Phase-2 consistency pass
+  (:func:`enforce_attribute_consistency_loop`);
 * per-query mechanism answering: :func:`scalar_answer` (one primitive
   at a time through the scalar lookups; bitwise equal to the compiled
   path for every mechanism but LHIO, whose scalar path sums its levels
@@ -37,6 +44,7 @@ import numpy as np
 
 from repro.baselines import HIO, LHIO, MSW, Uniform
 from repro.core import HDG, TDG, estimate_lambda_query
+from repro.frequency_oracles import OptimizedLocalHash
 from repro.postprocess import norm_sub
 from repro.queries import (DistributionResult, MarginalQuery, PointQuery,
                            Predicate, PredicateCountQuery, RangeQuery,
@@ -139,8 +147,75 @@ def square_wave_perturb_loop(oracle, values: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Phase 2: per-view consistency
+# Phase 1: per-grid collection
 # ----------------------------------------------------------------------
+def partial_fit_loop(mechanism, dataset, total_users=None):
+    """``mechanism.partial_fit(dataset)`` grid by grid: a fresh OLH
+    oracle per non-empty group and, in fast mode, its two binomial
+    calls, added into the layer's rows."""
+    if mechanism._n_attributes is None:
+        mechanism._n_attributes = dataset.n_attributes
+        mechanism._domain_size = dataset.domain_size
+    mechanism._ensure_layout(total_users or dataset.n_users)
+    for layer, groups in zip(mechanism._layers.values(),
+                             mechanism._split_users(dataset)):
+        for index, ((key, grid), members) in enumerate(
+                zip(layer.grids.items(), groups)):
+            if members.size == 0:
+                continue
+            oracle = OptimizedLocalHash(mechanism.epsilon, layer.n_cells,
+                                        rng=mechanism.rng,
+                                        mode=mechanism.oracle_mode)
+            values = (dataset.column(key) if layer.dimension == 1
+                      else dataset.columns(key))
+            cells = grid.cell_index(values[members])
+            if oracle.mode == "user":
+                supports = oracle.accumulate(cells).supports
+            else:
+                true_counts = np.bincount(cells, minlength=layer.n_cells)
+                supports = (
+                    oracle.rng.binomial(true_counts, oracle.p)
+                    + oracle.rng.binomial(cells.size - true_counts,
+                                          oracle.q_support)).astype(float)
+            layer.supports[index] += supports
+            layer.n_reports[index] += cells.size
+    mechanism._n_reports = (mechanism._n_reports or 0) + dataset.n_users
+    return mechanism
+
+
+# ----------------------------------------------------------------------
+# Phase 2: per-grid Norm-Sub, per-view consistency
+# ----------------------------------------------------------------------
+class GridView:
+    """One grid's cells as seen from one attribute: ``frequencies``
+    (updated in place), the attribute's ``axis`` and how many of its
+    cells fall in one consistency bucket."""
+
+    def __init__(self, frequencies, axis: int, cells_per_bucket: int):
+        self.frequencies = frequencies
+        self.axis = axis
+        self.cells_per_bucket = cells_per_bucket
+
+    def grouped(self, n_buckets: int) -> np.ndarray:
+        """A writable ``(buckets, cells_per_bucket, other)`` view."""
+        moved = np.moveaxis(self.frequencies, self.axis, 0)
+        if moved.shape[0] != n_buckets * self.cells_per_bucket:
+            raise ValueError("cells do not split into the buckets")
+        return moved.reshape(n_buckets, self.cells_per_bucket, -1)
+
+    def bucket_totals(self, n_buckets: int) -> np.ndarray:
+        return self.grouped(n_buckets).sum(axis=(1, 2))
+
+    def cells_contributing(self) -> int:
+        other = self.frequencies.size // self.frequencies.shape[self.axis]
+        return self.cells_per_bucket * other
+
+    def apply_adjustment(self, bucket_deltas: np.ndarray) -> None:
+        grouped = self.grouped(bucket_deltas.shape[0])
+        grouped += (bucket_deltas / (self.cells_per_bucket
+                                     * grouped.shape[2]))[:, None, None]
+
+
 def enforce_attribute_consistency_loop(views, n_buckets: int) -> np.ndarray:
     """One reduction and one adjustment pass per view."""
     if not views:
@@ -152,6 +227,93 @@ def enforce_attribute_consistency_loop(views, n_buckets: int) -> np.ndarray:
     for view, current in zip(views, totals):
         view.apply_adjustment(consensus - current)
     return consensus
+
+
+def enforce_attribute_consistency_by_shape(views, n_buckets: int
+                                           ) -> np.ndarray:
+    """The per-view pass with views of one grouped shape summed as one
+    ``np.stack``: the reductions the layer arrays must reproduce."""
+    if not views:
+        raise ValueError("need at least one grid view")
+    grouped = [view.grouped(n_buckets) for view in views]
+    totals = np.empty((len(views), n_buckets))
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for position, cells in enumerate(grouped):
+        by_shape.setdefault(cells.shape, []).append(position)
+    for members in by_shape.values():
+        if len(members) == 1:
+            totals[members[0]] = grouped[members[0]].sum(axis=(1, 2))
+        else:
+            stacked = np.stack([grouped[position] for position in members])
+            totals[members] = stacked.sum(axis=(2, 3))
+    weights = np.array([1.0 / view.cells_contributing() for view in views])
+    weights = weights / weights.sum()
+    consensus = weights @ totals
+    for view, cells, current in zip(views, grouped, totals):
+        cells += ((consensus - current)
+                  / (view.cells_per_bucket * cells.shape[2]))[:, None, None]
+    return consensus
+
+
+def phase2_loop(n_attributes, singles, pair_grids, pairs, rounds=3,
+                enforce=enforce_attribute_consistency_by_shape):
+    """:func:`repro.core.run_phase2` grid by grid, in place: one
+    :func:`norm_sub` call per grid, and per attribute a :class:`GridView`
+    of each grid holding it (1-D grid first, then pair order)."""
+    n_buckets = pair_grids.shape[1]
+    grids = [*(singles if singles is not None else ()), *pair_grids]
+
+    def norm_sub_all():
+        for grid in grids:
+            grid[...] = norm_sub(grid)
+
+    for _ in range(rounds):
+        norm_sub_all()
+        for attribute in range(n_attributes):
+            views = []
+            if singles is not None:
+                views.append(GridView(singles[attribute], 0,
+                                      singles.shape[1] // n_buckets))
+            for grid, pair in zip(pair_grids, pairs):
+                if attribute in pair:
+                    views.append(GridView(grid, pair.index(attribute), 1))
+            if len(views) >= 2:
+                enforce(views, n_buckets)
+    norm_sub_all()
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1: one pair at a time
+# ----------------------------------------------------------------------
+def response_matrix_loop(row, col, pair, domain_size, threshold=1e-7,
+                         max_iterations=100):
+    """Algorithm 1 on one ``c x c`` matrix from the pair's 1-D and 2-D
+    frequencies: ``(matrix, iterations, converged, change_history)``."""
+    c = int(domain_size)
+    matrix = np.full((c, c), 1.0 / (c * c))
+
+    def rescale(targets, rows_per_block, cols_per_block):
+        g_rows, g_cols = c // rows_per_block, c // cols_per_block
+        blocked = matrix.reshape(g_rows, rows_per_block, g_cols,
+                                 cols_per_block)
+        sums = blocked.sum(axis=(1, 3))
+        ratios = np.ones_like(targets)
+        nonzero = sums != 0.0
+        ratios[nonzero] = targets[nonzero] / sums[nonzero]
+        blocked *= ratios.reshape(g_rows, 1, g_cols, 1)
+
+    history, converged, iterations = [], False, 0
+    for iterations in range(1, max_iterations + 1):
+        before = matrix.copy()
+        rescale(row.reshape(-1, 1), c // row.size, c)
+        rescale(col.reshape(1, -1), c, c // col.size)
+        rescale(pair, c // pair.shape[0], c // pair.shape[0])
+        change = float(np.abs(matrix - before).sum())
+        history.append(change)
+        if change < threshold:
+            converged = True
+            break
+    return matrix, iterations, converged, history
 
 
 # ----------------------------------------------------------------------

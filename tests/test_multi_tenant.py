@@ -23,6 +23,7 @@ import pytest
 from repro.cli import main
 from repro.serving import (QueryService, QuotaExceededError, TenantManager,
                            build_server)
+from repro.serving.tenants import create_tenant_record
 from repro.storage import (BACKENDS, DEFAULT_TENANT, DirectoryBackend,
                            SQLiteBackend, TenantExistsError,
                            UnknownTenantError)
@@ -478,6 +479,31 @@ def test_http_bad_integer_fields_are_400(mt_server):
                                                  "domain_size": 8.7})
     assert status == 400 and "domain_size" in body["error"]
     assert manager.tenant_names() == ["default"]
+
+
+def test_hdg_granularities_that_do_not_nest_are_400(mt_server, tmp_path):
+    """HDG's Phase 2 needs g1 to be a multiple of g2.  A config without
+    it is refused when the tenant is created, before any report is
+    accepted, instead of at every re-finalize."""
+    manager, port = mt_server
+    config = {"mechanism": "HDG", "epsilon": 1.0, "seed": 3,
+              "domain_size": 48,
+              "mechanism_kwargs": {"granularities": [12, 8]}}
+    status, body = _http_error(port, "/tenants",
+                               {"name": "acme", "config": config})
+    assert status == 400 and "multiple of g2" in body["error"]
+    assert manager.tenant_names() == ["default"]
+    with SQLiteBackend(tmp_path / "direct.db") as backend:
+        with pytest.raises(ValueError, match="multiple of g2"):
+            create_tenant_record(backend, "acme", config)
+        assert backend.list_tenants() == []
+        # Nested granularities, or Phase 2 off, are accepted.
+        for kwargs in ({"granularities": [16, 8]},
+                       {"granularities": [12, 8], "postprocess": False}):
+            _, service = create_tenant_record(
+                backend, f"g{len(backend.list_tenants())}",
+                {**config, "mechanism_kwargs": kwargs})
+            service.close()
 
 
 BAD_BATCHES = [

@@ -122,24 +122,21 @@ def test_fit_is_partial_fit_plus_finalize_hdg(small_dataset):
 
 @pytest.mark.parametrize("mechanism_cls", [TDG, HDG])
 def test_merged_accumulators_equal_sum_of_shards(small_dataset, mechanism_cls):
-    """merge() is exact count addition on every grid's accumulator."""
+    """merge() is exact count addition on every grid's row of the
+    layer arrays."""
     n = small_dataset.n_users
     shards = _split(small_dataset, 2)
     fitted = [mechanism_cls(1.0, seed=s).partial_fit(shard, total_users=n)
               for s, shard in enumerate(shards)]
     merged = mechanism_cls(1.0, seed=9).merge(fitted[0]).merge(fitted[1])
 
-    def acc_maps(mechanism):
-        return [layer.accumulators for layer in mechanism._layers.values()]
-
-    for merged_map, map_a, map_b in zip(acc_maps(merged), acc_maps(fitted[0]),
-                                        acc_maps(fitted[1])):
-        for key, accumulator in merged_map.items():
-            parts = [m[key] for m in (map_a, map_b) if m[key] is not None]
-            assert accumulator is not None and parts
-            expected = np.sum([p.supports for p in parts], axis=0)
-            assert np.array_equal(accumulator.supports, expected)
-            assert accumulator.n_reports == sum(p.n_reports for p in parts)
+    for dimension, layer in merged._layers.items():
+        parts = [shard._layers[dimension] for shard in fitted]
+        assert np.array_equal(layer.supports,
+                              parts[0].supports + parts[1].supports)
+        assert np.array_equal(layer.n_reports,
+                              parts[0].n_reports + parts[1].n_reports)
+        assert (layer.n_reports > 0).all()
     assert merged.population == n
 
 

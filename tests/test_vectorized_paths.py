@@ -12,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import (enforce_attribute_consistency_loop, grr_perturb_loop,
-                     loop_answers, square_wave_perturb_loop)
+from oracles import (GridView, enforce_attribute_consistency_loop,
+                     grr_perturb_loop, loop_answers, phase2_loop,
+                     square_wave_perturb_loop)
 from repro.baselines import HIO, LHIO
-from repro.core import HDG
-from repro.core import phase2 as phase2_module
+from repro.core import HDG, aggregation
 from repro.datasets import make_dataset
 from repro.frequency_oracles import GeneralizedRandomizedResponse, SquareWave
-from repro.postprocess import GridView, enforce_attribute_consistency
+from repro.postprocess import bucket_totals, enforce_consistency
 from repro.queries import WorkloadGenerator
 
 
@@ -117,47 +117,33 @@ def test_lhio_four_dimensional_queries_through_batched_gathers():
 
 
 # ----------------------------------------------------------------------
-# Phase 2: stacked consistency views
+# Phase 2: consistency over the layer arrays
 # ----------------------------------------------------------------------
-def build_views(arrays):
-    views = []
-    for array, axis, cells_per_bucket in arrays:
-        views.append(GridView(frequencies=array, axis=axis,
-                              cells_per_bucket=cells_per_bucket))
-    return views
-
-
 def test_consistency_stacked_equals_loop_on_mixed_views():
+    """A 1-D grid (2 cells per bucket) and two 2-D grids holding the
+    attribute first and second: the layer-array step against one
+    :class:`GridView` per grid."""
     rng = np.random.default_rng(3)
     n_buckets = 4
     one_d = rng.normal(size=8)
-    two_d_a = rng.normal(size=(4, 4))
-    two_d_b = rng.normal(size=(4, 4))
-    loop_arrays = [one_d.copy(), two_d_a.copy(), two_d_b.copy()]
-    stacked_arrays = [one_d.copy(), two_d_a.copy(), two_d_b.copy()]
-    specs = [(0, 2), (0, 1), (1, 1)]
-    loop_views = build_views([(array, axis, cells)
-                              for array, (axis, cells)
-                              in zip(loop_arrays, specs)])
-    stacked_views = build_views([(array, axis, cells)
-                                 for array, (axis, cells)
-                                 in zip(stacked_arrays, specs)])
+    pairs = rng.normal(size=(2, 4, 4))
+    loop_one_d, loop_pairs = one_d.copy(), pairs.copy()
+    loop_views = [GridView(loop_one_d, 0, 2), GridView(loop_pairs[0], 1, 1),
+                  GridView(loop_pairs[1], 0, 1)]
     consensus_loop = enforce_attribute_consistency_loop(loop_views, n_buckets)
-    consensus_stacked = enforce_attribute_consistency(stacked_views, n_buckets)
+    consensus_stacked = enforce_consistency(one_d, pairs, [0], [1], n_buckets)
     np.testing.assert_allclose(consensus_stacked, consensus_loop, atol=1e-9)
-    for loop_array, stacked_array in zip(loop_arrays, stacked_arrays):
-        np.testing.assert_allclose(stacked_array, loop_array, atol=1e-9)
+    np.testing.assert_allclose(one_d, loop_one_d, atol=1e-9)
+    np.testing.assert_allclose(pairs, loop_pairs, atol=1e-9)
 
 
 def test_consistency_stacked_agrees_after_adjustment():
     rng = np.random.default_rng(4)
-    views = build_views([(rng.normal(size=(4, 4)), 0, 1),
-                         (rng.normal(size=(4, 4)), 1, 1),
-                         (rng.normal(size=12).reshape(12), 0, 3)])
-    consensus = enforce_attribute_consistency(views, 4)
-    for view in views:
-        np.testing.assert_allclose(view.bucket_totals(4), consensus,
-                                   atol=1e-9)
+    one_d = rng.normal(size=12)
+    pairs = rng.normal(size=(3, 4, 4))
+    consensus = enforce_consistency(one_d, pairs, [1], [0, 2], 4)
+    for totals in bucket_totals(one_d, pairs, [1], [0, 2], 4):
+        np.testing.assert_allclose(totals, consensus, atol=1e-9)
 
 
 def test_hdg_phase2_stacked_equals_loop_end_to_end(monkeypatch):
@@ -165,8 +151,11 @@ def test_hdg_phase2_stacked_equals_loop_end_to_end(monkeypatch):
                            rng=np.random.default_rng(10))
     stacked = HDG(1.0, seed=17).fit(dataset)
 
-    monkeypatch.setattr(phase2_module, "enforce_attribute_consistency",
-                        enforce_attribute_consistency_loop)
+    def loop_phase2(n_attributes, singles, pair_grids, pairs, rounds):
+        phase2_loop(n_attributes, singles, pair_grids, pairs, rounds,
+                    enforce=enforce_attribute_consistency_loop)
+
+    monkeypatch.setattr(aggregation, "run_phase2", loop_phase2)
     loop = HDG(1.0, seed=17).fit(dataset)
 
     for attribute in stacked.grids_1d:
