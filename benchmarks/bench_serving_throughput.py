@@ -36,12 +36,10 @@ Q — CI's regression gate on the fast path.
 The server is always a :class:`~repro.serving.TenantManager`; without
 ``--backend`` it runs over a process-local
 :class:`~repro.storage.MemoryBackend`, as ``repro serve`` does.  With
-``--backend json|sqlite`` it runs over that durable storage backend
-instead: ingest then flows through the write-ahead ingest log
-(durability on the hot path), and the run
-additionally reports a **storage comparison** — snapshot save/restore
-latency and write-ahead ingest-log throughput for *both* backends side
-by side — so one trajectory row captures JSON vs SQLite.
+``--backend sqlite`` it runs over a SQLite store instead: ingest then
+flows through the write-ahead ingest log (durability on the hot path),
+and the run additionally reports the **storage** costs — snapshot
+save/restore latency and write-ahead ingest-log throughput.
 
 With ``--fault-rate P`` the run adds a **resilience** section: ingest
 throughput under injected locked-database faults (retried by the
@@ -90,7 +88,7 @@ from repro.resilience import (DegradedServiceError,  # noqa: E402
                               RetryPolicy)
 from repro.serving import (QueryService, TenantManager,  # noqa: E402
                            build_server, query_to_wire)
-from repro.storage import BACKENDS, MemoryBackend, open_backend  # noqa: E402
+from repro.storage import MemoryBackend, SQLiteBackend  # noqa: E402
 
 
 def _post(port: int, path: str, payload: dict) -> dict:
@@ -163,58 +161,51 @@ def measure_read_scaling(port: int, wire_workload: list,
     return lines, section
 
 
-def compare_storage_backends(document: dict, rows: np.ndarray,
-                             batch_size: int, domain_size: int,
-                             rounds: int) -> tuple[list[str], dict]:
-    """Save/restore/WAL-append the same state through every backend.
+def measure_storage(document: dict, rows: np.ndarray, batch_size: int,
+                    domain_size: int, rounds: int) -> tuple[list[str], dict]:
+    """Save/restore/WAL-append the same state through a SQLite store.
 
     ``document`` is a fitted service's ``state_dict()`` so the blob is
     realistically sized; ``rows`` feed the write-ahead ingest log in
-    ``batch_size`` slices.  Returns report lines and a per-backend dict
-    of snapshot save/restore latency and WAL append throughput.
+    ``batch_size`` slices.  Returns report lines and, under
+    ``"sqlite"``, snapshot save/restore latency and WAL append
+    throughput.
     """
-    lines = []
-    results = {}
     n_batches = max(1, len(rows) // batch_size)
-    for kind in sorted(BACKENDS):
-        with tempfile.TemporaryDirectory() as tmp:
-            location = Path(tmp) / ("store.db" if kind == "sqlite"
-                                    else "store")
-            with open_backend(kind, location) as backend:
-                if not backend.has_tenant("default"):
-                    backend.create_tenant("default", {})
-                start = time.perf_counter()
-                for _ in range(rounds):
-                    record = backend.save_snapshot("default", document)
-                save_seconds = (time.perf_counter() - start) / rounds
+    with tempfile.TemporaryDirectory() as tmp:
+        with SQLiteBackend(Path(tmp) / "store.db") as backend:
+            backend.create_tenant("default", {})
+            start = time.perf_counter()
+            for _ in range(rounds):
+                record = backend.save_snapshot("default", document)
+            save_seconds = (time.perf_counter() - start) / rounds
 
-                start = time.perf_counter()
-                for _ in range(rounds):
-                    loaded, _meta = backend.load_snapshot("default")
-                    restored = QueryService.from_state_dict(loaded)
-                restore_seconds = (time.perf_counter() - start) / rounds
-                assert restored.reports_ingested == document["reports_ingested"]
+            start = time.perf_counter()
+            for _ in range(rounds):
+                loaded, _meta = backend.load_snapshot("default")
+                restored = QueryService.from_state_dict(loaded)
+            restore_seconds = (time.perf_counter() - start) / rounds
+            assert restored.reports_ingested == document["reports_ingested"]
 
-                # Arrays, as the server's ingest path appends them.
-                batches = [rows[index * batch_size:(index + 1) * batch_size]
-                           for index in range(n_batches)]
-                start = time.perf_counter()
-                for chunk in batches:
-                    backend.append_ingest("default", chunk, domain_size)
-                wal_seconds = time.perf_counter() - start
-                wal_rate = n_batches * batch_size / wal_seconds
+            # Arrays, as the server's ingest path appends them.
+            batches = [rows[index * batch_size:(index + 1) * batch_size]
+                       for index in range(n_batches)]
+            start = time.perf_counter()
+            for chunk in batches:
+                backend.append_ingest("default", chunk, domain_size)
+            wal_seconds = time.perf_counter() - start
+            wal_rate = n_batches * batch_size / wal_seconds
 
-        results[kind] = {
-            "snapshot_save_ms": round(save_seconds * 1e3, 2),
-            "snapshot_restore_ms": round(restore_seconds * 1e3, 2),
-            "snapshot_bytes": record.size_bytes,
-            "wal_append_reports_per_sec": round(wal_rate, 1),
-        }
-        lines.append(
-            f"  storage [{kind:>6}]  : save {save_seconds * 1e3:7.2f} ms  "
-            f"restore {restore_seconds * 1e3:7.2f} ms  "
-            f"({record.size_bytes} bytes)  "
-            f"wal append {wal_rate:10.1f} reports/sec")
+    results = {"sqlite": {
+        "snapshot_save_ms": round(save_seconds * 1e3, 2),
+        "snapshot_restore_ms": round(restore_seconds * 1e3, 2),
+        "snapshot_bytes": record.size_bytes,
+        "wal_append_reports_per_sec": round(wal_rate, 1),
+    }}
+    lines = [f"  storage [sqlite]  : save {save_seconds * 1e3:7.2f} ms  "
+             f"restore {restore_seconds * 1e3:7.2f} ms  "
+             f"({record.size_bytes} bytes)  "
+             f"wal append {wal_rate:10.1f} reports/sec"]
     return lines, results
 
 
@@ -224,7 +215,7 @@ def measure_resilience(rows: np.ndarray, batch_size: int, domain_size: int,
                        total_users: int) -> tuple[list[str], dict]:
     """The ``--fault-rate`` section: resilience overhead + degraded mode.
 
-    Three in-process measurements over the JSON backend (no HTTP, so
+    Three in-process measurements over SQLite stores (no HTTP, so
     the numbers isolate the resilience machinery itself):
 
     * **no-fault overhead** — write-ahead ingest throughput through a
@@ -255,17 +246,17 @@ def measure_resilience(rows: np.ndarray, batch_size: int, domain_size: int,
         return best
 
     with tempfile.TemporaryDirectory() as tmp:
-        with open_backend("json", Path(tmp) / "baseline") as raw:
+        with SQLiteBackend(Path(tmp) / "baseline.db") as raw:
             baseline = ingest_rate(TenantManager(
                 raw, default_config=config,
                 retry_policy=RetryPolicy.no_retry()))
 
-        with open_backend("json", Path(tmp) / "guarded") as inner:
+        with SQLiteBackend(Path(tmp) / "guarded.db") as inner:
             guarded = ingest_rate(TenantManager(
                 FaultInjectingBackend(inner), default_config=config))
         overhead = max(0.0, 1.0 - guarded / baseline)
 
-        with open_backend("json", Path(tmp) / "faulted") as inner:
+        with SQLiteBackend(Path(tmp) / "faulted.db") as inner:
             plan = FaultPlan([FaultSpec(op="append_ingest", error="locked",
                                         rate=fault_rate, times=0)],
                              seed=seed)
@@ -341,14 +332,12 @@ def run(n_batches: int, batch_size: int, n_attributes: int, domain_size: int,
         # keeps no rows.
         storage = MemoryBackend()
     else:
-        # A durable backend: every ingest batch is WAL-appended before
-        # it is applied, so the measured ingest rate includes the
+        # A SQLite store: every ingest batch is WAL-appended before it
+        # is applied, so the measured ingest rate includes the
         # durability cost.
         tmp = tempfile.TemporaryDirectory()
         stack.append(tmp.cleanup)
-        location = Path(tmp.name) / ("store.db" if backend == "sqlite"
-                                     else "store")
-        storage = open_backend(backend, location)
+        storage = SQLiteBackend(Path(tmp.name) / "store.db")
         stack.append(storage.close)
     manager = TenantManager(storage, default_config={
         "mechanism": "HDG", "epsilon": epsilon, "seed": seed,
@@ -431,7 +420,7 @@ def run(n_batches: int, batch_size: int, n_attributes: int, domain_size: int,
                 port, wire_workload, client_counts, query_rounds)
         if backend is not None:
             document = service.state_dict()
-            storage_lines, storage_results = compare_storage_backends(
+            storage_lines, storage_results = measure_storage(
                 document, dataset.values, batch_size, domain_size,
                 rounds=3 if smoke else 10)
         if fault_rate is not None:
@@ -502,9 +491,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI-sized run: small batches, few queries")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                        help="serve multi-tenant over this storage backend "
-                             "and add a JSON-vs-SQLite storage comparison")
+    parser.add_argument("--backend", choices=["sqlite"], default=None,
+                        help="serve multi-tenant over a SQLite store and "
+                             "add the storage measurements")
     parser.add_argument("--fault-rate", type=float, default=None,
                         metavar="P",
                         help="add the resilience section: measure ingest "

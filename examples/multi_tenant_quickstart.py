@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import WorkloadGenerator, make_dataset
 from repro.serving import TenantManager, build_server, query_to_wire
-from repro.storage import open_backend
+from repro.storage import SQLiteBackend
 
 
 def http_json(port: int, path: str, payload: dict | None = None,
@@ -57,7 +57,7 @@ def run(db: Path) -> None:
     # ------------------------------------------------------------------
     # 1. A durable multi-tenant server over SQLite.
     # ------------------------------------------------------------------
-    backend = open_backend("sqlite", db)
+    backend = SQLiteBackend(db)
     manager = TenantManager(backend, default_config={
         "mechanism": "HDG", "epsilon": 1.0, "seed": 0, "domain_size": 16})
     server = build_server(tenant_manager=manager, port=0)
@@ -128,7 +128,7 @@ def run(db: Path) -> None:
     server.server_close()
     backend.close()
 
-    recovered = TenantManager(open_backend("sqlite", db))
+    recovered = TenantManager(SQLiteBackend(db))
     for tenant in ("default", "acme"):
         answers = recovered.service(tenant).query_wire(wire)["answers"]
         if answers != live[tenant]:

@@ -1,12 +1,12 @@
 """Serving quickstart: ingest → snapshot → restore → query.
 
 This example drives the online serving subsystem (``repro.serving``)
-end to end in-process, the way ``repro serve --backend json --store
-DIR`` runs it:
+end to end in-process, the way ``repro serve --backend sqlite --store
+DB`` runs it:
 
 1. host a streaming HDG service as the ``default`` tenant of a
-   :class:`~repro.serving.TenantManager` over a JSON
-   :class:`~repro.storage.DirectoryBackend`, and ingest privatized
+   :class:`~repro.serving.TenantManager` over a
+   :class:`~repro.storage.SQLiteBackend`, and ingest privatized
    report batches (each one enters the write-ahead log first),
 2. re-finalize so the service answers from the accumulated reports,
 3. answer a workload over the JSON-over-HTTP API (the same
@@ -29,12 +29,13 @@ import json
 import tempfile
 import threading
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 
 from repro import WorkloadGenerator, make_dataset
 from repro.serving import TenantManager, build_server, query_to_wire
-from repro.storage import DirectoryBackend
+from repro.storage import SQLiteBackend
 
 
 def http_json(port: int, path: str, payload: dict | None = None) -> dict:
@@ -54,7 +55,9 @@ def main() -> None:
     dataset = make_dataset("normal", n_users=6_000, n_attributes=3,
                            domain_size=16, rng=rng)
     store = tempfile.TemporaryDirectory()
-    manager = TenantManager(DirectoryBackend(store.name), default_config={
+    db = Path(store.name) / "store.db"
+    backend = SQLiteBackend(db)
+    manager = TenantManager(backend, default_config={
         "mechanism": "HDG", "epsilon": 1.0, "seed": 0, "domain_size": 16,
         "total_users": dataset.n_users, "refinalize_every": 4_000})
     server = build_server(port=0, tenant_manager=manager)
@@ -93,14 +96,17 @@ def main() -> None:
           f"({written['size_bytes']} bytes)")
     server.shutdown()
     server.server_close()
+    backend.close()
 
-    restored = TenantManager(DirectoryBackend(store.name)).service()
+    recovered_backend = SQLiteBackend(db)
+    restored = TenantManager(recovered_backend).service()
     restored_answers = restored.query(workload)
     print(f"restored service: {restored.status()}")
     if not np.array_equal(np.asarray(live_answers), restored_answers):
         raise AssertionError(
             "restored answers drifted from the live service's")
     print("restored answers are bitwise identical to the live ones")
+    recovered_backend.close()
     store.cleanup()
     print("done")
 

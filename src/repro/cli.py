@@ -21,19 +21,20 @@ Seven subcommands mirror how the library is typically used:
     (:mod:`repro.serving`): ingest privatized reports incrementally,
     re-finalize on a policy, answer workloads.  The server always hosts
     tenants through a :class:`~repro.serving.TenantManager`.  With
-    ``--backend`` they live in a durable storage backend (JSON directory
-    or SQLite database): snapshots, a write-ahead ingest log and
-    automatic recovery on start.  Without it they live in process memory
+    ``--backend sqlite --store DB`` they live in a SQLite database:
+    snapshots, a write-ahead ingest log and automatic recovery on
+    start.  Without it they live in process memory
     (:class:`~repro.storage.MemoryBackend`): nothing is written to disk
     and ``POST /snapshot`` answers 409.
 ``snapshot``
-    Manage the default tenant's snapshots in a JSON store directory:
-    ``create`` one from a freshly collected dataset, ``list`` stored
-    versions (size, creation time and tenant, from listing metadata),
+    Manage the default tenant's snapshots in a SQLite store: ``create``
+    one from a freshly collected dataset, ``list`` stored versions
+    (size, creation time and tenant, from listing metadata),
     ``inspect`` one document.
 ``tenants``
-    Administer the tenants of a storage backend offline: ``list``,
-    ``create``, ``inspect``, ``delete``.
+    Administer the tenants of a SQLite store offline: ``list``,
+    ``create``, ``inspect``, ``delete``, and ``import`` a store of the
+    retired JSON directory layout.
 
 Examples
 --------
@@ -44,11 +45,11 @@ python -m repro.cli sweep --parameter epsilon --values 0.2 0.5 1.0 2.0 \\
 python -m repro.cli table2 --d 6 --lg-n 6.0
 python -m repro.cli run --shards 4 --methods TDG HDG CALM Uni
 python -m repro.cli serve --mechanism HDG --refinalize-every 5000 \\
-    --backend json --store /tmp/snapshots --port 8125
-python -m repro.cli serve --backend sqlite --store /tmp/repro.db
-python -m repro.cli snapshot list --dir /tmp/snapshots
-python -m repro.cli tenants create --backend sqlite --store /tmp/repro.db \\
+    --backend sqlite --store /tmp/repro.db --port 8125
+python -m repro.cli snapshot list --store /tmp/repro.db
+python -m repro.cli tenants create --store /tmp/repro.db \\
     --name acme --mechanism MSW --quota 100000
+python -m repro.cli tenants import --dir /tmp/json-store --store /tmp/repro.db
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from .queries import RangeQuery, answer_workload
 from .resilience import RetryPolicy
 from .serving import QueryService, TenantManager, build_server, serve
 from .serving.tenants import create_tenant_record, service_from_config
-from .storage import (BACKENDS, DEFAULT_TENANT, MemoryBackend, StorageError,
-                      open_backend)
+from .storage import (DEFAULT_TENANT, MemoryBackend, SQLiteBackend,
+                      StorageError, import_json_store)
 
 
 #: Mechanisms the serving and ingest paths accept.
@@ -262,9 +263,10 @@ def _service_summary(status: dict) -> str:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: a :class:`TenantManager` over ``--backend/--store``,
-    or over a process-local :class:`MemoryBackend` without ``--backend``."""
-    if args.busy_timeout is not None and args.backend != "sqlite":
+    """``repro serve``: a :class:`TenantManager` over a SQLite store
+    (``--backend sqlite --store DB``), or over a process-local
+    :class:`MemoryBackend` without ``--backend``."""
+    if args.busy_timeout is not None and args.backend is None:
         print("--busy-timeout requires --backend sqlite", file=sys.stderr)
         return 2
     if args.backend is None:
@@ -276,17 +278,18 @@ def _command_serve(args: argparse.Namespace) -> int:
         backend = MemoryBackend()
     else:
         if not args.store:
-            print("--backend requires --store (the store directory for "
-                  "json, the database file for sqlite)", file=sys.stderr)
+            print("--backend requires --store (the database file)",
+                  file=sys.stderr)
             return 2
         if args.bootstrap_dataset:
             print("--bootstrap-dataset is not supported with --backend: "
                   "ingest the rows over POST /ingest so they enter the "
                   "write-ahead log", file=sys.stderr)
             return 2
+        timeout = ({} if args.busy_timeout is None
+                   else {"busy_timeout_ms": args.busy_timeout})
         try:
-            backend = open_backend(args.backend, args.store,
-                                   busy_timeout_ms=args.busy_timeout)
+            backend = SQLiteBackend(args.store, **timeout)
         except ValueError as error:
             print(f"cannot open backend: {error}", file=sys.stderr)
             return 2
@@ -337,27 +340,61 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_snapshot(args: argparse.Namespace) -> int:
-    """``repro snapshot``: the default tenant's versions in a JSON store."""
-    if args.action == "list":
-        return _command_snapshot_list(args)
-    backend = open_backend("json", args.dir)
-    if args.action == "create":
-        service = service_from_config(_default_tenant_config(args))
-        service.ingest(_bootstrap_rows(args))
-        service.refinalize()
-        record = backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
-        if args.keep_last is not None:
-            backend.prune_snapshots(DEFAULT_TENANT, args.keep_last)
-        status = service.status()
-        print(f"wrote snapshot version {record.version} "
-              f"({status['mechanism']}, eps={status['epsilon']}, "
-              f"{status['reports_ingested']} reports) -> "
-              f"{backend.snapshot_path(DEFAULT_TENANT, record.version)}")
+    """``repro snapshot``: the default tenant's versions in a SQLite store."""
+    with SQLiteBackend(args.store) as backend:
+        if args.action == "create":
+            return _snapshot_create(args, backend)
+        if args.action == "list":
+            return _snapshot_list(backend)
+        return _snapshot_inspect(args, backend)
+
+
+def _snapshot_create(args: argparse.Namespace, backend: SQLiteBackend) -> int:
+    """Collect ``--bootstrap-dataset`` and store it as the default
+    tenant's next version, registering the tenant if it is missing."""
+    config = _default_tenant_config(args)
+    if not backend.has_tenant(DEFAULT_TENANT):
+        _, service = create_tenant_record(backend, DEFAULT_TENANT, config)
+    else:
+        service = service_from_config(config)
+    service.ingest(_bootstrap_rows(args))
+    service.refinalize()
+    record = backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
+    if args.keep_last is not None:
+        backend.prune_snapshots(DEFAULT_TENANT, args.keep_last)
+    status = service.status()
+    service.close()
+    print(f"wrote snapshot version {record.version} "
+          f"({status['mechanism']}, eps={status['epsilon']}, "
+          f"{status['reports_ingested']} reports) -> "
+          f"{backend.location()} (tenant {DEFAULT_TENANT!r})")
+    return 0
+
+
+def _snapshot_list(backend: SQLiteBackend) -> int:
+    """Versions from the listing table, never the snapshot blobs."""
+    records = backend.list_snapshots()
+    if not records:
+        print(f"{backend.location()}: no snapshots")
         return 0
-    # inspect
+    latest = {}
+    for record in records:
+        latest[record.tenant] = record.version
+    for record in records:
+        marker = ("  <- latest"
+                  if record.version == latest[record.tenant] else "")
+        print(f"  {record.tenant:>10}  v{record.version:>4}  "
+              f"{record.size_bytes:>10} bytes  {record.created_at}  "
+              f"{record.mechanism or '?'}"
+              f"{marker}")
+    return 0
+
+
+def _snapshot_inspect(args: argparse.Namespace,
+                      backend: SQLiteBackend) -> int:
     try:
         state, _ = backend.load_snapshot(DEFAULT_TENANT, args.version)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, StorageError) as error:
         print(str(error), file=sys.stderr)
         return 2
     estimator = state.get("estimator")
@@ -379,57 +416,15 @@ def _command_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_backend_from_args(args: argparse.Namespace):
-    """The storage backend the ``--backend``/``--store``/``--dir``
-    arguments select (JSON directory backend when only a directory is
-    given)."""
-    if getattr(args, "store", None):
-        return open_backend(args.backend or "json", args.store)
-    if getattr(args, "dir", None):
-        return open_backend("json", args.dir)
-    raise ValueError("pass --dir (JSON store directory) or "
-                     "--backend/--store (storage backend)")
-
-
-def _command_snapshot_list(args: argparse.Namespace) -> int:
-    """``repro snapshot list``: versions from listing metadata.
-
-    Size, creation time and tenant come from the backend's metadata
-    (sidecar records or the SQLite listing table), never by reading or
-    stat-ing the snapshot blobs themselves.
-    """
-    try:
-        backend = _open_backend_from_args(args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    with backend:
-        records = backend.list_snapshots()
-        if not records:
-            print(f"{backend.location()}: no snapshots")
-            return 0
-        latest = {}
-        for record in records:
-            latest[record.tenant] = record.version
-        for record in records:
-            marker = ("  <- latest"
-                      if record.version == latest[record.tenant] else "")
-            print(f"  {record.tenant:>10}  v{record.version:>4}  "
-                  f"{record.size_bytes:>10} bytes  {record.created_at}  "
-                  f"{record.mechanism or '?'}"
-                  f"{marker}")
-    return 0
-
-
 def _command_tenants(args: argparse.Namespace) -> int:
-    """``repro tenants``: offline tenant administration on a backend."""
-    try:
-        backend = _open_backend_from_args(args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    with backend:
+    """``repro tenants``: offline tenant administration on a SQLite store."""
+    with SQLiteBackend(args.store) as backend:
         try:
+            if args.action == "import":
+                names = import_json_store(args.dir, backend)
+                print(f"imported {len(names)} tenant(s) from {args.dir} "
+                      f"into {backend.location()}: {' '.join(names)}")
+                return 0
             if args.action == "list":
                 records = backend.list_tenants()
                 if not records:
@@ -606,16 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--verbose", action="store_true",
                               help="log one line per handled request")
     serve_parser.add_argument("--backend", default=None,
-                              choices=sorted(BACKENDS),
-                              help="serve tenants from this storage "
-                                   "backend (snapshots, write-ahead ingest "
-                                   "log, automatic recovery of stored "
-                                   "state); requires --store.  Without it "
-                                   "the service keeps no state on disk")
-    serve_parser.add_argument("--store", default=None, metavar="LOCATION",
-                              help="storage backend location: the store "
-                                   "directory for json, the database file "
-                                   "for sqlite")
+                              choices=["sqlite"],
+                              help="serve tenants from a SQLite store "
+                                   "(snapshots, write-ahead ingest log, "
+                                   "automatic recovery of stored state); "
+                                   "requires --store.  Without it the "
+                                   "service keeps no state on disk")
+    serve_parser.add_argument("--store", default=None, metavar="DB",
+                              help="the SQLite database file")
     serve_parser.add_argument("--queue-depth", type=int, default=16,
                               metavar="N",
                               help="admission queue: connections beyond the "
@@ -647,21 +640,25 @@ def build_parser() -> argparse.ArgumentParser:
                                    "recovery probe is allowed")
     serve_parser.add_argument("--busy-timeout", type=int, default=None,
                               metavar="MS",
-                              help="sqlite backend only: milliseconds a "
+                              help="with --backend: milliseconds a "
                                    "locked database is waited on before "
                                    "failing (see docs/storage.md)")
     serve_parser.set_defaults(handler=_command_serve)
 
     snapshot_parser = subparsers.add_parser(
-        "snapshot", help="manage the default tenant's snapshots in a JSON "
-                         "store directory")
+        "snapshot", help="manage the default tenant's snapshots in a "
+                         "SQLite store")
     snapshot_actions = snapshot_parser.add_subparsers(dest="action",
                                                       required=True)
+
+    def _add_store_argument(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--store", required=True, metavar="DB",
+                            help="the SQLite database file (serve it with "
+                                 "--backend sqlite --store DB)")
+
     create_parser = snapshot_actions.add_parser(
         "create", help="collect a dataset and write a snapshot version")
-    create_parser.add_argument("--dir", required=True,
-                               help="JSON store directory (serve it with "
-                                    "--backend json --store DIR)")
+    _add_store_argument(create_parser)
     create_parser.add_argument("--keep-last", type=int, default=None,
                                metavar="K")
     _add_serving_mechanism_arguments(create_parser)
@@ -670,45 +667,28 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser = snapshot_actions.add_parser(
         "list", help="list stored snapshot versions (size, creation time "
                      "and tenant, from listing metadata)")
-    list_parser.add_argument("--dir", default=None,
-                             help="JSON snapshot store directory")
-    list_parser.add_argument("--backend", default=None,
-                             choices=sorted(BACKENDS),
-                             help="list any storage backend's snapshots "
-                                  "(with --store)")
-    list_parser.add_argument("--store", default=None, metavar="LOCATION",
-                             help="storage backend location")
+    _add_store_argument(list_parser)
     list_parser.set_defaults(handler=_command_snapshot)
     inspect_parser = snapshot_actions.add_parser(
         "inspect", help="print one snapshot document's summary")
-    inspect_parser.add_argument("--dir", required=True)
+    _add_store_argument(inspect_parser)
     inspect_parser.add_argument("--version", type=int, default=None,
                                 help="version to inspect (default: latest)")
     inspect_parser.set_defaults(handler=_command_snapshot)
 
     tenants_parser = subparsers.add_parser(
-        "tenants", help="administer the tenants of a storage backend")
+        "tenants", help="administer the tenants of a SQLite store")
     tenant_actions = tenants_parser.add_subparsers(dest="action",
                                                    required=True)
-
-    def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--backend", default="json",
-                            choices=sorted(BACKENDS),
-                            help="storage backend kind (default: json)")
-        parser.add_argument("--store", required=True, metavar="LOCATION",
-                            help="storage backend location: the store "
-                                 "directory for json, the database file "
-                                 "for sqlite")
-
     tenants_list = tenant_actions.add_parser(
-        "list", help="list the backend's tenants")
-    _add_backend_arguments(tenants_list)
+        "list", help="list the store's tenants")
+    _add_store_argument(tenants_list)
     tenants_list.set_defaults(handler=_command_tenants)
     tenants_create = tenant_actions.add_parser(
         "create", help="create a tenant with a service configuration")
-    _add_backend_arguments(tenants_create)
+    _add_store_argument(tenants_create)
     tenants_create.add_argument("--name", required=True,
-                                help="tenant name (path- and URL-safe)")
+                                help="tenant name (URL-safe)")
     tenants_create.add_argument("--quota", type=int, default=None,
                                 help="max total reports the tenant may "
                                      "ingest (default: unlimited)")
@@ -719,14 +699,21 @@ def build_parser() -> argparse.ArgumentParser:
     tenants_create.set_defaults(handler=_command_tenants)
     tenants_inspect = tenant_actions.add_parser(
         "inspect", help="print one tenant's config, snapshots and log depth")
-    _add_backend_arguments(tenants_inspect)
+    _add_store_argument(tenants_inspect)
     tenants_inspect.add_argument("--name", required=True)
     tenants_inspect.set_defaults(handler=_command_tenants)
     tenants_delete = tenant_actions.add_parser(
         "delete", help="drop a tenant and all its stored state")
-    _add_backend_arguments(tenants_delete)
+    _add_store_argument(tenants_delete)
     tenants_delete.add_argument("--name", required=True)
     tenants_delete.set_defaults(handler=_command_tenants)
+    tenants_import = tenant_actions.add_parser(
+        "import", help="copy a store of the retired JSON directory layout "
+                       "into the SQLite store (the directory is only read)")
+    tenants_import.add_argument("--dir", required=True, metavar="JSON_STORE",
+                                help="the JSON store directory")
+    _add_store_argument(tenants_import)
+    tenants_import.set_defaults(handler=_command_tenants)
     return parser
 
 

@@ -93,9 +93,15 @@ class HDG(GridMechanism):
         super().__init__(epsilon, postprocess, consistency_rounds,
                          estimation_method, estimation_iterations,
                          oracle_mode, seed)
-        if granularities is not None and postprocess:
+        if granularities is not None:
+            # The layout refuses g1 < g2 with or without Phase 2; the
+            # consistency step also needs g1 to be a multiple of g2.
             g1, g2 = int(granularities[0]), int(granularities[1])
-            if 1 <= g2 <= g1 and g1 % g2 != 0:
+            if g1 < g2:
+                raise ValueError(
+                    f"g1 ({g1}) must be at least g2 ({g2}) so the consistency "
+                    "buckets align")
+            if postprocess and g2 >= 1 and g1 % g2 != 0:
                 raise ValueError(
                     f"g1 ({g1}) must be a multiple of g2 ({g2}) so the "
                     "consistency buckets align")
@@ -127,12 +133,7 @@ class HDG(GridMechanism):
     def _choose_granularities(self, planning_users: int | None
                               ) -> tuple[int, int]:
         if self.granularities is not None:
-            g1, g2 = int(self.granularities[0]), int(self.granularities[1])
-            if g1 < g2:
-                raise ValueError(
-                    f"g1 ({g1}) must be at least g2 ({g2}) so the consistency "
-                    "buckets align")
-            return g1, g2
+            return int(self.granularities[0]), int(self.granularities[1])
         if planning_users is None:
             raise ValueError(
                 "total_users is required to derive the guideline "

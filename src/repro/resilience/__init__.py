@@ -23,8 +23,8 @@ crashing.
 :mod:`repro.resilience.faults`
     :class:`FaultInjectingBackend` + :class:`FaultPlan` — seeded,
     scriptable fault schedules (Nth-write failures, locked-db storms,
-    latency, torn write-ahead-log appends) against any real backend,
-    so the chaos tests and benchmarks are deterministic.
+    latency) against any real backend, so the chaos tests and
+    benchmarks are deterministic.
 
 :class:`~repro.serving.TenantManager` threads all four through the
 serving tier: WAL appends retry transient errors, persistent failure

@@ -31,6 +31,7 @@ the full taxonomy table and the degraded-mode contract.
 from __future__ import annotations
 
 import errno
+import sqlite3
 
 from ..storage.base import CorruptEntryError, StorageError
 
@@ -109,13 +110,7 @@ def classify_error(error: BaseException) -> str:
         return "transient"
     if isinstance(error, (PermanentStorageError, CorruptEntryError)):
         return "permanent"
-    # sqlite3 stays an optional import so the taxonomy works for the
-    # JSON backend without sqlite present.
-    try:
-        import sqlite3
-    except ImportError:  # pragma: no cover - stdlib always has it
-        sqlite3 = None
-    if sqlite3 is not None and isinstance(error, sqlite3.OperationalError):
+    if isinstance(error, sqlite3.OperationalError):
         message = str(error).lower()
         if any(marker in message for marker in _SQLITE_TRANSIENT_MARKERS):
             return "transient"

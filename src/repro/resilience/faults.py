@@ -3,18 +3,16 @@
 A :class:`FaultInjectingBackend` wraps any real
 :class:`~repro.storage.StorageBackend` and executes a seeded,
 scriptable :class:`FaultPlan` against it: fail the Nth write with a
-locked-database error, storm ``times`` consecutive calls, inject
-latency, or tear a write-ahead-log append mid-entry.  Every failure
-mode the resilience layer handles is therefore *reproducible* — the
-chaos tests and the benchmark's ``--fault-rate`` mode replay the
-exact same fault schedule from the same seed.
+locked-database error, storm ``times`` consecutive calls, or inject
+latency.  Every failure mode the resilience layer handles is therefore
+*reproducible* — the chaos tests and the benchmark's ``--fault-rate``
+mode replay the exact same fault schedule from the same seed.
 
 Fault kinds
 -----------
 ``locked``
     Raises ``sqlite3.OperationalError("database is locked")`` — the
-    classic transient SQLite contention error, injectable against
-    either backend.
+    classic transient SQLite contention error.
 ``io``
     Raises ``OSError(EINTR)`` — a retryable I/O hiccup.
 ``permanent``
@@ -23,17 +21,9 @@ Fault kinds
 ``latency``
     Sleeps ``latency_ms`` then lets the call proceed (for deadline
     tests and tail-latency benchmarks).
-``torn``
-    Only meaningful on ``append_ingest``: against a
-    :class:`~repro.storage.DirectoryBackend` it writes a *truncated*
-    entry file at the next sequence number — exactly what a crash
-    mid-write without the atomic-rename discipline would leave — and
-    then raises a *permanent* error (a torn write models a crash; an
-    in-process retry would append after the corrupt file and turn a
-    discardable torn tail into mid-sequence corruption).  Against
-    other backends nothing is persisted (their appends are
-    transactional), so the fault degenerates to a plain write failure.
-    Either way the batch was never acknowledged.
+
+SQLite appends are transactional, so an append cut short by a crash
+leaves nothing behind: ``permanent`` on ``append_ingest`` covers it.
 
 Plans are scriptable from the command line through
 :meth:`FaultPlan.parse`::
@@ -62,7 +52,7 @@ from .errors import PermanentStorageError
 __all__ = ["FaultInjectingBackend", "FaultPlan", "FaultSpec"]
 
 #: Legal ``FaultSpec.error`` kinds.
-FAULT_KINDS = ("locked", "io", "permanent", "latency", "torn")
+FAULT_KINDS = ("locked", "io", "permanent", "latency")
 
 
 @dataclass
@@ -183,9 +173,7 @@ class FaultInjectingBackend(StorageBackend):
 
     Every method delegates to the wrapped backend after consulting the
     plan; a firing fault raises *before* the inner call so no partial
-    state is written (the one deliberate exception is ``torn``, which
-    persists a truncated write-ahead-log entry first — that is the
-    failure it models).  With an empty plan the wrapper is a pure
+    state is written.  With an empty plan the wrapper is a pure
     pass-through, which is what the benchmark's no-fault overhead gate
     measures.
     """
@@ -206,7 +194,7 @@ class FaultInjectingBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Fault machinery
     # ------------------------------------------------------------------
-    def _maybe_fail(self, op: str, tear=None) -> None:
+    def _maybe_fail(self, op: str) -> None:
         with self._lock:
             count = self.call_counts.get(op, 0) + 1
             self.call_counts[op] = count
@@ -222,31 +210,7 @@ class FaultInjectingBackend(StorageBackend):
         if spec.error == "io":
             import errno
             raise OSError(errno.EINTR, f"injected I/O fault on {op}")
-        if spec.error == "permanent":
-            raise PermanentStorageError(f"injected permanent fault on {op}")
-        # torn: persist the partial write, then surface the failure.
-        # Permanent, not transient: a torn write models a crash
-        # mid-entry, and an in-process retry would append *after* the
-        # corrupt file — turning a discardable torn tail into
-        # mid-sequence corruption.
-        if tear is not None:
-            tear()
-        raise PermanentStorageError(f"injected torn write on {op}")
-
-    def _tear_wal_append(self, tenant: str) -> None:
-        """Leave a truncated entry file where the next append would go.
-
-        Only the directory backend has a byte-level entry layout to
-        tear; transactional backends persist nothing on a torn append.
-        """
-        wal_dir = getattr(self.inner, "_wal_dir", None)
-        if wal_dir is None:
-            return
-        directory = wal_dir(tenant)
-        directory.mkdir(parents=True, exist_ok=True)
-        seq = self.inner.last_ingest_seq(tenant) + 1
-        path = directory / f"entry-{seq:08d}.json"
-        path.write_text('{"seq": %d, "rows": "UjEBAgA' % seq)
+        raise PermanentStorageError(f"injected permanent fault on {op}")
 
     # ------------------------------------------------------------------
     # Delegation
@@ -288,8 +252,7 @@ class FaultInjectingBackend(StorageBackend):
 
     def append_ingest(self, tenant: str, rows: np.ndarray,
                       domain_size: int | None = None) -> int:
-        self._maybe_fail("append_ingest",
-                         tear=lambda: self._tear_wal_append(tenant))
+        self._maybe_fail("append_ingest")
         return self.inner.append_ingest(tenant, rows, domain_size)
 
     def pending_ingest(self, tenant: str,

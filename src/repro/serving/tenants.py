@@ -49,7 +49,7 @@ gates one recovery probe per reset period.  Tenants whose recovery
 fails at construction are *quarantined* (with the failure reason)
 instead of refusing to start the whole server; ``retry_recovery``
 re-attempts them.  ``tests/test_resilience.py`` is the chaos suite
-pinning all of this on both backends.
+pinning all of this on SQLite.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def create_tenant_record(backend: StorageBackend, name: str,
     """Check a new tenant's config, then persist its record.
 
     The one way a tenant record is written: ``repro tenants create``,
-    :meth:`TenantManager.create_tenant` and the manager's adoption of
-    default-tenant snapshots all come here.  The service is built from
+    ``repro snapshot create`` and :meth:`TenantManager.create_tenant`
+    all come here.  The service is built from
     the config before the record is persisted, so a bad config (an
     integer key out of range, an unknown mechanism, a bad epsilon)
     never leaves a half-created tenant in the backend.  The caller
@@ -158,9 +158,7 @@ class TenantManager:
         When given and no ``"default"`` tenant exists yet, one is
         created with this config — the tenant every request without an
         explicit tenant name routes to, which is what keeps the
-        single-tenant wire format working.  If the backend already
-        holds default-tenant snapshots (a JSON store written without a
-        tenant registry), the new tenant recovers from the newest one.
+        single-tenant wire format working.
     retry_policy:
         Retry schedule for storage calls on the ingest/snapshot path
         (default: 3 attempts, exponential backoff with seeded jitter).
@@ -199,20 +197,7 @@ class TenantManager:
         if default_config is not None and not (
                 DEFAULT_TENANT in self._runtimes
                 or DEFAULT_TENANT in self._quarantined):
-            try:
-                adopt = bool(backend.list_snapshots(DEFAULT_TENANT))
-            except UnknownTenantError:  # snapshots need a registered tenant
-                adopt = False
-            if adopt:
-                # Root-level snapshots with no registry entry (written
-                # by ``repro snapshot create`` or a single-service
-                # release): recover the newest, do not serve empty.
-                record, fresh = create_tenant_record(
-                    backend, DEFAULT_TENANT, default_config)
-                fresh.close()
-                self._try_recover(record)
-            else:
-                self.create_tenant(DEFAULT_TENANT, default_config)
+            self.create_tenant(DEFAULT_TENANT, default_config)
 
     # ------------------------------------------------------------------
     # Recovery

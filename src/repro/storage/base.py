@@ -23,13 +23,13 @@ lose on a crash, organized around three concerns:
     durable backends store each batch in the compact row encoding of
     :func:`encode_rows`, and :func:`decode_rows` reads it back.
 
-Two durable implementations ship: :class:`~repro.storage.DirectoryBackend`
-(a directory of JSON snapshot files, the sole owner of that layout)
-and :class:`~repro.storage.SQLiteBackend` (single-file
-SQLite database in WAL mode).  :class:`~repro.storage.MemoryBackend`
-keeps tenants in process memory only: it is what ``repro serve`` runs
-over without ``--backend``.  docs/storage.md has the backend matrix
-and recovery semantics.
+The one durable implementation is :class:`~repro.storage.SQLiteBackend`
+(a single-file SQLite database in WAL mode); a store of the retired
+JSON directory layout is converted once with
+:func:`~repro.storage.import_json_store`.
+:class:`~repro.storage.MemoryBackend` keeps tenants in process memory
+only: it is what ``repro serve`` runs over without ``--backend``.
+docs/storage.md has the backend matrix and recovery semantics.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-#: Tenant names must be path- and URL-safe: they become directory
-#: names (DirectoryBackend) and path segments (``/tenants/<name>``).
+#: Tenant names must be URL-safe: they become path segments
+#: (``/tenants/<name>``).
 TENANT_NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.")
 
@@ -57,11 +57,11 @@ class StorageError(RuntimeError):
 class CorruptEntryError(StorageError):
     """A stored entry cannot be parsed and is not a discardable tail.
 
-    A corrupt entry at the *tail* of a write-ahead log is a torn final
-    write — it was never acknowledged, so backends quarantine and skip
-    it.  A corrupt entry in the *middle* of the sequence means
-    acknowledged data is gone; that is this error, and it is permanent
-    (:func:`repro.resilience.classify_error`)."""
+    SQLite appends are transactional, so a stored entry that cannot be
+    read is acknowledged data that is gone; that is this error, and it
+    is permanent (:func:`repro.resilience.classify_error`).  Importing
+    a JSON directory store skips an unreadable *last* entry instead: a
+    torn final write there was never acknowledged."""
 
 
 class UnknownTenantError(StorageError):
@@ -188,7 +188,7 @@ def decode_rows(stored) -> np.ndarray:
 
     ``stored`` is an :func:`encode_rows` blob, or the nested list of
     integers that entries written before the blob format held.  An
-    unreadable value is a ValueError; the backends decide whether that
+    unreadable value is a ValueError; the caller decides whether that
     is a torn tail or a :class:`CorruptEntryError`.
     """
     if isinstance(stored, list):
@@ -284,8 +284,8 @@ class StorageBackend(abc.ABC):
     def list_snapshots(self, tenant: str | None = None) -> list[SnapshotRecord]:
         """Listing records (``tenant=None`` lists every tenant's).
 
-        Served from metadata — the listing view / sidecar records —
-        not by reading or stat-ing snapshot blobs.
+        Served from metadata (the listing table), not by reading
+        snapshot blobs.
         """
 
     @abc.abstractmethod
@@ -344,7 +344,7 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def location(self) -> str:
-        """Human-readable storage location (directory or database path)."""
+        """Human-readable storage location (the database path)."""
 
     def close(self) -> None:
         """Release backend resources (connections, handles)."""

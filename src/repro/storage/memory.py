@@ -5,9 +5,9 @@
 Nothing ever reads back a log that dies with its process, so the
 ingest log keeps no rows: ``append_ingest`` only advances a per-tenant
 sequence counter, and memory stays bounded however long the server
-ingests.  Snapshots cannot be saved (:class:`NotDurableError`).  It is
-not in :data:`~repro.storage.BACKENDS`: the offline ``repro tenants``
-and ``repro snapshot`` commands never offer it.
+ingests.  Snapshots cannot be saved (:class:`NotDurableError`).  The
+offline ``repro tenants`` and ``repro snapshot`` commands never offer
+it: they work on a SQLite store.
 """
 
 from __future__ import annotations

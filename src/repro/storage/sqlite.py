@@ -38,8 +38,11 @@ and the JSON text of entries written before the blob format still
 replays.
 
 The connection is process-wide (``check_same_thread=False``) with one
-lock serializing statements — the HTTP worker pool's calls interleave
-safely and SQLite's own WAL handles concurrent *processes*.
+lock serializing statements, so the HTTP worker pool's calls interleave
+safely.  Every write is one ``BEGIN IMMEDIATE`` transaction: it takes
+the database's write lock before its first read, so a version or
+sequence number it computes with ``MAX(...)`` cannot be claimed by a
+writer in another process before it is inserted.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +149,9 @@ class SQLiteBackend(StorageBackend):
     name = "sqlite"
 
     #: Default lock-wait budget; override per store with
-    #: ``busy_timeout_ms`` / ``open_backend(..., busy_timeout_ms=...)``
-    #: / ``repro serve --busy-timeout`` (docs/storage.md discusses the
-    #: interaction with the serving tier's retry policy).
+    #: ``busy_timeout_ms`` / ``repro serve --busy-timeout``
+    #: (docs/storage.md discusses the interaction with the serving
+    #: tier's retry policy).
     DEFAULT_BUSY_TIMEOUT_MS = 30_000
 
     def __init__(self, path: str | Path,
@@ -173,6 +177,23 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    @contextmanager
+    def _write(self):
+        """One write transaction holding the database's write lock.
+
+        ``BEGIN IMMEDIATE`` takes the lock before the transaction's
+        first statement (waiting up to the busy timeout), so what it
+        reads cannot change under it; an error rolls everything back.
+        """
+        with self._lock:
+            self._connection.execute("BEGIN IMMEDIATE")
+            try:
+                yield self._connection
+            except BaseException:
+                self._connection.rollback()
+                raise
+            self._connection.commit()
+
     def _tenant_id(self, name: str) -> int:
         row = self._connection.execute(
             "SELECT tenant_id FROM tenants WHERE name = ?", (name,)).fetchone()
@@ -197,20 +218,26 @@ class SQLiteBackend(StorageBackend):
     def create_tenant(self, name: str, config: dict) -> TenantRecord:
         validate_tenant_name(name)
         created = utc_now()
-        with self._lock:
-            try:
-                cursor = self._connection.execute(
-                    "INSERT INTO tenants (name, config, created_at) "
-                    "VALUES (?, ?, ?)", (name, json.dumps(config), created))
-            except sqlite3.IntegrityError:
-                raise TenantExistsError(
-                    f"tenant {name!r} already exists") from None
-            self._connection.execute(
-                "INSERT INTO wal_floor (tenant_id, last_seq) VALUES (?, 0)",
-                (cursor.lastrowid,))
-            self._connection.commit()
+        with self._write() as connection:
+            self._insert_tenant(connection, name, config, created)
         return TenantRecord(name=name, config=dict(config),
                             created_at=created)
+
+    @staticmethod
+    def _insert_tenant(connection, name: str, config: dict, created: str,
+                       last_seq: int = 0) -> int:
+        """Insert a tenant row and its floor; returns its ``tenant_id``."""
+        try:
+            cursor = connection.execute(
+                "INSERT INTO tenants (name, config, created_at) "
+                "VALUES (?, ?, ?)", (name, json.dumps(config), created))
+        except sqlite3.IntegrityError:
+            raise TenantExistsError(
+                f"tenant {name!r} already exists") from None
+        connection.execute(
+            "INSERT INTO wal_floor (tenant_id, last_seq) VALUES (?, ?)",
+            (cursor.lastrowid, last_seq))
+        return cursor.lastrowid
 
     def get_tenant(self, name: str) -> TenantRecord:
         with self._lock:
@@ -234,13 +261,12 @@ class SQLiteBackend(StorageBackend):
                 for row in rows]
 
     def delete_tenant(self, name: str) -> None:
-        with self._lock:
+        with self._write() as connection:
             tenant_id = self._tenant_id(name)
             # ON DELETE CASCADE clears snapshots (whose delete trigger
             # clears the listing), blobs, log entries and the floor.
-            self._connection.execute(
+            connection.execute(
                 "DELETE FROM tenants WHERE tenant_id = ?", (tenant_id,))
-            self._connection.commit()
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -250,28 +276,30 @@ class SQLiteBackend(StorageBackend):
         blob = json.dumps(document).encode("utf-8")
         meta = snapshot_meta_from_document(document)
         created = utc_now()
-        with self._lock:
+        with self._write() as connection:
             tenant_id = self._tenant_id(tenant)
-            row = self._connection.execute(
+            row = connection.execute(
                 "SELECT COALESCE(MAX(version), 0) AS v FROM snapshots "
                 "WHERE tenant_id = ?", (tenant_id,)).fetchone()
-            version = int(row["v"]) + 1
-            cursor = self._connection.execute(
-                "INSERT INTO snapshots (tenant_id, version, created_at, "
-                "size_bytes, mechanism, epsilon, reports_ingested, wal_seq) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (tenant_id, version, created, len(blob), meta["mechanism"],
-                 meta["epsilon"], meta["reports_ingested"], int(wal_seq)))
-            self._connection.execute(
-                "INSERT INTO snapshot_blobs (snapshot_id, document) "
-                "VALUES (?, ?)", (cursor.lastrowid, blob))
-            self._connection.commit()
-        return SnapshotRecord(tenant=tenant, version=version,
-                              created_at=created, size_bytes=len(blob),
-                              mechanism=meta["mechanism"],
-                              epsilon=meta["epsilon"],
-                              reports_ingested=meta["reports_ingested"],
-                              wal_seq=int(wal_seq))
+            record = SnapshotRecord(
+                tenant=tenant, version=int(row["v"]) + 1, created_at=created,
+                size_bytes=len(blob), wal_seq=int(wal_seq), **meta)
+            self._insert_snapshot(connection, tenant_id, record, blob)
+        return record
+
+    @staticmethod
+    def _insert_snapshot(connection, tenant_id: int, record: SnapshotRecord,
+                         blob: bytes) -> None:
+        cursor = connection.execute(
+            "INSERT INTO snapshots (tenant_id, version, created_at, "
+            "size_bytes, mechanism, epsilon, reports_ingested, wal_seq) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            (tenant_id, record.version, record.created_at, record.size_bytes,
+             record.mechanism, record.epsilon, record.reports_ingested,
+             record.wal_seq))
+        connection.execute(
+            "INSERT INTO snapshot_blobs (snapshot_id, document) "
+            "VALUES (?, ?)", (cursor.lastrowid, blob))
 
     def load_snapshot(self, tenant: str,
                       version: int | None = None) -> tuple[dict,
@@ -315,14 +343,13 @@ class SQLiteBackend(StorageBackend):
     def prune_snapshots(self, tenant: str, keep_last: int) -> int:
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
-        with self._lock:
+        with self._write() as connection:
             tenant_id = self._tenant_id(tenant)
-            cursor = self._connection.execute(
+            cursor = connection.execute(
                 "DELETE FROM snapshots WHERE tenant_id = ? AND version <= ("
                 "  SELECT COALESCE(MAX(version), 0) - ? FROM snapshots "
                 "  WHERE tenant_id = ?)",
                 (tenant_id, keep_last, tenant_id))
-            self._connection.commit()
         return cursor.rowcount
 
     # ------------------------------------------------------------------
@@ -332,20 +359,25 @@ class SQLiteBackend(StorageBackend):
                       domain_size: int | None = None) -> int:
         blob = encode_rows(rows)
         created = utc_now()
-        with self._lock:
+        with self._write() as connection:
             tenant_id = self._tenant_id(tenant)
             seq = self.last_ingest_seq(tenant) + 1
-            # A BLOB keeps its storage class in the TEXT-affinity column.
-            self._connection.execute(
-                "INSERT INTO ingest_log (tenant_id, seq, rows, domain_size, "
-                "created_at) VALUES (?, ?, ?, ?, ?)",
-                (tenant_id, seq, blob, domain_size, created))
-            self._connection.execute(
+            self._insert_entry(connection, tenant_id, seq, blob, domain_size,
+                               created)
+            connection.execute(
                 "UPDATE wal_floor SET last_seq = ? "
                 "WHERE tenant_id = ? AND last_seq < ?",
                 (seq, tenant_id, seq))
-            self._connection.commit()
         return seq
+
+    @staticmethod
+    def _insert_entry(connection, tenant_id: int, seq: int, blob: bytes,
+                      domain_size: int | None, created: str) -> None:
+        # A BLOB keeps its storage class in the TEXT-affinity column.
+        connection.execute(
+            "INSERT INTO ingest_log (tenant_id, seq, rows, domain_size, "
+            "created_at) VALUES (?, ?, ?, ?, ?)",
+            (tenant_id, seq, blob, domain_size, created))
 
     def pending_ingest(self, tenant: str,
                        after_seq: int = 0) -> list[IngestLogEntry]:
@@ -378,21 +410,19 @@ class SQLiteBackend(StorageBackend):
                 "lost — refusing to recover") from error
 
     def prune_ingest(self, tenant: str, upto_seq: int) -> int:
-        with self._lock:
+        with self._write() as connection:
             tenant_id = self._tenant_id(tenant)
-            cursor = self._connection.execute(
+            cursor = connection.execute(
                 "DELETE FROM ingest_log WHERE tenant_id = ? AND seq <= ?",
                 (tenant_id, upto_seq))
-            self._connection.commit()
         return cursor.rowcount
 
     def discard_ingest(self, tenant: str, seq: int) -> None:
-        with self._lock:
+        with self._write() as connection:
             tenant_id = self._tenant_id(tenant)
-            self._connection.execute(
+            connection.execute(
                 "DELETE FROM ingest_log WHERE tenant_id = ? AND seq = ?",
                 (tenant_id, seq))
-            self._connection.commit()
 
     def ingest_log_depth(self, tenant: str | None = None) -> int:
         with self._lock:
@@ -417,6 +447,38 @@ class SQLiteBackend(StorageBackend):
                 "WHERE tenant_id = ?", (tenant_id,)).fetchone()
         return max(int(floor["last_seq"]) if floor is not None else 0,
                    int(newest["s"]))
+
+    # ------------------------------------------------------------------
+    # Import
+    # ------------------------------------------------------------------
+    def import_tenants(self, tenants) -> None:
+        """Write whole tenants with the numbers they were stored under.
+
+        Each item of ``tenants`` has a ``record`` (:class:`TenantRecord`),
+        ``snapshots`` (:class:`SnapshotRecord`, document bytes) pairs,
+        ``entries`` (:class:`IngestLogEntry` list) and the log's
+        ``floor``.  Versions, ``wal_seq``, sequence numbers and creation
+        times are written as given, not renumbered: recovery replays
+        the entries after a snapshot's ``wal_seq``.  Everything is one
+        transaction, so a name already in the store
+        (:class:`TenantExistsError`) or any other failure writes nothing.
+        """
+        with self._write() as connection:
+            for tenant in tenants:
+                record = tenant.record
+                validate_tenant_name(record.name)
+                last_seq = max([tenant.floor]
+                               + [entry.seq for entry in tenant.entries])
+                tenant_id = self._insert_tenant(
+                    connection, record.name, record.config,
+                    record.created_at, last_seq)
+                for snapshot, blob in tenant.snapshots:
+                    self._insert_snapshot(connection, tenant_id, snapshot,
+                                          blob)
+                for entry in tenant.entries:
+                    self._insert_entry(connection, tenant_id, entry.seq,
+                                       encode_rows(entry.rows),
+                                       entry.domain_size, entry.created_at)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -21,7 +21,8 @@ ingest tier: SIGKILL one *collector worker* mid-ingest.  The tier
 fails the in-flight batch fast (so the manager discards its
 already-durable WAL entry — the log never holds a batch the tier only
 partially absorbed), and a restarted process recovers from snapshot +
-WAL replay bitwise on both storage backends.
+WAL replay bitwise, on a new SQLite store and one imported from a
+JSON store (``tests/store_helpers.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 import pytest
 
 from repro.serving import TenantManager
-from repro.storage import BACKENDS, DirectoryBackend, SQLiteBackend
+from repro.storage import SQLiteBackend
+from store_helpers import STORE_KINDS, open_store
 
 DOMAIN = 8
 
@@ -67,23 +69,17 @@ def _rows(seed: int, n: int = 50) -> list:
     return rng.integers(0, DOMAIN, size=(n, 2)).tolist()
 
 
-def _open(kind, tmp_path, tag):
-    if kind == "json":
-        return DirectoryBackend(tmp_path / f"{tag}-store")
-    return SQLiteBackend(tmp_path / f"{tag}.db")
-
-
 def _answers(service) -> list:
     return service.query_wire_batch(WORKLOAD)["workloads"]
 
 
 @pytest.mark.parametrize("mechanism", sorted(CASES))
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_crash_mid_ingest_recovers_bitwise(kind, mechanism, tmp_path):
     config = CASES[mechanism]
 
     # Reference: an uninterrupted run.
-    reference_backend = _open(kind, tmp_path, "ref")
+    reference_backend = open_store(kind, tmp_path, "ref")
     reference = TenantManager(reference_backend, default_config=config)
     reference.ingest("default", _rows(0))
     reference.save_snapshot("default")
@@ -96,7 +92,7 @@ def test_crash_mid_ingest_recovers_bitwise(kind, mechanism, tmp_path):
     # Crashed: same sequence, but the process dies mid-ingest — the
     # last two batches' WAL appends are durable, the apply/finalize
     # never ran (simulated by appending directly to the backend).
-    backend = _open(kind, tmp_path, "crash")
+    backend = open_store(kind, tmp_path, "crash")
     crashed = TenantManager(backend, default_config=config)
     crashed.ingest("default", _rows(0))
     crashed.save_snapshot("default")
@@ -106,7 +102,7 @@ def test_crash_mid_ingest_recovers_bitwise(kind, mechanism, tmp_path):
     backend.close()
 
     # Restart: recovery restores the snapshot and replays the tail.
-    backend = _open(kind, tmp_path, "crash")
+    backend = open_store(kind, tmp_path, "crash")
     recovered = TenantManager(backend)
     service = recovered.service("default")
     assert service.reports_ingested == 150
@@ -116,7 +112,7 @@ def test_crash_mid_ingest_recovers_bitwise(kind, mechanism, tmp_path):
     # Recovery is idempotent: snapshot now, restart again, same answers.
     recovered.save_snapshot("default")
     backend.close()
-    backend = _open(kind, tmp_path, "crash")
+    backend = open_store(kind, tmp_path, "crash")
     again = TenantManager(backend)
     assert _answers(again.service("default")) == expected
     backend.close()
@@ -148,7 +144,7 @@ def test_crash_before_any_snapshot_recovers_from_log_alone(mechanism,
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     """Kill one ingest-tier worker process mid-stream; the failed
     batch's WAL entry is discarded and a restart replays the surviving
@@ -160,7 +156,7 @@ def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     # Reference: an uninterrupted distributed run over the batches
     # that will survive the crash (batch 2's ingest fails and its WAL
     # entry is discarded, so it is part of neither history).
-    reference_backend = _open(kind, tmp_path, "ref")
+    reference_backend = open_store(kind, tmp_path, "ref")
     reference = TenantManager(reference_backend, default_config=config)
     reference.ingest("default", _rows(0))
     reference.save_snapshot("default")
@@ -170,7 +166,7 @@ def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     reference.close()
     reference_backend.close()
 
-    backend = _open(kind, tmp_path, "crash")
+    backend = open_store(kind, tmp_path, "crash")
     crashed = TenantManager(backend, default_config=config)
     crashed.ingest("default", _rows(0))
     crashed.save_snapshot("default")
@@ -200,7 +196,7 @@ def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     # Restart: snapshot restore rebuilds a fresh 2-worker tier (same
     # worker states + key base), WAL replay re-routes batch 1
     # identically, answers match the uninterrupted run bitwise.
-    backend = _open(kind, tmp_path, "crash")
+    backend = open_store(kind, tmp_path, "crash")
     recovered = TenantManager(backend)
     assert not recovered.quarantined_tenants()
     service = recovered.service("default")
@@ -211,7 +207,7 @@ def test_sigkill_collector_worker_recovers_bitwise(kind, tmp_path):
     backend.close()
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_failed_automatic_refinalize_keeps_the_batch(kind, tmp_path,
                                                      monkeypatch, caplog):
     """A re-finalize that fails inside ``ingest`` must not undo a batch
@@ -230,7 +226,7 @@ def test_failed_automatic_refinalize_keeps_the_batch(kind, tmp_path,
 
     monkeypatch.setattr(HDG, "finalize", fail_once)
     config = {**CASES["HDG"], "refinalize_every": 100}
-    backend = _open(kind, tmp_path, "live")
+    backend = open_store(kind, tmp_path, "live")
     manager = TenantManager(backend, default_config=config)
     with caplog.at_level("WARNING", logger="repro.serving"):
         receipt = manager.ingest("default", _rows(0, n=150))
@@ -244,7 +240,7 @@ def test_failed_automatic_refinalize_keeps_the_batch(kind, tmp_path,
     manager.close()
     backend.close()
 
-    backend = _open(kind, tmp_path, "live")
+    backend = open_store(kind, tmp_path, "live")
     recovered = TenantManager(backend)
     service = recovered.service("default")
     assert service.reports_ingested == 150
@@ -283,8 +279,8 @@ def test_sigkill_mid_ingest_recovers_bitwise(tmp_path):
         "import sys, pathlib\n"
         "from repro.cli import build_parser\n"
         "from repro.serving import TenantManager, build_server, serve\n"
-        "from repro.storage import open_backend\n"
-        f"backend = open_backend('sqlite', {str(db)!r})\n"
+        "from repro.storage import SQLiteBackend\n"
+        f"backend = SQLiteBackend({str(db)!r})\n"
         "manager = TenantManager(backend, default_config="
         f"{config!r})\n"
         "server = build_server(tenant_manager=manager)\n"

@@ -29,7 +29,7 @@ from repro.datasets import Dataset
 from repro.ingest import ConsistentHashRouter, IngestTier
 from repro.mechanisms import MECHANISMS, shard_seed
 from repro.serving import QueryService, restore_mechanism
-from repro.storage import BACKENDS
+from store_helpers import STORE_KINDS, open_store
 
 DOMAIN = 8
 D = 3
@@ -474,19 +474,16 @@ def test_killed_worker_fails_fast():
         tier.close()
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_distributed_tenant_recovers_bitwise(kind, tmp_path):
-    """Snapshot + WAL replay of a distributed tenant, both backends."""
+    """Snapshot + WAL replay of a distributed tenant."""
     from repro.serving import TenantManager
-    from repro.storage import open_backend
 
     config = {"mechanism": "TDG", "epsilon": EPSILON, "seed": SEED,
               "domain_size": DOMAIN, "ingest_workers": N_WORKERS}
     batches = _batches()
-    location = (tmp_path / "store") if kind == "json" \
-        else (tmp_path / "store.db")
 
-    backend = open_backend(kind, location)
+    backend = open_store(kind, tmp_path)
     manager = TenantManager(backend, default_config=config)
     manager.ingest("default", batches[0].tolist())
     manager.save_snapshot("default")
@@ -496,7 +493,7 @@ def test_distributed_tenant_recovers_bitwise(kind, tmp_path):
     manager.close()
     backend.close()
 
-    backend = open_backend(kind, location)
+    backend = open_store(kind, tmp_path)
     recovered = TenantManager(backend)
     assert not recovered.quarantined_tenants()
     recovered.refinalize("default")

@@ -28,7 +28,7 @@ from repro.queries import MarginalQuery, WorkloadGenerator
 from repro.mechanisms import MECHANISMS
 from repro.serving import (AnswerCache, QueryService, ServiceError,
                            TenantManager)
-from repro.storage import DirectoryBackend
+from repro.storage import SQLiteBackend
 from serving_helpers import memory_server
 
 DOMAIN = 16
@@ -233,7 +233,7 @@ def test_invalid_cache_capacities_rejected():
 
 
 def test_tenant_cache_config_overrides(tmp_path):
-    backend = DirectoryBackend(tmp_path / "store")
+    backend = SQLiteBackend(tmp_path / "store.db")
     try:
         manager = TenantManager(backend)
         manager.create_tenant("tuned", {
@@ -262,7 +262,7 @@ def test_answer_cache_does_not_bleed_across_tenants(tmp_path):
     """Two tenants with identical configs but different data: the same
     workload must answer from each tenant's own estimator, not a
     shared cache entry."""
-    backend = DirectoryBackend(tmp_path / "store")
+    backend = SQLiteBackend(tmp_path / "store.db")
     try:
         manager = TenantManager(backend)
         config = {"mechanism": "TDG", "epsilon": 1.0, "seed": 11,

@@ -35,10 +35,9 @@ def test_guideline_granularities_used_by_default(small_dataset):
 
 def test_invalid_explicit_granularities_rejected():
     from repro.datasets import Dataset
-    mechanism = HDG(epsilon=1.0, granularities=(2, 8))
     dataset = Dataset(np.zeros((10, 2), dtype=int), 16)
-    with pytest.raises(ValueError):
-        mechanism.fit(dataset)
+    with pytest.raises(ValueError, match="at least g2"):
+        HDG(epsilon=1.0, granularities=(2, 8)).fit(dataset)
 
 
 def test_answers_2d_queries_reasonably(fitted_hdg, small_dataset, workload_2d):

@@ -3,7 +3,9 @@
 Refit ingest buffered every raw row and refitted from scratch on each
 re-finalize.  ``tests/data/legacy_refit/`` holds stores and documents
 that code wrote (``tests/data/make_legacy_refit_fixtures.py``), along
-with the answers it gave.  Reading them today:
+with the answers it gave.  The SQLite store is read from a copy; the
+JSON directory store is imported into a new SQLite store
+(``repro.storage.import_json_store``).  Reading them today:
 
 * an MSW or Uni refit tenant recovers into a stream service: its stored
   estimator is the published epoch, so the first answers equal the
@@ -27,26 +29,22 @@ import pytest
 from repro.baselines import HIO
 from repro.datasets import Dataset
 from repro.serving import QueryService, TenantManager
-from repro.storage import DirectoryBackend, SQLiteBackend
+from repro.storage import SQLiteBackend, import_json_store
 
 DATA = Path(__file__).resolve().parent / "data" / "legacy_refit"
 EXPECTED = json.loads((DATA / "expected.json").read_text())
 SERVED = {"msw": "MSW", "uni": "Uni"}
 
 
-def _reopen(kind: str, tmp_path):
-    if kind == "json":
-        return DirectoryBackend(tmp_path / "json-store")
-    return SQLiteBackend(tmp_path / "store.db")
-
-
 def _open_copy(kind: str, tmp_path):
-    """A writable copy of the fixture store (recovery and ingest write)."""
+    """A writable store holding the fixture (recovery and ingest
+    write): a copy of the SQLite store, or the JSON store imported."""
     if kind == "json":
-        shutil.copytree(DATA / "json-store", tmp_path / "json-store")
-    else:
-        shutil.copy(DATA / "store.db", tmp_path / "store.db")
-    return _reopen(kind, tmp_path)
+        backend = SQLiteBackend(tmp_path / "store.db")
+        import_json_store(DATA / "json-store", backend)
+        return backend
+    shutil.copy(DATA / "store.db", tmp_path / "store.db")
+    return SQLiteBackend(tmp_path / "store.db")
 
 
 def _answers(service) -> list:
@@ -95,7 +93,7 @@ def test_refit_tenants_recover_into_stream_services(kind, tmp_path):
             assert "refit" not in document and "ingest_mode" not in document
         backend.close()
 
-        backend = _reopen(kind, tmp_path)
+        backend = SQLiteBackend(tmp_path / "store.db")
         again = TenantManager(backend)
         for tenant, mechanism in SERVED.items():
             reference = _stream_reference(mechanism, batches + [extra])
@@ -141,7 +139,7 @@ def test_static_hio_snapshot_is_quarantined_by_name(tmp_path):
     servable before; its recovery now fails and names HIO."""
     dataset = Dataset(np.asarray(EXPECTED["batches"][0]),
                       EXPECTED["domain_size"])
-    backend = DirectoryBackend(tmp_path / "store")
+    backend = SQLiteBackend(tmp_path / "store.db")
     try:
         backend.create_tenant("hio", {"mechanism": "HIO", "epsilon": 1.0})
         backend.save_snapshot("hio", {

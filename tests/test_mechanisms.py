@@ -23,7 +23,7 @@ from repro.mechanisms import (MECHANISMS, build_mechanism, mechanism_class,
                               supports_sharding)
 from repro.queries import WorkloadGenerator
 from repro.serving import QueryService, TenantManager, restore_mechanism
-from repro.storage import BACKENDS, DirectoryBackend, SQLiteBackend
+from store_helpers import STORE_KINDS, open_store
 
 DOMAIN = 8
 SHARDABLE = {name for name, cls in MECHANISMS.items()
@@ -180,10 +180,9 @@ def test_cli_serves_calm(capsys):
     assert "CALM" in output and "ready=" in output
 
 
-@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+@pytest.mark.parametrize("backend_name", STORE_KINDS)
 def test_tenant_manager_creates_calm_tenant(backend_name, tmp_path):
-    backend = (DirectoryBackend(tmp_path / "store") if backend_name == "json"
-               else SQLiteBackend(tmp_path / "store.db"))
+    backend = open_store(backend_name, tmp_path)
     try:
         manager = TenantManager(backend)
         manager.create_tenant("c", {"mechanism": "CALM", "seed": 1,

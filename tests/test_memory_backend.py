@@ -16,9 +16,9 @@ import pytest
 
 from repro.cli import main
 from repro.serving import TenantManager
-from repro.storage import (BACKENDS, DEFAULT_TENANT, DirectoryBackend,
-                           MemoryBackend, NotDurableError, StorageError,
-                           TenantExistsError, UnknownTenantError)
+from repro.storage import (DEFAULT_TENANT, MemoryBackend, NotDurableError,
+                           SQLiteBackend, StorageError, TenantExistsError,
+                           UnknownTenantError)
 
 CONFIG = {"mechanism": "TDG", "epsilon": 1.0, "seed": 5, "domain_size": 8}
 
@@ -83,8 +83,12 @@ def test_snapshots_are_not_durable():
     assert backend.prune_snapshots(DEFAULT_TENANT, 1) == 0
 
 
-def test_not_offered_by_the_offline_commands():
-    assert "memory" not in BACKENDS
+def test_not_offered_by_the_offline_commands(tmp_path):
+    """The offline commands take a SQLite store and no backend choice."""
+    with pytest.raises(SystemExit) as exited:
+        main(["tenants", "list", "--backend", "memory",
+              "--store", str(tmp_path / "s.db")])
+    assert exited.value.code == 2
     assert MemoryBackend.name == "memory"
 
 
@@ -106,9 +110,9 @@ def test_tenant_manager_over_memory():
 
 
 def test_memory_answers_match_a_durable_tenant(tmp_path):
-    """The same batches answer bitwise alike over memory and JSON."""
+    """The same batches answer bitwise alike over memory and SQLite."""
     memory = TenantManager(MemoryBackend(), default_config=CONFIG)
-    durable = TenantManager(DirectoryBackend(tmp_path / "store"),
+    durable = TenantManager(SQLiteBackend(tmp_path / "store.db"),
                             default_config=CONFIG)
     for manager in (memory, durable):
         for seed in (1, 2):

@@ -26,7 +26,7 @@ from repro.queries import (QUERY_KINDS, MarginalQuery, PointQuery, Predicate,
                            evaluate_workload, query_kind)
 from repro.serving import (QueryService, queries_from_wire, query_from_wire,
                            query_to_wire)
-from repro.storage import DEFAULT_TENANT, DirectoryBackend
+from repro.storage import DEFAULT_TENANT, SQLiteBackend
 from serving_helpers import memory_server
 
 MIXED = ("range", "marginal", "point", "count", "topk")
@@ -374,7 +374,8 @@ def test_service_snapshot_restores_mixed_answers_bitwise(mixed_service,
     generator = WorkloadGenerator(3, 16, rng=np.random.default_rng(9))
     mixed = generator.mixed_workload(10, 2, 0.5, query_kinds=MIXED)
     wire = [query_to_wire(query) for query in mixed]
-    backend = DirectoryBackend(tmp_path / "store")
+    backend = SQLiteBackend(tmp_path / "store.db")
+    backend.create_tenant(DEFAULT_TENANT, {})
     info = backend.save_snapshot(DEFAULT_TENANT, mixed_service.state_dict())
     restored = QueryService.from_state_dict(
         backend.load_snapshot(DEFAULT_TENANT, info.version)[0])

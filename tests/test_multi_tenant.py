@@ -24,19 +24,16 @@ from repro.cli import main
 from repro.serving import (QueryService, QuotaExceededError, TenantManager,
                            build_server)
 from repro.serving.tenants import create_tenant_record
-from repro.storage import (BACKENDS, DEFAULT_TENANT, DirectoryBackend,
-                           SQLiteBackend, TenantExistsError,
-                           UnknownTenantError)
+from repro.storage import (SQLiteBackend, TenantExistsError,
+                           UnknownTenantError, import_json_store)
+from store_helpers import STORE_KINDS, open_store
 
 DOMAIN = 8
 
 
-@pytest.fixture(params=sorted(BACKENDS))
+@pytest.fixture(params=STORE_KINDS)
 def backend(request, tmp_path):
-    if request.param == "json":
-        built = DirectoryBackend(tmp_path / "store")
-    else:
-        built = SQLiteBackend(tmp_path / "store.db")
+    built = open_store(request.param, tmp_path)
     yield built
     built.close()
 
@@ -430,8 +427,9 @@ def test_http_snapshot_restart_round_trip(tmp_path):
 
 def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
     """Root-level snapshot files with no tenants.json (what ``repro
-    snapshot create`` writes) recover as the default tenant — they are
-    not shadowed by a fresh service built from the default config."""
+    snapshot create`` wrote to a JSON store) import as the default
+    tenant, which recovers from them — it is not shadowed by a fresh
+    service built from the default config."""
     saved = QueryService("HDG", 1.0, seed=3, domain_size=DOMAIN)
     saved.ingest(_rows(0, n=400))
     saved.refinalize()
@@ -442,8 +440,9 @@ def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
         json.dumps(saved.state_dict()))
     assert not (store / "tenants.json").exists()
 
-    manager = TenantManager(DirectoryBackend(store),
-                            default_config=_tdg_config())
+    backend = SQLiteBackend(tmp_path / "imported.db")
+    assert import_json_store(store, backend) == ["default"]
+    manager = TenantManager(backend, default_config=_tdg_config())
     adopted = manager.service("default")
     assert adopted.mechanism_name == "HDG"
     assert adopted.reports_ingested == saved.reports_ingested == 440
@@ -468,6 +467,7 @@ def test_manager_adopts_legacy_root_level_snapshots(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+        backend.close()
 
 
 def test_http_bad_integer_fields_are_400(mt_server):
@@ -506,6 +506,28 @@ def test_hdg_granularities_that_do_not_nest_are_400(mt_server, tmp_path):
             service.close()
 
 
+def test_hdg_granularities_with_g1_below_g2_are_400(mt_server, tmp_path):
+    """The grid layout refuses g1 < g2 with or without Phase 2, so such
+    a config is refused when the tenant is created, not at every
+    ingest."""
+    manager, port = mt_server
+    config = {"mechanism": "HDG", "epsilon": 1.0, "seed": 3,
+              "domain_size": 16}
+    for kwargs in ({"granularities": [2, 8]},
+                   {"granularities": [2, 8], "postprocess": False}):
+        bad = {**config, "mechanism_kwargs": kwargs}
+        status, body = _http_error(port, "/tenants",
+                                   {"name": "acme", "config": bad})
+        assert status == 400 and "at least g2 (8)" in body["error"]
+        with SQLiteBackend(tmp_path / "direct.db") as backend:
+            with pytest.raises(ValueError, match="at least g2"):
+                create_tenant_record(backend, "acme", bad)
+            assert backend.list_tenants() == []
+    assert manager.tenant_names() == ["default"]
+    with pytest.raises(ValueError, match="g1 \\(2\\) must be at least"):
+        QueryService("HDG", 1.0, domain_size=16, granularities=[2, 8])
+
+
 BAD_BATCHES = [
     ({"rows": [[0, 0, 8]]}, "domain_size"),     # a value >= c
     ({"rows": [[0, -1, 0]]}, "domain_size"),    # a negative value
@@ -515,15 +537,14 @@ BAD_BATCHES = [
 
 
 @pytest.mark.parametrize("payload, match", BAD_BATCHES)
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_http_bad_batch_is_400_before_the_log(kind, payload, match,
                                               tmp_path):
     """A batch the tenant's schema refuses answers 400 without any
     backend call: nothing is appended, discarded or sequenced."""
     from repro.resilience import FaultInjectingBackend
 
-    inner = (DirectoryBackend(tmp_path / "store") if kind == "json"
-             else SQLiteBackend(tmp_path / "store.db"))
+    inner = open_store(kind, tmp_path)
     backend = FaultInjectingBackend(inner)
     manager = TenantManager(backend, default_config=_tdg_config())
     server = build_server(tenant_manager=manager)
@@ -553,21 +574,20 @@ def test_http_bad_batch_is_400_before_the_log(kind, payload, match,
 # ----------------------------------------------------------------------
 def test_cli_tenants_lifecycle(tmp_path, capsys):
     db = str(tmp_path / "repro.db")
-    assert main(["tenants", "create", "--backend", "sqlite", "--store", db,
+    assert main(["tenants", "create", "--store", db,
                  "--name", "acme", "--mechanism", "MSW", "--quota", "1000",
                  "--domain-size", str(DOMAIN)]) == 0
     assert "created tenant 'acme'" in capsys.readouterr().out
-    assert main(["tenants", "list", "--backend", "sqlite",
-                 "--store", db]) == 0
+    assert main(["tenants", "list", "--store", db]) == 0
     out = capsys.readouterr().out
     assert "acme" in out and "MSW" in out
-    assert main(["tenants", "inspect", "--backend", "sqlite", "--store", db,
+    assert main(["tenants", "inspect", "--store", db,
                  "--name", "acme"]) == 0
     assert "'quota': 1000" in capsys.readouterr().out
-    assert main(["tenants", "create", "--backend", "sqlite", "--store", db,
+    assert main(["tenants", "create", "--store", db,
                  "--name", "acme", "--mechanism", "TDG"]) == 2
     capsys.readouterr()
-    assert main(["tenants", "delete", "--backend", "sqlite", "--store", db,
+    assert main(["tenants", "delete", "--store", db,
                  "--name", "acme"]) == 0
     assert "deleted tenant 'acme'" in capsys.readouterr().out
 
@@ -575,7 +595,7 @@ def test_cli_tenants_lifecycle(tmp_path, capsys):
 def test_cli_tenants_create_refuses_bad_integer_configs(tmp_path, capsys):
     db = str(tmp_path / "repro.db")
     for flags in (["--quota", "-1"], ["--keep-last", "0"]):
-        assert main(["tenants", "create", "--backend", "sqlite", "--store",
+        assert main(["tenants", "create", "--store",
                      db, "--name", "acme", *flags]) == 2
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
     with SQLiteBackend(db) as backend:
@@ -599,12 +619,12 @@ BAD_CREATE_CONFIGS = [
 def test_every_tenant_creation_route_refuses_a_bad_config(tmp_path, capsys,
                                                           bad, flags, key):
     """``repro tenants create``, ``POST /tenants``,
-    ``TenantManager.create_tenant`` and the manager's adoption of
-    default-tenant snapshots write a tenant record through one
-    function: each refuses the same bad configs and persists nothing.
-    No worker process starts: nothing is ingested."""
+    ``TenantManager.create_tenant`` and the manager's default tenant
+    write a tenant record through one function: each refuses the same
+    bad configs and persists nothing.  No worker process starts:
+    nothing is ingested."""
     db = str(tmp_path / "repro.db")
-    assert main(["tenants", "create", "--backend", "sqlite", "--store", db,
+    assert main(["tenants", "create", "--store", db,
                  "--name", "acme", *flags]) == 2
     assert key in capsys.readouterr().err
     with SQLiteBackend(db) as backend:
@@ -623,12 +643,10 @@ def test_every_tenant_creation_route_refuses_a_bad_config(tmp_path, capsys,
             server.server_close()
         assert status == 400 and key in body["error"]
         assert backend.list_tenants() == [] and manager.tenant_names() == []
-    store = DirectoryBackend(tmp_path / "adopted")
-    store.save_snapshot(DEFAULT_TENANT, QueryService(
-        "TDG", 1.0, seed=11, domain_size=DOMAIN).state_dict())
-    with pytest.raises(ValueError, match=key):
-        TenantManager(store, default_config=_tdg_config(**bad))
-    assert store.list_tenants() == []
+    with SQLiteBackend(tmp_path / "default.db") as store:
+        with pytest.raises(ValueError, match=key):
+            TenantManager(store, default_config=_tdg_config(**bad))
+        assert store.list_tenants() == []
 
 
 def test_cli_serve_multi_tenant_smoke(tmp_path, capsys):

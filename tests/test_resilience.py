@@ -5,13 +5,14 @@ backoff schedules, permanent short-circuit, deadline interaction),
 CircuitBreaker state machine (fake clock, no sleeping) and the
 FaultPlan DSL.
 
-Chaos coverage, on both storage backends: a transient Nth-write fault
-is retried transparently with no acknowledged-report loss (recovered
+Chaos coverage, on a new SQLite store and one imported from a JSON
+store (``tests/store_helpers.py``): a transient Nth-write fault is
+retried transparently with no acknowledged-report loss (recovered
 answers bitwise identical to an uninterrupted run); a locked-database
 storm trips the tenant's breaker into degraded mode where queries keep
 answering while ingest answers 503, and the half-open probe recovers;
-a torn write-ahead-log append is quarantined on restart; a corrupt
-snapshot quarantines one tenant without taking down the others; and
+a corrupt log entry refuses recovery; a corrupt snapshot quarantines
+one tenant without taking down the others; and
 the HTTP surface exposes all of it (``Retry-After``, ``/readyz`` vs
 ``/healthz``, admission-queue shedding).
 """
@@ -34,9 +35,9 @@ from repro.resilience import (CircuitBreaker, Deadline, DeadlineExceededError,
                               RetryPolicy, TransientStorageError,
                               classify_error, is_transient)
 from repro.serving import TenantManager, build_server
-from repro.storage import (BACKENDS, CorruptEntryError, DirectoryBackend,
-                           SQLiteBackend, UnknownTenantError, open_backend)
+from repro.storage import CorruptEntryError, SQLiteBackend, UnknownTenantError
 from serving_helpers import memory_server
+from store_helpers import STORE_KINDS, open_store
 
 DOMAIN = 8
 
@@ -54,12 +55,9 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture(params=sorted(BACKENDS))
+@pytest.fixture(params=STORE_KINDS)
 def backend(request, tmp_path):
-    if request.param == "json":
-        built = DirectoryBackend(tmp_path / "store")
-    else:
-        built = SQLiteBackend(tmp_path / "store.db")
+    built = open_store(request.param, tmp_path)
     yield built
     built.close()
 
@@ -346,7 +344,7 @@ def test_nth_write_fault_is_retried_without_loss(backend, tmp_path):
     # A restart over the raw backend answers bitwise-identically to an
     # uninterrupted run over a pristine backend.
     recovered = TenantManager(backend)
-    mirror_backend = open_backend("json", str(tmp_path / "mirror"))
+    mirror_backend = SQLiteBackend(tmp_path / "mirror.db")
     mirror = TenantManager(mirror_backend, default_config=_tdg_config())
     for seed in (1, 2, 3):
         mirror.ingest("default", _rows(seed))
@@ -457,45 +455,18 @@ def test_malformed_ingest_domain_size_leaves_breaker_closed(backend,
 
 
 # ----------------------------------------------------------------------
-# Chaos: torn write-ahead append and quarantine
+# Chaos: corrupt log entries and snapshots
 # ----------------------------------------------------------------------
-def test_torn_wal_append_is_quarantined_on_restart(tmp_path):
-    backend = DirectoryBackend(tmp_path / "store")
-    plan = FaultPlan.parse("append_ingest:error=torn:nth=3")
-    faulty = FaultInjectingBackend(backend, plan)
-    manager = TenantManager(faulty, default_config=_tdg_config(),
-                            retry_policy=_fast_policy())
-    manager.ingest("default", _rows(1))
-    manager.ingest("default", _rows(2))
-    with pytest.raises(DegradedServiceError):  # torn: never acknowledged
-        manager.ingest("default", _rows(3))
-
-    # Restart over the raw backend: the torn tail is quarantined and
-    # recovery replays exactly the acknowledged batches.
-    recovered = TenantManager(backend)
-    assert recovered.quarantined_tenants() == {}
-    torn_files = list((tmp_path / "store").rglob("*.torn"))
-    assert len(torn_files) == 1
-
-    mirror_backend = DirectoryBackend(tmp_path / "mirror")
-    mirror = TenantManager(mirror_backend, default_config=_tdg_config())
-    mirror.ingest("default", _rows(1))
-    mirror.ingest("default", _rows(2))
-    recovered.refinalize("default")
-    mirror.refinalize("default")
-    assert (recovered.service("default").query_wire(_workload())["answers"]
-            == mirror.service("default").query_wire(_workload())["answers"])
-    backend.close()
-    mirror_backend.close()
-
-
 def test_mid_sequence_corruption_refuses_recovery(tmp_path):
-    backend = DirectoryBackend(tmp_path / "store")
+    backend = SQLiteBackend(tmp_path / "store.db")
     manager = TenantManager(backend, default_config=_tdg_config())
     manager.ingest("default", _rows(1))
     manager.ingest("default", _rows(2))
-    entry = next((tmp_path / "store").rglob("entry-00000001.json"))
-    entry.write_text('{"seq": 1, "rows": [[1,')  # corrupt, NOT the tail
+    connection = sqlite3.connect(tmp_path / "store.db")
+    connection.execute("UPDATE ingest_log SET rows = ? WHERE seq = 1",
+                       ("[[1,",))  # corrupt, NOT the tail
+    connection.commit()
+    connection.close()
     with pytest.raises(CorruptEntryError):
         backend.pending_ingest("default")
     backend.close()
@@ -681,14 +652,11 @@ def test_admission_queue_sheds_with_503(tmp_path):
 
 
 def test_busy_timeout_configurable_end_to_end(tmp_path):
-    backend = open_backend("sqlite", str(tmp_path / "a.db"),
-                           busy_timeout_ms=1234)
+    backend = SQLiteBackend(tmp_path / "a.db", busy_timeout_ms=1234)
     assert backend.busy_timeout_ms == 1234
     assert backend._connection.execute(
         "PRAGMA busy_timeout").fetchone()[0] == 1234
     backend.close()
-    with pytest.raises(ValueError, match="sqlite"):
-        open_backend("json", str(tmp_path / "store"), busy_timeout_ms=10)
     with pytest.raises(ValueError):
         SQLiteBackend(tmp_path / "b.db", busy_timeout_ms=-1)
 
@@ -711,8 +679,11 @@ def test_cli_busy_timeout_requires_sqlite(tmp_path, capsys):
     assert main(["serve", "--busy-timeout", "10", "--port", "0",
                  "--max-requests", "0"]) == 2
     assert "sqlite" in capsys.readouterr().err
-    assert main(["serve", "--backend", "json",
-                 "--store", str(tmp_path / "s"),
-                 "--busy-timeout", "10", "--port", "0",
-                 "--max-requests", "0"]) == 2
+    # SQLite is the only durable backend: ``json`` is not a choice.
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--backend", "json",
+              "--store", str(tmp_path / "s"),
+              "--busy-timeout", "10", "--port", "0",
+              "--max-requests", "0"])
+    assert exited.value.code == 2
 

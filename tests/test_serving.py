@@ -6,7 +6,7 @@ mechanism, ``save_state`` → JSON → ``restore_mechanism`` →
 estimator's answers from the snapshot point on — including HIO/LHIO,
 whose answering path still draws noise (their RNG stream travels in
 the snapshot).  On top of that, the suite covers versioned snapshots
-in the JSON directory backend, the ingest → re-finalize → answer service loop, the
+in a SQLite store, the ingest → re-finalize → answer service loop, the
 JSON-over-HTTP API and the ``serve``/``snapshot`` CLI verbs.
 """
 
@@ -29,9 +29,9 @@ from repro.serving import (QueryService, ServiceError, TenantManager,
                            build_server, queries_from_wire, query_from_wire,
                            query_to_wire, restore_mechanism)
 from repro.serving.http import MAX_BODY_BYTES
-from repro.storage import (DEFAULT_TENANT, DirectoryBackend, MemoryBackend,
-                           SQLiteBackend)
+from repro.storage import DEFAULT_TENANT, MemoryBackend, SQLiteBackend
 from serving_helpers import memory_server
+from store_helpers import open_store
 
 #: Default-tenant config of the memory-backed HTTP tests.
 TDG_CONFIG = {"mechanism": "TDG", "epsilon": 1.0, "seed": 9,
@@ -143,19 +143,26 @@ def test_restored_mechanism_config_shapes_answering(serving_dataset,
 
 
 # ----------------------------------------------------------------------
-# Snapshot store (JSON directory backend): versions, retention, errors
+# Snapshot store (SQLite): versions, retention, errors
 # ----------------------------------------------------------------------
-def _versions(backend: DirectoryBackend) -> list[int]:
+def _store(path) -> SQLiteBackend:
+    """A SQLite store at ``path`` holding an empty default tenant."""
+    store = SQLiteBackend(path)
+    store.create_tenant(DEFAULT_TENANT, {})
+    return store
+
+
+def _versions(backend: SQLiteBackend) -> list[int]:
     return [record.version
             for record in backend.list_snapshots(DEFAULT_TENANT)]
 
 
-def _load(backend: DirectoryBackend, version: int | None = None) -> dict:
+def _load(backend: SQLiteBackend, version: int | None = None) -> dict:
     return backend.load_snapshot(DEFAULT_TENANT, version)[0]
 
 
 def test_snapshot_store_versions_increment(tmp_path):
-    store = DirectoryBackend(tmp_path / "snaps")
+    store = _store(tmp_path / "snaps.db")
     assert _versions(store) == []
     assert store.latest_snapshot_version(DEFAULT_TENANT) is None
     first = store.save_snapshot(DEFAULT_TENANT, {"payload": 1})
@@ -167,7 +174,7 @@ def test_snapshot_store_versions_increment(tmp_path):
 
 
 def test_snapshot_store_retention(tmp_path):
-    store = DirectoryBackend(tmp_path)
+    store = _store(tmp_path / "store.db")
     for index in range(4):
         store.save_snapshot(DEFAULT_TENANT, {"payload": index})
         store.prune_snapshots(DEFAULT_TENANT, keep_last=2)
@@ -177,7 +184,7 @@ def test_snapshot_store_retention(tmp_path):
 
 def test_snapshot_store_concurrent_saves_get_distinct_versions(tmp_path):
     """Racing writers never collide on a version or corrupt a document."""
-    store = DirectoryBackend(tmp_path)
+    store = _store(tmp_path / "store.db")
     results: list = []
     barrier = threading.Barrier(8)
 
@@ -198,8 +205,8 @@ def test_snapshot_store_concurrent_saves_get_distinct_versions(tmp_path):
 
 
 def test_snapshot_store_error_cases(tmp_path):
-    store = DirectoryBackend(tmp_path)
-    with pytest.raises(FileNotFoundError, match="empty"):
+    store = _store(tmp_path / "store.db")
+    with pytest.raises(FileNotFoundError, match="no snapshots"):
         _load(store)
     store.save_snapshot(DEFAULT_TENANT, {})
     with pytest.raises(FileNotFoundError, match="version 9"):
@@ -307,7 +314,7 @@ def test_service_snapshot_restores_answers_and_pending_reports(
     service.refinalize()
     service.ingest(serving_dataset.values[1_200:1_800])  # pending reports
 
-    backend = DirectoryBackend(tmp_path / "svc")
+    backend = _store(tmp_path / "svc.db")
     info = backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
     restored = QueryService.from_state_dict(_load(backend))
     assert info.version == 1
@@ -331,7 +338,7 @@ def test_service_snapshot_restores_answers_and_pending_reports(
 def test_service_snapshot_of_static_service(tmp_path, serving_dataset,
                                             mixed_workload):
     service = QueryService(MSW(1.0, seed=4).fit(serving_dataset))
-    backend = DirectoryBackend(tmp_path)
+    backend = _store(tmp_path / "store.db")
     backend.save_snapshot(DEFAULT_TENANT, service.state_dict())
     restored = QueryService.from_state_dict(_load(backend))
     assert restored.status()["mode"] == "static"
@@ -373,7 +380,7 @@ def test_query_wire_forms_are_equivalent():
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def http_service(serving_dataset, tmp_path):
-    manager = TenantManager(DirectoryBackend(tmp_path / "http-snaps"),
+    manager = TenantManager(SQLiteBackend(tmp_path / "http-snaps.db"),
                             default_config={"mechanism": "TDG",
                                             "epsilon": 1.0, "seed": 9,
                                             "domain_size": 16})
@@ -724,11 +731,9 @@ def test_http_not_ready_is_conflict(tmp_path):
 
 
 def _open_store(kind: str, tmp_path):
-    if kind == "json":
-        return DirectoryBackend(tmp_path / "store")
-    if kind == "sqlite":
-        return SQLiteBackend(tmp_path / "store.db")
-    return MemoryBackend()
+    if kind == "memory":
+        return MemoryBackend()
+    return open_store(kind, tmp_path)
 
 
 @pytest.mark.parametrize("kind", ["json", "sqlite", "memory"])
@@ -783,35 +788,40 @@ def test_service_ingest_rejects_non_integer_rows():
 # CLI verbs
 # ----------------------------------------------------------------------
 def test_cli_snapshot_create_list_inspect(tmp_path, capsys):
-    directory = str(tmp_path / "store")
-    assert main(["snapshot", "create", "--dir", directory,
+    db = str(tmp_path / "store.db")
+    assert main(["snapshot", "create", "--store", db,
                  "--mechanism", "TDG", "--n-users", "2000",
                  "--n-attributes", "3", "--domain-size", "16"]) == 0
     assert "wrote snapshot version 1" in capsys.readouterr().out
-    assert main(["snapshot", "list", "--dir", directory]) == 0
+    with SQLiteBackend(db) as backend:
+        # The default tenant is registered with the snapshot's config.
+        assert backend.get_tenant(DEFAULT_TENANT).config["mechanism"] \
+            == "TDG"
+    assert main(["snapshot", "list", "--store", db]) == 0
     assert "<- latest" in capsys.readouterr().out
-    assert main(["snapshot", "inspect", "--dir", directory]) == 0
+    assert main(["snapshot", "inspect", "--store", db]) == 0
     output = capsys.readouterr().out
     assert "mechanism=TDG" in output and "estimator=present" in output
 
 
 def test_cli_snapshot_list_empty_store(tmp_path, capsys):
-    assert main(["snapshot", "list", "--dir", str(tmp_path)]) == 0
+    assert main(["snapshot", "list", "--store",
+                 str(tmp_path / "empty.db")]) == 0
     assert "no snapshots" in capsys.readouterr().out
 
 
-def _create_snapshot(directory: str) -> None:
-    assert main(["snapshot", "create", "--dir", directory,
+def _create_snapshot(db: str) -> None:
+    assert main(["snapshot", "create", "--store", db,
                  "--mechanism", "TDG", "--n-users", "2000",
                  "--n-attributes", "3", "--domain-size", "16"]) == 0
 
 
 def test_cli_serve_restore_smoke(tmp_path, capsys):
     """serve binds, restores the stored service and exits (0 requests)."""
-    directory = str(tmp_path / "store")
-    _create_snapshot(directory)
+    db = str(tmp_path / "store.db")
+    _create_snapshot(db)
     capsys.readouterr()
-    assert main(["serve", "--backend", "json", "--store", directory,
+    assert main(["serve", "--backend", "sqlite", "--store", db,
                  "--port", "0", "--max-requests", "0"]) == 0
     output = capsys.readouterr().out
     assert "serving TDG" in output and "ready=True" in output
@@ -820,27 +830,29 @@ def test_cli_serve_restore_smoke(tmp_path, capsys):
 def test_cli_clean_errors_on_missing_snapshots(tmp_path, capsys):
     """Empty stores and missing versions exit 2 with a message, no
     traceback; serving an empty store starts a fresh default tenant."""
-    directory = str(tmp_path / "empty")
-    assert main(["snapshot", "inspect", "--dir", directory]) == 2
-    assert "empty" in capsys.readouterr().err
-    assert main(["serve", "--backend", "json", "--store", directory,
+    db = str(tmp_path / "empty.db")
+    assert main(["snapshot", "inspect", "--store", db]) == 2
+    assert "unknown tenant 'default'" in capsys.readouterr().err
+    assert main(["serve", "--backend", "sqlite", "--store", db,
                  "--port", "0", "--max-requests", "0"]) == 0
     assert "ready=False" in capsys.readouterr().out
-    _create_snapshot(directory)
+    assert main(["snapshot", "inspect", "--store", db]) == 2
+    assert "no snapshots" in capsys.readouterr().err
+    _create_snapshot(db)
     capsys.readouterr()
-    assert main(["serve", "--backend", "json", "--store", directory,
+    assert main(["serve", "--backend", "sqlite", "--store", db,
                  "--port", "0", "--max-requests", "0"]) == 0
     output = capsys.readouterr().out
     assert "serving TDG" in output and "ready=True" in output
-    assert main(["snapshot", "inspect", "--dir", directory,
+    assert main(["snapshot", "inspect", "--store", db,
                  "--version", "9"]) == 2
     assert "no snapshot version 9" in capsys.readouterr().err
 
 
 def test_cli_serve_backend_rejects_bootstrap_dataset(tmp_path, capsys):
     """Bootstrap rows would bypass the write-ahead log: refused."""
-    store = tmp_path / "store"
-    assert main(["serve", "--backend", "json", "--store", str(store),
+    store = tmp_path / "store.db"
+    assert main(["serve", "--backend", "sqlite", "--store", str(store),
                  "--bootstrap-dataset", "normal", "--port", "0",
                  "--max-requests", "0"]) == 2
     error = capsys.readouterr().err

@@ -1,23 +1,25 @@
-"""Snapshot retention edge cases of the JSON directory backend.
+"""Snapshot retention edge cases of the SQLite store.
 
-The directory backend versions snapshots with an exclusive hard-link
-claim and prunes them with ``prune_snapshots(tenant, keep_last)`` (the
-``keep_last`` retention a tenant config or ``repro snapshot create
---keep-last`` applies after each save).  These tests pin the behaviours
-the ops guide promises: pruning removes exactly the oldest versions,
-the latest version always survives (and restores) right after a prune,
-and concurrent writers never overwrite or skip-number each other's
-snapshots.
+The store claims each snapshot version inside a write transaction that
+holds the database's write lock, and prunes with
+``prune_snapshots(tenant, keep_last)`` (the ``keep_last`` retention a
+tenant config or ``repro snapshot create --keep-last`` applies after
+each save).  These tests pin the behaviours the ops guide promises:
+pruning removes exactly the oldest versions, the latest version always
+survives (and restores) right after a prune, and concurrent writers —
+each on its own connection — never overwrite or skip-number each
+other's snapshots.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 
 import pytest
 
-from repro.storage import DEFAULT_TENANT, DirectoryBackend
+from repro.storage import DEFAULT_TENANT, SQLiteBackend
 
 
 def _document(tag: int) -> dict:
@@ -25,11 +27,15 @@ def _document(tag: int) -> dict:
 
 
 class _Store:
-    """The default tenant's snapshots in one directory backend, saved
-    with the tenant-config retention (prune after every save)."""
+    """The default tenant's snapshots in one SQLite store (one
+    connection per instance), saved with the tenant-config retention
+    (prune after every save)."""
 
     def __init__(self, directory, keep_last=None):
-        self.backend = DirectoryBackend(directory)
+        self.path = directory / "store.db"
+        self.backend = SQLiteBackend(self.path)
+        if not self.backend.has_tenant(DEFAULT_TENANT):
+            self.backend.create_tenant(DEFAULT_TENANT, {})
         self.keep_last = keep_last
 
     def save(self, document):
@@ -48,8 +54,13 @@ class _Store:
     def latest_version(self):
         return self.backend.latest_snapshot_version(DEFAULT_TENANT)
 
-    def path_of(self, version):
-        return self.backend.snapshot_path(DEFAULT_TENANT, version)
+    def stored_blobs(self):
+        connection = sqlite3.connect(self.path)
+        try:
+            return connection.execute(
+                "SELECT COUNT(*) FROM snapshot_blobs").fetchone()[0]
+        finally:
+            connection.close()
 
 
 # ----------------------------------------------------------------------
@@ -61,8 +72,8 @@ def test_keep_last_prunes_oldest_versions_in_order(tmp_path):
         store.save(_document(tag))
     # Exactly the newest three survive, oldest three are gone.
     assert store.versions() == [4, 5, 6]
+    assert store.stored_blobs() == 3
     for version in (1, 2, 3):
-        assert not store.path_of(version).exists()
         with pytest.raises(FileNotFoundError, match=f"version {version}"):
             store.load(version)
     # Surviving documents are the ones written under those versions.
@@ -79,7 +90,7 @@ def test_keep_last_one_keeps_only_the_newest(tmp_path):
 
 def test_keep_last_validation_and_unbounded_default(tmp_path):
     with pytest.raises(ValueError, match="keep_last"):
-        DirectoryBackend(tmp_path).prune_snapshots(DEFAULT_TENANT, 0)
+        _Store(tmp_path).backend.prune_snapshots(DEFAULT_TENANT, 0)
     store = _Store(tmp_path)  # no cap
     for tag in range(5):
         store.save(_document(tag))
@@ -126,6 +137,7 @@ def test_concurrent_saves_claim_distinct_contiguous_versions(tmp_path):
     """Racing writers never overwrite or skip a version slot."""
     store = _Store(tmp_path)
     n_writers, per_writer = 8, 5
+    writers = [_Store(tmp_path) for _ in range(n_writers)]
     barrier = threading.Barrier(n_writers)
     claims: list[tuple[int, int]] = []
     lock = threading.Lock()
@@ -133,7 +145,8 @@ def test_concurrent_saves_claim_distinct_contiguous_versions(tmp_path):
     def writer(writer_id: int) -> None:
         barrier.wait()
         for sequence in range(per_writer):
-            info = store.save(_document(writer_id * 1000 + sequence))
+            info = writers[writer_id].save(
+                _document(writer_id * 1000 + sequence))
             with lock:
                 claims.append((writer_id, info.version))
 
@@ -159,11 +172,12 @@ def test_concurrent_saves_claim_distinct_contiguous_versions(tmp_path):
 def test_concurrent_saves_with_retention_keep_the_newest(tmp_path):
     store = _Store(tmp_path, keep_last=4)
     n_writers = 6
+    writers = [_Store(tmp_path, keep_last=4) for _ in range(n_writers)]
     barrier = threading.Barrier(n_writers)
 
     def writer(writer_id: int) -> None:
         barrier.wait()
-        store.save(_document(writer_id))
+        writers[writer_id].save(_document(writer_id))
 
     threads = [threading.Thread(target=writer, args=(writer_id,))
                for writer_id in range(n_writers)]

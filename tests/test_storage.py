@@ -1,41 +1,46 @@
-"""Tests for the storage backend tier (repro.storage).
+"""Tests for the storage tier (repro.storage).
 
-One parametrized contract suite runs against both implementations —
-the directory-of-JSON backend and the SQLite backend — covering the
-three concerns: the tenant registry, versioned snapshots with listing
-metadata, and the write-ahead ingest log (including sequence-number
-monotonicity across prunes).  Backend-specific sections pin the
-DirectoryBackend's adoption of legacy root-level snapshot directories,
-the SQLiteBackend's WAL-mode pragmas and trigger-maintained listing
-table, and the atomic-write durability regression: a failed write
-never leaves a temp file behind.
+One parametrized contract suite runs over a new SQLite store and one
+imported from a JSON directory store (``tests/store_helpers.py``),
+covering the three concerns: the tenant registry, versioned snapshots
+with listing metadata, and the write-ahead ingest log (including
+sequence-number monotonicity across prunes).  Further sections pin the
+import of a JSON store's legacy layout (root-level snapshots, sidecars,
+the log floor), SQLite's WAL-mode pragmas and trigger-maintained
+listing table, that a failed write claims nothing, and that version and
+sequence claims stay distinct and contiguous when several processes
+write one store.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import sqlite3
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.serving import QueryService, TenantManager
-from repro.storage import (BACKENDS, DEFAULT_TENANT, CorruptEntryError,
-                           DirectoryBackend, SQLiteBackend,
+from repro.storage import (DEFAULT_TENANT, CorruptEntryError, SQLiteBackend,
                            StorageBackend, TenantExistsError,
-                           UnknownTenantError, open_backend,
+                           UnknownTenantError, import_json_store,
                            validate_tenant_name)
 from repro.storage.base import decode_rows, encode_rows
+from store_helpers import STORE_KINDS, open_store
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+JSON_STORE = (Path(__file__).resolve().parent / "data" / "json_store_blob"
+              / "json-store")
 
 
-@pytest.fixture(params=sorted(BACKENDS))
+@pytest.fixture(params=STORE_KINDS)
 def backend(request, tmp_path) -> StorageBackend:
-    if request.param == "json":
-        built = DirectoryBackend(tmp_path / "store")
-    else:
-        built = SQLiteBackend(tmp_path / "store.db")
+    built = open_store(request.param, tmp_path)
     yield built
     built.close()
 
@@ -221,26 +226,19 @@ def test_row_blob_decode_refuses_corrupt_values(stored, match):
         decode_rows(stored)
 
 
-def _corrupt_entry(backend, tenant: str, seq: int, case: str) -> None:
+def _corrupt_entry(backend, seq: int, case: str) -> None:
     """Overwrite one stored entry's rows with a bad tag, a truncated
     blob or garbage text, behind the backend's back."""
     blob = encode_rows([[1, 2], [3, 4]])
     stored = {"bad-tag": b"ZZ" + blob[2:], "truncated": blob[:-1],
               "garbage": "@@ not rows @@"}[case]
-    if isinstance(backend, SQLiteBackend):
-        connection = sqlite3.connect(backend.path)
-        try:
-            connection.execute("UPDATE ingest_log SET rows = ? WHERE seq = ?",
-                               (stored, seq))
-            connection.commit()
-        finally:
-            connection.close()
-        return
-    if isinstance(stored, bytes):
-        stored = base64.b64encode(stored).decode("ascii")
-    path = backend._wal_dir(tenant) / f"entry-{seq:08d}.json"
-    path.write_text(json.dumps({"seq": seq, "rows": stored,
-                                "domain_size": 8}))
+    connection = sqlite3.connect(backend.path)
+    try:
+        connection.execute("UPDATE ingest_log SET rows = ? WHERE seq = ?",
+                           (stored, seq))
+        connection.commit()
+    finally:
+        connection.close()
 
 
 @pytest.mark.parametrize("case", ["bad-tag", "truncated", "garbage"])
@@ -249,7 +247,7 @@ def test_corrupt_mid_log_entry_is_corrupt_entry_error(backend, case):
                                    "domain_size": 8})
     for value in range(3):
         backend.append_ingest("acme", [[value, value]], 8)
-    _corrupt_entry(backend, "acme", 2, case)
+    _corrupt_entry(backend, 2, case)
     with pytest.raises(CorruptEntryError, match="seq=2"):
         backend.pending_ingest("acme")
     quarantined = TenantManager(backend).quarantined_tenants()
@@ -258,20 +256,15 @@ def test_corrupt_mid_log_entry_is_corrupt_entry_error(backend, case):
 
 @pytest.mark.parametrize("case", ["bad-tag", "truncated", "garbage"])
 def test_corrupt_log_tail(backend, case):
-    """A directory store quarantines an unreadable tail entry as a torn
-    write; SQLite appends are transactional, so there it is corrupt."""
+    """SQLite appends are transactional, so an unreadable tail entry is
+    not a torn write: it is acknowledged data that is gone.  (Importing
+    a JSON store skips a torn tail: ``tests/test_json_import.py``.)"""
     backend.create_tenant("acme", {})
     for value in range(3):
         backend.append_ingest("acme", [[value, value]], 8)
-    _corrupt_entry(backend, "acme", 3, case)
-    if isinstance(backend, SQLiteBackend):
-        with pytest.raises(CorruptEntryError, match="seq=3"):
-            backend.pending_ingest("acme")
-        return
-    entries = backend.pending_ingest("acme")
-    assert [entry.rows.tolist() for entry in entries] == [[[0, 0]], [[1, 1]]]
-    assert [path.name for path in backend._wal_dir("acme").glob("*.torn")] \
-        == ["entry-00000003.json.torn"]
+    _corrupt_entry(backend, 3, case)
+    with pytest.raises(CorruptEntryError, match="seq=3"):
+        backend.pending_ingest("acme")
 
 
 def test_wal_sequence_monotonic_across_prunes(backend):
@@ -322,48 +315,66 @@ def test_describe_and_location(backend):
     backend.create_tenant("acme", {})
     backend.append_ingest("acme", [[1, 2]])
     description = backend.describe()
-    assert description["backend"] in BACKENDS
+    assert description["backend"] == "sqlite"
     assert description["tenants"] == 1
     assert description["pending_ingest_log"] == 1
     assert description["location"] == backend.location()
 
 
-def test_open_backend_dispatch(tmp_path):
-    with open_backend("json", str(tmp_path / "d")) as built:
-        assert isinstance(built, DirectoryBackend)
-    with open_backend("sqlite", str(tmp_path / "s.db")) as built:
-        assert isinstance(built, SQLiteBackend)
-    with pytest.raises(ValueError, match="unknown storage backend"):
-        open_backend("postgres", "x")
-
-
 # ----------------------------------------------------------------------
-# DirectoryBackend: legacy store adoption
+# Importing a JSON directory store's legacy layout
 # ----------------------------------------------------------------------
 def test_directory_backend_adopts_legacy_snapshot_store(tmp_path):
     """A legacy directory — root-level snapshot files, no sidecars, no
-    tenants.json — opens as the default tenant's history: size and
-    creation time fall back to stat, wal_seq to 0."""
+    tenants.json — imports as the default tenant's history: creation
+    time from the file, wal_seq 0, listing metadata from the document."""
     document = _service_document()
-    legacy = tmp_path / "snapshot-000001.json"
+    legacy = tmp_path / "legacy" / "snapshot-000001.json"
+    legacy.parent.mkdir()
     legacy.write_text(json.dumps(document))
-    backend = DirectoryBackend(tmp_path)
-    records = backend.list_snapshots("default")
-    assert [r.version for r in records] == [1]
-    assert records[0].size_bytes == legacy.stat().st_size
-    assert records[0].wal_seq == 0
-    loaded, _ = backend.load_snapshot("default")
-    assert loaded == document
+    with SQLiteBackend(tmp_path / "s.db") as backend:
+        assert import_json_store(legacy.parent, backend) == ["default"]
+        records = backend.list_snapshots("default")
+        assert [r.version for r in records] == [1]
+        assert records[0].size_bytes == legacy.stat().st_size
+        assert records[0].wal_seq == 0
+        assert records[0].mechanism == "TDG"
+        loaded, _ = backend.load_snapshot("default")
+        assert loaded == document
+        assert backend.get_tenant("default").config == {
+            "mechanism": "TDG", "epsilon": 1.0, "domain_size": 8}
 
 
 def test_directory_backend_meta_sidecars_ignored_by_snapshot_store(tmp_path):
     """Sidecar .meta.json files must not count as snapshot versions,
-    although they match the ``snapshot-*.json`` version glob."""
-    backend = DirectoryBackend(tmp_path)
-    backend.save_snapshot("default", _service_document())
-    assert (tmp_path / "snapshot-000001.meta.json").exists()
-    assert [r.version for r in backend.list_snapshots("default")] == [1]
-    assert backend.save_snapshot("default", _service_document()).version == 2
+    although they match the ``snapshot-*.json`` pattern; the next save
+    after an import follows the newest imported version."""
+    with SQLiteBackend(tmp_path / "s.db") as backend:
+        import_json_store(JSON_STORE, backend)
+        assert [r.version for r in backend.list_snapshots("default")] \
+            == [1, 2]
+        assert backend.save_snapshot("default",
+                                     _service_document()).version == 3
+
+
+def test_directory_backend_floor_survives_prune_discard_and_reopen(tmp_path):
+    """A JSON store's ``floor.json`` (raised by a discard above the
+    newest entry) comes through the import: no number is reused after a
+    discard, a prune of everything, or a reopen."""
+    path = tmp_path / "s.db"
+    with SQLiteBackend(path) as backend:
+        import_json_store(JSON_STORE, backend)
+        assert [e.seq for e in backend.pending_ingest("tdg")] == [5]
+        assert backend.last_ingest_seq("tdg") == 6
+        assert backend.append_ingest("tdg", [[1, 2, 3]]) == 7
+        backend.discard_ingest("tdg", 7)
+        backend.prune_ingest("tdg", 7)
+        assert backend.ingest_log_depth("tdg") == 0
+    with SQLiteBackend(path) as reopened:
+        assert reopened.last_ingest_seq("tdg") == 7
+        assert reopened.append_ingest("tdg", [[1, 2, 3]]) == 8
+        assert [(e.seq, e.rows.tolist())
+                for e in reopened.pending_ingest("tdg")] == [(8, [[1, 2, 3]])]
 
 
 # ----------------------------------------------------------------------
@@ -426,108 +437,83 @@ def test_sqlite_reopen_preserves_everything(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Atomic-write durability regression (snapshot claims + backends)
+# Failed writes and concurrent writers
 # ----------------------------------------------------------------------
-def _temp_files(directory) -> list:
-    return [path for path in directory.iterdir()
-            if path.suffix == ".tmp" or path.name.endswith(".json.tmp")]
-
-
-def _versions(backend: DirectoryBackend) -> list[int]:
-    return [record.version
-            for record in backend.list_snapshots(DEFAULT_TENANT)]
+def _versions(backend: SQLiteBackend,
+              tenant: str = DEFAULT_TENANT) -> list[int]:
+    return [record.version for record in backend.list_snapshots(tenant)]
 
 
 def test_snapshot_store_failed_save_leaves_no_temp_file(tmp_path):
-    """A save that dies mid-serialization must clean up its temp file
-    and must not claim a version slot."""
-    store = DirectoryBackend(tmp_path)
+    """A save that dies mid-serialization must not claim a version, and
+    the store keeps working."""
+    store = SQLiteBackend(tmp_path / "s.db")
+    store.create_tenant(DEFAULT_TENANT, {})
     store.save_snapshot(DEFAULT_TENANT, {"ok": 1})
     with pytest.raises(TypeError):
         # not JSON-serializable
         store.save_snapshot(DEFAULT_TENANT, {"bad": object()})
     assert _versions(store) == [1]
-    assert _temp_files(tmp_path) == []
-
-
-def test_snapshot_store_failed_link_leaves_no_temp_file(tmp_path,
-                                                        monkeypatch):
-    """Even a failure at the claim step (os.link) cleans up."""
-    store = DirectoryBackend(tmp_path)
-
-    def refuse_link(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "link", refuse_link)
-    with pytest.raises(OSError, match="disk full"):
-        store.save_snapshot(DEFAULT_TENANT, {"ok": 1})
-    monkeypatch.undo()
-    assert _versions(store) == []
-    assert _temp_files(tmp_path) == []
-    # The store still works after the failure.
-    assert store.save_snapshot(DEFAULT_TENANT, {"ok": 1}).version == 1
-
-
-def test_directory_backend_failed_write_leaves_no_temp_file(tmp_path):
-    backend = DirectoryBackend(tmp_path)
-    backend.create_tenant("acme", {})
     with pytest.raises(TypeError):
-        backend.append_ingest("acme", [[object()]])
-    wal_dir = tmp_path / "wal" / "acme"
-    assert _temp_files(wal_dir) == []
-    assert backend.pending_ingest("acme") == []
+        store.append_ingest(DEFAULT_TENANT, [[object()]])
+    assert store.pending_ingest(DEFAULT_TENANT) == []
+    assert store.save_snapshot(DEFAULT_TENANT, {"ok": 2}).version == 2
+    assert sorted(path.name for path in tmp_path.iterdir()
+                  if not path.name.startswith("s.db")) == []
+    store.close()
 
 
-def test_directory_backend_append_does_not_list_a_growing_log(tmp_path,
-                                                              monkeypatch):
-    """An append's cost must not grow with the log: the WAL directory's
-    entries are listed at most once per tenant, not once per append."""
-    from pathlib import Path
-    backend = DirectoryBackend(tmp_path)
-    backend.create_tenant("acme", {})
-    wal_dir = tmp_path / "wal" / "acme"
-    listed = []
-    real_glob = Path.glob
-
-    def counting_glob(self, pattern):
-        for path in real_glob(self, pattern):
-            if self == wal_dir:
-                listed.append(path)
-            yield path
-
-    monkeypatch.setattr(Path, "glob", counting_glob)
-    per_append = []
-    for seq in range(1, 41):
-        before = len(listed)
-        assert backend.append_ingest("acme", [[seq % 4, 1]]) == seq
-        per_append.append(len(listed) - before)
-    assert per_append[-1] == per_append[4] == 0
-    monkeypatch.undo()
-    assert [e.seq for e in backend.pending_ingest("acme")] == list(range(1, 41))
+#: One writer process: opens the store, creates ``ready``, saves and
+#: appends alternately once ``go`` exists, then prints the versions and
+#: sequence numbers it was given.
+_WRITER = """
+import json, os, sys, time
+from repro.storage import SQLiteBackend
+path, ready, go, count = sys.argv[1:4] + [int(sys.argv[4])]
+backend = SQLiteBackend(path)
+open(ready, "w").close()
+while not os.path.exists(go):
+    time.sleep(0.001)
+versions, seqs = [], []
+for index in range(count):
+    versions.append(backend.save_snapshot("acme", {"i": index}).version)
+    seqs.append(backend.append_ingest("acme", [[index, 1]], 8))
+backend.close()
+print(json.dumps({"versions": versions, "seqs": seqs}))
+"""
 
 
-def test_directory_backend_floor_survives_prune_discard_and_reopen(tmp_path):
-    """Without a per-append floor write, a prune or discard still
-    raises the floor first, so no number is reused by this backend, by
-    a reopened one, or after a full prune."""
-    backend = DirectoryBackend(tmp_path)
-    backend.create_tenant("acme", {})
-    for _ in range(3):
-        backend.append_ingest("acme", [[1, 2]])
-    backend.discard_ingest("acme", 3)
-    assert DirectoryBackend(tmp_path).last_ingest_seq("acme") == 3
-    assert backend.append_ingest("acme", [[1, 2]]) == 4
-    backend.prune_ingest("acme", 4)
-    assert backend.ingest_log_depth("acme") == 0
-    reopened = DirectoryBackend(tmp_path)
-    assert reopened.last_ingest_seq("acme") == 4
-    assert reopened.append_ingest("acme", [[1, 2]]) == 5
-    # The first backend's remembered position is behind both the
-    # other writer's entry and, after a prune, the floor.
-    assert backend.append_ingest("acme", [[3, 4]]) == 6
-    assert reopened.append_ingest("acme", [[1, 2]]) == 7
-    reopened.prune_ingest("acme", 7)
-    assert backend.append_ingest("acme", [[5, 6]]) == 8
-    assert [(e.seq, e.rows.tolist()) for e in backend.pending_ingest("acme")] \
-        == [(8, [[5, 6]])]
-    assert _temp_files(tmp_path / "wal" / "acme") == []
+def test_sqlite_version_and_seq_claims_are_atomic_across_processes(
+        tmp_path):
+    """Four processes each save 30 snapshots and append 30 entries to
+    one store: every claim succeeds, and the versions and sequence
+    numbers handed out are distinct and contiguous."""
+    path, go = tmp_path / "shared.db", tmp_path / "go"
+    with SQLiteBackend(path) as backend:
+        backend.create_tenant("acme", {})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    ready = [tmp_path / f"ready-{index}" for index in range(4)]
+    writers = [subprocess.Popen(
+        [sys.executable, "-c", _WRITER, str(path), str(flag), str(go), "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for flag in ready]
+    deadline = time.monotonic() + 60
+    while not all(flag.exists() for flag in ready):
+        assert time.monotonic() < deadline, "a writer never opened the store"
+        assert all(writer.poll() is None for writer in writers)
+        time.sleep(0.01)
+    go.touch()
+    results = []
+    for writer in writers:
+        out, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+        results.append(json.loads(out))
+    versions = sorted(v for result in results for v in result["versions"])
+    seqs = sorted(s for result in results for s in result["seqs"])
+    assert versions == list(range(1, 121))
+    assert seqs == list(range(1, 121))
+    with SQLiteBackend(path) as backend:
+        assert _versions(backend, "acme") == list(range(1, 121))
+        assert [e.seq for e in backend.pending_ingest("acme")] \
+            == list(range(1, 121))

@@ -6,7 +6,11 @@ They now hold a compact row blob (``repro.storage.base.encode_rows``).
 ``tests/data/wal_json_rows/`` holds one store of each kind that the
 JSON-row code wrote (``tests/data/make_wal_fixtures.py``), each with an
 HDG and a TDG tenant whose snapshot is followed by a JSON-row tail, and
-the answers that code gave after recovering them.  Reading them today:
+the answers that code gave after recovering them.  The SQLite store is
+read from a copy; the JSON directory store is imported into a new
+SQLite store (``repro.storage.import_json_store``), which keeps its
+sequence numbers and stores each entry as a row blob.  Reading them
+today:
 
 * each store recovers to the same answers, compared with ``==``;
 * a log that holds JSON-row entries followed by blob entries replays
@@ -25,37 +29,36 @@ import numpy as np
 import pytest
 
 from repro.serving import QueryService, TenantManager
-from repro.storage import DirectoryBackend, SQLiteBackend
+from repro.storage import SQLiteBackend, import_json_store
 
 DATA = Path(__file__).resolve().parent / "data" / "wal_json_rows"
 EXPECTED = json.loads((DATA / "expected.json").read_text())
 
 
-def _reopen(kind: str, tmp_path):
-    if kind == "json":
-        return DirectoryBackend(tmp_path / "json-store")
-    return SQLiteBackend(tmp_path / "store.db")
-
-
 def _open_copy(kind: str, tmp_path):
-    """A writable copy of the fixture store (recovery and ingest write)."""
+    """A writable store holding the fixture (recovery and ingest
+    write): a copy of the SQLite store, or the JSON store imported."""
     if kind == "json":
-        shutil.copytree(DATA / "json-store", tmp_path / "json-store")
-    else:
-        shutil.copy(DATA / "store.db", tmp_path / "store.db")
-    return _reopen(kind, tmp_path)
+        backend = SQLiteBackend(tmp_path / "store.db")
+        import_json_store(DATA / "json-store", backend)
+        return backend
+    shutil.copy(DATA / "store.db", tmp_path / "store.db")
+    return SQLiteBackend(tmp_path / "store.db")
 
 
 def _answers(service) -> list:
     return service.query_wire_batch(EXPECTED["workload"])["workloads"]
 
 
-def _stored_rows(kind: str, tmp_path, tenant: str) -> list:
+def _fixture_rows(tenant: str) -> list:
+    """The JSON fixture's ``rows`` values of one tenant's log."""
+    wal = DATA / "json-store" / "wal" / tenant
+    return [json.loads(path.read_text())["rows"]
+            for path in sorted(wal.glob("entry-*.json"))]
+
+
+def _stored_rows(tmp_path, tenant: str) -> list:
     """Each log entry's stored ``rows`` value, in sequence order."""
-    if kind == "json":
-        wal = tmp_path / "json-store" / "wal" / tenant
-        return [json.loads(path.read_text())["rows"]
-                for path in sorted(wal.glob("entry-*.json"))]
     connection = sqlite3.connect(tmp_path / "store.db")
     try:
         return [row[0] for row in connection.execute(
@@ -67,11 +70,13 @@ def _stored_rows(kind: str, tmp_path, tenant: str) -> list:
 
 @pytest.mark.parametrize("kind", ["json", "sqlite"])
 def test_json_row_stores_recover_to_the_same_answers(kind, tmp_path):
+    stored = _fixture_rows if kind == "json" else (
+        lambda tenant: _stored_rows(tmp_path, tenant))
     backend = _open_copy(kind, tmp_path)
     try:
         assert all(isinstance(rows, (list, str))
                    for tenant in EXPECTED["tenants"]
-                   for rows in _stored_rows(kind, tmp_path, tenant))
+                   for rows in stored(tenant))
         manager = TenantManager(backend)
         assert manager.quarantined_tenants() == {}
         for tenant in EXPECTED["tenants"]:
@@ -98,12 +103,13 @@ def test_mixed_json_and_blob_log_replays_in_order(kind, tmp_path):
             manager.ingest(tenant, rows.tolist())
     backend.close()
 
-    backend = _reopen(kind, tmp_path)
+    backend = SQLiteBackend(tmp_path / "store.db")
     try:
         for tenant in EXPECTED["tenants"]:
-            stored = _stored_rows(kind, tmp_path, tenant)
+            stored = _stored_rows(tmp_path, tenant)
+            # The import stores the JSON store's entry as a row blob.
             assert [type(rows) for rows in stored] == (
-                [list, str, str] if kind == "json" else [str, bytes, bytes])
+                [bytes] * 3 if kind == "json" else [str, bytes, bytes])
             entries = backend.pending_ingest(tenant)
             assert [entry.seq for entry in entries] == [3, 4, 5]
             assert [entry.rows.tolist() for entry in entries] == [
