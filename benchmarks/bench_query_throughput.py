@@ -1,8 +1,10 @@
 """Queries/sec of the compiled answering path vs the reference loops.
 
-Fits each mechanism once, generates a mixed-λ workload (λ = 1, 2, 3, 4 in
-equal parts, shuffled) and times two answering paths over the identical
-fitted state:
+Fits two identically seeded instances of each mechanism, generates a
+mixed-λ workload (λ = 1, 2, 3, 4 in equal parts, shuffled) and times one
+answering path on each, so both start from the same fitted state (HIO
+materialises levels and draws lazy noise while answering, which is
+state):
 
 * **loops**    — the reference loops of ``tests/oracles.py``: per-cell
   grid answering, slice sums, per-node hierarchy sums and one Weighted
@@ -57,7 +59,7 @@ sys.path.insert(0, str(HERE.parent / "tests"))
 from _scale import append_trajectory, report  # noqa: E402
 from oracles import loop_answers  # noqa: E402
 
-from repro.baselines import CALM, LHIO, MSW, Uniform  # noqa: E402
+from repro.baselines import CALM, HIO, LHIO, MSW, Uniform  # noqa: E402
 from repro.core import HDG, TDG  # noqa: E402
 from repro.core.query_estimation import (  # noqa: E402
     lambda_constraint_index_sets)
@@ -66,14 +68,14 @@ from repro.estimation import (Constraint, weighted_update,  # noqa: E402
                               weighted_update_batch)
 from repro.queries import WorkloadGenerator  # noqa: E402
 
-#: Mechanisms measured, in report order.  HIO is excluded: its answering
-#: cost is dominated by the lazy noisy-node path, which the engine keeps.
-MECHANISMS = ("Uni", "MSW", "CALM", "LHIO", "TDG", "HDG")
+#: Mechanisms measured, in report order.
+MECHANISMS = ("Uni", "MSW", "CALM", "HIO", "LHIO", "TDG", "HDG")
 
 FACTORIES = {
     "Uni": lambda epsilon, seed: Uniform(epsilon, seed=seed),
     "MSW": lambda epsilon, seed: MSW(epsilon, seed=seed),
     "CALM": lambda epsilon, seed: CALM(epsilon, seed=seed),
+    "HIO": lambda epsilon, seed: HIO(epsilon, seed=seed),
     "LHIO": lambda epsilon, seed: LHIO(epsilon, seed=seed),
     "TDG": lambda epsilon, seed: TDG(epsilon, seed=seed),
     "HDG": lambda epsilon, seed: HDG(epsilon, seed=seed),
@@ -212,9 +214,10 @@ def run(n_users: int, n_queries: int, epsilon: float, n_attributes: int,
     failures = []
     fitted = {}
     for name in MECHANISMS:
+        reference = FACTORIES[name](epsilon, seed).fit(dataset)
         mechanism = fitted[name] = FACTORIES[name](epsilon, seed).fit(dataset)
         loop_results, loop_seconds = time_workload(
-            lambda workload: loop_answers(mechanism, workload), queries)
+            lambda workload: loop_answers(reference, workload), queries)
         compiled_results, compiled_seconds = time_workload(
             mechanism.answer_workload, queries)
         worst = float(np.abs(loop_results - compiled_results).max())

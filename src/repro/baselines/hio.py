@@ -14,19 +14,16 @@ Because the number of groups explodes with ``d`` and ``c``, each group is
 tiny and the noise is enormous — HIO is the paper's example of failing the
 curse-of-dimensionality and large-domain challenges.
 
-Implementation note: a d-dim level can contain up to ``c^d`` intervals,
-which cannot be materialised.  Levels whose interval count is below
-``materialize_limit`` run the real OLH aggregation over the level's group;
-larger levels are evaluated lazily — the frequency of a requested d-dim
-interval is its true frequency within the group plus Gaussian noise with
-the OLH estimation variance for that group size (the standard large-domain
-simulation of a frequency oracle).  This keeps the mechanism's error
-behaviour while keeping memory bounded; the substitution is recorded in
-DESIGN.md.
+Implementation note: a d-dim level can contain up to ``c^d`` intervals.
+Levels of more than ``materialize_limit`` intervals are evaluated lazily: a
+requested interval's frequency is its true frequency within the group plus
+Gaussian noise with OLH's variance for that group size.  The substitution
+is recorded in ``docs/reproduce.md`` (Substitutions).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -36,6 +33,14 @@ from ..datasets import Dataset
 from ..frequency_oracles import OptimizedLocalHash, olh_variance
 from ..queries import RangeQuery
 from .hierarchy import HierarchyNode, IntervalHierarchy
+
+#: Node combinations enumerated at once while answering a query; it
+#: bounds the index arrays' memory (a λ=6 query at c=64 has up to 14^6
+#: combinations) and does not change any answer.
+COMBINATION_CHUNK = 1 << 16
+
+#: The memo of a lazy level that has drawn nothing yet.
+_NO_DRAWS = (np.empty(0, dtype=np.int64), np.empty(0))
 
 
 class HIO(RangeQueryMechanism):
@@ -59,8 +64,9 @@ class HIO(RangeQueryMechanism):
 
     name = "HIO"
 
-    #: Answering draws lazy noise and memoizes it (``_lazy_cache``), so
-    #: concurrent answering must be serialized by the caller.
+    #: Answering materialises levels and draws lazy noise, memoising
+    #: both (``_materialized``, ``_lazy_memo``), so concurrent answering
+    #: must be serialized by the caller.
     answering_is_pure = False
 
     def __init__(self, epsilon: float, branching: int = 4,
@@ -76,14 +82,20 @@ class HIO(RangeQueryMechanism):
         self._group_offsets: np.ndarray | None = None
         self._level_index: dict[tuple[int, ...], int] = {}
         self._materialized: dict[tuple[int, ...], np.ndarray] = {}
-        self._lazy_cache: dict[tuple, float] = {}
+        # Per lazy level: the drawn intervals' sorted (codes, values) and,
+        # derived and not snapshotted, its group's sorted interval codes.
+        self._lazy_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._lazy_members: dict[tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
     def _fit(self, dataset: Dataset) -> None:
-        self._dataset = dataset
         d = dataset.n_attributes
+        if dataset.domain_size ** d >= 1 << 63:
+            raise ValueError("HIO indexes a level's intervals as int64: "
+                             "c^d must be below 2^63")
+        self._dataset = dataset
         self.hierarchy = IntervalHierarchy(dataset.domain_size, self.branching)
         levels_per_dim = self.hierarchy.n_levels
         all_levels = list(product(range(levels_per_dim), repeat=d))
@@ -98,8 +110,7 @@ class HIO(RangeQueryMechanism):
         sizes[:extra] += 1
         self._group_offsets = np.concatenate(([0], np.cumsum(sizes)))
 
-        self._materialized = {}
-        self._lazy_cache = {}
+        self._materialized, self._lazy_memo, self._lazy_members = {}, {}, {}
 
     # ------------------------------------------------------------------
     # Fitted-state serialization (snapshots; see docs/serving.md)
@@ -126,9 +137,12 @@ class HIO(RangeQueryMechanism):
             "materialized": {
                 ",".join(str(part) for part in level): estimates.tolist()
                 for level, estimates in self._materialized.items()},
-            "lazy_cache": [[list(level), list(indices), value]
-                           for (level, indices), value
-                           in self._lazy_cache.items()],
+            "lazy_cache": [
+                [list(level), [int(index) for index in cell], float(value)]
+                for level, (codes, values) in self._lazy_memo.items()
+                for cell, value in zip(
+                    zip(*np.unravel_index(codes, self._level_shape(level))),
+                    values)],
         }
 
     def _restore_state_payload(self, payload: dict) -> None:
@@ -145,10 +159,15 @@ class HIO(RangeQueryMechanism):
             tuple(int(part) for part in key.split(",")):
                 np.asarray(estimates, dtype=float)
             for key, estimates in payload["materialized"].items()}
-        self._lazy_cache = {
-            (tuple(int(part) for part in level),
-             tuple(int(part) for part in indices)): float(value)
-            for level, indices, value in payload["lazy_cache"]}
+        rows: dict[tuple[int, ...], list[list]] = {}
+        for level, indices, value in payload["lazy_cache"]:
+            rows.setdefault(tuple(level), []).append([*indices, value])
+        self._lazy_memo, self._lazy_members = {}, {}
+        for level, table in rows.items():
+            table = np.array(table)  # node indices are exact as floats
+            self._remember(level, np.ravel_multi_index(
+                table[:, :-1].astype(np.int64).T, self._level_shape(level)),
+                table[:, -1])
 
     # ------------------------------------------------------------------
     # Group and level helpers
@@ -158,23 +177,22 @@ class HIO(RangeQueryMechanism):
         start, end = self._group_offsets[index], self._group_offsets[index + 1]
         return self._group_order[start:end]
 
-    def _level_size(self, level: tuple[int, ...]) -> int:
+    def _level_shape(self, level: tuple[int, ...]) -> tuple[int, ...]:
         assert self.hierarchy is not None
-        size = 1
-        for one_dim_level in level:
-            size *= self.hierarchy.nodes_at_level(one_dim_level)
-        return size
+        return tuple(self.hierarchy.nodes_at_level(one_dim_level)
+                     for one_dim_level in level)
+
+    def _level_size(self, level: tuple[int, ...]) -> int:
+        return math.prod(self._level_shape(level))
 
     def _interval_indices(self, level: tuple[int, ...],
                           values: np.ndarray) -> np.ndarray:
         """Flattened d-dim interval index of each record at a d-dim level."""
         assert self.hierarchy is not None
-        flat = np.zeros(values.shape[0], dtype=np.int64)
-        for axis, one_dim_level in enumerate(level):
-            width = self.hierarchy.node_width(one_dim_level)
-            flat = flat * self.hierarchy.nodes_at_level(one_dim_level) + (
-                values[:, axis] // width)
-        return flat
+        widths = [self.hierarchy.node_width(one_dim_level)
+                  for one_dim_level in level]
+        return np.ravel_multi_index((values // widths).T,
+                                    self._level_shape(level))
 
     def _materialize_level(self, level: tuple[int, ...]) -> np.ndarray:
         assert self._dataset is not None
@@ -187,38 +205,6 @@ class HIO(RangeQueryMechanism):
         indices = self._interval_indices(level, self._dataset.values[members])
         return oracle.estimate_frequencies(indices)[:size]
 
-    def _lazy_frequency(self, level: tuple[int, ...],
-                        nodes: tuple[HierarchyNode, ...]) -> float:
-        """Noisy frequency of one d-dim interval without materialising the level."""
-        assert self._dataset is not None
-        members = self._group_members(level)
-        n_group = max(int(members.size), 1)
-        if members.size == 0:
-            true_frequency = 0.0
-        else:
-            mask = np.ones(members.size, dtype=bool)
-            for axis, node in enumerate(nodes):
-                column = self._dataset.values[members, axis]
-                mask &= (column >= node.low) & (column <= node.high)
-            true_frequency = float(mask.mean())
-        noise_std = float(np.sqrt(olh_variance(self.epsilon, n_group)))
-        return true_frequency + float(self.rng.normal(0.0, noise_std))
-
-    def _interval_frequency(self, nodes: tuple[HierarchyNode, ...]) -> float:
-        assert self.hierarchy is not None
-        level = tuple(node.level for node in nodes)
-        if self._level_size(level) <= self.materialize_limit:
-            if level not in self._materialized:
-                self._materialized[level] = self._materialize_level(level)
-            flat = 0
-            for node in nodes:
-                flat = flat * self.hierarchy.nodes_at_level(node.level) + node.index
-            return float(self._materialized[level][flat])
-        key = (level, tuple(node.index for node in nodes))
-        if key not in self._lazy_cache:
-            self._lazy_cache[key] = self._lazy_frequency(level, nodes)
-        return self._lazy_cache[key]
-
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
@@ -228,102 +214,112 @@ class HIO(RangeQueryMechanism):
                          for query in compiled.flat_ranges], dtype=float)
 
     def _answer_query(self, query: RangeQuery) -> float:
-        """Sum of every node combination of the query's d-dim expansion."""
+        """Sum of every node combination of the query's d-dim expansion.
+
+        Combinations run in :func:`itertools.product` order, in chunks;
+        first touches materialise levels and draw lazy noise in that
+        order, as the per-combination loop does.  The lazy values are
+        summed left to right, then each materialised level's gather in
+        first-touch order.
+        """
         assert self.hierarchy is not None and self._n_attributes is not None
-        decompositions: list[list[HierarchyNode]] = []
-        for attribute in range(self._n_attributes):
-            if attribute in query.attributes:
-                low, high = query.interval(attribute)
-            else:
-                low, high = 0, self.hierarchy.domain_size - 1
-            decompositions.append(self.hierarchy.decompose(low, high))
-        return self._answer_vectorized(decompositions)
+        full = (0, self.hierarchy.domain_size - 1)
+        decompositions = [self.hierarchy.decompose(
+            *(query.interval(attribute) if attribute in query.attributes
+              else full)) for attribute in range(self._n_attributes)]
+        nodes = [np.array([(node.level, node.index) for node in axis_nodes])
+                 for axis_nodes in decompositions]
+        lengths = tuple(len(axis_nodes) for axis_nodes in nodes)
+        n_combinations = math.prod(lengths)
+        lazy_sum = 0.0
+        gathered: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for start in range(0, n_combinations, COMBINATION_CHUNK):
+            positions = np.unravel_index(np.arange(
+                start, min(start + COMBINATION_CHUNK, n_combinations)), lengths)
+            lazy_values = self._answer_chunk(
+                [axis_nodes[at] for axis_nodes, at in zip(nodes, positions)],
+                gathered)
+            lazy_sum = float(np.cumsum(np.r_[lazy_sum, lazy_values])[-1])
+        for level, flats in gathered.items():
+            lazy_sum += float(
+                self._materialized[level][np.concatenate(flats)].sum())
+        return lazy_sum
 
-    #: Combination-count ceiling for the fully-vectorised enumeration;
-    #: above it the bucketed per-combination loop is used instead of
-    #: materialising gigabyte-scale index meshes.
-    VECTORIZE_COMBINATION_LIMIT = 1 << 20
-
-    def _answer_vectorized(self, decompositions: list[list[HierarchyNode]]) -> float:
-        """Enumerate and sum all node combinations without a Python loop.
-
-        The cartesian product of the per-attribute decompositions is
-        built as index meshes, each combination's d-dim level is packed
-        into one integer code, and every distinct level is answered with
-        a single fancy-indexed gather over its materialised estimates.
-        Levels are materialised in the product's first-touch order, so
-        the RNG stream — and therefore every answer — matches the
-        reference per-combination loop from a fresh fitted state.
-        Combinations involving over-limit (lazy) levels keep the
-        bucketed loop, which interleaves lazy noise draws at the loop's
-        iteration points.
-        """
+    def _answer_chunk(self, nodes: list[np.ndarray],
+                      gathered: dict[tuple[int, ...], list[np.ndarray]]
+                      ) -> np.ndarray:
+        """Draw what a run of combinations (one ``(level, index)`` row per
+        attribute) first touches; return its lazy values in order and
+        append its materialised interval indices to ``gathered``, keyed
+        by level in first-touch order."""
         assert self.hierarchy is not None
-        level_arrays = [np.array([node.level for node in nodes], dtype=np.int64)
-                        for nodes in decompositions]
-        index_arrays = [np.array([node.index for node in nodes], dtype=np.int64)
-                        for nodes in decompositions]
-        n_combinations = 1
-        for nodes in decompositions:
-            n_combinations *= len(nodes)
-        if n_combinations > self.VECTORIZE_COMBINATION_LIMIT:
-            return self._answer_bucketed(decompositions)
-        nodes_at = np.array([self.hierarchy.nodes_at_level(level)
-                             for level in range(self.hierarchy.n_levels)],
-                            dtype=np.int64)
-        levels = np.stack([mesh.ravel() for mesh
-                           in np.meshgrid(*level_arrays, indexing="ij")], axis=1)
-        indices = np.stack([mesh.ravel() for mesh
-                            in np.meshgrid(*index_arrays, indexing="ij")], axis=1)
-        counts = nodes_at[levels]
-        if np.any(counts.prod(axis=1) > self.materialize_limit):
-            return self._answer_bucketed(decompositions)
-        codes = np.zeros(levels.shape[0], dtype=np.int64)
-        flat = np.zeros(levels.shape[0], dtype=np.int64)
         n_levels = self.hierarchy.n_levels
-        for axis in range(levels.shape[1]):
-            codes = codes * n_levels + levels[:, axis]
-            flat = flat * counts[:, axis] + indices[:, axis]
-        _, first_positions, inverse = np.unique(codes, return_index=True,
-                                                return_inverse=True)
-        answer = 0.0
-        for group in np.argsort(first_positions, kind="stable"):
-            level = tuple(int(l) for l in levels[first_positions[group]])
-            if level not in self._materialized:
-                self._materialized[level] = self._materialize_level(level)
-            answer += float(
-                self._materialized[level][flat[inverse == group]].sum())
-        return answer
-
-    def _answer_bucketed(self, decompositions: list[list[HierarchyNode]]) -> float:
-        """Sum node combinations with one vectorised gather per d-dim level.
-
-        Combinations living in a materialised level are collected into
-        per-level index buckets and summed with a single fancy-indexed
-        lookup; combinations of over-limit levels keep the lazy noisy
-        path.  Both first-time level materialisations and lazy draws
-        happen at the same iteration points as the reference
-        per-combination loop, so the RNG stream — and therefore every
-        answer — matches it from a fresh fitted state, not just after the
-        caches are warm.
-        """
-        assert self.hierarchy is not None
-        answer = 0.0
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for combination in product(*decompositions):
-            level = tuple(node.level for node in combination)
+        nodes_at = self.hierarchy.branching ** np.arange(n_levels)
+        codes = np.zeros(len(nodes[0]), dtype=np.int64)
+        flat = np.zeros_like(codes)
+        for axis_nodes in nodes:
+            codes = codes * n_levels + axis_nodes[:, 0]
+            flat = flat * nodes_at[axis_nodes[:, 0]] + axis_nodes[:, 1]
+        _, first, inverse, counts = np.unique(
+            codes, return_index=True, return_inverse=True, return_counts=True)
+        groups = np.split(np.argsort(inverse, kind="stable"),
+                          np.cumsum(counts)[:-1])
+        values, stds = np.zeros((2, codes.size))
+        is_lazy, fresh = np.zeros((2, codes.size), dtype=bool)
+        new_levels, drawn = [], []
+        for positions in (groups[group] for group in np.argsort(first)):
+            level = tuple(int(axis_nodes[positions[0], 0])
+                          for axis_nodes in nodes)
             if self._level_size(level) <= self.materialize_limit:
                 if level not in self._materialized:
-                    self._materialized[level] = self._materialize_level(level)
-                buckets.setdefault(level, []).append(
-                    tuple(node.index for node in combination))
-            else:
-                answer += self._interval_frequency(tuple(combination))
-        for level, index_tuples in buckets.items():
-            indices = np.asarray(index_tuples, dtype=np.int64)
-            flat = np.zeros(indices.shape[0], dtype=np.int64)
-            for axis, one_dim_level in enumerate(level):
-                flat = (flat * self.hierarchy.nodes_at_level(one_dim_level)
-                        + indices[:, axis])
-            answer += float(self._materialized[level][flat].sum())
-        return answer
+                    new_levels.append((positions[0], level))
+                gathered.setdefault(level, []).append(flat[positions])
+                continue
+            is_lazy[positions] = True
+            memo_codes, memo_values = self._lazy_memo.get(level, _NO_DRAWS)
+            slots = np.searchsorted(memo_codes, flat[positions])
+            seen = slots < memo_codes.size
+            seen[seen] = memo_codes[slots[seen]] == flat[positions[seen]]
+            values[positions[seen]] = memo_values[slots[seen]]
+            unseen = positions[~seen]
+            if unseen.size:
+                members = self._member_codes(level)
+                n_group = max(members.size, 1)
+                values[unseen] = (
+                    np.searchsorted(members, flat[unseen], side="right")
+                    - np.searchsorted(members, flat[unseen])) / n_group
+                stds[unseen] = float(np.sqrt(olh_variance(self.epsilon,
+                                                          n_group)))
+                fresh[unseen] = True
+                drawn.append((level, unseen))
+        # The noise drawn between two materialisations comes from one call.
+        to_draw = np.flatnonzero(fresh)
+        done = 0
+        for position, level in new_levels + [(codes.size, None)]:
+            stop = int(np.searchsorted(to_draw, position))
+            if stop > done:
+                values[to_draw[done:stop]] += self.rng.normal(
+                    0.0, stds[to_draw[done:stop]])
+                done = stop
+            if level is not None:
+                self._materialized[level] = self._materialize_level(level)
+        for level, unseen in drawn:
+            self._remember(level, flat[unseen], values[unseen])
+        return values[is_lazy]
+
+    def _remember(self, level: tuple[int, ...], codes: np.ndarray,
+                  values: np.ndarray) -> None:
+        """Merge newly drawn intervals into a lazy level's sorted memo."""
+        memo_codes, memo_values = self._lazy_memo.get(level, _NO_DRAWS)
+        codes = np.concatenate((memo_codes, codes))
+        order = np.argsort(codes)
+        self._lazy_memo[level] = (
+            codes[order], np.concatenate((memo_values, values))[order])
+
+    def _member_codes(self, level: tuple[int, ...]) -> np.ndarray:
+        """Sorted interval index of each member of a lazy level's group."""
+        if level not in self._lazy_members:
+            assert self._dataset is not None
+            self._lazy_members[level] = np.sort(self._interval_indices(
+                level, self._dataset.values[self._group_members(level)]))
+        return self._lazy_members[level]

@@ -23,7 +23,7 @@ vector per record is pushed through per-attribute marginal transforms and
 then bucketed into the common ordinal domain ``[c]``.  This preserves the
 two levers the experiments exercise — marginal skewness and pairwise
 correlation strength — while keeping the build fully self-contained (the
-substitution is recorded in DESIGN.md).
+substitution is recorded in ``docs/reproduce.md``, Substitutions).
 """
 
 from __future__ import annotations

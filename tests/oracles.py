@@ -23,7 +23,11 @@ against:
   at a time through the scalar lookups; bitwise equal to the compiled
   path for every mechanism but LHIO, whose scalar path sums its levels
   in another order) and :func:`loop_answer` (the per-cell, slice-sum,
-  per-combination and per-node loops; within 1e-9).
+  per-combination and per-node loops; within 1e-9);
+* HIO's bucketed loop (:func:`hio_bucketed_answers`): lazy intervals
+  one by one through a dict memo, each materialised level's bucket in
+  one gather.  HIO's array path must match it bitwise, RNG stream
+  included.
 * typed workloads interpreted query by query: :func:`reference_ranges`
   lowers each IR query to its range primitives and
   :func:`reference_assemble` slices the flat answers back into typed
@@ -38,13 +42,14 @@ caller would.
 
 from __future__ import annotations
 
+import weakref
 from itertools import product
 
 import numpy as np
 
 from repro.baselines import HIO, LHIO, MSW, Uniform
 from repro.core import HDG, TDG, estimate_lambda_query
-from repro.frequency_oracles import OptimizedLocalHash
+from repro.frequency_oracles import OptimizedLocalHash, olh_variance
 from repro.postprocess import norm_sub
 from repro.queries import (DistributionResult, MarginalQuery, PointQuery,
                            Predicate, PredicateCountQuery, RangeQuery,
@@ -367,18 +372,115 @@ def _hio_answer(mechanism, query: RangeQuery, loops: bool) -> float:
     """Sum over every combination of the d-dim expansion's nodes."""
     if not loops:
         return mechanism._answer_query(query)
-    hierarchy = mechanism.hierarchy
-    decompositions = []
-    for attribute in range(mechanism._n_attributes):
-        if attribute in query.attributes:
-            low, high = query.interval(attribute)
+    return hio_reference(mechanism).loop(query)
+
+
+#: The reference each fitted HIO instance is answered through, so its
+#: lazy memo lives as long as the instance.
+_HIO_REFERENCES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def hio_reference(mechanism) -> "HIOReference":
+    """The instance's reference answerer (one per instance)."""
+    if mechanism not in _HIO_REFERENCES:
+        _HIO_REFERENCES[mechanism] = HIOReference(mechanism)
+    return _HIO_REFERENCES[mechanism]
+
+
+def hio_bucketed_answers(mechanism, queries) -> np.ndarray:
+    return np.array([hio_reference(mechanism).bucketed(query)
+                     for query in queries])
+
+
+class HIOReference:
+    """HIO answered combination by combination over a fitted instance.
+
+    Levels are materialised through the instance (its ``_materialized``
+    dict and RNG); an over-limit interval is the group's true frequency
+    (a boolean mask's mean) plus one Gaussian draw, memoised in a dict
+    keyed by ``(level, node indices)``.  :meth:`bucketed` adds the lazy
+    values one by one and each materialised level's bucket in one
+    gather, in first-touch order: the library's array path must match
+    it bitwise.  :meth:`loop` adds every combination one by one (within
+    1e-9).
+    """
+
+    def __init__(self, mechanism):
+        self.mechanism = mechanism
+        self.lazy: dict[tuple, float] = {}
+
+    def decompositions(self, query: RangeQuery) -> list:
+        hierarchy = self.mechanism.hierarchy
+        decompositions = []
+        for attribute in range(self.mechanism._n_attributes):
+            if attribute in query.attributes:
+                low, high = query.interval(attribute)
+            else:
+                low, high = 0, hierarchy.domain_size - 1
+            decompositions.append(hierarchy.decompose(low, high))
+        return decompositions
+
+    def materialized(self, level: tuple) -> np.ndarray:
+        mechanism = self.mechanism
+        if level not in mechanism._materialized:
+            mechanism._materialized[level] = mechanism._materialize_level(level)
+        return mechanism._materialized[level]
+
+    def lazy_frequency(self, level: tuple, nodes: tuple) -> float:
+        mechanism = self.mechanism
+        members = mechanism._group_members(level)
+        n_group = max(int(members.size), 1)
+        if members.size == 0:
+            true_frequency = 0.0
         else:
-            low, high = 0, hierarchy.domain_size - 1
-        decompositions.append(hierarchy.decompose(low, high))
-    answer = 0.0
-    for combination in product(*decompositions):
-        answer += mechanism._interval_frequency(tuple(combination))
-    return answer
+            mask = np.ones(members.size, dtype=bool)
+            for axis, node in enumerate(nodes):
+                column = mechanism._dataset.values[members, axis]
+                mask &= (column >= node.low) & (column <= node.high)
+            true_frequency = float(mask.mean())
+        noise_std = float(np.sqrt(olh_variance(mechanism.epsilon, n_group)))
+        return true_frequency + float(mechanism.rng.normal(0.0, noise_std))
+
+    def interval_frequency(self, nodes: tuple) -> float:
+        mechanism = self.mechanism
+        level = tuple(node.level for node in nodes)
+        if mechanism._level_size(level) <= mechanism.materialize_limit:
+            flat = 0
+            for node in nodes:
+                flat = (flat * mechanism.hierarchy.nodes_at_level(node.level)
+                        + node.index)
+            return float(self.materialized(level)[flat])
+        key = (level, tuple(node.index for node in nodes))
+        if key not in self.lazy:
+            self.lazy[key] = self.lazy_frequency(level, nodes)
+        return self.lazy[key]
+
+    def loop(self, query: RangeQuery) -> float:
+        answer = 0.0
+        for combination in product(*self.decompositions(query)):
+            answer += self.interval_frequency(tuple(combination))
+        return answer
+
+    def bucketed(self, query: RangeQuery) -> float:
+        mechanism = self.mechanism
+        answer = 0.0
+        buckets: dict[tuple, list[tuple]] = {}
+        for combination in product(*self.decompositions(query)):
+            level = tuple(node.level for node in combination)
+            if mechanism._level_size(level) <= mechanism.materialize_limit:
+                self.materialized(level)
+                buckets.setdefault(level, []).append(
+                    tuple(node.index for node in combination))
+            else:
+                answer += self.interval_frequency(tuple(combination))
+        for level, index_tuples in buckets.items():
+            indices = np.asarray(index_tuples, dtype=np.int64)
+            flat = np.zeros(indices.shape[0], dtype=np.int64)
+            for axis, one_dim_level in enumerate(level):
+                flat = (flat * mechanism.hierarchy.nodes_at_level(one_dim_level)
+                        + indices[:, axis])
+            answer += float(mechanism._materialized[level][flat].sum())
+        return answer
 
 
 def _pairwise_answer(mechanism, query: RangeQuery, loops: bool) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import HIO, LHIO, Uniform
+from repro.datasets import Dataset
 from repro.metrics import mean_absolute_error
 from repro.queries import RangeQuery, WorkloadGenerator, answer_workload
 
@@ -59,9 +60,20 @@ def test_hio_lazy_levels_cached(hio, tiny_dataset):
     c = tiny_dataset.domain_size
     query = RangeQuery.from_dict({0: (1, c - 2), 1: (1, c - 2), 2: (1, c - 2)})
     first = hio.answer(query)
+    state = hio.rng.bit_generator.state
     second = hio.answer(query)
-    # Lazy noisy lookups are cached, so answering twice is deterministic.
-    assert first == pytest.approx(second)
+    # Lazy noisy lookups are memoised: answering again repeats the bits
+    # and draws nothing.
+    assert first == second
+    assert hio.rng.bit_generator.state == state
+
+
+def test_hio_refuses_domains_past_int64_interval_codes():
+    # A level's intervals are indexed as int64, so c^d >= 2^63 is refused
+    # rather than answered from wrapped indices.
+    dataset = Dataset(np.zeros((4, 7), dtype=np.int64), 1024)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        HIO(1.0, seed=0).fit(dataset)
 
 
 # ----------------------------------------------------------------------

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from oracles import (GridView, enforce_attribute_consistency_loop,
-                     grr_perturb_loop, loop_answers, phase2_loop,
-                     square_wave_perturb_loop)
+                     grr_perturb_loop, hio_bucketed_answers, loop_answers,
+                     phase2_loop, square_wave_perturb_loop)
 from repro.baselines import HIO, LHIO
+from repro.baselines.hio import COMBINATION_CHUNK
 from repro.core import HDG, aggregation
 from repro.datasets import make_dataset
 from repro.frequency_oracles import GeneralizedRandomizedResponse, SquareWave
 from repro.postprocess import bucket_totals, enforce_consistency
-from repro.queries import WorkloadGenerator
+from repro.queries import Predicate, RangeQuery, WorkloadGenerator
 
 
 def mixed_workload(n_attributes, domain_size, n_queries=30, seed=11):
@@ -89,6 +90,34 @@ def test_hio_vectorized_with_lazy_levels_falls_back_consistently():
     engine = HIO(1.0, seed=3, materialize_limit=16).fit(dataset)
     np.testing.assert_allclose(engine.answer_workload(queries),
                                loop_answers(legacy, queries), atol=1e-9)
+
+
+def test_hio_array_path_equals_bucketed_reference_bitwise():
+    """Fresh same-seed instances at λ = 2, 4 and 6, with lazy levels and
+    one query spanning several combination chunks: same answers, RNG
+    state and materialised levels as the bucketed reference; a second
+    pass draws nothing."""
+    dataset = make_dataset("normal", 3_000, 6, 16,
+                           rng=np.random.default_rng(9))
+    generator = WorkloadGenerator(6, 16, rng=np.random.default_rng(10))
+    queries = [query for dimension in (2, 4, 6)
+               for query in generator.random_workload(5, dimension, 0.5)]
+    queries.append(RangeQuery(tuple(Predicate(attribute, 1, 14)
+                                    for attribute in range(6))))
+    engine = HIO(1.0, seed=4, materialize_limit=64).fit(dataset)
+    reference = HIO(1.0, seed=4, materialize_limit=64).fit(dataset)
+    assert len(engine.hierarchy.decompose(1, 14)) ** 6 > COMBINATION_CHUNK
+    answers = engine.answer_workload(queries)
+    np.testing.assert_array_equal(answers,
+                                  hio_bucketed_answers(reference, queries))
+    assert engine.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert list(engine._materialized) == list(reference._materialized)
+    for level, values in engine._materialized.items():
+        np.testing.assert_array_equal(values, reference._materialized[level])
+    assert engine._lazy_memo
+    state = engine.rng.bit_generator.state
+    np.testing.assert_array_equal(engine.answer_workload(queries), answers)
+    assert engine.rng.bit_generator.state == state
 
 
 # ----------------------------------------------------------------------
